@@ -18,15 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PointNotInSet, StartNotInA
-from .linalg import as_point, distance_to_finite_cone, norm
-from .sets import (
-    ACTIVE_TOL,
-    ProjectableSet,
-    contains,
-    project,
-    proximal_normal_generators,
-)
+from .errors import PointNotInSet, StartNotInA, ZeroVector
+from .linalg import ZERO_TOL, as_point, nnls, unit_distance_to_ray
+from .sets import ProjectableSet, contains, normal_cone_columns, project
 
 # Decrease of the step gap below which the run is declared stalled; guards
 # fixtures whose convergence is asymptotic only.
@@ -113,22 +107,44 @@ def check_certificate(
     b,
     tol: float = 1e-8,
 ) -> Certificate:
-    """Check whether ``(a, b)`` is a nearest pair of ``(set_a, set_b)``."""
+    """Check whether ``(a, b)`` is a nearest pair of ``(set_a, set_b)``.
+
+    The points are validated here once; the cone distances below work on
+    the validated arrays.  ``residual_A`` is the distance from the unit
+    vector ``u = (b - a)/||b - a||`` to the proximal normal cone of A at
+    ``a`` (``residual_B`` from ``-u`` at ``b``): 1 for an empty cone, the
+    closed-form ray rejection for one generator, NNLS otherwise.
+    """
     a = as_point(a)
     b = as_point(b)
     if not contains(set_a, a, 1e-6):
         raise PointNotInSet("first point is not in the first set")
     if not contains(set_b, b, 1e-6):
         raise PointNotInSet("second point is not in the second set")
-    gap = norm(b - a)
+    d = b - a
+    gap = float(np.linalg.norm(d))
     if gap <= tol:
         # Consistent case: the pair witnesses a common point.
         return Certificate(a, b, 0.0, 0.0, True)
-    gens_a = proximal_normal_generators(set_a, a, ACTIVE_TOL)
-    gens_b = proximal_normal_generators(set_b, b, ACTIVE_TOL)
-    res_a = distance_to_finite_cone(b - a, gens_a)
-    res_b = distance_to_finite_cone(a - b, gens_b)
+    normals_a = normal_cone_columns(set_a, a)
+    normals_b = normal_cone_columns(set_b, b)
+    if gap <= ZERO_TOL:
+        raise ZeroVector("cannot normalize a zero vector")
+    u = d / gap
+    res_a = _unit_cone_distance(u, normals_a)
+    res_b = _unit_cone_distance(-u, normals_b)
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
+
+
+def _unit_cone_distance(u: np.ndarray, G: np.ndarray) -> float:
+    """Distance from the unit vector ``u`` to the cone spanned by ``G``'s columns."""
+    k = G.shape[1]
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return unit_distance_to_ray(u, G[:, 0])
+    _, rnorm = nnls(G, u)
+    return min(rnorm, 1.0)
 
 
 def run(
@@ -170,12 +186,12 @@ def run(
         b = project(set_b, current)
         step += 1
         trace.iterates.append((step, "B", b))
-        trace.gaps.append(norm(b - current))
+        trace.gaps.append(float(np.linalg.norm(b - current)))
 
         a = project(set_a, b)
         step += 1
         trace.iterates.append((step, "A", a))
-        trace.gaps.append(norm(a - b))
+        trace.gaps.append(float(np.linalg.norm(a - b)))
 
         cert = check_certificate(set_a, set_b, a, b, cert_tol)
         trace.certificate = cert

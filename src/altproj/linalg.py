@@ -72,10 +72,16 @@ def distance_to_ray(v, ray: Ray) -> float:
     nv = float(np.linalg.norm(v))
     if nv <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
-    dot = float(v @ u)
-    if dot <= 0.0:
+    return unit_distance_to_ray(v / nv, u)
+
+
+def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
+    """:func:`distance_to_ray` for a unit vector ``vhat`` and a nonzero ``u``.
+
+    Does no validation: both are finite 1-D arrays of the same length.
+    """
+    if float(vhat @ u) <= 0.0:
         return 1.0
-    vhat = v / nv
     uhat = u / float(np.linalg.norm(u))
     rejection = vhat - float(vhat @ uhat) * uhat
     return min(1.0, float(np.linalg.norm(rejection)))
@@ -83,6 +89,15 @@ def distance_to_ray(v, ray: Ray) -> float:
 
 def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
     """Solve ``min_{lam >= 0} ||G @ lam - y||`` by the Lawson-Hanson method.
+
+    When every column makes an acute angle with ``y``, as it does for most
+    targets inside the cone and few outside it, the unconstrained
+    least-squares solution on all columns is tried first: if every
+    coefficient is strictly positive it satisfies the optimality conditions
+    of the constrained problem and is returned as is.  That is the same
+    solve Lawson-Hanson ends with when it finishes with every column
+    passive, so the result is then bit-identical.  Otherwise Lawson-Hanson
+    runs from ``lam = 0``.
 
     Parameters
     ----------
@@ -106,13 +121,20 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
     if max_iter is None:
         max_iter = 50 * max(m, 1)
 
-    lam = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    resid = y.copy()
     # Dual feasibility tolerance, scaled to the data.
     tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0))) * max(
         1.0, float(np.linalg.norm(y))
     )
+    # The angle test keeps the extra solve off most targets outside the
+    # cone, where it would fail.  With no columns it returns [] and ||y||.
+    if (G.T @ y > tol).all():
+        lam, *_ = np.linalg.lstsq(G, y, rcond=None)
+        if (lam > 0.0).all():
+            return lam, float(np.linalg.norm(y - G @ lam))
+
+    lam = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    resid = y.copy()
 
     for _ in range(max_iter):
         w = G.T @ resid

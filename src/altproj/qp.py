@@ -165,7 +165,7 @@ def _hildreth_solve(A, b, x, tol, max_iter, dual_history):
             dual_history.append(obj)
         # Exact coordinate minimization cannot increase the dual objective.
         if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
-            raise AssertionError("dual objective increased during a sweep")
+            raise NotConverged("dual objective increased during a sweep")
         prev_obj = obj
         if float(np.abs(lam).max()) > _DIVERGENCE_LIMIT:
             raise EmptyPolyhedron("dual iterate diverged; feasible set looks empty")

@@ -116,10 +116,6 @@ class EpigraphSet:
 ProjectableSet = Union[HalfSpace, Polyhedron, EpigraphSet]
 
 
-def dimension(s: ProjectableSet) -> int:
-    return s.dim
-
-
 def _check_point(s: ProjectableSet, x) -> np.ndarray:
     x = as_point(x)
     if x.shape[0] != s.dim:
@@ -131,11 +127,15 @@ def _check_point(s: ProjectableSet, x) -> np.ndarray:
 
 def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
     """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``."""
-    x = _check_point(s, x)
+    return _contains_point(s, _check_point(s, x), tol)
+
+
+def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
+    # ``contains`` for a point already validated against ``s``.
     if isinstance(s, HalfSpace):
         return float(s.c @ x) <= s.M + tol
     if isinstance(s, Polyhedron):
-        return bool(np.all(s.A @ x <= s.b + tol))
+        return bool((s.A @ x <= s.b + tol).all())
     z = x - s.shift
     profile = abs(z[0]) if s.kind == ABS else z[0] * z[0]
     return z[1] >= profile - tol
@@ -241,6 +241,42 @@ def project(s: ProjectableSet, x) -> np.ndarray:
     return project_polyhedron(s, x).point
 
 
+# Proximal normal cones of an epigraph at an interior point and of the abs
+# epigraph at its apex, where the cone spans both boundary normals.
+_NO_PLANAR_NORMALS = _freeze(np.empty((2, 0)))
+_ABS_APEX_NORMALS = _freeze(np.array([[1.0, -1.0], [-1.0, -1.0]]))
+
+
+def normal_cone_columns(
+    s: ProjectableSet, x: np.ndarray, tol: float = ACTIVE_TOL
+) -> np.ndarray:
+    """Generators of the proximal normal cone of ``s`` at ``x``, one per column.
+
+    ``x`` must already be a finite 1-D array of the set's dimension; the
+    result is ``(dim, k)`` with ``k = 0`` at interior points, and may be a
+    read-only view.  Raises ``PointNotInSet`` when ``x`` is not in ``s``
+    within ``tol``.
+    """
+    if not _contains_point(s, x, tol):
+        raise PointNotInSet("point is not in the set within tolerance")
+    if isinstance(s, Polyhedron):
+        return s.A[np.abs(s.A @ x - s.b) <= tol].T
+    if isinstance(s, HalfSpace):
+        if abs(float(s.c @ x) - s.M) <= tol:
+            return s.c[:, None]
+        return np.empty((s.dim, 0))
+    z = x - s.shift
+    if s.kind == ABS:
+        if z[1] > abs(z[0]) + tol:
+            return _NO_PLANAR_NORMALS
+        if abs(z[0]) <= tol:
+            return _ABS_APEX_NORMALS
+        return np.array([[1.0 if z[0] > 0 else -1.0], [-1.0]])
+    if z[1] > z[0] * z[0] + tol:
+        return _NO_PLANAR_NORMALS
+    return np.array([[2.0 * z[0]], [-1.0]])
+
+
 def proximal_normal_generators(
     s: ProjectableSet, x, tol: float = ACTIVE_TOL
 ) -> list[np.ndarray]:
@@ -250,28 +286,7 @@ def proximal_normal_generators(
     belong to ``s`` within ``tol``.
     """
     x = _check_point(s, x)
-    if not contains(s, x, tol):
-        raise PointNotInSet("point is not in the set within tolerance")
-    if isinstance(s, HalfSpace):
-        if abs(float(s.c @ x) - s.M) <= tol:
-            return [s.c.copy()]
-        return []
-    if isinstance(s, Polyhedron):
-        residual = np.abs(s.A @ x - s.b)
-        return [s.A[i].copy() for i in np.flatnonzero(residual <= tol)]
-    z = x - s.shift
-    if s.kind == ABS:
-        if z[1] > abs(z[0]) + tol:
-            return []
-        if abs(z[0]) <= tol:
-            # Apex: the cone spans both boundary normals.
-            return [np.array([1.0, -1.0]), np.array([-1.0, -1.0])]
-        if z[0] > 0:
-            return [np.array([1.0, -1.0])]
-        return [np.array([-1.0, -1.0])]
-    if z[1] > z[0] * z[0] + tol:
-        return []
-    return [np.array([2.0 * z[0], -1.0])]
+    return [g.copy() for g in normal_cone_columns(s, x, tol).T]
 
 
 def set_to_json(s: ProjectableSet) -> dict:

@@ -99,7 +99,7 @@ def test_project_parabola_matches_boundary_scan():
         p = project_epigraph(sq, x)
         # The minimizing u lies between 0 and x[0].
         us = np.linspace(min(0.0, x[0]) - 0.5, max(0.0, x[0]) + 0.5, 200001)
-        brute = min(np.hypot(u - x[0], u * u - x[1]) for u in us)
+        brute = np.hypot(us - x[0], us * us - x[1]).min()
         assert norm(p - x) == pytest.approx(brute, abs=1e-6)
 
 
@@ -110,7 +110,7 @@ def test_parabola_projection_with_multiple_stationary_points():
     for x in ([2.5, 4.0], [-2.5, 4.0], [3.0, 6.0]):
         p = project_epigraph(sq, x)
         us = np.linspace(-5.0, 5.0, 400001)
-        brute = min(np.hypot(u - x[0], u * u - x[1]) for u in us)
+        brute = np.hypot(us - x[0], us * us - x[1]).min()
         assert norm(p - np.asarray(x, float)) == pytest.approx(brute, abs=1e-6)
 
 
