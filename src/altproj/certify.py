@@ -18,8 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidDistance, StartNotInA, Unbounded
-from .linalg import Ray, as_point, distance_to_finite_cone, distance_to_ray, norm
+from .linalg import Ray, as_point, distance_to_ray, norm, unit_cone_distance
 from .qp import project_polyhedron
 from .sets import HalfSpace, Polyhedron, contains
 
@@ -89,6 +91,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     c = A.c
     nc = norm(c)
     neg_ray = Ray(-c)
+    neg_chat = -c / nc
     qualifying = []
     best = math.inf
     for i in range(B.num_rows):
@@ -105,7 +108,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
             if subset in seen:
                 return
             seen.add(subset)
-            dist = distance_to_finite_cone(-c, [B.A[i] for i in subset])
+            dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(subset)].T))
             if dist > 1e-9:  # cones containing -c are optimal-face geometry
                 nonlocal best
                 best = min(best, dist)

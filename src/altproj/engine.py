@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PointNotInSet, StartNotInA, ZeroVector
-from .linalg import ZERO_TOL, as_point, nnls, unit_distance_to_ray
+from .linalg import ZERO_TOL, as_point, unit_cone_distance
 from .sets import ProjectableSet, contains, normal_cone_columns, project
 
 # Decrease of the step gap below which the run is declared stalled; guards
@@ -131,20 +131,9 @@ def check_certificate(
     if gap <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     u = d / gap
-    res_a = _unit_cone_distance(u, normals_a)
-    res_b = _unit_cone_distance(-u, normals_b)
+    res_a = unit_cone_distance(u, normals_a)
+    res_b = unit_cone_distance(-u, normals_b)
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
-
-
-def _unit_cone_distance(u: np.ndarray, G: np.ndarray) -> float:
-    """Distance from the unit vector ``u`` to the cone spanned by ``G``'s columns."""
-    k = G.shape[1]
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return unit_distance_to_ray(u, G[:, 0])
-    _, rnorm = nnls(G, u)
-    return min(rnorm, 1.0)
 
 
 def run(

@@ -30,7 +30,7 @@ class NotConverged(AltprojError):
 
 
 class EmptyPolyhedron(AltprojError):
-    """The dual iteration diverged, which signals an empty feasible set."""
+    """A polyhedron has no feasible point (or, for the vertex oracle, no vertex)."""
 
 
 class InvalidDistance(AltprojError):

@@ -87,7 +87,7 @@ def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
     return min(1.0, float(np.linalg.norm(rejection)))
 
 
-def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
+def nnls(G: np.ndarray, y: np.ndarray):
     """Solve ``min_{lam >= 0} ||G @ lam - y||`` by the Lawson-Hanson method.
 
     When every column makes an acute angle with ``y``, as it does for most
@@ -97,7 +97,7 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
     of the constrained problem and is returned as is.  That is the same
     solve Lawson-Hanson ends with when it finishes with every column
     passive, so the result is then bit-identical.  Otherwise Lawson-Hanson
-    runs from ``lam = 0``.
+    runs from ``lam = 0``, for at most ``50 m`` outer iterations.
 
     Parameters
     ----------
@@ -105,8 +105,6 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
         Columns are the generators the target is expanded over.
     y : ndarray, shape (n,)
         Target vector.
-    max_iter : int, optional
-        Cap on outer iterations; defaults to ``50 * m``.
 
     Returns
     -------
@@ -118,8 +116,6 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = G.shape
-    if max_iter is None:
-        max_iter = 50 * max(m, 1)
 
     # Dual feasibility tolerance, scaled to the data.
     tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0))) * max(
@@ -136,7 +132,7 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
     passive = np.zeros(m, dtype=bool)
     resid = y.copy()
 
-    for _ in range(max_iter):
+    for _ in range(50 * max(m, 1)):
         w = G.T @ resid
         w[passive] = -np.inf
         j = int(np.argmax(w))
@@ -165,24 +161,37 @@ def nnls(G: np.ndarray, y: np.ndarray, max_iter: int | None = None):
     return lam, float(np.linalg.norm(resid))
 
 
+def unit_cone_distance(vhat: np.ndarray, G: np.ndarray) -> float:
+    """Distance from the unit vector ``vhat`` to the cone spanned by ``G``'s columns.
+
+    Does no validation: ``G`` is ``(n, k)`` with finite, nonzero columns of
+    the length of ``vhat``.  No columns means the cone is ``{0}`` (distance
+    1); one column is the closed-form ray rejection; more take one NNLS.
+    """
+    k = G.shape[1]
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return unit_distance_to_ray(vhat, G[:, 0])
+    _, rnorm = nnls(G, vhat)
+    return min(rnorm, 1.0)
+
+
 def distance_to_finite_cone(v, generators) -> float:
     """Distance from ``v/||v||`` to the cone generated by ``generators``.
 
     Solves the nonnegative least-squares problem
     ``min_{lam >= 0} ||v/||v|| - sum_i lam_i g_i||``.  An empty generator
-    list means the cone is ``{0}`` and the distance is 1.
+    list means the cone is ``{0}`` and the distance is 1; zero generators
+    are ignored.
     """
     v = as_point(v)
     nv = float(np.linalg.norm(v))
     if nv <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
-    vhat = v / nv
     gens = [as_point(g) for g in generators]
     gens = [g for g in gens if float(np.linalg.norm(g)) > ZERO_TOL]
-    if not gens:
-        return 1.0
     for g in gens:
         check_same_dim(v, g)
-    G = np.column_stack(gens)
-    _, rnorm = nnls(G, vhat)
-    return min(rnorm, 1.0)
+    G = np.column_stack(gens) if gens else np.empty((v.shape[0], 0))
+    return unit_cone_distance(v / nv, G)

@@ -28,7 +28,7 @@ from .errors import (
     Unbounded,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, as_point, distance_to_finite_cone, norm
+from .linalg import ZERO_TOL, as_point, norm, unit_cone_distance
 from .qp import project_along_ray
 from .sets import HalfSpace, Polyhedron, project_halfspace
 
@@ -140,7 +140,10 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     check_oracle_limits(p)
     # Bounded below on a nonempty polyhedron iff -c lies in the cone of the
     # outward row normals (dual feasibility).
-    if distance_to_finite_cone(-c, list(p.A)) > 1e-8:
+    nc = float(np.linalg.norm(c))
+    if nc <= ZERO_TOL:
+        raise ZeroVector("cannot normalize a zero vector")
+    if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
         raise Unbounded("objective decreases along a recession direction")
 
     best_obj = np.inf

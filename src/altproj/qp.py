@@ -1,36 +1,58 @@
 """Euclidean projection onto a polyhedron ``{x : A x <= b}``.
 
-The solver runs Hildreth's cyclic dual coordinate descent on
+:func:`project_polyhedron` solves
 
-    min_{lam >= 0}  0.5 lam' A A' lam - lam' (A x - b)
+    min 0.5 ||z - x||^2  s.t.  A z <= b
 
-and recovers the primal point ``z = x - A' lam``.  After every sweep it
-attempts an active-set polish: solve the equality-constrained projection on
-the rows the dual iterate identifies as active, which is exact at a face
-and terminates the otherwise linearly convergent dual iteration early.
+by the dual active-set method of Goldfarb & Idnani (1983) with identity
+Hessian.  It starts from the unconstrained minimum ``z = x`` with an empty
+working set and adds the most violated row.  Each step solves one small
+least-squares problem on the working rows; it gives the part of the new
+row that the working rows cannot cancel (the direction in which ``z``
+moves) and the rates at which the working multipliers fall.  The step is
+either full, which makes the new row tight and adds it to the working set,
+or partial, which drops the working row whose multiplier reaches zero
+first.  A violated row that the working rows span, while no working
+multiplier can fall, proves the polyhedron empty.  Every full step
+strictly raises the dual objective and partial steps only shrink the
+working set, so no working set recurs and the method ends after finitely
+many steps; the point and multipliers are then recomputed once from the
+final working set.  All arithmetic is at the scale of ``x``, so
+the cost does not grow with the distance from ``x`` to the polyhedron.
 
-Points far from the polyhedron get a second pass: the dual multipliers
-scale with the distance and the primal recovery ``x - A' lam`` cancels
-catastrophically, so the solver re-projects from a point at unit distance
-along the recovered normal direction, which restores full precision.
+:func:`project_along_ray` follows the piecewise-linear path
+``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
+the scale of the polyhedron.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyPolyhedron, NotConverged
-from .linalg import as_point, nnls, norm
-from .sets import Polyhedron
 
-# Dual iterates beyond this norm signal an empty feasible set.
-_DIVERGENCE_LIMIT = 1e12
+# ``nnls`` has no caller here; the binding stays because benchmarks/tracer.py
+# resolves ``altproj.qp.nnls`` by name.
+from .linalg import as_point, nnls, norm  # noqa: F401
+
+if TYPE_CHECKING:
+    from .sets import Polyhedron
+
+# A row counts as violated when its slack exceeds this fraction of the data
+# scale ``1 + max|b| + ||x||``; rounding in the incremental updates of ``z``
+# stays well below it, so degenerate vertices do not cycle.
+_FEAS_TOL = 1e-13
+# A new row counts as spanned by the working rows when the part the working
+# rows cannot cancel is below this fraction of the terms that formed it.
+_DEP_TOL = 1e-13
+# Active-set steps granted per row and per coordinate.
+_STEPS_PER_DIM = 50
+# Ridge for the face walk's normal equations on singular working rows.
 _RIDGE = 1e-12
-_FAR_FACTOR = 10.0
-# Hildreth sweeps granted before the least-distance fallback takes over.
-_LDP_SWEEP_BUDGET = 150
 
 
 @dataclass
@@ -38,15 +60,22 @@ class QPResult:
     """Projection onto a polyhedron together with its KKT certificate.
 
     ``point`` is the nearest feasible point, ``dual`` the multipliers with
-    ``x - point = A' dual``, ``iterations`` the number of Hildreth sweeps,
-    and ``residual`` the larger of the final primal violation and
-    complementarity gap.
+    ``x - point = A' dual``, ``iterations`` the number of active-set steps
+    (full and partial; 0 when ``x`` is already feasible), and ``residual``
+    the larger of the final primal violation and complementarity gap.
     """
 
     point: np.ndarray
     dual: np.ndarray
     iterations: int
     residual: float
+
+
+def _check_point(p: Polyhedron, x) -> np.ndarray:
+    x = as_point(x)
+    if x.shape[0] != p.dim:
+        raise DimensionMismatch(f"point has dimension {x.shape[0]}, set has {p.dim}")
+    return x
 
 
 def _kkt_residual(A, b, lam, z) -> float:
@@ -56,147 +85,91 @@ def _kkt_residual(A, b, lam, z) -> float:
     return max(viol, 0.0, comp)
 
 
-def _polish(A, b, x, active, feas_tol):
-    """Exact projection onto the face spanned by ``active`` row indices.
-
-    Returns ``(z, lam)`` on success, ``None`` when the candidate active set
-    cannot be refined into a KKT point within a few passes.
-    """
-    m, _ = A.shape
-    active = sorted(set(active))
-    for _ in range(4 * m + 4):
-        if not active:
-            z = x.copy()
-            nu = np.zeros(0)
-        else:
-            Aa = A[active]
-            G = Aa @ Aa.T
-            rhs = Aa @ x - b[active]
-            try:
-                nu = np.linalg.solve(G, rhs)
-                ok = np.allclose(G @ nu, rhs, atol=1e-9 * (1.0 + np.abs(rhs).max()))
-            except np.linalg.LinAlgError:
-                ok = False
-            if not ok:
-                # Rank-deficient active rows: ridge-regularized normal equations.
-                nu = np.linalg.solve(G + _RIDGE * np.eye(len(active)), rhs)
-            if nu.size and float(nu.min()) < -1e-10:
-                active.pop(int(np.argmin(nu)))
-                continue
-            z = x - Aa.T @ nu
-        slack = A @ z - b
-        worst = int(np.argmax(slack))
-        if float(slack[worst]) > feas_tol:
-            if worst in active:
-                return None
-            active.append(worst)
-            active.sort()
-            continue
-        lam = np.zeros(m)
-        for i, idx in enumerate(active):
-            lam[idx] += max(float(nu[i]), 0.0)
-        return z, lam
-    return None
-
-
-def _ldp_solve(A, b, x, feas_tol):
-    """Exact projection via the least-distance-programming reduction.
-
-    ``min ||z - x|| s.t. A z <= b`` becomes ``min ||w|| s.t. (-A) w >= q``
-    with ``q = A x - b``, which one nonnegative least-squares solve settles:
-    stack ``H = [-A', q']`` column-wise, fit the unit vector ``e_{n+1}``,
-    and read ``w`` off the residual.  Returns ``(z, lam)`` or ``None`` when
-    the residual signals an empty feasible set or the recovered point is
-    not feasible to tolerance.
-    """
+def _working_set(A, b, x) -> tuple[list[int], int]:
+    """Final working rows of the projection of ``x`` and the steps taken."""
     m, n = A.shape
-    q = A @ x - b
-    H = np.vstack([-A.T, q.reshape(1, -1)])
-    target = np.zeros(n + 1)
-    target[n] = 1.0
-    u, _ = nnls(H, target, max_iter=100 * m)
-    r = H @ u - target
-    if float(np.linalg.norm(r)) <= 1e-10:
-        # The stacked system reproduces the unit vector exactly, which
-        # happens iff no point satisfies the constraints.
-        raise EmptyPolyhedron("least-distance reduction signals an empty set")
-    denom = float(r[n])
-    if abs(denom) <= 1e-13:
-        return None
-    z = x - r[:n] / denom
-    slack = A @ z - b
-    if float(np.max(slack, initial=0.0)) > feas_tol:
-        return None
-    # Multipliers supported on the tight rows; exact by LDP optimality.
-    active = np.flatnonzero(np.abs(slack) <= 1e-7 * (1.0 + np.abs(b)))
-    lam = np.zeros(m)
-    if active.size:
-        w_fit, _ = nnls(A[active].T, x - z)
-        lam[active] = w_fit
-    return z, lam
-
-
-def _hildreth_solve(A, b, x, tol, max_iter, dual_history):
-    m = A.shape[0]
-    slack0 = A @ x - b
-    if float(np.max(slack0)) <= 0.0:
-        return x.copy(), np.zeros(m), 0, 0.0
-    data_scale = 1.0 + float(np.abs(b).max(initial=0.0)) + float(np.linalg.norm(x))
-    conv_tol = tol * data_scale
-    row_sq = np.einsum("ij,ij->i", A, A)
-    gram = A @ A.T
-    q = slack0
-    lam = np.zeros(m)
+    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + float(np.linalg.norm(x)))
+    max_steps = _STEPS_PER_DIM * (m + n)
     z = x.copy()
-    prev_obj = np.inf
-
-    for sweep in range(1, max_iter + 1):
-        for i in range(m):
-            r = float(A[i] @ z) - float(b[i])
-            new = lam[i] + r / row_sq[i]
-            if new < 0.0:
-                new = 0.0
-            delta = new - lam[i]
-            if delta != 0.0:
-                lam[i] = new
-                z -= delta * A[i]
-        obj = 0.5 * float(lam @ (gram @ lam)) - float(lam @ q)
-        if dual_history is not None:
-            dual_history.append(obj)
-        # Exact coordinate minimization cannot increase the dual objective.
-        if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
-            raise NotConverged("dual objective increased during a sweep")
-        prev_obj = obj
-        if float(np.abs(lam).max()) > _DIVERGENCE_LIMIT:
-            raise EmptyPolyhedron("dual iterate diverged; feasible set looks empty")
-
-        lam_max = float(lam.max(initial=0.0))
-        candidates = set(np.flatnonzero(lam > 1e-12 + 1e-9 * lam_max).tolist())
+    W: list[int] = []
+    u = np.zeros(0)  # multipliers of the working rows, in W order
+    steps = 0
+    while True:
         slack = A @ z - b
-        candidates |= set(np.flatnonzero(np.abs(slack) <= conv_tol).tolist())
-        polished = _polish(A, b, x, candidates, conv_tol)
-        if polished is not None:
-            # A successful polish is a KKT point by construction: the
-            # multipliers are supported exactly on the rows the equality
-            # solve made tight, so complementarity holds structurally and
-            # only the primal violation needs checking.
-            z_pol, lam_pol = polished
-            viol = float(np.max(A @ z_pol - b, initial=0.0))
-            if viol <= conv_tol:
-                return z_pol, lam_pol, sweep, max(viol, 0.0)
-        res = _kkt_residual(A, b, lam, z)
-        if res <= conv_tol:
-            return z.copy(), lam.copy(), sweep, res
-        if sweep % _LDP_SWEEP_BUDGET == 0:
-            # Ill-conditioned geometry can stall both the sweeps and the
-            # polish; the least-distance fallback settles it exactly.
-            settled = _ldp_solve(A, b, x, conv_tol)
-            if settled is not None:
-                z_ldp, lam_ldp = settled
-                viol = float(np.max(A @ z_ldp - b, initial=0.0))
-                return z_ldp, lam_ldp, sweep, max(viol, 0.0)
+        p = int(np.argmax(slack))
+        if slack[p] <= feas_tol:
+            return W, steps
+        a = A[p]
+        u_p = 0.0
+        while True:  # raise the multiplier of row p until row p is tight
+            steps += 1
+            if steps > max_steps:
+                raise NotConverged(f"projection took more than {max_steps} active-set steps")
+            if W:
+                Awt = A[W].T
+                r, *_ = np.linalg.lstsq(Awt, a, rcond=None)
+                d = a - Awt @ r
+                spanned_tol = _DEP_TOL * (
+                    float(np.linalg.norm(a)) + float(np.linalg.norm(np.abs(Awt) @ np.abs(r)))
+                )
+            else:
+                r, d, spanned_tol = u, a, 0.0
+            dd = float(d @ d)
+            spanned = math.sqrt(dd) <= spanned_tol
+            t_full = math.inf if spanned else max(float(a @ z) - float(b[p]), 0.0) / dd
+            falling = np.flatnonzero(r > 0.0)
+            t_part, k = math.inf, -1
+            if falling.size:
+                ratios = u[falling] / r[falling]
+                j = int(np.argmin(ratios))
+                t_part, k = float(ratios[j]), int(falling[j])
+            if spanned and k < 0:
+                raise EmptyPolyhedron(
+                    "a violated row is spanned by the working rows with no multiplier "
+                    "free to fall; the polyhedron is empty"
+                )
+            t = min(t_full, t_part)
+            if not spanned:
+                z -= t * d
+            u = u - t * r
+            u_p += t
+            if t_full <= t_part:
+                W.append(p)
+                u = np.append(u, u_p)
+                break
+            del W[k]
+            u = np.delete(u, k)
 
-    raise NotConverged(f"projection did not reach tol={tol} in {max_iter} sweeps")
+
+def _face_point(A, b, x, W) -> tuple[np.ndarray, np.ndarray]:
+    """Projection of ``x`` onto the face where the rows ``W`` are tight.
+
+    With ``A_W' = Q R``, the point is ``x - Q y`` and the multipliers are
+    ``R^-1 y`` (clamped at zero) for ``y = Q' x - R^-T b_W``.  Forming ``y``
+    this way keeps the condition number of ``R`` off the large term ``Q' x``,
+    so far points lose only ``eps ||x||``.
+    """
+    lam = np.zeros(A.shape[0])
+    if not W:
+        return x.copy(), lam
+    Q, R = np.linalg.qr(A[W].T)
+    y = Q.T @ x - np.linalg.solve(R.T, b[W])
+    lam[W] = np.maximum(np.linalg.solve(R, y), 0.0)
+    return x - Q @ y, lam
+
+
+def project_polyhedron(p: Polyhedron, x) -> QPResult:
+    """Project ``x`` onto the polyhedron ``p``.
+
+    A feasible ``x`` comes back as a copy with a zero dual and 0 iterations.
+    Raises :class:`EmptyPolyhedron` when ``p`` has no point and
+    :class:`NotConverged` past ``50 (m + n)`` active-set steps.
+    """
+    x = _check_point(p, x)
+    A, b = p.A, p.b
+    W, steps = _working_set(A, b, x)
+    z, lam = _face_point(A, b, x, W)
+    return QPResult(z, lam, steps, _kkt_residual(A, b, lam, z))
 
 
 def _working_rates(A, W, direction):
@@ -226,28 +199,30 @@ def project_along_ray(
     base,
     direction,
     t_target: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> QPResult:
     """Projection of ``base + t_target * direction`` onto ``p``.
 
-    Projecting a very distant point directly hits the double-precision
-    wall, so the solver computes the near projection of ``base`` and then
-    walks the piecewise-linear path ``t -> P(base + t * direction)``
+    A direct projection of a very distant point is accurate only relative
+    to its distance, so the solver projects ``base`` and then walks the piecewise-linear path ``t -> P(base + t * direction)``
     exactly: on a fixed set of tight rows the point and multipliers move
     linearly in t, and the walk switches faces when a multiplier hits zero
     (drop) or an inactive row becomes tight (add).  The point goes
     stationary once ``-direction`` enters the cone of the tight rows; all
     arithmetic stays at the scale of the polyhedron regardless of
-    ``t_target``.
+    ``t_target``.  A negative ``t_target`` walks along ``-direction``.
     """
-    base = as_point(base)
-    direction = as_point(direction)
-    if norm(direction) <= 0.0 or t_target <= 0.0:
-        return project_polyhedron(p, base, tol, max_iter)
+    base = _check_point(p, base)
+    direction = _check_point(p, direction)
+    t_target = float(t_target)
+    if not math.isfinite(t_target):
+        raise ValueError("t_target must be finite")
+    if t_target < 0.0:
+        direction, t_target = -direction, -t_target
+    start = project_polyhedron(p, base)
+    if t_target == 0.0 or not direction.any():
+        return start
     A, b = p.A, p.b
     m = p.num_rows
-    start = project_polyhedron(p, base, tol, max_iter)
     z = start.point.copy()
     lam = start.dual.copy()
     act_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
@@ -300,52 +275,5 @@ def project_along_ray(
         else:
             W.append(idx)
             W.sort()
-    # Degenerate face walk: last resort is the direct (scale-limited) solve.
-    return project_polyhedron(p, base + t_target * direction, tol, max_iter)
-
-
-def project_polyhedron(
-    p: Polyhedron,
-    x,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    dual_history: list | None = None,
-) -> QPResult:
-    """Project ``x`` onto the polyhedron ``p``.
-
-    Parameters
-    ----------
-    p : Polyhedron
-        Target set, assumed nonempty (divergence of the dual iteration is
-        reported as :class:`EmptyPolyhedron`).
-    x : array_like
-        Point to project.
-    tol : float
-        Convergence threshold, relative to the data scale, on both the
-        primal violation and the complementarity gap.
-    max_iter : int
-        Cap on Hildreth sweeps.
-    dual_history : list, optional
-        If given, the dual objective value after each sweep is appended;
-        the sequence is nonincreasing within each solve pass.
-
-    Returns
-    -------
-    QPResult
-    """
-    x = as_point(x)
-    if x.shape[0] != p.dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, set has {p.dim}")
-    z, lam, sweeps, res = _hildreth_solve(p.A, p.b, x, tol, max_iter, dual_history)
-    dist = norm(x - z)
-    near_radius = 1.0 + norm(z)
-    if dist > _FAR_FACTOR * near_radius:
-        x_near = z + (x - z) * (near_radius / dist)
-        z2, lam2, sweeps2, _ = _hildreth_solve(
-            p.A, p.b, x_near, tol, max_iter, dual_history
-        )
-        z = z2
-        lam = lam2 * (dist / near_radius)
-        sweeps += sweeps2
-        res = _kkt_residual(p.A, p.b, lam, z)
-    return QPResult(z, lam, sweeps, res)
+    # Degenerate face walk: last resort is the direct solve.
+    return project_polyhedron(p, base + t_target * direction)

@@ -20,6 +20,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import ZERO_TOL, as_point, check_same_dim
+from .qp import project_polyhedron
 
 # Default tolerance for deciding which constraints are active at a point.
 # Projections are accurate to ~1e-10, so this leaves a safety margin.
@@ -236,8 +237,6 @@ def project(s: ProjectableSet, x) -> np.ndarray:
         return project_halfspace(s, x)
     if isinstance(s, EpigraphSet):
         return project_epigraph(s, x)
-    from .qp import project_polyhedron  # deferred: qp depends on this module
-
     return project_polyhedron(s, x).point
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from altproj import (
+    DimensionMismatch,
     EmptyPolyhedron,
     EpigraphSet,
     HalfSpace,
@@ -83,18 +84,6 @@ def test_kkt_certificate_random():
         assert float(np.max(np.abs(res.dual * slack), initial=0.0)) <= 1e-6
 
 
-def test_dual_objective_monotone_per_sweep():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(2, 6)))
-        x = rng.normal(size=n) * 5.0
-        history = []
-        project_polyhedron(poly, x, dual_history=history)
-        for first, second in zip(history, history[1:]):
-            assert second <= first + 1e-9 * (1.0 + abs(first))
-
-
 def test_interior_point_returns_immediately():
     res = project_polyhedron(unit_box(), [0.2, -0.3])
     np.testing.assert_allclose(res.point, [0.2, -0.3])
@@ -112,7 +101,7 @@ def test_duplicate_rows_are_harmless():
 def test_empty_polyhedron_detected():
     empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
     with pytest.raises(EmptyPolyhedron):
-        project_polyhedron(empty, [0.0, 0.0], max_iter=2000)
+        project_polyhedron(empty, [0.0, 0.0])
 
 
 def test_project_along_ray_matches_direct_at_moderate_offset():
@@ -151,3 +140,30 @@ def test_project_along_ray_huge_offset_stays_exact():
         t_probe = 50.0
         ref = project_polyhedron(poly, base + t_probe * direction)
         assert norm(x - res.point) <= norm(x - ref.point) + 1e-6
+
+
+def test_project_along_ray_rejects_wrong_dimension():
+    poly = unit_box()
+    with pytest.raises(DimensionMismatch):
+        project_along_ray(poly, [0.0, 0.0], [1.0, 0.0, 0.0], 1.0)
+    with pytest.raises(DimensionMismatch):
+        project_along_ray(poly, [0.0, 0.0, 0.0], [1.0, 0.0], 1.0)
+
+
+def test_project_along_ray_rejects_non_finite_offset():
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            project_along_ray(unit_box(), [0.0, 0.0], [1.0, 0.0], t)
+
+
+def test_project_along_ray_negative_offset_walks_backwards():
+    rng = np.random.default_rng(26)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 4)))
+        base = rng.normal(size=n) * 2.0
+        direction = rng.normal(size=n)
+        t = -float(rng.uniform(0.5, 8.0))
+        walked = project_along_ray(poly, base, direction, t)
+        direct = project_polyhedron(poly, base + t * direction)
+        np.testing.assert_allclose(walked.point, direct.point, atol=1e-7)
