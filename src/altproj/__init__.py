@@ -16,7 +16,7 @@ from .certify import (
     one_step_shift,
     polyhedron_halfspace_distance,
 )
-from .engine import Certificate, StopReason, Trace, check_certificate, min_distance_estimate, run
+from .engine import Certificate, StopReason, Trace, check_certificate, run
 from .errors import (
     AltprojError,
     DegenerateRow,
@@ -33,7 +33,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import Ray, as_point, distance_to_finite_cone, distance_to_ray, nnls, norm
-from .lp import LPOutcome, LPProblem, solve_lp, vertex_oracle
+from .lp import LPOutcome, LPProblem, solve_lp
 from .qp import QPResult, project_polyhedron
 from .sets import (
     EpigraphSet,
@@ -49,6 +49,7 @@ from .sets import (
     set_to_json,
     translate,
 )
+from .vertices import vertex_oracle
 
 __version__ = "0.1.0"
 
@@ -87,7 +88,6 @@ __all__ = [
     "distance_to_finite_cone",
     "distance_to_ray",
     "iteration_bound",
-    "min_distance_estimate",
     "nnls",
     "norm",
     "one_step_shift",

@@ -24,6 +24,7 @@ from .errors import InvalidDistance, StartNotInA, Unbounded
 from .linalg import Ray, as_point, distance_to_ray, norm, unit_cone_distance
 from .qp import project_polyhedron
 from .sets import HalfSpace, Polyhedron, contains
+from .vertices import feasible_vertices, vertex_oracle
 
 # Margin for strict-inequality tests on normalized inner products, so that
 # floating-point ties cannot silently flip membership decisions.
@@ -86,8 +87,6 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
 
     Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
     """
-    from .lp import feasible_vertices  # deferred: lp builds on this module
-
     c = A.c
     nc = norm(c)
     neg_ray = Ray(-c)
@@ -205,8 +204,6 @@ def one_step_shift(
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
     """Exact ``d(A, B)`` via the vertex oracle: ``max(0, min_B <c,x> - M)/||c||``."""
-    from .lp import vertex_oracle  # deferred: lp builds on this module
-
     try:
         optimum, _ = vertex_oracle(B, A.c)
     except Unbounded:

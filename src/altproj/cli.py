@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import certify, engine, lp, verify
+from . import certify, engine, lp, verify, vertices
 from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair
 from .linalg import as_point
 from .sets import HalfSpace, Polyhedron, set_from_json
@@ -38,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
     # the "finished without certifying" code.
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _alpha_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -69,7 +80,11 @@ def cmd_run(args) -> int:
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
         x0 = as_point(spec["x0"])
-        max_iters = int(args.max_iters or spec.get("max_iters", 1000))
+        max_iters = args.max_iters
+        if max_iters is None:
+            max_iters = int(spec.get("max_iters", 1000))
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {max_iters}")
         cert_tol = float(spec.get("cert_tol", 1e-8))
         outputs = spec.get("outputs", {})
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
@@ -122,7 +137,7 @@ def cmd_lp(args) -> int:
         spec = _load_json(args.problem)
         if args.auto_bound:
             poly = Polyhedron(np.asarray(spec["A"], dtype=float), as_point(spec["b"]))
-            optimum, _ = lp.vertex_oracle(poly, as_point(spec["c"]))
+            optimum, _ = vertices.vertex_oracle(poly, as_point(spec["c"]))
             problem = lp.problem_from_json(spec, M=optimum - 1.0)
         else:
             problem = lp.problem_from_json(spec)
@@ -189,9 +204,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--suite", default=None, help="single suite name (default: all)")
     p_verify.add_argument(
         "--alpha-scale",
-        type=float,
+        type=_alpha_scale,
         default=1.0,
-        help="test hook: scale the angle constant inside bound checks",
+        help="test hook: scale the angle constant inside the finite-step check",
     )
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -198,20 +198,3 @@ def run(
     trace.stop_reason = StopReason.MAX_ITERS
     return trace
 
-
-def min_distance_estimate(
-    set_a: ProjectableSet,
-    set_b: ProjectableSet,
-    seeds,
-    max_iters: int = 1000,
-) -> float:
-    """Smallest final gap over runs started from each seed.
-
-    Always an upper bound on the distance between the sets; exact whenever
-    one of the runs certifies.
-    """
-    best = np.inf
-    for seed in seeds:
-        trace = run(set_a, set_b, seed, max_iters=max_iters)
-        best = min(best, trace.final_gap)
-    return float(best)

@@ -5,7 +5,9 @@ translated epigraph; they exercise every convergence regime the package
 certifies (linear rate, finite steps, one-step threshold, and the
 asymptotic-only parabola).  The random generators build bounded nonempty
 polyhedra by construction: an interior point, random supporting rows with
-positive slack, and an enclosing box.
+positive slack, and an enclosing box.  :func:`random_set` and
+:func:`sample_member` feed the projection property checks of
+:mod:`altproj.verify`.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LPProblem, vertex_oracle
-from .sets import ABS, SQUARE, EpigraphSet, HalfSpace, Polyhedron
+from .lp import LPProblem
+from .sets import ABS, SQUARE, EpigraphSet, HalfSpace, Polyhedron, project
+from .vertices import vertex_oracle
 
 
 def lower_halfplane() -> HalfSpace:
@@ -85,6 +88,43 @@ def random_bounded_polyhedron(rng: np.random.Generator, n: int, extra_rows: int)
         rows.append(-e)
         rhs.append(-(float(interior[j]) - half_width))
     return Polyhedron(np.array(rows), np.array(rhs)), interior
+
+
+def random_set(rng: np.random.Generator):
+    """One of the four set kinds, each with probability 1/4.
+
+    A unit-normal half-space or a bounded polyhedron with up to three extra
+    rows in dimension 2..4, or a randomly shifted planar ``abs`` or
+    ``square`` epigraph.
+    """
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        n = int(rng.integers(2, 5))
+        c = rng.normal(size=n)
+        c /= np.linalg.norm(c)
+        return HalfSpace(c, float(rng.normal()))
+    if kind == 1:
+        n = int(rng.integers(2, 5))
+        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 4)))
+        return poly
+    if kind == 2:
+        return EpigraphSet(ABS, rng.normal(size=2))
+    return EpigraphSet(SQUARE, rng.normal(size=2))
+
+
+def sample_member(rng: np.random.Generator, s) -> np.ndarray:
+    """A random point of ``s``.
+
+    Epigraph points lie above the profile by ``|N(0, 1)|``; for the other
+    sets a random point is projected onto the set.
+    """
+    x = rng.normal(size=s.dim) * 2.0
+    if isinstance(s, EpigraphSet):
+        z = x - s.shift
+        profile = abs(z[0]) if s.kind == ABS else z[0] * z[0]
+        z[1] = profile + abs(rng.normal())
+        return z + s.shift
+    return project(s, x)
 
 
 def _objective_for(rng: np.random.Generator, poly: Polyhedron) -> np.ndarray:

@@ -6,13 +6,12 @@ where ``M`` is a lower bound strictly below the optimal value.  Either run
 the alternating-projections engine directly, or shift the half-space far
 enough that a single projection of the shifted start lands on the solution.
 
-A brute-force vertex enumeration oracle provides independent ground truth
-at desk scale.
+The brute-force vertex oracle that gives independent ground truth lives in
+:mod:`altproj.vertices`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,20 +19,20 @@ import numpy as np
 from . import certify, engine
 from .errors import (
     DimensionMismatch,
-    EmptyPolyhedron,
     LowerBoundNotStrict,
     NotConverged,
     StartNotInA,
-    TooLarge,
-    Unbounded,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, as_point, norm, unit_cone_distance
+from .linalg import ZERO_TOL, as_point, norm
 from .qp import project_along_ray
 from .sets import HalfSpace, Polyhedron, project_halfspace
 
-_MAX_ORACLE_DIM = 8
-_MAX_ORACLE_ROWS = 24
+# ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
+# ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
+# both stay bound here although nothing in this module calls them.
+from .vertices import feasible_vertices, vertex_oracle  # noqa: F401
+
 _STRICT_TOL = 1e-10
 
 DIRECT = "DirectAP"
@@ -82,80 +81,6 @@ class LPOutcome:
     certificate: engine.Certificate
     method: str
     trace: engine.Trace | None = None
-
-
-def check_oracle_limits(p: Polyhedron) -> None:
-    if p.dim > _MAX_ORACLE_DIM or p.num_rows > _MAX_ORACLE_ROWS:
-        raise TooLarge(
-            f"enumeration limits are n <= {_MAX_ORACLE_DIM}, m <= {_MAX_ORACLE_ROWS}"
-        )
-
-
-def feasible_vertices(p: Polyhedron):
-    """All vertices of ``p`` with their full active row sets.
-
-    Enumerates every n-subset of rows, solves the square system, keeps
-    feasible solutions, and deduplicates.  Returns a list of
-    ``(vertex, active_indices)`` where ``active_indices`` holds every row
-    tight at the vertex (which exceeds n at degenerate vertices).
-    """
-    check_oracle_limits(p)
-    m, n = p.num_rows, p.dim
-    vertices = []
-    seen = set()
-    for subset in itertools.combinations(range(m), n):
-        rows = p.A[list(subset)]
-        rhs = p.b[list(subset)]
-        try:
-            v = np.linalg.solve(rows, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(v)):
-            continue
-        if float(np.abs(rows @ v - rhs).max()) > 1e-8 * (1.0 + float(np.abs(rhs).max())):
-            continue
-        if not np.all(p.A @ v <= p.b + 1e-7 * (1.0 + float(np.linalg.norm(v)))):
-            continue
-        key = tuple(np.round(v, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        slack = np.abs(p.A @ v - p.b)
-        active = tuple(np.flatnonzero(slack <= 1e-7 * (1.0 + np.abs(p.b))).tolist())
-        vertices.append((v, active))
-    return vertices
-
-
-def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
-    """Brute-force LP solve: enumerate all row subsets of size n.
-
-    Returns ``(optimum, argmin_vertex)``.  Raises :class:`TooLarge` beyond
-    desk scale (n > 8 or m > 24), :class:`Unbounded` when ``-c`` is not in
-    the cone of the rows (the objective then decreases along a recession
-    direction), and :class:`EmptyPolyhedron` when no feasible vertex exists.
-    """
-    c = as_point(c)
-    if c.shape[0] != p.dim:
-        raise DimensionMismatch("objective and polyhedron dimensions differ")
-    check_oracle_limits(p)
-    # Bounded below on a nonempty polyhedron iff -c lies in the cone of the
-    # outward row normals (dual feasibility).
-    nc = float(np.linalg.norm(c))
-    if nc <= ZERO_TOL:
-        raise ZeroVector("cannot normalize a zero vector")
-    if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
-        raise Unbounded("objective decreases along a recession direction")
-
-    best_obj = np.inf
-    best_vertex = None
-    for v, _ in feasible_vertices(p):
-        obj = float(c @ v)
-        if obj < best_obj - 1e-12:
-            best_obj = obj
-            best_vertex = v
-    if best_vertex is None:
-        raise EmptyPolyhedron("no feasible vertex (empty or non-pointed feasible set)")
-    return best_obj, best_vertex
 
 
 def _default_start(c: np.ndarray, M: float) -> np.ndarray:
@@ -210,12 +135,16 @@ def solve_lp(
         alpha = certify.alpha_polyhedron_halfspace(poly, halfspace)
         # d_AB = 0 is a valid lower bound on the pair distance and yields a
         # larger (still sufficient) shift, so no distance estimate is needed.
-        mu, shifted = certify.one_step_shift(halfspace, poly, x0, alpha, 0.0)
+        mu, _ = certify.one_step_shift(halfspace, poly, x0, alpha, 0.0)
         result = project_along_ray(poly, x0, -c, mu)
         b_star = result.point
         _check_strict_bound(c, M, b_star)
-        a_star = project_halfspace(shifted, b_star)
-        certificate = engine.check_certificate(shifted, poly, a_star, b_star, cert_tol)
+        # Certify b* against the unshifted half-space: the shifted pair has
+        # the same direction c and the same cone at b*, but its A-point lies
+        # mu ||c|| away, where rounding of <c, a*> (about mu ||c||^2 eps)
+        # can exceed the activity tolerance and leave a* with no normals.
+        a_star = project_halfspace(halfspace, b_star)
+        certificate = engine.check_certificate(halfspace, poly, a_star, b_star, cert_tol)
         if not certificate.holds:
             raise NotConverged("shifted projection did not certify optimality")
         steps = 1

@@ -1,10 +1,15 @@
-"""Self-check suites behind the ``verify`` CLI command.
+"""Property checks behind the ``verify`` CLI command and the test suite.
 
-Each suite runs deterministic randomized checks (seeded via the
-``ALTPROJ_SEED`` environment variable, default 42) plus the reference
-fixtures, and reports one pass/fail row per check.  ``alpha_scale`` is a
-test hook that multiplies the computed angle constant inside the
-bound-compliance checks; scaling it up must break them.
+Each check is one function ``check(rng, cases) -> CheckResult`` that draws
+``cases`` random cases from ``rng``, applies its bound and reports one
+pass/fail row.  Fixture checks draw nothing; they take both arguments, with
+defaults, only so that every check is called the same way.  ``run_suites``
+runs the checks of each suite with the case counts in :data:`SUITES` on one
+generator per suite, seeded via the ``ALTPROJ_SEED`` environment variable
+(default 42); the tests call the same functions with their own seeds and
+counts.
+``alpha_scale`` is a test hook that multiplies the computed angle constant
+inside the finite-step compliance check; scaling it up must break it.
 """
 
 from __future__ import annotations
@@ -15,11 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, engine, instances, lp
+from . import certify, engine, lp
+from .instances import (
+    absval_distance,
+    absval_epigraph,
+    absval_polyhedron,
+    lower_halfplane,
+    parabola_epigraph,
+    random_bounded_polyhedron,
+    random_lp_instance,
+    random_pair_instance,
+    random_set,
+    sample_member,
+)
 from .linalg import Ray, distance_to_finite_cone, distance_to_ray, norm
 from .qp import project_polyhedron
 from .sets import (
-    EpigraphSet,
     HalfSpace,
     Polyhedron,
     project,
@@ -29,6 +45,9 @@ from .sets import (
 )
 
 DEFAULT_SEED = 42
+
+# Feasible points sampled against each projection in the optimality check.
+_SAMPLES_PER_POINT = 20
 
 
 @dataclass
@@ -46,319 +65,341 @@ def get_seed() -> int:
         return DEFAULT_SEED
 
 
-def _random_set(rng: np.random.Generator):
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        n = int(rng.integers(2, 5))
-        c = rng.normal(size=n)
-        c /= np.linalg.norm(c)
-        return HalfSpace(c, float(rng.normal()))
-    if kind == 1:
-        n = int(rng.integers(2, 5))
-        poly, _ = instances.random_bounded_polyhedron(rng, n, int(rng.integers(0, 4)))
-        return poly
-    if kind == 2:
-        return EpigraphSet("abs", rng.normal(size=2))
-    return EpigraphSet("square", rng.normal(size=2))
+def _bounded(name: str, worst: float, bound: float, label: str = "max dev") -> CheckResult:
+    return CheckResult(name, worst <= bound, f"{label} {worst:.2e}")
 
 
-def _sample_member(rng: np.random.Generator, s) -> np.ndarray:
-    x = rng.normal(size=s.dim) * 2.0
-    if isinstance(s, EpigraphSet):
-        z = x - s.shift
-        profile = abs(z[0]) if s.kind == "abs" else z[0] * z[0]
-        z[1] = profile + abs(rng.normal())
-        return z + s.shift
-    return project(s, x)
-
-
-def suite_linalg(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
-    worst = 0.0
-    for _ in range(200):
+def _nonzero_pairs(rng: np.random.Generator, cases: int):
+    # Two normal vectors in R^n, n in 1..5, per case; near-zero pairs are
+    # drawn but skipped.
+    for _ in range(cases):
         n = int(rng.integers(1, 6))
         u = rng.normal(size=n)
         v = rng.normal(size=n)
-        if norm(u) < 1e-6 or norm(v) < 1e-6:
-            continue
-        worst = max(
-            worst,
-            abs(distance_to_ray(v, Ray(u)) - distance_to_ray(u, Ray(v))),
-        )
-    results.append(CheckResult("linalg/ray-symmetry", worst <= 1e-10, f"max dev {worst:.2e}"))
+        if norm(u) >= 1e-6 and norm(v) >= 1e-6:
+            yield u, v
 
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        if norm(u) < 1e-6 or norm(v) < 1e-6:
-            continue
-        lam = float(rng.uniform(0.1, 10.0))
-        worst = max(
-            worst,
-            abs(distance_to_ray(lam * v, Ray(u)) - distance_to_ray(v, Ray(u))),
-        )
-    results.append(
-        CheckResult("linalg/ray-scale-invariance", worst <= 1e-10, f"max dev {worst:.2e}")
+
+def ray_symmetry(rng: np.random.Generator, cases: int) -> CheckResult:
+    """``d(v, ray(u)) = d(u, ray(v))`` to 1e-10."""
+    worst = max(
+        (abs(distance_to_ray(v, Ray(u)) - distance_to_ray(u, Ray(v)))
+         for u, v in _nonzero_pairs(rng, cases)),
+        default=0.0,
     )
+    return _bounded("linalg/ray-symmetry", worst, 1e-10)
 
+
+def ray_scale_invariance(rng: np.random.Generator, cases: int) -> CheckResult:
+    """``d(lam v, ray(u)) = d(v, ray(u))`` for lam in [0.05, 20], to 1e-10."""
     worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        v = rng.normal(size=n)
-        g = rng.normal(size=n)
-        if norm(v) < 1e-6 or norm(g) < 1e-6:
-            continue
-        worst = max(
-            worst,
-            abs(distance_to_finite_cone(v, [g]) - distance_to_ray(v, Ray(g))),
-        )
-    results.append(
-        CheckResult("linalg/cone-single-generator", worst <= 1e-8, f"max dev {worst:.2e}")
-    )
+    for u, v in _nonzero_pairs(rng, cases):
+        lam = float(rng.uniform(0.05, 20.0))
+        worst = max(worst, abs(distance_to_ray(lam * v, Ray(u)) - distance_to_ray(v, Ray(u))))
+    return _bounded("linalg/ray-scale-invariance", worst, 1e-10)
 
+
+def cone_single_generator(rng: np.random.Generator, cases: int) -> CheckResult:
+    """A one-generator cone distance equals the ray distance, to 1e-8."""
+    worst = max(
+        (abs(distance_to_finite_cone(v, [g]) - distance_to_ray(v, Ray(g)))
+         for v, g in _nonzero_pairs(rng, cases)),
+        default=0.0,
+    )
+    return _bounded("linalg/cone-single-generator", worst, 1e-8)
+
+
+def cone_monotone(rng: np.random.Generator, cases: int) -> CheckResult:
+    """Adding a generator never increases the cone distance by more than 1e-9."""
     ok = True
-    for _ in range(100):
+    for _ in range(cases):
         n = int(rng.integers(2, 5))
         v = rng.normal(size=n)
         if norm(v) < 1e-6:
             continue
         gens = [rng.normal(size=n) for _ in range(4)]
         dists = [distance_to_finite_cone(v, gens[:k]) for k in range(5)]
-        if any(dists[k + 1] > dists[k] + 1e-9 for k in range(4)):
-            ok = False
-    results.append(CheckResult("linalg/cone-monotone", ok, "adding generators never increases"))
-    return results
+        ok = ok and all(dists[k + 1] <= dists[k] + 1e-9 for k in range(4))
+    return CheckResult("linalg/cone-monotone", ok, "adding generators never increases")
 
 
-def suite_sets(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
+def projection_idempotent(rng: np.random.Generator, cases: int) -> CheckResult:
+    """``P(P(x)) = P(x)`` to 1e-9 on random sets."""
     worst = 0.0
-    for _ in range(200):
-        s = _random_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        p1 = project(s, x)
-        p2 = project(s, p1)
-        worst = max(worst, norm(p2 - p1))
-    results.append(CheckResult("sets/projection-idempotent", worst <= 1e-9, f"max dev {worst:.2e}"))
+    for _ in range(cases):
+        s = random_set(rng)
+        p = project(s, rng.normal(size=s.dim) * 3.0)
+        worst = max(worst, norm(project(s, p) - p))
+    return _bounded("sets/projection-idempotent", worst, 1e-9)
 
+
+def projection_optimal_sampled(rng: np.random.Generator, cases: int) -> CheckResult:
+    """No sampled member of the set is closer to ``x`` than ``P(x)`` by 1e-9."""
     ok = True
-    for _ in range(50):
-        s = _random_set(rng)
+    for _ in range(cases):
+        s = random_set(rng)
         x = rng.normal(size=s.dim) * 3.0
-        p = project(s, x)
-        d = norm(x - p)
-        for _ in range(20):
-            z = _sample_member(rng, s)
-            if d > norm(x - z) + 1e-9:
-                ok = False
-    results.append(CheckResult("sets/projection-optimal-sampled", ok, "1000 feasible samples"))
+        d = norm(x - project(s, x))
+        for _ in range(_SAMPLES_PER_POINT):
+            ok = d <= norm(x - sample_member(rng, s)) + 1e-9 and ok
+    return CheckResult(
+        "sets/projection-optimal-sampled", ok, f"{cases * _SAMPLES_PER_POINT} feasible samples"
+    )
 
+
+def normal_cone_consistency(rng: np.random.Generator, cases: int) -> CheckResult:
+    """``x - P(x)`` lies in the normal cone at ``P(x)``, to 1e-7."""
     worst = 0.0
-    for _ in range(200):
-        s = _random_set(rng)
+    for _ in range(cases):
+        s = random_set(rng)
         x = rng.normal(size=s.dim) * 3.0
         p = project(s, x)
         if norm(x - p) <= 1e-9:
             continue
-        gens = proximal_normal_generators(s, p)
-        worst = max(worst, distance_to_finite_cone(x - p, gens))
-    results.append(CheckResult("sets/normal-cone-consistency", worst <= 1e-7, f"max res {worst:.2e}"))
+        worst = max(worst, distance_to_finite_cone(x - p, proximal_normal_generators(s, p)))
+    return _bounded("sets/normal-cone-consistency", worst, 1e-7, "max res")
 
+
+def translation_equivariance(rng: np.random.Generator, cases: int) -> CheckResult:
+    """``P_{S+v}(x+v) = P_S(x) + v`` to 1e-9."""
     worst = 0.0
-    for _ in range(200):
-        s = _random_set(rng)
+    for _ in range(cases):
+        s = random_set(rng)
         x = rng.normal(size=s.dim) * 3.0
         v = rng.normal(size=s.dim)
         worst = max(worst, norm(project(translate(s, v), x + v) - (project(s, x) + v)))
-    results.append(
-        CheckResult("sets/translation-equivariance", worst <= 1e-9, f"max dev {worst:.2e}")
-    )
-    return results
+    return _bounded("sets/translation-equivariance", worst, 1e-9)
 
 
-def suite_qp(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
+def halfspace_agreement(rng: np.random.Generator, cases: int) -> CheckResult:
+    """A one-row polyhedron projects like the half-space, to 1e-7."""
     worst = 0.0
-    for _ in range(200):
+    for _ in range(cases):
         n = int(rng.integers(2, 5))
         c = rng.normal(size=n)
         c /= np.linalg.norm(c)
         M = float(rng.normal())
-        h = HalfSpace(c, M)
         single = Polyhedron(c.reshape(1, -1), np.array([M]))
         x = rng.normal(size=n) * 3.0
-        worst = max(worst, norm(project_polyhedron(single, x).point - project_halfspace(h, x)))
-    results.append(CheckResult("qp/halfspace-agreement", worst <= 1e-7, f"max dev {worst:.2e}"))
+        closed = project_halfspace(HalfSpace(c, M), x)
+        worst = max(worst, norm(project_polyhedron(single, x).point - closed))
+    return _bounded("qp/halfspace-agreement", worst, 1e-7)
 
+
+def box_agreement(rng: np.random.Generator, cases: int) -> CheckResult:
+    """A box projects like coordinate clipping, to 1e-7."""
     worst = 0.0
-    for _ in range(200):
+    for _ in range(cases):
         n = int(rng.integers(2, 5))
         lo = rng.normal(size=n) - 1.0
         hi = lo + rng.uniform(0.5, 2.0, size=n)
-        rows = np.vstack([np.eye(n), -np.eye(n)])
-        rhs = np.concatenate([hi, -lo])
-        box = Polyhedron(rows, rhs)
+        box = Polyhedron(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([hi, -lo]))
         x = rng.normal(size=n) * 3.0
         worst = max(worst, norm(project_polyhedron(box, x).point - np.clip(x, lo, hi)))
-    results.append(CheckResult("qp/box-agreement", worst <= 1e-7, f"max dev {worst:.2e}"))
+    return _bounded("qp/box-agreement", worst, 1e-7)
 
+
+def kkt_certificate(rng: np.random.Generator, cases: int) -> CheckResult:
+    """Polyhedron projections satisfy KKT.
+
+    Stationarity ``||x - z - A' lam||`` and complementarity to 1e-6, primal
+    feasibility to 1e-8, multipliers at least -1e-10.
+    """
+    ok = True
     worst = 0.0
-    for _ in range(100):
+    for _ in range(cases):
         n = int(rng.integers(2, 5))
-        poly, _ = instances.random_bounded_polyhedron(rng, n, int(rng.integers(0, 5)))
+        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 5)))
         x = rng.normal(size=n) * 4.0
         res = project_polyhedron(poly, x)
         stat = norm(x - res.point - poly.A.T @ res.dual)
-        worst = max(worst, stat, res.residual, float(-res.dual.min(initial=0.0)))
-    results.append(CheckResult("qp/kkt-certificate", worst <= 1e-6, f"max res {worst:.2e}"))
-    return results
+        slack = poly.A @ res.point - poly.b
+        viol = float(np.max(slack, initial=0.0))
+        comp = float(np.max(np.abs(res.dual * slack), initial=0.0))
+        negative = -float(res.dual.min(initial=0.0))
+        ok = ok and stat <= 1e-6 and comp <= 1e-6 and viol <= 1e-8 and negative <= 1e-10
+        worst = max(worst, stat, viol, comp, negative)
+    return CheckResult("qp/kkt-certificate", ok, f"max res {worst:.2e}")
 
 
-def suite_engine(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
+def gaps_monotone(rng: np.random.Generator, cases: int) -> CheckResult:
+    """Step gaps never rise by more than 1e-10.
+
+    On the absval fixtures k = 0, 0.5, 1 started at ``(1 + 2k, 0)``, then on
+    ``cases`` random polyhedron / half-space pairs.
+    """
+    a_set = lower_halfplane()
+    traces = [
+        engine.run(a_set, absval_epigraph(k), [1.0 + 2.0 * k, 0.0], max_iters=60, cert_tol=1e-10)
+        for k in (0.0, 0.5, 1.0)
+    ]
+    for _ in range(cases):
+        inst = random_pair_instance(rng)
+        traces.append(engine.run(inst.halfspace, inst.poly, inst.x0, max_iters=5000))
+    worst = max(0.0, *(b - a for t in traces for a, b in zip(t.gaps, t.gaps[1:])))
+    return _bounded("engine/gaps-monotone", worst, 1e-10, "max rise")
+
+
+def per_cycle_contraction(rng=None, cases: int = 0) -> CheckResult:
+    """Each half-space projection contracts the gap by ``1 - alpha^2``.
+
+    Fixtures: the shifted absval polyhedra k = 0.5, 1, 2 started at (7, 0)
+    and (9, 0); every run must certify within 100 cycles, and each cycle
+    before the certificate must contract to within 1e-9.
+    """
+    a_set = lower_halfplane()
     ok = True
-    detail = ""
-    for k in (0.0, 0.5, 1.0):
-        trace = engine.run(
-            instances.lower_halfplane(),
-            instances.absval_epigraph(k),
-            np.array([1.0 + 2.0 * k, 0.0]),
-            max_iters=60,
-            cert_tol=1e-10,
-        )
-        gaps = trace.gaps
-        if any(gaps[i + 1] > gaps[i] + 1e-10 for i in range(len(gaps) - 1)):
-            ok = False
-            detail = f"gap increase at k={k}"
-    results.append(CheckResult("engine/gaps-monotone", ok, detail or "all fixtures"))
-
-    a_set = instances.lower_halfplane()
-    b_set = instances.absval_polyhedron(1.0)
-    alpha = certify.alpha_polyhedron_halfspace(b_set, a_set)
-    rate = 1.0 - alpha * alpha
-    trace = engine.run(a_set, b_set, np.array([9.0, 0.0]), max_iters=100)
-    ok = True
-    last_cycle = (len(trace.gaps) - 1) // 2
-    for n in range(last_cycle):
-        if trace.gaps[2 * n + 1] > rate * trace.gaps[2 * n] + 1e-9:
-            ok = False
-    results.append(
-        CheckResult("engine/per-cycle-contraction", ok, f"rate {rate:.4f} on shifted fixture")
+    worst_rate = 0.0
+    for k in (0.5, 1.0, 2.0):
+        b_set = absval_polyhedron(k)
+        alpha = certify.alpha_polyhedron_halfspace(b_set, a_set)
+        rate = 1.0 - alpha * alpha
+        worst_rate = max(worst_rate, rate)
+        for x_start in (7.0, 9.0):
+            trace = engine.run(a_set, b_set, [x_start, 0.0], max_iters=100)
+            gaps = trace.gaps
+            ok = ok and trace.stop_reason is engine.StopReason.CERTIFIED and all(
+                gaps[2 * n + 1] <= rate * gaps[2 * n] + 1e-9 for n in range((len(gaps) - 1) // 2)
+            )
+    return CheckResult(
+        "engine/per-cycle-contraction", ok, f"rate {worst_rate:.4f} on 6 shifted fixtures"
     )
-    return results
 
 
-def suite_bounds(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
+def alpha_range(rng: np.random.Generator, cases: int) -> CheckResult:
+    """The angle constant of random pairs lies in (0, 1/2]."""
     ok = True
-    worst_alpha = 0.0
-    for _ in range(200):
-        inst = instances.random_pair_instance(rng)
+    worst = 0.0
+    for _ in range(cases):
+        inst = random_pair_instance(rng)
         alpha = certify.alpha_polyhedron_halfspace(inst.poly, inst.halfspace)
-        if not 0.0 < alpha <= 0.5:
-            ok = False
-        worst_alpha = max(worst_alpha, alpha)
-    results.append(CheckResult("bounds/alpha-range", ok, f"max alpha {worst_alpha:.4f}"))
+        ok = ok and 0.0 < alpha <= 0.5
+        worst = max(worst, alpha)
+    return CheckResult("bounds/alpha-range", ok, f"max alpha {worst:.4f}")
 
+
+def finite_step_compliance(
+    rng: np.random.Generator, cases: int, alpha_scale: float = 1.0
+) -> CheckResult:
+    """Random pairs certify within the ``2N + 1`` steps of ``bound_report``.
+
+    ``alpha_scale`` multiplies the angle constant before the bound is taken
+    (capped below 1); any value much above 1 must produce violations.
+    """
     failures = 0
-    total = 0
-    for _ in range(25):
-        inst = instances.random_pair_instance(rng)
-        alpha = certify.alpha_polyhedron_halfspace(inst.poly, inst.halfspace)
-        alpha = min(alpha * alpha_scale, 0.999999)
-        d_x0 = norm(inst.x0 - project_polyhedron(inst.poly, inst.x0).point)
-        report = certify.iteration_bound(alpha, inst.d_ab, max(d_x0, inst.d_ab))
+    for _ in range(cases):
+        inst = random_pair_instance(rng)
+        report = certify.bound_report(inst.poly, inst.halfspace, inst.x0)
+        alpha = min(report.alpha * alpha_scale, 0.999999)
+        max_steps = certify.iteration_bound(alpha, report.d_AB, report.d_x0_B).max_steps
         trace = engine.run(inst.halfspace, inst.poly, inst.x0, max_iters=20000)
-        total += 1
         if (
             trace.stop_reason is not engine.StopReason.CERTIFIED
-            or trace.steps_to_converge > report.max_steps
+            or trace.steps_to_converge > max_steps
         ):
             failures += 1
-    results.append(
-        CheckResult("bounds/finite-step-compliance", failures == 0, f"{failures}/{total} violations")
+    return CheckResult(
+        "bounds/finite-step-compliance", failures == 0, f"{failures}/{cases} violations"
     )
 
+
+def shift_forces_one_step(rng: np.random.Generator, cases: int) -> CheckResult:
+    """The one-step shift moves the half-space and certifies in one pair.
+
+    ``d(A - mu c, B) = d(A, B) + mu ||c||`` to relative 1e-9, and the run
+    from ``x0 - mu c`` certifies within 2 steps.
+    """
     ok = True
-    for _ in range(10):
-        inst = instances.random_pair_instance(rng)
+    for _ in range(cases):
+        inst = random_pair_instance(rng)
         alpha = certify.alpha_polyhedron_halfspace(inst.poly, inst.halfspace)
-        mu, shifted = certify.one_step_shift(
-            inst.halfspace, inst.poly, inst.x0, alpha, inst.d_ab
+        mu, shifted = certify.one_step_shift(inst.halfspace, inst.poly, inst.x0, alpha, inst.d_ab)
+        expected = inst.d_ab + mu * norm(inst.halfspace.c)
+        d_shifted = certify.polyhedron_halfspace_distance(inst.poly, shifted)
+        trace = engine.run(shifted, inst.poly, inst.x0 - mu * inst.halfspace.c, max_iters=50)
+        ok = (
+            ok
+            and abs(d_shifted - expected) <= max(1e-9 * expected, 1e-12)
+            and trace.stop_reason is engine.StopReason.CERTIFIED
+            and trace.steps_to_converge <= 2
         )
-        x_start = inst.x0 - mu * inst.halfspace.c
-        trace = engine.run(shifted, inst.poly, x_start, max_iters=50)
-        if trace.stop_reason is not engine.StopReason.CERTIFIED or trace.steps_to_converge > 2:
-            ok = False
-    results.append(CheckResult("bounds/shift-forces-one-step", ok, "10 random instances"))
-    return results
+    return CheckResult("bounds/shift-forces-one-step", ok, f"{cases} random instances")
 
 
-def suite_lp(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
-    worst_direct = 0.0
-    worst_shifted = 0.0
-    one_step_ok = True
-    cone_worst = 0.0
-    for _ in range(20):
-        problem, optimum, _ = instances.random_lp_instance(rng)
-        direct = lp.solve_lp(problem, strategy="direct")
-        shifted = lp.solve_lp(problem, strategy="shifted")
-        worst_direct = max(worst_direct, abs(direct.objective - optimum))
-        worst_shifted = max(worst_shifted, abs(shifted.objective - optimum))
-        if shifted.steps != 1:
-            one_step_ok = False
-        active = [
-            problem.poly.A[i]
-            for i in np.flatnonzero(
-                np.abs(problem.poly.A @ shifted.solution - problem.poly.b) <= 1e-6
-            )
-        ]
+def _lp_solves(rng: np.random.Generator, cases: int, strategy: str):
+    # (problem, oracle optimum, outcome) for ``cases`` random LPs.
+    for _ in range(cases):
+        problem, optimum, _ = random_lp_instance(rng)
+        yield problem, optimum, lp.solve_lp(problem, strategy=strategy)
+
+
+def _matches_oracle(name: str, rng: np.random.Generator, cases: int, strategy: str) -> CheckResult:
+    # Objective within 1e-5 of the oracle, certificate holding, solution
+    # feasible to 1e-7.
+    ok = True
+    worst = 0.0
+    for problem, optimum, out in _lp_solves(rng, cases, strategy):
+        viol = float(np.max(problem.poly.A @ out.solution - problem.poly.b, initial=0.0))
+        ok = ok and out.certificate.holds and viol <= 1e-7
+        worst = max(worst, abs(out.objective - optimum))
+    return CheckResult(name, ok and worst <= 1e-5, f"max dev {worst:.2e}")
+
+
+def direct_matches_oracle(rng: np.random.Generator, cases: int) -> CheckResult:
+    """The direct LP solve matches the vertex oracle."""
+    return _matches_oracle("lp/direct-matches-oracle", rng, cases, "direct")
+
+
+def shifted_matches_oracle(rng: np.random.Generator, cases: int) -> CheckResult:
+    """The shifted LP solve matches the vertex oracle."""
+    return _matches_oracle("lp/shifted-matches-oracle", rng, cases, "shifted")
+
+
+def shifted_single_projection(rng: np.random.Generator, cases: int) -> CheckResult:
+    """The shifted LP solve takes exactly one projection."""
+    steps = [out.steps for _, _, out in _lp_solves(rng, cases, "shifted")]
+    return CheckResult("lp/shifted-single-projection", all(s == 1 for s in steps), "steps == 1")
+
+
+def solution_cone_certificate(rng: np.random.Generator, cases: int) -> CheckResult:
+    """At the shifted solution, ``-c`` lies in the cone of the active rows, to 1e-6."""
+    worst = 0.0
+    for problem, _, out in _lp_solves(rng, cases, "shifted"):
         # At a minimizer of <c, x> the outward normal cone of the feasible
         # set contains -c.
-        cone_worst = max(cone_worst, distance_to_finite_cone(-problem.c, active))
-    results.append(
-        CheckResult("lp/direct-matches-oracle", worst_direct <= 1e-5, f"max dev {worst_direct:.2e}")
-    )
-    results.append(
-        CheckResult("lp/shifted-matches-oracle", worst_shifted <= 1e-5, f"max dev {worst_shifted:.2e}")
-    )
-    results.append(CheckResult("lp/shifted-single-projection", one_step_ok, "steps == 1"))
-    results.append(
-        CheckResult("lp/solution-cone-certificate", cone_worst <= 1e-6, f"max res {cone_worst:.2e}")
-    )
-    return results
+        slack = np.abs(problem.poly.A @ out.solution - problem.poly.b)
+        active = list(problem.poly.A[slack <= 1e-6])
+        worst = max(worst, distance_to_finite_cone(-problem.c, active))
+    return _bounded("lp/solution-cone-certificate", worst, 1e-6, "max res")
 
 
-def suite_examples(rng: np.random.Generator, alpha_scale: float) -> list[CheckResult]:
-    results = []
+def absval_rate_envelope(rng=None, cases: int = 0) -> CheckResult:
+    """Consistent absolute-value pair: gaps stay under ``(7/8)^n gap_0``.
 
-    # Consistent absolute-value pair: per-step gaps contract at least as
-    # fast as the certified envelope (7/8)^n.
+    The run from (1, 0) must certify and record at least 20 gaps.
+    """
     trace = engine.run(
-        instances.lower_halfplane(),
-        instances.absval_epigraph(0.0),
-        np.array([1.0, 0.0]),
-        max_iters=40,
-        cert_tol=1e-12,
+        lower_halfplane(), absval_epigraph(0.0), [1.0, 0.0], max_iters=40, cert_tol=1e-12
     )
     gaps = trace.gaps
-    ok = all(gaps[n] <= (7.0 / 8.0) ** n * gaps[0] + 1e-9 for n in range(len(gaps)))
-    results.append(CheckResult("examples/absval-rate-envelope", ok, f"{len(gaps)} gaps checked"))
+    ok = (
+        trace.stop_reason is engine.StopReason.CERTIFIED
+        and len(gaps) >= 20
+        and all(gaps[n] <= (7.0 / 8.0) ** n * gaps[0] + 1e-9 for n in range(len(gaps)))
+    )
+    return CheckResult("examples/absval-rate-envelope", ok, f"{len(gaps)} gaps checked")
 
+
+def absval_shifted_finite_steps(rng=None, cases: int = 0) -> CheckResult:
+    """Shifted absval fixtures certify within ``2 floor(log_{7/8}(k / d0)) + 1`` steps."""
     ok = True
     detail = ""
     for k in (0.5, 1.0, 2.0):
         for x_start in (1.0, 3.0, 10.0):
-            d0 = instances.absval_distance(x_start, k)
+            d0 = absval_distance(x_start, k)
             bound = 2 * math.floor(math.log(k / d0) / math.log(7.0 / 8.0)) + 1
             trace = engine.run(
-                instances.lower_halfplane(),
-                instances.absval_epigraph(k),
-                np.array([x_start, 0.0]),
-                max_iters=200,
+                lower_halfplane(), absval_epigraph(k), [x_start, 0.0], max_iters=200
             )
             if trace.stop_reason is not engine.StopReason.CERTIFIED:
                 ok = False
@@ -366,62 +407,72 @@ def suite_examples(rng: np.random.Generator, alpha_scale: float) -> list[CheckRe
             elif trace.steps_to_converge > bound:
                 ok = False
                 detail = f"k={k} x0={x_start}: {trace.steps_to_converge} > {bound}"
-    results.append(CheckResult("examples/absval-shifted-finite-steps", ok, detail or "9 fixtures"))
+    return CheckResult("examples/absval-shifted-finite-steps", ok, detail or "9 fixtures")
 
-    trace = engine.run(
-        instances.lower_halfplane(),
-        instances.parabola_epigraph(0.0),
-        np.array([1.0, 0.0]),
-        max_iters=1200,
-        cert_tol=1e-13,
-    )
-    ratios = [
-        trace.gaps[i + 1] / trace.gaps[i] for i in range(len(trace.gaps) - 1) if trace.gaps[i] > 0
-    ]
-    ok = max(ratios, default=0.0) > 0.99
-    results.append(
-        CheckResult(
-            "examples/parabola-no-linear-rate",
-            ok,
-            f"max gap ratio {max(ratios, default=0.0):.4f}",
-        )
-    )
 
-    # Shifted parabola: the minimum-distance pair is approached but never
-    # reached exactly; after a short horizon the certificate must still be
-    # open even though every iterate is feasible.
+def parabola_no_linear_rate(rng=None, cases: int = 0) -> CheckResult:
+    """Unshifted parabola: within 1000 cycles some gap ratio exceeds 0.99."""
     trace = engine.run(
-        instances.lower_halfplane(),
-        instances.parabola_epigraph(1.0),
-        np.array([1.0, 0.0]),
-        max_iters=8,
-        cert_tol=1e-13,
+        lower_halfplane(), parabola_epigraph(0.0), [1.0, 0.0], max_iters=1000, cert_tol=1e-13
+    )
+    gaps = trace.gaps
+    best = max((b / a for a, b in zip(gaps, gaps[1:]) if a > 0), default=0.0)
+    return CheckResult("examples/parabola-no-linear-rate", best > 0.99, f"max gap ratio {best:.4f}")
+
+
+def parabola_shifted_no_finite_convergence(rng=None, cases: int = 0) -> CheckResult:
+    """Shifted parabola: the nearest pair ((0, 0), (0, 1)) is approached, never reached.
+
+    After 8 cycles the run has not certified, the certificate residual
+    exceeds 1e-6 and the B-point's first coordinate is still nonzero.
+    """
+    trace = engine.run(
+        lower_halfplane(), parabola_epigraph(1.0), [1.0, 0.0], max_iters=8, cert_tol=1e-13
     )
     residual = max(trace.certificate.residual_A, trace.certificate.residual_B)
     _, b_final = trace.final_pair()
     ok = (
         trace.stop_reason is engine.StopReason.MAX_ITERS
         and residual > 1e-6
-        and norm(b_final - np.array([0.0, 1.0])) > 0.0
+        and abs(b_final[0]) > 0.0
     )
-    results.append(
-        CheckResult(
-            "examples/parabola-shifted-no-finite-convergence",
-            ok,
-            f"residual {residual:.2e} after 8 cycles",
-        )
+    return CheckResult(
+        "examples/parabola-shifted-no-finite-convergence",
+        ok,
+        f"residual {residual:.2e} after 8 cycles",
     )
-    return results
 
 
+# (check, cases) per suite; checks of one suite share one generator, in
+# this order.
 SUITES = {
-    "linalg": suite_linalg,
-    "sets": suite_sets,
-    "qp": suite_qp,
-    "engine": suite_engine,
-    "bounds": suite_bounds,
-    "lp": suite_lp,
-    "examples": suite_examples,
+    "linalg": (
+        (ray_symmetry, 200),
+        (ray_scale_invariance, 200),
+        (cone_single_generator, 200),
+        (cone_monotone, 100),
+    ),
+    "sets": (
+        (projection_idempotent, 200),
+        (projection_optimal_sampled, 50),
+        (normal_cone_consistency, 200),
+        (translation_equivariance, 200),
+    ),
+    "qp": ((halfspace_agreement, 200), (box_agreement, 200), (kkt_certificate, 100)),
+    "engine": ((gaps_monotone, 20), (per_cycle_contraction, 0)),
+    "bounds": ((alpha_range, 200), (finite_step_compliance, 25), (shift_forces_one_step, 10)),
+    "lp": (
+        (direct_matches_oracle, 20),
+        (shifted_matches_oracle, 20),
+        (shifted_single_projection, 20),
+        (solution_cone_certificate, 20),
+    ),
+    "examples": (
+        (absval_rate_envelope, 0),
+        (absval_shifted_finite_steps, 0),
+        (parabola_no_linear_rate, 0),
+        (parabola_shifted_no_finite_convergence, 0),
+    ),
 }
 
 
@@ -437,5 +488,9 @@ def run_suites(names, seed: int | None = None, alpha_scale: float = 1.0) -> list
     results = []
     for name in sorted(names):
         rng = np.random.default_rng(seed)
-        results.extend(SUITES[name](rng, alpha_scale))
+        for check, cases in SUITES[name]:
+            if check is finite_step_compliance:
+                results.append(check(rng, cases, alpha_scale))
+            else:
+                results.append(check(rng, cases))
     return sorted(results, key=lambda r: r.name)

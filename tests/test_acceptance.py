@@ -2,8 +2,10 @@
 
 One test per criterion; every test prints a single PASS/FAIL line (visible
 with ``pytest -s`` or in the captured output on failure) and then asserts.
-Criteria 2-4 share their certified runs with the optimality-certificate
-criterion through module-scoped fixtures.
+Criteria 1, 2, 4, 6a, 8 and 9 run the property checks of
+``altproj.verify``; criterion 7 re-checks the certified runs of criteria 2-4
+(the fixture grids and random pairs, with the same seeds) through
+module-scoped fixtures.
 """
 
 import math
@@ -13,22 +15,15 @@ import numpy as np
 import pytest
 
 from altproj import (
-    EpigraphSet,
-    HalfSpace,
     Polyhedron,
-    Ray,
     StopReason,
     alpha_polyhedron_halfspace,
-    bound_report,
     check_certificate,
-    distance_to_finite_cone,
-    distance_to_ray,
     norm,
     project,
     project_halfspace,
-    proximal_normal_generators,
     run,
-    solve_lp,
+    verify,
     vertex_oracle,
 )
 from altproj.instances import (
@@ -36,44 +31,15 @@ from altproj.instances import (
     absval_epigraph,
     lower_halfplane,
     parabola_epigraph,
-    random_bounded_polyhedron,
-    random_lp_instance,
     random_pair_instance,
 )
 
 SEED = 42
-RATE = 7.0 / 8.0
 
 
 def report(name, ok, detail=""):
     print(f"[acceptance] {'PASS' if ok else 'FAIL'} {name} {detail}".rstrip())
     assert ok, f"{name}: {detail}"
-
-
-def random_planar_set(rng):
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        n = int(rng.integers(2, 5))
-        c = rng.normal(size=n)
-        c /= np.linalg.norm(c)
-        return HalfSpace(c, float(rng.normal()))
-    if kind == 1:
-        n = int(rng.integers(2, 5))
-        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 4)))
-        return poly
-    if kind == 2:
-        return EpigraphSet("abs", rng.normal(size=2))
-    return EpigraphSet("square", rng.normal(size=2))
-
-
-def sample_member(rng, s):
-    x = rng.normal(size=s.dim) * 2.0
-    if isinstance(s, EpigraphSet):
-        z = x - s.shift
-        profile = abs(z[0]) if s.kind == "abs" else z[0] * z[0]
-        z[1] = profile + abs(rng.normal())
-        return z + s.shift
-    return project(s, x)
 
 
 @pytest.fixture(scope="module")
@@ -102,53 +68,31 @@ def one_step_runs():
 
 @pytest.fixture(scope="module")
 def random_pair_runs():
-    # Criterion 4: 200 random pairs at oracle-computed positive distance.
+    # The pairs of criterion 4: 200 random pairs at oracle-computed positive
+    # distance.
     rng = np.random.default_rng(SEED)
     runs = []
     for _ in range(200):
         inst = random_pair_instance(rng)
-        rep = bound_report(inst.poly, inst.halfspace, inst.x0)
         trace = run(inst.halfspace, inst.poly, inst.x0, max_iters=20000)
-        runs.append((inst, rep, trace))
+        runs.append((inst, trace))
     return runs
 
 
 def test_criterion_1_absval_linear_rate():
     started = time.perf_counter()
-    trace = run(
-        lower_halfplane(), absval_epigraph(0.0), [1.0, 0.0], max_iters=40, cert_tol=1e-12
-    )
-    gaps = trace.gaps
-    ok = trace.stop_reason is StopReason.CERTIFIED
-    worst = 0.0
-    for n in range(min(len(gaps), 61)):
-        worst = max(worst, gaps[n] - RATE**n * gaps[0])
-        ok = ok and gaps[n] <= RATE**n * gaps[0] + 1e-9
+    result = verify.absval_rate_envelope()
     elapsed = time.perf_counter() - started
-    ok = ok and elapsed < 1.0
-    report(
-        "criterion-1 absval linear rate",
-        ok,
-        f"{len(gaps)} gaps, worst envelope excess {worst:.2e}, {elapsed:.2f}s",
-    )
+    ok = result.ok and elapsed < 1.0
+    report("criterion-1 absval linear rate", ok, f"{result.detail}, {elapsed:.2f}s")
 
 
-def test_criterion_2_finite_bound(shifted_absval_runs):
+def test_criterion_2_finite_bound():
     started = time.perf_counter()
-    ok = True
-    detail = []
-    for k, x_start, trace in shifted_absval_runs:
-        d0 = absval_distance(x_start, k)
-        bound = 2 * math.floor(math.log(k / d0) / math.log(RATE)) + 1
-        good = (
-            trace.stop_reason is StopReason.CERTIFIED
-            and trace.steps_to_converge <= bound
-        )
-        ok = ok and good
-        detail.append(f"k={k},x={x_start}:{trace.steps_to_converge}<={bound}")
+    result = verify.absval_shifted_finite_steps()
     elapsed = time.perf_counter() - started
-    ok = ok and elapsed < 1.0
-    report("criterion-2 finite bound", ok, " ".join(detail))
+    ok = result.ok and elapsed < 1.0
+    report("criterion-2 finite bound", ok, f"{result.detail}, {elapsed:.2f}s")
 
 
 def test_criterion_3_one_step_regime(one_step_runs):
@@ -169,22 +113,12 @@ def test_criterion_3_one_step_regime(one_step_runs):
     report("criterion-3 one-step regime", ok, " ".join(detail))
 
 
-def test_criterion_4_bound_on_random_polyhedra(random_pair_runs):
+def test_criterion_4_bound_on_random_polyhedra():
     started = time.perf_counter()
-    violations = 0
-    for inst, rep, trace in random_pair_runs:
-        if (
-            trace.stop_reason is not StopReason.CERTIFIED
-            or trace.steps_to_converge > rep.max_steps
-        ):
-            violations += 1
+    result = verify.finite_step_compliance(np.random.default_rng(SEED), 200)
     elapsed = time.perf_counter() - started
-    ok = violations == 0 and elapsed < 30.0
-    report(
-        "criterion-4 random polyhedra bound",
-        ok,
-        f"{200 - violations}/200 within 2N+1, {elapsed:.1f}s",
-    )
+    ok = result.ok and elapsed < 30.0
+    report("criterion-4 random polyhedra bound", ok, f"{result.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_5_alpha_value():
@@ -198,22 +132,10 @@ def test_criterion_5_alpha_value():
 
 def test_criterion_6a_parabola_no_linear_rate():
     started = time.perf_counter()
-    trace = run(
-        lower_halfplane(),
-        parabola_epigraph(0.0),
-        [1.0, 0.0],
-        max_iters=1000,
-        cert_tol=1e-13,
-    )
-    ratios = [
-        trace.gaps[i + 1] / trace.gaps[i]
-        for i in range(len(trace.gaps) - 1)
-        if trace.gaps[i] > 0.0
-    ]
-    best = max(ratios, default=0.0)
+    result = verify.parabola_no_linear_rate()
     elapsed = time.perf_counter() - started
-    ok = best > 0.99 and elapsed < 5.0
-    report("criterion-6a parabola gap ratio", ok, f"max ratio {best:.4f}, {elapsed:.1f}s")
+    ok = result.ok and elapsed < 5.0
+    report("criterion-6a parabola gap ratio", ok, f"{result.detail}, {elapsed:.1f}s")
 
 
 def test_criterion_6b_shifted_parabola_certificate_stays_open():
@@ -258,7 +180,7 @@ def test_criterion_7_certificates_and_brute_force_pairs(
             norm(a_pt - np.array([0.0, 0.0])),
             norm(b_pt - np.array([0.0, k])),
         )
-    for inst, _, trace in random_pair_runs:
+    for inst, trace in random_pair_runs:
         ok = ok and trace.stop_reason is StopReason.CERTIFIED
         a_pt, b_pt = trace.final_pair()
         cert = check_certificate(inst.halfspace, inst.poly, a_pt, b_pt, tol=1e-6)
@@ -280,86 +202,34 @@ def test_criterion_7_certificates_and_brute_force_pairs(
 
 def test_criterion_8_lp_oracle_equivalence():
     started = time.perf_counter()
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    ok = True
-    for _ in range(200):
-        problem, optimum, _ = random_lp_instance(rng)
-        direct = solve_lp(problem, strategy="direct", max_iters=30000)
-        shifted = solve_lp(problem, strategy="shifted")
-        worst = max(
-            worst, abs(direct.objective - optimum), abs(shifted.objective - optimum)
+    results = [
+        check(np.random.default_rng(SEED + 1), 200)
+        for check in (
+            verify.direct_matches_oracle,
+            verify.shifted_matches_oracle,
+            verify.shifted_single_projection,
         )
-        ok = ok and shifted.steps == 1
+    ]
     elapsed = time.perf_counter() - started
-    ok = ok and worst <= 1e-5 and elapsed < 60.0
-    report(
-        "criterion-8 LP oracle equivalence",
-        ok,
-        f"max objective deviation {worst:.2e}, {elapsed:.1f}s",
-    )
+    ok = all(r.ok for r in results) and elapsed < 60.0
+    details = ", ".join(f"{r.name} {r.detail}" for r in results)
+    report("criterion-8 LP oracle equivalence", ok, f"{details}, {elapsed:.1f}s")
 
 
 def test_criterion_9_property_suites():
     started = time.perf_counter()
     rng = np.random.default_rng(SEED + 2)
-    failures = {}
-
-    worst = 0.0
-    for _ in range(1000):
-        s = random_planar_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        p = project(s, x)
-        worst = max(worst, norm(project(s, p) - p))
-    failures["idempotence"] = worst if worst > 1e-9 else 0.0
-
-    bad = 0
-    for _ in range(1000):
-        s = random_planar_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        d = norm(x - project(s, x))
-        if d > norm(x - sample_member(rng, s)) + 1e-9:
-            bad += 1
-    failures["sampled-optimality"] = bad
-
-    worst = 0.0
-    for _ in range(1000):
-        s = random_planar_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        p = project(s, x)
-        if norm(x - p) <= 1e-9:
-            continue
-        worst = max(
-            worst, distance_to_finite_cone(x - p, proximal_normal_generators(s, p))
+    results = [
+        check(rng, 1000)
+        for check in (
+            verify.projection_idempotent,
+            verify.projection_optimal_sampled,
+            verify.normal_cone_consistency,
+            verify.ray_symmetry,
+            verify.translation_equivariance,
         )
-    failures["normal-cone"] = worst if worst > 1e-7 else 0.0
-
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        if norm(u) < 1e-6 or norm(v) < 1e-6:
-            continue
-        worst = max(
-            worst, abs(distance_to_ray(v, Ray(u)) - distance_to_ray(u, Ray(v)))
-        )
-    failures["ray-symmetry"] = worst if worst > 1e-10 else 0.0
-
-    from altproj import translate
-
-    worst = 0.0
-    for _ in range(1000):
-        s = random_planar_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        v = rng.normal(size=s.dim)
-        worst = max(worst, norm(project(translate(s, v), x + v) - (project(s, x) + v)))
-    failures["translation"] = worst if worst > 1e-9 else 0.0
-
+    ]
     elapsed = time.perf_counter() - started
-    ok = all(value == 0.0 for value in failures.values()) and elapsed < 30.0
-    report(
-        "criterion-9 property suites",
-        ok,
-        f"failures {failures}, {elapsed:.1f}s",
-    )
+    failures = [f"{r.name} {r.detail}" for r in results if not r.ok]
+    ok = not failures and elapsed < 30.0
+    report("criterion-9 property suites", ok, f"failures {failures}, {elapsed:.1f}s")

@@ -8,17 +8,15 @@ from altproj import (
     InvalidDistance,
     Polyhedron,
     StartNotInA,
-    StopReason,
     alpha_polyhedron_halfspace,
     beta_bound,
     bound_report,
     iteration_bound,
-    norm,
     one_step_shift,
     polyhedron_halfspace_distance,
-    run,
+    verify,
 )
-from altproj.instances import absval_polyhedron, lower_halfplane, random_pair_instance
+from altproj.instances import absval_polyhedron, lower_halfplane
 
 RATE_78_ALPHA = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -43,11 +41,8 @@ def test_alpha_orthogonal_row():
 
 
 def test_alpha_range_random():
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        inst = random_pair_instance(rng)
-        alpha = alpha_polyhedron_halfspace(inst.poly, inst.halfspace)
-        assert 0.0 < alpha <= 0.5
+    result = verify.alpha_range(np.random.default_rng(41), 200)
+    assert result.ok, result.detail
 
 
 def test_alpha_uses_active_cone_combinations_in_3d():
@@ -166,17 +161,8 @@ def test_one_step_shift_trivial_when_already_one_step():
 def test_one_step_shift_distance_identity_and_validity():
     # d(A - v, B) = d(A, B) + mu ||c|| for the returned shift, and running
     # from the shifted start certifies within one projection pair.
-    rng = np.random.default_rng(44)
-    for _ in range(10):
-        inst = random_pair_instance(rng)
-        alpha = alpha_polyhedron_halfspace(inst.poly, inst.halfspace)
-        mu, shifted = one_step_shift(inst.halfspace, inst.poly, inst.x0, alpha, inst.d_ab)
-        nc = norm(inst.halfspace.c)
-        d_shifted = polyhedron_halfspace_distance(inst.poly, shifted)
-        assert d_shifted == pytest.approx(inst.d_ab + mu * nc, rel=1e-9)
-        trace = run(shifted, inst.poly, inst.x0 - mu * inst.halfspace.c, max_iters=50)
-        assert trace.stop_reason is StopReason.CERTIFIED
-        assert trace.steps_to_converge <= 2
+    result = verify.shift_forces_one_step(np.random.default_rng(44), 10)
+    assert result.ok, result.detail
 
 
 def test_one_step_shift_requires_start_in_halfspace():
@@ -200,10 +186,5 @@ def test_bound_report_composes_the_pieces():
 
 
 def test_finite_step_bound_holds_on_random_pairs():
-    rng = np.random.default_rng(45)
-    for _ in range(50):
-        inst = random_pair_instance(rng)
-        report = bound_report(inst.poly, inst.halfspace, inst.x0)
-        trace = run(inst.halfspace, inst.poly, inst.x0, max_iters=20000)
-        assert trace.stop_reason is StopReason.CERTIFIED
-        assert trace.steps_to_converge <= report.max_steps
+    result = verify.finite_step_compliance(np.random.default_rng(45), 50)
+    assert result.ok, result.detail

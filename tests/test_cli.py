@@ -5,7 +5,36 @@ import math
 import numpy as np
 import pytest
 
+from altproj import verify
 from altproj.cli import main
+
+
+VERIFY_CHECKS = [
+    "bounds/alpha-range",
+    "bounds/finite-step-compliance",
+    "bounds/shift-forces-one-step",
+    "engine/gaps-monotone",
+    "engine/per-cycle-contraction",
+    "examples/absval-rate-envelope",
+    "examples/absval-shifted-finite-steps",
+    "examples/parabola-no-linear-rate",
+    "examples/parabola-shifted-no-finite-convergence",
+    "linalg/cone-monotone",
+    "linalg/cone-single-generator",
+    "linalg/ray-scale-invariance",
+    "linalg/ray-symmetry",
+    "lp/direct-matches-oracle",
+    "lp/shifted-matches-oracle",
+    "lp/shifted-single-projection",
+    "lp/solution-cone-certificate",
+    "qp/box-agreement",
+    "qp/halfspace-agreement",
+    "qp/kkt-certificate",
+    "sets/normal-cone-consistency",
+    "sets/projection-idempotent",
+    "sets/projection-optimal-sampled",
+    "sets/translation-equivariance",
+]
 
 
 def write_json(path, obj):
@@ -81,6 +110,15 @@ def test_run_malformed_json_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 64
     assert main(["run", str(tmp_path / "missing.json")]) == 64
+
+
+def test_run_rejects_cycle_cap_below_one(tmp_path, capsys):
+    spec = absval_run_spec(tmp_path)
+    (tmp_path / "zero").mkdir()
+    zero_in_spec = absval_run_spec(tmp_path / "zero", max_iters=0)
+    for argv in ([spec, "--max-iters", "0"], [spec, "--max-iters", "-3"], [zero_in_spec]):
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 64
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bound_command_reports_constants(tmp_path, capsys):
@@ -182,6 +220,22 @@ def test_verify_alpha_perturbation_reports_bound_failures(capsys):
     assert "FAIL" in out
 
 
+def test_verify_rejects_bad_alpha_scale(capsys):
+    for value in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bounds", "--alpha-scale", value])
+        assert exc.value.code == 64
+        assert "--alpha-scale" in capsys.readouterr().err
+
+
+def test_verify_runs_every_check(monkeypatch, capsys):
+    monkeypatch.delenv("ALTPROJ_SEED", raising=False)
+    assert main(["verify"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1] == "24/24 checks passed"
+    assert [row.split()[:2] for row in rows[:-1]] == [["PASS", name] for name in VERIFY_CHECKS]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -189,8 +243,6 @@ def test_usage_error_exit_code():
 
 
 def test_verify_seed_env_var(monkeypatch):
-    from altproj import verify
-
     monkeypatch.setenv("ALTPROJ_SEED", "7")
     assert verify.get_seed() == 7
     monkeypatch.setenv("ALTPROJ_SEED", "not-a-number")

@@ -6,23 +6,14 @@ import pytest
 from altproj import (
     HalfSpace,
     PointNotInSet,
-    Polyhedron,
     StartNotInA,
     StopReason,
-    alpha_polyhedron_halfspace,
     check_certificate,
-    min_distance_estimate,
     norm,
     run,
+    verify,
 )
-from altproj.instances import (
-    absval_distance,
-    absval_epigraph,
-    absval_polyhedron,
-    lower_halfplane,
-    parabola_epigraph,
-    random_pair_instance,
-)
+from altproj.instances import absval_distance, absval_epigraph, lower_halfplane
 
 
 def test_run_certifies_from_optimal_start():
@@ -37,11 +28,8 @@ def test_run_certifies_from_optimal_start():
 
 
 def test_run_gap_envelope_consistent_absval():
-    trace = run(lower_halfplane(), absval_epigraph(0.0), [1.0, 0.0], max_iters=40, cert_tol=1e-12)
-    gaps = trace.gaps
-    assert len(gaps) >= 20
-    for n, gap in enumerate(gaps):
-        assert gap <= (7.0 / 8.0) ** n * gaps[0] + 1e-9
+    result = verify.absval_rate_envelope()
+    assert result.ok, result.detail
 
 
 def test_run_requires_start_in_first_set():
@@ -64,27 +52,15 @@ def test_trace_internal_consistency():
 
 
 def test_gaps_monotone_random_pairs():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        inst = random_pair_instance(rng)
-        trace = run(inst.halfspace, inst.poly, inst.x0, max_iters=5000)
-        for first, second in zip(trace.gaps, trace.gaps[1:]):
-            assert second <= first + 1e-10
+    result = verify.gaps_monotone(np.random.default_rng(31), 20)
+    assert result.ok, result.detail
 
 
 def test_per_cycle_contraction_on_polyhedral_fixtures():
     # While the certificate has not fired, each half-space projection
     # contracts the gap by at least 1 - alpha^2.
-    a_set = lower_halfplane()
-    for k in (0.5, 1.0, 2.0):
-        b_set = absval_polyhedron(k)
-        alpha = alpha_polyhedron_halfspace(b_set, a_set)
-        rate = 1.0 - alpha * alpha
-        trace = run(a_set, b_set, np.array([7.0, 0.0]), max_iters=200)
-        assert trace.stop_reason is StopReason.CERTIFIED
-        last_cycle = (len(trace.gaps) - 1) // 2
-        for n in range(last_cycle):
-            assert trace.gaps[2 * n + 1] <= rate * trace.gaps[2 * n] + 1e-9
+    result = verify.per_cycle_contraction()
+    assert result.ok, result.detail
 
 
 def test_certified_pair_matches_known_minimum_distance_pair():
@@ -100,12 +76,8 @@ def test_parabola_shifted_never_reaches_the_pair():
     # The nearest pair ((0,0),(0,1)) is approached but never attained: the
     # first coordinate shrinks by about 1/3 per cycle yet stays nonzero,
     # so a strict certificate stays open at any short horizon.
-    trace = run(lower_halfplane(), parabola_epigraph(1.0), [1.0, 0.0], max_iters=8, cert_tol=1e-13)
-    assert trace.stop_reason is StopReason.MAX_ITERS
-    residual = max(trace.certificate.residual_A, trace.certificate.residual_B)
-    assert residual > 1e-6
-    _, b_final = trace.final_pair()
-    assert abs(b_final[0]) > 0.0
+    result = verify.parabola_shifted_no_finite_convergence()
+    assert result.ok, result.detail
 
 
 def test_check_certificate_examples():
@@ -132,27 +104,6 @@ def test_check_certificate_consistent_convention():
 def test_check_certificate_membership_errors():
     with pytest.raises(PointNotInSet):
         check_certificate(lower_halfplane(), absval_epigraph(0.0), [0, 1], [0, 0])
-
-
-def test_min_distance_estimate_examples():
-    d = min_distance_estimate(lower_halfplane(), absval_epigraph(1.0), [[0.0, 0.0]])
-    assert d == pytest.approx(1.0, abs=1e-10)
-
-    crossing_a = HalfSpace([1, 0], 0.0)
-    crossing_b = HalfSpace([0, 1], 0.0)
-    d = min_distance_estimate(crossing_a, crossing_b, [[-1.0, 1.0]])
-    assert d <= 1e-8
-
-    left = HalfSpace([1, 0], -1.0)   # x <= -1
-    right = Polyhedron([[-1.0, 0.0]], [-1.0])  # x >= 1
-    d = min_distance_estimate(left, right, [[-1.0, 0.0]])
-    assert d == pytest.approx(2.0, abs=1e-10)
-
-
-def test_min_distance_from_far_seed_is_exact_after_certification():
-    for k in (0.5, 2.0):
-        d = min_distance_estimate(lower_halfplane(), absval_epigraph(k), [[9.0, 0.0]])
-        assert d == pytest.approx(k, abs=1e-9)
 
 
 def test_steps_to_converge_counts_projections():

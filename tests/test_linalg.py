@@ -11,6 +11,7 @@ from altproj import (
     distance_to_ray,
     nnls,
     norm,
+    verify,
 )
 
 
@@ -79,32 +80,13 @@ def test_distance_to_ray_matches_scan_oracle():
 
 
 def test_ray_symmetry_property():
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        if norm(u) < 1e-6 or norm(v) < 1e-6:
-            continue
-        worst = max(worst, abs(distance_to_ray(v, Ray(u)) - distance_to_ray(u, Ray(v))))
-    assert worst <= 1e-10
+    result = verify.ray_symmetry(np.random.default_rng(0), 1000)
+    assert result.ok, result.detail
 
 
 def test_ray_scale_invariance_property():
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        if norm(u) < 1e-6 or norm(v) < 1e-6:
-            continue
-        lam = float(rng.uniform(0.05, 20.0))
-        worst = max(
-            worst, abs(distance_to_ray(lam * v, Ray(u)) - distance_to_ray(v, Ray(u)))
-        )
-    assert worst <= 1e-10
+    result = verify.ray_scale_invariance(np.random.default_rng(1), 1000)
+    assert result.ok, result.detail
 
 
 def test_cone_distance_examples():
@@ -130,31 +112,13 @@ def test_cone_distance_never_exceeds_grid_oracle():
 
 
 def test_cone_single_generator_matches_ray():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        v = rng.normal(size=n)
-        g = rng.normal(size=n)
-        if norm(v) < 1e-6 or norm(g) < 1e-6:
-            continue
-        worst = max(
-            worst, abs(distance_to_finite_cone(v, [g]) - distance_to_ray(v, Ray(g)))
-        )
-    assert worst <= 1e-8
+    result = verify.cone_single_generator(np.random.default_rng(3), 1000)
+    assert result.ok, result.detail
 
 
 def test_cone_distance_monotone_in_generators():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        v = rng.normal(size=n)
-        if norm(v) < 1e-6:
-            continue
-        gens = [rng.normal(size=n) for _ in range(4)]
-        dists = [distance_to_finite_cone(v, gens[:k]) for k in range(5)]
-        for k in range(4):
-            assert dists[k + 1] <= dists[k] + 1e-9
+    result = verify.cone_monotone(np.random.default_rng(4), 200)
+    assert result.ok, result.detail
 
 
 def test_nnls_satisfies_kkt():

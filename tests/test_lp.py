@@ -10,15 +10,17 @@ from altproj import (
     StartNotInA,
     TooLarge,
     Unbounded,
-    distance_to_finite_cone,
+    alpha_polyhedron_halfspace,
+    bound_report,
     norm,
     polyhedron_halfspace_distance,
     run,
     solve_lp,
+    verify,
     vertex_oracle,
 )
 from altproj.instances import random_lp_instance
-from altproj.lp import feasible_vertices
+from altproj.vertices import feasible_vertices
 
 
 def unit_box():
@@ -120,23 +122,30 @@ def test_default_start_sits_strictly_inside_the_sublevel_set():
 
 
 def test_oracle_agreement_random():
-    rng = np.random.default_rng(51)
-    for _ in range(30):
-        problem, optimum, _ = random_lp_instance(rng)
-        direct = solve_lp(problem, strategy="direct", max_iters=30000)
-        shifted = solve_lp(problem, strategy="shifted")
-        assert direct.objective == pytest.approx(optimum, abs=1e-5)
-        assert shifted.objective == pytest.approx(optimum, abs=1e-5)
-        assert shifted.steps == 1
-        assert direct.certificate.holds and shifted.certificate.holds
-        for out in (direct, shifted):
-            viol = float(np.max(problem.poly.A @ out.solution - problem.poly.b, initial=0.0))
-            assert viol <= 1e-7
+    for check in (
+        verify.direct_matches_oracle,
+        verify.shifted_matches_oracle,
+        verify.shifted_single_projection,
+    ):
+        result = check(np.random.default_rng(51), 30)
+        assert result.ok, f"{result.name}: {result.detail}"
+
+
+def test_shifted_solve_certifies_after_a_huge_shift():
+    # alpha ~ 1.4e-4 puts the shifted half-space ~1e8 away; the solution is
+    # the oracle vertex, and its certificate must not fail on the rounding
+    # of the far shifted A-point.
+    rng = np.random.default_rng(1)
+    problem, optimum, vertex = [random_lp_instance(rng) for _ in range(30)][-1]
+    halfspace = HalfSpace(problem.c, problem.M)
+    assert alpha_polyhedron_halfspace(problem.poly, halfspace) < 1e-3
+    out = solve_lp(problem, strategy="shifted")
+    assert out.certificate.holds
+    assert out.objective == pytest.approx(optimum, abs=1e-9)
+    np.testing.assert_allclose(out.solution, vertex, atol=1e-9)
 
 
 def test_direct_steps_within_certified_bound():
-    from altproj import bound_report
-
     rng = np.random.default_rng(52)
     for _ in range(20):
         problem, optimum, _ = random_lp_instance(rng)
@@ -167,10 +176,5 @@ def test_geometry_identity_distance_vs_certified_gap():
 
 def test_solution_cone_certificate():
     # At a minimizer of <c, x>, -c lies in the cone of the active rows.
-    rng = np.random.default_rng(54)
-    for _ in range(20):
-        problem, _, _ = random_lp_instance(rng)
-        out = solve_lp(problem, strategy="shifted")
-        slack = np.abs(problem.poly.A @ out.solution - problem.poly.b)
-        active = [problem.poly.A[i] for i in np.flatnonzero(slack <= 1e-6)]
-        assert distance_to_finite_cone(-problem.c, active) <= 1e-6
+    result = verify.solution_cone_certificate(np.random.default_rng(54), 20)
+    assert result.ok, result.detail

@@ -11,6 +11,7 @@ from altproj import (
     project_epigraph,
     project_halfspace,
     project_polyhedron,
+    verify,
 )
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import project_along_ray
@@ -48,40 +49,14 @@ def test_absval_rows_match_epigraph_closed_form():
 
 def test_agreement_with_closed_forms_random():
     rng = np.random.default_rng(21)
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 5))
-        x = rng.normal(size=n) * 3.0
-        if rng.integers(0, 2) == 0:
-            c = rng.normal(size=n)
-            c /= np.linalg.norm(c)
-            M = float(rng.normal())
-            closed = project_halfspace(HalfSpace(c, M), x)
-            res = project_polyhedron(Polyhedron(c.reshape(1, -1), [M]), x)
-        else:
-            lo = rng.normal(size=n) - 1.0
-            hi = lo + rng.uniform(0.5, 2.0, size=n)
-            rows = np.vstack([np.eye(n), -np.eye(n)])
-            rhs = np.concatenate([hi, -lo])
-            closed = np.clip(x, lo, hi)
-            res = project_polyhedron(Polyhedron(rows, rhs), x)
-        worst = max(worst, norm(res.point - closed))
-    assert worst <= 1e-7
+    for check in (verify.halfspace_agreement, verify.box_agreement):
+        result = check(rng, 1000)
+        assert result.ok, result.detail
 
 
 def test_kkt_certificate_random():
-    rng = np.random.default_rng(22)
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 5)))
-        x = rng.normal(size=n) * 4.0
-        res = project_polyhedron(poly, x)
-        # stationarity: x - z = A' lam with lam >= 0 on active rows
-        assert norm(x - res.point - poly.A.T @ res.dual) <= 1e-6
-        assert float(res.dual.min(initial=0.0)) >= -1e-10
-        slack = poly.A @ res.point - poly.b
-        assert float(np.max(slack, initial=0.0)) <= 1e-8
-        assert float(np.max(np.abs(res.dual * slack), initial=0.0)) <= 1e-6
+    result = verify.kkt_certificate(np.random.default_rng(22), 200)
+    assert result.ok, result.detail
 
 
 def test_interior_point_returns_immediately():

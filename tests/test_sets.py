@@ -16,35 +16,9 @@ from altproj import (
     proximal_normal_generators,
     set_from_json,
     set_to_json,
-    translate,
+    verify,
 )
-from altproj.instances import random_bounded_polyhedron
-
-
-def random_set(rng):
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        n = int(rng.integers(2, 5))
-        c = rng.normal(size=n)
-        c /= np.linalg.norm(c)
-        return HalfSpace(c, float(rng.normal()))
-    if kind == 1:
-        n = int(rng.integers(2, 5))
-        poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 4)))
-        return poly
-    if kind == 2:
-        return EpigraphSet("abs", rng.normal(size=2))
-    return EpigraphSet("square", rng.normal(size=2))
-
-
-def sample_member(rng, s):
-    x = rng.normal(size=s.dim) * 2.0
-    if isinstance(s, EpigraphSet):
-        z = x - s.shift
-        profile = abs(z[0]) if s.kind == "abs" else z[0] * z[0]
-        z[1] = profile + abs(rng.normal())
-        return z + s.shift
-    return project(s, x)
+from altproj.instances import random_set
 
 
 def test_contains_examples():
@@ -166,50 +140,24 @@ def test_normal_generators_requires_membership():
 
 
 def test_projection_idempotent_property():
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(300):
-        s = random_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        p1 = project(s, x)
-        worst = max(worst, norm(project(s, p1) - p1))
-    assert worst <= 1e-9
+    result = verify.projection_idempotent(np.random.default_rng(12), 300)
+    assert result.ok, result.detail
 
 
 def test_projection_optimality_sampled_property():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        s = random_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        d = norm(x - project(s, x))
-        for _ in range(10):
-            z = sample_member(rng, s)
-            assert d <= norm(x - z) + 1e-9
+    result = verify.projection_optimal_sampled(np.random.default_rng(13), 100)
+    assert result.ok, result.detail
 
 
 def test_normal_cone_consistency_property():
     # x - P(x) must lie in the cone generated at the projection.
-    rng = np.random.default_rng(14)
-    worst = 0.0
-    for _ in range(300):
-        s = random_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        p = project(s, x)
-        if norm(x - p) <= 1e-9:
-            continue
-        worst = max(worst, distance_to_finite_cone(x - p, proximal_normal_generators(s, p)))
-    assert worst <= 1e-7
+    result = verify.normal_cone_consistency(np.random.default_rng(14), 300)
+    assert result.ok, result.detail
 
 
 def test_translation_equivariance_property():
-    rng = np.random.default_rng(15)
-    worst = 0.0
-    for _ in range(300):
-        s = random_set(rng)
-        x = rng.normal(size=s.dim) * 3.0
-        v = rng.normal(size=s.dim)
-        worst = max(worst, norm(project(translate(s, v), x + v) - (project(s, x) + v)))
-    assert worst <= 1e-9
+    result = verify.translation_equivariance(np.random.default_rng(15), 300)
+    assert result.ok, result.detail
 
 
 def test_set_json_round_trip():
