@@ -29,6 +29,9 @@ from .vertices import feasible_vertices, vertex_oracle
 # Margin for strict-inequality tests on normalized inner products, so that
 # floating-point ties cannot silently flip membership decisions.
 _STRICT_MARGIN = 1e-10
+# Slack on the cone-inclusion pruning of alpha_polyhedron_halfspace, far
+# above the rounding of one NNLS residual (about 1e-16).
+_PRUNE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,18 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     ``-c`` than any single row does, and the cone minimum is the constant
     the contraction argument actually needs.
 
+    The search skips cones that cannot hold the minimum.  The cone of each
+    vertex's full qualifying active set ``T`` is measured first, at
+    distance ``d_T``.  For ``S`` a subset of ``T``, ``cone S`` lies inside
+    ``cone T``, so ``d(-c/||c||, cone S) >= d_T``.  Hence when ``d_T``
+    exceeds the least distance found so far (which only falls) by more
+    than ``_PRUNE_MARGIN``, no proper subset of ``T``, and in the closing
+    pair loop no row pair inside ``T``, can lower the minimum, and they are
+    not measured.  The margin absorbs the rounding of the NNLS residuals
+    (about 1e-16), so the constant is bit-identical to a search of every
+    subset.  A cone containing ``-c`` has ``d_T <= 1e-9``, below every
+    distance the minimum takes, so its subsets are always searched.
+
     Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
     """
     c = A.c
@@ -101,26 +116,39 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
             best = min(best, distance_to_ray(row, neg_ray))
     qualifying_set = set(qualifying)
     if B.dim >= 3:
-        seen = set()
+        dists = {}
 
-        def consider(subset):
-            if subset in seen:
+        def measure(subset):
+            if subset in dists:
                 return
-            seen.add(subset)
             dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(subset)].T))
+            dists[subset] = dist
             if dist > 1e-9:  # cones containing -c are optimal-face geometry
                 nonlocal best
                 best = min(best, dist)
 
+        full_sets = []
         for _, active in feasible_vertices(B):
             rows = tuple(i for i in active if i in qualifying_set)
-            for size in range(2, len(rows) + 1):
-                for subset in itertools.combinations(rows, size):
-                    consider(subset)
+            if len(rows) >= 2:
+                full_sets.append(rows)
+                measure(rows)
+        for rows in full_sets:
+            if dists[rows] <= best + _PRUNE_MARGIN:
+                for size in range(2, len(rows)):
+                    for subset in itertools.combinations(rows, size):
+                        measure(subset)
         # Two-row faces of an unbounded polyhedron need not touch a vertex;
         # covering all pairs keeps the constant valid there too.
-        for subset in itertools.combinations(qualifying, 2):
-            consider(subset)
+        skip = {
+            pair
+            for rows in full_sets
+            if dists[rows] > best + _PRUNE_MARGIN
+            for pair in itertools.combinations(rows, 2)
+        }
+        for pair in itertools.combinations(qualifying, 2):
+            if pair not in skip:
+                measure(pair)
     return 0.5 * min(1.0, best)
 
 
@@ -138,7 +166,8 @@ def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityR
         raise InvalidDistance("d(x0, B) cannot be smaller than d(A, B)")
     rate = 1.0 - alpha * alpha
     ratio = min(1.0, d_AB / max(d_x0_B, d_AB))
-    n = 0 if ratio >= 1.0 else max(0, math.floor(math.log(ratio) / math.log(rate)))
+    # log1p keeps log(1 - alpha^2) nonzero when 1 - alpha^2 rounds to 1.
+    n = 0 if ratio >= 1.0 else max(0, math.floor(math.log(ratio) / math.log1p(-alpha * alpha)))
     one_step = d_x0_B < d_AB / rate
     return TransversalityReport(
         alpha=alpha,
@@ -167,13 +196,12 @@ def beta_bound(alpha: float, beta: float, d_AB: float, gap0: float) -> int:
         raise InvalidDistance("d_AB must be positive")
     if gap0 < d_AB - _STRICT_MARGIN:
         raise InvalidDistance("the first gap cannot be smaller than d(A, B)")
-    rate = 1.0 - alpha * alpha
     numer = d_AB * (1.0 - beta)
     denom = max(gap0, d_AB) - beta * d_AB
     ratio = min(1.0, numer / denom)
     if ratio >= 1.0:
         return 0
-    return max(0, math.floor(math.log(ratio) / math.log(rate)))
+    return max(0, math.floor(math.log(ratio) / math.log1p(-alpha * alpha)))
 
 
 def one_step_shift(

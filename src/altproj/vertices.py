@@ -18,6 +18,8 @@ from .sets import Polyhedron
 
 _MAX_ORACLE_DIM = 8
 _MAX_ORACLE_ROWS = 24
+# Square subsystems solved per stacked call in feasible_vertices.
+_BLOCK = 8192
 
 
 def check_oracle_limits(p: Polyhedron) -> None:
@@ -30,36 +32,52 @@ def check_oracle_limits(p: Polyhedron) -> None:
 def feasible_vertices(p: Polyhedron):
     """All vertices of ``p`` with their full active row sets.
 
-    Enumerates every n-subset of rows, solves the square system, keeps
-    feasible solutions, and deduplicates.  Returns a list of
-    ``(vertex, active_indices)`` where ``active_indices`` holds every row
-    tight at the vertex (which exceeds n at degenerate vertices).
+    Solves every n-subset of rows as a square system and keeps the
+    feasible solutions, deduplicated.  Returns a list of
+    ``(vertex, active_indices)``, one per vertex, in the
+    :func:`itertools.combinations` order of the first subset that reaches
+    it; ``active_indices`` holds every row tight at the vertex (more than n
+    at degenerate vertices).
+
+    The subsets go in blocks of ``_BLOCK``, which bounds memory at the
+    oracle limit (C(24, 8) = 735,471 subsets).  In each block the subsets
+    whose LU factorisation meets an exact zero pivot are dropped (``slogdet``
+    sign 0, the same test on which ``np.linalg.solve`` raises), the rest are
+    solved in one stacked call, and the per-subset filters apply unchanged:
+    finite entries, residual at most ``1e-8 (1 + max |rhs|)``, and
+    ``A v <= b + 1e-7 (1 + ||v||)``.  Solutions are deduplicated on
+    ``np.round(v, 9)`` in subset order, and the active set of a vertex is
+    every row with slack at most ``1e-7 (1 + |b_i|)``.
     """
     check_oracle_limits(p)
     m, n = p.num_rows, p.dim
+    combos = itertools.combinations(range(m), n)
     vertices = []
     seen = set()
-    for subset in itertools.combinations(range(m), n):
-        rows = p.A[list(subset)]
-        rhs = p.b[list(subset)]
-        try:
-            v = np.linalg.solve(rows, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(v)):
-            continue
-        if float(np.abs(rows @ v - rhs).max()) > 1e-8 * (1.0 + float(np.abs(rhs).max())):
-            continue
-        if not np.all(p.A @ v <= p.b + 1e-7 * (1.0 + float(np.linalg.norm(v)))):
-            continue
-        key = tuple(np.round(v, 9))
-        if key in seen:
-            continue
-        seen.add(key)
-        slack = np.abs(p.A @ v - p.b)
-        active = tuple(np.flatnonzero(slack <= 1e-7 * (1.0 + np.abs(p.b))).tolist())
-        vertices.append((v, active))
-    return vertices
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, _BLOCK)), dtype=np.intp
+        )
+        if flat.size == 0:
+            return vertices
+        subsets = flat.reshape(-1, n)
+        rows, rhs = p.A[subsets], p.b[subsets]
+        regular = np.linalg.slogdet(rows)[0] != 0
+        rows, rhs = rows[regular], rhs[regular]
+        v = np.linalg.solve(rows, rhs[..., None])[..., 0]
+        finite = np.isfinite(v).all(axis=1)
+        rows, rhs, v = rows[finite], rhs[finite], v[finite]
+        resid = np.abs(np.einsum("kij,kj->ki", rows, v) - rhs).max(axis=1)
+        v = v[resid <= 1e-8 * (1.0 + np.abs(rhs).max(axis=1))]
+        tol = 1e-7 * (1.0 + np.linalg.norm(v, axis=1))
+        v = v[(v @ p.A.T <= p.b + tol[:, None]).all(axis=1)]
+        for vertex, key in zip(v, map(tuple, np.round(v, 9).tolist())):
+            if key in seen:
+                continue
+            seen.add(key)
+            slack = np.abs(p.A @ vertex - p.b)
+            active = tuple(np.flatnonzero(slack <= 1e-7 * (1.0 + np.abs(p.b))).tolist())
+            vertices.append((vertex, active))
 
 
 def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:

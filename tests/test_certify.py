@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,12 +12,15 @@ from altproj import (
     alpha_polyhedron_halfspace,
     beta_bound,
     bound_report,
+    certify,
     iteration_bound,
     one_step_shift,
     polyhedron_halfspace_distance,
     verify,
 )
-from altproj.instances import absval_polyhedron, lower_halfplane
+from altproj.instances import absval_polyhedron, lower_halfplane, random_pair_instance
+from altproj.linalg import Ray, distance_to_ray, norm, unit_cone_distance
+from altproj.vertices import feasible_vertices
 
 RATE_78_ALPHA = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -71,6 +75,78 @@ def test_alpha_uses_active_cone_combinations_in_3d():
         1.0,
     )
     assert alpha < 0.5 * single_row_min / 10.0
+
+
+def qualifying_active_sets(B, A):
+    """Qualifying rows, and each vertex's qualifying active rows."""
+    c = A.c
+    qualifying = [
+        i for i in range(B.num_rows) if float(B.A[i] @ c) / (norm(B.A[i]) * norm(c)) > -1.0 + 1e-10
+    ]
+    active_sets = [
+        tuple(i for i in active if i in qualifying) for _, active in feasible_vertices(B)
+    ]
+    return qualifying, active_sets
+
+
+def unpruned_alpha(B, A):
+    """Reference: the cone search over every subset of every active set.
+
+    Returns the constant and the set of row subsets it measured.
+    """
+    qualifying, active_sets = qualifying_active_sets(B, A)
+    neg_chat = -A.c / norm(A.c)
+    best = min((distance_to_ray(B.A[i], Ray(-A.c)) for i in qualifying), default=math.inf)
+    subsets = set(itertools.combinations(qualifying, 2))
+    for rows in active_sets:
+        for size in range(2, len(rows) + 1):
+            subsets.update(itertools.combinations(rows, size))
+    for subset in subsets:
+        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(subset)].T))
+        if dist > 1e-9:
+            best = min(best, dist)
+    return 0.5 * min(1.0, best), subsets
+
+
+def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
+    measured = set()
+
+    def spy(vhat, G):
+        measured.add(G.tobytes())
+        return unit_cone_distance(vhat, G)
+
+    monkeypatch.setattr(certify, "unit_cone_distance", spy)
+    rng = np.random.default_rng(72)
+    pairs = [
+        (inst.poly, inst.halfspace)
+        for inst in (random_pair_instance(rng) for _ in range(60))
+        if inst.poly.dim >= 3
+    ]
+    # Square pyramid under the half-space z >= 2: the cone of the apex's
+    # four active rows contains -c = (0, 0, 1).
+    pyramid = Polyhedron(
+        [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], [1, 1, 1, 1, 0]
+    )
+    pairs.append((pyramid, HalfSpace([0.0, 0.0, -1.0], -2.0)))
+    pruned_pairs = descents = 0
+    for B, A in pairs:
+        measured.clear()
+        expected, subsets = unpruned_alpha(B, A)
+        assert alpha_polyhedron_halfspace(B, A) == expected
+
+        def searched(subset):
+            return np.ascontiguousarray(B.A[list(subset)].T).tobytes() in measured
+
+        pruned_pairs += not all(searched(s) for s in subsets)
+        neg_chat = -A.c / norm(A.c)
+        for rows in qualifying_active_sets(B, A)[1]:
+            full = np.ascontiguousarray(B.A[list(rows)].T)
+            if len(rows) >= 3 and unit_cone_distance(neg_chat, full) <= 1e-9:
+                for size in range(2, len(rows)):
+                    assert all(searched(s) for s in itertools.combinations(rows, size))
+                descents += 1
+    assert len(pairs) > 30
+    assert pruned_pairs > 0 and descents > 0
 
 
 def test_iteration_bound_examples():
@@ -129,6 +205,15 @@ def test_beta_bound_zero_beta_reduces_to_iteration_bound():
         d = float(rng.uniform(0.1, 2.0))
         gap0 = d + float(rng.uniform(0.0, 8.0))
         assert beta_bound(alpha, 0.0, d, gap0) == iteration_bound(alpha, d, gap0).N
+
+
+def test_step_bounds_stay_finite_for_tiny_alpha():
+    # 1 - alpha^2 rounds to exactly 1 for alpha below about 1.05e-8, so the
+    # logarithm of the rate must be taken as log1p(-alpha^2).
+    report = iteration_bound(1e-9, 1.0, 2.0)
+    assert report.N > 1e17
+    assert report.max_steps == 2 * report.N + 1
+    assert beta_bound(1e-9, 0.0, 1.0, 2.0) == report.N
 
 
 def test_beta_bound_validation():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,102 @@ def test_feasible_vertices_reports_full_active_sets():
     assert len(verts) == 3
     for v, active in verts:
         assert len(active) >= 2
+
+
+def loop_feasible_vertices(p):
+    """Reference: one ``np.linalg.solve`` per n-subset, as before batching."""
+    m, n = p.num_rows, p.dim
+    vertices = []
+    seen = set()
+    for subset in itertools.combinations(range(m), n):
+        rows = p.A[list(subset)]
+        rhs = p.b[list(subset)]
+        try:
+            v = np.linalg.solve(rows, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(v)):
+            continue
+        if float(np.abs(rows @ v - rhs).max()) > 1e-8 * (1.0 + float(np.abs(rhs).max())):
+            continue
+        if not np.all(p.A @ v <= p.b + 1e-7 * (1.0 + float(np.linalg.norm(v)))):
+            continue
+        key = tuple(np.round(v, 9))
+        if key in seen:
+            continue
+        seen.add(key)
+        slack = np.abs(p.A @ v - p.b)
+        active = tuple(np.flatnonzero(slack <= 1e-7 * (1.0 + np.abs(p.b))).tolist())
+        vertices.append((v, active))
+    return vertices
+
+
+def pyramid(n):
+    """Box ``[-1, 1]^(n-1) x [0, 2]`` capped by the 2(n-1) faces of a pyramid.
+
+    The apex ``(0, ..., 0, 1)`` has 2(n-1) > n active rows for n >= 3.
+    """
+    rows, rhs = [], []
+    for i in range(n - 1):
+        for sign in (1.0, -1.0):
+            face = np.zeros(n)
+            face[i], face[-1] = sign, 1.0
+            rows.append(face)
+            rhs.append(1.0)
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    box_rhs = np.concatenate([np.ones(n - 1), [2.0], np.ones(n - 1), [0.0]])
+    return Polyhedron(np.vstack([rows, box]), np.concatenate([rhs, box_rhs]))
+
+
+def test_batched_enumeration_matches_the_loop():
+    rng = np.random.default_rng(71)
+    polys = []
+    for n in range(2, 7):
+        for _ in range(6):
+            m = int(rng.integers(n + 2, min(2 * n + 4, 13)))
+            A = rng.normal(size=(m, n))
+            A[-1] = A[0]  # duplicate row: repeated vertices and singular subsets
+            A[-2] = -2.0 * A[1]  # antiparallel row: singular subsets
+            b = rng.uniform(0.5, 1.5, size=m)
+            b[-1] = b[0]
+            polys.append(Polyhedron(A, b))
+        polys.append(pyramid(n))
+    singular = 0
+    for p in polys:
+        expected = loop_feasible_vertices(p)
+        got = feasible_vertices(p)
+        assert len(got) == len(expected)
+        for (v, active), (v_ref, active_ref) in zip(got, expected):
+            assert v.tobytes() == v_ref.tobytes()
+            assert active == active_ref
+        subsets = np.array(list(itertools.combinations(range(p.num_rows), p.dim)))
+        singular += int((np.linalg.slogdet(p.A[subsets])[0] == 0).sum())
+    assert singular > 0
+    apex = [active for v, active in feasible_vertices(pyramid(4)) if v[-1] == 1.0]
+    assert apex == [(0, 1, 2, 3, 4, 5)]
+
+
+def test_enumeration_at_the_oracle_limit():
+    # The 8-cube with the 8 redundant rows x_i + x_{i+1} <= 2 (m = 24): its
+    # C(24, 8) = 735,471 subsets pass through the blocked solve.  A vertex
+    # is tight on one box row per coordinate and on every redundant row
+    # whose two coordinates are both 1.
+    n = 8
+    eye = np.eye(n)
+    redundant = eye + np.roll(eye, 1, axis=1)
+    rhs = np.concatenate([np.ones(2 * n), np.full(n, 2.0)])
+    p = Polyhedron(np.vstack([eye, -eye, redundant]), rhs)
+    verts = feasible_vertices(p)
+    assert len(verts) == 2**n
+    corners = set()
+    for v, active in verts:
+        assert np.array_equal(np.abs(v), np.ones(n))
+        up = v > 0
+        expected = [i if up[i] else n + i for i in range(n)]
+        expected += [2 * n + i for i in range(n) if up[i] and up[(i + 1) % n]]
+        assert active == tuple(sorted(expected))
+        corners.add(tuple(v))
+    assert len(corners) == 2**n
 
 
 def test_solve_lp_rejects_loose_lower_bound():
