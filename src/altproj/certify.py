@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidDistance, StartNotInA, Unbounded
-from .linalg import Ray, as_point, distance_to_ray, norm, unit_cone_distance
+from .linalg import as_point, unit_cone_distance, unit_distance_to_ray
 from .qp import project_polyhedron
-from .sets import HalfSpace, Polyhedron, contains
+from .sets import HalfSpace, Polyhedron, _contains_point
 from .vertices import feasible_vertices, vertex_oracle
 
 # Margin for strict-inequality tests on normalized inner products, so that
@@ -102,18 +103,19 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
 
     Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
     """
-    c = A.c
-    nc = norm(c)
-    neg_ray = Ray(-c)
-    neg_chat = -c / nc
+    c = as_point(A.c, B.dim)
+    nc = float(np.linalg.norm(c))
+    neg_c = -c
+    neg_chat = neg_c / nc
     qualifying = []
     best = math.inf
     for i in range(B.num_rows):
         row = B.A[i]
-        cos = float(row @ c) / (norm(row) * nc)
+        nrow = float(np.linalg.norm(row))
+        cos = float(row @ c) / (nrow * nc)
         if cos > -1.0 + _STRICT_MARGIN:
             qualifying.append(i)
-            best = min(best, distance_to_ray(row, neg_ray))
+            best = min(best, unit_distance_to_ray(row / nrow, neg_c))
     qualifying_set = set(qualifying)
     if B.dim >= 3:
         dists = {}
@@ -166,8 +168,7 @@ def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityR
         raise InvalidDistance("d(x0, B) cannot be smaller than d(A, B)")
     rate = 1.0 - alpha * alpha
     ratio = min(1.0, d_AB / max(d_x0_B, d_AB))
-    # log1p keeps log(1 - alpha^2) nonzero when 1 - alpha^2 rounds to 1.
-    n = 0 if ratio >= 1.0 else max(0, math.floor(math.log(ratio) / math.log1p(-alpha * alpha)))
+    n = 0 if ratio >= 1.0 else _log_steps(ratio, alpha)
     one_step = d_x0_B < d_AB / rate
     return TransversalityReport(
         alpha=alpha,
@@ -201,7 +202,24 @@ def beta_bound(alpha: float, beta: float, d_AB: float, gap0: float) -> int:
     ratio = min(1.0, numer / denom)
     if ratio >= 1.0:
         return 0
-    return max(0, math.floor(math.log(ratio) / math.log1p(-alpha * alpha)))
+    return _log_steps(ratio, alpha)
+
+
+def _log_steps(ratio: float, alpha: float) -> int:
+    """``max(0, floor(log(ratio) / log(1 - alpha^2)))`` for ``0 < ratio < 1``.
+
+    ``log1p`` keeps the divisor nonzero when ``1 - alpha^2`` rounds to 1.
+    Below about ``alpha = 1e-154`` the square underflows to 0 or the
+    quotient overflows; there the quotient is taken exactly, with
+    ``-alpha^2`` in place of ``log(1 - alpha^2)``.  That divisor is smaller
+    in magnitude, so the step count can only round up.
+    """
+    a2 = alpha * alpha
+    if a2 > 0.0:
+        q = math.log(ratio) / math.log1p(-a2)
+        if math.isfinite(q):
+            return max(0, math.floor(q))
+    return max(0, math.floor(Fraction(math.log(ratio)) / -(Fraction(alpha) ** 2)))
 
 
 def one_step_shift(
@@ -214,15 +232,15 @@ def one_step_shift(
     strict one-step threshold when the run starts from ``x0 - mu c``.
     ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.
     """
-    x0 = as_point(x0)
+    x0 = as_point(x0, A.dim)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if d_AB < 0.0:
         raise InvalidDistance("d_AB must be nonnegative")
-    if not contains(A, x0, 1e-8):
+    if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
-    nc = norm(A.c)
-    d_x0 = norm(x0 - project_polyhedron(B, x0).point)
+    nc = float(np.linalg.norm(A.c))
+    d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     rate = 1.0 - alpha * alpha
     base = max(0.0, (rate * d_x0 - d_AB) / (alpha * alpha * nc))
     mu = base + 1e-6 * (1.0 + base)
@@ -237,7 +255,7 @@ def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
     except Unbounded:
         # The objective is unbounded below on B, so B reaches into A.
         return 0.0
-    return max(0.0, optimum - A.M) / norm(A.c)
+    return max(0.0, optimum - A.M) / float(np.linalg.norm(A.c))
 
 
 def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
@@ -246,6 +264,6 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     d_ab = polyhedron_halfspace_distance(B, A)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")
-    x0 = as_point(x0)
-    d_x0 = norm(x0 - project_polyhedron(B, x0).point)
+    x0 = as_point(x0, B.dim)
+    d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     return iteration_bound(alpha, d_ab, max(d_x0, d_ab))

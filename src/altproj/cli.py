@@ -19,8 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import certify, engine, lp, verify, vertices
 from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair
 from .linalg import as_point
@@ -101,8 +99,6 @@ def cmd_run(args) -> int:
     _write_trace_csv(trace, csv_path)
 
     report = trace.to_json_dict()
-    del report["iterates"]
-    del report["gaps"]
     report["trace_csv"] = str(csv_path)
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(_dump_json(report) + "\n")
@@ -136,8 +132,8 @@ def cmd_lp(args) -> int:
     try:
         spec = _load_json(args.problem)
         if args.auto_bound:
-            poly = Polyhedron(np.asarray(spec["A"], dtype=float), as_point(spec["b"]))
-            optimum, _ = vertices.vertex_oracle(poly, as_point(spec["c"]))
+            poly = Polyhedron(spec["A"], spec["b"])
+            optimum, _ = vertices.vertex_oracle(poly, spec["c"])
             problem = lp.problem_from_json(spec, M=optimum - 1.0)
         else:
             problem = lp.problem_from_json(spec)

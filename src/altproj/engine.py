@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PointNotInSet, StartNotInA, ZeroVector
 from .linalg import ZERO_TOL, as_point, unit_cone_distance
-from .sets import ProjectableSet, contains, normal_cone_columns, project
+from .sets import ProjectableSet, _contains_point, normal_cone_columns, project
 
 # Decrease of the step gap below which the run is declared stalled; guards
 # fixtures whose convergence is asymptotic only.
@@ -79,6 +79,7 @@ class Trace:
         return self.gaps[-1] if self.gaps else 0.0
 
     def to_json_dict(self) -> dict:
+        """Report fields of the run; the iterates and gaps are not included."""
         cert = None
         if self.certificate is not None:
             cert = {
@@ -92,11 +93,6 @@ class Trace:
             "num_iterates": len(self.iterates),
             "final_gap": self.final_gap,
             "certificate": cert,
-            "iterates": [
-                {"step": i, "label": lab, "point": p.tolist()}
-                for i, lab, p in self.iterates
-            ],
-            "gaps": list(self.gaps),
         }
 
 
@@ -109,17 +105,18 @@ def check_certificate(
 ) -> Certificate:
     """Check whether ``(a, b)`` is a nearest pair of ``(set_a, set_b)``.
 
-    The points are validated here once; the cone distances below work on
-    the validated arrays.  ``residual_A`` is the distance from the unit
-    vector ``u = (b - a)/||b - a||`` to the proximal normal cone of A at
-    ``a`` (``residual_B`` from ``-u`` at ``b``): 1 for an empty cone, the
+    Each point is validated once, against its set's dimension; membership
+    and the cone distances below work on the validated arrays.
+    ``residual_A`` is the distance from the unit vector
+    ``u = (b - a)/||b - a||`` to the proximal normal cone of A at ``a``
+    (``residual_B`` from ``-u`` at ``b``): 1 for an empty cone, the
     closed-form ray rejection for one generator, NNLS otherwise.
     """
-    a = as_point(a)
-    b = as_point(b)
-    if not contains(set_a, a, 1e-6):
+    a = as_point(a, set_a.dim)
+    b = as_point(b, set_b.dim)
+    if not _contains_point(set_a, a, 1e-6):
         raise PointNotInSet("first point is not in the first set")
-    if not contains(set_b, b, 1e-6):
+    if not _contains_point(set_b, b, 1e-6):
         raise PointNotInSet("second point is not in the second set")
     d = b - a
     gap = float(np.linalg.norm(d))
@@ -161,10 +158,10 @@ def run(
     -------
     Trace
     """
-    x0 = as_point(x0)
+    x0 = as_point(x0, set_a.dim)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    if not contains(set_a, x0, 1e-8):
+    if not _contains_point(set_a, x0, 1e-8):
         raise StartNotInA("x0 must belong to the first set")
 
     trace = Trace()

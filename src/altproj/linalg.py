@@ -2,8 +2,13 @@
 
 Everything in this module is a pure function on small dense vectors
 (problems of interest have n <= 100, usually n <= 10).  Vectors are plain
-1-D ``numpy.ndarray`` objects; :func:`as_point` is the single entry point
-that coerces and validates user input.
+1-D ``numpy.ndarray`` objects.  :func:`as_point` is the one place in the
+package that coerces and validates a vector.  A public function passes each
+vector argument through ``as_point(x, dim)``, which also checks the length
+against the set or space the vector belongs to, and from then on works on
+the validated array; the kernels that do no validation
+(:func:`unit_distance_to_ray`, :func:`unit_cone_distance`) take arrays that
+already passed it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,13 @@ from .errors import DimensionMismatch, ZeroVector
 ZERO_TOL = 1e-12
 
 
-def as_point(values) -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D float array."""
+def as_point(values, dim: int | None = None) -> np.ndarray:
+    """Coerce ``values`` to a finite 1-D float array of length ``dim``.
+
+    Raises :class:`DimensionMismatch` for an empty or non-vector input and,
+    when ``dim`` is given, for any other length; ``ValueError`` for
+    non-finite entries.
+    """
     p = np.asarray(values, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
@@ -28,19 +38,14 @@ def as_point(values) -> np.ndarray:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("vector entries must be finite")
+    if dim is not None and p.shape[0] != dim:
+        raise DimensionMismatch(f"vector has dimension {p.shape[0]}, expected {dim}")
     return p
 
 
 def norm(p) -> float:
     """Euclidean norm of a vector."""
     return float(np.linalg.norm(as_point(p)))
-
-
-def check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}"
-        )
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,8 @@ def distance_to_ray(v, ray: Ray) -> float:
     of the orthogonal rejection of ``v/||v||`` from the ray, which stays
     accurate for nearly parallel vectors where the textbook form cancels.
     """
-    v = as_point(v)
     u = ray.direction
-    check_same_dim(v, u)
+    v = as_point(v, u.shape[0])
     nv = float(np.linalg.norm(v))
     if nv <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
@@ -183,15 +187,13 @@ def distance_to_finite_cone(v, generators) -> float:
     Solves the nonnegative least-squares problem
     ``min_{lam >= 0} ||v/||v|| - sum_i lam_i g_i||``.  An empty generator
     list means the cone is ``{0}`` and the distance is 1; zero generators
-    are ignored.
+    are ignored, but like the others must have the length of ``v``.
     """
     v = as_point(v)
     nv = float(np.linalg.norm(v))
     if nv <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
-    gens = [as_point(g) for g in generators]
+    gens = [as_point(g, v.shape[0]) for g in generators]
     gens = [g for g in gens if float(np.linalg.norm(g)) > ZERO_TOL]
-    for g in gens:
-        check_same_dim(v, g)
     G = np.column_stack(gens) if gens else np.empty((v.shape[0], 0))
     return unit_cone_distance(v / nv, G)

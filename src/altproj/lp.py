@@ -18,13 +18,12 @@ import numpy as np
 
 from . import certify, engine
 from .errors import (
-    DimensionMismatch,
     LowerBoundNotStrict,
     NotConverged,
     StartNotInA,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, as_point, norm
+from .linalg import ZERO_TOL, as_point
 from .qp import project_along_ray
 from .sets import HalfSpace, Polyhedron, project_halfspace
 
@@ -54,11 +53,9 @@ class LPProblem:
     M: float
 
     def __post_init__(self):
-        c = as_point(self.c)
+        c = as_point(self.c, self.poly.dim)
         if float(np.linalg.norm(c)) <= ZERO_TOL:
             raise ZeroVector("objective vector must be nonzero")
-        if c.shape[0] != self.poly.dim:
-            raise DimensionMismatch("objective and polyhedron dimensions differ")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -109,7 +106,7 @@ def solve_lp(
     if x0 is None:
         x0 = _default_start(c, M)
     else:
-        x0 = as_point(x0)
+        x0 = as_point(x0, poly.dim)
         if float(c @ x0) > M + 1e-9:
             raise StartNotInA("x0 must satisfy <c, x0> <= M")
     halfspace = HalfSpace(c, M)
@@ -165,7 +162,7 @@ def solve_lp(
 def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
     # Distance from the solve's own feasible point to the half-space; if it
     # vanishes the offset M was not strictly below the optimum.
-    gap = (float(c @ b_star) - M) / norm(c)
+    gap = (float(c @ b_star) - M) / float(np.linalg.norm(c))
     if gap <= _STRICT_TOL:
         raise LowerBoundNotStrict(
             f"offset M={M} is not strictly below the optimal value"
@@ -174,13 +171,12 @@ def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
 
 def problem_from_json(obj: dict, M=None) -> LPProblem:
     """Build an :class:`LPProblem` from ``{"c", "A", "b", "M"}``."""
-    c = as_point(obj["c"])
-    poly = Polyhedron(np.asarray(obj["A"], dtype=float), as_point(obj["b"]))
+    poly = Polyhedron(obj["A"], obj["b"])
     if M is None:
         if "M" not in obj:
             raise KeyError("problem JSON has no 'M' and no override was given")
         M = float(obj["M"])
-    return LPProblem(c, poly, float(M))
+    return LPProblem(obj["c"], poly, float(M))
 
 
 def outcome_to_json(outcome: LPOutcome, trace_csv: str | None = None) -> dict:

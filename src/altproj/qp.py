@@ -33,11 +33,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPolyhedron, NotConverged
+from .errors import EmptyPolyhedron, NotConverged
 
 # ``nnls`` has no caller here; the binding stays because benchmarks/tracer.py
 # resolves ``altproj.qp.nnls`` by name.
-from .linalg import as_point, nnls, norm  # noqa: F401
+from .linalg import as_point, nnls  # noqa: F401
 
 if TYPE_CHECKING:
     from .sets import Polyhedron
@@ -69,13 +69,6 @@ class QPResult:
     dual: np.ndarray
     iterations: int
     residual: float
-
-
-def _check_point(p: Polyhedron, x) -> np.ndarray:
-    x = as_point(x)
-    if x.shape[0] != p.dim:
-        raise DimensionMismatch(f"point has dimension {x.shape[0]}, set has {p.dim}")
-    return x
 
 
 def _kkt_residual(A, b, lam, z) -> float:
@@ -165,7 +158,7 @@ def project_polyhedron(p: Polyhedron, x) -> QPResult:
     Raises :class:`EmptyPolyhedron` when ``p`` has no point and
     :class:`NotConverged` past ``50 (m + n)`` active-set steps.
     """
-    x = _check_point(p, x)
+    x = as_point(x, p.dim)
     A, b = p.A, p.b
     W, steps = _working_set(A, b, x)
     z, lam = _face_point(A, b, x, W)
@@ -211,8 +204,8 @@ def project_along_ray(
     arithmetic stays at the scale of the polyhedron regardless of
     ``t_target``.  A negative ``t_target`` walks along ``-direction``.
     """
-    base = _check_point(p, base)
-    direction = _check_point(p, direction)
+    base = as_point(base, p.dim)
+    direction = as_point(direction, p.dim)
     t_target = float(t_target)
     if not math.isfinite(t_target):
         raise ValueError("t_target must be finite")
@@ -238,7 +231,7 @@ def project_along_ray(
         if rates is None:
             break  # ill-conditioned face: fall back to the direct solve
         dz, dlam = rates
-        if norm(dz) <= 1e-12 * norm(direction):
+        if np.linalg.norm(dz) <= 1e-12 * np.linalg.norm(direction):
             # Stationary face: the point no longer moves, only the
             # multipliers do; zeroing dz keeps the large remaining step
             # from injecting rounding noise into z.

@@ -19,7 +19,7 @@ from .errors import (
     PointNotInSet,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, as_point, check_same_dim
+from .linalg import ZERO_TOL, as_point
 from .qp import project_polyhedron
 
 # Default tolerance for deciding which constraints are active at a point.
@@ -61,13 +61,9 @@ class Polyhedron:
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = as_point(self.b)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionMismatch(f"constraint matrix has shape {A.shape}")
-        if A.shape[0] != b.shape[0]:
-            raise DimensionMismatch(
-                f"{A.shape[0]} rows but {b.shape[0]} right-hand sides"
-            )
+        b = as_point(self.b, A.shape[0])
         if not np.all(np.isfinite(A)):
             raise ValueError("constraint matrix entries must be finite")
         row_norms = np.linalg.norm(A, axis=1)
@@ -104,9 +100,7 @@ class EpigraphSet:
     def __post_init__(self):
         if self.kind not in _EPIGRAPH_KINDS:
             raise ValueError(f"unknown epigraph kind {self.kind!r}")
-        shift = as_point(self.shift)
-        if shift.shape[0] != 2:
-            raise DimensionMismatch("epigraph sets live in the plane")
+        shift = as_point(self.shift, 2)
         object.__setattr__(self, "shift", _freeze(shift))
 
     @property
@@ -117,18 +111,9 @@ class EpigraphSet:
 ProjectableSet = Union[HalfSpace, Polyhedron, EpigraphSet]
 
 
-def _check_point(s: ProjectableSet, x) -> np.ndarray:
-    x = as_point(x)
-    if x.shape[0] != s.dim:
-        raise DimensionMismatch(
-            f"point has dimension {x.shape[0]}, set has {s.dim}"
-        )
-    return x
-
-
 def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
     """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``."""
-    return _contains_point(s, _check_point(s, x), tol)
+    return _contains_point(s, as_point(x, s.dim), tol)
 
 
 def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
@@ -144,22 +129,17 @@ def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
 
 def translate(s: ProjectableSet, v) -> ProjectableSet:
     """The set ``s + v``."""
+    v = as_point(v, s.dim)
     if isinstance(s, HalfSpace):
-        v = as_point(v)
-        check_same_dim(s.c, v)
         return HalfSpace(s.c, s.M + float(s.c @ v))
     if isinstance(s, Polyhedron):
-        v = as_point(v)
-        if v.shape[0] != s.dim:
-            raise DimensionMismatch("shift dimension does not match")
         return Polyhedron(s.A, s.b + s.A @ v)
-    v = as_point(v)
     return EpigraphSet(s.kind, s.shift + v)
 
 
 def project_halfspace(h: HalfSpace, x) -> np.ndarray:
     """Nearest point of the half-space; closed form."""
-    x = _check_point(h, x)
+    x = as_point(x, h.dim)
     excess = float(h.c @ x) - h.M
     if excess <= 0.0:
         return x.copy()
@@ -225,7 +205,7 @@ def _project_square_base(z: np.ndarray) -> np.ndarray:
 
 def project_epigraph(e: EpigraphSet, x) -> np.ndarray:
     """Nearest point of the epigraph (unique: the set is convex)."""
-    x = _check_point(e, x)
+    x = as_point(x, e.dim)
     z = x - e.shift
     base = _project_abs_base(z) if e.kind == ABS else _project_square_base(z)
     return base + e.shift
@@ -284,7 +264,7 @@ def proximal_normal_generators(
     Interior points get an empty list (the cone is ``{0}``).  ``x`` must
     belong to ``s`` within ``tol``.
     """
-    x = _check_point(s, x)
+    x = as_point(x, s.dim)
     return [g.copy() for g in normal_cone_columns(s, x, tol).T]
 
 
@@ -303,9 +283,9 @@ def set_from_json(obj: dict) -> ProjectableSet:
         raise ValueError(f"malformed set descriptor: {obj!r}")
     (tag, body), = obj.items()
     if tag == "halfspace":
-        return HalfSpace(as_point(body["c"]), float(body["M"]))
+        return HalfSpace(body["c"], float(body["M"]))
     if tag == "polyhedron":
-        return Polyhedron(np.asarray(body["A"], dtype=float), as_point(body["b"]))
+        return Polyhedron(body["A"], body["b"])
     if tag == "epigraph":
-        return EpigraphSet(str(body["kind"]), as_point(body["shift"]))
+        return EpigraphSet(str(body["kind"]), body["shift"])
     raise ValueError(f"unknown set descriptor tag {tag!r}")

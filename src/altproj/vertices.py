@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPolyhedron, TooLarge, Unbounded, ZeroVector
+from .errors import EmptyPolyhedron, TooLarge, Unbounded, ZeroVector
 from .linalg import ZERO_TOL, as_point, unit_cone_distance
 from .sets import Polyhedron
 
@@ -88,9 +88,7 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     the cone of the rows (the objective then decreases along a recession
     direction), and :class:`EmptyPolyhedron` when no feasible vertex exists.
     """
-    c = as_point(c)
-    if c.shape[0] != p.dim:
-        raise DimensionMismatch("objective and polyhedron dimensions differ")
+    c = as_point(c, p.dim)
     check_oracle_limits(p)
     # Bounded below on a nonempty polyhedron iff -c lies in the cone of the
     # outward row normals (dual feasibility).

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,26 @@ def test_step_bounds_stay_finite_for_tiny_alpha():
     assert report.N > 1e17
     assert report.max_steps == 2 * report.N + 1
     assert beta_bound(1e-9, 0.0, 1.0, 2.0) == report.N
+
+
+@pytest.mark.parametrize("alpha", [1e-160, 1e-300])
+def test_step_bounds_round_up_when_alpha_squared_underflows(alpha):
+    # alpha^2 is subnormal (1e-160) or 0 (1e-300), so the float quotient
+    # overflows or divides by zero; N is then floor(log 2 / alpha^2)
+    # exactly, which is at least the true floor(log 2 / -log(1 - alpha^2)).
+    report = iteration_bound(alpha, 1.0, 2.0)
+    alpha_sq = Fraction(alpha) ** 2
+    assert isinstance(report.N, int)
+    assert report.N <= Fraction(math.log(2.0)) / alpha_sq < report.N + 1
+    assert report.max_steps == 2 * report.N + 1
+    assert beta_bound(alpha, 0.0, 1.0, 2.0) == report.N
+
+
+def test_step_bounds_keep_the_float_formula_where_it_is_finite():
+    # alpha^2 = 1e-300 is still normal, and so is the quotient.
+    n = math.floor(math.log(0.5) / math.log1p(-1e-300))
+    assert iteration_bound(1e-150, 1.0, 2.0).N == n
+    assert beta_bound(1e-150, 0.0, 1.0, 2.0) == n
 
 
 def test_beta_bound_validation():

@@ -165,6 +165,20 @@ def test_bound_command_rejects_non_polyhedral_pair(tmp_path, capsys):
     assert main(["bound", problem]) == 65
 
 
+def test_bound_command_rejects_mixed_dimensions(tmp_path, capsys):
+    problem = write_json(
+        tmp_path / "mixed.json",
+        {
+            "setA": {"halfspace": {"c": [0, 0, 1], "M": 0}},
+            "setB": {"polyhedron": {"A": [[1, -1], [-1, -1]], "b": [-1, -1]}},
+            "x0": [0, -1],
+        },
+    )
+    assert main(["bound", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def box_lp(tmp_path, M=-2.0, with_m=True):
     obj = {
         "c": [-1, 0],
@@ -218,6 +232,14 @@ def test_verify_alpha_perturbation_reports_bound_failures(capsys):
     assert main(["verify", "--suite", "bounds", "--alpha-scale", "40.0"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("scale", ["1e-160", "1e-300"])
+def test_verify_bounds_with_tiny_alpha_scale(scale, capsys):
+    # The scaled alpha squares to a subnormal number or to 0; the step bound
+    # must stay an integer and only grow.
+    assert main(["verify", "--suite", "bounds", "--alpha-scale", scale]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "3/3 checks passed"
 
 
 def test_verify_rejects_bad_alpha_scale(capsys):
