@@ -230,7 +230,9 @@ def one_step_shift(
     ``mu`` exceeds ``((1 - alpha^2) d(x0, B) - d_AB) / (alpha^2 ||c||)`` by
     a small margin, which guarantees that the shifted pair satisfies the
     strict one-step threshold when the run starts from ``x0 - mu c``.
-    ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.
+    ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.  Raises
+    ``ValueError`` when the shift is not finite, which happens once
+    ``alpha^2 ||c||`` underflows or the quotient overflows.
     """
     x0 = as_point(x0, A.dim)
     if not 0.0 < alpha < 1.0:
@@ -242,10 +244,13 @@ def one_step_shift(
     nc = float(np.linalg.norm(A.c))
     d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     rate = 1.0 - alpha * alpha
-    base = max(0.0, (rate * d_x0 - d_AB) / (alpha * alpha * nc))
+    scale = alpha * alpha * nc
+    base = max(0.0, (rate * d_x0 - d_AB) / scale) if scale > 0.0 else math.inf
     mu = base + 1e-6 * (1.0 + base)
-    shifted = HalfSpace(A.c, A.M - mu * nc * nc)
-    return mu, shifted
+    offset = A.M - mu * nc * nc
+    if not math.isfinite(offset):
+        raise ValueError(f"alpha = {alpha} gives a shift that is not finite")
+    return mu, HalfSpace(A.c, offset)
 
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:

@@ -56,10 +56,13 @@ class LPProblem:
         c = as_point(self.c, self.poly.dim)
         if float(np.linalg.norm(c)) <= ZERO_TOL:
             raise ZeroVector("objective vector must be nonzero")
+        M = float(self.M)
+        if not np.isfinite(M):
+            raise ValueError("lower bound M must be finite")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "M", float(self.M))
+        object.__setattr__(self, "M", M)
 
 
 @dataclass

@@ -44,8 +44,11 @@ class HalfSpace:
         c = as_point(self.c)
         if float(np.linalg.norm(c)) <= ZERO_TOL:
             raise ZeroVector("half-space normal must be nonzero")
+        M = float(self.M)
+        if not np.isfinite(M):
+            raise ValueError("half-space offset M must be finite")
         object.__setattr__(self, "c", _freeze(c))
-        object.__setattr__(self, "M", float(self.M))
+        object.__setattr__(self, "M", M)
 
     @property
     def dim(self) -> int:

@@ -276,6 +276,14 @@ def test_one_step_shift_requires_start_in_halfspace():
         one_step_shift(lower_halfplane(), absval_polyhedron(1.0), [0.0, 5.0], 0.25, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-160, 1e-300])
+def test_one_step_shift_rejects_a_shift_that_is_not_finite(alpha):
+    # alpha^2 ||c|| overflows the quotient at 1e-160 and underflows to 0 at
+    # 1e-300; neither may come back as mu = inf or a ZeroDivisionError.
+    with pytest.raises(ValueError, match="not finite"):
+        one_step_shift(lower_halfplane(), absval_polyhedron(1.0), [0.0, 0.0], alpha, 0.0)
+
+
 def test_pair_distance_via_oracle():
     assert polyhedron_halfspace_distance(absval_polyhedron(1.0), lower_halfplane()) == pytest.approx(1.0, abs=1e-12)
     # Intersecting pair: distance zero.

@@ -8,6 +8,7 @@ objective, right-hand side or generator.  The length is checked by
 error or a silently broadcast answer.
 """
 
+import json
 from functools import partial
 
 import numpy as np
@@ -37,6 +38,7 @@ from altproj import (
     translate,
     vertex_oracle,
 )
+from altproj.cli import EXIT_USAGE, main
 from altproj.instances import absval_epigraph, absval_polyhedron, lower_halfplane
 from altproj.qp import project_along_ray
 
@@ -78,3 +80,39 @@ CALLS = {
 def test_wrong_length_raises_dimension_mismatch(call, length):
     with pytest.raises(DimensionMismatch):
         call(np.arange(1.0, length + 1.0))
+
+
+@pytest.mark.parametrize("a", [[-1.0], [0.0]])
+def test_certificate_rejects_sets_of_different_dimensions(a):
+    # A 1-D half-space and a 2-D polyhedron: each point fits its own set, so
+    # only the check on the pair stops a broadcast or a bare matmul error.
+    with pytest.raises(DimensionMismatch):
+        check_certificate(HalfSpace([1.0], 0.0), POLY, a, B_POINT)
+
+
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+
+
+@pytest.mark.parametrize("M", NON_FINITE)
+def test_non_finite_offset_raises_value_error(M):
+    with pytest.raises(ValueError, match="finite"):
+        HalfSpace(HS.c, M)
+    with pytest.raises(ValueError, match="finite"):
+        LPProblem(HS.c, POLY, M)
+
+
+def _spec_with_infinite_offset(command):
+    halfspace = {"halfspace": {"c": [0.0, 1.0], "M": float("inf")}}
+    if command == "lp":
+        return {"c": [0.0, 1.0], "A": POLY.A.tolist(), "b": POLY.b.tolist(), "M": float("inf")}
+    return {"setA": halfspace, "setB": {"polyhedron": {"A": POLY.A.tolist(), "b": POLY.b.tolist()}}, "x0": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("command", ["run", "bound", "lp"])
+def test_cli_rejects_an_infinite_offset(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_with_infinite_offset(command)))  # writes "Infinity"
+    assert "Infinity" in path.read_text()
+    args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+    assert main(args) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
