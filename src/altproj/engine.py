@@ -29,7 +29,7 @@ the first cycle at which one of five events could happen:
 
 - an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``;
 - the gap ``s_k rho^j ||c||`` falls to the certificate tolerance (the
-  pair witnesses a common point);
+  pair witnesses a common point) or to ``ZERO_TOL``, whichever is larger;
 - the A-point's violation of the face rows, ``s_k rho^j max(-A_F c)``,
   falls to the feasibility tolerance of the polyhedron projection, which
   then returns the A-point unchanged (a common point by rounding);
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PointNotInSet, StartNotInA, ZeroVector
 from .linalg import ZERO_TOL, as_point, unit_cone_distance
-from .qp import _FEAS_TOL, project_polyhedron
+from .qp import _FEAS_TOL, _face_step, project_polyhedron
 from .sets import (
     ACTIVE_TOL,
     HalfSpace,
@@ -103,6 +103,8 @@ class Trace:
     minimum distance was attained, i.e. the index of the projection that
     produced the first certified pair's B-point (the A-projection that
     completes the pair confirms it but is not counted).
+    ``certificate`` is that of the final pair, or None when the run stopped
+    on a gap too small to normalise (see :func:`run`).
     ``generated_cycles`` counts the cycles whose iterates and gaps were
     generated in closed form on one face of a polyhedron (see the module
     docstring) instead of projected; they are part of ``iterates`` and
@@ -203,7 +205,10 @@ def run(
         Cap on full A-B cycles (two projections each).
     cert_tol : float
         Residual threshold for the optimality certificate, checked after
-        every completed cycle.
+        every completed cycle.  A gap in ``(cert_tol, ZERO_TOL]``, possible
+        only for ``cert_tol`` below ``ZERO_TOL``, gives the certificate no
+        direction, so the run stops there with ``GAP_STALLED`` and no
+        certificate.
 
     Returns
     -------
@@ -239,6 +244,11 @@ def run(
         trace.iterates.append((step, "A", a))
         trace.gaps.append(float(np.linalg.norm(a - b)))
 
+        if cert_tol < trace.gaps[-1] <= ZERO_TOL:
+            # Too small a gap to normalise: no certificate can be checked.
+            trace.certificate = None
+            trace.stop_reason = StopReason.GAP_STALLED
+            return trace
         cert = check_certificate(set_a, set_b, a, b, cert_tol)
         trace.certificate = cert
         if cert.holds:
@@ -316,19 +326,17 @@ def _face_jump(
     # On the face the last step b - b_prev is 1/rho times the next one, with
     # rho = s/s_prev.  Continued for three cycles it shows most short visits,
     # where a row is reached before any cycle could be generated, without
-    # the QR below; the exact horizon decides every other case.
+    # the face step below; the exact horizon decides every other case.
     s_prev = (float(c @ b_prev) - h.M) / cc
     if s_prev > s:
         rho = s / s_prev
         ahead = (rho + rho * rho + rho**3) * (poly.A @ (b - b_prev))
         if float((slack - ahead).min()) <= margin:
             return none, none
-    if face.any():
-        Q, _ = np.linalg.qr(poly.A[face].T)
-        pvc = c - Q @ (Q.T @ c)
-        pvc -= Q @ (Q.T @ pvc)
-    else:
-        pvc = c.copy()
+    # P_V c is the residual of c against the face rows, split once more to
+    # re-orthogonalise it.
+    _, pvc = _face_step(poly.A[face], c)
+    _, pvc = _face_step(poly.A[face], pvc)
     q = float(pvc @ pvc) / cc
     if not ZERO_TOL < math.sqrt(q) < 1.0:
         return none, none
@@ -343,9 +351,10 @@ def _face_jump(
     t = t[t < 1.0]
     if t.size:
         horizon = min(horizon, float(np.floor(np.log1p(-t) / log_rho).min()))
-    # Common point: s rho^j ||c|| <= cert_tol.
-    if cert_tol > 0.0:
-        horizon = min(horizon, math.floor(math.log(cert_tol / (s * nc)) / log_rho))
+    # Common point: s rho^j ||c|| <= max(cert_tol, ZERO_TOL), where the run
+    # certifies or stops on a gap too small to normalise.
+    gap_tol = max(cert_tol, ZERO_TOL)
+    horizon = min(horizon, math.floor(math.log(gap_tol / (s * nc)) / log_rho))
     # Common point by rounding: the A-point of cycle k + j violates a face
     # row by at most s rho^j max(-A_F c), and the next B-projection returns
     # it unchanged once that is within the projection's feasibility

@@ -22,7 +22,9 @@ the cost does not grow with the distance from ``x`` to the polyhedron.
 
 :func:`project_along_ray` follows the piecewise-linear path
 ``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
-the scale of the polyhedron.
+the scale of the polyhedron.  Its rates on a face come from the same
+least-squares step, :func:`_face_step`; its only fallback is a step cap,
+past which it projects the far point directly.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ _FEAS_TOL = 1e-13
 _DEP_TOL = 1e-13
 # Active-set steps granted per row and per coordinate.
 _STEPS_PER_DIM = 50
-# Ridge for the face walk's normal equations on singular working rows.
-_RIDGE = 1e-12
 
 
 @dataclass
@@ -62,7 +62,11 @@ class QPResult:
     ``point`` is the nearest feasible point, ``dual`` the multipliers with
     ``x - point = A' dual``, ``iterations`` the number of active-set steps
     (full and partial; 0 when ``x`` is already feasible), and ``residual``
-    the larger of the final primal violation and complementarity gap.
+    the larger of the final primal violation and complementarity gap.  For
+    :func:`project_along_ray`, ``iterations`` is the active-set steps of
+    the projection of the base point plus one per face walked, and
+    ``residual`` the primal violation only; past the step cap both are
+    those of the direct projection.
     """
 
     point: np.ndarray
@@ -76,6 +80,20 @@ def _kkt_residual(A, b, lam, z) -> float:
     viol = float(np.max(slack, initial=0.0))
     comp = float(np.max(np.abs(lam * slack), initial=0.0))
     return max(viol, 0.0, comp)
+
+
+def _face_step(Aw, v) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``v`` against the rows ``Aw`` of a face: ``(r, v - Aw' r)``.
+
+    ``r`` minimises ``||Aw' r - v||`` (the minimum-norm minimiser when the
+    rows are dependent), so the residual is the part of ``v`` that the rows
+    cannot cancel, its projection onto their null space.  This is the one
+    face step of the package: the Goldfarb-Idnani step, the face walk's
+    rates and the engine's closed-form cycles all take it.  With no rows,
+    ``r`` is empty and the residual is ``v``.
+    """
+    r, *_ = np.linalg.lstsq(Aw.T, v, rcond=None)
+    return r, v - Aw.T @ r
 
 
 def _working_set(A, b, x) -> tuple[list[int], int]:
@@ -99,11 +117,10 @@ def _working_set(A, b, x) -> tuple[list[int], int]:
             if steps > max_steps:
                 raise NotConverged(f"projection took more than {max_steps} active-set steps")
             if W:
-                Awt = A[W].T
-                r, *_ = np.linalg.lstsq(Awt, a, rcond=None)
-                d = a - Awt @ r
+                Aw = A[W]
+                r, d = _face_step(Aw, a)
                 spanned_tol = _DEP_TOL * (
-                    float(np.linalg.norm(a)) + float(np.linalg.norm(np.abs(Awt) @ np.abs(r)))
+                    float(np.linalg.norm(a)) + float(np.linalg.norm(np.abs(Aw.T) @ np.abs(r)))
                 )
             else:
                 r, d, spanned_tol = u, a, 0.0
@@ -165,28 +182,6 @@ def project_polyhedron(p: Polyhedron, x) -> QPResult:
     return QPResult(z, lam, steps, _kkt_residual(A, b, lam, z))
 
 
-def _working_rates(A, W, direction):
-    """Path derivatives on working set ``W``: ``dz/dt`` and ``dlam/dt``.
-
-    While ``W`` stays tight, ``z(t) = x(t) - A_W' G^-1 (A_W x(t) - b_W)``
-    with ``G = A_W A_W'``, so ``dz = direction - A_W' G^-1 A_W direction``
-    and ``dlam = G^-1 A_W direction``.  Returns ``None`` when the working
-    rows are too ill-conditioned to trust.
-    """
-    if not W:
-        return direction.copy(), np.zeros(0)
-    Aw = A[W]
-    G = Aw @ Aw.T
-    rhs = Aw @ direction
-    try:
-        dlam = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        dlam = np.linalg.solve(G + _RIDGE * np.eye(len(W)), rhs)
-    if not np.allclose(G @ dlam, rhs, atol=1e-7 * (1.0 + float(np.abs(rhs).max(initial=0.0)))):
-        return None
-    return direction - Aw.T @ dlam, dlam
-
-
 def project_along_ray(
     p: Polyhedron,
     base,
@@ -196,13 +191,22 @@ def project_along_ray(
     """Projection of ``base + t_target * direction`` onto ``p``.
 
     A direct projection of a very distant point is accurate only relative
-    to its distance, so the solver projects ``base`` and then walks the piecewise-linear path ``t -> P(base + t * direction)``
-    exactly: on a fixed set of tight rows the point and multipliers move
-    linearly in t, and the walk switches faces when a multiplier hits zero
-    (drop) or an inactive row becomes tight (add).  The point goes
-    stationary once ``-direction`` enters the cone of the tight rows; all
-    arithmetic stays at the scale of the polyhedron regardless of
+    to its distance, so the solver projects ``base`` and then walks the
+    piecewise-linear path ``t -> P(base + t * direction)`` exactly.  On a
+    fixed set ``W`` of tight rows the point and multipliers move linearly
+    in t, at the rates of the face step (:func:`_face_step`): split against
+    the rows of ``W``, ``direction`` leaves the multiplier rates as its
+    least-squares coefficients (the minimum-norm ones for dependent rows)
+    and the point's rate as its residual.  The walk switches faces when a
+    multiplier hits zero (drop) or an inactive row becomes tight (add).  The
+    point goes stationary once ``-direction`` enters the cone of the tight
+    rows; all arithmetic stays at the scale of the polyhedron regardless of
     ``t_target``.  A negative ``t_target`` walks along ``-direction``.
+
+    The only fallback is the step cap: a walk that changes faces
+    ``40 (m + 1)`` times (cycling at a degenerate vertex) returns the direct
+    projection of the far point.  :class:`QPResult` says what
+    ``iterations`` counts here.
     """
     base = as_point(base, p.dim)
     direction = as_point(direction, p.dim)
@@ -219,54 +223,37 @@ def project_along_ray(
     z = start.point.copy()
     lam = start.dual.copy()
     act_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
-    W = sorted(
-        set(np.flatnonzero(b - A @ z <= act_tol).tolist())
-        | set(np.flatnonzero(lam > 1e-12).tolist())
-    )
+    W = (b - A @ z <= act_tol) | (lam > 1e-12)
     t = 0.0
     iterations = start.iterations
     for _ in range(40 * (m + 1)):
         iterations += 1
-        rates = _working_rates(A, W, direction)
-        if rates is None:
-            break  # ill-conditioned face: fall back to the direct solve
-        dz, dlam = rates
+        rate = np.zeros(m)
+        rate[W], dz = _face_step(A[W], direction)
         if np.linalg.norm(dz) <= 1e-12 * np.linalg.norm(direction):
             # Stationary face: the point no longer moves, only the
             # multipliers do; zeroing dz keeps the large remaining step
             # from injecting rounding noise into z.
             dz = np.zeros_like(dz)
-        remaining = t_target - t
-        # Next face change along the path.
-        step = remaining
-        event = None
-        for k, i in enumerate(W):
-            if dlam[k] < -1e-13:
-                dt = lam[i] / (-dlam[k])
-                if dt < step - 1e-15:
-                    step, event = dt, ("drop", i)
+        # Next face change along the path: the first working multiplier to
+        # reach zero or the first inactive row to become tight.
+        dt = np.full(m, math.inf)
+        drop = W & (rate < -1e-13)
+        dt[drop] = lam[drop] / -rate[drop]
         approach = A @ dz
-        slack = b - A @ z
-        for j in range(m):
-            if j in W:
-                continue
-            if approach[j] > 1e-13:
-                dt = max(slack[j], 0.0) / approach[j]
-                if dt < step - 1e-15:
-                    step, event = dt, ("add", j)
+        add = ~W & (approach > 1e-13)
+        dt[add] = np.maximum((b - A @ z)[add], 0.0) / approach[add]
+        i = int(np.argmin(dt))
+        remaining = t_target - t
+        event = dt[i] < remaining - 1e-15
+        step = dt[i] if event else remaining
         z = z + step * dz
-        for k, i in enumerate(W):
-            lam[i] = max(0.0, lam[i] + step * dlam[k])
+        lam = np.maximum(lam + step * rate, 0.0)
+        if not event:
+            return QPResult(z, lam, iterations, float(np.max(A @ z - b, initial=0.0)))
         t += step
-        if event is None:
-            viol = float(np.max(A @ z - b, initial=0.0))
-            return QPResult(z, lam, iterations, max(viol, 0.0))
-        kind, idx = event
-        if kind == "drop":
-            lam[idx] = 0.0
-            W.remove(idx)
-        else:
-            W.append(idx)
-            W.sort()
+        if W[i]:
+            lam[i] = 0.0
+        W[i] = not W[i]
     # Degenerate face walk: last resort is the direct solve.
     return project_polyhedron(p, base + t_target * direction)

@@ -3,11 +3,12 @@
 On a half-space/polyhedron pair ``engine.run`` generates the cycles a run
 spends on one face of the polyhedron in closed form.  ``plain_run`` below is
 the loop without that step: a real projection for every iterate, the
-certificate after every cycle and the ``GAP_STALL_TOL`` rule.  Each case runs
-both and requires the same stop reason, step count, cycle count and number
-of iterates, and iterates and gaps within 1e-12 of the largest iterate of
-the run (a point or gap near zero carries the rounding of the points around
-it, so a per-entry relative bound would measure only that rounding).
+certificate after every cycle, the ``GAP_STALL_TOL`` rule and the stop on a
+gap too small to normalise.  Each case runs both and requires the same stop
+reason, step count, cycle count and number of iterates, and iterates and
+gaps within 1e-12 of the largest iterate of the run (a point or gap near
+zero carries the rounding of the points around it, so a per-entry relative
+bound would measure only that rounding).
 """
 
 import json
@@ -31,6 +32,7 @@ from altproj import (
 from altproj.cli import main
 from altproj.engine import GAP_STALL_TOL
 from altproj.instances import random_lp_instance, random_pair_instance
+from altproj.linalg import ZERO_TOL
 from altproj.lp import _default_start
 from altproj.sets import set_to_json
 
@@ -48,6 +50,10 @@ def plain_run(set_a, set_b, x0, max_iters=1000, cert_tol=1e-8):
         a = project(set_a, b)
         trace.iterates += [(2 * cycle + 1, "B", b), (2 * cycle + 2, "A", a)]
         trace.gaps += [float(np.linalg.norm(b - current)), float(np.linalg.norm(a - b))]
+        if cert_tol < trace.gaps[-1] <= ZERO_TOL:
+            trace.certificate = None
+            trace.stop_reason = StopReason.GAP_STALLED
+            return trace
         trace.certificate = check_certificate(set_a, set_b, a, b, cert_tol)
         if trace.certificate.holds:
             trace.stop_reason = StopReason.CERTIFIED
@@ -74,7 +80,9 @@ def assert_same_run(set_a, set_b, x0, **kwargs):
     scale = float(np.linalg.norm(ref_points, axis=1).max())
     assert float(np.linalg.norm(points - ref_points, axis=1).max()) <= REL_TOL * scale
     assert float(np.abs(np.subtract(trace.gaps, ref.gaps)).max()) <= REL_TOL * scale
-    assert trace.certificate.holds == ref.certificate.holds
+    assert (trace.certificate is None) == (ref.certificate is None)
+    if ref.certificate is not None:
+        assert trace.certificate.holds == ref.certificate.holds
     return trace
 
 
@@ -163,6 +171,36 @@ def test_gap_stall_on_a_face():
     )
     assert trace.stop_reason is StopReason.GAP_STALLED
     assert trace.generated_cycles > 0
+
+
+def test_gap_below_zero_tol_stops_where_the_plain_loop_stops():
+    # With cert_tol below ZERO_TOL a gap in (cert_tol, ZERO_TOL] can be
+    # neither certified nor normalised for the certificate: the run stops
+    # there with GAP_STALLED and no certificate.  The first ten draws also
+    # run the slow plain loop, enough to show that the generated cycles end
+    # where it stops.
+    rng = np.random.default_rng(9)
+    unresolved = 0
+    for i in range(40):
+        eps, x = rng.uniform(0.05, 0.3), rng.uniform(1e-9, 1e-7)
+        pair = (HalfSpace([0.0, 1.0], 0.0), Polyhedron([[eps, -1.0]], [0.0]), [x, 0.0])
+        check = assert_same_run if i < 10 else run
+        trace = check(*pair, max_iters=5000, cert_tol=1e-15)
+        assert trace.stop_reason is StopReason.GAP_STALLED
+        assert trace.generated_cycles > 0
+        unresolved += trace.certificate is None
+    assert unresolved > 20
+
+
+def test_cli_gap_below_zero_tol_exits_not_certified(tmp_path, capsys):
+    spec = tmp_path / "tiny_gap.json"
+    one_row = Polyhedron([[0.2, -1.0]], [0.0])
+    spec.write_text(json.dumps({"setA": set_to_json(HalfSpace([0.0, 1.0], 0.0)), "setB": set_to_json(one_row), "x0": [5e-8, 0.0], "cert_tol": 1e-15}))
+    assert main(["run", str(spec), "--out", str(tmp_path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["stop_reason"] == "GapStalled"
+    assert report["certificate"] is None
+    assert 1e-15 < report["final_gap"] <= 1e-12
 
 
 @pytest.mark.parametrize("shift, eps", [((30.0, 20.0), 0.08), ((50.0, -30.0), 0.05), ((50.0, -30.0), 0.08)])

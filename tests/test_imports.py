@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -31,3 +33,19 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
         [sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_targets_resolve():
+    # The traced benchmark run wraps each target by its home module and
+    # attribute; a target that no longer resolves breaks that run.
+    tracer_path = SRC.parent / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = [
+        f"{home}.{attr}"
+        for _, home, attr, _ in tracer.TARGETS
+        if not callable(getattr(importlib.import_module(home), attr, None))
+    ]
+    assert not missing, missing

@@ -58,23 +58,48 @@ def test_far_points_satisfy_kkt():
             assert_kkt(poly, x, project_polyhedron(poly, x))
 
 
+def nearly_parallel(rng, angle):
+    """A random polyhedron cut by three rows at ``angle`` from one of its own.
+
+    Two rows tilted from row i through one point just outside the interior
+    point (a wedge with a nearly flat edge), and a nearly antiparallel row
+    just inside it: a thin, slightly tilted slab.  Returns the polyhedron,
+    the interior point, the point ``top`` 0.2 out from it along the unit
+    row ``a``, ``a`` and the two tilted rows through ``top``.
+    """
+    poly, interior = random_poly(rng)
+    i = int(rng.integers(0, poly.num_rows))
+    a = poly.A[i] / np.linalg.norm(poly.A[i])
+    top = interior + 0.2 * a
+    par1, par2, anti = tilted(rng, a, angle), tilted(rng, a, angle), tilted(rng, -a, angle)
+    rows = np.vstack([poly.A, par1, par2, anti])
+    rhs = np.concatenate([poly.b, [par1 @ top, par2 @ top, anti @ (interior - 0.2 * a)]])
+    return Polyhedron(rows, rhs), interior, top, a, par1, par2
+
+
+def with_duplicates(rng):
+    """A random polyhedron with repeated, scaled and implied copies of its rows.
+
+    Returns the new polyhedron, the original one and its interior point.
+    """
+    poly, interior = random_poly(rng)
+    A, b = poly.A, poly.b
+    m = poly.num_rows
+    i, j = (int(k) for k in rng.choice(m, size=2, replace=False))
+    w = rng.uniform(0.1, 1.0, size=2)
+    rows = np.vstack([A, A[i], 3.0 * A[i], A[j], w @ A[[i, j]]])
+    rhs = np.concatenate([b, [b[i], 3.0 * b[i], b[j] + 0.5, w @ b[[i, j]]]])
+    perm = rng.permutation(len(rhs))
+    return Polyhedron(rows[perm], rhs[perm]), poly, interior
+
+
 def test_nearly_parallel_rows():
     rng = np.random.default_rng(402)
     for angle in (1e-6, 1e-7, 1e-8, 1e-9):
         for _ in range(25):
-            poly, interior = random_poly(rng)
-            i = int(rng.integers(0, poly.num_rows))
-            a = poly.A[i] / np.linalg.norm(poly.A[i])
-            # Two rows tilted from row i through one point just outside the
-            # interior point (a wedge with a nearly flat edge), and a nearly
-            # antiparallel row just inside it: a thin, slightly tilted slab.
-            top = interior + 0.2 * a
-            par1, par2, anti = tilted(rng, a, angle), tilted(rng, a, angle), tilted(rng, -a, angle)
-            rows = np.vstack([poly.A, par1, par2, anti])
-            rhs = np.concatenate([poly.b, [par1 @ top, par2 @ top, anti @ (interior - 0.2 * a)]])
-            near = Polyhedron(rows, rhs)
+            near, _, top, a, par1, par2 = nearly_parallel(rng, angle)
             for r in (1e-3, 1.0, 1e2, 1e4):
-                x = top + r * (a + 0.3 * unit(rng, poly.dim))
+                x = top + r * (a + 0.3 * unit(rng, near.dim))
                 assert_kkt(near, x, project_polyhedron(near, x))
                 # In the normal cone of the edge: both tilted rows are tight.
                 x = top + r * (rng.uniform(0.2, 1.0) * par1 + rng.uniform(0.2, 1.0) * par2)
@@ -84,15 +109,7 @@ def test_nearly_parallel_rows():
 def test_duplicate_and_redundant_rows():
     rng = np.random.default_rng(403)
     for _ in range(60):
-        poly, interior = random_poly(rng)
-        A, b = poly.A, poly.b
-        m = poly.num_rows
-        i, j = (int(k) for k in rng.choice(m, size=2, replace=False))
-        w = rng.uniform(0.1, 1.0, size=2)
-        rows = np.vstack([A, A[i], 3.0 * A[i], A[j], w @ A[[i, j]]])
-        rhs = np.concatenate([b, [b[i], 3.0 * b[i], b[j] + 0.5, w @ b[[i, j]]]])
-        perm = rng.permutation(len(rhs))
-        dup = Polyhedron(rows[perm], rhs[perm])
+        dup, poly, interior = with_duplicates(rng)
         for r in (0.5, 10.0, 1e3):
             x = interior + r * unit(rng, poly.dim)
             res = project_polyhedron(dup, x)
@@ -172,3 +189,25 @@ def test_agrees_with_face_walk_up_to_1e4():
             direct = project_polyhedron(poly, base + t * direction)
             assert_kkt(poly, base + t * direction, direct)
             np.testing.assert_allclose(direct.point, walked.point, atol=1e-9)
+
+
+def test_far_walks_on_bad_geometry_stay_feasible():
+    # The walk's arithmetic stays at the scale of the polyhedron, so its
+    # point must be feasible to 1e-8 however far the walked point is; only
+    # stationarity carries the rounding of x itself.
+    rng = np.random.default_rng(402)
+    cases = [nearly_parallel(rng, angle)[:2] for angle in (1e-7, 1e-8, 1e-9) for _ in range(100)]
+    rng = np.random.default_rng(403)
+    cases += [with_duplicates(rng)[::2] for _ in range(100)]
+    for poly, interior in cases:
+        base = interior + 0.1 * rng.normal(size=poly.dim)
+        direction = unit(rng, poly.dim)
+        for t in (1e4, 1e6, 1e9):
+            x = base + t * direction
+            res = project_along_ray(poly, base, direction, t)
+            assert float((poly.A @ res.point - poly.b).max()) <= VIOLATION_TOL
+            assert float(res.dual.min()) >= -DUAL_TOL
+            stationarity = np.linalg.norm(x - res.point - poly.A.T @ res.dual)
+            assert stationarity <= 1e-5 * (1.0 + np.linalg.norm(x))
+            if t <= 1e4:
+                np.testing.assert_allclose(res.point, project_polyhedron(poly, x).point, atol=1e-9)
