@@ -30,9 +30,18 @@ from .vertices import feasible_vertices, vertex_oracle
 # Margin for strict-inequality tests on normalized inner products, so that
 # floating-point ties cannot silently flip membership decisions.
 _STRICT_MARGIN = 1e-10
-# Slack on the cone-inclusion pruning of alpha_polyhedron_halfspace, far
-# above the rounding of one NNLS residual (about 1e-16).
-_PRUNE_MARGIN = 1e-12
+# Cones at most this far from -c/||c|| contain it: optimal-face geometry,
+# left out of alpha.
+_CONTAINS_TOL = 1e-9
+# alpha_polyhedron_halfspace's screen.  A cone is measured when its screened
+# value is within _SCREEN_MARGIN of the least distance found so far.  Unit
+# rows count as independent when every diagonal entry of their R factor is
+# at least _SCREEN_RANK_TOL, which keeps the span residual within about
+# 1e-10 of its exact value, and a least-squares coefficient below
+# -_SCREEN_COEF_TOL puts the nearest point of the span outside the cone.
+_SCREEN_MARGIN = 1e-9
+_SCREEN_RANK_TOL = 1e-6
+_SCREEN_COEF_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,10 +86,12 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     Half the least distance from ``-c/||c||`` to a realizable proximal
     normal cone of B that does not contain it.  The candidate cones are the
     single qualifying rows (those with ``<a_i, c> > -||a_i|| ||c||``; a row
-    antiparallel to ``c`` is never active away from the optimal face) plus
-    every combination of rows active together at a vertex.  Cones containing
-    ``-c`` arise only on the face nearest the half-space, where no
-    contraction is required, and are skipped.
+    antiparallel to ``c`` is never active away from the optimal face) plus,
+    for n >= 3, every combination of two or more rows active together at a
+    vertex and every pair of qualifying rows (two-row faces of an unbounded
+    polyhedron need not touch a vertex).  Cones containing ``-c`` (distance
+    at most ``_CONTAINS_TOL``) arise only on the face nearest the
+    half-space, where no contraction is required, and are skipped.
 
     In the plane this equals the row-wise minimum
     ``0.5 * min(1, min_i d(a_i/||a_i||, ray(-c)))`` because the distance
@@ -89,17 +100,39 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     ``-c`` than any single row does, and the cone minimum is the constant
     the contraction argument actually needs.
 
-    The search skips cones that cannot hold the minimum.  The cone of each
-    vertex's full qualifying active set ``T`` is measured first, at
-    distance ``d_T``.  For ``S`` a subset of ``T``, ``cone S`` lies inside
-    ``cone T``, so ``d(-c/||c||, cone S) >= d_T``.  Hence when ``d_T``
-    exceeds the least distance found so far (which only falls) by more
-    than ``_PRUNE_MARGIN``, no proper subset of ``T``, and in the closing
-    pair loop no row pair inside ``T``, can lower the minimum, and they are
-    not measured.  The margin absorbs the rounding of the NNLS residuals
-    (about 1e-16), so the constant is bit-identical to a search of every
-    subset.  A cone containing ``-c`` has ``d_T <= 1e-9``, below every
-    distance the minimum takes, so its subsets are always searched.
+    Each cone is measured by one NNLS solve (:func:`unit_cone_distance`),
+    but only where the minimum can lie.  A screen first gives every
+    candidate a lower bound on its distance, from one stacked QR
+    factorisation of the unit rows per cone size (:func:`_screen`):
+
+    - one row: its ray distance, the exact value alpha takes for it;
+    - independent rows: the residual against their span, which holds the
+      cone;
+    - independent rows with a least-squares coefficient below
+      ``-_SCREEN_COEF_TOL``: the nearest point of the span lies outside
+      the cone, so the nearest point of the cone lies on a proper face;
+    - more rows than n: they are dependent, and by Caratheodory's theorem
+      every point of the cone lies in the cone of an independent subset;
+    - in the last two cases, the least screened value of the rows'
+      (k-1)-subsets when each has one.  The faces of a polyhedral cone are
+      cones of subsets of its rows, so the cone's distance is the least
+      distance over those subsets, which their values bound from below;
+    - two exactly antiparallel rows span a line, the union of their rays,
+      so the smaller ray distance; two nearly parallel rows at unit
+      distance ``e`` apart, the smaller ray distance less ``2 e``;
+    - otherwise no value, and the cone is always measured: other
+      dependent rows, and more than n rows with a subset without a value.
+
+    So the screen never exceeds a cone's distance by more than its
+    rounding, and NNLS never returns less than the distance by more than
+    its own rounding: its coefficients are nonnegative, so its residual is
+    that of a point of the cone.  The screened cones are measured in
+    ascending order until the next value exceeds the least distance found
+    so far by more than ``_SCREEN_MARGIN``.  That margin is far above both
+    roundings (about 1e-10 at the rank cut-off), so every cone left
+    unmeasured is farther than the minimum, and alpha is bit-identical to
+    measuring every candidate.  When a vertex cone turns out to contain
+    ``-c``, all its faces are measured too.
 
     Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
     """
@@ -107,51 +140,111 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     nc = float(np.linalg.norm(c))
     neg_c = -c
     neg_chat = neg_c / nc
+    units = np.empty_like(B.A)
+    ray = np.full(B.num_rows, math.nan)  # ray distances of the qualifying rows
     qualifying = []
     best = math.inf
     for i in range(B.num_rows):
         row = B.A[i]
         nrow = float(np.linalg.norm(row))
+        units[i] = row / nrow
         cos = float(row @ c) / (nrow * nc)
         if cos > -1.0 + _STRICT_MARGIN:
             qualifying.append(i)
-            best = min(best, unit_distance_to_ray(row / nrow, neg_c))
+            ray[i] = dist = unit_distance_to_ray(units[i], neg_c)
+            best = min(best, dist)
+    if B.dim < 3:
+        return 0.5 * min(1.0, best)
+
     qualifying_set = set(qualifying)
-    if B.dim >= 3:
-        dists = {}
+    vertex_cones = set()
+    for _, active in feasible_vertices(B):
+        rows = tuple(i for i in active if i in qualifying_set)
+        if len(rows) >= 2:
+            vertex_cones.add(rows)
+    cones = set(itertools.combinations(qualifying, 2))
+    for rows in vertex_cones:
+        for size in range(2, len(rows) + 1):
+            cones.update(itertools.combinations(rows, size))
+    if not cones:
+        return 0.5 * min(1.0, best)
+    cones = sorted(cones, key=lambda cone: (len(cone), cone))
+    groups = {k: np.array(list(group)) for k, group in itertools.groupby(cones, key=len)}
+    screened = np.concatenate(_screen(groups, units, neg_chat, ray))
 
-        def measure(subset):
-            if subset in dists:
-                return
-            dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(subset)].T))
-            dists[subset] = dist
-            if dist > 1e-9:  # cones containing -c are optimal-face geometry
-                nonlocal best
-                best = min(best, dist)
+    measured = set()
 
-        full_sets = []
-        for _, active in feasible_vertices(B):
-            rows = tuple(i for i in active if i in qualifying_set)
-            if len(rows) >= 2:
-                full_sets.append(rows)
-                measure(rows)
-        for rows in full_sets:
-            if dists[rows] <= best + _PRUNE_MARGIN:
-                for size in range(2, len(rows)):
-                    for subset in itertools.combinations(rows, size):
-                        measure(subset)
-        # Two-row faces of an unbounded polyhedron need not touch a vertex;
-        # covering all pairs keeps the constant valid there too.
-        skip = {
-            pair
-            for rows in full_sets
-            if dists[rows] > best + _PRUNE_MARGIN
-            for pair in itertools.combinations(rows, 2)
-        }
-        for pair in itertools.combinations(qualifying, 2):
-            if pair not in skip:
-                measure(pair)
+    def measure(cone):
+        nonlocal best
+        if cone in measured:
+            return
+        measured.add(cone)
+        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(cone)].T))
+        if dist > _CONTAINS_TOL:
+            best = min(best, dist)
+        elif cone in vertex_cones:
+            for size in range(2, len(cone)):
+                for face in itertools.combinations(cone, size):
+                    measure(face)
+
+    # Cones without a value rank first and never end the loop (NaN > x is
+    # false), so each of them is measured.
+    for j in np.argsort(np.nan_to_num(screened, nan=-math.inf), kind="stable").tolist():
+        if screened[j] > best + _SCREEN_MARGIN:
+            break
+        measure(cones[j])
     return 0.5 * min(1.0, best)
+
+
+def _screen(groups, units, vhat, ray) -> list:
+    """Lower bounds on ``d(vhat, cone)``, by the rules of :func:`alpha_polyhedron_halfspace`.
+
+    ``groups`` maps each cone size k >= 2, in ascending order, to a
+    ``(count, k)`` array of sorted row indices; every (k-1)-row subset of a
+    cone of size k >= 3 is a cone of the group before.  ``units`` holds the
+    unit rows and ``ray`` each row's ray distance.  Returns one value array
+    per group, NaN where a cone has no value.
+    """
+    n = vhat.shape[0]
+    values = []
+    for k, idx in groups.items():
+        bits = np.left_shift(1, idx)
+        masks = bits.sum(axis=1)
+        if k == 2:
+            least = ray[idx].min(axis=1)
+        else:
+            # Look each (k-1)-row face up by its row bitmask in the group before.
+            faces = masks[:, None] - bits
+            order = np.argsort(face_masks)
+            at = np.searchsorted(face_masks, faces, sorter=order)
+            pos = order[np.minimum(at, order.size - 1)]
+            least = np.where(face_masks[pos] == faces, face_values[pos], math.nan).min(axis=1)
+        if k > n:
+            vals = least
+        else:
+            Q, R = np.linalg.qr(units[idx].transpose(0, 2, 1))
+            qy = np.einsum("gik,i->gk", Q, vhat)
+            resid = np.linalg.norm(vhat - np.einsum("gik,gk->gi", Q, qy), axis=1)
+            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            independent = diag.min(axis=1) >= _SCREEN_RANK_TOL
+            coef = np.zeros_like(qy)
+            if independent.any():
+                rhs = qy[independent, :, None]
+                coef[independent] = np.linalg.solve(R[independent], rhs)[..., 0]
+            outside = (coef < -_SCREEN_COEF_TOL).any(axis=1) & ~np.isnan(least)
+            dependent = math.nan
+            if k == 2:
+                u, w = units[idx[:, 0]], units[idx[:, 1]]
+                parallel = np.where(
+                    np.einsum("gi,gi->g", u, w) > 0.0,
+                    least - 2.0 * np.linalg.norm(u - w, axis=1),
+                    math.nan,
+                )
+                dependent = np.where((u == -w).all(axis=1), least, parallel)
+            vals = np.where(independent, np.where(outside, least, resid), dependent)
+        values.append(vals)
+        face_masks, face_values = masks, vals
+    return values
 
 
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:
@@ -264,11 +357,19 @@ def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
 
 
 def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
-    """Compose the angle constant, exact distances, and the step bound."""
+    """Compose the angle constant, exact distances, and the step bound.
+
+    The bound covers runs that start in A: a start outside A (beyond the
+    1e-8 tolerance of :func:`engine.run <altproj.engine.run>`) raises
+    :class:`StartNotInA`.  ``d(x0, B)`` is raised to ``d_AB`` only to absorb
+    the rounding of a start in A.
+    """
     alpha = alpha_polyhedron_halfspace(B, A)
+    x0 = as_point(x0, B.dim)
+    if not _contains_point(A, x0, 1e-8):
+        raise StartNotInA("x0 must belong to the half-space")
     d_ab = polyhedron_halfspace_distance(B, A)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")
-    x0 = as_point(x0, B.dim)
     d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     return iteration_bound(alpha, d_ab, max(d_x0, d_ab))

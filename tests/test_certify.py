@@ -22,6 +22,7 @@ from altproj import (
 from altproj.instances import absval_polyhedron, lower_halfplane, random_pair_instance
 from altproj.linalg import Ray, distance_to_ray, norm, unit_cone_distance
 from altproj.vertices import feasible_vertices
+from test_qp_adversarial import nearly_parallel, random_poly, unit, with_duplicates
 
 RATE_78_ALPHA = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -148,6 +149,72 @@ def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
                 descents += 1
     assert len(pairs) > 30
     assert pruned_pairs > 0 and descents > 0
+
+
+SQUARE_PYRAMID = Polyhedron(
+    [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], [1, 1, 1, 1, 0]
+)
+
+
+def bad_geometry_pairs():
+    """Seeded polyhedra in R^3 and R^4 with nearly parallel, repeated,
+    antiparallel or degenerate rows, each with a half-space of random ``c``.
+    """
+    rng = np.random.default_rng(408)
+    polys = []
+    for angle in (1e-3, 1e-5, 1e-7, 1e-9):
+        polys += [nearly_parallel(rng, angle)[0] for _ in range(12)]
+    polys += [with_duplicates(rng)[0] for _ in range(12)]
+    for _ in range(12):
+        # A random polyhedron cut by a slab between a row and its reverse,
+        # next to the box rows, which are antiparallel in pairs too.
+        poly, interior = random_poly(rng)
+        a = unit(rng, poly.dim)
+        rows = np.vstack([poly.A, a, -a])
+        rhs = np.concatenate([poly.b, [a @ interior + 0.1, 0.1 - a @ interior]])
+        polys.append(Polyhedron(rows, rhs))
+    for _ in range(8):
+        # An apex with n + 1 to 2n + 3 active rows, all leaning toward +e_0.
+        n = int(rng.integers(3, 5))
+        k = int(rng.integers(n + 1, 2 * n + 4))
+        rows = np.array([unit(rng, n) + 2.0 * np.eye(n)[0] for _ in range(k)])
+        polys.append(Polyhedron(rows, rows @ rng.normal(size=n)))
+    polys.append(SQUARE_PYRAMID)
+    pairs = [(p, HalfSpace(rng.normal(size=p.dim), -10.0)) for p in polys if p.dim >= 3]
+    # The cone of the pyramid's apex contains -c = (0, 0, 1).
+    return pairs + [(SQUARE_PYRAMID, HalfSpace([0.0, 0.0, -1.0], -2.0))]
+
+
+def test_alpha_screen_matches_the_unpruned_search_on_bad_geometry():
+    # The screen's values are accurate only on well-conditioned rows; on
+    # the rest it must fall back to measuring, so alpha stays exact.
+    pairs = bad_geometry_pairs()
+    assert len(pairs) >= 50
+    for B, A in pairs:
+        assert alpha_polyhedron_halfspace(B, A) == unpruned_alpha(B, A)[0]
+
+
+def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
+    # A count, not a clock: on these pairs the search measures 328 of its
+    # 3275 candidate cones (the full sweep measures all of them).
+    rng = np.random.default_rng(72)
+    pairs = [
+        (inst.poly, inst.halfspace)
+        for inst in (random_pair_instance(rng) for _ in range(60))
+        if inst.poly.dim >= 3
+    ]
+    candidates = sum(len(unpruned_alpha(B, A)[1]) for B, A in pairs)
+    calls = []
+
+    def spy(vhat, G):
+        calls.append(G.shape[1])
+        return unit_cone_distance(vhat, G)
+
+    monkeypatch.setattr(certify, "unit_cone_distance", spy)
+    for B, A in pairs:
+        alpha_polyhedron_halfspace(B, A)
+    assert candidates == 3275
+    assert len(calls) <= 0.15 * candidates
 
 
 def test_iteration_bound_examples():
@@ -297,6 +364,20 @@ def test_bound_report_composes_the_pieces():
     assert report.d_x0_B == pytest.approx(2.0, abs=1e-10)
     assert report.N == 5
     assert report.max_steps == 11
+
+
+@pytest.mark.parametrize("x0", [[0.0, 5.0], [0.0, 0.9], [0.0, 2e-8]])
+def test_bound_report_rejects_a_start_outside_the_halfspace(x0):
+    # [0, 5] lies in B, [0, 0.9] between the sets and [0, 2e-8] just past
+    # the 1e-8 tolerance; all are outside A, where the bound does not apply.
+    with pytest.raises(StartNotInA):
+        bound_report(absval_polyhedron(1.0), lower_halfplane(), x0)
+
+
+def test_bound_report_accepts_a_start_on_the_boundary_within_tolerance():
+    report = bound_report(absval_polyhedron(1.0), lower_halfplane(), [0.0, 5e-9])
+    assert report.d_x0_B == report.d_AB == pytest.approx(1.0, abs=1e-8)
+    assert report.N == 0
 
 
 def test_finite_step_bound_holds_on_random_pairs():

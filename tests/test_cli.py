@@ -153,6 +153,22 @@ def test_bound_command_one_step_flag(tmp_path, capsys):
     assert report["N"] == 0
 
 
+@pytest.mark.parametrize("x0", [[0, 5], [0, 0.9]])
+def test_bound_command_rejects_a_start_outside_the_halfspace(tmp_path, capsys, x0):
+    problem = write_json(
+        tmp_path / "outside.json",
+        {
+            "setA": {"halfspace": {"c": [0, 1], "M": 0}},
+            "setB": {"polyhedron": {"A": [[1, -1], [-1, -1]], "b": [-1, -1]}},
+            "x0": x0,
+        },
+    )
+    assert main(["bound", problem]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_bound_command_rejects_non_polyhedral_pair(tmp_path, capsys):
     problem = write_json(
         tmp_path / "nonpoly.json",
