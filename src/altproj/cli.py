@@ -13,7 +13,6 @@ Exit codes: 0 success / certified, 2 run finished without certifying,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -49,10 +48,6 @@ def _alpha_scale(text: str) -> float:
     return value
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -63,13 +58,20 @@ def _load_json(path: str):
 
 
 def _write_trace_csv(trace: engine.Trace, path: Path) -> None:
+    # Comma-separated with CRLF line ends, the csv module's default dialect;
+    # no field can need quoting.  Values are written with 17 significant
+    # digits, so they read back exactly; the start point has no gap.
     dim = trace.iterates[0][2].shape[0]
+    start = "%d,%s" + ",%.17g" * dim
+    row = start + ",%.17g\r\n"
+    gaps = trace.gaps
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "label", *(f"x{i}" for i in range(dim)), "gap"])
+        fh.write(",".join(["step", "label", *(f"x{i}" for i in range(dim)), "gap"]) + "\r\n")
         for idx, label, point in trace.iterates:
-            gap = _fmt(trace.gaps[idx - 1]) if idx >= 1 else ""
-            writer.writerow([idx, label, *(_fmt(v) for v in point), gap])
+            if idx:
+                fh.write(row % (idx, label, *point.tolist(), gaps[idx - 1]))
+            else:
+                fh.write(start % (idx, label, *point.tolist()) + ",\r\n")
 
 
 def cmd_run(args) -> int:

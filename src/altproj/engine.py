@@ -10,6 +10,16 @@ cone of A at ``a`` and ``a - b`` in that of B at ``b``; the certificate
 measures both cone distances.  For nonconvex sets the inclusion is only a
 necessary condition, so a certified stop there means "stationary pair".
 
+Validation happens once, at the boundary.  :func:`run` validates ``x0``
+and every cycle then runs on kernels that take validated arrays: the set
+projections behind ``sets.project`` (the polyhedron projection checks its
+own argument) and :func:`_certificate` behind :func:`check_certificate`,
+with 1-D norms from ``linalg._norm`` (``linalg._row_norms`` for the gaps of
+cycles generated in closed form).  The sets' dimensions are compared once,
+before the first cycle.  An iterate is tested for finite entries only when
+its distance from the previous one is not finite, which every non-finite
+iterate makes it.
+
 Cycles on one face.  When A is a half-space ``{<c, x> <= M}`` and B a
 polyhedron, a run can spend thousands of cycles creeping along one face
 ``F`` of B, the rows whose projection multipliers are positive.  While the
@@ -53,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, PointNotInSet, StartNotInA, ZeroVector
-from .linalg import ZERO_TOL, as_point, unit_cone_distance
+from .linalg import ZERO_TOL, _norm, _row_norms, as_point, unit_cone_distance
 from .qp import _FEAS_TOL, _face_step, project_polyhedron
 from .sets import (
     ACTIVE_TOL,
@@ -61,8 +71,8 @@ from .sets import (
     Polyhedron,
     ProjectableSet,
     _contains_point,
+    _project_point,
     normal_cone_columns,
-    project,
 )
 
 # Decrease of the step gap below which the run is declared stalled; guards
@@ -165,19 +175,36 @@ def check_certificate(
     """
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
-    a = as_point(a, set_a.dim)
-    b = as_point(b, set_b.dim)
-    if not _contains_point(set_a, a, 1e-6):
-        raise PointNotInSet("first point is not in the first set")
-    if not _contains_point(set_b, b, 1e-6):
-        raise PointNotInSet("second point is not in the second set")
+    return _certificate(set_a, set_b, as_point(a, set_a.dim), as_point(b, set_b.dim), tol)
+
+
+def _certificate(
+    set_a: ProjectableSet,
+    set_b: ProjectableSet,
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+) -> Certificate:
+    # ``check_certificate`` for points already validated against their sets.
+    # A common point is accepted within 1e-6 of each set; otherwise
+    # ``normal_cone_columns`` tests membership, within ``ACTIVE_TOL``.
     d = b - a
-    gap = float(np.linalg.norm(d))
+    gap = _norm(d)
     if gap <= tol:
+        if not _contains_point(set_a, a, 1e-6):
+            raise PointNotInSet("first point is not in the first set")
+        if not _contains_point(set_b, b, 1e-6):
+            raise PointNotInSet("second point is not in the second set")
         # Consistent case: the pair witnesses a common point.
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a = normal_cone_columns(set_a, a)
-    normals_b = normal_cone_columns(set_b, b)
+    try:
+        normals_a = normal_cone_columns(set_a, a)
+    except PointNotInSet:
+        raise PointNotInSet("first point is not in the first set") from None
+    try:
+        normals_b = normal_cone_columns(set_b, b)
+    except PointNotInSet:
+        raise PointNotInSet("second point is not in the second set") from None
     if gap <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     u = d / gap
@@ -219,6 +246,8 @@ def run(
         raise ValueError("max_iters must be at least 1")
     if not _contains_point(set_a, x0, 1e-8):
         raise StartNotInA("x0 must belong to the first set")
+    if set_a.dim != set_b.dim:
+        raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
 
     trace = Trace()
     trace.iterates.append((0, "A", x0.copy()))
@@ -234,22 +263,22 @@ def run(
             res = project_polyhedron(set_b, current)
             b, face = res.point, res.dual > 0.0
         else:
-            b = project(set_b, current)
+            b = _project_point(set_b, current)
         step += 1
         trace.iterates.append((step, "B", b))
-        trace.gaps.append(float(np.linalg.norm(b - current)))
+        trace.gaps.append(_step_gap(b, current))
 
-        a = project(set_a, b)
+        a = _project_point(set_a, b)
         step += 1
         trace.iterates.append((step, "A", a))
-        trace.gaps.append(float(np.linalg.norm(a - b)))
+        trace.gaps.append(_step_gap(a, b))
 
         if cert_tol < trace.gaps[-1] <= ZERO_TOL:
             # Too small a gap to normalise: no certificate can be checked.
             trace.certificate = None
             trace.stop_reason = StopReason.GAP_STALLED
             return trace
-        cert = check_certificate(set_a, set_b, a, b, cert_tol)
+        cert = _certificate(set_a, set_b, a, b, cert_tol)
         trace.certificate = cert
         if cert.holds:
             trace.stop_reason = StopReason.CERTIFIED
@@ -277,8 +306,8 @@ def run(
                     trace.iterates.append((step + 2, "A", pa))
                     step += 2
                 gaps = np.empty(2 * len(bs))
-                gaps[0::2] = np.linalg.norm(bs - np.vstack([current, as_[:-1]]), axis=1)
-                gaps[1::2] = np.linalg.norm(as_ - bs, axis=1)
+                gaps[0::2] = _row_norms(bs - np.vstack([current, as_[:-1]]))
+                gaps[1::2] = _row_norms(as_ - bs)
                 trace.gaps.extend(gaps.tolist())
                 trace.generated_cycles += len(bs)
                 cycle += len(bs)
@@ -286,6 +315,19 @@ def run(
 
     trace.stop_reason = StopReason.MAX_ITERS
     return trace
+
+
+def _step_gap(p: np.ndarray, prev: np.ndarray) -> float:
+    """Distance from the iterate ``prev`` to its projection ``p``.
+
+    A non-finite ``p`` makes the distance non-finite, so that is the one
+    case in which ``p`` itself is tested; it raises the ``ValueError`` that
+    ``as_point`` raises for non-finite entries.
+    """
+    gap = _norm(p - prev)
+    if not math.isfinite(gap) and not np.isfinite(p).all():
+        raise ValueError("vector entries must be finite")
+    return gap
 
 
 def _face_jump(
@@ -359,14 +401,14 @@ def _face_jump(
     # row by at most s rho^j max(-A_F c), and the next B-projection returns
     # it unchanged once that is within the projection's feasibility
     # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
-    reach = float(np.linalg.norm(b)) + s * nc * (1.0 + 1.0 / math.sqrt(q))
+    reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
     feas_tol = _FEAS_TOL * (1.0 + float(np.abs(poly.b).max()) + reach)
     violation = -s * float((poly.A[face] @ c).min())
     if not violation > feas_tol:
         return none, none
     horizon = min(horizon, 1 + math.floor(math.log(feas_tol / violation) / log_rho))
     # Gap stall: s rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||) < GAP_STALL_TOL.
-    prc = float(np.linalg.norm(c - pvc))
+    prc = _norm(c - pvc)
     stall = s * prc * (1.0 - prc / nc)
     if not stall > GAP_STALL_TOL:
         return none, none

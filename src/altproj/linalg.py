@@ -6,13 +6,17 @@ Everything in this module is a pure function on small dense vectors
 package that coerces and validates a vector.  A public function passes each
 vector argument through ``as_point(x, dim)``, which also checks the length
 against the set or space the vector belongs to, and from then on works on
-the validated array; the kernels that do no validation
-(:func:`unit_distance_to_ray`, :func:`unit_cone_distance`) take arrays that
-already passed it.
+the validated array.  The rule for loops follows from it: a point is
+validated once, where it enters the package, and the loop runs on kernels
+that take validated arrays.  The kernels that do no validation here are
+:func:`unit_distance_to_ray`, :func:`unit_cone_distance`, ``_norm`` and
+``_row_norms``; ``sets`` and ``engine`` keep their own (``_project_point``,
+``_certificate`` and the kernels behind them).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +50,32 @@ def as_point(values, dim: int | None = None) -> np.ndarray:
 def norm(p) -> float:
     """Euclidean norm of a vector."""
     return float(np.linalg.norm(as_point(p)))
+
+
+def _norm(d: np.ndarray) -> float:
+    # Euclidean norm of a 1-D float array.  ``sqrt(d @ d)`` is what
+    # ``np.linalg.norm`` computes for one, so the result is bit-identical to
+    # it, except that a sum of squares that overflows is formed again from
+    # ``d / max|d|``: a finite ``d`` then has a finite norm.  A non-finite
+    # entry still gives inf or nan.
+    ss = float(d @ d)
+    if ss < math.inf:
+        return math.sqrt(ss)
+    big = float(np.abs(d).max())
+    if not big < math.inf:
+        return ss
+    e = d / big
+    return big * math.sqrt(float(e @ e))
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    # Euclidean norm of each row of a 2-D float array: ``np.linalg.norm``
+    # along axis 1, with a row whose sum of squares overflows taken again
+    # by ``_norm``.
+    norms = np.linalg.norm(D, axis=1)
+    for i in np.flatnonzero(np.isinf(norms)):
+        norms[i] = _norm(D[i])
+    return norms
 
 
 @dataclass(frozen=True)
@@ -86,9 +116,9 @@ def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
     """
     if float(vhat @ u) <= 0.0:
         return 1.0
-    uhat = u / float(np.linalg.norm(u))
+    uhat = u / _norm(u)
     rejection = vhat - float(vhat @ uhat) * uhat
-    return min(1.0, float(np.linalg.norm(rejection)))
+    return min(1.0, _norm(rejection))
 
 
 def nnls(G: np.ndarray, y: np.ndarray):

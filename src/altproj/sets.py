@@ -8,6 +8,7 @@ dispatch on the concrete type, so callers can treat the union
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -142,7 +143,11 @@ def translate(s: ProjectableSet, v) -> ProjectableSet:
 
 def project_halfspace(h: HalfSpace, x) -> np.ndarray:
     """Nearest point of the half-space; closed form."""
-    x = as_point(x, h.dim)
+    return _project_halfspace(h, as_point(x, h.dim))
+
+
+def _project_halfspace(h: HalfSpace, x: np.ndarray) -> np.ndarray:
+    # ``project_halfspace`` for a point already validated against ``h``.
     excess = float(h.c @ x) - h.M
     if excess <= 0.0:
         return x.copy()
@@ -167,7 +172,8 @@ def _parabola_root(z1: float, z2: float) -> float:
     # Stationarity of the squared distance over the boundary v = u^2 gives
     # the cubic g(u) = 2u^3 + (1 - 2 z2) u - z1 = 0.  For an outside point
     # the minimizing root lies between 0 and z1, where g is convex (z1 > 0)
-    # or concave (z1 < 0), so guarded Newton from z1 is safe.
+    # or concave (z1 < 0), so guarded Newton from a start on z1's side of
+    # the root is safe.
     if z1 == 0.0:
         return 0.0
     lin = 1.0 - 2.0 * z2
@@ -178,11 +184,26 @@ def _parabola_root(z1: float, z2: float) -> float:
     lo, hi = (0.0, z1) if z1 > 0.0 else (z1, 0.0)
     # Bracket invariant g(lo) < 0 < g(hi): g(0) = -z1 and
     # g(z1) = 2 z1 (z1^2 - z2), which has the sign of z1 outside the set.
+    # Newton starts from z1 with the residual stop 1e-12 * scale and the
+    # bracket stop 1e-16 * scale while that bracket stop is no coarser than
+    # the residual stop (1e-12 relative) at the root's size.  With
+    # a = z2 - 1/2, the root of u^3 - a u = |z1|/2 is at most
+    # bound = cbrt(|z1|/2) + sqrt(max(a, 0)), and g has the sign of z1 there.
+    # Beyond (|z1| above about 7e5 for z2 = 0, or z2 far below -|z1|) the
+    # bracket stop would widen past the root (from |z1| = 1e24), Newton
+    # from z1 would shrink u by only about 2/3 a step, and scale would
+    # outgrow the terms of g.  There Newton starts from the bound, the
+    # residual stop is scaled to the terms of g at u, and the bracket stop
+    # is relative to u: the root and u are in the bracket.
     u = z1
     scale = 1.0 + abs(z1) + abs(z2)
+    bound = (0.5 * abs(z1)) ** (1.0 / 3.0) + math.sqrt(max(z2 - 0.5, 0.0))
+    near = 1e-16 * scale <= 1e-12 * bound
+    if not near:
+        u = math.copysign(min(abs(z1), bound), z1)
     for _ in range(200):
         val = g(u)
-        if abs(val) <= 1e-12 * scale:
+        if abs(val) <= 1e-12 * (scale if near else abs(z1) + abs(lin * u)):
             return u
         if val > 0.0:
             hi = u
@@ -194,7 +215,7 @@ def _parabola_root(z1: float, z2: float) -> float:
         else:
             step = lo + 0.5 * (hi - lo)
         u = step if lo < step < hi else lo + 0.5 * (hi - lo)
-        if hi - lo <= 1e-16 * scale:
+        if hi - lo <= (1e-16 * scale if near else 1e-15 * abs(u)):
             return u
     return u
 
@@ -208,7 +229,11 @@ def _project_square_base(z: np.ndarray) -> np.ndarray:
 
 def project_epigraph(e: EpigraphSet, x) -> np.ndarray:
     """Nearest point of the epigraph (unique: the set is convex)."""
-    x = as_point(x, e.dim)
+    return _project_epigraph(e, as_point(x, e.dim))
+
+
+def _project_epigraph(e: EpigraphSet, x: np.ndarray) -> np.ndarray:
+    # ``project_epigraph`` for a point already validated against ``e``.
     z = x - e.shift
     base = _project_abs_base(z) if e.kind == ABS else _project_square_base(z)
     return base + e.shift
@@ -216,10 +241,16 @@ def project_epigraph(e: EpigraphSet, x) -> np.ndarray:
 
 def project(s: ProjectableSet, x) -> np.ndarray:
     """Nearest point of ``s``; dispatches on the concrete set type."""
+    return _project_point(s, as_point(x, s.dim))
+
+
+def _project_point(s: ProjectableSet, x: np.ndarray) -> np.ndarray:
+    # ``project`` for a point already validated against ``s``.  The
+    # polyhedron projection validates its argument itself.
     if isinstance(s, HalfSpace):
-        return project_halfspace(s, x)
+        return _project_halfspace(s, x)
     if isinstance(s, EpigraphSet):
-        return project_epigraph(s, x)
+        return _project_epigraph(s, x)
     return project_polyhedron(s, x).point
 
 

@@ -1,0 +1,264 @@
+"""The engine loop runs on validated kernels and matches the public loop.
+
+``engine.run`` validates ``x0`` once and then runs every cycle on the
+private kernels behind ``sets.project`` and ``engine.check_certificate``,
+taking 1-D norms with ``linalg._norm``.  ``plain_run`` (from
+``test_face_cycles``) is the same loop written with the public functions and
+``np.linalg.norm``.  Where the engine generates no cycles in closed form,
+the two must agree bit for bit.  The rest pins the two behaviours at extreme
+scale that the kernels fix (a gap whose sum of squares overflows, and the
+parabola's stationarity root far from the vertex) and counts validation
+calls, which must not grow with the number of cycles.
+"""
+
+import numpy as np
+import pytest
+
+from altproj import (
+    EpigraphSet,
+    HalfSpace,
+    PointNotInSet,
+    Polyhedron,
+    StopReason,
+    check_certificate,
+    project,
+    run,
+)
+from altproj.instances import (
+    absval_epigraph,
+    lower_halfplane,
+    parabola_epigraph,
+    random_pair_instance,
+    random_set,
+    sample_member,
+)
+from altproj.linalg import _norm, _row_norms
+from altproj.sets import SQUARE, _parabola_root
+from test_face_cycles import plain_run
+
+PLANAR_KS = (0.0, 0.5, 1.0, 2.0)
+PLANAR_X0 = (1.0, 3.0, 10.0, 100.0)
+
+
+def hexed(trace):
+    """Everything a run reports, with every float as ``float.hex``."""
+    cert = trace.certificate
+    return (
+        trace.stop_reason,
+        trace.steps_to_converge,
+        [(i, lab, [v.hex() for v in p.tolist()]) for i, lab, p in trace.iterates],
+        [float(g).hex() for g in trace.gaps],
+        None if cert is None else (float(cert.residual_A).hex(), float(cert.residual_B).hex(), cert.holds),
+    )
+
+
+def assert_identical_run(set_a, set_b, x0, **kwargs):
+    trace = run(set_a, set_b, x0, **kwargs)
+    assert trace.generated_cycles == 0
+    assert hexed(trace) == hexed(plain_run(set_a, set_b, x0, **kwargs))
+    return trace
+
+
+@pytest.mark.parametrize("x", PLANAR_X0)
+@pytest.mark.parametrize("k", PLANAR_KS)
+@pytest.mark.parametrize("make", [absval_epigraph, parabola_epigraph], ids=["abs", "square"])
+def test_planar_fixtures_match_the_public_loop_bit_for_bit(make, k, x):
+    assert_identical_run(lower_halfplane(), make(k), [x, 0.0])
+
+
+def test_halfspace_pairs_match_the_public_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    stops = set()
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        set_a = HalfSpace(rng.normal(size=n), float(rng.normal()))
+        set_b = HalfSpace(rng.normal(size=n), float(rng.normal()))
+        x0 = project(set_a, 3.0 * rng.normal(size=n))
+        stops.add(assert_identical_run(set_a, set_b, x0, max_iters=200).stop_reason)
+    assert StopReason.CERTIFIED in stops
+
+
+def test_epigraph_pairs_match_the_public_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        kinds = rng.integers(0, 2, size=2)
+        set_a, set_b = (EpigraphSet(("abs", "square")[k], rng.normal(size=2)) for k in kinds)
+        assert_identical_run(set_a, set_b, sample_member(rng, set_a), max_iters=300)
+
+
+def test_polyhedron_a_halfspace_b_pairs_match_the_public_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        inst = random_pair_instance(rng)
+        x0 = sample_member(rng, inst.poly)
+        trace = assert_identical_run(inst.poly, inst.halfspace, x0, max_iters=2000)
+        assert trace.stop_reason is StopReason.CERTIFIED
+
+
+def test_random_set_pairs_match_the_public_loop_bit_for_bit():
+    rng = np.random.default_rng(14)
+    checked = 0
+    while checked < 40:
+        set_a, set_b = random_set(rng), random_set(rng)
+        # A half-space A with a polyhedron B walks faces in closed form.
+        walks = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
+        if set_a.dim != set_b.dim or walks:
+            continue
+        assert_identical_run(set_a, set_b, sample_member(rng, set_a), max_iters=300)
+        checked += 1
+
+
+def test_a_start_whose_projection_overflows_raises_value_error():
+    # x0 - shift overflows to -inf, so the B-projection is not finite: the
+    # loop raises the ValueError that validating the iterate would raise.
+    square = EpigraphSet(SQUARE, [1e308, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            run(lower_halfplane(), square, [-1e308, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            plain_run(lower_halfplane(), square, [-1e308, 0.0])
+
+
+def test_norm_is_numpy_norm_bit_for_bit_at_normal_scale():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 4, 8, 50):
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            d = scale * rng.normal(size=n)
+            assert _norm(d).hex() == float(np.linalg.norm(d)).hex()
+
+
+def test_row_norms_are_numpy_row_norms_bit_for_bit_at_normal_scale():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 8):
+        for scale in (1e-150, 1.0, 1e150):
+            D = scale * rng.normal(size=(5, n))
+            assert _row_norms(D).tobytes() == np.linalg.norm(D, axis=1).tobytes()
+
+
+def test_row_norms_rescale_only_the_rows_that_overflow():
+    # The gaps of cycles generated in closed form are row norms.
+    D = np.array([[3.0, 4.0], [3e200, -4e200], [0.0, -0.5]])
+    with np.errstate(over="ignore"):
+        norms = _row_norms(D)
+    assert norms[0] == 5.0 and norms[2] == 0.5
+    assert norms[1] == pytest.approx(5e200, rel=1e-15)
+
+
+def test_norm_rescales_a_sum_of_squares_that_overflows():
+    with np.errstate(over="ignore"):
+        assert _norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert _norm(np.array([1.7e308, 1.7e308])) == pytest.approx(1.7e308 * np.sqrt(2.0), rel=1e-15)
+        assert _norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(_norm(np.array([np.nan, 1e200])))
+
+
+def test_gap_that_overflows_a_sum_of_squares_still_certifies():
+    # The true gap is 1e200; squaring it overflowed to inf, the unit
+    # direction to 0 and both residuals to 1, and the run hit its cap.
+    with np.errstate(over="ignore"):
+        trace = run(HalfSpace([0, 1], 0), HalfSpace([0, -1], -1e200), [0, 0], max_iters=5)
+    assert trace.stop_reason is StopReason.CERTIFIED
+    assert trace.steps_to_converge == 1
+    assert trace.gaps == [1e200, 1e200]
+    assert (trace.certificate.residual_A, trace.certificate.residual_B) == (0.0, 0.0)
+    with np.errstate(over="ignore"):
+        cert = check_certificate(HalfSpace([0, 1], 0), HalfSpace([0, -1], -1e200), [0, 0], [0, 1e200])
+    assert cert.holds
+
+
+def stationarity(u, z1, z2):
+    """Residual of the cubic whose root ``_parabola_root`` returns."""
+    return abs(2.0 * u * u * u + (1.0 - 2.0 * z2) * u - z1)
+
+
+@pytest.mark.parametrize("z2", [0.0, -3.0, 0.75, 2.0, 1e3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_parabola_root_is_stationary_at_every_scale(sign, z2):
+    for exponent in range(24, 301, 2):
+        z1 = sign * 10.0**exponent
+        u = _parabola_root(z1, z2)
+        assert np.sign(u) == sign and abs(u) <= abs(z1)
+        assert stationarity(u, z1, z2) <= 1e-12 * abs(z1), (z1, z2, u)
+
+
+@pytest.mark.parametrize("z2", [0.0, -3.0, 0.75, 2.0, 1e3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_parabola_root_is_stationary_on_both_sides_of_the_switch(sign, z2):
+    # Newton starts from z1 while the bracket stop 1e-16 * scale is fine
+    # next to the root, and from the bound beyond (|z1| about 7e5 for
+    # z2 = 0); the band up to 1e24 was converging from z1 before.
+    for exponent in np.arange(0.0, 24.0, 0.25):
+        z1 = sign * 10.0**exponent
+        if z1 * z1 <= z2:
+            continue  # inside the epigraph: not projected through the root
+        u = _parabola_root(z1, z2)
+        assert np.sign(u) == sign and abs(u) <= abs(z1)
+        assert stationarity(u, z1, z2) <= 1e-12 * (1.0 + abs(z1) + abs(z2)), (z1, z2, u)
+
+
+@pytest.mark.parametrize("z1, z2", [(1.0, -1e20), (1e5, -1e20), (1e9, -1e20), (1e12, -1e30), (-3.0, -1e10)])
+def test_parabola_root_with_z2_far_below_the_vertex(z1, z2):
+    # The linear term dominates: the root is z1 / (1 - 2 z2) to rounding.
+    # A residual stop scaled to |z2| accepted 0.5 for (1, -1e20).
+    root = z1 / (1.0 - 2.0 * z2)
+    assert _parabola_root(z1, z2) == pytest.approx(root, rel=1e-12, abs=0.0)
+
+
+def test_parabola_root_far_out_with_both_terms_of_the_bound():
+    # With z2 > 1/2 the root lies above s = sqrt(z2 - 1/2) and
+    # c = cbrt(|z1|/2) and at most at c + s; here s and c are comparable.
+    z1, z2 = 1e60, 1e40
+    s, c = np.sqrt(z2 - 0.5), (0.5 * z1) ** (1 / 3)
+    u = _parabola_root(z1, z2)
+    assert max(s, c) < u <= s + c
+    assert stationarity(u, z1, z2) <= 1e-12 * abs(z1)
+
+
+@pytest.mark.parametrize("x", [1e24, 1e120, 1e200])
+def test_far_parabola_runs_project_onto_the_parabola(x):
+    # Every B-point is the nearest point of the parabola to the A-point
+    # before it, and every gap is finite; the run ends at the cycle cap like
+    # the unshifted fixtures.
+    with np.errstate(over="ignore"):
+        trace = run(lower_halfplane(), parabola_epigraph(0.0), [x, 0.0])
+    assert trace.stop_reason is StopReason.MAX_ITERS
+    assert np.isfinite(trace.gaps).all()
+    assert trace.gaps[0] == pytest.approx(x, rel=1e-12)
+    for (_, _, a), (_, lab, b) in zip(trace.iterates[0::2], trace.iterates[1::2]):
+        assert lab == "B" and b[1] == b[0] * b[0]
+        assert stationarity(b[0], a[0], a[1]) <= 1e-12 * (1.0 + abs(a[0]) + abs(a[1]))
+
+
+def test_certificate_names_the_point_outside_its_set():
+    # Off the common-point branch, membership is tested by the normal cone.
+    plane, box = lower_halfplane(), Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 3.0, -1.0])
+    with pytest.raises(PointNotInSet, match="^first point is not in the first set$"):
+        check_certificate(plane, box, [0.0, 0.5], [0.0, 1.0])
+    with pytest.raises(PointNotInSet, match="^second point is not in the second set$"):
+        check_certificate(plane, box, [0.0, 0.0], [0.0, 0.5])
+
+
+def test_cycles_validate_nothing(monkeypatch):
+    # Count every as_point call the loop could reach; the count must not
+    # depend on the number of cycles (square_k0_x1 runs to the 1000 cap).
+    import altproj.engine
+    import altproj.qp
+    import altproj.sets
+
+    calls = []
+    for module in (altproj.sets, altproj.engine, altproj.qp):
+        original = module.as_point
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "as_point", spy)
+    set_a, set_b = lower_halfplane(), parabola_epigraph(0.0)
+    counts = {}
+    for cap in (10, 1000):
+        calls.clear()
+        trace = run(set_a, set_b, [1.0, 0.0], max_iters=cap)
+        assert len(trace.gaps) == 2 * cap
+        counts[cap] = len(calls)
+    assert counts[10] == counts[1000] <= 2

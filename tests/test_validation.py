@@ -38,7 +38,7 @@ from altproj import (
     translate,
     vertex_oracle,
 )
-from altproj.cli import EXIT_USAGE, main
+from altproj.cli import EXIT_ERROR, EXIT_USAGE, main
 from altproj.instances import absval_epigraph, absval_polyhedron, lower_halfplane
 from altproj.qp import project_along_ray
 
@@ -88,6 +88,23 @@ def test_certificate_rejects_sets_of_different_dimensions(a):
     # only the check on the pair stops a broadcast or a bare matmul error.
     with pytest.raises(DimensionMismatch):
         check_certificate(HalfSpace([1.0], 0.0), POLY, a, B_POINT)
+
+
+@pytest.mark.parametrize("set_b", [EPI, HS, POLY], ids=["epigraph", "halfspace", "polyhedron"])
+def test_run_rejects_sets_of_different_dimensions(set_b):
+    # The start fits the 1-D set A, so only the check on the pair stops it
+    # from being broadcast against the 2-D set B.
+    with pytest.raises(DimensionMismatch):
+        run(HalfSpace([1.0], 0.0), set_b, [-1.0])
+
+
+def test_cli_run_rejects_sets_of_different_dimensions(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    spec = {"setA": {"halfspace": {"c": [1.0], "M": 0.0}}, "setB": {"epigraph": {"kind": "abs", "shift": [0.0, 0.0]}}, "x0": [-1.0]}
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimension" in err
 
 
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]
