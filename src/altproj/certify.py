@@ -51,32 +51,30 @@ class TransversalityReport:
     ``max_steps = 2 N + 1`` bounds the number of individual projections
     needed to attain the minimum distance; ``one_step`` is the exact test
     ``d_x0_B < d_AB / (1 - alpha^2)`` under which the first projection
-    pair already attains it.  ``condition`` labels the justification route
-    ("polyhedral" for the pair-specific constant above, "global" when the
-    same formula is applied under a set-wide angle bound).
+    pair already attains it.  The JSON form also carries ``"beta": 0.0``
+    and ``"condition": "polyhedral"``: the bound uses no second angle
+    constant, and alpha is the pair-specific constant above.
     """
 
     alpha: float
-    beta: float
     rate: float
     d_AB: float
     d_x0_B: float
     N: int
     max_steps: int
     one_step: bool
-    condition: str = "polyhedral"
 
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "beta": self.beta,
+            "beta": 0.0,
             "rate": self.rate,
             "d_AB": self.d_AB,
             "d_x0_B": self.d_x0_B,
             "N": self.N,
             "max_steps": self.max_steps,
             "one_step": self.one_step,
-            "condition": self.condition,
+            "condition": "polyhedral",
         }
 
 
@@ -131,8 +129,11 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     so far by more than ``_SCREEN_MARGIN``.  That margin is far above both
     roundings (about 1e-10 at the rank cut-off), so every cone left
     unmeasured is farther than the minimum, and alpha is bit-identical to
-    measuring every candidate.  When a vertex cone turns out to contain
-    ``-c``, all its faces are measured too.
+    measuring every candidate.  A vertex cone that contains ``-c`` needs no
+    descent into its faces: each face of two or more rows is a candidate
+    of its own, each single row enters through its ray distance, and the
+    screen bounds every face from below, so a face that could hold the
+    minimum is measured before the loop stops.
 
     Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
     """
@@ -157,13 +158,9 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
         return 0.5 * min(1.0, best)
 
     qualifying_set = set(qualifying)
-    vertex_cones = set()
+    cones = set(itertools.combinations(qualifying, 2))
     for _, active in feasible_vertices(B):
         rows = tuple(i for i in active if i in qualifying_set)
-        if len(rows) >= 2:
-            vertex_cones.add(rows)
-    cones = set(itertools.combinations(qualifying, 2))
-    for rows in vertex_cones:
         for size in range(2, len(rows) + 1):
             cones.update(itertools.combinations(rows, size))
     if not cones:
@@ -172,27 +169,14 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     groups = {k: np.array(list(group)) for k, group in itertools.groupby(cones, key=len)}
     screened = np.concatenate(_screen(groups, units, neg_chat, ray))
 
-    measured = set()
-
-    def measure(cone):
-        nonlocal best
-        if cone in measured:
-            return
-        measured.add(cone)
-        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(cone)].T))
-        if dist > _CONTAINS_TOL:
-            best = min(best, dist)
-        elif cone in vertex_cones:
-            for size in range(2, len(cone)):
-                for face in itertools.combinations(cone, size):
-                    measure(face)
-
     # Cones without a value rank first and never end the loop (NaN > x is
     # false), so each of them is measured.
     for j in np.argsort(np.nan_to_num(screened, nan=-math.inf), kind="stable").tolist():
         if screened[j] > best + _SCREEN_MARGIN:
             break
-        measure(cones[j])
+        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(cones[j])].T))
+        if dist > _CONTAINS_TOL:
+            best = min(best, dist)
     return 0.5 * min(1.0, best)
 
 
@@ -265,7 +249,6 @@ def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityR
     one_step = d_x0_B < d_AB / rate
     return TransversalityReport(
         alpha=alpha,
-        beta=0.0,
         rate=rate,
         d_AB=d_AB,
         d_x0_B=d_x0_B,

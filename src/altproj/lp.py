@@ -36,12 +36,7 @@ _STRICT_TOL = 1e-10
 
 DIRECT = "DirectAP"
 SHIFTED = "ShiftedOneStep"
-_STRATEGY_ALIASES = {
-    "direct": DIRECT,
-    "directap": DIRECT,
-    "shifted": SHIFTED,
-    "shiftedonestep": SHIFTED,
-}
+_METHODS = {"direct": DIRECT, "shifted": SHIFTED}
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def solve_lp(
     ``"shifted"`` (translate the sub-level half-space so the one-step
     threshold holds, then project the shifted start once).
     """
-    method = _STRATEGY_ALIASES.get(strategy.lower())
+    method = _METHODS.get(strategy)
     if method is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     c, poly, M = problem.c, problem.poly, problem.M

@@ -111,10 +111,10 @@ def unpruned_alpha(B, A):
 
 
 def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
-    measured = set()
+    measured = []
 
     def spy(vhat, G):
-        measured.add(G.tobytes())
+        measured.append(G.tobytes())
         return unit_cone_distance(vhat, G)
 
     monkeypatch.setattr(certify, "unit_cone_distance", spy)
@@ -130,25 +130,22 @@ def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
         [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], [1, 1, 1, 1, 0]
     )
     pairs.append((pyramid, HalfSpace([0.0, 0.0, -1.0], -2.0)))
-    pruned_pairs = descents = 0
+    pruned_pairs = containing = 0
     for B, A in pairs:
         measured.clear()
         expected, subsets = unpruned_alpha(B, A)
         assert alpha_polyhedron_halfspace(B, A) == expected
-
-        def searched(subset):
-            return np.ascontiguousarray(B.A[list(subset)].T).tobytes() in measured
-
-        pruned_pairs += not all(searched(s) for s in subsets)
+        assert len(measured) == len(set(measured))
+        searched = set(measured)
+        pruned_pairs += not all(
+            np.ascontiguousarray(B.A[list(s)].T).tobytes() in searched for s in subsets
+        )
         neg_chat = -A.c / norm(A.c)
         for rows in qualifying_active_sets(B, A)[1]:
             full = np.ascontiguousarray(B.A[list(rows)].T)
-            if len(rows) >= 3 and unit_cone_distance(neg_chat, full) <= 1e-9:
-                for size in range(2, len(rows)):
-                    assert all(searched(s) for s in itertools.combinations(rows, size))
-                descents += 1
+            containing += len(rows) >= 3 and unit_cone_distance(neg_chat, full) <= 1e-9
     assert len(pairs) > 30
-    assert pruned_pairs > 0 and descents > 0
+    assert pruned_pairs > 0 and containing > 0
 
 
 SQUARE_PYRAMID = Polyhedron(
@@ -195,7 +192,7 @@ def test_alpha_screen_matches_the_unpruned_search_on_bad_geometry():
 
 
 def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
-    # A count, not a clock: on these pairs the search measures 328 of its
+    # A count, not a clock: on these pairs the search measures 109 of its
     # 3275 candidate cones (the full sweep measures all of them).
     rng = np.random.default_rng(72)
     pairs = [
@@ -214,7 +211,7 @@ def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
     for B, A in pairs:
         alpha_polyhedron_halfspace(B, A)
     assert candidates == 3275
-    assert len(calls) <= 0.15 * candidates
+    assert len(calls) <= 0.05 * candidates
 
 
 def test_iteration_bound_examples():

@@ -132,6 +132,19 @@ def test_bound_command_reports_constants(tmp_path, capsys):
     )
     assert main(["bound", problem]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert set(report) == {
+        "alpha",
+        "beta",
+        "rate",
+        "d_AB",
+        "d_x0_B",
+        "N",
+        "max_steps",
+        "one_step",
+        "condition",
+    }
+    assert report["beta"] == 0.0
+    assert report["condition"] == "polyhedral"
     assert report["alpha"] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-12)
     assert report["N"] == 5
     assert report["max_steps"] == 11

@@ -57,6 +57,12 @@ def test_solve_lp_box_example():
     assert direct.method == "DirectAP"
 
 
+@pytest.mark.parametrize("strategy", ["DirectAP", "Direct", "bogus"])
+def test_solve_lp_rejects_other_strategy_names(strategy):
+    with pytest.raises(ValueError, match="unknown strategy"):
+        solve_lp(LPProblem([-1.0, 0.0], unit_box(), -2.0), strategy=strategy)
+
+
 def test_vertex_oracle_examples():
     opt, vertex = vertex_oracle(unit_box(), [-1.0, 0.0])
     assert opt == pytest.approx(-1.0, abs=1e-12)
