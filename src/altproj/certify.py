@@ -345,12 +345,14 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     The bound covers runs that start in A: a start outside A (beyond the
     1e-8 tolerance of :func:`engine.run <altproj.engine.run>`) raises
     :class:`StartNotInA`.  ``d(x0, B)`` is raised to ``d_AB`` only to absorb
-    the rounding of a start in A.
+    the rounding of a start in A.  ``x0`` is validated against A, as
+    :func:`engine.run <altproj.engine.run>` validates it, before the alpha
+    search, so a bad start raises before any cone is measured.
     """
-    alpha = alpha_polyhedron_halfspace(B, A)
-    x0 = as_point(x0, B.dim)
+    x0 = as_point(x0, A.dim)
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
+    alpha = alpha_polyhedron_halfspace(B, A)
     d_ab = polyhedron_halfspace_distance(B, A)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")

@@ -10,11 +10,24 @@ cone of A at ``a`` and ``a - b`` in that of B at ``b``; the certificate
 measures both cone distances.  For nonconvex sets the inclusion is only a
 necessary condition, so a certified stop there means "stationary pair".
 
+How a cycle is decided.  Each cycle makes the checks of
+:func:`check_certificate` in its order: A's membership, B's membership,
+then the direction ``b - a`` (``ZeroVector`` when it cannot be normalised).
+It then measures B's residual, and A's only when B's is at most the
+tolerance.  ``a`` is the A-projection of ``b``, so A's residual is about 0
+by construction and B's decides almost every cycle.  The ``Certificate``
+itself is built once per run, for the pair the run stops on: on a certified
+stop from the two residuals just measured, on a ``GAP_STALLED`` or
+``MAX_ITERS`` stop by measuring both residuals of the last pair, exactly as
+:func:`check_certificate` does.  Every residual and decision equals that of
+calling :func:`check_certificate` after every cycle.
+
 Validation happens once, at the boundary.  :func:`run` validates ``x0``
 and every cycle then runs on kernels that take validated arrays: the set
 projections behind ``sets.project`` (the polyhedron projection checks its
-own argument) and :func:`_certificate` behind :func:`check_certificate`,
-with 1-D norms from ``linalg._norm`` (``linalg._row_norms`` for the gaps of
+own argument) and the cycle decision :func:`_certified`, which shares its
+prelude with :func:`_certificate` behind :func:`check_certificate`, with
+1-D norms from ``linalg._norm`` (``linalg._row_norms`` for the gaps of
 cycles generated in closed form).  The sets' dimensions are compared once,
 before the first cycle.  An iterate is tested for finite entries only when
 its distance from the previous one is not finite, which every non-finite
@@ -114,7 +127,9 @@ class Trace:
     produced the first certified pair's B-point (the A-projection that
     completes the pair confirms it but is not counted).
     ``certificate`` is that of the final pair, or None when the run stopped
-    on a gap too small to normalise (see :func:`run`).
+    on a gap too small to normalise (see :func:`run`).  It is built once,
+    for the pair the run stops on; a cycle that does not stop the run is
+    decided without one (module docstring).
     ``generated_cycles`` counts the cycles whose iterates and gaps were
     generated in closed form on one face of a polyhedron (see the module
     docstring) instead of projected; they are part of ``iterates`` and
@@ -186,8 +201,50 @@ def _certificate(
     tol: float,
 ) -> Certificate:
     # ``check_certificate`` for points already validated against their sets.
-    # A common point is accepted within 1e-6 of each set; otherwise
-    # ``normal_cone_columns`` tests membership, within ``ACTIVE_TOL``.
+    cone = _cone_prelude(set_a, set_b, a, b, tol)
+    if cone is None:
+        return Certificate(a, b, 0.0, 0.0, True)
+    normals_a, normals_b, u = cone
+    res_a = unit_cone_distance(u, normals_a)
+    res_b = unit_cone_distance(-u, normals_b)
+    return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
+
+
+def _certified(
+    set_a: ProjectableSet,
+    set_b: ProjectableSet,
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+) -> Certificate | None:
+    # The decision of one engine cycle (module docstring): the certificate
+    # of ``(a, b)`` when it holds, None otherwise.  It raises what
+    # ``_certificate`` raises, in the same order.
+    cone = _cone_prelude(set_a, set_b, a, b, tol)
+    if cone is None:
+        return Certificate(a, b, 0.0, 0.0, True)
+    normals_a, normals_b, u = cone
+    res_b = unit_cone_distance(-u, normals_b)
+    if not res_b <= tol:
+        return None
+    res_a = unit_cone_distance(u, normals_a)
+    if not res_a <= tol:
+        return None
+    return Certificate(a, b, res_a, res_b, True)
+
+
+def _cone_prelude(
+    set_a: ProjectableSet,
+    set_b: ProjectableSet,
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    # Membership, normal cones and direction of the pair ``(a, b)``: None
+    # when the pair witnesses a common point, which is accepted within 1e-6
+    # of each set; otherwise ``normal_cone_columns`` tests membership,
+    # within ``ACTIVE_TOL``, and the result is the generators of A's and
+    # B's cones with the unit vector ``(b - a)/||b - a||``.
     d = b - a
     gap = _norm(d)
     if gap <= tol:
@@ -195,8 +252,7 @@ def _certificate(
             raise PointNotInSet("first point is not in the first set")
         if not _contains_point(set_b, b, 1e-6):
             raise PointNotInSet("second point is not in the second set")
-        # Consistent case: the pair witnesses a common point.
-        return Certificate(a, b, 0.0, 0.0, True)
+        return None
     try:
         normals_a = normal_cone_columns(set_a, a)
     except PointNotInSet:
@@ -207,10 +263,7 @@ def _certificate(
         raise PointNotInSet("second point is not in the second set") from None
     if gap <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
-    u = d / gap
-    res_a = unit_cone_distance(u, normals_a)
-    res_b = unit_cone_distance(-u, normals_b)
-    return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
+    return normals_a, normals_b, d / gap
 
 
 def run(
@@ -278,15 +331,16 @@ def run(
             trace.certificate = None
             trace.stop_reason = StopReason.GAP_STALLED
             return trace
-        cert = _certificate(set_a, set_b, a, b, cert_tol)
-        trace.certificate = cert
-        if cert.holds:
+        cert = _certified(set_a, set_b, a, b, cert_tol)
+        if cert is not None:
+            trace.certificate = cert
             trace.stop_reason = StopReason.CERTIFIED
             # The B-projection of this cycle attained the minimum distance;
             # the closing A-projection confirmed it.
             trace.steps_to_converge = 2 * cycle + 1
             return trace
         if len(trace.gaps) >= 2 and trace.gaps[-2] - trace.gaps[-1] < GAP_STALL_TOL:
+            trace.certificate = _certificate(set_a, set_b, a, b, cert_tol)
             trace.stop_reason = StopReason.GAP_STALLED
             return trace
         current = a
@@ -313,6 +367,9 @@ def run(
                 cycle += len(bs)
                 current = as_[-1]
 
+    # The last cycle was a real one: a closed-form stretch stops at least
+    # one cycle short of the cap.
+    trace.certificate = _certificate(set_a, set_b, a, b, cert_tol)
     trace.stop_reason = StopReason.MAX_ITERS
     return trace
 

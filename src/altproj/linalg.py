@@ -11,7 +11,7 @@ validated once, where it enters the package, and the loop runs on kernels
 that take validated arrays.  The kernels that do no validation here are
 :func:`unit_distance_to_ray`, :func:`unit_cone_distance`, ``_norm`` and
 ``_row_norms``; ``sets`` and ``engine`` keep their own (``_project_point``,
-``_certificate`` and the kernels behind them).
+``_certificate``, ``_certified`` and the kernels behind them).
 """
 
 from __future__ import annotations

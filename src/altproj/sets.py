@@ -268,26 +268,33 @@ def normal_cone_columns(
     ``x`` must already be a finite 1-D array of the set's dimension; the
     result is ``(dim, k)`` with ``k = 0`` at interior points, and may be a
     read-only view.  Raises ``PointNotInSet`` when ``x`` is not in ``s``
-    within ``tol``.
+    within ``tol``.  Membership is decided by the comparison
+    :func:`_contains_point` makes, on the same quantity (``<c, x>``,
+    ``A x`` or ``x - shift``), which is computed once for both tests.
     """
-    if not _contains_point(s, x, tol):
-        raise PointNotInSet("point is not in the set within tolerance")
-    if isinstance(s, Polyhedron):
-        return s.A[np.abs(s.A @ x - s.b) <= tol].T
     if isinstance(s, HalfSpace):
-        if abs(float(s.c @ x) - s.M) <= tol:
+        cx = float(s.c @ x)
+        if not cx <= s.M + tol:
+            raise PointNotInSet("point is not in the set within tolerance")
+        if abs(cx - s.M) <= tol:
             return s.c[:, None]
         return np.empty((s.dim, 0))
+    if isinstance(s, Polyhedron):
+        ax = s.A @ x
+        if not (ax <= s.b + tol).all():
+            raise PointNotInSet("point is not in the set within tolerance")
+        return s.A[np.abs(ax - s.b) <= tol].T
     z = x - s.shift
-    if s.kind == ABS:
-        if z[1] > abs(z[0]) + tol:
-            return _NO_PLANAR_NORMALS
-        if abs(z[0]) <= tol:
-            return _ABS_APEX_NORMALS
-        return np.array([[1.0 if z[0] > 0 else -1.0], [-1.0]])
-    if z[1] > z[0] * z[0] + tol:
+    profile = abs(z[0]) if s.kind == ABS else z[0] * z[0]
+    if not z[1] >= profile - tol:
+        raise PointNotInSet("point is not in the set within tolerance")
+    if z[1] > profile + tol:
         return _NO_PLANAR_NORMALS
-    return np.array([[2.0 * z[0]], [-1.0]])
+    if s.kind == SQUARE:
+        return np.array([[2.0 * z[0]], [-1.0]])
+    if abs(z[0]) <= tol:
+        return _ABS_APEX_NORMALS
+    return np.array([[1.0 if z[0] > 0 else -1.0], [-1.0]])
 
 
 def proximal_normal_generators(

@@ -371,6 +371,27 @@ def test_bound_report_rejects_a_start_outside_the_halfspace(x0):
         bound_report(absval_polyhedron(1.0), lower_halfplane(), x0)
 
 
+def test_bound_report_rejects_an_outside_start_before_the_alpha_search(monkeypatch):
+    # The start is checked first, so a start outside A measures no cone.
+    solves = []
+
+    def spy(*args):
+        solves.append(1)
+        return unit_cone_distance(*args)
+
+    monkeypatch.setattr(certify, "unit_cone_distance", spy)
+    rng = np.random.default_rng(3)
+    inst = next(i for i in (random_pair_instance(rng) for _ in range(50)) if i.poly.dim == 4)
+    bound_report(inst.poly, inst.halfspace, inst.x0)
+    assert solves  # the alpha search of this pair measures cones
+    solves.clear()
+    c, M = inst.halfspace.c, inst.halfspace.M
+    outside = inst.x0 + ((M + 1.0 - c @ inst.x0) / (c @ c)) * c  # <c, x> = M + 1
+    with pytest.raises(StartNotInA):
+        bound_report(inst.poly, inst.halfspace, outside)
+    assert solves == []
+
+
 def test_bound_report_accepts_a_start_on_the_boundary_within_tolerance():
     report = bound_report(absval_polyhedron(1.0), lower_halfplane(), [0.0, 5e-9])
     assert report.d_x0_B == report.d_AB == pytest.approx(1.0, abs=1e-8)
