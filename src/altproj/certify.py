@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import InvalidDistance, StartNotInA, Unbounded
 from .linalg import as_point, unit_cone_distance, unit_distance_to_ray
-from .qp import project_polyhedron
+from .qp import QPResult, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _contains_point
-from .vertices import feasible_vertices, vertex_oracle
+from .vertices import _vertex_oracle, feasible_vertices
 
 # Margin for strict-inequality tests on normalized inner products, so that
 # floating-point ties cannot silently flip membership decisions.
@@ -137,7 +137,16 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
 
     Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
     """
-    c = as_point(A.c, B.dim)
+    return _alpha(B, as_point(A.c, B.dim), None)
+
+
+def _alpha(B: Polyhedron, c: np.ndarray, vertices: list | None) -> float:
+    """:func:`alpha_polyhedron_halfspace` for the validated normal ``c``.
+
+    ``vertices`` is the list of :func:`feasible_vertices` for B, or None to
+    enumerate it here, after the single rows, when ``n >= 3``; the plane
+    needs no vertices.
+    """
     nc = float(np.linalg.norm(c))
     neg_c = -c
     neg_chat = neg_c / nc
@@ -157,9 +166,11 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     if B.dim < 3:
         return 0.5 * min(1.0, best)
 
+    if vertices is None:
+        vertices = feasible_vertices(B)
     qualifying_set = set(qualifying)
     cones = set(itertools.combinations(qualifying, 2))
-    for _, active in feasible_vertices(B):
+    for _, active in vertices:
         rows = tuple(i for i in active if i in qualifying_set)
         for size in range(2, len(rows) + 1):
             cones.update(itertools.combinations(rows, size))
@@ -310,6 +321,14 @@ def one_step_shift(
     ``ValueError`` when the shift is not finite, which happens once
     ``alpha^2 ||c||`` underflows or the quotient overflows.
     """
+    mu, shifted, _ = _one_step_shift(A, B, x0, alpha, d_AB)
+    return mu, shifted
+
+
+def _one_step_shift(
+    A: HalfSpace, B: Polyhedron, x0, alpha: float, d_AB: float
+) -> tuple[float, HalfSpace, QPResult]:
+    """:func:`one_step_shift` together with the projection of ``x0`` onto B."""
     x0 = as_point(x0, A.dim)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -318,7 +337,8 @@ def one_step_shift(
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
     nc = float(np.linalg.norm(A.c))
-    d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
+    start = project_polyhedron(B, x0)
+    d_x0 = float(np.linalg.norm(x0 - start.point))
     rate = 1.0 - alpha * alpha
     scale = alpha * alpha * nc
     base = max(0.0, (rate * d_x0 - d_AB) / scale) if scale > 0.0 else math.inf
@@ -326,13 +346,20 @@ def one_step_shift(
     offset = A.M - mu * nc * nc
     if not math.isfinite(offset):
         raise ValueError(f"alpha = {alpha} gives a shift that is not finite")
-    return mu, HalfSpace(A.c, offset)
+    return mu, HalfSpace(A.c, offset), start
 
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
     """Exact ``d(A, B)`` via the vertex oracle: ``max(0, min_B <c,x> - M)/||c||``."""
+    return _distance(B, A, None)
+
+
+def _distance(B: Polyhedron, A: HalfSpace, vertices: list | None) -> float:
+    """:func:`polyhedron_halfspace_distance` over ``vertices``, B's
+    :func:`feasible_vertices` list, or None to enumerate it in the oracle.
+    """
     try:
-        optimum, _ = vertex_oracle(B, A.c)
+        optimum, _ = _vertex_oracle(B, A.c, vertices)
     except Unbounded:
         # The objective is unbounded below on B, so B reaches into A.
         return 0.0
@@ -348,12 +375,19 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     the rounding of a start in A.  ``x0`` is validated against A, as
     :func:`engine.run <altproj.engine.run>` validates it, before the alpha
     search, so a bad start raises before any cone is measured.
+
+    B's vertices are enumerated once and shared: the alpha search and the
+    vertex oracle behind ``d_AB`` both reduce over the same list, and each
+    raises what :func:`alpha_polyhedron_halfspace` and
+    :func:`polyhedron_halfspace_distance` raise, in the same order.
     """
     x0 = as_point(x0, A.dim)
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
-    alpha = alpha_polyhedron_halfspace(B, A)
-    d_ab = polyhedron_halfspace_distance(B, A)
+    c = as_point(A.c, B.dim)
+    vertices = feasible_vertices(B)
+    alpha = _alpha(B, c, vertices)
+    d_ab = _distance(B, A, vertices)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")
     d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))

@@ -24,7 +24,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import ZERO_TOL, as_point
-from .qp import project_along_ray
+from .qp import _walk_from
 from .sets import HalfSpace, Polyhedron, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
@@ -95,7 +95,10 @@ def solve_lp(
     ``strategy`` is ``"direct"`` (run the engine until the nearest-pair
     certificate holds; the solution is the final feasible iterate) or
     ``"shifted"`` (translate the sub-level half-space so the one-step
-    threshold holds, then project the shifted start once).
+    threshold holds, then project the shifted start once).  The shifted
+    strategy projects ``x0`` onto the polyhedron once: the shift needs
+    ``d(x0, B)``, and the walk to the shifted start's projection
+    (:func:`~altproj.qp.project_along_ray`) begins from the same result.
     """
     method = _METHODS.get(strategy)
     if method is None:
@@ -130,9 +133,9 @@ def solve_lp(
         alpha = certify.alpha_polyhedron_halfspace(poly, halfspace)
         # d_AB = 0 is a valid lower bound on the pair distance and yields a
         # larger (still sufficient) shift, so no distance estimate is needed.
-        mu, _ = certify.one_step_shift(halfspace, poly, x0, alpha, 0.0)
-        result = project_along_ray(poly, x0, -c, mu)
-        b_star = result.point
+        # The shift projects x0 onto B for d(x0, B); the walk starts there.
+        mu, _, start = certify._one_step_shift(halfspace, poly, x0, alpha, 0.0)
+        b_star = _walk_from(poly, x0, start, -c, mu).point
         _check_strict_bound(c, M, b_star)
         # Certify b* against the unshifted half-space: the shifted pair has
         # the same direction c and the same cone at b*, but its A-point lies

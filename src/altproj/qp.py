@@ -215,7 +215,16 @@ def project_along_ray(
         raise ValueError("t_target must be finite")
     if t_target < 0.0:
         direction, t_target = -direction, -t_target
-    start = project_polyhedron(p, base)
+    return _walk_from(p, base, project_polyhedron(p, base), direction, t_target)
+
+
+def _walk_from(p: Polyhedron, base, start: QPResult, direction, t_target: float) -> QPResult:
+    """:func:`project_along_ray`'s walk from ``start``, the projection of ``base``.
+
+    Takes validated points and a finite ``t_target >= 0``; a caller that
+    has already projected ``base`` passes its result instead of projecting
+    it again.
+    """
     if t_target == 0.0 or not direction.any():
         return start
     A, b = p.A, p.b

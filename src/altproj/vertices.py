@@ -47,7 +47,10 @@ def feasible_vertices(p: Polyhedron):
     finite entries, residual at most ``1e-8 (1 + max |rhs|)``, and
     ``A v <= b + 1e-7 (1 + ||v||)``.  Solutions are deduplicated on
     ``np.round(v, 9)`` in subset order, and the active set of a vertex is
-    every row with slack at most ``1e-7 (1 + |b_i|)``.
+    every row with slack at most ``1e-7 (1 + |b_i|)``.  The slacks of a
+    block's new vertices come from one stacked product, ``A @ V[..., None]``,
+    which makes one matrix-vector call per vertex and so rounds exactly as
+    ``A @ v`` does.
     """
     check_oracle_limits(p)
     m, n = p.num_rows, p.dim
@@ -71,13 +74,15 @@ def feasible_vertices(p: Polyhedron):
         v = v[resid <= 1e-8 * (1.0 + np.abs(rhs).max(axis=1))]
         tol = 1e-7 * (1.0 + np.linalg.norm(v, axis=1))
         v = v[(v @ p.A.T <= p.b + tol[:, None]).all(axis=1)]
-        for vertex, key in zip(v, map(tuple, np.round(v, 9).tolist())):
-            if key in seen:
-                continue
-            seen.add(key)
-            slack = np.abs(p.A @ vertex - p.b)
-            active = tuple(np.flatnonzero(slack <= 1e-7 * (1.0 + np.abs(p.b))).tolist())
-            vertices.append((vertex, active))
+        new = []
+        for j, key in enumerate(map(tuple, np.round(v, 9).tolist())):
+            if key not in seen:
+                seen.add(key)
+                new.append(j)
+        v = v[new]
+        slack = np.abs((p.A @ v[..., None])[..., 0] - p.b)
+        for vertex, mask in zip(v, slack <= 1e-7 * (1.0 + np.abs(p.b))):
+            vertices.append((vertex, tuple(np.flatnonzero(mask).tolist())))
 
 
 def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
@@ -88,6 +93,15 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     the cone of the rows (the objective then decreases along a recession
     direction), and :class:`EmptyPolyhedron` when no feasible vertex exists.
     """
+    return _vertex_oracle(p, c, None)
+
+
+def _vertex_oracle(p: Polyhedron, c, vertices: list | None) -> tuple[float, np.ndarray]:
+    """:func:`vertex_oracle` over ``vertices``, the list of
+    :func:`feasible_vertices` for ``p``, or over its own enumeration when
+    ``vertices`` is None.  The checks run first, in the same order either
+    way, so only a bounded objective pays for an enumeration.
+    """
     c = as_point(c, p.dim)
     check_oracle_limits(p)
     # Bounded below on a nonempty polyhedron iff -c lies in the cone of the
@@ -97,10 +111,12 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
         raise ZeroVector("cannot normalize a zero vector")
     if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
         raise Unbounded("objective decreases along a recession direction")
+    if vertices is None:
+        vertices = feasible_vertices(p)
 
     best_obj = np.inf
     best_vertex = None
-    for v, _ in feasible_vertices(p):
+    for v, _ in vertices:
         obj = float(c @ v)
         if obj < best_obj - 1e-12:
             best_obj = obj
