@@ -65,6 +65,22 @@ form, iterates and gaps included, and resumes ordinary cycles, so every
 face change, certificate and stop decision still comes from real
 projections.  This is done at most once per visit to a face.  Other pairs,
 and a polyhedron A with a half-space B, run ordinary cycles throughout.
+
+The face factor.  On the same pairs each real B-projection starts from the
+face of the one before (``qp._project_from``): the run keeps that face's
+working rows ``W`` with the QR ``A_W' = Q R`` and ``w = R^-T b_W`` in a
+local variable.  For the next point ``x`` the face gives, with one product
+and one triangular solve, the multipliers ``u = R^-1 (Q' x - w)`` and the
+point ``z`` nearest ``x`` on the affine hull of the face.  When ``u >= 0``
+and ``z`` is feasible, ``z`` is the projection exactly, not approximately:
+``x - z = A_W' u`` with ``u >= 0``, ``z`` feasible and every working row
+tight are the KKT conditions of the projection, and for a convex quadratic
+they are sufficient.  That case takes no active-set step and no new QR.
+When ``u >= 0`` but ``z`` is infeasible, the active-set method continues
+from ``(W, u, z)``; a negative entry of ``u`` starts it from the empty
+working set.  A feasible ``x`` is returned unchanged before the face is
+tried, as the cold projection does.  On random LPs about half the
+B-projections land on the face of the cycle before.
 """
 
 from __future__ import annotations
@@ -77,7 +93,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PointNotInSet, StartNotInA, ZeroVector
 from .linalg import ZERO_TOL, _norm, _row_norms, as_point, unit_cone_distance
-from .qp import _FEAS_TOL, _face_step, project_polyhedron
+from .qp import _FEAS_TOL, _face_step, _project_from
 from .sets import (
     ACTIVE_TOL,
     HalfSpace,
@@ -134,6 +150,10 @@ class Trace:
     generated in closed form on one face of a polyhedron (see the module
     docstring) instead of projected; they are part of ``iterates`` and
     ``gaps`` like every other cycle.
+    ``active_set_steps`` sums ``QPResult.iterations`` over the projections
+    onto B of a half-space/polyhedron pair, the only pair whose run reads
+    them (0 for other pairs); a projection accepted on the previous face
+    counts 0.  Like ``generated_cycles`` it is not part of the report JSON.
     """
 
     iterates: list = field(default_factory=list)
@@ -142,6 +162,7 @@ class Trace:
     steps_to_converge: int | None = None
     certificate: Certificate | None = None
     generated_cycles: int = 0
+    active_set_steps: int = 0
 
     def final_pair(self):
         """Last (A-point, B-point) of the run."""
@@ -308,13 +329,15 @@ def run(
     # the face it lands on; a repeated face is walked in closed form.
     walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
     last_face, walked = None, False
+    factor = None  # the face factor of the last B-projection (module docstring)
     current = x0
     step = 0
     cycle = 0
     while cycle < max_iters:
         if walk:
-            res = project_polyhedron(set_b, current)
+            res, factor = _project_from(set_b, current, factor)
             b, face = res.point, res.dual > 0.0
+            trace.active_set_steps += res.iterations
         else:
             b = _project_point(set_b, current)
         step += 1

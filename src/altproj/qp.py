@@ -17,8 +17,18 @@ multiplier can fall, proves the polyhedron empty.  Every full step
 strictly raises the dual objective and partial steps only shrink the
 working set, so no working set recurs and the method ends after finitely
 many steps; the point and multipliers are then recomputed once from the
-final working set.  All arithmetic is at the scale of ``x``, so
-the cost does not grow with the distance from ``x`` to the polyhedron.
+final working set, whose factor (:class:`_Face`) the caller may keep.  All
+arithmetic is at the scale of ``x``, so the cost does not grow with the
+distance from ``x`` to the polyhedron.
+
+The method may start from any dual-feasible working set: rows ``W`` with
+nonnegative multipliers and ``z`` the projection of ``x`` onto the face
+where they are tight.  The empty set with ``z = x`` is one such start, and
+the face of an earlier projection is another whenever the multipliers of
+``x`` on it are nonnegative (:func:`_project_from`, which the engine uses
+from cycle to cycle).  Whatever the start, a feasible ``x`` is tested
+first and comes back unchanged, so a warm face never replaces it by a
+point of the face.
 
 :func:`project_along_ray` follows the piecewise-linear path
 ``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
@@ -31,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -61,7 +71,8 @@ class QPResult:
 
     ``point`` is the nearest feasible point, ``dual`` the multipliers with
     ``x - point = A' dual``, ``iterations`` the number of active-set steps
-    (full and partial; 0 when ``x`` is already feasible), and ``residual``
+    (full and partial; 0 when ``x`` is already feasible, and 0 when the face
+    of an earlier projection is accepted as it is), and ``residual``
     the larger of the final primal violation and complementarity gap.  For
     :func:`project_along_ray`, ``iterations`` is the active-set steps of
     the projection of the base point plus one per face walked, and
@@ -96,14 +107,16 @@ def _face_step(Aw, v) -> tuple[np.ndarray, np.ndarray]:
     return r, v - Aw.T @ r
 
 
-def _working_set(A, b, x) -> tuple[list[int], int]:
-    """Final working rows of the projection of ``x`` and the steps taken."""
+def _working_set(A, b, feas_tol, W, u, z) -> tuple[list[int], int]:
+    """Final working rows of a projection and the steps taken.
+
+    ``(W, u, z)`` is a dual-feasible start: ``z`` is the projection of the
+    point onto the face where the rows ``W`` are tight, with multipliers
+    ``u >= 0`` in ``W`` order.  The cold start is ``([], [], x)``.  ``W``
+    and ``z`` are updated in place.
+    """
     m, n = A.shape
-    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + float(np.linalg.norm(x)))
     max_steps = _STEPS_PER_DIM * (m + n)
-    z = x.copy()
-    W: list[int] = []
-    u = np.zeros(0)  # multipliers of the working rows, in W order
     steps = 0
     while True:
         slack = A @ z - b
@@ -151,21 +164,34 @@ def _working_set(A, b, x) -> tuple[list[int], int]:
             u = np.delete(u, k)
 
 
-def _face_point(A, b, x, W) -> tuple[np.ndarray, np.ndarray]:
-    """Projection of ``x`` onto the face where the rows ``W`` are tight.
+class _Face(NamedTuple):
+    """Factor of the face where the rows ``W`` are tight.
 
-    With ``A_W' = Q R``, the point is ``x - Q y`` and the multipliers are
-    ``R^-1 y`` (clamped at zero) for ``y = Q' x - R^-T b_W``.  Forming ``y``
-    this way keeps the condition number of ``R`` off the large term ``Q' x``,
-    so far points lose only ``eps ||x||``.
+    ``A_W' = Q R`` and ``w = R^-T b_W``.  It depends on the polyhedron and
+    ``W`` only, so the projections of any number of points onto the face
+    share it (:func:`_on_face`).
     """
-    lam = np.zeros(A.shape[0])
-    if not W:
-        return x.copy(), lam
+
+    W: list[int]
+    Q: np.ndarray
+    R: np.ndarray
+    w: np.ndarray
+
+
+def _factor(A, b, W) -> _Face:
     Q, R = np.linalg.qr(A[W].T)
-    y = Q.T @ x - np.linalg.solve(R.T, b[W])
-    lam[W] = np.maximum(np.linalg.solve(R, y), 0.0)
-    return x - Q @ y, lam
+    return _Face(W, Q, R, np.linalg.solve(R.T, b[W]))
+
+
+def _on_face(face: _Face, x) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers and projection of ``x`` on ``face``: ``(R^-1 y, x - Q y)``.
+
+    ``y = Q' x - w``.  Forming ``y`` this way keeps the condition number of
+    ``R`` off the large term ``Q' x``, so far points lose only
+    ``eps ||x||``.  The multipliers are not clamped.
+    """
+    y = face.Q.T @ x - face.w
+    return np.linalg.solve(face.R, y), x - face.Q @ y
 
 
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
@@ -175,11 +201,40 @@ def project_polyhedron(p: Polyhedron, x) -> QPResult:
     Raises :class:`EmptyPolyhedron` when ``p`` has no point and
     :class:`NotConverged` past ``50 (m + n)`` active-set steps.
     """
+    return _project_from(p, x, None)[0]
+
+
+def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face | None]:
+    """:func:`project_polyhedron` tried first on ``face``; also its final face.
+
+    ``face`` is the factor of an earlier projection onto ``p`` (None for a
+    cold start).  A feasible ``x`` returns first, as in the cold case.  When
+    the multipliers of ``x`` on ``face`` are nonnegative, the projection
+    onto the face is the answer if it is feasible (the KKT conditions hold,
+    so it takes no active-set step), and otherwise the dual-feasible start
+    of the active-set method.  A negative multiplier starts it from the
+    empty working set.  The second value is the factor of the final face,
+    None for a feasible ``x``.
+    """
     x = as_point(x, p.dim)
     A, b = p.A, p.b
-    W, steps = _working_set(A, b, x)
-    z, lam = _face_point(A, b, x, W)
-    return QPResult(z, lam, steps, _kkt_residual(A, b, lam, z))
+    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + float(np.linalg.norm(x)))
+    lam = np.zeros(A.shape[0])
+    if float(np.max(A @ x - b)) <= feas_tol:
+        return QPResult(x.copy(), lam, 0, _kkt_residual(A, b, lam, x)), None
+    start = [], np.zeros(0), x.copy()
+    if face is not None:
+        u, z = _on_face(face, x)
+        if (u >= 0.0).all():
+            if float(np.max(A @ z - b)) <= feas_tol:
+                lam[face.W] = u
+                return QPResult(z, lam, 0, _kkt_residual(A, b, lam, z)), face
+            start = list(face.W), u, z
+    W, steps = _working_set(A, b, feas_tol, *start)
+    face = _factor(A, b, W)
+    u, z = _on_face(face, x)
+    lam[W] = np.maximum(u, 0.0)
+    return QPResult(z, lam, steps, _kkt_residual(A, b, lam, z)), face
 
 
 def project_along_ray(

@@ -25,10 +25,12 @@ from altproj import (
     Trace,
     check_certificate,
     project,
+    project_polyhedron,
     run,
     solve_lp,
     translate,
 )
+from altproj import engine
 from altproj.cli import main
 from altproj.engine import GAP_STALL_TOL
 from altproj.instances import random_lp_instance, random_pair_instance
@@ -97,6 +99,28 @@ def test_random_lps_match_plain_cycles():
         problem, _ = random_lp_instance(rng)[:2]
         generated += assert_same_run(*lp_pair(problem), max_iters=5000).generated_cycles
     assert generated > 0
+
+
+def test_warm_faces_halve_the_active_set_steps(monkeypatch):
+    # The LPs above: the steps the run counts against the steps of cold
+    # projections of the points its real cycles projected.
+    projected = []
+    warm_project = engine._project_from
+
+    def spy(poly, x, face):
+        projected.append((poly, x))
+        return warm_project(poly, x, face)
+
+    monkeypatch.setattr(engine, "_project_from", spy)
+    rng = np.random.default_rng(7)
+    warm = 0
+    for _ in range(40):
+        problem, _ = random_lp_instance(rng)[:2]
+        trace = run(*lp_pair(problem), max_iters=5000)
+        warm += trace.active_set_steps
+        assert "active_set_steps" not in trace.to_json_dict()
+    cold = sum(project_polyhedron(poly, x).iterations for poly, x in projected)
+    assert 0 < warm < cold / 2
 
 
 def test_random_pairs_match_plain_cycles():

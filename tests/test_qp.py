@@ -13,8 +13,10 @@ from altproj import (
     project_polyhedron,
     verify,
 )
+from altproj import qp
 from altproj.instances import random_bounded_polyhedron
-from altproj.qp import project_along_ray
+from altproj.qp import _project_from, project_along_ray
+from test_certify import bad_geometry_pairs
 
 
 def unit_box():
@@ -142,3 +144,131 @@ def test_project_along_ray_negative_offset_walks_backwards():
         walked = project_along_ray(poly, base, direction, t)
         direct = project_polyhedron(poly, base + t * direction)
         np.testing.assert_allclose(walked.point, direct.point, atol=1e-7)
+
+
+# -- warm start from an earlier face ----------------------------------------
+
+
+def warm_polyhedra():
+    """Seeded random polyhedra with an interior point, then the bad-geometry
+    polyhedra of ``test_certify`` with a point of each (its projection of 0).
+    """
+    rng = np.random.default_rng(30)
+    cases = []
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        cases.append(random_bounded_polyhedron(rng, n, int(rng.integers(0, 8))))
+    for poly, _ in bad_geometry_pairs():
+        cases.append((poly, project_polyhedron(poly, np.zeros(poly.dim)).point))
+    return cases
+
+
+def warm_points(rng, poly, inside):
+    """Points around ``poly``: far ones, each with a nearby companion, and
+    the reflection of each far point through ``inside``."""
+    points = []
+    for _ in range(2):
+        x = inside + rng.normal(size=poly.dim) * float(rng.choice([2.0, 10.0]))
+        points += [x, x + 0.05 * rng.normal(size=poly.dim), 2.0 * inside - x]
+    return points
+
+
+def warm_branch(monkeypatch):
+    """Spy on the active-set solve: the returned list names the branch of
+    the last ``_project_from`` call once ``branch.clear()`` was called."""
+    branch = []
+    solve = qp._working_set
+
+    def spy(A, b, feas_tol, W, u, z):
+        branch.append("continue" if W else "cold")
+        return solve(A, b, feas_tol, W, u, z)
+
+    monkeypatch.setattr(qp, "_working_set", spy)
+    return branch
+
+
+def feasible(poly, x):
+    """Whether the projection takes ``x`` as it is (its tolerance)."""
+    scale = 1.0 + float(np.abs(poly.b).max()) + norm(x)
+    return float(np.max(poly.A @ x - poly.b)) <= qp._FEAS_TOL * scale
+
+
+def assert_matches_cold(poly, x, res):
+    # The same point, and the same dual support where the multipliers are
+    # unique: the rows tight at the point are independent.  At a degenerate
+    # vertex (the bad-geometry apexes) another support is as exact, so
+    # there the dual must be a KKT certificate of the point instead.
+    ref = project_polyhedron(poly, x)
+    scale = 1.0 + norm(x)
+    assert norm(res.point - ref.point) <= 1e-12 * scale
+    tight = np.flatnonzero(poly.b - poly.A @ ref.point <= 1e-9 * scale)
+    if np.linalg.matrix_rank(poly.A[tight]) == tight.size:
+        assert np.array_equal(res.dual > 0.0, ref.dual > 0.0)
+    else:
+        assert np.all(res.dual >= 0.0) and set(np.flatnonzero(res.dual)) <= set(tight)
+        assert norm(x - res.point - poly.A.T @ res.dual) <= 1e-9 * scale
+    assert res.residual <= 1e-9 * scale
+
+
+def test_warm_face_takes_every_branch_and_matches_the_cold_projection(monkeypatch):
+    # Every ordered pair of points of one polyhedron: the face of the first
+    # point's projection is the warm start of the second's.
+    branch = warm_branch(monkeypatch)
+    seen = {"hit": 0, "continue": 0, "cold": 0, "feasible": 0}
+    rng = np.random.default_rng(31)
+    for poly, inside in warm_polyhedra():
+        points = warm_points(rng, poly, inside)
+        faces = [_project_from(poly, y, None)[1] for y in points]
+        for x in points + [inside]:
+            for face in faces:
+                branch.clear()
+                res, new_face = _project_from(poly, x, face)
+                if feasible(poly, x):
+                    kind = "feasible"
+                    assert np.array_equal(res.point, x) and res.point is not x
+                    assert not res.dual.any() and res.iterations == 0 and new_face is None
+                elif branch:
+                    kind = branch[-1]
+                    assert len(branch) == 1
+                else:
+                    kind = "hit"
+                    assert res.iterations == 0 and new_face is face
+                seen[kind] += 1
+                assert_matches_cold(poly, x, res)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_warm_face_of_the_point_itself_is_a_hit(monkeypatch):
+    branch = warm_branch(monkeypatch)
+    rng = np.random.default_rng(32)
+    for poly, inside in warm_polyhedra():
+        for x in warm_points(rng, poly, inside):
+            _, face = _project_from(poly, x, None)
+            if face is None:
+                continue
+            branch.clear()
+            res, again = _project_from(poly, x, face)
+            assert not branch and res.iterations == 0 and again is face
+            assert_matches_cold(poly, x, res)
+
+
+def test_face_threaded_through_a_sequence_matches_cold_projections():
+    # The engine's use: each projection starts from the face of the last.
+    rng = np.random.default_rng(33)
+    for poly, inside in warm_polyhedra():
+        face = None
+        x = inside + 5.0 * rng.normal(size=poly.dim)
+        for _ in range(10):
+            res, face = _project_from(poly, x, face)
+            assert_matches_cold(poly, x, res)
+            x = x + 0.3 * rng.normal(size=poly.dim)
+
+
+def test_empty_polyhedron_raises_from_a_warm_face(monkeypatch):
+    branch = warm_branch(monkeypatch)
+    _, face = _project_from(Polyhedron([[1.0, 0.0]], [-1.0]), [0.0, 0.0], None)
+    empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
+    branch.clear()
+    with pytest.raises(EmptyPolyhedron):
+        _project_from(empty, [0.0, 0.0], face)
+    assert branch == ["continue"]
