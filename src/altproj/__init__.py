@@ -10,7 +10,6 @@ that reduces ``min <c, x> over {Ax <= b}`` to a minimum-distance problem.
 from .certify import (
     TransversalityReport,
     alpha_polyhedron_halfspace,
-    beta_bound,
     bound_report,
     iteration_bound,
     one_step_shift,
@@ -32,7 +31,7 @@ from .errors import (
     Unbounded,
     ZeroVector,
 )
-from .linalg import Ray, as_point, distance_to_finite_cone, distance_to_ray, nnls, norm
+from .linalg import as_point, distance_to_finite_cone, nnls
 from .lp import LPOutcome, LPProblem, solve_lp
 from .qp import QPResult, project_polyhedron
 from .sets import (
@@ -71,7 +70,6 @@ __all__ = [
     "Polyhedron",
     "ProjectableSet",
     "QPResult",
-    "Ray",
     "StartNotInA",
     "StopReason",
     "TooLarge",
@@ -81,15 +79,12 @@ __all__ = [
     "ZeroVector",
     "alpha_polyhedron_halfspace",
     "as_point",
-    "beta_bound",
     "bound_report",
     "check_certificate",
     "contains",
     "distance_to_finite_cone",
-    "distance_to_ray",
     "iteration_bound",
     "nnls",
-    "norm",
     "one_step_shift",
     "polyhedron_halfspace_distance",
     "project",

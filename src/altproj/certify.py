@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidDistance, StartNotInA, Unbounded
+from .errors import InvalidDistance, NotPolyhedralPair, StartNotInA, Unbounded
 from .linalg import as_point, unit_cone_distance, unit_distance_to_ray
 from .qp import QPResult, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _contains_point
@@ -269,29 +269,6 @@ def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityR
     )
 
 
-def beta_bound(alpha: float, beta: float, d_AB: float, gap0: float) -> int:
-    """Step bound ``floor(log_{1-alpha^2}(d (1-beta) / (gap0 - beta d)))``.
-
-    ``gap0`` is the length of the first projection step.  With ``beta = 0``
-    this reduces to :func:`iteration_bound` with ``gap0`` in place of the
-    starting distance.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    if d_AB <= 0.0:
-        raise InvalidDistance("d_AB must be positive")
-    if gap0 < d_AB - _STRICT_MARGIN:
-        raise InvalidDistance("the first gap cannot be smaller than d(A, B)")
-    numer = d_AB * (1.0 - beta)
-    denom = max(gap0, d_AB) - beta * d_AB
-    ratio = min(1.0, numer / denom)
-    if ratio >= 1.0:
-        return 0
-    return _log_steps(ratio, alpha)
-
-
 def _log_steps(ratio: float, alpha: float) -> int:
     """``max(0, floor(log(ratio) / log(1 - alpha^2)))`` for ``0 < ratio < 1``.
 
@@ -379,8 +356,11 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     B's vertices are enumerated once and shared: the alpha search and the
     vertex oracle behind ``d_AB`` both reduce over the same list, and each
     raises what :func:`alpha_polyhedron_halfspace` and
-    :func:`polyhedron_halfspace_distance` raise, in the same order.
+    :func:`polyhedron_halfspace_distance` raise, in the same order.  Any
+    other pair of set types raises :class:`NotPolyhedralPair` first.
     """
+    if not isinstance(A, HalfSpace) or not isinstance(B, Polyhedron):
+        raise NotPolyhedralPair("bound requires setA to be a half-space and setB a polyhedron")
     x0 = as_point(x0, A.dim)
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")

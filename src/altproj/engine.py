@@ -207,11 +207,20 @@ def check_certificate(
     ``residual_A`` is the distance from the unit vector
     ``u = (b - a)/||b - a||`` to the proximal normal cone of A at ``a``
     (``residual_B`` from ``-u`` at ``b``): 1 for an empty cone, the
-    closed-form ray rejection for one generator, NNLS otherwise.
+    closed-form ray rejection for one generator, NNLS otherwise.  ``tol``
+    must be finite and nonnegative (``ValueError`` otherwise).
     """
+    _check_tol(tol)
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
     return _certificate(set_a, set_b, as_point(a, set_a.dim), as_point(b, set_b.dim), tol)
+
+
+def _check_tol(tol: float) -> None:
+    # An infinite tolerance would certify any pair: the common-point test
+    # ``gap <= tol`` always passes.  NaN and negative values certify none.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"cert_tol must be finite and nonnegative, got {tol}")
 
 
 def _certificate(
@@ -309,7 +318,8 @@ def run(
         every completed cycle.  A gap in ``(cert_tol, ZERO_TOL]``, possible
         only for ``cert_tol`` below ``ZERO_TOL``, gives the certificate no
         direction, so the run stops there with ``GAP_STALLED`` and no
-        certificate.
+        certificate.  It must be finite and nonnegative (``ValueError``
+        otherwise).
 
     Returns
     -------
@@ -318,6 +328,7 @@ def run(
     x0 = as_point(x0, set_a.dim)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    _check_tol(cert_tol)
     if not _contains_point(set_a, x0, 1e-8):
         raise StartNotInA("x0 must belong to the first set")
     if set_a.dim != set_b.dim:

@@ -1,4 +1,4 @@
-"""Dense vector kernels: norms, ray distances, and nonnegative least squares.
+"""Dense vector kernels: validation, norms, ray and cone distances, and NNLS.
 
 Everything in this module is a pure function on small dense vectors
 (problems of interest have n <= 100, usually n <= 10).  Vectors are plain
@@ -17,7 +17,6 @@ that take validated arrays.  The kernels that do no validation here are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +46,6 @@ def as_point(values, dim: int | None = None) -> np.ndarray:
     return p
 
 
-def norm(p) -> float:
-    """Euclidean norm of a vector."""
-    return float(np.linalg.norm(as_point(p)))
-
-
 def _norm(d: np.ndarray) -> float:
     # Euclidean norm of a 1-D float array.  ``sqrt(d @ d)`` is what
     # ``np.linalg.norm`` computes for one, so the result is bit-identical to
@@ -78,41 +72,15 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return norms
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Half line ``{t * direction : t >= 0}`` spanned by a nonzero vector."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = as_point(self.direction)
-        if float(np.linalg.norm(d)) <= ZERO_TOL:
-            raise ZeroVector("ray direction must be nonzero")
-        d = d.copy()
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
-
-
-def distance_to_ray(v, ray: Ray) -> float:
-    """Distance from ``v/||v||`` to the closed ray spanned by ``ray.direction``.
-
-    Equals ``sqrt(1 - <v,u>^2 / (||u||^2 ||v||^2))`` when ``<u,v> > 0`` and
-    1 otherwise, so the result always lies in [0, 1].  Evaluated as the norm
-    of the orthogonal rejection of ``v/||v||`` from the ray, which stays
-    accurate for nearly parallel vectors where the textbook form cancels.
-    """
-    u = ray.direction
-    v = as_point(v, u.shape[0])
-    nv = float(np.linalg.norm(v))
-    if nv <= ZERO_TOL:
-        raise ZeroVector("cannot normalize a zero vector")
-    return unit_distance_to_ray(v / nv, u)
-
-
 def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
-    """:func:`distance_to_ray` for a unit vector ``vhat`` and a nonzero ``u``.
+    """Distance from the unit vector ``vhat`` to the closed ray spanned by ``u``.
 
-    Does no validation: both are finite 1-D arrays of the same length.
+    Equals ``sqrt(1 - <vhat,u>^2 / ||u||^2)`` when ``<vhat,u> > 0`` and 1
+    otherwise, so the result always lies in [0, 1].  Evaluated as the norm
+    of the orthogonal rejection of ``vhat`` from the ray, which stays
+    accurate for nearly parallel vectors where the textbook form cancels.
+    Does no validation: both are finite 1-D arrays of the same length, and
+    ``u`` is nonzero.
     """
     if float(vhat @ u) <= 0.0:
         return 1.0

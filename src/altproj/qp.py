@@ -67,30 +67,20 @@ _STEPS_PER_DIM = 50
 
 @dataclass
 class QPResult:
-    """Projection onto a polyhedron together with its KKT certificate.
+    """Projection onto a polyhedron together with its KKT multipliers.
 
     ``point`` is the nearest feasible point, ``dual`` the multipliers with
-    ``x - point = A' dual``, ``iterations`` the number of active-set steps
-    (full and partial; 0 when ``x`` is already feasible, and 0 when the face
-    of an earlier projection is accepted as it is), and ``residual``
-    the larger of the final primal violation and complementarity gap.  For
+    ``x - point = A' dual``, and ``iterations`` the number of active-set
+    steps (full and partial; 0 when ``x`` is already feasible, and 0 when
+    the face of an earlier projection is accepted as it is).  For
     :func:`project_along_ray`, ``iterations`` is the active-set steps of
-    the projection of the base point plus one per face walked, and
-    ``residual`` the primal violation only; past the step cap both are
-    those of the direct projection.
+    the projection of the base point plus one per face walked; past the
+    step cap it is that of the direct projection.
     """
 
     point: np.ndarray
     dual: np.ndarray
     iterations: int
-    residual: float
-
-
-def _kkt_residual(A, b, lam, z) -> float:
-    slack = A @ z - b
-    viol = float(np.max(slack, initial=0.0))
-    comp = float(np.max(np.abs(lam * slack), initial=0.0))
-    return max(viol, 0.0, comp)
 
 
 def _face_step(Aw, v) -> tuple[np.ndarray, np.ndarray]:
@@ -221,20 +211,20 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + float(np.linalg.norm(x)))
     lam = np.zeros(A.shape[0])
     if float(np.max(A @ x - b)) <= feas_tol:
-        return QPResult(x.copy(), lam, 0, _kkt_residual(A, b, lam, x)), None
+        return QPResult(x.copy(), lam, 0), None
     start = [], np.zeros(0), x.copy()
     if face is not None:
         u, z = _on_face(face, x)
         if (u >= 0.0).all():
             if float(np.max(A @ z - b)) <= feas_tol:
                 lam[face.W] = u
-                return QPResult(z, lam, 0, _kkt_residual(A, b, lam, z)), face
+                return QPResult(z, lam, 0), face
             start = list(face.W), u, z
     W, steps = _working_set(A, b, feas_tol, *start)
     face = _factor(A, b, W)
     u, z = _on_face(face, x)
     lam[W] = np.maximum(u, 0.0)
-    return QPResult(z, lam, steps, _kkt_residual(A, b, lam, z)), face
+    return QPResult(z, lam, steps), face
 
 
 def project_along_ray(
@@ -314,7 +304,7 @@ def _walk_from(p: Polyhedron, base, start: QPResult, direction, t_target: float)
         z = z + step * dz
         lam = np.maximum(lam + step * rate, 0.0)
         if not event:
-            return QPResult(z, lam, iterations, float(np.max(A @ z - b, initial=0.0)))
+            return QPResult(z, lam, iterations)
         t += step
         if W[i]:
             lam[i] = 0.0

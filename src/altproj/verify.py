@@ -33,14 +33,14 @@ from .instances import (
     random_set,
     sample_member,
 )
-from .linalg import Ray, distance_to_finite_cone, distance_to_ray, norm
+from .linalg import nnls, unit_cone_distance, unit_distance_to_ray
 from .qp import project_polyhedron
 from .sets import (
     HalfSpace,
     Polyhedron,
+    normal_cone_columns,
     project,
     project_halfspace,
-    proximal_normal_generators,
     translate,
 )
 
@@ -76,14 +76,18 @@ def _nonzero_pairs(rng: np.random.Generator, cases: int):
         n = int(rng.integers(1, 6))
         u = rng.normal(size=n)
         v = rng.normal(size=n)
-        if norm(u) >= 1e-6 and norm(v) >= 1e-6:
+        if np.linalg.norm(u) >= 1e-6 and np.linalg.norm(v) >= 1e-6:
             yield u, v
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
 
 
 def ray_symmetry(rng: np.random.Generator, cases: int) -> CheckResult:
     """``d(v, ray(u)) = d(u, ray(v))`` to 1e-10."""
     worst = max(
-        (abs(distance_to_ray(v, Ray(u)) - distance_to_ray(u, Ray(v)))
+        (abs(unit_distance_to_ray(_unit(v), u) - unit_distance_to_ray(_unit(u), v))
          for u, v in _nonzero_pairs(rng, cases)),
         default=0.0,
     )
@@ -95,14 +99,17 @@ def ray_scale_invariance(rng: np.random.Generator, cases: int) -> CheckResult:
     worst = 0.0
     for u, v in _nonzero_pairs(rng, cases):
         lam = float(rng.uniform(0.05, 20.0))
-        worst = max(worst, abs(distance_to_ray(lam * v, Ray(u)) - distance_to_ray(v, Ray(u))))
+        worst = max(
+            worst,
+            abs(unit_distance_to_ray(_unit(lam * v), u) - unit_distance_to_ray(_unit(v), u)),
+        )
     return _bounded("linalg/ray-scale-invariance", worst, 1e-10)
 
 
 def cone_single_generator(rng: np.random.Generator, cases: int) -> CheckResult:
-    """A one-generator cone distance equals the ray distance, to 1e-8."""
+    """The closed-form ray distance equals NNLS on the one column, to 1e-8."""
     worst = max(
-        (abs(distance_to_finite_cone(v, [g]) - distance_to_ray(v, Ray(g)))
+        (abs(unit_distance_to_ray(_unit(v), g) - nnls(g[:, None], _unit(v))[1])
          for v, g in _nonzero_pairs(rng, cases)),
         default=0.0,
     )
@@ -115,10 +122,10 @@ def cone_monotone(rng: np.random.Generator, cases: int) -> CheckResult:
     for _ in range(cases):
         n = int(rng.integers(2, 5))
         v = rng.normal(size=n)
-        if norm(v) < 1e-6:
+        if np.linalg.norm(v) < 1e-6:
             continue
-        gens = [rng.normal(size=n) for _ in range(4)]
-        dists = [distance_to_finite_cone(v, gens[:k]) for k in range(5)]
+        G = np.column_stack([rng.normal(size=n) for _ in range(4)])
+        dists = [unit_cone_distance(_unit(v), G[:, :k]) for k in range(5)]
         ok = ok and all(dists[k + 1] <= dists[k] + 1e-9 for k in range(4))
     return CheckResult("linalg/cone-monotone", ok, "adding generators never increases")
 
@@ -129,7 +136,7 @@ def projection_idempotent(rng: np.random.Generator, cases: int) -> CheckResult:
     for _ in range(cases):
         s = random_set(rng)
         p = project(s, rng.normal(size=s.dim) * 3.0)
-        worst = max(worst, norm(project(s, p) - p))
+        worst = max(worst, np.linalg.norm(project(s, p) - p))
     return _bounded("sets/projection-idempotent", worst, 1e-9)
 
 
@@ -139,9 +146,9 @@ def projection_optimal_sampled(rng: np.random.Generator, cases: int) -> CheckRes
     for _ in range(cases):
         s = random_set(rng)
         x = rng.normal(size=s.dim) * 3.0
-        d = norm(x - project(s, x))
+        d = np.linalg.norm(x - project(s, x))
         for _ in range(_SAMPLES_PER_POINT):
-            ok = d <= norm(x - sample_member(rng, s)) + 1e-9 and ok
+            ok = d <= np.linalg.norm(x - sample_member(rng, s)) + 1e-9 and ok
     return CheckResult(
         "sets/projection-optimal-sampled", ok, f"{cases * _SAMPLES_PER_POINT} feasible samples"
     )
@@ -154,9 +161,9 @@ def normal_cone_consistency(rng: np.random.Generator, cases: int) -> CheckResult
         s = random_set(rng)
         x = rng.normal(size=s.dim) * 3.0
         p = project(s, x)
-        if norm(x - p) <= 1e-9:
+        if np.linalg.norm(x - p) <= 1e-9:
             continue
-        worst = max(worst, distance_to_finite_cone(x - p, proximal_normal_generators(s, p)))
+        worst = max(worst, unit_cone_distance(_unit(x - p), normal_cone_columns(s, p)))
     return _bounded("sets/normal-cone-consistency", worst, 1e-7, "max res")
 
 
@@ -167,7 +174,7 @@ def translation_equivariance(rng: np.random.Generator, cases: int) -> CheckResul
         s = random_set(rng)
         x = rng.normal(size=s.dim) * 3.0
         v = rng.normal(size=s.dim)
-        worst = max(worst, norm(project(translate(s, v), x + v) - (project(s, x) + v)))
+        worst = max(worst, np.linalg.norm(project(translate(s, v), x + v) - (project(s, x) + v)))
     return _bounded("sets/translation-equivariance", worst, 1e-9)
 
 
@@ -182,7 +189,7 @@ def halfspace_agreement(rng: np.random.Generator, cases: int) -> CheckResult:
         single = Polyhedron(c.reshape(1, -1), np.array([M]))
         x = rng.normal(size=n) * 3.0
         closed = project_halfspace(HalfSpace(c, M), x)
-        worst = max(worst, norm(project_polyhedron(single, x).point - closed))
+        worst = max(worst, np.linalg.norm(project_polyhedron(single, x).point - closed))
     return _bounded("qp/halfspace-agreement", worst, 1e-7)
 
 
@@ -195,7 +202,7 @@ def box_agreement(rng: np.random.Generator, cases: int) -> CheckResult:
         hi = lo + rng.uniform(0.5, 2.0, size=n)
         box = Polyhedron(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([hi, -lo]))
         x = rng.normal(size=n) * 3.0
-        worst = max(worst, norm(project_polyhedron(box, x).point - np.clip(x, lo, hi)))
+        worst = max(worst, np.linalg.norm(project_polyhedron(box, x).point - np.clip(x, lo, hi)))
     return _bounded("qp/box-agreement", worst, 1e-7)
 
 
@@ -212,7 +219,7 @@ def kkt_certificate(rng: np.random.Generator, cases: int) -> CheckResult:
         poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 5)))
         x = rng.normal(size=n) * 4.0
         res = project_polyhedron(poly, x)
-        stat = norm(x - res.point - poly.A.T @ res.dual)
+        stat = np.linalg.norm(x - res.point - poly.A.T @ res.dual)
         slack = poly.A @ res.point - poly.b
         viol = float(np.max(slack, initial=0.0))
         comp = float(np.max(np.abs(res.dual * slack), initial=0.0))
@@ -314,7 +321,7 @@ def shift_forces_one_step(rng: np.random.Generator, cases: int) -> CheckResult:
         inst = random_pair_instance(rng)
         alpha = certify.alpha_polyhedron_halfspace(inst.poly, inst.halfspace)
         mu, shifted = certify.one_step_shift(inst.halfspace, inst.poly, inst.x0, alpha, inst.d_ab)
-        expected = inst.d_ab + mu * norm(inst.halfspace.c)
+        expected = inst.d_ab + mu * np.linalg.norm(inst.halfspace.c)
         d_shifted = certify.polyhedron_halfspace_distance(inst.poly, shifted)
         trace = engine.run(shifted, inst.poly, inst.x0 - mu * inst.halfspace.c, max_iters=50)
         ok = (
@@ -368,8 +375,8 @@ def solution_cone_certificate(rng: np.random.Generator, cases: int) -> CheckResu
         # At a minimizer of <c, x> the outward normal cone of the feasible
         # set contains -c.
         slack = np.abs(problem.poly.A @ out.solution - problem.poly.b)
-        active = list(problem.poly.A[slack <= 1e-6])
-        worst = max(worst, distance_to_finite_cone(-problem.c, active))
+        active = problem.poly.A[slack <= 1e-6].T
+        worst = max(worst, unit_cone_distance(_unit(-problem.c), active))
     return _bounded("lp/solution-cone-certificate", worst, 1e-6, "max res")
 
 

@@ -13,13 +13,13 @@ import time
 
 import numpy as np
 import pytest
+from numpy.linalg import norm
 
 from altproj import (
     Polyhedron,
     StopReason,
     alpha_polyhedron_halfspace,
     check_certificate,
-    norm,
     project,
     project_halfspace,
     run,

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.linalg import norm
 
 from altproj import (
     HalfSpace,
     InvalidDistance,
+    NotPolyhedralPair,
     Polyhedron,
     StartNotInA,
     alpha_polyhedron_halfspace,
-    beta_bound,
     bound_report,
     certify,
     iteration_bound,
@@ -19,8 +20,13 @@ from altproj import (
     polyhedron_halfspace_distance,
     verify,
 )
-from altproj.instances import absval_polyhedron, lower_halfplane, random_pair_instance
-from altproj.linalg import Ray, distance_to_ray, norm, unit_cone_distance
+from altproj.instances import (
+    absval_polyhedron,
+    lower_halfplane,
+    parabola_epigraph,
+    random_pair_instance,
+)
+from altproj.linalg import unit_cone_distance, unit_distance_to_ray
 from altproj.vertices import feasible_vertices
 from test_qp_adversarial import nearly_parallel, random_poly, unit, with_duplicates
 
@@ -98,7 +104,9 @@ def unpruned_alpha(B, A):
     """
     qualifying, active_sets = qualifying_active_sets(B, A)
     neg_chat = -A.c / norm(A.c)
-    best = min((distance_to_ray(B.A[i], Ray(-A.c)) for i in qualifying), default=math.inf)
+    best = min(
+        (unit_distance_to_ray(B.A[i] / norm(B.A[i]), -A.c) for i in qualifying), default=math.inf
+    )
     subsets = set(itertools.combinations(qualifying, 2))
     for rows in active_sets:
         for size in range(2, len(rows) + 1):
@@ -214,6 +222,21 @@ def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
     assert len(calls) <= 0.05 * candidates
 
 
+@pytest.mark.parametrize(
+    "B, A",
+    [
+        (parabola_epigraph(1.0), lower_halfplane()),
+        (absval_polyhedron(1.0), absval_polyhedron(1.0)),
+        (lower_halfplane(), absval_polyhedron(1.0)),
+    ],
+    ids=["epigraph-B", "polyhedron-A", "swapped"],
+)
+def test_bound_report_requires_a_polyhedron_and_a_halfspace(B, A):
+    # The wrong set types once ended in a bare AttributeError.
+    with pytest.raises(NotPolyhedralPair, match="setA to be a half-space and setB a polyhedron"):
+        bound_report(B, A, [0.0, -1.0])
+
+
 def test_iteration_bound_examples():
     rep = iteration_bound(RATE_78_ALPHA, 1.0, 2.0)
     assert rep.N == 5
@@ -256,29 +279,12 @@ def test_iteration_bound_monotonicity():
             assert iteration_bound(alpha, d - 0.1, d0).N >= base
 
 
-def test_beta_bound_examples():
-    assert beta_bound(RATE_78_ALPHA, 0.0, 1.0, 2.0) == 5
-    # log_{0.75}(0.5/1.5) = 3.818..., floored
-    assert beta_bound(0.5, 0.5, 1.0, 2.0) == 3
-    assert beta_bound(0.5, 0.5, 1.0, 1.0) == 0
-
-
-def test_beta_bound_zero_beta_reduces_to_iteration_bound():
-    rng = np.random.default_rng(43)
-    for _ in range(100):
-        alpha = float(rng.uniform(0.05, 0.49))
-        d = float(rng.uniform(0.1, 2.0))
-        gap0 = d + float(rng.uniform(0.0, 8.0))
-        assert beta_bound(alpha, 0.0, d, gap0) == iteration_bound(alpha, d, gap0).N
-
-
 def test_step_bounds_stay_finite_for_tiny_alpha():
     # 1 - alpha^2 rounds to exactly 1 for alpha below about 1.05e-8, so the
     # logarithm of the rate must be taken as log1p(-alpha^2).
     report = iteration_bound(1e-9, 1.0, 2.0)
     assert report.N > 1e17
     assert report.max_steps == 2 * report.N + 1
-    assert beta_bound(1e-9, 0.0, 1.0, 2.0) == report.N
 
 
 @pytest.mark.parametrize("alpha", [1e-160, 1e-300])
@@ -291,21 +297,12 @@ def test_step_bounds_round_up_when_alpha_squared_underflows(alpha):
     assert isinstance(report.N, int)
     assert report.N <= Fraction(math.log(2.0)) / alpha_sq < report.N + 1
     assert report.max_steps == 2 * report.N + 1
-    assert beta_bound(alpha, 0.0, 1.0, 2.0) == report.N
 
 
 def test_step_bounds_keep_the_float_formula_where_it_is_finite():
     # alpha^2 = 1e-300 is still normal, and so is the quotient.
     n = math.floor(math.log(0.5) / math.log1p(-1e-300))
     assert iteration_bound(1e-150, 1.0, 2.0).N == n
-    assert beta_bound(1e-150, 0.0, 1.0, 2.0) == n
-
-
-def test_beta_bound_validation():
-    with pytest.raises(InvalidDistance):
-        beta_bound(0.25, 0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        beta_bound(0.25, 1.0, 1.0, 2.0)
 
 
 def test_one_step_shift_formula_fixture():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ def test_run_rejects_cycle_cap_below_one(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_run_rejects_an_infinite_certificate_tolerance(tmp_path, capsys):
+    # JSON reads 1e999 as inf, which would certify any pair.
+    spec = absval_run_spec(tmp_path, k=1.0, x0=(3.0, 0.0))
+    text = Path(spec).read_text()
+    Path(spec).write_text(text.replace('"cert_tol": 1e-12', '"cert_tol": 1e999'))
+    assert main(["run", spec, "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err.startswith("error: cannot parse experiment spec: cert_tol")
+
+
 def test_bound_command_reports_constants(tmp_path, capsys):
     problem = write_json(
         tmp_path / "bound.json",
@@ -192,6 +202,9 @@ def test_bound_command_rejects_non_polyhedral_pair(tmp_path, capsys):
         },
     )
     assert main(["bound", problem]) == 65
+    assert capsys.readouterr().err == (
+        "error: bound requires setA to be a half-space and setB a polyhedron\n"
+    )
 
 
 def test_bound_command_rejects_mixed_dimensions(tmp_path, capsys):

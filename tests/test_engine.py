@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import norm
 
 from altproj import (
     HalfSpace,
@@ -9,7 +10,6 @@ from altproj import (
     StartNotInA,
     StopReason,
     check_certificate,
-    norm,
     run,
     verify,
 )
@@ -35,6 +35,16 @@ def test_run_gap_envelope_consistent_absval():
 def test_run_requires_start_in_first_set():
     with pytest.raises(StartNotInA):
         run(lower_halfplane(), absval_epigraph(0.0), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_certificate_tolerance_must_be_finite_and_nonnegative(tol):
+    # An infinite tolerance once certified (0, 0) and (3, 1) as a nearest
+    # pair of sets 1 apart; NaN and negative ones certified nothing.
+    with pytest.raises(ValueError, match="cert_tol"):
+        run(lower_halfplane(), absval_epigraph(1.0), [3.0, 0.0], cert_tol=tol)
+    with pytest.raises(ValueError, match="cert_tol"):
+        check_certificate(lower_halfplane(), absval_epigraph(1.0), [0.0, 0.0], [0.0, 1.0], tol)
 
 
 def test_trace_internal_consistency():

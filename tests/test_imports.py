@@ -49,3 +49,12 @@ def test_benchmark_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(home), attr, None))
     ]
     assert not missing, missing
+
+
+def test_public_names_resolve_once():
+    # A name left in __all__ after its definition is deleted fails here,
+    # not at a user's ``from altproj import *``.
+    altproj = importlib.import_module("altproj")
+    missing = [name for name in altproj.__all__ if not hasattr(altproj, name)]
+    assert not missing, missing
+    assert len(set(altproj.__all__)) == len(altproj.__all__)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.linalg import norm
 
 from altproj import (
     EmptyPolyhedron,
@@ -14,7 +15,6 @@ from altproj import (
     Unbounded,
     alpha_polyhedron_halfspace,
     bound_report,
-    norm,
     polyhedron_halfspace_distance,
     run,
     solve_lp,

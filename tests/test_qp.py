@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.linalg import norm
 
 from altproj import (
     DimensionMismatch,
@@ -7,7 +8,6 @@ from altproj import (
     EpigraphSet,
     HalfSpace,
     Polyhedron,
-    norm,
     project_epigraph,
     project_halfspace,
     project_polyhedron,
@@ -26,10 +26,18 @@ def unit_box():
     )
 
 
+def kkt_residual(poly, res):
+    """The larger of the primal violation and the complementarity gap."""
+    slack = poly.A @ res.point - poly.b
+    comp = float(np.max(np.abs(res.dual * slack), initial=0.0))
+    return max(float(np.max(slack, initial=0.0)), comp)
+
+
 def test_box_clamp_example():
-    res = project_polyhedron(unit_box(), [2, 0])
+    box = unit_box()
+    res = project_polyhedron(box, [2, 0])
     np.testing.assert_allclose(res.point, [1, 0], atol=1e-12)
-    assert res.residual <= 1e-10
+    assert kkt_residual(box, res) <= 1e-10
 
 
 def test_single_row_matches_halfspace():
@@ -207,7 +215,7 @@ def assert_matches_cold(poly, x, res):
     else:
         assert np.all(res.dual >= 0.0) and set(np.flatnonzero(res.dual)) <= set(tight)
         assert norm(x - res.point - poly.A.T @ res.dual) <= 1e-9 * scale
-    assert res.residual <= 1e-9 * scale
+    assert kkt_residual(poly, res) <= 1e-9 * scale
 
 
 def test_warm_face_takes_every_branch_and_matches_the_cold_projection(monkeypatch):

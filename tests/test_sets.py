@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.linalg import norm
 
 from altproj import (
     DimensionMismatch,
@@ -9,7 +10,6 @@ from altproj import (
     Polyhedron,
     contains,
     distance_to_finite_cone,
-    norm,
     project,
     project_epigraph,
     project_halfspace,

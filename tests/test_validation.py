@@ -20,13 +20,11 @@ from altproj import (
     HalfSpace,
     LPProblem,
     Polyhedron,
-    Ray,
     alpha_polyhedron_halfspace,
     bound_report,
     check_certificate,
     contains,
     distance_to_finite_cone,
-    distance_to_ray,
     one_step_shift,
     project,
     project_epigraph,
@@ -69,7 +67,7 @@ CALLS = {
     "LPProblem": lambda v: LPProblem(v, POLY, -10.0),
     "Polyhedron-b": lambda v: Polyhedron(POLY.A, v),
     "EpigraphSet": lambda v: EpigraphSet("abs", v),
-    "distance_to_ray": lambda v: distance_to_ray(v, Ray([1.0, 0.0])),
+    "distance_to_ray": lambda v: distance_to_finite_cone(v, [[1.0, 0.0]]),
     "distance_to_finite_cone-generator": lambda v: distance_to_finite_cone([1.0, 0.0], [[0.0, 1.0], v]),
     "distance_to_finite_cone-zero-generator": lambda v: distance_to_finite_cone([1.0, 0.0], [0.0 * v]),
 }
