@@ -61,17 +61,17 @@ def _write_trace_csv(trace: engine.Trace, path: Path) -> None:
     # Comma-separated with CRLF line ends, the csv module's default dialect;
     # no field can need quoting.  Values are written with 17 significant
     # digits, so they read back exactly; the start point has no gap.
-    dim = trace.iterates[0][2].shape[0]
+    dim = trace.points.shape[1]
     start = "%d,%s" + ",%.17g" * dim
     row = start + ",%.17g\r\n"
-    gaps = trace.gaps
+    points, gaps = trace.points.tolist(), trace.gaps.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["step", "label", *(f"x{i}" for i in range(dim)), "gap"]) + "\r\n")
-        for idx, label, point in trace.iterates:
-            if idx:
-                fh.write(row % (idx, label, *point.tolist(), gaps[idx - 1]))
-            else:
-                fh.write(start % (idx, label, *point.tolist()) + ",\r\n")
+        fh.write(start % (0, "A", *points[0]) + ",\r\n")
+        fh.writelines(
+            row % (idx, engine._LABELS[idx % 2], *point, gap)
+            for idx, point, gap in zip(range(1, len(points)), points[1:], gaps)
+        )
 
 
 def cmd_run(args) -> int:

@@ -87,7 +87,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,23 +134,63 @@ class Certificate:
     holds: bool
 
 
+_LABELS = ("A", "B")  # of the iterates at even and odd indices
+
+
+class _Iterates(Sequence):
+    """The points of a :class:`Trace` as ``(index, label, point)`` tuples.
+
+    A read-only sequence over the rows of ``Trace.points``: index ``i``
+    gives ``(i, "A", row)`` for even ``i`` and ``(i, "B", row)`` for odd
+    ``i``; a slice gives a list of such tuples.  Each point is a read-only
+    view of its row.
+    """
+
+    __slots__ = ("_points",)
+
+    def __init__(self, points: np.ndarray):
+        self._points = points
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._points)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self._points)
+        if not 0 <= i < len(self._points):
+            raise IndexError("iterate index out of range")
+        return i, _LABELS[i % 2], self._points[i]
+
+    def __iter__(self):
+        for i, point in enumerate(self._points):
+            yield i, _LABELS[i % 2], point
+
+
 @dataclass
 class Trace:
     """Full record of one alternating-projections run.
 
-    ``iterates`` holds ``(index, label, point)`` with labels alternating
-    A, B, A, B, ...; ``gaps[n]`` is the distance between iterates n and
-    n + 1.  ``steps_to_converge`` counts individual projections until the
-    minimum distance was attained, i.e. the index of the projection that
-    produced the first certified pair's B-point (the A-projection that
-    completes the pair confirms it but is not counted).
+    ``points`` is the ``(k, n)`` array of the run's iterates, the start
+    point first, then the B- and A-points of each cycle, so row ``i`` has
+    label A for even ``i`` and B for odd ``i``; ``gaps`` is the 1-D array
+    whose entry ``i`` is the distance between rows ``i`` and ``i + 1``.
+    Both are read-only views, about ``8 (n + 1)`` bytes per iterate, and
+    ``iterates`` reads ``points`` as ``(index, label, point)`` tuples with
+    labels alternating A, B, A, B, ...  ``steps_to_converge`` counts
+    individual projections until the minimum distance was attained, i.e.
+    the index of the projection that produced the first certified pair's
+    B-point (the A-projection that completes the pair confirms it but is
+    not counted).
     ``certificate`` is that of the final pair, or None when the run stopped
     on a gap too small to normalise (see :func:`run`).  It is built once,
     for the pair the run stops on; a cycle that does not stop the run is
     decided without one (module docstring).
     ``generated_cycles`` counts the cycles whose iterates and gaps were
     generated in closed form on one face of a polyhedron (see the module
-    docstring) instead of projected; they are part of ``iterates`` and
+    docstring) instead of projected; they are part of ``points`` and
     ``gaps`` like every other cycle.
     ``active_set_steps`` sums ``QPResult.iterations`` over the projections
     onto B of a half-space/polyhedron pair, the only pair whose run reads
@@ -156,23 +198,32 @@ class Trace:
     counts 0.  Like ``generated_cycles`` it is not part of the report JSON.
     """
 
-    iterates: list = field(default_factory=list)
-    gaps: list = field(default_factory=list)
+    points: np.ndarray
+    gaps: np.ndarray
     stop_reason: StopReason = StopReason.MAX_ITERS
     steps_to_converge: int | None = None
     certificate: Certificate | None = None
     generated_cycles: int = 0
     active_set_steps: int = 0
 
+    def __post_init__(self):
+        # Read-only views: the arrays passed in stay as they were.
+        self.points = np.asarray(self.points, dtype=float).view()
+        self.points.flags.writeable = False
+        self.gaps = np.asarray(self.gaps, dtype=float).view()
+        self.gaps.flags.writeable = False
+
+    @property
+    def iterates(self) -> _Iterates:
+        return _Iterates(self.points)
+
     def final_pair(self):
-        """Last (A-point, B-point) of the run."""
-        a = next(p for _, lab, p in reversed(self.iterates) if lab == "A")
-        b = next(p for _, lab, p in reversed(self.iterates) if lab == "B")
-        return a, b
+        """Last (A-point, B-point) of the run: the last two rows of ``points``."""
+        return self.points[-1], self.points[-2]
 
     @property
     def final_gap(self) -> float:
-        return self.gaps[-1] if self.gaps else 0.0
+        return float(self.gaps[-1]) if len(self.gaps) else 0.0
 
     def to_json_dict(self) -> dict:
         """Report fields of the run; the iterates and gaps are not included."""
@@ -186,7 +237,7 @@ class Trace:
         return {
             "stop_reason": self.stop_reason.value,
             "steps_to_converge": self.steps_to_converge,
-            "num_iterates": len(self.iterates),
+            "num_iterates": len(self.points),
             "final_gap": self.final_gap,
             "certificate": cert,
         }
@@ -312,7 +363,9 @@ def run(
     x0 : array_like
         Starting point, must lie in ``set_a`` (tolerance 1e-8).
     max_iters : int
-        Cap on full A-B cycles (two projections each).
+        Cap on full A-B cycles (two projections each): an integer of at
+        least 1 (``ValueError`` for anything else, a float or a string
+        included).
     cert_tol : float
         Residual threshold for the optimality certificate, checked after
         every completed cycle.  A gap in ``(cert_tol, ZERO_TOL]``, possible
@@ -326,57 +379,56 @@ def run(
     Trace
     """
     x0 = as_point(x0, set_a.dim)
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    max_iters = _check_max_iters(max_iters)
     _check_tol(cert_tol)
     if not _contains_point(set_a, x0, 1e-8):
         raise StartNotInA("x0 must belong to the first set")
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
 
-    trace = Trace()
-    trace.iterates.append((0, "A", x0.copy()))
+    # The iterates and gaps since the last generated stretch are appended to
+    # plain lists; those before it are already arrays in ``done_points`` and
+    # ``done_gaps``, and all are stacked once when the run stops.
+    points, gaps = [x0.copy()], []
+    done_points, done_gaps = [], []
     # On a half-space/polyhedron pair the B-projection's multipliers name
     # the face it lands on; a repeated face is walked in closed form.
     walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
     last_face, walked = None, False
     factor = None  # the face factor of the last B-projection (module docstring)
+    b_prev = None  # the B-point of the cycle before, when that one was real
+    generated = active_steps = 0
     current = x0
-    step = 0
     cycle = 0
     while cycle < max_iters:
         if walk:
             res, factor = _project_from(set_b, current, factor)
             b, face = res.point, res.dual > 0.0
-            trace.active_set_steps += res.iterations
+            active_steps += res.iterations
         else:
             b = _project_point(set_b, current)
-        step += 1
-        trace.iterates.append((step, "B", b))
-        trace.gaps.append(_step_gap(b, current))
-
+        gap_b = _step_gap(b, current)
         a = _project_point(set_a, b)
-        step += 1
-        trace.iterates.append((step, "A", a))
-        trace.gaps.append(_step_gap(a, b))
+        gap_a = _step_gap(a, b)
+        points.append(b)
+        points.append(a)
+        gaps.append(gap_b)
+        gaps.append(gap_a)
 
-        if cert_tol < trace.gaps[-1] <= ZERO_TOL:
+        if cert_tol < gap_a <= ZERO_TOL:
             # Too small a gap to normalise: no certificate can be checked.
-            trace.certificate = None
-            trace.stop_reason = StopReason.GAP_STALLED
-            return trace
+            stop, cert, steps = StopReason.GAP_STALLED, None, None
+            break
         cert = _certified(set_a, set_b, a, b, cert_tol)
         if cert is not None:
-            trace.certificate = cert
-            trace.stop_reason = StopReason.CERTIFIED
             # The B-projection of this cycle attained the minimum distance;
             # the closing A-projection confirmed it.
-            trace.steps_to_converge = 2 * cycle + 1
-            return trace
-        if len(trace.gaps) >= 2 and trace.gaps[-2] - trace.gaps[-1] < GAP_STALL_TOL:
-            trace.certificate = _certificate(set_a, set_b, a, b, cert_tol)
-            trace.stop_reason = StopReason.GAP_STALLED
-            return trace
+            stop, steps = StopReason.CERTIFIED, 2 * cycle + 1
+            break
+        if gap_b - gap_a < GAP_STALL_TOL:
+            stop, steps = StopReason.GAP_STALLED, None
+            cert = _certificate(set_a, set_b, a, b, cert_tol)
+            break
         current = a
         cycle += 1
         if not walk:
@@ -385,27 +437,53 @@ def run(
         if key != last_face:
             last_face, walked = key, False
         elif not walked:
+            # Every cycle since the face changed was real, so ``b_prev`` is
+            # the B-point one cycle back.
             walked = True
-            b_prev = trace.iterates[-4][2]  # the B-point one cycle back
-            bs, as_ = _face_jump(set_a, set_b, face, b, b_prev, max_iters - cycle, cert_tol)
-            if len(bs):
-                for pb, pa in zip(bs, as_):
-                    trace.iterates.append((step + 1, "B", pb))
-                    trace.iterates.append((step + 2, "A", pa))
-                    step += 2
-                gaps = np.empty(2 * len(bs))
-                gaps[0::2] = _row_norms(bs - np.vstack([current, as_[:-1]]))
-                gaps[1::2] = _row_norms(as_ - bs)
-                trace.gaps.extend(gaps.tolist())
-                trace.generated_cycles += len(bs)
-                cycle += len(bs)
-                current = as_[-1]
+            block = _face_jump(set_a, set_b, face, b, b_prev, max_iters - cycle, cert_tol)
+            if len(block):
+                done_points += (np.concatenate(points), block.ravel())
+                done_gaps += (
+                    np.array(gaps),
+                    _row_norms(np.diff(block, axis=0, prepend=current[None])),
+                )
+                points, gaps = [], []
+                generated += len(block) // 2
+                cycle += len(block) // 2
+                current = block[-1]
+        b_prev = b
+    else:
+        # The last cycle was a real one: a closed-form stretch stops at
+        # least one cycle short of the cap.
+        stop, steps = StopReason.MAX_ITERS, None
+        cert = _certificate(set_a, set_b, a, b, cert_tol)
 
-    # The last cycle was a real one: a closed-form stretch stops at least
-    # one cycle short of the cap.
-    trace.certificate = _certificate(set_a, set_b, a, b, cert_tol)
-    trace.stop_reason = StopReason.MAX_ITERS
-    return trace
+    # Every stop follows a real cycle, so the lists are not empty.
+    flat, gap_arr = np.concatenate(points), np.array(gaps)
+    if done_points:
+        flat = np.concatenate([*done_points, flat])
+        gap_arr = np.concatenate([*done_gaps, gap_arr])
+    return Trace(
+        flat.reshape(-1, x0.shape[0]),
+        gap_arr,
+        stop_reason=stop,
+        steps_to_converge=steps,
+        certificate=cert,
+        generated_cycles=generated,
+        active_set_steps=active_steps,
+    )
+
+
+def _check_max_iters(max_iters) -> int:
+    # The cap must be an integer of at least 1: a float such as nan or 2.5,
+    # or a string, is rejected rather than compared or rounded.
+    try:
+        cap = operator.index(max_iters)
+    except TypeError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
+    return cap
 
 
 def _step_gap(p: np.ndarray, prev: np.ndarray) -> float:
@@ -429,14 +507,15 @@ def _face_jump(
     b_prev: np.ndarray,
     cycles_left: int,
     cert_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """B- and A-points of the cycles after ``b`` that stay on ``face``.
+) -> np.ndarray:
+    """Iterates of the cycles after ``b`` that stay on ``face``.
 
     ``b`` is the B-point of the cycle just completed and ``b_prev`` that of
     the cycle before, both on the face whose rows ``face`` marks;
-    ``cycles_left`` cycles remain under the cap.  Row ``j - 1`` of the two
-    ``(J, n)`` arrays holds ``b_{k+j}`` and ``a_{k+j+1}`` (module
-    docstring), for ``J`` two short of the first cycle at which the face
+    ``cycles_left`` cycles remain under the cap.  Rows ``2j - 2`` and
+    ``2j - 1`` of the ``(2J, n)`` result hold ``b_{k+j}`` and
+    ``a_{k+j+1}`` (module docstring), the B- and A-point of each cycle in
+    run order, for ``J`` two short of the first cycle at which the face
     could change or a stop rule could fire.  ``J`` is 0
     when the face does not move the run (``||P_V c||`` is below
     ``ZERO_TOL ||c||`` or all of ``c``), when ``b`` is in the half-space,
@@ -449,13 +528,13 @@ def _face_jump(
     s = (float(c @ b) - h.M) / cc
     none = np.empty((0, b.shape[0]))
     if not s > 0.0:
-        return none, none
+        return none
     # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c.
     margin = 10.0 * ACTIVE_TOL
     slack = poly.b - poly.A @ b
     slack[face] = math.inf
     if float(slack.min()) <= margin:
-        return none, none
+        return none
     # On the face the last step b - b_prev is 1/rho times the next one, with
     # rho = s/s_prev.  Continued for three cycles it shows most short visits,
     # where a row is reached before any cycle could be generated, without
@@ -465,14 +544,14 @@ def _face_jump(
         rho = s / s_prev
         ahead = (rho + rho * rho + rho**3) * (poly.A @ (b - b_prev))
         if float((slack - ahead).min()) <= margin:
-            return none, none
+            return none
     # P_V c is the residual of c against the face rows, split once more to
     # re-orthogonalise it.
     _, pvc = _face_step(poly.A[face], c)
     _, pvc = _face_step(poly.A[face], pvc)
     q = float(pvc @ pvc) / cc
     if not ZERO_TOL < math.sqrt(q) < 1.0:
-        return none, none
+        return none
     log_rho = math.log1p(-q)
     nc = math.sqrt(cc)
     horizon = float(cycles_left + 1)  # the first cycle past the cap
@@ -496,18 +575,19 @@ def _face_jump(
     feas_tol = _FEAS_TOL * (1.0 + float(np.abs(poly.b).max()) + reach)
     violation = -s * float((poly.A[face] @ c).min())
     if not violation > feas_tol:
-        return none, none
+        return none
     horizon = min(horizon, 1 + math.floor(math.log(feas_tol / violation) / log_rho))
     # Gap stall: s rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||) < GAP_STALL_TOL.
     prc = _norm(c - pvc)
     stall = s * prc * (1.0 - prc / nc)
     if not stall > GAP_STALL_TOL:
-        return none, none
+        return none
     horizon = min(horizon, 1 + math.floor(math.log(GAP_STALL_TOL / stall) / log_rho))
     jumps = int(horizon) - 2
     if jumps < 1:
-        return none, none
+        return none
     j_log_rho = np.arange(1, jumps + 1) * log_rho
-    bs = b - (s * -np.expm1(j_log_rho) / q)[:, None] * pvc
-    as_ = bs - (s * np.exp(j_log_rho))[:, None] * c
-    return bs, as_
+    block = np.empty((2 * jumps, b.shape[0]))
+    block[0::2] = b - (s * -np.expm1(j_log_rho) / q)[:, None] * pvc
+    block[1::2] = block[0::2] - (s * np.exp(j_log_rho))[:, None] * c
+    return block

@@ -47,6 +47,19 @@ def test_certificate_tolerance_must_be_finite_and_nonnegative(tol):
         check_certificate(lower_halfplane(), absval_epigraph(1.0), [0.0, 0.0], [0.0, 1.0], tol)
 
 
+@pytest.mark.parametrize("cap", [math.nan, 2.5, "3", 0, -1])
+def test_cycle_cap_must_be_an_integer_of_at_least_one(cap):
+    # A NaN cap ran no cycle and ended in an UnboundLocalError; 2.5 ran 3.
+    with pytest.raises(ValueError, match="max_iters"):
+        run(lower_halfplane(), absval_epigraph(1.0), [3.0, 0.0], max_iters=cap)
+
+
+def test_cycle_cap_accepts_any_integer_type():
+    trace = run(lower_halfplane(), absval_epigraph(0.0), [1.0, 0.0], max_iters=np.int64(3))
+    assert trace.stop_reason is StopReason.MAX_ITERS
+    assert len(trace.gaps) == 6
+
+
 def test_trace_internal_consistency():
     trace = run(lower_halfplane(), absval_epigraph(0.5), [3.0, 0.0], max_iters=50)
     labels = [lab for _, lab, _ in trace.iterates]

@@ -12,6 +12,7 @@ bound would measure only that rounding).
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,31 +43,32 @@ REL_TOL = 1e-12
 
 
 def plain_run(set_a, set_b, x0, max_iters=1000, cert_tol=1e-8):
-    """``engine.run`` with every cycle projected."""
+    """``engine.run`` with every cycle projected.
+
+    The iterates and gaps are kept in plain lists and put into a ``Trace``
+    when the run stops.
+    """
     x0 = np.asarray(x0, dtype=float)
-    trace = Trace()
-    trace.iterates.append((0, "A", x0.copy()))
+    points, gaps = [x0.copy()], []
     current = x0
+    stop, steps, cert = StopReason.MAX_ITERS, None, None
     for cycle in range(max_iters):
         b = project(set_b, current)
         a = project(set_a, b)
-        trace.iterates += [(2 * cycle + 1, "B", b), (2 * cycle + 2, "A", a)]
-        trace.gaps += [float(np.linalg.norm(b - current)), float(np.linalg.norm(a - b))]
-        if cert_tol < trace.gaps[-1] <= ZERO_TOL:
-            trace.certificate = None
-            trace.stop_reason = StopReason.GAP_STALLED
-            return trace
-        trace.certificate = check_certificate(set_a, set_b, a, b, cert_tol)
-        if trace.certificate.holds:
-            trace.stop_reason = StopReason.CERTIFIED
-            trace.steps_to_converge = 2 * cycle + 1
-            return trace
-        if len(trace.gaps) >= 2 and trace.gaps[-2] - trace.gaps[-1] < GAP_STALL_TOL:
-            trace.stop_reason = StopReason.GAP_STALLED
-            return trace
+        points += [b, a]
+        gaps += [float(np.linalg.norm(b - current)), float(np.linalg.norm(a - b))]
+        if cert_tol < gaps[-1] <= ZERO_TOL:
+            cert, stop = None, StopReason.GAP_STALLED
+            break
+        cert = check_certificate(set_a, set_b, a, b, cert_tol)
+        if cert.holds:
+            stop, steps = StopReason.CERTIFIED, 2 * cycle + 1
+            break
+        if len(gaps) >= 2 and gaps[-2] - gaps[-1] < GAP_STALL_TOL:
+            stop = StopReason.GAP_STALLED
+            break
         current = a
-    trace.stop_reason = StopReason.MAX_ITERS
-    return trace
+    return Trace(np.array(points), np.array(gaps), stop_reason=stop, steps_to_converge=steps, certificate=cert)
 
 
 def assert_same_run(set_a, set_b, x0, **kwargs):
@@ -158,6 +160,41 @@ def test_capped_pool_lps_certify_under_a_raised_cap(lp_pool, index, cycles):
     assert trace.stop_reason is StopReason.CERTIFIED
     assert len(trace.gaps) // 2 == cycles
     assert trace.steps_to_converge == 2 * cycles - 1
+
+
+def pool_lp(seed, index):
+    """LP ``index`` of the ``lp_direct`` pool at ``seed``, with its oracle optimum."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        random_lp_instance(rng)
+    return random_lp_instance(rng)[:2]
+
+
+@pytest.mark.parametrize("seed, index, cycles", [(1, 264, 53581), (1, 281, 12504), (3, 117, 133352)])
+def test_long_pool_lps_certify_under_the_default_cap(seed, index, cycles):
+    # These stopped at the former default cap of 5000 cycles.
+    problem, optimum = pool_lp(seed, index)
+    outcome = solve_lp(problem)
+    assert outcome.trace.stop_reason is StopReason.CERTIFIED
+    assert len(outcome.trace.gaps) // 2 == cycles
+    assert outcome.steps == 2 * cycles - 1
+    assert abs(outcome.objective - optimum) <= 1e-9
+
+
+def test_longest_pool_lp_holds_two_arrays():
+    # 266,705 iterates in four dimensions: about 8.5 MB of points and 2.1 MB
+    # of gaps.  Kept as a tuple and a float per iterate, the trace held 75 MB.
+    problem, _ = pool_lp(3, 117)
+    solve_lp(problem)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcome = solve_lp(problem)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(outcome.trace.iterates) == 2 * 133352 + 1
+    assert held < 16e6
 
 
 def wedge(eps, *extra_rows):

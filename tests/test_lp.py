@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,13 @@ def unit_box():
 
 def first_quadrant():
     return Polyhedron([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("cap", [math.nan, 2.5, "3"])
+def test_direct_solve_rejects_a_cycle_cap_that_is_not_an_integer(cap):
+    problem = LPProblem([1.0, 1.0], first_quadrant(), -1.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        solve_lp(problem, max_iters=cap)
 
 
 def test_solve_lp_quadrant_example():

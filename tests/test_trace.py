@@ -1,0 +1,133 @@
+"""A run's record: the point and gap arrays of ``Trace`` and their views.
+
+``Trace.points`` holds every iterate as one row, ``Trace.gaps`` the
+distance between consecutive rows, and ``Trace.iterates`` reads the rows as
+``(index, label, point)`` tuples.  None of them can be written to.
+"""
+
+import csv
+import json
+from collections.abc import Sequence
+
+import numpy as np
+import pytest
+
+from altproj import HalfSpace, Polyhedron, StopReason, Trace, project, run
+from altproj.cli import main
+from altproj.sets import set_to_json
+
+BELOW = HalfSpace([0.0, 1.0], -1.0)
+WEDGE = Polyhedron([[0.01, -1.0], [-1.0, 0.0]], [0.0, 0.0])  # y >= 0.01 x, x >= 0
+
+
+def wedge_run(max_iters):
+    # Walks one face of the narrow wedge: most cycles are generated.
+    return run(BELOW, WEDGE, [20.0, -1.0], max_iters=max_iters)
+
+
+def test_iterates_is_a_read_only_sequence_of_the_rows():
+    trace = wedge_run(37)
+    assert trace.generated_cycles > 0
+    it = trace.iterates
+    assert isinstance(it, Sequence)
+    assert len(it) == len(trace.points) == len(trace.gaps) + 1 == 75
+    index, label, point = it[5]
+    assert (index, label) == (5, "B")
+    np.testing.assert_array_equal(point, trace.points[5])
+    assert it[-1][:2] == (74, "A")
+    np.testing.assert_array_equal(it[-1][2], trace.points[74])
+    assert it[-75][:2] == (0, "A")
+    assert it[np.int64(2)][:2] == (2, "A")
+    for bad in (75, -76):
+        with pytest.raises(IndexError):
+            it[bad]
+    assert [(i, lab) for i, lab, _ in it[1:6:2]] == [(1, "B"), (3, "B"), (5, "B")]
+    assert [i for i, _, _ in it[-3:]] == [72, 73, 74]
+    assert [(i, lab) for i, lab, _ in it] == [(i, "AB"[i % 2]) for i in range(75)]
+    assert [i for i, _, _ in reversed(it)] == list(range(74, -1, -1))
+    assert all(np.array_equal(p, row) for (_, _, p), row in zip(it, trace.points))
+    assert not hasattr(it, "append")
+
+
+def test_points_and_gaps_cannot_be_written():
+    trace = wedge_run(37)
+    assert trace.points.shape == (75, 2) and trace.gaps.shape == (74,)
+    assert trace.points.dtype == trace.gaps.dtype == np.float64
+    with pytest.raises(ValueError):
+        trace.points[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        trace.iterates[3][2][0] = 1.0
+    with pytest.raises(ValueError):
+        trace.final_pair()[1][0] = 1.0
+    with pytest.raises(ValueError):
+        trace.gaps[0] = 1.0
+
+
+def test_trace_keeps_the_arrays_it_is_given_writable():
+    points, gaps = np.zeros((3, 2)), np.ones(2)
+    trace = Trace(points, gaps)
+    points[0, 0] = gaps[0] = 2.0
+    assert trace.points[0, 0] == trace.gaps[0] == 2.0
+    with pytest.raises(ValueError):
+        trace.points[0, 0] = 3.0
+
+
+def assert_final_fields(trace, set_a, cycles):
+    a, b = trace.final_pair()
+    assert trace.iterates[-1][1] == "A" and trace.iterates[-2][1] == "B"
+    np.testing.assert_array_equal(a, trace.points[-1])
+    np.testing.assert_array_equal(b, trace.points[-2])
+    # The last cycle is a projected one: its A-point is the projection of
+    # its B-point, and its gap their distance.
+    np.testing.assert_array_equal(a, project(set_a, b))
+    assert trace.final_gap == float(np.linalg.norm(a - b)) == trace.gaps[-1]
+    assert type(trace.final_gap) is float
+    report = trace.to_json_dict()
+    assert report["num_iterates"] == 2 * cycles + 1 == len(trace.points)
+    assert report["final_gap"] == trace.final_gap
+    if trace.certificate is not None:
+        np.testing.assert_array_equal(trace.certificate.a, a)
+        np.testing.assert_array_equal(trace.certificate.b, b)
+
+
+def test_final_fields_of_a_one_cycle_certified_run():
+    upper = HalfSpace([0.0, 1.0], 0.0)
+    trace = run(upper, HalfSpace([0.0, -1.0], -1.0), [0.0, 0.0])
+    assert trace.stop_reason is StopReason.CERTIFIED
+    assert trace.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    assert trace.gaps.tolist() == [1.0, 1.0]
+    assert_final_fields(trace, upper, 1)
+
+
+def test_final_fields_of_a_gap_stalled_run():
+    upper = HalfSpace([0.0, 1.0], 0.0)
+    one_row = Polyhedron([[0.1, -1.0]], [0.0])
+    trace = run(upper, one_row, [2e-8, 0.0], max_iters=5000, cert_tol=1e-15)
+    assert trace.stop_reason is StopReason.GAP_STALLED
+    assert trace.generated_cycles > 0
+    assert_final_fields(trace, upper, len(trace.gaps) // 2)
+
+
+def test_final_fields_of_a_capped_run_with_a_generated_stretch():
+    trace = wedge_run(37)
+    assert trace.stop_reason is StopReason.MAX_ITERS
+    assert trace.generated_cycles > 0
+    assert_final_fields(trace, BELOW, 37)
+
+
+def test_csv_rows_read_back_to_the_arrays(tmp_path, capsys):
+    spec = tmp_path / "wedge.json"
+    spec.write_text(json.dumps({"setA": set_to_json(BELOW), "setB": set_to_json(WEDGE), "x0": [20.0, -1.0], "max_iters": 5000}))
+    assert main(["run", str(spec), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    trace = wedge_run(5000)
+    assert trace.generated_cycles > 1000
+    with open(tmp_path / "wedge_trace.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["step", "label", "x0", "x1", "gap"]
+    body = rows[1:]
+    assert len(body) == len(trace.points)
+    assert [(int(r[0]), r[1]) for r in body] == [(i, lab) for i, lab, _ in trace.iterates]
+    assert [[float(v) for v in r[2:4]] for r in body] == trace.points.tolist()
+    assert body[0][4] == ""
+    assert [float(r[4]) for r in body[1:]] == trace.gaps.tolist()

@@ -159,7 +159,7 @@ def test_gap_that_overflows_a_sum_of_squares_still_certifies():
         trace = run(HalfSpace([0, 1], 0), HalfSpace([0, -1], -1e200), [0, 0], max_iters=5)
     assert trace.stop_reason is StopReason.CERTIFIED
     assert trace.steps_to_converge == 1
-    assert trace.gaps == [1e200, 1e200]
+    assert trace.gaps.tolist() == [1e200, 1e200]
     assert (trace.certificate.residual_A, trace.certificate.residual_B) == (0.0, 0.0)
     with np.errstate(over="ignore"):
         cert = check_certificate(HalfSpace([0, 1], 0), HalfSpace([0, -1], -1e200), [0, 0], [0, 1e200])
