@@ -158,7 +158,7 @@ def _alpha(B: Polyhedron, c: np.ndarray, vertices: list | None) -> float:
         row = B.A[i]
         nrow = float(np.linalg.norm(row))
         units[i] = row / nrow
-        cos = float(row @ c) / (nrow * nc)
+        cos = float(row.dot(c)) / (nrow * nc)
         if cos > -1.0 + _STRICT_MARGIN:
             qualifying.append(i)
             ray[i] = dist = unit_distance_to_ray(units[i], neg_c)

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import certify, engine, lp, verify, vertices
 from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair
 from .linalg import as_point
-from .sets import Polyhedron, set_from_json
+from .sets import Polyhedron, _json_array, _json_number, set_from_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,9 +52,33 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _load_json(path: str):
+def _load_spec(path: str) -> dict:
+    # A spec file holds one JSON object.
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"the spec must be a JSON object, got {spec!r}")
+    return spec
+
+
+def _spec_max_iters(value) -> int:
+    # A JSON integer or an integral float such as 1e3, at least 1; a bool,
+    # a string, null or a fraction is rejected, not rounded.
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"max_iters must be an integer of at least 1, got {value!r}")
+    return value
+
+
+def _spec_outputs(value) -> dict:
+    # An object whose "trace_csv" and "report_json", when given, are paths.
+    if not isinstance(value, dict):
+        raise ValueError(f"outputs must be an object, got {value!r}")
+    for key in ("trace_csv", "report_json"):
+        if not isinstance(value.get(key, ""), str):
+            raise ValueError(f"outputs.{key} must be a string, got {value[key]!r}")
+    return value
 
 
 def _write_trace_csv(trace: engine.Trace, path: Path) -> None:
@@ -76,19 +100,18 @@ def _write_trace_csv(trace: engine.Trace, path: Path) -> None:
 
 def cmd_run(args) -> int:
     try:
-        spec = _load_json(args.spec)
+        spec = _load_spec(args.spec)
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
-        x0 = as_point(spec["x0"])
+        x0 = as_point(_json_array(spec["x0"], "x0"))
         max_iters = args.max_iters
         if max_iters is None:
-            max_iters = int(spec.get("max_iters", 1000))
-        if max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-        cert_tol = float(spec.get("cert_tol", 1e-8))
+            max_iters = spec.get("max_iters", 1000)
+        max_iters = _spec_max_iters(max_iters)
+        cert_tol = _json_number(spec.get("cert_tol", 1e-8), "cert_tol")
         if not 0.0 <= cert_tol < math.inf:
             raise ValueError(f"cert_tol must be finite and nonnegative, got {cert_tol}")
-        outputs = spec.get("outputs", {})
+        outputs = _spec_outputs(spec.get("outputs", {}))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
         print(f"error: cannot parse experiment spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -114,10 +137,10 @@ def cmd_run(args) -> int:
 
 def cmd_bound(args) -> int:
     try:
-        spec = _load_json(args.problem)
+        spec = _load_spec(args.problem)
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
-        x0 = as_point(spec["x0"])
+        x0 = as_point(_json_array(spec["x0"], "x0"))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
         print(f"error: cannot parse bound problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -128,10 +151,10 @@ def cmd_bound(args) -> int:
 
 def cmd_lp(args) -> int:
     try:
-        spec = _load_json(args.problem)
+        spec = _load_spec(args.problem)
         if args.auto_bound:
-            poly = Polyhedron(spec["A"], spec["b"])
-            optimum, _ = vertices.vertex_oracle(poly, spec["c"])
+            poly = Polyhedron(_json_array(spec["A"], "A"), _json_array(spec["b"], "b"))
+            optimum, _ = vertices.vertex_oracle(poly, _json_array(spec["c"], "c"))
             problem = lp.problem_from_json(spec, M=optimum - 1.0)
         else:
             problem = lp.problem_from_json(spec)
@@ -217,7 +240,8 @@ def main(argv=None) -> int:
     except NotPolyhedralPair as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_POLYHEDRAL
-    except AltprojError as exc:
+    except (AltprojError, OSError) as exc:
+        # OSError: an output path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

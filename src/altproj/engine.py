@@ -13,14 +13,17 @@ necessary condition, so a certified stop there means "stationary pair".
 How a cycle is decided.  Each cycle makes the checks of
 :func:`check_certificate` in its order: A's membership, B's membership,
 then the direction ``b - a`` (``ZeroVector`` when it cannot be normalised).
-It then measures B's residual, and A's only when B's is at most the
-tolerance.  ``a`` is the A-projection of ``b``, so A's residual is about 0
-by construction and B's decides almost every cycle.  The ``Certificate``
-itself is built once per run, for the pair the run stops on: on a certified
-stop from the two residuals just measured, on a ``GAP_STALLED`` or
-``MAX_ITERS`` stop by measuring both residuals of the last pair, exactly as
-:func:`check_certificate` does.  Every residual and decision equals that of
-calling :func:`check_certificate` after every cycle.
+The decision takes the A-step's difference ``a - b`` and its gap from
+:func:`_step_gap` instead of forming them again; ``-(a - b)/gap`` is
+bitwise ``(b - a)/||b - a||``.  It then measures B's residual, and A's only
+when B's is at most the tolerance.  ``a`` is the A-projection of ``b``, so
+A's residual is about 0 by construction and B's decides almost every cycle.
+The ``Certificate`` itself is built once per run, for the pair the run
+stops on: on a certified stop from the two residuals just measured, on a
+``GAP_STALLED`` or ``MAX_ITERS`` stop by measuring both residuals of the
+last pair, exactly as :func:`check_certificate` does.  Every residual and
+decision equals that of calling :func:`check_certificate` after every
+cycle.
 
 Validation happens once, at the boundary.  :func:`run` validates ``x0``
 and every cycle then runs on kernels that take validated arrays: the set
@@ -264,7 +267,9 @@ def check_certificate(
     _check_tol(tol)
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
-    return _certificate(set_a, set_b, as_point(a, set_a.dim), as_point(b, set_b.dim), tol)
+    a, b = as_point(a, set_a.dim), as_point(b, set_b.dim)
+    d = a - b
+    return _certificate(set_a, set_b, a, b, d, _norm(d), tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -279,15 +284,18 @@ def _certificate(
     set_b: ProjectableSet,
     a: np.ndarray,
     b: np.ndarray,
+    d: np.ndarray,
+    gap: float,
     tol: float,
 ) -> Certificate:
-    # ``check_certificate`` for points already validated against their sets.
-    cone = _cone_prelude(set_a, set_b, a, b, tol)
+    # ``check_certificate`` for points already validated against their sets,
+    # with ``d = a - b`` and ``gap = ||d||``.
+    cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, normals_b, u = cone
-    res_a = unit_cone_distance(u, normals_a)
-    res_b = unit_cone_distance(-u, normals_b)
+    normals_a, normals_b, w = cone
+    res_a = unit_cone_distance(-w, normals_a)
+    res_b = unit_cone_distance(w, normals_b)
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
 
 
@@ -296,19 +304,22 @@ def _certified(
     set_b: ProjectableSet,
     a: np.ndarray,
     b: np.ndarray,
+    d: np.ndarray,
+    gap: float,
     tol: float,
 ) -> Certificate | None:
     # The decision of one engine cycle (module docstring): the certificate
-    # of ``(a, b)`` when it holds, None otherwise.  It raises what
-    # ``_certificate`` raises, in the same order.
-    cone = _cone_prelude(set_a, set_b, a, b, tol)
+    # of ``(a, b)`` when it holds, None otherwise, from the A-step's
+    # ``d = a - b`` and ``gap = ||d||``.  It raises what ``_certificate``
+    # raises, in the same order.
+    cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, normals_b, u = cone
-    res_b = unit_cone_distance(-u, normals_b)
+    normals_a, normals_b, w = cone
+    res_b = unit_cone_distance(w, normals_b)
     if not res_b <= tol:
         return None
-    res_a = unit_cone_distance(u, normals_a)
+    res_a = unit_cone_distance(-w, normals_a)
     if not res_a <= tol:
         return None
     return Certificate(a, b, res_a, res_b, True)
@@ -319,15 +330,18 @@ def _cone_prelude(
     set_b: ProjectableSet,
     a: np.ndarray,
     b: np.ndarray,
+    d: np.ndarray,
+    gap: float,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    # Membership, normal cones and direction of the pair ``(a, b)``: None
-    # when the pair witnesses a common point, which is accepted within 1e-6
-    # of each set; otherwise ``normal_cone_columns`` tests membership,
-    # within ``ACTIVE_TOL``, and the result is the generators of A's and
-    # B's cones with the unit vector ``(b - a)/||b - a||``.
-    d = b - a
-    gap = _norm(d)
+    # Membership, normal cones and direction of the pair ``(a, b)``, given
+    # ``d = a - b`` and ``gap = ||d||``: None when the pair witnesses a
+    # common point, which is accepted within 1e-6 of each set; otherwise
+    # ``normal_cone_columns`` tests membership, within ``ACTIVE_TOL``, and
+    # the result is the generators of A's and B's cones with the unit
+    # vector ``w = (a - b)/||a - b||``.  B's residual measures ``w`` and
+    # A's ``-w``, which is bitwise ``(b - a)/||b - a||``: negation is exact
+    # and ``||a - b||`` sums the same squares as ``||b - a||``.
     if gap <= tol:
         if not _contains_point(set_a, a, 1e-6):
             raise PointNotInSet("first point is not in the first set")
@@ -407,9 +421,9 @@ def run(
             active_steps += res.iterations
         else:
             b = _project_point(set_b, current)
-        gap_b = _step_gap(b, current)
+        gap_b = _step_gap(b, current)[1]
         a = _project_point(set_a, b)
-        gap_a = _step_gap(a, b)
+        d, gap_a = _step_gap(a, b)
         points.append(b)
         points.append(a)
         gaps.append(gap_b)
@@ -419,7 +433,7 @@ def run(
             # Too small a gap to normalise: no certificate can be checked.
             stop, cert, steps = StopReason.GAP_STALLED, None, None
             break
-        cert = _certified(set_a, set_b, a, b, cert_tol)
+        cert = _certified(set_a, set_b, a, b, d, gap_a, cert_tol)
         if cert is not None:
             # The B-projection of this cycle attained the minimum distance;
             # the closing A-projection confirmed it.
@@ -427,7 +441,7 @@ def run(
             break
         if gap_b - gap_a < GAP_STALL_TOL:
             stop, steps = StopReason.GAP_STALLED, None
-            cert = _certificate(set_a, set_b, a, b, cert_tol)
+            cert = _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
             break
         current = a
         cycle += 1
@@ -456,7 +470,7 @@ def run(
         # The last cycle was a real one: a closed-form stretch stops at
         # least one cycle short of the cap.
         stop, steps = StopReason.MAX_ITERS, None
-        cert = _certificate(set_a, set_b, a, b, cert_tol)
+        cert = _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
 
     # Every stop follows a real cycle, so the lists are not empty.
     flat, gap_arr = np.concatenate(points), np.array(gaps)
@@ -486,17 +500,19 @@ def _check_max_iters(max_iters) -> int:
     return cap
 
 
-def _step_gap(p: np.ndarray, prev: np.ndarray) -> float:
-    """Distance from the iterate ``prev`` to its projection ``p``.
+def _step_gap(p: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, float]:
+    """The step ``p - prev`` from the iterate ``prev`` to its projection
+    ``p``, and its length.
 
-    A non-finite ``p`` makes the distance non-finite, so that is the one
+    A non-finite ``p`` makes the length non-finite, so that is the one
     case in which ``p`` itself is tested; it raises the ``ValueError`` that
     ``as_point`` raises for non-finite entries.
     """
-    gap = _norm(p - prev)
+    d = p - prev
+    gap = _norm(d)
     if not math.isfinite(gap) and not np.isfinite(p).all():
         raise ValueError("vector entries must be finite")
-    return gap
+    return d, gap
 
 
 def _face_jump(
@@ -523,15 +539,14 @@ def _face_jump(
     is reached within three cycles, or when the next cycle could stall or
     find the A-point feasible.
     """
-    c = h.c
-    cc = float(c @ c)
-    s = (float(c @ b) - h.M) / cc
+    c, cc = h.c, h._cc
+    s = (float(c.dot(b)) - h.M) / cc
     none = np.empty((0, b.shape[0]))
     if not s > 0.0:
         return none
     # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c.
     margin = 10.0 * ACTIVE_TOL
-    slack = poly.b - poly.A @ b
+    slack = poly.b - poly.A.dot(b)
     slack[face] = math.inf
     if float(slack.min()) <= margin:
         return none
@@ -539,24 +554,24 @@ def _face_jump(
     # rho = s/s_prev.  Continued for three cycles it shows most short visits,
     # where a row is reached before any cycle could be generated, without
     # the face step below; the exact horizon decides every other case.
-    s_prev = (float(c @ b_prev) - h.M) / cc
+    s_prev = (float(c.dot(b_prev)) - h.M) / cc
     if s_prev > s:
         rho = s / s_prev
-        ahead = (rho + rho * rho + rho**3) * (poly.A @ (b - b_prev))
+        ahead = (rho + rho * rho + rho**3) * poly.A.dot(b - b_prev)
         if float((slack - ahead).min()) <= margin:
             return none
     # P_V c is the residual of c against the face rows, split once more to
     # re-orthogonalise it.
     _, pvc = _face_step(poly.A[face], c)
     _, pvc = _face_step(poly.A[face], pvc)
-    q = float(pvc @ pvc) / cc
+    q = float(pvc.dot(pvc)) / cc
     if not ZERO_TOL < math.sqrt(q) < 1.0:
         return none
     log_rho = math.log1p(-q)
     nc = math.sqrt(cc)
     horizon = float(cycles_left + 1)  # the first cycle past the cap
     # An approaching row reaches the margin once 1 - rho^j >= t.
-    closing = -(poly.A @ pvc)
+    closing = -poly.A.dot(pvc)
     closing[face] = 0.0
     hit = closing > 0.0
     t = q * (slack[hit] - margin) / (s * closing[hit])
@@ -573,7 +588,7 @@ def _face_jump(
     # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
     reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
     feas_tol = _FEAS_TOL * (1.0 + float(np.abs(poly.b).max()) + reach)
-    violation = -s * float((poly.A[face] @ c).min())
+    violation = -s * float(poly.A[face].dot(c).min())
     if not violation > feas_tol:
         return none
     horizon = min(horizon, 1 + math.floor(math.log(feas_tol / violation) / log_rho))

@@ -78,7 +78,7 @@ def random_bounded_polyhedron(rng: np.random.Generator, n: int, extra_rows: int)
         a = rng.normal(size=n)
         a /= np.linalg.norm(a)
         rows.append(a)
-        rhs.append(float(a @ interior) + rng.uniform(0.3, 2.0))
+        rhs.append(float(a.dot(interior)) + rng.uniform(0.3, 2.0))
     half_width = rng.uniform(1.0, 3.0)
     for j in range(n):
         e = np.zeros(n)
@@ -135,7 +135,7 @@ def _objective_for(rng: np.random.Generator, poly: Polyhedron) -> np.ndarray:
     while True:
         c = rng.normal(size=poly.dim)
         c /= np.linalg.norm(c)
-        cos = row_hats @ c
+        cos = row_hats.dot(c)
         ray_dist = np.where(cos > 0.0, 1.0, np.sqrt(np.maximum(0.0, 1.0 - cos * cos)))
         if float(ray_dist.min()) >= 0.05:
             return c

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linalg import ZERO_TOL, as_point
 from .qp import _walk_from
-from .sets import HalfSpace, Polyhedron, project_halfspace
+from .sets import HalfSpace, Polyhedron, _json_array, _json_number, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -80,7 +80,7 @@ class LPOutcome:
 
 def _default_start(c: np.ndarray, M: float) -> np.ndarray:
     # Any point with <c, x0> = M - 1, obtained by scaling c.
-    return ((M - 1.0) / float(c @ c)) * c
+    return ((M - 1.0) / float(c.dot(c))) * c
 
 
 def solve_lp(
@@ -117,7 +117,7 @@ def solve_lp(
         x0 = _default_start(c, M)
     else:
         x0 = as_point(x0, poly.dim)
-        if float(c @ x0) > M + 1e-9:
+        if float(c.dot(x0)) > M + 1e-9:
             raise StartNotInA("x0 must satisfy <c, x0> <= M")
     halfspace = HalfSpace(c, M)
 
@@ -157,12 +157,12 @@ def solve_lp(
             raise NotConverged("shifted projection did not certify optimality")
         steps = 1
 
-    viol = float(np.max(poly.A @ b_star - poly.b, initial=0.0))
+    viol = float(np.max(poly.A.dot(b_star) - poly.b, initial=0.0))
     if viol > 1e-7:
         raise NotConverged(f"solution violates feasibility by {viol:.3e}")
     return LPOutcome(
         solution=b_star,
-        objective=float(c @ b_star),
+        objective=float(c.dot(b_star)),
         steps=steps,
         certificate=certificate,
         method=method,
@@ -173,7 +173,7 @@ def solve_lp(
 def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
     # Distance from the solve's own feasible point to the half-space; if it
     # vanishes the offset M was not strictly below the optimum.
-    gap = (float(c @ b_star) - M) / float(np.linalg.norm(c))
+    gap = (float(c.dot(b_star)) - M) / float(np.linalg.norm(c))
     if gap <= _STRICT_TOL:
         raise LowerBoundNotStrict(
             f"offset M={M} is not strictly below the optimal value"
@@ -181,13 +181,20 @@ def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
 
 
 def problem_from_json(obj: dict, M=None) -> LPProblem:
-    """Build an :class:`LPProblem` from ``{"c", "A", "b", "M"}``."""
-    poly = Polyhedron(obj["A"], obj["b"])
+    """Build an :class:`LPProblem` from ``{"c", "A", "b", "M"}``.
+
+    ``M`` overrides the object's bound.  ``ValueError`` when ``obj`` is not
+    an object, or when ``M`` or an entry of ``c``, ``A`` or ``b`` is a
+    bool, a string or null.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"LP problem must be an object, got {obj!r}")
+    poly = Polyhedron(_json_array(obj["A"], "A"), _json_array(obj["b"], "b"))
     if M is None:
         if "M" not in obj:
             raise KeyError("problem JSON has no 'M' and no override was given")
-        M = float(obj["M"])
-    return LPProblem(obj["c"], poly, float(M))
+        M = _json_number(obj["M"], "M")
+    return LPProblem(_json_array(obj["c"], "c"), poly, float(M))
 
 
 def outcome_to_json(outcome: LPOutcome, trace_csv: str | None = None) -> dict:

@@ -94,7 +94,7 @@ def _face_step(Aw, v) -> tuple[np.ndarray, np.ndarray]:
     ``r`` is empty and the residual is ``v``.
     """
     r, *_ = np.linalg.lstsq(Aw.T, v, rcond=None)
-    return r, v - Aw.T @ r
+    return r, v - Aw.T.dot(r)
 
 
 def _working_set(A, b, feas_tol, W, u, z) -> tuple[list[int], int]:
@@ -109,7 +109,7 @@ def _working_set(A, b, feas_tol, W, u, z) -> tuple[list[int], int]:
     max_steps = _STEPS_PER_DIM * (m + n)
     steps = 0
     while True:
-        slack = A @ z - b
+        slack = A.dot(z) - b
         p = int(np.argmax(slack))
         if slack[p] <= feas_tol:
             return W, steps
@@ -123,13 +123,13 @@ def _working_set(A, b, feas_tol, W, u, z) -> tuple[list[int], int]:
                 Aw = A[W]
                 r, d = _face_step(Aw, a)
                 spanned_tol = _DEP_TOL * (
-                    float(np.linalg.norm(a)) + float(np.linalg.norm(np.abs(Aw.T) @ np.abs(r)))
+                    float(np.linalg.norm(a)) + float(np.linalg.norm(np.abs(Aw.T).dot(np.abs(r))))
                 )
             else:
                 r, d, spanned_tol = u, a, 0.0
-            dd = float(d @ d)
+            dd = float(d.dot(d))
             spanned = math.sqrt(dd) <= spanned_tol
-            t_full = math.inf if spanned else max(float(a @ z) - float(b[p]), 0.0) / dd
+            t_full = math.inf if spanned else max(float(a.dot(z)) - float(b[p]), 0.0) / dd
             falling = np.flatnonzero(r > 0.0)
             t_part, k = math.inf, -1
             if falling.size:
@@ -180,8 +180,8 @@ def _on_face(face: _Face, x) -> tuple[np.ndarray, np.ndarray]:
     ``R`` off the large term ``Q' x``, so far points lose only
     ``eps ||x||``.  The multipliers are not clamped.
     """
-    y = face.Q.T @ x - face.w
-    return np.linalg.solve(face.R, y), x - face.Q @ y
+    y = face.Q.T.dot(x) - face.w
+    return np.linalg.solve(face.R, y), x - face.Q.dot(y)
 
 
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
@@ -210,13 +210,13 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     A, b = p.A, p.b
     feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + float(np.linalg.norm(x)))
     lam = np.zeros(A.shape[0])
-    if float(np.max(A @ x - b)) <= feas_tol:
+    if float(np.max(A.dot(x) - b)) <= feas_tol:
         return QPResult(x.copy(), lam, 0), None
     start = [], np.zeros(0), x.copy()
     if face is not None:
         u, z = _on_face(face, x)
         if (u >= 0.0).all():
-            if float(np.max(A @ z - b)) <= feas_tol:
+            if float(np.max(A.dot(z) - b)) <= feas_tol:
                 lam[face.W] = u
                 return QPResult(z, lam, 0), face
             start = list(face.W), u, z
@@ -277,7 +277,7 @@ def _walk_from(p: Polyhedron, base, start: QPResult, direction, t_target: float)
     z = start.point.copy()
     lam = start.dual.copy()
     act_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
-    W = (b - A @ z <= act_tol) | (lam > 1e-12)
+    W = (b - A.dot(z) <= act_tol) | (lam > 1e-12)
     t = 0.0
     iterations = start.iterations
     for _ in range(40 * (m + 1)):
@@ -294,9 +294,9 @@ def _walk_from(p: Polyhedron, base, start: QPResult, direction, t_target: float)
         dt = np.full(m, math.inf)
         drop = W & (rate < -1e-13)
         dt[drop] = lam[drop] / -rate[drop]
-        approach = A @ dz
+        approach = A.dot(dz)
         add = ~W & (approach > 1e-13)
-        dt[add] = np.maximum((b - A @ z)[add], 0.0) / approach[add]
+        dt[add] = np.maximum((b - A.dot(z))[add], 0.0) / approach[add]
         i = int(np.argmin(dt))
         remaining = t_target - t
         event = dt[i] < remaining - 1e-15

@@ -9,7 +9,7 @@ dispatch on the concrete type, so callers can treat the union
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -40,6 +40,8 @@ class HalfSpace:
 
     c: np.ndarray
     M: float
+    # ``<c, c>``, formed once for every projection onto the half-space.
+    _cc: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = as_point(self.c)
@@ -50,6 +52,7 @@ class HalfSpace:
             raise ValueError("half-space offset M must be finite")
         object.__setattr__(self, "c", _freeze(c))
         object.__setattr__(self, "M", M)
+        object.__setattr__(self, "_cc", float(c.dot(c)))
 
     @property
     def dim(self) -> int:
@@ -123,21 +126,21 @@ def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
 def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
     # ``contains`` for a point already validated against ``s``.
     if isinstance(s, HalfSpace):
-        return float(s.c @ x) <= s.M + tol
+        return float(s.c.dot(x)) <= s.M + tol
     if isinstance(s, Polyhedron):
-        return bool((s.A @ x <= s.b + tol).all())
-    z = x - s.shift
-    profile = abs(z[0]) if s.kind == ABS else z[0] * z[0]
-    return z[1] >= profile - tol
+        return bool((s.A.dot(x) <= s.b + tol).all())
+    z0, z1 = (x - s.shift).tolist()
+    profile = abs(z0) if s.kind == ABS else z0 * z0
+    return z1 >= profile - tol
 
 
 def translate(s: ProjectableSet, v) -> ProjectableSet:
     """The set ``s + v``."""
     v = as_point(v, s.dim)
     if isinstance(s, HalfSpace):
-        return HalfSpace(s.c, s.M + float(s.c @ v))
+        return HalfSpace(s.c, s.M + float(s.c.dot(v)))
     if isinstance(s, Polyhedron):
-        return Polyhedron(s.A, s.b + s.A @ v)
+        return Polyhedron(s.A, s.b + s.A.dot(v))
     return EpigraphSet(s.kind, s.shift + v)
 
 
@@ -148,24 +151,23 @@ def project_halfspace(h: HalfSpace, x) -> np.ndarray:
 
 def _project_halfspace(h: HalfSpace, x: np.ndarray) -> np.ndarray:
     # ``project_halfspace`` for a point already validated against ``h``.
-    excess = float(h.c @ x) - h.M
+    excess = float(h.c.dot(x)) - h.M
     if excess <= 0.0:
         return x.copy()
-    return x - (excess / float(h.c @ h.c)) * h.c
+    return x - (excess / h._cc) * h.c
 
 
-def _project_abs_base(z: np.ndarray) -> np.ndarray:
-    # Epigraph of |u|.  Candidates: the two boundary rays (the apex is the
-    # clamped endpoint of either).  Ties resolve to the first branch.
-    if z[1] >= abs(z[0]):
-        return z.copy()
-    t = max(0.0, 0.5 * (z[0] + z[1]))
+def _project_abs_base(z: np.ndarray, z0: float, z1: float) -> np.ndarray:
+    # Epigraph of |u|, for a point ``z = (z0, z1)`` outside it.  Candidates:
+    # the two boundary rays (the apex is the clamped endpoint of either).
+    # Ties resolve to the first branch.
+    t = max(0.0, 0.5 * (z0 + z1))
     right = np.array([t, t])
-    sdist_r = float((right - z) @ (right - z))
-    u = max(0.0, 0.5 * (z[1] - z[0]))
+    dr = right - z
+    u = max(0.0, 0.5 * (z1 - z0))
     left = np.array([-u, u])
-    sdist_l = float((left - z) @ (left - z))
-    return right if sdist_r <= sdist_l else left
+    dl = left - z
+    return right if float(dr.dot(dr)) <= float(dl.dot(dl)) else left
 
 
 def _parabola_root(z1: float, z2: float) -> float:
@@ -177,10 +179,6 @@ def _parabola_root(z1: float, z2: float) -> float:
     if z1 == 0.0:
         return 0.0
     lin = 1.0 - 2.0 * z2
-
-    def g(u: float) -> float:
-        return 2.0 * u * u * u + lin * u - z1
-
     lo, hi = (0.0, z1) if z1 > 0.0 else (z1, 0.0)
     # Bracket invariant g(lo) < 0 < g(hi): g(0) = -z1 and
     # g(z1) = 2 z1 (z1^2 - z2), which has the sign of z1 outside the set.
@@ -202,7 +200,7 @@ def _parabola_root(z1: float, z2: float) -> float:
     if not near:
         u = math.copysign(min(abs(z1), bound), z1)
     for _ in range(200):
-        val = g(u)
+        val = 2.0 * u * u * u + lin * u - z1
         if abs(val) <= 1e-12 * (scale if near else abs(z1) + abs(lin * u)):
             return u
         if val > 0.0:
@@ -220,23 +218,23 @@ def _parabola_root(z1: float, z2: float) -> float:
     return u
 
 
-def _project_square_base(z: np.ndarray) -> np.ndarray:
-    if z[1] >= z[0] * z[0]:
-        return z.copy()
-    u = _parabola_root(float(z[0]), float(z[1]))
-    return np.array([u, u * u])
-
-
 def project_epigraph(e: EpigraphSet, x) -> np.ndarray:
     """Nearest point of the epigraph (unique: the set is convex)."""
     return _project_epigraph(e, as_point(x, e.dim))
 
 
 def _project_epigraph(e: EpigraphSet, x: np.ndarray) -> np.ndarray:
-    # ``project_epigraph`` for a point already validated against ``e``.
+    # ``project_epigraph`` for a point already validated against ``e``.  The
+    # kernels compare and add the two coordinates of ``z = x - shift`` as
+    # floats, which rounds as the same operations on the array do.
     z = x - e.shift
-    base = _project_abs_base(z) if e.kind == ABS else _project_square_base(z)
-    return base + e.shift
+    z0, z1 = z.tolist()
+    if z1 >= (abs(z0) if e.kind == ABS else z0 * z0):
+        return z + e.shift
+    if e.kind == ABS:
+        return _project_abs_base(z, z0, z1) + e.shift
+    u = _parabola_root(z0, z1)
+    return np.array([u, u * u]) + e.shift
 
 
 def project(s: ProjectableSet, x) -> np.ndarray:
@@ -273,28 +271,28 @@ def normal_cone_columns(
     ``A x`` or ``x - shift``), which is computed once for both tests.
     """
     if isinstance(s, HalfSpace):
-        cx = float(s.c @ x)
+        cx = float(s.c.dot(x))
         if not cx <= s.M + tol:
             raise PointNotInSet("point is not in the set within tolerance")
         if abs(cx - s.M) <= tol:
             return s.c[:, None]
         return np.empty((s.dim, 0))
     if isinstance(s, Polyhedron):
-        ax = s.A @ x
+        ax = s.A.dot(x)
         if not (ax <= s.b + tol).all():
             raise PointNotInSet("point is not in the set within tolerance")
         return s.A[np.abs(ax - s.b) <= tol].T
-    z = x - s.shift
-    profile = abs(z[0]) if s.kind == ABS else z[0] * z[0]
-    if not z[1] >= profile - tol:
+    z0, z1 = (x - s.shift).tolist()
+    profile = abs(z0) if s.kind == ABS else z0 * z0
+    if not z1 >= profile - tol:
         raise PointNotInSet("point is not in the set within tolerance")
-    if z[1] > profile + tol:
+    if z1 > profile + tol:
         return _NO_PLANAR_NORMALS
     if s.kind == SQUARE:
-        return np.array([[2.0 * z[0]], [-1.0]])
-    if abs(z[0]) <= tol:
+        return np.array([[2.0 * z0], [-1.0]])
+    if abs(z0) <= tol:
         return _ABS_APEX_NORMALS
-    return np.array([[1.0 if z[0] > 0 else -1.0], [-1.0]])
+    return np.array([[1.0 if z0 > 0 else -1.0], [-1.0]])
 
 
 def proximal_normal_generators(
@@ -318,15 +316,46 @@ def set_to_json(s: ProjectableSet) -> dict:
     return {"epigraph": {"kind": s.kind, "shift": s.shift.tolist()}}
 
 
+def _json_number(value, name: str) -> float:
+    # A number read from JSON: an int or a float, not a bool, a string or
+    # null (``ValueError`` for those and for an int too large for a float).
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
+def _json_array(value, name: str):
+    # ``value`` itself when it is a JSON number or nested lists of them
+    # (the shape is checked where the array is built); ``ValueError`` for a
+    # bool, a string, null or an object anywhere in it.
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        else:
+            _json_number(v, f"an entry of {name}")
+    return value
+
+
 def set_from_json(obj: dict) -> ProjectableSet:
-    """Build a set from its JSON descriptor."""
+    """Build a set from its JSON descriptor.
+
+    ``ValueError`` when the descriptor or its body is not an object, or
+    when a number or an array entry is a bool, a string or null.
+    """
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed set descriptor: {obj!r}")
     (tag, body), = obj.items()
+    if not isinstance(body, dict):
+        raise ValueError(f"set descriptor body must be an object: {obj!r}")
     if tag == "halfspace":
-        return HalfSpace(body["c"], float(body["M"]))
+        return HalfSpace(_json_array(body["c"], "c"), _json_number(body["M"], "M"))
     if tag == "polyhedron":
-        return Polyhedron(body["A"], body["b"])
+        return Polyhedron(_json_array(body["A"], "A"), _json_array(body["b"], "b"))
     if tag == "epigraph":
-        return EpigraphSet(str(body["kind"]), body["shift"])
+        return EpigraphSet(body["kind"], _json_array(body["shift"], "shift"))
     raise ValueError(f"unknown set descriptor tag {tag!r}")

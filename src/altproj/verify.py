@@ -219,8 +219,8 @@ def kkt_certificate(rng: np.random.Generator, cases: int) -> CheckResult:
         poly, _ = random_bounded_polyhedron(rng, n, int(rng.integers(0, 5)))
         x = rng.normal(size=n) * 4.0
         res = project_polyhedron(poly, x)
-        stat = np.linalg.norm(x - res.point - poly.A.T @ res.dual)
-        slack = poly.A @ res.point - poly.b
+        stat = np.linalg.norm(x - res.point - poly.A.T.dot(res.dual))
+        slack = poly.A.dot(res.point) - poly.b
         viol = float(np.max(slack, initial=0.0))
         comp = float(np.max(np.abs(res.dual * slack), initial=0.0))
         negative = -float(res.dual.min(initial=0.0))
@@ -346,7 +346,7 @@ def _matches_oracle(name: str, rng: np.random.Generator, cases: int, strategy: s
     ok = True
     worst = 0.0
     for problem, optimum, out in _lp_solves(rng, cases, strategy):
-        viol = float(np.max(problem.poly.A @ out.solution - problem.poly.b, initial=0.0))
+        viol = float(np.max(problem.poly.A.dot(out.solution) - problem.poly.b, initial=0.0))
         ok = ok and out.certificate.holds and viol <= 1e-7
         worst = max(worst, abs(out.objective - optimum))
     return CheckResult(name, ok and worst <= 1e-5, f"max dev {worst:.2e}")
@@ -374,7 +374,7 @@ def solution_cone_certificate(rng: np.random.Generator, cases: int) -> CheckResu
     for problem, _, out in _lp_solves(rng, cases, "shifted"):
         # At a minimizer of <c, x> the outward normal cone of the feasible
         # set contains -c.
-        slack = np.abs(problem.poly.A @ out.solution - problem.poly.b)
+        slack = np.abs(problem.poly.A.dot(out.solution) - problem.poly.b)
         active = problem.poly.A[slack <= 1e-6].T
         worst = max(worst, unit_cone_distance(_unit(-problem.c), active))
     return _bounded("lp/solution-cone-certificate", worst, 1e-6, "max res")

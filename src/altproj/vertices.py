@@ -48,9 +48,8 @@ def feasible_vertices(p: Polyhedron):
     ``A v <= b + 1e-7 (1 + ||v||)``.  Solutions are deduplicated on
     ``np.round(v, 9)`` in subset order, and the active set of a vertex is
     every row with slack at most ``1e-7 (1 + |b_i|)``.  The slacks of a
-    block's new vertices come from one stacked product, ``A @ V[..., None]``,
-    which makes one matrix-vector call per vertex and so rounds exactly as
-    ``A @ v`` does.
+    block's new vertices come from one stacked product, which makes one
+    matrix-vector call per vertex and so rounds exactly as ``A.dot(v)``.
     """
     check_oracle_limits(p)
     m, n = p.num_rows, p.dim
@@ -117,7 +116,7 @@ def _vertex_oracle(p: Polyhedron, c, vertices: list | None) -> tuple[float, np.n
     best_obj = np.inf
     best_vertex = None
     for v, _ in vertices:
-        obj = float(c @ v)
+        obj = float(c.dot(v))
         if obj < best_obj - 1e-12:
             best_obj = obj
             best_vertex = v

@@ -131,6 +131,76 @@ def test_run_rejects_an_infinite_certificate_tolerance(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot parse experiment spec: cert_tol")
 
 
+MALFORMED_RUN_SPECS = {
+    "max_iters fraction": {"max_iters": 2.5},
+    "max_iters bool": {"max_iters": True},
+    "max_iters string": {"max_iters": "7"},
+    "max_iters null": {"max_iters": None},
+    "max_iters list": {"max_iters": [3]},
+    "max_iters infinite": {"max_iters": math.inf},
+    "cert_tol bool": {"cert_tol": True},
+    "cert_tol null": {"cert_tol": None},
+    "cert_tol string": {"cert_tol": "1e-8"},
+    "outputs list": {"outputs": []},
+    "outputs path number": {"outputs": {"trace_csv": 5}},
+    "outputs path null": {"outputs": {"report_json": None}},
+    "halfspace M null": {"setA": {"halfspace": {"c": [0, 1], "M": None}}},
+    "halfspace M string": {"setA": {"halfspace": {"c": [0, 1], "M": "0"}}},
+    "halfspace body list": {"setA": {"halfspace": [1]}},
+    "halfspace c bools": {"setA": {"halfspace": {"c": [False, True], "M": 0}}},
+    "halfspace c huge int": {"setA": {"halfspace": {"c": [0, 10**400], "M": 0}}},
+    "epigraph shift string": {"setB": {"epigraph": {"kind": "abs", "shift": ["0", "1"]}}},
+    "x0 string": {"x0": "12"},
+    "x0 object": {"x0": {"u": 1}},
+}
+
+
+@pytest.mark.parametrize("override", MALFORMED_RUN_SPECS.values(), ids=MALFORMED_RUN_SPECS)
+def test_run_rejects_a_malformed_spec_with_a_usage_error(tmp_path, capsys, override):
+    # Every spec ran or ended in a bare TypeError or AttributeError before:
+    # a fraction, a bool or a string cap was rounded or coerced.
+    spec = json.loads(Path(absval_run_spec(tmp_path)).read_text())
+    spec.update(override)
+    assert main(["run", write_json(tmp_path / "bad.json", spec), "--out", str(tmp_path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse experiment spec: ")
+
+
+@pytest.mark.parametrize("cap, cycles", [(7, 7), (3.0, 3), (1e3, 1000)])
+def test_run_accepts_an_integral_cycle_cap(tmp_path, cap, cycles):
+    # 1e3 reads as the float 1000.0; the parabola touching the half-plane
+    # runs to the cap.
+    spec = write_json(
+        tmp_path / "parabola.json",
+        {
+            "setA": {"halfspace": {"c": [0, 1], "M": 0}},
+            "setB": {"epigraph": {"kind": "square", "shift": [0, 0]}},
+            "x0": [1, 0],
+            "max_iters": cap,
+        },
+    )
+    assert main(["run", spec, "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "parabola_report.json").read_text())
+    assert report["stop_reason"] == "MaxIters"
+    assert report["num_iterates"] == 2 * cycles + 1
+
+
+@pytest.mark.parametrize("command", ["run", "bound", "lp"])
+def test_a_spec_that_is_not_an_object_is_a_usage_error(tmp_path, capsys, command):
+    path = write_json(tmp_path / "list.json", [1])
+    assert main([command, path]) == 64
+    assert capsys.readouterr().err.startswith("error: cannot parse ")
+
+
+def test_run_reports_an_unwritable_output_path(tmp_path, capsys):
+    spec = json.loads(Path(absval_run_spec(tmp_path)).read_text())
+    spec["outputs"] = {"trace_csv": str(tmp_path / "missing" / "trace.csv")}
+    assert main(["run", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bound_command_reports_constants(tmp_path, capsys):
     problem = write_json(
         tmp_path / "bound.json",
@@ -251,6 +321,20 @@ def test_lp_command_auto_bound(tmp_path, capsys):
     assert main(["lp", problem, "--auto-bound"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["objective"] == pytest.approx(-1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("M", [None, [3], True, "3", "-2"])
+def test_lp_command_rejects_a_bound_that_is_not_a_number(tmp_path, capsys, M):
+    # null and a list raised TypeError; true and "3" were coerced to 1.0 and 3.0.
+    problem = box_lp(tmp_path, M=M)
+    assert main(["lp", problem]) == 64
+    assert capsys.readouterr().err.startswith("error: cannot parse LP problem: M must be a number")
+
+
+@pytest.mark.parametrize("M", [-2, -2.0])
+def test_lp_command_accepts_an_integer_or_float_bound(tmp_path, capsys, M):
+    assert main(["lp", box_lp(tmp_path, M=M)]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_lp_command_loose_bound_exit_code(tmp_path):
