@@ -25,7 +25,7 @@ from .errors import InvalidDistance, NotPolyhedralPair, StartNotInA, Unbounded
 from .linalg import as_point, unit_cone_distance, unit_distance_to_ray
 from .qp import QPResult, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _contains_point
-from .vertices import _vertex_oracle, feasible_vertices
+from .vertices import feasible_vertices, vertex_oracle
 
 # Margin for strict-inequality tests on normalized inner products, so that
 # floating-point ties cannot silently flip membership decisions.
@@ -135,18 +135,10 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     screen bounds every face from below, so a face that could hold the
     minimum is measured before the loop stops.
 
-    Shares the vertex enumeration limits of the LP oracle (n <= 8, m <= 24).
+    For n >= 3 the cones come from B's :func:`feasible_vertices`, which
+    keeps the oracle's limits (n <= 8, m <= 24); the plane needs none.
     """
-    return _alpha(B, as_point(A.c, B.dim), None)
-
-
-def _alpha(B: Polyhedron, c: np.ndarray, vertices: list | None) -> float:
-    """:func:`alpha_polyhedron_halfspace` for the validated normal ``c``.
-
-    ``vertices`` is the list of :func:`feasible_vertices` for B, or None to
-    enumerate it here, after the single rows, when ``n >= 3``; the plane
-    needs no vertices.
-    """
+    c = as_point(A.c, B.dim)
     nc = float(np.linalg.norm(c))
     neg_c = -c
     neg_chat = neg_c / nc
@@ -166,11 +158,9 @@ def _alpha(B: Polyhedron, c: np.ndarray, vertices: list | None) -> float:
     if B.dim < 3:
         return 0.5 * min(1.0, best)
 
-    if vertices is None:
-        vertices = feasible_vertices(B)
     qualifying_set = set(qualifying)
     cones = set(itertools.combinations(qualifying, 2))
-    for _, active in vertices:
+    for _, active in feasible_vertices(B):
         rows = tuple(i for i in active if i in qualifying_set)
         for size in range(2, len(rows) + 1):
             cones.update(itertools.combinations(rows, size))
@@ -328,15 +318,8 @@ def _one_step_shift(
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
     """Exact ``d(A, B)`` via the vertex oracle: ``max(0, min_B <c,x> - M)/||c||``."""
-    return _distance(B, A, None)
-
-
-def _distance(B: Polyhedron, A: HalfSpace, vertices: list | None) -> float:
-    """:func:`polyhedron_halfspace_distance` over ``vertices``, B's
-    :func:`feasible_vertices` list, or None to enumerate it in the oracle.
-    """
     try:
-        optimum, _ = _vertex_oracle(B, A.c, vertices)
+        optimum, _ = vertex_oracle(B, A.c)
     except Unbounded:
         # The objective is unbounded below on B, so B reaches into A.
         return 0.0
@@ -353,21 +336,18 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     :func:`engine.run <altproj.engine.run>` validates it, before the alpha
     search, so a bad start raises before any cone is measured.
 
-    B's vertices are enumerated once and shared: the alpha search and the
-    vertex oracle behind ``d_AB`` both reduce over the same list, and each
-    raises what :func:`alpha_polyhedron_halfspace` and
-    :func:`polyhedron_halfspace_distance` raise, in the same order.  Any
-    other pair of set types raises :class:`NotPolyhedralPair` first.
+    Then it raises what :func:`alpha_polyhedron_halfspace` and
+    :func:`polyhedron_halfspace_distance` raise, in that order; both read
+    B's one vertex list.  Any other pair of set types raises
+    :class:`NotPolyhedralPair` first.
     """
     if not isinstance(A, HalfSpace) or not isinstance(B, Polyhedron):
         raise NotPolyhedralPair("bound requires setA to be a half-space and setB a polyhedron")
     x0 = as_point(x0, A.dim)
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
-    c = as_point(A.c, B.dim)
-    vertices = feasible_vertices(B)
-    alpha = _alpha(B, c, vertices)
-    d_ab = _distance(B, A, vertices)
+    alpha = alpha_polyhedron_halfspace(B, A)
+    d_ab = polyhedron_halfspace_distance(B, A)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")
     d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import certify, engine, lp, verify, vertices
 from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair
 from .linalg import as_point
-from .sets import Polyhedron, _json_array, _json_number, set_from_json
+from .sets import Polyhedron, _json_number, set_from_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,14 +103,13 @@ def cmd_run(args) -> int:
         spec = _load_spec(args.spec)
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
-        x0 = as_point(_json_array(spec["x0"], "x0"))
+        x0 = as_point(spec["x0"])
         max_iters = args.max_iters
         if max_iters is None:
             max_iters = spec.get("max_iters", 1000)
         max_iters = _spec_max_iters(max_iters)
         cert_tol = _json_number(spec.get("cert_tol", 1e-8), "cert_tol")
-        if not 0.0 <= cert_tol < math.inf:
-            raise ValueError(f"cert_tol must be finite and nonnegative, got {cert_tol}")
+        engine._check_tol(cert_tol)
         outputs = _spec_outputs(spec.get("outputs", {}))
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
         print(f"error: cannot parse experiment spec: {exc}", file=sys.stderr)
@@ -140,7 +139,7 @@ def cmd_bound(args) -> int:
         spec = _load_spec(args.problem)
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
-        x0 = as_point(_json_array(spec["x0"], "x0"))
+        x0 = as_point(spec["x0"])
     except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
         print(f"error: cannot parse bound problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -153,8 +152,8 @@ def cmd_lp(args) -> int:
     try:
         spec = _load_spec(args.problem)
         if args.auto_bound:
-            poly = Polyhedron(_json_array(spec["A"], "A"), _json_array(spec["b"], "b"))
-            optimum, _ = vertices.vertex_oracle(poly, _json_array(spec["c"], "c"))
+            poly = Polyhedron(spec["A"], spec["b"])
+            optimum, _ = vertices.vertex_oracle(poly, spec["c"])
             problem = lp.problem_from_json(spec, M=optimum - 1.0)
         else:
             problem = lp.problem_from_json(spec)

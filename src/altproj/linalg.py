@@ -3,12 +3,13 @@
 Everything in this module is a pure function on small dense vectors
 (problems of interest have n <= 100, usually n <= 10).  Vectors are plain
 1-D ``numpy.ndarray`` objects.  :func:`as_point` is the one place in the
-package that coerces and validates a vector.  A public function passes each
-vector argument through ``as_point(x, dim)``, which also checks the length
-against the set or space the vector belongs to, and from then on works on
-the validated array.  The rule for loops follows from it: a point is
-validated once, where it enters the package, and the loop runs on kernels
-that take validated arrays.  The kernels that do no validation here are
+package that coerces and validates a vector; ``Polyhedron`` reads its matrix
+by the same entry rule.  A public function passes each vector argument
+through ``as_point(x, dim)``, which also checks the length against the set
+or space the vector belongs to, and from then on works on the validated
+array.  The rule for loops follows from it: a point is validated once,
+where it enters the package, and the loop runs on kernels that take
+validated arrays.  The kernels that do no validation here are
 :func:`unit_distance_to_ray`, :func:`unit_cone_distance`, ``_norm`` and
 ``_row_norms``; ``sets`` and ``engine`` keep their own (``_project_point``,
 ``_certificate``, ``_certified`` and the kernels behind them).
@@ -40,14 +41,37 @@ from .errors import DimensionMismatch, ZeroVector
 ZERO_TOL = 1e-12
 
 
+# The entry types of a vector that is not an int or float array; a bool is
+# an int but is rejected.
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _real_array(values) -> np.ndarray:
+    # ``values`` as a float array, by the entry rule of ``as_point``.  Input
+    # other than an int or float array is read entry by entry, which also
+    # finds a bool that NumPy would promote (``[True, 2.5]``).
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.asarray(values, dtype=float)
+    p = np.asarray(values, dtype=object)
+    for v in p.flat:
+        if isinstance(v, bool) or not isinstance(v, _REAL):
+            raise ValueError(f"vector entries must be ints or floats, got {v!r}")
+    try:
+        return p.astype(float)
+    except OverflowError:
+        raise ValueError("vector entry is too large for a float") from None
+
+
 def as_point(values, dim: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a finite 1-D float array of length ``dim``.
 
-    Raises :class:`DimensionMismatch` for an empty or non-vector input and,
-    when ``dim`` is given, for any other length; ``ValueError`` for
-    non-finite entries.
+    Every entry must be an int or a float (NumPy's too), and an int must
+    lie within the float range.  Raises :class:`DimensionMismatch` for an
+    empty or non-vector input and, when ``dim`` is given, for any other
+    length; ``ValueError`` for a bool, a string, a complex number or any
+    other object as an entry, and for non-finite entries.
     """
-    p = np.asarray(values, dtype=float)
+    p = _real_array(values)
     if p.ndim == 0:
         p = p.reshape(1)
     if p.ndim != 1 or p.size == 0:

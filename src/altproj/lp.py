@@ -17,15 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certify, engine
-from .errors import (
-    LowerBoundNotStrict,
-    NotConverged,
-    StartNotInA,
-    ZeroVector,
-)
+from .errors import LowerBoundNotStrict, NotConverged, ZeroVector
 from .linalg import ZERO_TOL, as_point
 from .qp import _walk_from
-from .sets import HalfSpace, Polyhedron, _json_array, _json_number, project_halfspace
+from .sets import HalfSpace, Polyhedron, _json_number, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -99,6 +94,8 @@ def solve_lp(
     strategy projects ``x0`` onto the polyhedron once: the shift needs
     ``d(x0, B)``, and the walk to the shifted start's projection
     (:func:`~altproj.qp.project_along_ray`) begins from the same result.
+    A given ``x0`` outside the half-space by more than 1e-8 raises
+    :class:`StartNotInA` from :func:`engine.run` or the shift.
 
     ``max_iters`` caps the direct strategy's cycles; it must be an integer
     of at least 1 (``ValueError`` otherwise, from :func:`engine.run`).  The
@@ -113,12 +110,7 @@ def solve_lp(
     if method is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     c, poly, M = problem.c, problem.poly, problem.M
-    if x0 is None:
-        x0 = _default_start(c, M)
-    else:
-        x0 = as_point(x0, poly.dim)
-        if float(c.dot(x0)) > M + 1e-9:
-            raise StartNotInA("x0 must satisfy <c, x0> <= M")
+    x0 = _default_start(c, M) if x0 is None else as_point(x0, poly.dim)
     halfspace = HalfSpace(c, M)
 
     if method == DIRECT:
@@ -189,12 +181,12 @@ def problem_from_json(obj: dict, M=None) -> LPProblem:
     """
     if not isinstance(obj, dict):
         raise ValueError(f"LP problem must be an object, got {obj!r}")
-    poly = Polyhedron(_json_array(obj["A"], "A"), _json_array(obj["b"], "b"))
+    poly = Polyhedron(obj["A"], obj["b"])
     if M is None:
         if "M" not in obj:
             raise KeyError("problem JSON has no 'M' and no override was given")
         M = _json_number(obj["M"], "M")
-    return LPProblem(_json_array(obj["c"], "c"), poly, float(M))
+    return LPProblem(obj["c"], poly, float(M))
 
 
 def outcome_to_json(outcome: LPOutcome, trace_csv: str | None = None) -> dict:

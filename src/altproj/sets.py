@@ -1,15 +1,16 @@
 """Projectable closed sets: half-spaces, polyhedra, and two planar epigraphs.
 
-Each set type is an immutable value object.  The module-level functions
-``contains``, ``project``, ``proximal_normal_generators`` and ``translate``
-dispatch on the concrete type, so callers can treat the union
-:data:`ProjectableSet` uniformly.
+Each set type is an immutable value object: two sets of one type are
+equal, and hash alike, when their defining arrays and numbers are equal.
+The module-level functions ``contains``, ``project``,
+``proximal_normal_generators`` and ``translate`` dispatch on the concrete
+type, so callers can treat the union :data:`ProjectableSet` uniformly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     PointNotInSet,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, as_point
+from .linalg import ZERO_TOL, _real_array, as_point
 from .qp import project_polyhedron
 
 # Default tolerance for deciding which constraints are active at a point.
@@ -34,8 +35,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class _ValueSet:
+    # Equality and hash by one key: the compared dataclass fields, each array
+    # read as its shape and its entries (``np.array_equal``'s test), so that
+    # 0.0 and -0.0 agree in both.
+
+    def _key(self) -> tuple:
+        key = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple((v.shape, *v.flat) if isinstance(v, np.ndarray) else v for v in key)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class HalfSpace(_ValueSet):
     """Closed half-space ``{x : <c, x> <= M}`` with outward normal ``c``."""
 
     c: np.ndarray
@@ -59,15 +76,18 @@ class HalfSpace:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+@dataclass(frozen=True, eq=False)
+class Polyhedron(_ValueSet):
     """Polyhedron ``{x : A @ x <= b}``; the rows of ``A`` are outward normals."""
 
     A: np.ndarray
     b: np.ndarray
+    # The vertex list of :func:`altproj.vertices.feasible_vertices`, made on
+    # first use and kept: ``A`` and ``b`` are frozen, so it cannot go stale.
+    _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = np.atleast_2d(_real_array(self.A))
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionMismatch(f"constraint matrix has shape {A.shape}")
         b = as_point(self.b, A.shape[0])
@@ -93,8 +113,8 @@ SQUARE = "square"
 _EPIGRAPH_KINDS = (ABS, SQUARE)
 
 
-@dataclass(frozen=True)
-class EpigraphSet:
+@dataclass(frozen=True, eq=False)
+class EpigraphSet(_ValueSet):
     """Planar epigraph translated by ``shift``.
 
     ``kind == "abs"`` is ``{(u, v) : v >= |u|} + shift`` and
@@ -327,20 +347,6 @@ def _json_number(value, name: str) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
-def _json_array(value, name: str):
-    # ``value`` itself when it is a JSON number or nested lists of them
-    # (the shape is checked where the array is built); ``ValueError`` for a
-    # bool, a string, null or an object anywhere in it.
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, list):
-            stack.extend(v)
-        else:
-            _json_number(v, f"an entry of {name}")
-    return value
-
-
 def set_from_json(obj: dict) -> ProjectableSet:
     """Build a set from its JSON descriptor.
 
@@ -353,9 +359,9 @@ def set_from_json(obj: dict) -> ProjectableSet:
     if not isinstance(body, dict):
         raise ValueError(f"set descriptor body must be an object: {obj!r}")
     if tag == "halfspace":
-        return HalfSpace(_json_array(body["c"], "c"), _json_number(body["M"], "M"))
+        return HalfSpace(body["c"], _json_number(body["M"], "M"))
     if tag == "polyhedron":
-        return Polyhedron(_json_array(body["A"], "A"), _json_array(body["b"], "b"))
+        return Polyhedron(body["A"], body["b"])
     if tag == "epigraph":
-        return EpigraphSet(body["kind"], _json_array(body["shift"], "shift"))
+        return EpigraphSet(body["kind"], body["shift"])
     raise ValueError(f"unknown set descriptor tag {tag!r}")

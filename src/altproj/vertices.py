@@ -29,15 +29,16 @@ def check_oracle_limits(p: Polyhedron) -> None:
         )
 
 
-def feasible_vertices(p: Polyhedron):
+def feasible_vertices(p: Polyhedron) -> tuple:
     """All vertices of ``p`` with their full active row sets.
 
     Solves every n-subset of rows as a square system and keeps the
-    feasible solutions, deduplicated.  Returns a list of
+    feasible solutions, deduplicated.  Returns a tuple of
     ``(vertex, active_indices)``, one per vertex, in the
     :func:`itertools.combinations` order of the first subset that reaches
     it; ``active_indices`` holds every row tight at the vertex (more than n
-    at degenerate vertices).
+    at degenerate vertices).  The vertices are read-only.  The first call
+    for ``p`` keeps the tuple on ``p``, and later calls return it.
 
     The subsets go in blocks of ``_BLOCK``, which bounds memory at the
     oracle limit (C(24, 8) = 735,471 subsets).  In each block the subsets
@@ -51,6 +52,8 @@ def feasible_vertices(p: Polyhedron):
     block's new vertices come from one stacked product, which makes one
     matrix-vector call per vertex and so rounds exactly as ``A.dot(v)``.
     """
+    if p._vertices is not None:
+        return p._vertices
     check_oracle_limits(p)
     m, n = p.num_rows, p.dim
     combos = itertools.combinations(range(m), n)
@@ -61,7 +64,7 @@ def feasible_vertices(p: Polyhedron):
             itertools.chain.from_iterable(itertools.islice(combos, _BLOCK)), dtype=np.intp
         )
         if flat.size == 0:
-            return vertices
+            break
         subsets = flat.reshape(-1, n)
         rows, rhs = p.A[subsets], p.b[subsets]
         regular = np.linalg.slogdet(rows)[0] != 0
@@ -79,27 +82,22 @@ def feasible_vertices(p: Polyhedron):
                 seen.add(key)
                 new.append(j)
         v = v[new]
+        v.flags.writeable = False
         slack = np.abs((p.A @ v[..., None])[..., 0] - p.b)
         for vertex, mask in zip(v, slack <= 1e-7 * (1.0 + np.abs(p.b))):
             vertices.append((vertex, tuple(np.flatnonzero(mask).tolist())))
+    object.__setattr__(p, "_vertices", tuple(vertices))
+    return p._vertices
 
 
 def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
-    """Brute-force LP solve: enumerate all row subsets of size n.
+    """Brute-force LP solve over :func:`feasible_vertices`.
 
-    Returns ``(optimum, argmin_vertex)``.  Raises :class:`TooLarge` beyond
-    desk scale (n > 8 or m > 24), :class:`Unbounded` when ``-c`` is not in
-    the cone of the rows (the objective then decreases along a recession
-    direction), and :class:`EmptyPolyhedron` when no feasible vertex exists.
-    """
-    return _vertex_oracle(p, c, None)
-
-
-def _vertex_oracle(p: Polyhedron, c, vertices: list | None) -> tuple[float, np.ndarray]:
-    """:func:`vertex_oracle` over ``vertices``, the list of
-    :func:`feasible_vertices` for ``p``, or over its own enumeration when
-    ``vertices`` is None.  The checks run first, in the same order either
-    way, so only a bounded objective pays for an enumeration.
+    Returns ``(optimum, argmin_vertex)``, the vertex a copy.  Raises
+    :class:`TooLarge` beyond desk scale (n > 8 or m > 24), then
+    :class:`Unbounded` when ``-c`` is not in the cone of the rows (the
+    objective then decreases along a recession direction), both before any
+    enumeration, and :class:`EmptyPolyhedron` when no vertex exists.
     """
     c = as_point(c, p.dim)
     check_oracle_limits(p)
@@ -110,16 +108,14 @@ def _vertex_oracle(p: Polyhedron, c, vertices: list | None) -> tuple[float, np.n
         raise ZeroVector("cannot normalize a zero vector")
     if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
         raise Unbounded("objective decreases along a recession direction")
-    if vertices is None:
-        vertices = feasible_vertices(p)
 
     best_obj = np.inf
     best_vertex = None
-    for v, _ in vertices:
+    for v, _ in feasible_vertices(p):
         obj = float(c.dot(v))
         if obj < best_obj - 1e-12:
             best_obj = obj
             best_vertex = v
     if best_vertex is None:
         raise EmptyPolyhedron("no feasible vertex (empty or non-pointed feasible set)")
-    return best_obj, best_vertex
+    return best_obj, best_vertex.copy()

@@ -227,6 +227,30 @@ def test_solve_lp_validates_given_start():
     assert out.objective == pytest.approx(-1.0, abs=1e-7)
 
 
+def test_solve_lp_takes_the_start_rule_of_run_and_bound_report():
+    # One rule, <c, x0> <= M + 1e-8: before, both strategies rejected a
+    # start 5e-9 outside the half-space that run and bound_report accept.
+    problem, optimum, _ = random_lp_instance(np.random.default_rng(1))
+    c, M = problem.c, problem.M
+    halfspace = HalfSpace(c, M)
+    for excess in (5e-9, 2e-8):
+        x0 = ((M + excess) / float(c.dot(c))) * c
+        for strategy in ("direct", "shifted"):
+            if excess < 1e-8:
+                out = solve_lp(problem, x0=x0, strategy=strategy)
+                assert out.objective == pytest.approx(optimum, abs=1e-7)
+            else:
+                with pytest.raises(StartNotInA):
+                    solve_lp(problem, x0=x0, strategy=strategy)
+        for call in (run, bound_report):
+            pair = (halfspace, problem.poly) if call is run else (problem.poly, halfspace)
+            if excess < 1e-8:
+                call(*pair, x0)
+            else:
+                with pytest.raises(StartNotInA):
+                    call(*pair, x0)
+
+
 def test_default_start_sits_strictly_inside_the_sublevel_set():
     problem = LPProblem([2.0, 0.0], unit_box(), -3.0)
     out = solve_lp(problem)

@@ -17,6 +17,7 @@ from altproj import (
     set_from_json,
     set_to_json,
     verify,
+    vertex_oracle,
 )
 from altproj.instances import random_set
 
@@ -175,3 +176,49 @@ def test_set_from_json_rejects_garbage():
         set_from_json({"blob": {}})
     with pytest.raises(ValueError):
         set_from_json({"halfspace": {"c": [0, 1], "M": 0}, "extra": 1})
+
+
+def equal_pairs():
+    # Two equal sets of each type, built apart; the second of each pair has
+    # -0.0 where the first has 0.0 and ints where it has floats.
+    return [
+        (HalfSpace([0.0, 1.0], 0.0), HalfSpace([-0.0, 1], -0.0)),
+        (
+            Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 2.0]),
+            Polyhedron(np.array([[1, -0.0], [0, 1]]), [-0.0, 2]),
+        ),
+        (EpigraphSet("abs", [0.0, 1.0]), EpigraphSet("abs", np.array([-0.0, 1.0]))),
+    ]
+
+
+def test_sets_compare_and_hash_by_value():
+    # Before, == and != between two sets raised ValueError and hash raised
+    # TypeError.
+    for a, b in equal_pairs():
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a, b} == {a} and b in {a}
+        assert set_from_json(set_to_json(b)) == a
+    hs, poly, epi = (a for a, _ in equal_pairs())
+    different = [
+        (hs, HalfSpace([0.0, 1.0], 1.0)),
+        (hs, HalfSpace([0.0, 2.0], 0.0)),
+        (hs, HalfSpace([0.0, 1.0, 0.0], 0.0)),
+        (poly, Polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 3.0])),
+        (poly, Polyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 2.0, 9.0])),
+        (epi, EpigraphSet("square", [0.0, 1.0])),
+        (epi, EpigraphSet("abs", [0.0, 2.0])),
+        (hs, epi),
+        (hs, (hs.c, hs.M)),
+    ]
+    for a, b in different:
+        assert a != b and not a == b
+    assert len({hs, poly, epi, *(b for _, b in different[:-1])}) == 10
+
+
+def test_a_polyhedron_equals_its_copy_whatever_their_vertex_lists():
+    a, b = equal_pairs()[1]
+    vertex_oracle(a, [-1.0, -1.0])
+    assert a._vertices is not None and b._vertices is None
+    assert a == b and hash(a) == hash(b)
+    assert "_vertices" not in repr(a)

@@ -1,11 +1,12 @@
-"""One enumeration per bound report, one projection of x0 per shifted solve.
+"""One enumeration per polyhedron, one projection of x0 per shifted solve.
 
-``bound_report`` hands one vertex list to the alpha search and to the
-vertex oracle behind ``d_AB``; the shifted LP strategy walks from the
-projection of ``x0`` that the shift already made.  These tests pin the
-sharing by counting calls, check by ``float.hex`` that each shared path
-gives what the public composition it replaces gives, and pin the error
-that each kind of bad pair raises.
+A polyhedron keeps its vertex list from the first enumeration, so the
+alpha search, ``d_AB``, the oracle and the shifted solve all read one list;
+the shifted LP strategy walks from the projection of ``x0`` that the shift
+already made.  These tests pin the sharing by counting calls, check by
+``float.hex`` that the shared paths give what the public composition gives
+on a polyhedron that enumerates afresh, and pin the error that each kind
+of bad pair raises.
 """
 
 import numpy as np
@@ -26,10 +27,11 @@ from altproj import (
     polyhedron_halfspace_distance,
     qp,
     solve_lp,
+    translate,
+    vertex_oracle,
     vertices,
 )
 from altproj.instances import random_pair_instance
-from altproj.linalg import as_point
 from test_certify import bad_geometry_pairs
 from test_lp import pyramid
 from test_qp_adversarial import with_duplicates
@@ -76,16 +78,64 @@ def count_calls(monkeypatch, modules, name):
     return calls
 
 
+def spy_enumerations(monkeypatch):
+    """Route ``feasible_vertices`` through a spy in each module that calls it.
+
+    Returns the polyhedra it enumerated, one entry per call made while the
+    polyhedron held no vertex list yet, and ``(polyhedron, list)`` for
+    every call.
+    """
+    original = vertices.feasible_vertices
+    enumerated, listed = [], []
+
+    def spy(p):
+        if p._vertices is None:
+            enumerated.append(p)
+        result = original(p)
+        listed.append((p, result))
+        return result
+
+    for module in (certify, vertices):
+        assert module.feasible_vertices is original
+        monkeypatch.setattr(module, "feasible_vertices", spy)
+    return enumerated, listed
+
+
 @pytest.mark.parametrize("dims", [(2,), (3, 4)], ids=["n=2", "n>=3"])
 def test_bound_report_enumerates_the_vertices_once(monkeypatch, dims):
-    calls = count_calls(monkeypatch, [certify, vertices], "feasible_vertices")
-    pairs = [inst for inst in random_pairs(17, 40) if inst.poly.dim in dims]
-    assert len(pairs) >= 5
-    for inst in pairs:
-        calls.clear()
-        bound_report(inst.poly, inst.halfspace, inst.x0)
-        assert len(calls) == 1
-        assert calls[0][0] is inst.poly
+    enumerated, listed = spy_enumerations(monkeypatch)
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 5:
+        enumerated.clear()
+        listed.clear()
+        inst = random_pair_instance(rng)
+        B, A = inst.poly, inst.halfspace
+        if B.dim not in dims:
+            continue
+        bound_report(B, A, inst.x0)
+        solve_lp(LPProblem(A.c, B, A.M), x0=inst.x0, strategy="shifted")
+        _, argmin = vertex_oracle(B, A.c)
+        polyhedron_halfspace_distance(B, A)
+        assert len(enumerated) == 1 and enumerated[0] is B
+        assert all(p is B and lst is listed[0][1] for p, lst in listed)
+
+        # The stored vertices are read-only; the oracle hands out a copy.
+        stored = [v.copy() for v, _ in vertices.feasible_vertices(B)]
+        for v, _ in vertices.feasible_vertices(B):
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+        assert argmin.flags.writeable
+        argmin += 1.0
+        assert all(np.array_equal(v, w) for (v, _), w in zip(B._vertices, stored))
+
+        # A translate is a new polyhedron with a list of its own.
+        moved = translate(B, np.ones(B.dim))
+        vertex_oracle(moved, A.c)
+        assert len(enumerated) == 2 and enumerated[1] is moved
+        assert moved._vertices is not B._vertices
+        checked += 1
 
 
 def test_shifted_solve_projects_the_start_once(monkeypatch):
@@ -99,27 +149,30 @@ def test_shifted_solve_projects_the_start_once(monkeypatch):
 
 
 def shared_and_public(B, A, x0):
-    """The shared paths' outputs next to those of the public composition."""
-    listed = vertices.feasible_vertices(B)
-    alpha = alpha_polyhedron_halfspace(B, A)
-    d_ab = polyhedron_halfspace_distance(B, A)
-
-    def composed():
-        if d_ab <= 0.0:
-            raise InvalidDistance("the sets intersect")
-        d_x0 = float(np.linalg.norm(x0 - qp.project_polyhedron(B, x0).point))
-        return iteration_bound(alpha, d_ab, max(d_x0, d_ab))
+    """``bound_report`` and the constants over B's kept vertex list next to
+    the public composition over a copy of B, which enumerates its own."""
 
     def fields(report):
         if isinstance(report, type):
             return report
         return hexed(report.alpha), hexed(report.d_AB), report.N, report.one_step
 
+    report = fields(outcome(lambda: bound_report(B, A, x0)))
     shared = (
-        hexed(certify._alpha(B, as_point(A.c, B.dim), listed)),
-        hexed(certify._distance(B, A, listed)),
-        fields(outcome(lambda: bound_report(B, A, x0))),
+        hexed(alpha_polyhedron_halfspace(B, A)),
+        hexed(polyhedron_halfspace_distance(B, A)),
+        report,
     )
+    fresh = Polyhedron(B.A, B.b)
+    alpha = alpha_polyhedron_halfspace(fresh, A)
+    d_ab = polyhedron_halfspace_distance(fresh, A)
+
+    def composed():
+        if d_ab <= 0.0:
+            raise InvalidDistance("the sets intersect")
+        d_x0 = float(np.linalg.norm(x0 - qp.project_polyhedron(fresh, x0).point))
+        return iteration_bound(alpha, d_ab, max(d_x0, d_ab))
+
     return shared, (hexed(alpha), hexed(d_ab), fields(outcome(composed)))
 
 

@@ -38,6 +38,7 @@ from altproj import (
 )
 from altproj.cli import EXIT_ERROR, EXIT_USAGE, main
 from altproj.instances import absval_epigraph, absval_polyhedron, lower_halfplane
+from altproj.linalg import as_point
 from altproj.qp import project_along_ray
 
 HS = lower_halfplane()
@@ -131,3 +132,56 @@ def test_cli_rejects_an_infinite_offset(tmp_path, capsys, command):
     args = [command, str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
     assert main(args) == EXIT_USAGE
     assert "finite" in capsys.readouterr().err
+
+
+NOT_NUMBERS = {
+    "object": {},
+    "huge-int": [10**400],
+    "huge-int-mixed": [1.5, 10**400],
+    "strings": ["1", "2"],
+    "bools": [True, False],
+    "bool-among-floats": [True, 2.5],
+    "bool-array": np.array([True, False]),
+    "complex": [1.0, 2j],
+    "complex-array": np.array([1.0, 2.0], dtype=complex),
+    "string-array": np.array(["1", "2"]),
+    "none": [None, 1.0],
+    "nested-object": [[1.0], {}],
+}
+
+
+@pytest.mark.parametrize("values", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_as_point_raises_value_error_for_an_entry_that_is_not_a_number(values):
+    # Before, {} raised a bare TypeError, 10**400 an OverflowError, and
+    # strings and bools were read as floats.
+    with pytest.raises(ValueError):
+        as_point(values)
+    with pytest.raises(ValueError):
+        Polyhedron([values, values], [1.0, 1.0])
+
+
+NUMBERS = {
+    "floats": ([1.5, -2.0], [1.5, -2.0]),
+    "ints": ([1, -2], [1.0, -2.0]),
+    "int-beyond-int64": ([10**20, 3], [1e20, 3.0]),
+    "numpy-scalars": ([np.int64(4), np.float32(0.5)], [4.0, 0.5]),
+    "int-array": (np.array([3, 4]), [3.0, 4.0]),
+    "float32-array": (np.array([0.25, 8.0], dtype=np.float32), [0.25, 8.0]),
+    "scalar": (7, [7.0]),
+}
+
+
+@pytest.mark.parametrize("values, expected", list(NUMBERS.values()), ids=list(NUMBERS))
+def test_as_point_reads_ints_and_floats_as_float64(values, expected):
+    p = as_point(values)
+    assert p.dtype == np.float64
+    assert p.tolist() == expected
+    if np.ndim(values) == 1:
+        poly = Polyhedron([values, values], [1.0, 1.0])
+        assert poly.A.dtype == np.float64
+        assert poly.A.tolist() == [expected, expected]
+
+
+def test_as_point_returns_a_float64_array_as_it_is():
+    x = np.array([1.0, 2.0])
+    assert as_point(x, 2) is x
