@@ -27,8 +27,8 @@ cycle.
 
 Validation happens once, at the boundary.  :func:`run` validates ``x0``
 and every cycle then runs on kernels that take validated arrays: the set
-projections behind ``sets.project`` (the polyhedron projection checks its
-own argument) and the cycle decision :func:`_certified`, which shares its
+projections behind ``sets.project`` (``qp._project_from`` for a
+polyhedron) and the cycle decision :func:`_certified`, which shares its
 prelude with :func:`_certificate` behind :func:`check_certificate`, with
 1-D norms from ``linalg._norm`` (``linalg._row_norms`` for the gaps of
 cycles generated in closed form).  The sets' dimensions are compared once,
@@ -70,20 +70,22 @@ projections.  This is done at most once per visit to a face.  Other pairs,
 and a polyhedron A with a half-space B, run ordinary cycles throughout.
 
 The face factor.  On the same pairs each real B-projection starts from the
-face of the one before (``qp._project_from``): the run keeps that face's
-working rows ``W`` with the QR ``A_W' = Q R`` and ``w = R^-T b_W`` in a
-local variable.  For the next point ``x`` the face gives, with one product
-and one triangular solve, the multipliers ``u = R^-1 (Q' x - w)`` and the
-point ``z`` nearest ``x`` on the affine hull of the face.  When ``u >= 0``
-and ``z`` is feasible, ``z`` is the projection exactly, not approximately:
+face of the one before (``qp._project_from``).  The run keeps that face,
+as the active-set method left it, in a local variable: the working rows ``W``,
+the QR factor ``A_W' = Q_1 R`` that the method updated on each add and drop
+of a row, and ``w = R^-T b_W``.  For the next point ``x`` the face gives,
+with a few products and two triangular solves, the multipliers
+``u = R^-1 (Q_1' x - w)`` and the point ``z`` nearest ``x`` on the affine
+hull of the face, refined once on the working rows.  When ``u >= 0`` and
+``z`` is feasible, ``z`` is the projection exactly, not approximately:
 ``x - z = A_W' u`` with ``u >= 0``, ``z`` feasible and every working row
 tight are the KKT conditions of the projection, and for a convex quadratic
-they are sufficient.  That case takes no active-set step and no new QR.
-When ``u >= 0`` but ``z`` is infeasible, the active-set method continues
-from ``(W, u, z)``; a negative entry of ``u`` starts it from the empty
-working set.  A feasible ``x`` is returned unchanged before the face is
-tried, as the cold projection does.  On random LPs about half the
-B-projections land on the face of the cycle before.
+they are sufficient.  That case takes no active-set step and no update of
+the factor.  When ``u >= 0`` but ``z`` is infeasible, the active-set method
+continues from ``(W, u, z)`` and a copy of the factor; a negative entry of
+``u`` starts it from the empty working set.  A feasible ``x`` is returned
+unchanged before the face is tried, as the cold projection does.  On random
+LPs about half the B-projections land on the face of the cycle before.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ array.  The rule for loops follows from it: a point is validated once,
 where it enters the package, and the loop runs on kernels that take
 validated arrays.  The kernels that do no validation here are
 :func:`unit_distance_to_ray`, :func:`unit_cone_distance`, ``_norm`` and
-``_row_norms``; ``sets`` and ``engine`` keep their own (``_project_point``,
-``_certificate``, ``_certified`` and the kernels behind them).
+``_row_norms``; ``sets``, ``engine`` and ``qp`` keep their own
+(``_project_point``, ``_certificate``, ``_certified``, ``_project_from``
+and the kernels behind them).
 
 Products.  Every vector-vector and matrix-vector product in the package is
 written ``x.dot(y)``, not ``x @ y``.  Both call the same BLAS routine and

@@ -20,7 +20,7 @@ from . import certify, engine
 from .errors import LowerBoundNotStrict, NotConverged, ZeroVector
 from .linalg import ZERO_TOL, as_point
 from .qp import _walk_from
-from .sets import HalfSpace, Polyhedron, _json_number, project_halfspace
+from .sets import HalfSpace, Polyhedron, _ValueSet, _freeze, _json_number, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -34,9 +34,13 @@ SHIFTED = "ShiftedOneStep"
 _METHODS = {"direct": DIRECT, "shifted": SHIFTED}
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    """``min <c, x>`` over ``poly`` with strict lower bound ``M``."""
+@dataclass(frozen=True, eq=False)
+class LPProblem(_ValueSet):
+    """``min <c, x>`` over ``poly`` with strict lower bound ``M``.
+
+    A value, as the sets are: two problems with equal ``c``, ``poly`` and
+    ``M`` compare equal and hash alike.
+    """
 
     c: np.ndarray
     poly: Polyhedron
@@ -49,9 +53,7 @@ class LPProblem:
         M = float(self.M)
         if not np.isfinite(M):
             raise ValueError("lower bound M must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", _freeze(c))
         object.__setattr__(self, "M", M)
 
 
@@ -103,8 +105,8 @@ def solve_lp(
     of ``random_lp_instance`` at seeds 1, 3, 7, 11, 21 and 31 the longest
     run took 133,352 cycles, all but 7 of them generated in closed form on
     one face, and no run projected more than 17 cycles.  The worst case is a
-    run that projects every cycle up to the cap: at about 0.14 ms per
-    projected cycle (n = 4, 2 vCPU) that is several minutes.
+    run that projects every cycle up to the cap: at about 0.13 ms per
+    projected cycle (n = 3 and 4, 2 vCPU) that is several minutes.
     """
     method = _METHODS.get(strategy)
     if method is None:

@@ -6,40 +6,48 @@
 
 by the dual active-set method of Goldfarb & Idnani (1983) with identity
 Hessian.  It starts from the unconstrained minimum ``z = x`` with an empty
-working set and adds the most violated row.  Each step solves one small
-least-squares problem on the working rows; it gives the part of the new
-row that the working rows cannot cancel (the direction in which ``z``
-moves) and the rates at which the working multipliers fall.  The step is
-either full, which makes the new row tight and adds it to the working set,
-or partial, which drops the working row whose multiplier reaches zero
-first.  A violated row that the working rows span, while no working
-multiplier can fall, proves the polyhedron empty.  Every full step
-strictly raises the dual objective and partial steps only shrink the
-working set, so no working set recurs and the method ends after finitely
-many steps; the point and multipliers are then recomputed once from the
-final working set, whose factor (:class:`_Face`) the caller may keep.  All
-arithmetic is at the scale of ``x``, so the cost does not grow with the
-distance from ``x`` to the polyhedron.
+working set and adds the most violated row.  The method keeps the QR factor
+of its working rows, ``A_W' = Q_1 R`` with ``Q = (Q_1, Q_2)`` orthogonal,
+and updates it in place: adding a row applies one Householder reflection to
+the columns of ``Q_2`` and appends a column to ``R``; dropping one deletes
+its column of ``R`` and restores the triangle by Givens rotations, applied
+to ``Q`` as well.  Each step reads ``h = Q' a`` for the new row ``a``:
+``Q_2 h_2`` is the part of ``a`` that the working rows cannot cancel (the
+direction in which ``z`` moves), and one triangular solve ``R r = h_1``
+gives the rates at which the working multipliers fall.  The step is either
+full, which makes the new row tight and adds it to the working set, or
+partial, which drops the working row whose multiplier reaches zero first.
+A violated row that the working rows span, while no working multiplier can
+fall, proves the polyhedron empty.  Every full step strictly raises the
+dual objective and partial steps only shrink the working set, so no working
+set recurs and the method ends after finitely many steps.  The point and
+multipliers are then recomputed once from ``x`` on the final face, with the
+factor kept through the steps (:class:`_Face`, which the caller may keep),
+and the point is refined once on the working rows.  All arithmetic is at
+the scale of ``x``, so the cost does not grow with the distance from ``x``
+to the polyhedron.
 
 The method may start from any dual-feasible working set: rows ``W`` with
 nonnegative multipliers and ``z`` the projection of ``x`` onto the face
 where they are tight.  The empty set with ``z = x`` is one such start, and
 the face of an earlier projection is another whenever the multipliers of
 ``x`` on it are nonnegative (:func:`_project_from`, which the engine uses
-from cycle to cycle).  Whatever the start, a feasible ``x`` is tested
-first and comes back unchanged, so a warm face never replaces it by a
-point of the face.
+from cycle to cycle); the method then continues from a copy of that face's
+factor.  Whatever the start, a feasible ``x`` is tested first and comes
+back unchanged, so a warm face never replaces it by a point of the face.
 
 :func:`project_along_ray` follows the piecewise-linear path
 ``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
-the scale of the polyhedron.  Its rates on a face come from the same
-least-squares step, :func:`_face_step`; its only fallback is a step cap,
-past which it projects the far point directly.
+the scale of the polyhedron.  Its rates on a face come from a
+least-squares split against the tight rows, :func:`_face_step`, because
+those rows can be dependent; its only fallback is a step cap, past which it
+projects the far point directly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,7 +57,7 @@ from .errors import EmptyPolyhedron, NotConverged
 
 # ``nnls`` has no caller here; the binding stays because benchmarks/tracer.py
 # resolves ``altproj.qp.nnls`` by name.
-from .linalg import as_point, nnls  # noqa: F401
+from .linalg import _norm, as_point, nnls  # noqa: F401
 
 if TYPE_CHECKING:
     from .sets import Polyhedron
@@ -88,78 +96,136 @@ def _face_step(Aw, v) -> tuple[np.ndarray, np.ndarray]:
 
     ``r`` minimises ``||Aw' r - v||`` (the minimum-norm minimiser when the
     rows are dependent), so the residual is the part of ``v`` that the rows
-    cannot cancel, its projection onto their null space.  This is the one
-    face step of the package: the Goldfarb-Idnani step, the face walk's
-    rates and the engine's closed-form cycles all take it.  With no rows,
-    ``r`` is empty and the residual is ``v``.
+    cannot cancel, its projection onto their null space.  The face walk's
+    rates and the engine's closed-form cycles take it: their row sets are
+    the rows tight at a point, which can be dependent, and they are formed
+    afresh at each face.  The active-set method reads the same split from
+    its kept factor instead (:func:`_working_set`).  With no rows, ``r`` is
+    empty and the residual is ``v``.
     """
     r, *_ = np.linalg.lstsq(Aw.T, v, rcond=None)
     return r, v - Aw.T.dot(r)
 
 
-def _working_set(A, b, feas_tol, W, u, z) -> tuple[list[int], int]:
-    """Final working rows of a projection and the steps taken.
+def _substitute(T, y, lower=False) -> list[float]:
+    # ``T^-1 y`` for a triangular ``T`` (upper unless ``lower``) by
+    # substitution on Python floats.  A face has at most n rows, and at that
+    # size a LAPACK call costs more than the arithmetic.  ``T`` must be zero
+    # off its triangle: each row is read whole against the unsolved zeros.
+    rows, y = T.tolist(), y.tolist()
+    v = [0.0] * len(y)
+    for i in range(len(y)) if lower else reversed(range(len(y))):
+        row = rows[i]
+        v[i] = (y[i] - sum(map(operator.mul, row, v))) / row[i]
+    return v
 
-    ``(W, u, z)`` is a dual-feasible start: ``z`` is the projection of the
-    point onto the face where the rows ``W`` are tight, with multipliers
-    ``u >= 0`` in ``W`` order.  The cold start is ``([], [], x)``.  ``W``
-    and ``z`` are updated in place.
+
+def _add_column(Q, R, k, h) -> None:
+    # Append the row with ``h = Q' a`` to the factor of ``k`` rows: one
+    # Householder reflection of the trailing columns of ``Q`` maps
+    # ``h[k:]`` to ``alpha e_1``, so ``a = Q[:, :k+1] (h[:k], alpha)``.  A
+    # single trailing column needs no reflection.  ``R`` stays zero below
+    # its diagonal, as :func:`_substitute` needs.
+    h2 = h[k:]
+    alpha = float(h2[0])
+    if h2.shape[0] > 1:
+        sigma = math.sqrt(float(h2.dot(h2)))
+        alpha = -math.copysign(sigma, alpha)
+        v = h2.copy()
+        v[0] -= alpha
+        Q2 = Q[:, k:]
+        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(float(h2[0])))))
+    R[:k, k] = h[:k]
+    R[k, k] = alpha
+    R[k + 1 :, k] = 0.0
+
+
+def _delete_column(Q, R, k, j) -> None:
+    # Drop row ``j`` of the ``k`` in the factor: delete column ``j`` of
+    # ``R``, then a Givens rotation per later column clears the subdiagonal
+    # this leaves, applied to the rows of ``R`` and the columns of ``Q``.
+    R[:k, j : k - 1] = R[:k, j + 1 : k]
+    for i in range(j, k - 1):
+        rho = math.hypot(R[i, i], R[i + 1, i])
+        c, s = R[i, i] / rho, R[i + 1, i] / rho
+        G = np.array([[c, s], [-s, c]])
+        R[i : i + 2, i : k - 1] = G.dot(R[i : i + 2, i : k - 1])
+        R[i + 1, i] = 0.0
+        Q[:, i : i + 2] = Q[:, i : i + 2].dot(G.T)
+
+
+def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
+    """Active-set steps from a dual-feasible start to the final face.
+
+    ``z`` is the projection of the point onto the face where the rows ``W``
+    are tight and ``u >= 0`` its multipliers in ``W`` order.  ``Q`` (n x n,
+    orthogonal) and the leading ``k x k`` block of ``R`` (``k = len(W)``,
+    upper triangular) factor the working rows: ``A_W' = Q[:, :k] R[:k, :k]``.
+    The cold start is ``([], I, 0, [], x)``.  ``W``, ``Q``, ``R`` and ``z``
+    are updated in place; returns the number of steps.
     """
     m, n = A.shape
     max_steps = _STEPS_PER_DIM * (m + n)
     steps = 0
     while True:
         slack = A.dot(z) - b
-        p = int(np.argmax(slack))
+        p = int(slack.argmax())
         if slack[p] <= feas_tol:
-            return W, steps
+            return steps
         a = A[p]
+        norm_a = math.sqrt(float(a.dot(a)))
         u_p = 0.0
         while True:  # raise the multiplier of row p until row p is tight
             steps += 1
             if steps > max_steps:
                 raise NotConverged(f"projection took more than {max_steps} active-set steps")
+            k = len(W)
+            # ``Q' a`` splits ``a``: the working rows cancel ``Q_1 h[:k]``
+            # with the rates ``r``, and ``Q_2 h[k:]`` is left over.
+            h = a.dot(Q)
+            h2 = h[k:]
+            dd = float(h2.dot(h2))
             if W:
-                Aw = A[W]
-                r, d = _face_step(Aw, a)
-                spanned_tol = _DEP_TOL * (
-                    float(np.linalg.norm(a)) + float(np.linalg.norm(np.abs(Aw.T).dot(np.abs(r))))
-                )
+                r = _substitute(R[:k, :k], h[:k])
+                spanned_tol = _DEP_TOL * (norm_a + _norm(np.abs(A[W]).T.dot(np.abs(r))))
             else:
-                r, d, spanned_tol = u, a, 0.0
-            dd = float(d.dot(d))
+                r, spanned_tol = [], 0.0
             spanned = math.sqrt(dd) <= spanned_tol
             t_full = math.inf if spanned else max(float(a.dot(z)) - float(b[p]), 0.0) / dd
-            falling = np.flatnonzero(r > 0.0)
-            t_part, k = math.inf, -1
-            if falling.size:
-                ratios = u[falling] / r[falling]
-                j = int(np.argmin(ratios))
-                t_part, k = float(ratios[j]), int(falling[j])
-            if spanned and k < 0:
+            # The first working multiplier to reach zero as row p's rises.
+            t_part, j = math.inf, -1
+            for i, (u_i, r_i) in enumerate(zip(u, r)):
+                if r_i > 0.0 and u_i / r_i < t_part:
+                    t_part, j = u_i / r_i, i
+            if spanned and j < 0:
                 raise EmptyPolyhedron(
                     "a violated row is spanned by the working rows with no multiplier "
                     "free to fall; the polyhedron is empty"
                 )
             t = min(t_full, t_part)
             if not spanned:
-                z -= t * d
-            u = u - t * r
+                z -= t * Q[:, k:].dot(h2)
+            u = [u_i - t * r_i for u_i, r_i in zip(u, r)]
             u_p += t
             if t_full <= t_part:
+                _add_column(Q, R, k, h)
                 W.append(p)
-                u = np.append(u, u_p)
+                u.append(u_p)
                 break
-            del W[k]
-            u = np.delete(u, k)
+            _delete_column(Q, R, k, j)
+            del W[j]
+            del u[j]
 
 
 class _Face(NamedTuple):
     """Factor of the face where the rows ``W`` are tight.
 
-    ``A_W' = Q R`` and ``w = R^-T b_W``.  It depends on the polyhedron and
-    ``W`` only, so the projections of any number of points onto the face
-    share it (:func:`_on_face`).
+    ``Q`` is n x n orthogonal, ``R`` is k x k upper triangular with
+    ``A_W' = Q[:, :k] R`` (``k = len(W)``), and ``w = R^-T b_W``.  It is
+    the factor :func:`_working_set` kept up to date through its steps, and
+    it depends on the polyhedron and ``W`` only, so the projections of any
+    number of points onto the face share it (:func:`_on_face`) and the
+    next projection may continue from it.
     """
 
     W: list[int]
@@ -168,20 +234,23 @@ class _Face(NamedTuple):
     w: np.ndarray
 
 
-def _factor(A, b, W) -> _Face:
-    Q, R = np.linalg.qr(A[W].T)
-    return _Face(W, Q, R, np.linalg.solve(R.T, b[W]))
+def _on_face(A, b, face: _Face, x) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers and projection of ``x`` on ``face``: ``(R^-1 y, x - Q_1 y)``.
 
-
-def _on_face(face: _Face, x) -> tuple[np.ndarray, np.ndarray]:
-    """Multipliers and projection of ``x`` on ``face``: ``(R^-1 y, x - Q y)``.
-
-    ``y = Q' x - w``.  Forming ``y`` this way keeps the condition number of
-    ``R`` off the large term ``Q' x``, so far points lose only
-    ``eps ||x||``.  The multipliers are not clamped.
+    ``y = Q_1' x - w`` with ``Q_1 = Q[:, :k]``.  Forming ``y`` this way
+    keeps the condition number of ``R`` off the large term ``Q_1' x``.  The
+    point then takes one step of refinement on the working rows, which
+    removes their residual up to rounding at the scale of the point:
+    without it a far ``x`` leaves the working rows off by ``||Q_1' Q_1 - I||
+    ||x||``, and that loss of orthogonality grows with every update of the
+    factor.  The multipliers are not clamped.
     """
-    y = face.Q.T.dot(x) - face.w
-    return np.linalg.solve(face.R, y), x - face.Q.dot(y)
+    W, R = face.W, face.R
+    Q1 = face.Q[:, : len(W)]
+    y = x.dot(Q1) - face.w
+    z = x - Q1.dot(y)
+    z -= Q1.dot(_substitute(R.T, A[W].dot(z) - b[W], lower=True))
+    return np.array(_substitute(R, y)), z
 
 
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
@@ -191,38 +260,44 @@ def project_polyhedron(p: Polyhedron, x) -> QPResult:
     Raises :class:`EmptyPolyhedron` when ``p`` has no point and
     :class:`NotConverged` past ``50 (m + n)`` active-set steps.
     """
-    return _project_from(p, x, None)[0]
+    return _project_from(p, as_point(x, p.dim), None)[0]
 
 
 def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face | None]:
     """:func:`project_polyhedron` tried first on ``face``; also its final face.
 
-    ``face`` is the factor of an earlier projection onto ``p`` (None for a
-    cold start).  A feasible ``x`` returns first, as in the cold case.  When
-    the multipliers of ``x`` on ``face`` are nonnegative, the projection
-    onto the face is the answer if it is feasible (the KKT conditions hold,
-    so it takes no active-set step), and otherwise the dual-feasible start
-    of the active-set method.  A negative multiplier starts it from the
-    empty working set.  The second value is the factor of the final face,
-    None for a feasible ``x``.
+    ``x`` is a validated point: ``project_polyhedron``, ``sets.project``
+    and the engine validate once, at the boundary.  ``face`` is the factor
+    of an earlier projection onto ``p`` (None for a cold start).  A feasible
+    ``x`` returns first, as in the cold case.  When the multipliers of ``x``
+    on ``face`` are nonnegative, the projection onto the face is the answer
+    if it is feasible (the KKT conditions hold, so it takes no active-set
+    step), and otherwise the dual-feasible start of the active-set method,
+    which continues from a copy of the face's factor.  A negative multiplier
+    starts it from the empty working set.  The second value is the factor of
+    the final face, None for a feasible ``x``.
     """
-    x = as_point(x, p.dim)
     A, b = p.A, p.b
-    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + float(np.linalg.norm(x)))
+    n = x.shape[0]
+    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + _norm(x))
     lam = np.zeros(A.shape[0])
-    if float(np.max(A.dot(x) - b)) <= feas_tol:
+    if float((A.dot(x) - b).max()) <= feas_tol:
         return QPResult(x.copy(), lam, 0), None
-    start = [], np.zeros(0), x.copy()
+    W, Q, R, u, z = [], np.eye(n), np.zeros((n, n)), [], x.copy()
     if face is not None:
-        u, z = _on_face(face, x)
-        if (u >= 0.0).all():
-            if float(np.max(A.dot(z) - b)) <= feas_tol:
-                lam[face.W] = u
-                return QPResult(z, lam, 0), face
-            start = list(face.W), u, z
-    W, steps = _working_set(A, b, feas_tol, *start)
-    face = _factor(A, b, W)
-    u, z = _on_face(face, x)
+        u_f, z_f = _on_face(A, b, face, x)
+        if (u_f >= 0.0).all():
+            if float((A.dot(z_f) - b).max()) <= feas_tol:
+                lam[face.W] = u_f
+                return QPResult(z_f, lam, 0), face
+            k = len(face.W)
+            W, Q, u, z = list(face.W), face.Q.copy(), u_f.tolist(), z_f
+            R[:k, :k] = face.R
+    steps = _working_set(A, b, feas_tol, W, Q, R, u, z)
+    k = len(W)
+    R = R[:k, :k]
+    face = _Face(W, Q, R, np.array(_substitute(R.T, b[W], lower=True)))
+    u, z = _on_face(A, b, face, x)
     lam[W] = np.maximum(u, 0.0)
     return QPResult(z, lam, steps), face
 

@@ -22,7 +22,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import ZERO_TOL, _real_array, as_point
-from .qp import project_polyhedron
+from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
 # Projections are accurate to ~1e-10, so this leaves a safety margin.
@@ -263,13 +263,12 @@ def project(s: ProjectableSet, x) -> np.ndarray:
 
 
 def _project_point(s: ProjectableSet, x: np.ndarray) -> np.ndarray:
-    # ``project`` for a point already validated against ``s``.  The
-    # polyhedron projection validates its argument itself.
+    # ``project`` for a point already validated against ``s``.
     if isinstance(s, HalfSpace):
         return _project_halfspace(s, x)
     if isinstance(s, EpigraphSet):
         return _project_epigraph(s, x)
-    return project_polyhedron(s, x).point
+    return _project_from(s, x, None)[0].point
 
 
 # Proximal normal cones of an epigraph at an interior point and of the abs

@@ -101,10 +101,10 @@ def test_a_capped_run_builds_one_certificate_and_skips_a_residual(monkeypatch, c
 
 
 def test_a_point_outside_its_set_raises_as_the_public_check_does():
-    # At scale 1e8 the B-projection's rounding exceeds the absolute
-    # membership tolerance; the cycle names the second point, as
-    # check_certificate does.
-    t = 1e8
+    # At scale 1e10 the B-projection's rounding, about eps times the scale
+    # of the point, exceeds the absolute membership tolerance; the cycle
+    # names the second point, as check_certificate does.
+    t = 1e10
     set_a = HalfSpace([0, 1], -t)
     set_b = Polyhedron([[0.01, -1], [-1, 0]], [0, 0])
     with pytest.raises(PointNotInSet, match="^second point is not in the second set$"):

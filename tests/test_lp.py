@@ -314,3 +314,25 @@ def test_solution_cone_certificate():
     # At a minimizer of <c, x>, -c lies in the cone of the active rows.
     result = verify.solution_cone_certificate(np.random.default_rng(54), 20)
     assert result.ok, result.detail
+
+
+def test_lp_problems_compare_and_hash_by_value():
+    # Before, == between two problems raised ValueError and hash raised
+    # TypeError, as for the sets before they became values.
+    rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+    a = LPProblem(np.array([1.0, 2.0]), Polyhedron(rows, [1.0, 1.0, 1.0]), -5.0)
+    b = LPProblem([1, 2], Polyhedron(np.array(rows), [1, 1, 1]), -5)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a, b} == {a} and b in {a}
+    assert LPProblem([1.0, -0.0], a.poly, -5.0) == LPProblem([1.0, 0.0], a.poly, -5.0)
+    different = [
+        LPProblem([1.0, 3.0], a.poly, -5.0),
+        LPProblem([1.0, 2.0], Polyhedron(rows, [1.0, 1.0, 2.0]), -5.0),
+        LPProblem([1.0, 2.0], a.poly, -4.0),
+        a.poly,
+        (a.c, a.poly, a.M),
+    ]
+    for other in different:
+        assert a != other and not a == other
+    assert len({a, *different[:3]}) == 4

@@ -187,9 +187,9 @@ def warm_branch(monkeypatch):
     branch = []
     solve = qp._working_set
 
-    def spy(A, b, feas_tol, W, u, z):
+    def spy(A, b, feas_tol, W, Q, R, u, z):
         branch.append("continue" if W else "cold")
-        return solve(A, b, feas_tol, W, u, z)
+        return solve(A, b, feas_tol, W, Q, R, u, z)
 
     monkeypatch.setattr(qp, "_working_set", spy)
     return branch
@@ -274,9 +274,27 @@ def test_face_threaded_through_a_sequence_matches_cold_projections():
 
 def test_empty_polyhedron_raises_from_a_warm_face(monkeypatch):
     branch = warm_branch(monkeypatch)
-    _, face = _project_from(Polyhedron([[1.0, 0.0]], [-1.0]), [0.0, 0.0], None)
+    origin = np.zeros(2)  # ``_project_from`` takes validated points
+    _, face = _project_from(Polyhedron([[1.0, 0.0]], [-1.0]), origin, None)
     empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])  # x <= -1 and x >= 1
     branch.clear()
     with pytest.raises(EmptyPolyhedron):
-        _project_from(empty, [0.0, 0.0], face)
+        _project_from(empty, origin, face)
     assert branch == ["continue"]
+
+
+def test_triangular_substitution_matches_a_lapack_solve():
+    # ``qp._substitute`` replaces ``np.linalg.solve`` on the face factor.  It
+    # sums in another order, so the two agree only up to rounding: 1e-13
+    # relative on these well-conditioned triangles (|diagonal| >= 0.5).
+    rng = np.random.default_rng(34)
+    for k in range(0, 9):
+        for _ in range(20):
+            diagonal = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
+            T = np.triu(rng.normal(size=(k, k)), 1) + np.diag(diagonal)
+            y = rng.normal(size=k)
+            for M, lower in ((T, False), (T.T, True)):
+                got = np.array(qp._substitute(M, y, lower=lower))
+                want = np.linalg.solve(M, y) if k else np.zeros(0)
+                assert got.shape == (k,)
+                assert norm(got - want) <= 1e-13 * (1.0 + norm(want))

@@ -11,7 +11,7 @@ grows with ``||x||``.
 import numpy as np
 import pytest
 
-from altproj import EmptyPolyhedron, Polyhedron, project_polyhedron
+from altproj import EmptyPolyhedron, Polyhedron, project_polyhedron, qp
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import project_along_ray
 
@@ -211,3 +211,93 @@ def test_far_walks_on_bad_geometry_stay_feasible():
             assert stationarity <= 1e-5 * (1.0 + np.linalg.norm(x))
             if t <= 1e4:
                 np.testing.assert_allclose(res.point, project_polyhedron(poly, x).point, atol=1e-9)
+
+
+# -- the kept factor of the working rows ------------------------------------
+
+EPS = np.finfo(float).eps
+# Each Householder reflection or Givens rotation is applied with an error of
+# a few ulps, so after s updates the factor is off by about s * eps: the
+# loss of orthogonality and the residual of A_W' = Q_1 R add up at most
+# linearly.  The probes reached 2.3 eps (1 + s) and 1.4 eps (1 + s) ||A_W||;
+# a wrong update is off by O(1), and errors that compound grow faster.
+FACTOR_TOL = 10.0
+
+
+def watch_factor(monkeypatch):
+    """Check the factor each time ``(W, Q, R)`` agree: at the start of the
+    active-set solve, before each add and drop (so after the one before),
+    and at its end.  Returns the working sets seen, one list per solve."""
+    histories, state = [], {}
+
+    def check():
+        A, W, Q, R = state["A"], state["W"], state["Q"], state["R"]
+        k, bound = len(W), FACTOR_TOL * EPS * (1 + state["updates"])
+        assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0]), 2) <= bound
+        Aw = A[W].T
+        scale = max(1.0, np.linalg.norm(Aw, 2))
+        assert np.linalg.norm(Aw - Q[:, :k] @ R[:k, :k], 2) <= bound * scale
+        assert not np.tril(R[:k, :k], -1).any()
+        histories[-1].append(list(W))
+
+    def solve(A, b, feas_tol, W, Q, R, u, z):
+        state.update(A=A, W=W, Q=Q, R=R, updates=0)
+        histories.append([])
+        check()
+        steps = working_set(A, b, feas_tol, W, Q, R, u, z)
+        check()
+        return steps
+
+    def update(change):
+        def spy(Q, R, k, i):
+            check()
+            change(Q, R, k, i)
+            state["updates"] += 1
+
+        return spy
+
+    working_set = qp._working_set
+    monkeypatch.setattr(qp, "_working_set", solve)
+    monkeypatch.setattr(qp, "_add_column", update(qp._add_column))
+    monkeypatch.setattr(qp, "_delete_column", update(qp._delete_column))
+    return histories
+
+
+def apex_cone(rng):
+    """``test_degenerate_vertex_with_more_than_n_active_rows``'s cone: k > n
+    rows through the apex, leaning toward +e_0.  Returns it and a point."""
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(n + 1, 2 * n + 4))
+    apex = rng.normal(size=n)
+    rows = np.array([unit(rng, n) + 2.0 * np.eye(n)[0] for _ in range(k)])
+    return Polyhedron(rows, rows @ apex), apex - np.eye(n)[0]
+
+
+def test_factor_stays_orthogonal_and_exact_through_adds_and_drops(monkeypatch):
+    histories = watch_factor(monkeypatch)
+    rng = np.random.default_rng(408)
+    angles = (1e-6, 1e-7, 1e-8, 1e-9)
+    cases = [nearly_parallel(rng, angle)[:2] for angle in angles for _ in range(10)]
+    cases += [with_duplicates(rng)[::2] for _ in range(20)]
+    cases += [apex_cone(rng) for _ in range(20)]
+    for poly, inside in cases:
+        for r in (1.0, 1e2, 1e4):
+            for _ in range(3):
+                x = inside + r * unit(rng, poly.dim)
+                assert_kkt(poly, x, project_polyhedron(poly, x))
+    drops = sum(len(b) < len(a) for h in histories for a, b in zip(h, h[1:]))
+    adds = sum(len(b) > len(a) for h in histories for a, b in zip(h, h[1:]))
+    assert drops >= 100 and adds >= 1000, (drops, adds)
+
+
+def test_factor_after_a_drop_and_a_readd(monkeypatch):
+    # The solve adds row 3, drops it for row 2, adds row 0, drops row 2 and
+    # adds row 3 again.
+    histories = watch_factor(monkeypatch)
+    poly = Polyhedron(
+        [[0.4, -0.4], [-0.5, -0.1], [0.3, 0.5], [-0.2, 1.5], [0.6, -0.6]],
+        [0.1, 0.6, 0.4, 0.4, 1.3],
+    )
+    x = np.array([6.0, 5.0])
+    assert_kkt(poly, x, project_polyhedron(poly, x))
+    assert histories == [[[], [], [3], [], [2], [2, 0], [0], [0, 3]]]
