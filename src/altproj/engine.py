@@ -23,18 +23,55 @@ stops on: on a certified stop from the two residuals just measured, on a
 ``GAP_STALLED`` or ``MAX_ITERS`` stop by measuring both residuals of the
 last pair, exactly as :func:`check_certificate` does.  Every residual and
 decision equals that of calling :func:`check_certificate` after every
-cycle.
+cycle.  :func:`_decide` makes this decision on arrays.
+
+Planar pairs.  When both sets are 2-D and neither is a polyhedron
+(half-planes and the two epigraphs), a cycle of NumPy calls on 2-vectors
+is almost all call overhead, so :func:`run` carries each iterate as two
+floats.  The projections are the float kernels of ``sets``, which make the
+array code's operations entry by entry and so give its bits.  Two products
+keep the BLAS call, because OpenBLAS's ``ddot`` forms a product of two
+2-vectors as ``fma(x1, y1, x0 * y0)``, which can round otherwise than
+``x0 * y0 + x1 * y1``: a half-plane's ``<c, x>``, whose rounding enters the
+projected point, is taken by ``c.dot`` on the wrapped pair, and so are the
+abs epigraph's two squared distances when they lie within rounding of each
+other.  Each cycle is then screened on floats: the gaps by ``math.hypot``,
+each point's membership and normal cone by float tests, and B's residual
+by the ray rejection on floats.  These can differ from the array
+code's values in the last bits, so the screen lets a cycle go on only when
+every test clears its threshold by a margin far above that difference:
+
+- the A-step's gap exceeds ``2 max(cert_tol, ZERO_TOL)``, so neither the
+  common-point test, the stop on a gap too small to normalise nor
+  ``ZeroVector`` can fire;
+- the gap decrease ``gap_b - gap_a`` exceeds ``GAP_STALL_TOL`` by
+  ``1e-12 gap_b``;
+- both points are in their sets: an epigraph's float test is the array
+  code's own, and a half-plane's float ``<c, x> - M`` must clear
+  ``ACTIVE_TOL`` by ``1e-15`` times the size of its terms;
+- B's residual exceeds ``cert_tol`` by ``1e-12``.
+
+Every other cycle, among them those at the abs apex (a cone of two
+generators, which takes an NNLS) and those with a gap that is not finite,
+is decided again on arrays by :func:`_decide`, which raises what the array
+code raises, in its order, and builds the one certificate of a stop.  On the
+32 half-plane / epigraph fixtures the arrays decide one to four cycles of
+each run, the stopping one included, and none of the 1000 cycles of the
+tangent (``square_k0``) runs.  The ``(k, 2)`` points are built once, at the
+stop, and the gaps from one block product (``linalg._dot_row_norms``) that
+rounds each row's sum of squares as ``d.dot(d)`` does, so every stored
+value is the one a cycle on arrays stores.
 
 Validation happens once, at the boundary.  :func:`run` validates ``x0``
-and every cycle then runs on kernels that take validated arrays: the set
-projections behind ``sets.project`` (``qp._project_from`` for a
-polyhedron) and the cycle decision :func:`_certified`, which shares its
-prelude with :func:`_certificate` behind :func:`check_certificate`, with
-1-D norms from ``linalg._norm`` (``linalg._row_norms`` for the gaps of
-cycles generated in closed form).  The sets' dimensions are compared once,
-before the first cycle.  An iterate is tested for finite entries only when
-its distance from the previous one is not finite, which every non-finite
-iterate makes it.
+and every cycle then runs on kernels that take validated arrays or floats:
+the set projections behind ``sets.project`` (``qp._project_from`` for a
+polyhedron, the float kernels for a planar pair) and the cycle decision
+:func:`_certified`, which shares its prelude with :func:`_certificate`
+behind :func:`check_certificate`, with 1-D norms from ``linalg._norm``
+(``linalg._row_norms`` for the gaps of cycles generated in closed form).
+The sets' dimensions are compared once, before the first cycle.  An iterate
+is tested for finite entries only when its distance from the previous one
+is not finite, which every non-finite iterate makes it.
 
 Cycles on one face.  When A is a half-space ``{<c, x> <= M}`` and B a
 polyhedron, a run can spend thousands of cycles creeping along one face
@@ -99,14 +136,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PointNotInSet, StartNotInA, ZeroVector
-from .linalg import ZERO_TOL, _norm, _row_norms, as_point, unit_cone_distance
+from .linalg import (
+    ZERO_TOL,
+    _dot_row_norms,
+    _norm,
+    _real_scalar,
+    _row_norms,
+    as_point,
+    unit_cone_distance,
+)
 from .qp import _FEAS_TOL, _face_step, _project_from
 from .sets import (
     ACTIVE_TOL,
+    EpigraphSet,
     HalfSpace,
     Polyhedron,
     ProjectableSet,
     _contains_point,
+    _epigraph_generators,
+    _project_epigraph_xy,
+    _project_halfplane_xy,
     _project_point,
     normal_cone_columns,
 )
@@ -114,6 +163,18 @@ from .sets import (
 # Decrease of the step gap below which the run is declared stalled; guards
 # fixtures whose convergence is asymptotic only.
 GAP_STALL_TOL = 1e-14
+
+# Margins of the float screen of a planar cycle (module docstring): the
+# screen's residual must exceed the tolerance by _RESIDUAL_MARGIN, its gap
+# decrease GAP_STALL_TOL by _STALL_MARGIN times the B-step's gap, and a
+# half-plane's float ``<c, x> - M`` must clear ACTIVE_TOL by _DOT_MARGIN
+# times the size of its terms.  Each is far above the rounding by which the
+# float value can differ from the array code's (a few units in the last
+# place of 1 for the residual and of the gaps, about 3e-16 of the terms
+# for ``<c, x>``).
+_RESIDUAL_MARGIN = 1e-12
+_STALL_MARGIN = 1e-12
+_DOT_MARGIN = 1e-15
 
 
 class StopReason(enum.Enum):
@@ -266,7 +327,7 @@ def check_certificate(
     closed-form ray rejection for one generator, NNLS otherwise.  ``tol``
     must be finite and nonnegative (``ValueError`` otherwise).
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
     a, b = as_point(a, set_a.dim), as_point(b, set_b.dim)
@@ -274,11 +335,14 @@ def check_certificate(
     return _certificate(set_a, set_b, a, b, d, _norm(d), tol)
 
 
-def _check_tol(tol: float) -> None:
-    # An infinite tolerance would certify any pair: the common-point test
-    # ``gap <= tol`` always passes.  NaN and negative values certify none.
+def _check_tol(tol) -> float:
+    # A number by ``linalg._real_scalar``'s rule.  An infinite tolerance
+    # would certify any pair: the common-point test ``gap <= tol`` always
+    # passes.  NaN and negative values certify none.
+    tol = _real_scalar(tol, "cert_tol")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"cert_tol must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def _certificate(
@@ -396,11 +460,13 @@ def run(
     """
     x0 = as_point(x0, set_a.dim)
     max_iters = _check_max_iters(max_iters)
-    _check_tol(cert_tol)
+    cert_tol = _check_tol(cert_tol)
     if not _contains_point(set_a, x0, 1e-8):
         raise StartNotInA("x0 must belong to the first set")
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
+    if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
+        return _run_planar(set_a, set_b, x0, max_iters, cert_tol)
 
     # The iterates and gaps since the last generated stretch are appended to
     # plain lists; those before it are already arrays in ``done_points`` and
@@ -430,20 +496,8 @@ def run(
         points.append(a)
         gaps.append(gap_b)
         gaps.append(gap_a)
-
-        if cert_tol < gap_a <= ZERO_TOL:
-            # Too small a gap to normalise: no certificate can be checked.
-            stop, cert, steps = StopReason.GAP_STALLED, None, None
-            break
-        cert = _certified(set_a, set_b, a, b, d, gap_a, cert_tol)
-        if cert is not None:
-            # The B-projection of this cycle attained the minimum distance;
-            # the closing A-projection confirmed it.
-            stop, steps = StopReason.CERTIFIED, 2 * cycle + 1
-            break
-        if gap_b - gap_a < GAP_STALL_TOL:
-            stop, steps = StopReason.GAP_STALLED, None
-            cert = _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+        stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol)
+        if stop is not None:
             break
         current = a
         cycle += 1
@@ -471,23 +525,152 @@ def run(
     else:
         # The last cycle was a real one: a closed-form stretch stops at
         # least one cycle short of the cap.
-        stop, steps = StopReason.MAX_ITERS, None
-        cert = _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+        stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
 
     # Every stop follows a real cycle, so the lists are not empty.
     flat, gap_arr = np.concatenate(points), np.array(gaps)
     if done_points:
         flat = np.concatenate([*done_points, flat])
         gap_arr = np.concatenate([*done_gaps, gap_arr])
+    reason, steps, cert = stop
     return Trace(
         flat.reshape(-1, x0.shape[0]),
         gap_arr,
-        stop_reason=stop,
+        stop_reason=reason,
         steps_to_converge=steps,
         certificate=cert,
         generated_cycles=generated,
         active_set_steps=active_steps,
     )
+
+
+def _decide(
+    set_a: ProjectableSet,
+    set_b: ProjectableSet,
+    a: np.ndarray,
+    b: np.ndarray,
+    d: np.ndarray,
+    gap_b: float,
+    gap_a: float,
+    cycle: int,
+    cert_tol: float,
+) -> tuple[StopReason, int | None, Certificate | None] | None:
+    # The decision of cycle ``cycle`` on arrays (module docstring): None when
+    # the run goes on, otherwise its stop reason, steps and certificate.
+    # ``d = a - b`` and ``gap_a = ||d||`` are the A-step's, ``gap_b`` the
+    # B-step's.
+    if cert_tol < gap_a <= ZERO_TOL:
+        # Too small a gap to normalise: no certificate can be checked.
+        return StopReason.GAP_STALLED, None, None
+    cert = _certified(set_a, set_b, a, b, d, gap_a, cert_tol)
+    if cert is not None:
+        # The B-projection of this cycle attained the minimum distance; the
+        # closing A-projection confirmed it.
+        return StopReason.CERTIFIED, 2 * cycle + 1, cert
+    if gap_b - gap_a < GAP_STALL_TOL:
+        return StopReason.GAP_STALLED, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+    return None
+
+
+def _run_planar(
+    set_a: HalfSpace | EpigraphSet,
+    set_b: HalfSpace | EpigraphSet,
+    x0: np.ndarray,
+    max_iters: int,
+    cert_tol: float,
+) -> Trace:
+    """:func:`run` for two planar sets, neither a polyhedron, on floats.
+
+    Each iterate is carried as two floats and every cycle is screened on
+    floats; a cycle the screen cannot clear is decided again on arrays by
+    :func:`_decide`.  The points and gaps are built once, at the stop
+    (module docstring).
+    """
+    project_a, project_b = _planar_projection(set_a), _planar_projection(set_b)
+    gap_floor = 2.0 * max(cert_tol, ZERO_TOL)
+    residual_floor = cert_tol + _RESIDUAL_MARGIN
+    xy = x0.tolist()
+    p0, p1 = xy
+    for cycle in range(max_iters):
+        b0, b1 = project_b(set_b, p0, p1)
+        a0, a1 = project_a(set_a, b0, b1)
+        xy += (b0, b1, a0, a1)
+        gap_b = math.hypot(b0 - p0, b1 - p1)
+        d0, d1 = a0 - b0, a1 - b1
+        gap_a = math.hypot(d0, d1)
+        if not (
+            gap_floor < gap_a
+            and gap_b < math.inf
+            and gap_b - gap_a >= GAP_STALL_TOL + _STALL_MARGIN * gap_b
+            and _screened_generators(set_a, a0, a1) is not None
+            and _screened_residual(set_b, b0, b1, d0 / gap_a, d1 / gap_a) > residual_floor
+        ):
+            current, b, a = np.array((p0, p1)), np.array((b0, b1)), np.array((a0, a1))
+            gap_b = _step_gap(b, current)[1]
+            d, gap_a = _step_gap(a, b)
+            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol)
+            if stop is not None:
+                break
+        p0, p1 = a0, a1
+    else:
+        b, a = np.array((b0, b1)), np.array((a0, a1))
+        d, gap_a = _step_gap(a, b)
+        stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+    points = np.array(xy).reshape(-1, 2)
+    reason, steps, cert = stop
+    return Trace(
+        points,
+        _dot_row_norms(np.diff(points, axis=0)),
+        stop_reason=reason,
+        steps_to_converge=steps,
+        certificate=cert,
+    )
+
+
+def _planar_projection(s: HalfSpace | EpigraphSet):
+    # The float projection onto a half-plane or an epigraph, called as
+    # ``project(s, x0, x1)``.
+    return _project_halfplane_xy if isinstance(s, HalfSpace) else _project_epigraph_xy
+
+
+def _screened_generators(s: HalfSpace | EpigraphSet, x0: float, x1: float) -> tuple | None:
+    # The generators of ``normal_cone_columns(s, (x0, x1))`` as float pairs,
+    # or None when the float screen cannot tell that the point is in ``s``.
+    # An epigraph's kernel is the array code's own; a half-plane's float
+    # ``<c, x> - M`` decides membership and activeness only where it clears
+    # ``ACTIVE_TOL`` by ``_DOT_MARGIN`` times its terms, and is None
+    # otherwise.
+    if isinstance(s, EpigraphSet):
+        return _epigraph_generators(s, x0, x1, ACTIVE_TOL)
+    c0, c1 = s._c_floats
+    t0, t1 = c0 * x0, c1 * x1
+    excess = t0 + t1 - s.M
+    margin = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(s.M)) + 1e-300
+    if abs(excess) <= ACTIVE_TOL - margin:
+        return ((c0, c1),)
+    if excess < -ACTIVE_TOL - margin:
+        return ()
+    return None
+
+
+def _screened_residual(s: HalfSpace | EpigraphSet, b0: float, b1: float, w0: float, w1: float) -> float:
+    # B's residual on floats: the distance from the unit vector ``(w0, w1)``
+    # to the normal cone of ``s`` at ``(b0, b1)``, within a few units in the
+    # last place of the array code's.  NaN, which clears no threshold, when
+    # the screen cannot tell that the point is in ``s`` or the cone has two
+    # generators (the abs apex, which takes an NNLS).
+    gens = _screened_generators(s, b0, b1)
+    if gens is None or len(gens) > 1:
+        return math.nan
+    if not gens:
+        return 1.0
+    (g0, g1), = gens
+    if w0 * g0 + w1 * g1 <= 0.0:
+        return 1.0
+    ng = math.hypot(g0, g1)
+    u0, u1 = g0 / ng, g1 / ng
+    p = w0 * u0 + w1 * u1
+    return min(1.0, math.hypot(w0 - p * u0, w1 - p * u1))
 
 
 def _check_max_iters(max_iters) -> int:

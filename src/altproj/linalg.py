@@ -4,14 +4,16 @@ Everything in this module is a pure function on small dense vectors
 (problems of interest have n <= 100, usually n <= 10).  Vectors are plain
 1-D ``numpy.ndarray`` objects.  :func:`as_point` is the one place in the
 package that coerces and validates a vector; ``Polyhedron`` reads its matrix
-by the same entry rule.  A public function passes each vector argument
-through ``as_point(x, dim)``, which also checks the length against the set
-or space the vector belongs to, and from then on works on the validated
-array.  The rule for loops follows from it: a point is validated once,
-where it enters the package, and the loop runs on kernels that take
-validated arrays.  The kernels that do no validation here are
-:func:`unit_distance_to_ray`, :func:`unit_cone_distance`, ``_norm`` and
-``_row_norms``; ``sets``, ``engine`` and ``qp`` keep their own
+by the same entry rule, and ``_real_scalar`` reads a number by it (a
+half-space's or an LP's offset ``M``, the certificate tolerance).  A public
+function passes each vector argument through ``as_point(x, dim)``, which
+also checks the length against the set or space the vector belongs to, and
+from then on works on the validated array.  The rule for loops follows from
+it: a point is validated once, where it enters the package, and the loop
+runs on kernels that take validated arrays.  The kernels that do no
+validation here are :func:`unit_distance_to_ray`,
+:func:`unit_cone_distance`, ``_norm``, ``_row_norms`` and
+``_dot_row_norms``; ``sets``, ``engine`` and ``qp`` keep their own
 (``_project_point``, ``_certificate``, ``_certified``, ``_project_from``
 and the kernels behind them).
 
@@ -21,12 +23,14 @@ give the same bits on the layouts the package makes (contiguous, transposed
 and strided views), but at these sizes the cost is the call itself.  On
 NumPy 2.4.6 (Python 3.11.7, one BLAS thread, a 2-vCPU Xeon), ``x @ y`` on
 2-vectors takes about 1.3 us and ``x.dot(y)`` about 0.7 us; a 12 x 4
-matrix times a vector takes 1.5 us against 0.9 us.  An engine cycle on a
-planar pair makes about thirty NumPy calls on 2-vectors, ten of them
-products.  The only ``@`` left are the two block products of
-:func:`altproj.vertices.feasible_vertices`, one call for many vertices.
-``tests/test_products.py`` holds the source to this rule and checks that
-the two forms give the same bits on the installed NumPy.
+matrix times a vector takes 1.5 us against 0.9 us.  The only ``@`` left
+are block products, one call for many rows: the two of
+:func:`altproj.vertices.feasible_vertices` and the stacked
+``(1, n) @ (n, 1)`` products of ``_dot_row_norms``, which give the gaps of
+a planar run at its stop and round each row as ``d.dot(d)`` does.
+``tests/test_products.py`` holds the source to this rule and checks on the
+installed NumPy that the two forms give the same bits and that
+``_dot_row_norms`` gives ``_norm``'s.
 """
 
 from __future__ import annotations
@@ -61,6 +65,18 @@ def _real_array(values) -> np.ndarray:
         return p.astype(float)
     except OverflowError:
         raise ValueError("vector entry is too large for a float") from None
+
+
+def _real_scalar(value, name: str) -> float:
+    # A number by the entry rule of ``_real_array``: an int or a float
+    # (NumPy's too), not a bool, a string or None, and an int within the
+    # float range.  ``ValueError`` for anything else.
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def as_point(values, dim: int | None = None) -> np.ndarray:
@@ -106,6 +122,19 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     # by ``_norm``.
     norms = np.linalg.norm(D, axis=1)
     for i in np.flatnonzero(np.isinf(norms)):
+        norms[i] = _norm(D[i])
+    return norms
+
+
+def _dot_row_norms(D: np.ndarray) -> np.ndarray:
+    # ``_norm`` of each row of a 2-D float array, bit for bit, from one block
+    # product: the stacked ``(1, n) @ (n, 1)`` products round each row's sum
+    # of squares as ``d.dot(d)`` does, where ``np.linalg.norm`` along axis 1
+    # need not.  A row whose sum of squares overflows is taken again by
+    # ``_norm``.
+    ss = (D[:, None, :] @ D[:, :, None]).reshape(-1)
+    norms = np.sqrt(ss)
+    for i in np.flatnonzero(np.isinf(ss)):
         norms[i] = _norm(D[i])
     return norms
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import certify, engine
 from .errors import LowerBoundNotStrict, NotConverged, ZeroVector
-from .linalg import ZERO_TOL, as_point
+from .linalg import ZERO_TOL, _real_scalar, as_point
 from .qp import _walk_from
-from .sets import HalfSpace, Polyhedron, _ValueSet, _freeze, _json_number, project_halfspace
+from .sets import HalfSpace, Polyhedron, _ValueSet, _freeze, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -50,7 +50,7 @@ class LPProblem(_ValueSet):
         c = as_point(self.c, self.poly.dim)
         if float(np.linalg.norm(c)) <= ZERO_TOL:
             raise ZeroVector("objective vector must be nonzero")
-        M = float(self.M)
+        M = _real_scalar(self.M, "M")
         if not np.isfinite(M):
             raise ValueError("lower bound M must be finite")
         object.__setattr__(self, "c", _freeze(c))
@@ -187,8 +187,8 @@ def problem_from_json(obj: dict, M=None) -> LPProblem:
     if M is None:
         if "M" not in obj:
             raise KeyError("problem JSON has no 'M' and no override was given")
-        M = _json_number(obj["M"], "M")
-    return LPProblem(obj["c"], poly, float(M))
+        M = obj["M"]
+    return LPProblem(obj["c"], poly, M)
 
 
 def outcome_to_json(outcome: LPOutcome, trace_csv: str | None = None) -> dict:

@@ -21,7 +21,7 @@ from .errors import (
     PointNotInSet,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, _real_array, as_point
+from .linalg import ZERO_TOL, _real_array, _real_scalar, as_point
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
@@ -57,19 +57,22 @@ class HalfSpace(_ValueSet):
 
     c: np.ndarray
     M: float
-    # ``<c, c>``, formed once for every projection onto the half-space.
+    # ``<c, c>``, formed once for every projection onto the half-space, and
+    # the entries of ``c`` as floats for the planar kernels.
     _cc: float = field(init=False, repr=False, compare=False)
+    _c_floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = as_point(self.c)
         if float(np.linalg.norm(c)) <= ZERO_TOL:
             raise ZeroVector("half-space normal must be nonzero")
-        M = float(self.M)
-        if not np.isfinite(M):
+        M = _real_scalar(self.M, "M")
+        if not math.isfinite(M):
             raise ValueError("half-space offset M must be finite")
         object.__setattr__(self, "c", _freeze(c))
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "_cc", float(c.dot(c)))
+        object.__setattr__(self, "_c_floats", tuple(c.tolist()))
 
     @property
     def dim(self) -> int:
@@ -123,12 +126,15 @@ class EpigraphSet(_ValueSet):
 
     kind: str
     shift: np.ndarray
+    # The entries of ``shift`` as floats, for the kernels below.
+    _shift_floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _EPIGRAPH_KINDS:
             raise ValueError(f"unknown epigraph kind {self.kind!r}")
         shift = as_point(self.shift, 2)
         object.__setattr__(self, "shift", _freeze(shift))
+        object.__setattr__(self, "_shift_floats", tuple(shift.tolist()))
 
     @property
     def dim(self) -> int:
@@ -149,8 +155,7 @@ def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
         return float(s.c.dot(x)) <= s.M + tol
     if isinstance(s, Polyhedron):
         return bool((s.A.dot(x) <= s.b + tol).all())
-    z0, z1 = (x - s.shift).tolist()
-    profile = abs(z0) if s.kind == ABS else z0 * z0
+    _, z1, profile = _epigraph_offset(s, *x.tolist())
     return z1 >= profile - tol
 
 
@@ -177,17 +182,47 @@ def _project_halfspace(h: HalfSpace, x: np.ndarray) -> np.ndarray:
     return x - (excess / h._cc) * h.c
 
 
-def _project_abs_base(z: np.ndarray, z0: float, z1: float) -> np.ndarray:
+def _project_halfplane_xy(h: HalfSpace, x0: float, x1: float) -> tuple[float, float]:
+    # ``_project_halfspace`` for the 2-D point ``(x0, x1)``, on floats.
+    # ``<c, x>`` is taken by ``c.dot`` on the wrapped pair: a BLAS product of
+    # two 2-vectors can round otherwise than ``c0 x0 + c1 x1`` (OpenBLAS
+    # fuses the second product into the sum), and its rounding enters the
+    # point.  The rest is the array code's arithmetic, entry by entry.
+    excess = float(h.c.dot(np.array((x0, x1)))) - h.M
+    if excess <= 0.0:
+        return x0, x1
+    s = excess / h._cc
+    c0, c1 = h._c_floats
+    return x0 - s * c0, x1 - s * c1
+
+
+def _epigraph_offset(e: EpigraphSet, x0: float, x1: float) -> tuple[float, float, float]:
+    # ``z = x - shift`` of the point ``(x0, x1)`` and the profile ``|z0|``
+    # or ``z0^2`` that ``z1`` is compared with; the point is in the
+    # epigraph when ``z1 >= profile``.
+    s0, s1 = e._shift_floats
+    z0 = x0 - s0
+    return z0, x1 - s1, abs(z0) if e.kind == ABS else z0 * z0
+
+
+def _project_abs_base(z0: float, z1: float) -> tuple[float, float]:
     # Epigraph of |u|, for a point ``z = (z0, z1)`` outside it.  Candidates:
-    # the two boundary rays (the apex is the clamped endpoint of either).
-    # Ties resolve to the first branch.
+    # the two boundary rays (the apex is the clamped endpoint of either),
+    # and the nearer one wins; ties resolve to the first branch.  The two
+    # squared distances are compared on floats unless they lie within
+    # rounding of each other, which happens only next to the normal line
+    # through the apex; there they are formed by ``dot`` on the wrapped
+    # pairs, whose rounding decides the tie.
     t = max(0.0, 0.5 * (z0 + z1))
-    right = np.array([t, t])
-    dr = right - z
+    dr0, dr1 = t - z0, t - z1
     u = max(0.0, 0.5 * (z1 - z0))
-    left = np.array([-u, u])
-    dl = left - z
-    return right if float(dr.dot(dr)) <= float(dl.dot(dl)) else left
+    dl0, dl1 = -u - z0, u - z1
+    rr = dr0 * dr0 + dr1 * dr1
+    ll = dl0 * dl0 + dl1 * dl1
+    if not abs(rr - ll) > 1e-14 * (rr + ll) + 1e-300:
+        dr, dl = np.array((dr0, dr1)), np.array((dl0, dl1))
+        rr, ll = float(dr.dot(dr)), float(dl.dot(dl))
+    return (t, t) if rr <= ll else (-u, u)
 
 
 def _parabola_root(z1: float, z2: float) -> float:
@@ -244,17 +279,24 @@ def project_epigraph(e: EpigraphSet, x) -> np.ndarray:
 
 
 def _project_epigraph(e: EpigraphSet, x: np.ndarray) -> np.ndarray:
-    # ``project_epigraph`` for a point already validated against ``e``.  The
-    # kernels compare and add the two coordinates of ``z = x - shift`` as
-    # floats, which rounds as the same operations on the array do.
-    z = x - e.shift
-    z0, z1 = z.tolist()
-    if z1 >= (abs(z0) if e.kind == ABS else z0 * z0):
-        return z + e.shift
+    # ``project_epigraph`` for a point already validated against ``e``.
+    return np.array(_project_epigraph_xy(e, *x.tolist()))
+
+
+def _project_epigraph_xy(e: EpigraphSet, x0: float, x1: float) -> tuple[float, float]:
+    # The nearest point of ``e`` to ``(x0, x1)``, on floats: each entry is
+    # formed by the operations an array of the two would make, so it has
+    # the same bits (``x - shift``, the base projection, ``+ shift``).
+    z0, z1, profile = _epigraph_offset(e, x0, x1)
+    s0, s1 = e._shift_floats
+    if z1 >= profile:
+        return z0 + s0, z1 + s1
     if e.kind == ABS:
-        return _project_abs_base(z, z0, z1) + e.shift
-    u = _parabola_root(z0, z1)
-    return np.array([u, u * u]) + e.shift
+        p0, p1 = _project_abs_base(z0, z1)
+    else:
+        p0 = _parabola_root(z0, z1)
+        p1 = p0 * p0
+    return p0 + s0, p1 + s1
 
 
 def project(s: ProjectableSet, x) -> np.ndarray:
@@ -274,7 +316,25 @@ def _project_point(s: ProjectableSet, x: np.ndarray) -> np.ndarray:
 # Proximal normal cones of an epigraph at an interior point and of the abs
 # epigraph at its apex, where the cone spans both boundary normals.
 _NO_PLANAR_NORMALS = _freeze(np.empty((2, 0)))
-_ABS_APEX_NORMALS = _freeze(np.array([[1.0, -1.0], [-1.0, -1.0]]))
+_ABS_APEX_GENERATORS = ((1.0, -1.0), (-1.0, -1.0))
+_ABS_APEX_NORMALS = _freeze(np.array(_ABS_APEX_GENERATORS).T)
+
+
+def _epigraph_generators(e: EpigraphSet, x0: float, x1: float, tol: float) -> tuple | None:
+    # The epigraph branch of ``normal_cone_columns`` on floats: None when
+    # ``(x0, x1)`` is not in ``e`` within ``tol``, otherwise the generators
+    # of the cone as float pairs (none at an interior point, two at the abs
+    # apex).
+    z0, z1, profile = _epigraph_offset(e, x0, x1)
+    if not z1 >= profile - tol:
+        return None
+    if z1 > profile + tol:
+        return ()
+    if e.kind == SQUARE:
+        return ((2.0 * z0, -1.0),)
+    if abs(z0) <= tol:
+        return _ABS_APEX_GENERATORS
+    return ((1.0 if z0 > 0 else -1.0, -1.0),)
 
 
 def normal_cone_columns(
@@ -301,17 +361,13 @@ def normal_cone_columns(
         if not (ax <= s.b + tol).all():
             raise PointNotInSet("point is not in the set within tolerance")
         return s.A[np.abs(ax - s.b) <= tol].T
-    z0, z1 = (x - s.shift).tolist()
-    profile = abs(z0) if s.kind == ABS else z0 * z0
-    if not z1 >= profile - tol:
+    gens = _epigraph_generators(s, *x.tolist(), tol)
+    if gens is None:
         raise PointNotInSet("point is not in the set within tolerance")
-    if z1 > profile + tol:
-        return _NO_PLANAR_NORMALS
-    if s.kind == SQUARE:
-        return np.array([[2.0 * z0], [-1.0]])
-    if abs(z0) <= tol:
-        return _ABS_APEX_NORMALS
-    return np.array([[1.0 if z0 > 0 else -1.0], [-1.0]])
+    if len(gens) == 1:
+        (g0, g1), = gens
+        return np.array([[g0], [g1]])
+    return _ABS_APEX_NORMALS if gens else _NO_PLANAR_NORMALS
 
 
 def proximal_normal_generators(
@@ -335,17 +391,6 @@ def set_to_json(s: ProjectableSet) -> dict:
     return {"epigraph": {"kind": s.kind, "shift": s.shift.tolist()}}
 
 
-def _json_number(value, name: str) -> float:
-    # A number read from JSON: an int or a float, not a bool, a string or
-    # null (``ValueError`` for those and for an int too large for a float).
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
-
-
 def set_from_json(obj: dict) -> ProjectableSet:
     """Build a set from its JSON descriptor.
 
@@ -358,7 +403,7 @@ def set_from_json(obj: dict) -> ProjectableSet:
     if not isinstance(body, dict):
         raise ValueError(f"set descriptor body must be an object: {obj!r}")
     if tag == "halfspace":
-        return HalfSpace(body["c"], _json_number(body["M"], "M"))
+        return HalfSpace(body["c"], body["M"])
     if tag == "polyhedron":
         return Polyhedron(body["A"], body["b"])
     if tag == "epigraph":

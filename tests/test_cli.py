@@ -397,3 +397,27 @@ def test_verify_seed_env_var(monkeypatch):
     assert verify.get_seed() == 42
     monkeypatch.delenv("ALTPROJ_SEED")
     assert verify.get_seed() == 42
+
+
+def test_one_parser_per_process_answers_as_a_fresh_parser(tmp_path, capsys):
+    # main builds its parser once; a run, a malformed spec (exit 64) and an
+    # LP in one process each give what a freshly built parser gives.
+    from altproj import cli
+
+    bad = write_json(tmp_path / "bad.json", {"setA": {"halfspace": {"c": [0, 1], "M": "0"}}})
+    calls = [
+        ["run", absval_run_spec(tmp_path, k=1.0), "--out", str(tmp_path)],
+        ["run", bad, "--out", str(tmp_path)],
+        ["lp", box_lp(tmp_path)],
+    ]
+    answers = {}
+    for fresh in (False, True):
+        cli._parser.cache_clear()
+        answers[fresh] = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            answers[fresh].append((main(argv), capsys.readouterr()))
+    assert answers[False] == answers[True]
+    assert [code for code, _ in answers[False]] == [0, 64, 0]
+    assert cli._parser() is cli._parser()

@@ -70,12 +70,14 @@ def test_random_set_certificates_match_the_public_check():
 
 @pytest.mark.parametrize("cap", [10, 1000])
 def test_a_capped_run_builds_one_certificate_and_skips_a_residual(monkeypatch, cap):
-    # square_k0_x1 never certifies, so B's residual fails on every cycle
-    # and A's is measured only by the one certificate of the last pair.
+    # square_k0_x1 never certifies, so the float screen finds B's residual
+    # above the tolerance on every cycle, and A's is measured only by the
+    # one certificate of the last pair.
     set_a, set_b = lower_halfplane(), parabola_epigraph(0.0)
     events = []
     inside = []
     certificate, cone_distance = engine._certificate, engine.unit_cone_distance
+    screened_residual = engine._screened_residual
 
     def certificate_spy(*args):
         events.append("certificate")
@@ -92,8 +94,14 @@ def test_a_capped_run_builds_one_certificate_and_skips_a_residual(monkeypatch, c
             events.append((side, res <= 1e-8))
         return res
 
+    def screened_residual_spy(*args):
+        res = screened_residual(*args)
+        events.append(("B", res <= 1e-8))
+        return res
+
     monkeypatch.setattr(engine, "_certificate", certificate_spy)
     monkeypatch.setattr(engine, "unit_cone_distance", cone_distance_spy)
+    monkeypatch.setattr(engine, "_screened_residual", screened_residual_spy)
     trace = run(set_a, set_b, [1.0, 0.0], max_iters=cap)
     assert trace.stop_reason is StopReason.MAX_ITERS and len(trace.gaps) == 2 * cap
     assert events == [("B", False)] * cap + ["certificate"]

@@ -16,6 +16,12 @@ computes, must leave every digest as it is.  A change that moves a result
 on purpose regenerates the file and says so in its change record:
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
+
+The digests also pin how the installed BLAS rounds: OpenBLAS's ``ddot``
+forms a product of two 2-vectors as ``fma(x1, y1, x0 * y0)``, and the
+package's small products and stored gaps keep that rounding.  On another
+NumPy or BLAS build a digest can fail with the package unchanged, so a
+failure names the build it ran on.
 """
 
 from __future__ import annotations
@@ -44,6 +50,17 @@ LP_COUNT = 300
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def numpy_build() -> str:
+    """NumPy's version and BLAS build, for the message of a failed digest."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # NumPy before 1.26 prints its configuration only
+        return f"NumPy {np.__version__}, BLAS build unknown"
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    return f"NumPy {np.__version__}, BLAS {build}"
 
 
 def planar_fixtures():
@@ -111,12 +128,12 @@ def golden():
 
 
 def test_planar_outputs_match_golden_digests(tmp_path, golden):
-    assert planar_digests(tmp_path) == golden["planar"]
+    assert planar_digests(tmp_path) == golden["planar"], numpy_build()
 
 
 @pytest.mark.parametrize("seed", LP_SEEDS)
 def test_direct_lp_traces_match_golden_digests(seed, golden):
-    assert lp_digest(seed) == golden["lp_direct"][str(seed)]
+    assert lp_digest(seed) == golden["lp_direct"][str(seed)], numpy_build()
 
 
 if __name__ == "__main__":

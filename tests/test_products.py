@@ -1,9 +1,11 @@
 """The product rule of ``altproj.linalg``: small products go through ``ndarray.dot``.
 
 ``x.dot(y)`` costs about half of ``x @ y`` on the package's small arrays and
-gives the same bits.  One test holds the source to the rule; the other
-checks its premise on the installed NumPy, so that an upgrade on which the
-two forms round differently fails here instead of moving results silently.
+gives the same bits.  One test holds the source to the rule; the others
+check its premises on the installed NumPy, so that an upgrade on which the
+two forms round differently, or on which the block product of a planar
+run's gaps stops rounding as ``.dot``, fails here instead of moving results
+silently.
 """
 
 import ast
@@ -11,12 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
+from altproj.linalg import _dot_row_norms, _norm
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "altproj"
 
-# The block products of vertices.feasible_vertices: one call for many vertices.
+# The block products of vertices.feasible_vertices, one call for many
+# vertices, and of a planar run's gaps, one call for every step.
 ALLOWED = {
     ("vertices.py", "feasible_vertices", "v @ p.A.T"),
     ("vertices.py", "feasible_vertices", "p.A @ v[..., None]"),
+    ("linalg.py", "_dot_row_norms", "D[:, None, :] @ D[:, :, None]"),
 }
 
 
@@ -80,3 +86,18 @@ def test_dot_and_matmul_give_the_same_bits():
             expected = left @ right
             got = left.dot(right)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), (left, right)
+
+
+def test_the_block_product_of_the_gaps_is_norm_row_by_row():
+    # A planar run stores its gaps from one _dot_row_norms call; they must be
+    # the bits _norm(d), and so d.dot(d), gives each step.
+    rng = np.random.default_rng(20261019)
+    for n in (2, 3):
+        for scale in (1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150):
+            D = rng.standard_normal((5000, n)) * scale
+            want = np.array([_norm(d) for d in D])
+            assert _dot_row_norms(D).tobytes() == want.tobytes(), (n, scale)
+    # Rows whose sum of squares overflows are rescaled as _norm does.
+    D = np.array([[3e200, -4e200], [1.7e308, 1.7e308], [np.inf, 1.0], [0.0, -0.5]])
+    with np.errstate(over="ignore"):
+        assert _dot_row_norms(D).tobytes() == np.array([_norm(d) for d in D]).tobytes()

@@ -9,11 +9,19 @@ the two must agree bit for bit.  The rest pins the two behaviours at extreme
 scale that the kernels fix (a gap whose sum of squares overflows, and the
 parabola's stationarity root far from the vertex) and counts validation
 calls, which must not grow with the number of cycles.
+
+A pair of planar sets, neither a polyhedron, runs on floats: each cycle is
+screened on floats and decided again on arrays (``engine._decide``) when
+the screen cannot clear it.  The tests at the end give that screen
+geometry the fixtures do not: tilted half-planes, whose ``<c, x>`` rounds
+differently as a BLAS product and as floats, a tolerance equal to a
+residual the run meets, and gaps next to ``ZERO_TOL``.
 """
 
 import numpy as np
 import pytest
 
+import altproj.engine as engine
 from altproj import (
     EpigraphSet,
     HalfSpace,
@@ -21,6 +29,7 @@ from altproj import (
     Polyhedron,
     StopReason,
     check_certificate,
+    contains,
     project,
     run,
 )
@@ -32,7 +41,7 @@ from altproj.instances import (
     random_set,
     sample_member,
 )
-from altproj.linalg import _norm, _row_norms
+from altproj.linalg import ZERO_TOL, _norm, _row_norms
 from altproj.sets import SQUARE, _parabola_root
 from test_face_cycles import plain_run
 
@@ -262,3 +271,138 @@ def test_cycles_validate_nothing(monkeypatch):
         assert len(trace.gaps) == 2 * cap
         counts[cap] = len(calls)
     assert counts[10] == counts[1000] <= 2
+
+
+def test_tilted_halfplanes_against_shifted_epigraphs_match_the_public_loop_bit_for_bit():
+    # With c = (0, 1), as in the fixtures, c0 x0 + c1 x1 and the BLAS product
+    # round alike; a tilted c tells them apart.
+    rng = np.random.default_rng(17)
+    stops = set()
+    for i in range(60):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        set_a = HalfSpace([np.cos(angle), np.sin(angle)], float(rng.normal()))
+        set_b = EpigraphSet(("abs", "square")[i % 2], rng.normal(size=2))
+        x0 = project(set_a, 3.0 * rng.normal(size=2))
+        stops.add(assert_identical_run(set_a, set_b, x0, max_iters=300).stop_reason)
+    assert len(stops) >= 2
+
+
+def spy_decisions(monkeypatch):
+    """``(cycle, stop)`` of every cycle the array code decides."""
+    decided = []
+    decide = engine._decide
+
+    def spy(*args):
+        stop = decide(*args)
+        decided.append((args[7], None if stop is None else stop[0]))
+        return stop
+
+    monkeypatch.setattr(engine, "_decide", spy)
+    return decided
+
+
+@pytest.mark.parametrize("x", PLANAR_X0)
+@pytest.mark.parametrize("k", PLANAR_KS)
+@pytest.mark.parametrize("make", [absval_epigraph, parabola_epigraph], ids=["abs", "square"])
+def test_the_array_code_decides_every_stop_and_no_capped_cycle(monkeypatch, make, k, x):
+    decided = spy_decisions(monkeypatch)
+    trace = run(lower_halfplane(), make(k), [x, 0.0])
+    last = len(trace.gaps) // 2 - 1
+    if trace.stop_reason is StopReason.MAX_ITERS:
+        assert decided == []  # the four square_k0 runs, 1000 cycles each
+    else:
+        assert decided[-1] == (last, trace.stop_reason)
+        assert all(stop is None for _, stop in decided[:-1])
+
+
+@pytest.mark.parametrize("k, x, cycle", [(1.0, 3.0, 9), (0.5, 3.0, 8), (1.0, 10.0, 10), (1.0, 100.0, 6), (2.0, 1.0, 5)])
+def test_a_tolerance_equal_to_a_residual_is_decided_on_arrays(monkeypatch, k, x, cycle):
+    # B's residual at ``cycle`` of a square_k*_x* fixture is the tolerance
+    # itself, so the screen's value lies within its margin of it and the
+    # arrays certify.  In the last four the float residual is one unit in
+    # the last place above the array's, so a screen without the margin
+    # would let the cycle pass.
+    set_a, set_b = lower_halfplane(), parabola_epigraph(k)
+    ref = plain_run(set_a, set_b, [x, 0.0], max_iters=cycle + 1)
+    tol = check_certificate(set_a, set_b, ref.points[2 * cycle + 2], ref.points[2 * cycle + 1]).residual_B
+    assert 1e-8 < tol < 0.5
+    decided = spy_decisions(monkeypatch)
+    trace = assert_identical_run(set_a, set_b, [x, 0.0], cert_tol=tol)
+    assert trace.stop_reason is StopReason.CERTIFIED and trace.steps_to_converge == 2 * cycle + 1
+    assert decided[-1] == (cycle, StopReason.CERTIFIED)
+
+
+@pytest.mark.parametrize("cert_tol", [1e-13, 0.0])
+@pytest.mark.parametrize("gap", [0.6 * ZERO_TOL, 1.5 * ZERO_TOL, 1.99 * ZERO_TOL])
+def test_a_gap_next_to_zero_tol_is_decided_on_arrays(monkeypatch, gap, cert_tol):
+    # The apex of the abs epigraph lifted by ``gap`` over the lower
+    # half-plane: the pair is the apex and the origin, ``gap`` apart.
+    set_a, set_b = lower_halfplane(), absval_epigraph(gap)
+    decided = spy_decisions(monkeypatch)
+    trace = assert_identical_run(set_a, set_b, [0.0, 0.0], cert_tol=cert_tol)
+    assert trace.gaps[-1] == gap
+    assert decided[-1] == (len(trace.gaps) // 2 - 1, trace.stop_reason)
+
+
+@pytest.mark.parametrize("cert_tol", [1e-13, 0.0])
+@pytest.mark.parametrize("x", [1.0, 3.0, 10.0])
+def test_gaps_that_shrink_through_zero_tol_are_decided_on_arrays(monkeypatch, x, cert_tol):
+    # {v <= 0} and {v >= u + 1} cross at 45 degrees: each cycle shrinks the
+    # gap by about 1/sqrt(2) and B's residual stays about 0.7, so the run
+    # stops only when a gap falls to ZERO_TOL.  Every cycle whose gap is
+    # within twice ZERO_TOL is decided on arrays.
+    set_a, set_b = lower_halfplane(), HalfSpace([1.0, -1.0], -1.0)
+    decided = spy_decisions(monkeypatch)
+    trace = assert_identical_run(set_a, set_b, [x, 0.0], cert_tol=cert_tol)
+    assert trace.stop_reason is StopReason.GAP_STALLED and trace.certificate is None
+    near = [j for j in range(len(trace.gaps) // 2) if trace.gaps[2 * j + 1] <= 2.0 * ZERO_TOL]
+    assert near and [cycle for cycle, _ in decided] == near
+
+
+def outcome(loop, *args, **kwargs):
+    """``hexed`` of a run, or the type and message of what it raised."""
+    try:
+        return hexed(loop(*args, **kwargs))
+    except (PointNotInSet, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("low, high", [(6.0, 10.0), (100.0, 150.0)])
+def test_far_tilted_pairs_stop_or_raise_as_the_public_loop_does(low, high):
+    # At these scales <c, x> - M rounds by more than ACTIVE_TOL, so the
+    # membership tests fall on either side of it; a half-plane's float test
+    # must then leave the decision, error included, to the arrays.
+    rng = np.random.default_rng(31)
+    compared = 0
+    for i in range(150):
+        t = 10.0 ** rng.uniform(low, high)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        plane = HalfSpace([np.cos(angle), np.sin(angle)], t * float(rng.normal()))
+        epigraph = EpigraphSet(("abs", "square")[i % 2], t * rng.normal(size=2))
+        for set_a, set_b in ((plane, epigraph), (epigraph, plane)):
+            x0 = project(set_a, t * rng.normal(size=2))
+            if not contains(set_a, x0, 1e-8):
+                continue  # run raises StartNotInA, which plain_run does not check
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = outcome(run, set_a, set_b, x0, max_iters=60)
+                assert got == outcome(plain_run, set_a, set_b, x0, max_iters=60)
+            compared += 1
+    assert compared >= 200
+
+
+def test_abs_projection_breaks_near_ties_as_the_blas_products_do():
+    # Next to the normal line through the apex the two candidates' squared
+    # distances differ by 2 t^2, below their rounding; the kernel must then
+    # pick the candidate that ``dot`` on the two difference arrays picks.
+    rng = np.random.default_rng(18)
+    vee = absval_epigraph(0.0)
+    for _ in range(2000):
+        z0 = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+        t = abs(z0) * 10.0 ** rng.uniform(-12.0, -6.0)
+        z = np.array([z0, 2.0 * t - abs(z0)])
+        right = np.array([max(0.0, 0.5 * (z[0] + z[1]))] * 2)
+        u = max(0.0, 0.5 * (z[1] - z[0]))
+        left = np.array([-u, u])
+        dr, dl = right - z, left - z
+        want = (right if float(dr.dot(dr)) <= float(dl.dot(dl)) else left) + vee.shift
+        assert project(vee, z).tobytes() == want.tobytes()

@@ -185,3 +185,48 @@ def test_as_point_reads_ints_and_floats_as_float64(values, expected):
 def test_as_point_returns_a_float64_array_as_it_is():
     x = np.array([1.0, 2.0])
     assert as_point(x, 2) is x
+
+
+# One scalar rule, linalg._real_scalar, for a half-space's and an LP's
+# offset M and for the certificate tolerance: an int or a float (NumPy's
+# too), not a bool, a string or None, and an int within the float range.
+# Before, "3" and True were read as 3.0 and 1.0, and None raised a bare
+# TypeError.
+NOT_SCALARS = {
+    "string": "3",
+    "negative-string": "-5",
+    "bool": True,
+    "none": None,
+    "numpy-bool": np.bool_(False),
+    "huge-int": 10**400,
+    "list": [3.0],
+}
+
+
+@pytest.mark.parametrize("M", list(NOT_SCALARS.values()), ids=list(NOT_SCALARS))
+def test_an_offset_that_is_not_a_number_raises_value_error(M):
+    with pytest.raises(ValueError, match="^M (must be a number|is too large)"):
+        HalfSpace(HS.c, M)
+    with pytest.raises(ValueError, match="^M (must be a number|is too large)"):
+        LPProblem(HS.c, POLY, M)
+
+
+CERT_TOL_NOT_SCALARS = {"string": "1e-8", "none": None, "bool": True, "numpy-bool": np.bool_(True)}
+
+
+@pytest.mark.parametrize("tol", list(CERT_TOL_NOT_SCALARS.values()), ids=list(CERT_TOL_NOT_SCALARS))
+def test_a_tolerance_that_is_not_a_number_raises_value_error(tol):
+    plane, vee = lower_halfplane(), absval_epigraph(1.0)
+    with pytest.raises(ValueError, match="^cert_tol must be a number"):
+        run(plane, vee, [1.0, 0.0], cert_tol=tol)
+    with pytest.raises(ValueError, match="^cert_tol must be a number"):
+        check_certificate(plane, vee, [0.0, 0.0], [0.0, 1.0], tol)
+
+
+@pytest.mark.parametrize("value", [3, -5.0, np.int64(3), np.float32(0.5), 10**20])
+def test_offsets_and_tolerances_read_ints_and_floats(value):
+    assert HalfSpace(HS.c, value).M == float(value)
+    assert type(HalfSpace(HS.c, value).M) is float
+    assert LPProblem(HS.c, POLY, value).M == float(value)
+    trace = run(lower_halfplane(), absval_epigraph(1.0), [0.0, 0.0], cert_tol=abs(value))
+    assert trace.stop_reason.value == "Certified"
