@@ -31,6 +31,11 @@ EXIT_USAGE = 64
 EXIT_NOT_POLYHEDRAL = 65
 EXIT_BOUND_NOT_STRICT = 66
 
+# What reading a spec file can raise: a missing or unreadable file, bad
+# JSON, a missing key, a bad value or a set the package rejects.  Each
+# subcommand reports these as a parse error and exits EXIT_USAGE.
+_SPEC_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError)
+
 
 class _Parser(argparse.ArgumentParser):
     # Usage problems must exit 64; argparse's default of 2 collides with
@@ -111,7 +116,7 @@ def cmd_run(args) -> int:
         max_iters = _spec_max_iters(max_iters)
         cert_tol = engine._check_tol(spec.get("cert_tol", 1e-8))
         outputs = _spec_outputs(spec.get("outputs", {}))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: cannot parse experiment spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -140,7 +145,7 @@ def cmd_bound(args) -> int:
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
         x0 = as_point(spec["x0"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: cannot parse bound problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = certify.bound_report(set_b, set_a, x0)
@@ -157,7 +162,7 @@ def cmd_lp(args) -> int:
             problem = lp.problem_from_json(spec, M=optimum - 1.0)
         else:
             problem = lp.problem_from_json(spec)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, AltprojError) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: cannot parse LP problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
     outcome = lp.solve_lp(problem, strategy=args.strategy)

@@ -57,21 +57,27 @@ is decided again on arrays by :func:`_decide`, which raises what the array
 code raises, in its order, and builds the one certificate of a stop.  On the
 32 half-plane / epigraph fixtures the arrays decide one to four cycles of
 each run, the stopping one included, and none of the 1000 cycles of the
-tangent (``square_k0``) runs.  The ``(k, 2)`` points are built once, at the
-stop, and the gaps from one block product (``linalg._dot_row_norms``) that
-rounds each row's sum of squares as ``d.dot(d)`` does, so every stored
-value is the one a cycle on arrays stores.
+tangent (``square_k0``) runs.  The loop keeps only the floats of its
+iterates; the ``(k, 2)`` points and the gaps are built once, at the stop, by
+the trace builder that the general loop shares (below).
 
 Validation happens once, at the boundary.  :func:`run` validates ``x0``
 and every cycle then runs on kernels that take validated arrays or floats:
 the set projections behind ``sets.project`` (``qp._project_from`` for a
 polyhedron, the float kernels for a planar pair) and the cycle decision
 :func:`_certified`, which shares its prelude with :func:`_certificate`
-behind :func:`check_certificate`, with 1-D norms from ``linalg._norm``
-(``linalg._row_norms`` for the gaps of cycles generated in closed form).
+behind :func:`check_certificate`, with 1-D norms from ``linalg._norm``.
 The sets' dimensions are compared once, before the first cycle.  An iterate
 is tested for finite entries only when its distance from the previous one
 is not finite, which every non-finite iterate makes it.
+
+Iterates only.  Both loops keep nothing but their iterates: the general
+loop one flat array per real point and one per block of generated cycles,
+the planar loop the floats.  At the stop :func:`_trace` stacks them and
+forms every gap from one block product, ``linalg._dot_row_norms`` of the
+differences of consecutive rows, which rounds each row's sum of squares as
+``d.dot(d)`` does.  So every stored gap is bitwise ``_norm`` of its step,
+the value the cycle itself measured, generated cycles included.
 
 Cycles on one face.  When A is a half-space ``{<c, x> <= M}`` and B a
 polyhedron, a run can spend thousands of cycles creeping along one face
@@ -87,8 +93,13 @@ cycle maps ``b_{k+1} = b_k - s_k P_V c`` and ``s_{k+1} = rho s_k`` with
 
 The multipliers are ``s_k rho^j`` times a fixed vector, so their signs do
 not change; the path leaves ``F`` only when an inactive row becomes tight.
-When two consecutive B-projections have the same face, :func:`run` finds
-the first cycle at which one of five events could happen:
+``P_V c`` comes from the face factor below: when the working rows ``W`` are
+exactly the rows of ``F``, the first ``k`` columns ``Q_1`` of its ``Q``
+span them and ``P_V c = c - Q_1 (Q_1' c)``, formed twice to
+re-orthogonalise it.  A working row with a zero multiplier makes ``W``
+larger than ``F``, and no cycle is generated.  When two consecutive
+B-projections have the same face, :func:`run` finds the first cycle at
+which one of five events could happen:
 
 - an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``;
 - the gap ``s_k rho^j ||c||`` falls to the certificate tolerance (the
@@ -100,10 +111,11 @@ the first cycle at which one of five events could happen:
   with ``P_r = I - P_V``, falls below ``GAP_STALL_TOL``;
 - the cycle cap.
 
-It then generates every cycle up to two before that one from the closed
-form, iterates and gaps included, and resumes ordinary cycles, so every
-face change, certificate and stop decision still comes from real
-projections.  This is done at most once per visit to a face.  Other pairs,
+It then generates the iterates of every cycle up to two before that one
+from the closed form and resumes ordinary cycles, so every face change,
+certificate and stop decision still comes from real projections.  The
+gaps of the generated cycles are formed with all the others, at the
+stop.  This is done at most once per visit to a face.  Other pairs,
 and a polyhedron A with a half-space B, run ordinary cycles throughout.
 
 The face factor.  On the same pairs each real B-projection starts from the
@@ -122,7 +134,9 @@ the factor.  When ``u >= 0`` but ``z`` is infeasible, the active-set method
 continues from ``(W, u, z)`` and a copy of the factor; a negative entry of
 ``u`` starts it from the empty working set.  A feasible ``x`` is returned
 unchanged before the face is tried, as the cold projection does.  On random
-LPs about half the B-projections land on the face of the cycle before.
+LPs about half the B-projections land on the face of the cycle before.  The
+same factor gives the closed-form cycles their ``P_V c`` (above), so a
+face is never factored afresh.
 """
 
 from __future__ import annotations
@@ -141,11 +155,10 @@ from .linalg import (
     _dot_row_norms,
     _norm,
     _real_scalar,
-    _row_norms,
     as_point,
     unit_cone_distance,
 )
-from .qp import _FEAS_TOL, _face_step, _project_from
+from .qp import _FEAS_TOL, _Face, _project_from
 from .sets import (
     ACTIVE_TOL,
     EpigraphSet,
@@ -199,6 +212,10 @@ class Certificate:
     residual_B: float
     holds: bool
 
+    def to_json_dict(self) -> dict:
+        """Report fields of the certificate; the points are not included."""
+        return {"residual_A": self.residual_A, "residual_B": self.residual_B, "holds": self.holds}
+
 
 _LABELS = ("A", "B")  # of the iterates at even and odd indices
 
@@ -242,7 +259,8 @@ class Trace:
     ``points`` is the ``(k, n)`` array of the run's iterates, the start
     point first, then the B- and A-points of each cycle, so row ``i`` has
     label A for even ``i`` and B for odd ``i``; ``gaps`` is the 1-D array
-    whose entry ``i`` is the distance between rows ``i`` and ``i + 1``.
+    whose entry ``i`` is the distance between rows ``i`` and ``i + 1``, for
+    a trace of :func:`run` bitwise ``_norm(points[i + 1] - points[i])``.
     Both are read-only views, about ``8 (n + 1)`` bytes per iterate, and
     ``iterates`` reads ``points`` as ``(index, label, point)`` tuples with
     labels alternating A, B, A, B, ...  ``steps_to_converge`` counts
@@ -254,10 +272,10 @@ class Trace:
     on a gap too small to normalise (see :func:`run`).  It is built once,
     for the pair the run stops on; a cycle that does not stop the run is
     decided without one (module docstring).
-    ``generated_cycles`` counts the cycles whose iterates and gaps were
-    generated in closed form on one face of a polyhedron (see the module
-    docstring) instead of projected; they are part of ``points`` and
-    ``gaps`` like every other cycle.
+    ``generated_cycles`` counts the cycles whose iterates were generated
+    in closed form on one face of a polyhedron (see the module docstring)
+    instead of projected; they are part of ``points`` like every other
+    cycle, and their gaps are formed the same way.
     ``active_set_steps`` sums ``QPResult.iterations`` over the projections
     onto B of a half-space/polyhedron pair, the only pair whose run reads
     them (0 for other pairs); a projection accepted on the previous face
@@ -293,19 +311,13 @@ class Trace:
 
     def to_json_dict(self) -> dict:
         """Report fields of the run; the iterates and gaps are not included."""
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "residual_A": self.certificate.residual_A,
-                "residual_B": self.certificate.residual_B,
-                "holds": self.certificate.holds,
-            }
+        cert = self.certificate
         return {
             "stop_reason": self.stop_reason.value,
             "steps_to_converge": self.steps_to_converge,
             "num_iterates": len(self.points),
             "final_gap": self.final_gap,
-            "certificate": cert,
+            "certificate": None if cert is None else cert.to_json_dict(),
         }
 
 
@@ -468,17 +480,14 @@ def run(
     if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
         return _run_planar(set_a, set_b, x0, max_iters, cert_tol)
 
-    # The iterates and gaps since the last generated stretch are appended to
-    # plain lists; those before it are already arrays in ``done_points`` and
-    # ``done_gaps``, and all are stacked once when the run stops.
-    points, gaps = [x0.copy()], []
-    done_points, done_gaps = [], []
+    # Every iterate, real or generated, is a flat array in ``points``; the
+    # gaps are formed from them once, when the run stops (``_trace``).
+    points = [x0]
     # On a half-space/polyhedron pair the B-projection's multipliers name
     # the face it lands on; a repeated face is walked in closed form.
     walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
     last_face, walked = None, False
     factor = None  # the face factor of the last B-projection (module docstring)
-    b_prev = None  # the B-point of the cycle before, when that one was real
     generated = active_steps = 0
     current = x0
     cycle = 0
@@ -492,10 +501,7 @@ def run(
         gap_b = _step_gap(b, current)[1]
         a = _project_point(set_a, b)
         d, gap_a = _step_gap(a, b)
-        points.append(b)
-        points.append(a)
-        gaps.append(gap_b)
-        gaps.append(gap_a)
+        points += (b, a)
         stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol)
         if stop is not None:
             break
@@ -507,35 +513,35 @@ def run(
         if key != last_face:
             last_face, walked = key, False
         elif not walked:
-            # Every cycle since the face changed was real, so ``b_prev`` is
-            # the B-point one cycle back.
             walked = True
-            block = _face_jump(set_a, set_b, face, b, b_prev, max_iters - cycle, cert_tol)
+            block = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
             if len(block):
-                done_points += (np.concatenate(points), block.ravel())
-                done_gaps += (
-                    np.array(gaps),
-                    _row_norms(np.diff(block, axis=0, prepend=current[None])),
-                )
-                points, gaps = [], []
+                points.append(block.ravel())
                 generated += len(block) // 2
                 cycle += len(block) // 2
                 current = block[-1]
-        b_prev = b
     else:
         # The last cycle was a real one: a closed-form stretch stops at
         # least one cycle short of the cap.
         stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+    return _trace(np.concatenate(points), x0.shape[0], stop, generated, active_steps)
 
-    # Every stop follows a real cycle, so the lists are not empty.
-    flat, gap_arr = np.concatenate(points), np.array(gaps)
-    if done_points:
-        flat = np.concatenate([*done_points, flat])
-        gap_arr = np.concatenate([*done_gaps, gap_arr])
+
+def _trace(
+    flat: np.ndarray,
+    n: int,
+    stop: tuple[StopReason, int | None, Certificate | None],
+    generated: int = 0,
+    active_steps: int = 0,
+) -> Trace:
+    # The ``Trace`` of a run from its iterates, concatenated as one flat
+    # array, and its stop.  Every gap comes from one block product that
+    # rounds each row as ``_norm`` does, so it is the gap a cycle measures.
+    points = flat.reshape(-1, n)
     reason, steps, cert = stop
     return Trace(
-        flat.reshape(-1, x0.shape[0]),
-        gap_arr,
+        points,
+        _dot_row_norms(np.diff(points, axis=0)),
         stop_reason=reason,
         steps_to_converge=steps,
         certificate=cert,
@@ -583,8 +589,8 @@ def _run_planar(
 
     Each iterate is carried as two floats and every cycle is screened on
     floats; a cycle the screen cannot clear is decided again on arrays by
-    :func:`_decide`.  The points and gaps are built once, at the stop
-    (module docstring).
+    :func:`_decide`.  Only the floats of the iterates are kept;
+    :func:`_trace` builds the points and gaps from them at the stop.
     """
     project_a, project_b = _planar_projection(set_a), _planar_projection(set_b)
     gap_floor = 2.0 * max(cert_tol, ZERO_TOL)
@@ -616,15 +622,7 @@ def _run_planar(
         b, a = np.array((b0, b1)), np.array((a0, a1))
         d, gap_a = _step_gap(a, b)
         stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
-    points = np.array(xy).reshape(-1, 2)
-    reason, steps, cert = stop
-    return Trace(
-        points,
-        _dot_row_norms(np.diff(points, axis=0)),
-        stop_reason=reason,
-        steps_to_converge=steps,
-        certificate=cert,
-    )
+    return _trace(np.array(xy), 2, stop)
 
 
 def _planar_projection(s: HalfSpace | EpigraphSet):
@@ -704,30 +702,34 @@ def _face_jump(
     h: HalfSpace,
     poly: Polyhedron,
     face: np.ndarray,
+    factor: _Face,
     b: np.ndarray,
-    b_prev: np.ndarray,
     cycles_left: int,
     cert_tol: float,
 ) -> np.ndarray:
     """Iterates of the cycles after ``b`` that stay on ``face``.
 
-    ``b`` is the B-point of the cycle just completed and ``b_prev`` that of
-    the cycle before, both on the face whose rows ``face`` marks;
+    ``b`` is the B-point of the cycle just completed, on the face whose
+    rows ``face`` marks, and ``factor`` the face factor of its projection;
     ``cycles_left`` cycles remain under the cap.  Rows ``2j - 2`` and
     ``2j - 1`` of the ``(2J, n)`` result hold ``b_{k+j}`` and
     ``a_{k+j+1}`` (module docstring), the B- and A-point of each cycle in
     run order, for ``J`` two short of the first cycle at which the face
-    could change or a stop rule could fire.  ``J`` is 0
-    when the face does not move the run (``||P_V c||`` is below
-    ``ZERO_TOL ||c||`` or all of ``c``), when ``b`` is in the half-space,
-    when an inactive row is already within ``10 * ACTIVE_TOL`` of tight or
-    is reached within three cycles, or when the next cycle could stall or
-    find the A-point feasible.
+    could change or a stop rule could fire.  ``P_V c`` is
+    ``c - Q_1 (Q_1' c)``, formed twice to re-orthogonalise it, with ``Q_1``
+    the factor's first ``k`` columns, which span the working rows.  ``J``
+    is 0 when the working rows are not exactly the rows of ``face`` (a
+    working row with a zero multiplier), when the face does not move the
+    run (``||P_V c||`` is below ``ZERO_TOL ||c||`` or all of ``c``), when
+    ``b`` is in the half-space, when an inactive row is within
+    ``10 * ACTIVE_TOL`` of tight or is reached within three cycles, or when
+    the next cycle could stall or find the A-point feasible.
     """
     c, cc = h.c, h._cc
     s = (float(c.dot(b)) - h.M) / cc
     none = np.empty((0, b.shape[0]))
-    if not s > 0.0:
+    W = factor.W
+    if not s > 0.0 or len(W) != np.count_nonzero(face) or not face[W].all():
         return none
     # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c.
     margin = 10.0 * ACTIVE_TOL
@@ -735,20 +737,9 @@ def _face_jump(
     slack[face] = math.inf
     if float(slack.min()) <= margin:
         return none
-    # On the face the last step b - b_prev is 1/rho times the next one, with
-    # rho = s/s_prev.  Continued for three cycles it shows most short visits,
-    # where a row is reached before any cycle could be generated, without
-    # the face step below; the exact horizon decides every other case.
-    s_prev = (float(c.dot(b_prev)) - h.M) / cc
-    if s_prev > s:
-        rho = s / s_prev
-        ahead = (rho + rho * rho + rho**3) * poly.A.dot(b - b_prev)
-        if float((slack - ahead).min()) <= margin:
-            return none
-    # P_V c is the residual of c against the face rows, split once more to
-    # re-orthogonalise it.
-    _, pvc = _face_step(poly.A[face], c)
-    _, pvc = _face_step(poly.A[face], pvc)
+    Q1 = factor.Q[:, : len(W)]
+    pvc = c - Q1.dot(c.dot(Q1))
+    pvc -= Q1.dot(pvc.dot(Q1))
     q = float(pvc.dot(pvc)) / cc
     if not ZERO_TOL < math.sqrt(q) < 1.0:
         return none

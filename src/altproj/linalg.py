@@ -12,10 +12,9 @@ from then on works on the validated array.  The rule for loops follows from
 it: a point is validated once, where it enters the package, and the loop
 runs on kernels that take validated arrays.  The kernels that do no
 validation here are :func:`unit_distance_to_ray`,
-:func:`unit_cone_distance`, ``_norm``, ``_row_norms`` and
-``_dot_row_norms``; ``sets``, ``engine`` and ``qp`` keep their own
-(``_project_point``, ``_certificate``, ``_certified``, ``_project_from``
-and the kernels behind them).
+:func:`unit_cone_distance`, ``_norm`` and ``_dot_row_norms``; ``sets``,
+``engine`` and ``qp`` keep their own (``_project_point``, ``_certificate``,
+``_certified``, ``_project_from`` and the kernels behind them).
 
 Products.  Every vector-vector and matrix-vector product in the package is
 written ``x.dot(y)``, not ``x @ y``.  Both call the same BLAS routine and
@@ -26,8 +25,8 @@ NumPy 2.4.6 (Python 3.11.7, one BLAS thread, a 2-vCPU Xeon), ``x @ y`` on
 matrix times a vector takes 1.5 us against 0.9 us.  The only ``@`` left
 are block products, one call for many rows: the two of
 :func:`altproj.vertices.feasible_vertices` and the stacked
-``(1, n) @ (n, 1)`` products of ``_dot_row_norms``, which give the gaps of
-a planar run at its stop and round each row as ``d.dot(d)`` does.
+``(1, n) @ (n, 1)`` products of ``_dot_row_norms``, which give every gap
+of an engine run at its stop and round each row as ``d.dot(d)`` does.
 ``tests/test_products.py`` holds the source to this rule and checks on the
 installed NumPy that the two forms give the same bits and that
 ``_dot_row_norms`` gives ``_norm``'s.
@@ -114,16 +113,6 @@ def _norm(d: np.ndarray) -> float:
         return ss
     e = d / big
     return big * math.sqrt(float(e.dot(e)))
-
-
-def _row_norms(D: np.ndarray) -> np.ndarray:
-    # Euclidean norm of each row of a 2-D float array: ``np.linalg.norm``
-    # along axis 1, with a row whose sum of squares overflows taken again
-    # by ``_norm``.
-    norms = np.linalg.norm(D, axis=1)
-    for i in np.flatnonzero(np.isinf(norms)):
-        norms[i] = _norm(D[i])
-    return norms
 
 
 def _dot_row_norms(D: np.ndarray) -> np.ndarray:

@@ -197,10 +197,6 @@ def outcome_to_json(outcome: LPOutcome, trace_csv: str | None = None) -> dict:
         "objective": outcome.objective,
         "steps": outcome.steps,
         "method": outcome.method,
-        "certificate": {
-            "residual_A": outcome.certificate.residual_A,
-            "residual_B": outcome.certificate.residual_B,
-            "holds": outcome.certificate.holds,
-        },
+        "certificate": outcome.certificate.to_json_dict(),
         "trace_csv": trace_csv,
     }

@@ -36,12 +36,17 @@ from cycle to cycle); the method then continues from a copy of that face's
 factor.  Whatever the start, a feasible ``x`` is tested first and comes
 back unchanged, so a warm face never replaces it by a point of the face.
 
+The kept factor also serves the engine: on a face whose working rows are
+exactly its positive-multiplier rows, ``Q_1`` spans those rows, so the
+projection of a vector onto the face's null space is ``v - Q_1 (Q_1' v)``,
+and the engine's closed-form cycles read it from there.
+
 :func:`project_along_ray` follows the piecewise-linear path
 ``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
 the scale of the polyhedron.  Its rates on a face come from a
-least-squares split against the tight rows, :func:`_face_step`, because
-those rows can be dependent; its only fallback is a step cap, past which it
-projects the far point directly.
+least-squares split against the tight rows, because those rows can be
+dependent and no factor is kept for them; its only fallback is a step cap,
+past which it projects the far point directly.
 """
 
 from __future__ import annotations
@@ -89,22 +94,6 @@ class QPResult:
     point: np.ndarray
     dual: np.ndarray
     iterations: int
-
-
-def _face_step(Aw, v) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``v`` against the rows ``Aw`` of a face: ``(r, v - Aw' r)``.
-
-    ``r`` minimises ``||Aw' r - v||`` (the minimum-norm minimiser when the
-    rows are dependent), so the residual is the part of ``v`` that the rows
-    cannot cancel, its projection onto their null space.  The face walk's
-    rates and the engine's closed-form cycles take it: their row sets are
-    the rows tight at a point, which can be dependent, and they are formed
-    afresh at each face.  The active-set method reads the same split from
-    its kept factor instead (:func:`_working_set`).  With no rows, ``r`` is
-    empty and the residual is ``v``.
-    """
-    r, *_ = np.linalg.lstsq(Aw.T, v, rcond=None)
-    return r, v - Aw.T.dot(r)
 
 
 def _substitute(T, y, lower=False) -> list[float]:
@@ -314,7 +303,7 @@ def project_along_ray(
     to its distance, so the solver projects ``base`` and then walks the
     piecewise-linear path ``t -> P(base + t * direction)`` exactly.  On a
     fixed set ``W`` of tight rows the point and multipliers move linearly
-    in t, at the rates of the face step (:func:`_face_step`): split against
+    in t, at the rates of the face step: split against
     the rows of ``W``, ``direction`` leaves the multiplier rates as its
     least-squares coefficients (the minimum-norm ones for dependent rows)
     and the point's rate as its residual.  The walk switches faces when a
@@ -357,8 +346,14 @@ def _walk_from(p: Polyhedron, base, start: QPResult, direction, t_target: float)
     iterations = start.iterations
     for _ in range(40 * (m + 1)):
         iterations += 1
+        # Split ``direction`` against the tight rows, which can be
+        # dependent: the least-squares coefficients (the minimum-norm ones)
+        # are the multiplier rates and the residual is the point's rate.
+        Aw = A[W]
+        r, *_ = np.linalg.lstsq(Aw.T, direction, rcond=None)
         rate = np.zeros(m)
-        rate[W], dz = _face_step(A[W], direction)
+        rate[W] = r
+        dz = direction - Aw.T.dot(r)
         if np.linalg.norm(dz) <= 1e-12 * np.linalg.norm(direction):
             # Stationary face: the point no longer moves, only the
             # multipliers do; zeroing dz keeps the large remaining step

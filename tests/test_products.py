@@ -3,8 +3,8 @@
 ``x.dot(y)`` costs about half of ``x @ y`` on the package's small arrays and
 gives the same bits.  One test holds the source to the rule; the others
 check its premises on the installed NumPy, so that an upgrade on which the
-two forms round differently, or on which the block product of a planar
-run's gaps stops rounding as ``.dot``, fails here instead of moving results
+two forms round differently, or on which the block product of a run's
+gaps stops rounding as ``.dot``, fails here instead of moving results
 silently.
 """
 
@@ -18,7 +18,7 @@ from altproj.linalg import _dot_row_norms, _norm
 SRC = Path(__file__).resolve().parent.parent / "src" / "altproj"
 
 # The block products of vertices.feasible_vertices, one call for many
-# vertices, and of a planar run's gaps, one call for every step.
+# vertices, and of a run's gaps, one call for every step.
 ALLOWED = {
     ("vertices.py", "feasible_vertices", "v @ p.A.T"),
     ("vertices.py", "feasible_vertices", "p.A @ v[..., None]"),
@@ -89,10 +89,11 @@ def test_dot_and_matmul_give_the_same_bits():
 
 
 def test_the_block_product_of_the_gaps_is_norm_row_by_row():
-    # A planar run stores its gaps from one _dot_row_norms call; they must be
-    # the bits _norm(d), and so d.dot(d), gives each step.
+    # Every engine run stores its gaps from one _dot_row_norms call; they
+    # must be the bits _norm(d), and so d.dot(d), gives each step, for every
+    # dimension the package serves.
     rng = np.random.default_rng(20261019)
-    for n in (2, 3):
+    for n in range(1, 9):
         for scale in (1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150):
             D = rng.standard_normal((5000, n)) * scale
             want = np.array([_norm(d) for d in D])

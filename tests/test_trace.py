@@ -12,8 +12,10 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from altproj import HalfSpace, Polyhedron, StopReason, Trace, project, run
+from altproj import HalfSpace, Polyhedron, StopReason, Trace, project, run, solve_lp
 from altproj.cli import main
+from altproj.instances import absval_epigraph, lower_halfplane, parabola_epigraph, random_lp_instance
+from altproj.linalg import _norm
 from altproj.sets import set_to_json
 
 BELOW = HalfSpace([0.0, 1.0], -1.0)
@@ -131,3 +133,37 @@ def test_csv_rows_read_back_to_the_arrays(tmp_path, capsys):
     assert [[float(v) for v in r[2:4]] for r in body] == trace.points.tolist()
     assert body[0][4] == ""
     assert [float(r[4]) for r in body[1:]] == trace.gaps.tolist()
+
+
+def assert_gaps_are_step_norms(trace):
+    # Every stored gap has the bits of _norm on its step, the value the
+    # cycle that made the step measured.
+    points = trace.points
+    want = np.array([_norm(points[i + 1] - points[i]) for i in range(len(points) - 1)])
+    assert trace.gaps.tobytes() == want.tobytes()
+
+
+def test_every_gap_of_a_direct_lp_run_is_the_norm_of_its_step():
+    # The lp_direct benchmark pool at seed 1; most of its cycles are
+    # generated in closed form.
+    rng = np.random.default_rng(1)
+    generated = 0
+    for _ in range(300):
+        trace = solve_lp(random_lp_instance(rng)[0], strategy="direct").trace
+        assert_gaps_are_step_norms(trace)
+        generated += trace.generated_cycles
+    assert generated > 10000
+
+
+@pytest.mark.parametrize("x", [1.0, 3.0, 10.0, 100.0])
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("make", [absval_epigraph, parabola_epigraph], ids=["abs", "square"])
+def test_every_gap_of_a_planar_run_is_the_norm_of_its_step(make, k, x):
+    assert_gaps_are_step_norms(run(lower_halfplane(), make(k), [x, 0.0]))
+
+
+def test_a_gap_whose_sum_of_squares_overflows_is_the_norm_of_its_step():
+    with np.errstate(over="ignore"):
+        trace = run(HalfSpace([0, 1], 0), HalfSpace([0, -1], -1e200), [0, 0], max_iters=5)
+        assert_gaps_are_step_norms(trace)
+    assert trace.gaps.tolist() == [1e200, 1e200]

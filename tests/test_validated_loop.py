@@ -41,7 +41,7 @@ from altproj.instances import (
     random_set,
     sample_member,
 )
-from altproj.linalg import ZERO_TOL, _norm, _row_norms
+from altproj.linalg import ZERO_TOL, _norm
 from altproj.sets import SQUARE, _parabola_root
 from test_face_cycles import plain_run
 
@@ -134,23 +134,6 @@ def test_norm_is_numpy_norm_bit_for_bit_at_normal_scale():
         for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
             d = scale * rng.normal(size=n)
             assert _norm(d).hex() == float(np.linalg.norm(d)).hex()
-
-
-def test_row_norms_are_numpy_row_norms_bit_for_bit_at_normal_scale():
-    rng = np.random.default_rng(16)
-    for n in (1, 2, 3, 8):
-        for scale in (1e-150, 1.0, 1e150):
-            D = scale * rng.normal(size=(5, n))
-            assert _row_norms(D).tobytes() == np.linalg.norm(D, axis=1).tobytes()
-
-
-def test_row_norms_rescale_only_the_rows_that_overflow():
-    # The gaps of cycles generated in closed form are row norms.
-    D = np.array([[3.0, 4.0], [3e200, -4e200], [0.0, -0.5]])
-    with np.errstate(over="ignore"):
-        norms = _row_norms(D)
-    assert norms[0] == 5.0 and norms[2] == 0.5
-    assert norms[1] == pytest.approx(5e200, rel=1e-15)
 
 
 def test_norm_rescales_a_sum_of_squares_that_overflows():
