@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain, cycle
 from pathlib import Path
 
 from . import certify, engine, lp, verify, vertices
@@ -90,17 +91,21 @@ def _spec_outputs(value) -> dict:
 def _write_trace_csv(trace: engine.Trace, path: Path) -> None:
     # Comma-separated with CRLF line ends, the csv module's default dialect;
     # no field can need quoting.  Values are written with 17 significant
-    # digits, so they read back exactly; the start point has no gap.
-    dim = trace.points.shape[1]
+    # digits, so they read back exactly; the start point has no gap.  The
+    # rows after it are formatted by one ``%`` on a repeated row template,
+    # labelled B, A, B, ... from step 1.
+    points = trace.points
+    dim = points.shape[1]
     start = "%d,%s" + ",%.17g" * dim
     row = start + ",%.17g\r\n"
-    points, gaps = trace.points.tolist(), trace.gaps.tolist()
+    fields = tuple(chain.from_iterable(
+        zip(range(1, len(points)), cycle("BA"), *points[1:].T.tolist(), trace.gaps.tolist())
+    ))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["step", "label", *(f"x{i}" for i in range(dim)), "gap"]) + "\r\n")
-        fh.write(start % (0, "A", *points[0]) + ",\r\n")
-        fh.writelines(
-            row % (idx, engine._LABELS[idx % 2], *point, gap)
-            for idx, point, gap in zip(range(1, len(points)), points[1:], gaps)
+        fh.write(
+            ",".join(["step", "label", *(f"x{i}" for i in range(dim)), "gap"]) + "\r\n"
+            + start % (0, "A", *points[0].tolist()) + ",\r\n"
+            + row * (len(fields) // (dim + 3)) % fields
         )
 
 

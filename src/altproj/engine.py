@@ -35,7 +35,12 @@ keep the BLAS call, because OpenBLAS's ``ddot`` forms a product of two
 ``x0 * y0 + x1 * y1``: a half-plane's ``<c, x>``, whose rounding enters the
 projected point, is taken by ``c.dot`` on the wrapped pair, and so are the
 abs epigraph's two squared distances when they lie within rounding of each
-other.  Each cycle is then screened on floats: the gaps by ``math.hypot``,
+other.  The exception is a half-plane whose ``c`` has a zero entry, such
+as the fixtures' ``v <= 0``: one product is then an exact zero, and
+``<c, x>`` is the other product rounded once in every summation order,
+fused or not, so ``c0 x0 + c1 x1`` on floats has its bits on any BLAS (a
+zero sum can differ in sign only, and a zero excess moves no point).
+Each cycle is then screened on floats: the gaps by ``math.hypot``,
 each point's membership and normal cone by float tests, and B's residual
 by the ray rejection on floats.  These can differ from the array
 code's values in the last bits, so the screen lets a cycle go on only when

@@ -184,15 +184,23 @@ def _project_halfspace(h: HalfSpace, x: np.ndarray) -> np.ndarray:
 
 def _project_halfplane_xy(h: HalfSpace, x0: float, x1: float) -> tuple[float, float]:
     # ``_project_halfspace`` for the 2-D point ``(x0, x1)``, on floats.
-    # ``<c, x>`` is taken by ``c.dot`` on the wrapped pair: a BLAS product of
-    # two 2-vectors can round otherwise than ``c0 x0 + c1 x1`` (OpenBLAS
-    # fuses the second product into the sum), and its rounding enters the
-    # point.  The rest is the array code's arithmetic, entry by entry.
-    excess = float(h.c.dot(np.array((x0, x1)))) - h.M
+    # A BLAS product of two 2-vectors can round otherwise than
+    # ``c0 x0 + c1 x1`` (OpenBLAS fuses the second product into the sum), and
+    # the rounding of ``<c, x>`` enters the point.  When ``c`` has a zero
+    # entry, one product is an exact zero (at a finite point) and ``<c, x>``
+    # is the other product rounded once, in every summation order, fused or
+    # not; only the sign of a zero sum can differ, and a zero ``excess``
+    # moves no point.  So floats stand in for ``c.dot`` there, whatever the
+    # BLAS.  Any other ``c`` keeps ``c.dot`` on the wrapped pair.  The rest
+    # is the array code's arithmetic, entry by entry.
+    c0, c1 = h._c_floats
+    if c0 == 0.0 or c1 == 0.0:
+        excess = c0 * x0 + c1 * x1 - h.M
+    else:
+        excess = float(h.c.dot(np.array((x0, x1)))) - h.M
     if excess <= 0.0:
         return x0, x1
     s = excess / h._cc
-    c0, c1 = h._c_floats
     return x0 - s * c0, x1 - s * c1
 
 

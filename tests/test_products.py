@@ -5,7 +5,8 @@ gives the same bits.  One test holds the source to the rule; the others
 check its premises on the installed NumPy, so that an upgrade on which the
 two forms round differently, or on which the block product of a run's
 gaps stops rounding as ``.dot``, fails here instead of moving results
-silently.
+silently.  One more premise is the reason ``sets._project_halfplane_xy``
+reads an axis-aligned half-plane's ``<c, x>`` on floats.
 """
 
 import ast
@@ -102,3 +103,32 @@ def test_the_block_product_of_the_gaps_is_norm_row_by_row():
     D = np.array([[3e200, -4e200], [1.7e308, 1.7e308], [np.inf, 1.0], [0.0, -0.5]])
     with np.errstate(over="ignore"):
         assert _dot_row_norms(D).tobytes() == np.array([_norm(d) for d in D]).tobytes()
+
+
+def test_a_product_with_a_zero_entry_is_the_other_product_rounded_once():
+    # For c = (0, c1) or (c0, 0), c.dot(x) adds an exact zero to one rounded
+    # product, in whatever order and with or without a fused multiply-add,
+    # so it has the bits of c0 * x0 + c1 * x1.  Only a zero sum may differ,
+    # in its sign: OpenBLAS sums from +0.0, so two products of -0.0 give
+    # +0.0 there and -0.0 on floats.  The cases include products that
+    # overflow (3.7 * 1.7976931348623157e308) and underflow (1e-300 * 1e-300).
+    rng = np.random.default_rng(20261020)
+    entries = [3.7, -3.7, 1.0, -1.0, 1e-300, -1e300, 5e-324]
+    xs = [3.7, -3.7, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.7976931348623157e308]
+    cases = [(c, x) for c in entries for x in xs]
+    for _ in range(10000):
+        c = rng.standard_normal() * 10.0 ** rng.uniform(-5.0, 5.0)
+        cases.append((c, rng.standard_normal() * 10.0 ** rng.uniform(-300.0, 300.0)))
+    checked = 0
+    for ce, xe in cases:
+        for zero in (0.0, -0.0):
+            for c, x in (((zero, ce), (xe, -xe)), ((ce, zero), (-xe, xe)), ((zero, ce), (xe, xe))):
+                with np.errstate(over="ignore"):
+                    blas = float(np.array(c).dot(np.array(x)))
+                    floats = c[0] * x[0] + c[1] * x[1]
+                if floats == 0.0:
+                    assert blas == 0.0, (c, x)
+                else:
+                    assert blas.hex() == floats.hex(), (c, x)
+                    checked += 1
+    assert checked > 50000

@@ -15,7 +15,10 @@ screened on floats and decided again on arrays (``engine._decide``) when
 the screen cannot clear it.  The tests at the end give that screen
 geometry the fixtures do not: tilted half-planes, whose ``<c, x>`` rounds
 differently as a BLAS product and as floats, a tolerance equal to a
-residual the run meets, and gaps next to ``ZERO_TOL``.
+residual the run meets, and gaps next to ``ZERO_TOL``.  An axis-aligned
+half-plane's ``<c, x>`` is read on floats (``sets._project_halfplane_xy``);
+the last tests hold its kernel and its runs, with normals that are not
+unit vectors, to the array code.
 """
 
 import numpy as np
@@ -42,7 +45,7 @@ from altproj.instances import (
     sample_member,
 )
 from altproj.linalg import ZERO_TOL, _norm
-from altproj.sets import SQUARE, _parabola_root
+from altproj.sets import ABS, SQUARE, _parabola_root, _project_halfplane_xy, _project_halfspace
 from test_face_cycles import plain_run
 
 PLANAR_KS = (0.0, 0.5, 1.0, 2.0)
@@ -389,3 +392,77 @@ def test_abs_projection_breaks_near_ties_as_the_blas_products_do():
         dr, dl = right - z, left - z
         want = (right if float(dr.dot(dr)) <= float(dl.dot(dl)) else left) + vee.shift
         assert project(vee, z).tobytes() == want.tobytes()
+
+
+def axis_normal(rng, scale=1.0):
+    """A normal along either axis with an entry of ``scale`` times a random
+    size from 1e-3 to 1e3 and a random sign; the zero entry's sign is
+    random too."""
+    size = scale * 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0])
+    zero = rng.choice([0.0, -0.0])
+    return [zero, size] if rng.integers(0, 2) else [size, zero]
+
+
+def test_axis_aligned_halfplane_kernel_is_the_array_projection_bit_for_bit():
+    rng = np.random.default_rng(41)
+    values = [0.0, -0.0, 3.7, -3.7, 1e-300, -1e-300, 1e300, -1e300, 5e-324]
+    cases = [
+        (c, M, (x0, x1))
+        for e in (3.7, -3.7, 1.0, 2.0)
+        for c in ([0.0, e], [-0.0, e], [e, 0.0], [e, -0.0])
+        for M in (0.0, -0.0, 3.7, -3.7, 1e-300, 1e300)
+        for x0 in values
+        for x1 in values
+    ]
+    for _ in range(3000):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        c = axis_normal(rng, 10.0 ** rng.uniform(-5.0, 5.0))
+        cases.append((c, scale * float(rng.normal()), tuple(scale * rng.normal(size=2))))
+    for c, M, (x0, x1) in cases:
+        h = HalfSpace(c, M)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _project_halfspace(h, np.array([x0, x1]))
+            got = np.array(_project_halfplane_xy(h, x0, x1))
+        assert got.tobytes() == want.tobytes(), (c, M, x0, x1)
+
+
+def test_axis_aligned_halfplanes_against_shifted_epigraphs_match_the_public_loop_bit_for_bit():
+    # Normals along either axis that are not unit vectors, with the plane
+    # as A and as B.
+    rng = np.random.default_rng(42)
+    stops = set()
+    for i in range(60):
+        plane = HalfSpace(axis_normal(rng), float(rng.normal()))
+        epigraph = EpigraphSet((ABS, SQUARE)[i % 2], rng.normal(size=2))
+        for set_a, set_b in ((plane, epigraph), (epigraph, plane)):
+            x0 = project(set_a, 3.0 * rng.normal(size=2))
+            stops.add(assert_identical_run(set_a, set_b, x0, max_iters=300).stop_reason)
+    assert len(stops) >= 2
+
+
+def test_far_axis_aligned_pairs_stop_or_raise_as_the_public_loop_does():
+    rng = np.random.default_rng(43)
+    compared = 0
+    for i in range(150):
+        t = 10.0 ** rng.uniform(100.0, 150.0)
+        plane = HalfSpace(axis_normal(rng), t * float(rng.normal()))
+        epigraph = EpigraphSet((ABS, SQUARE)[i % 2], t * rng.normal(size=2))
+        for set_a, set_b in ((plane, epigraph), (epigraph, plane)):
+            x0 = project(set_a, t * rng.normal(size=2))
+            if not contains(set_a, x0, 1e-8):
+                continue  # run raises StartNotInA, which plain_run does not check
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = outcome(run, set_a, set_b, x0, max_iters=60)
+                assert got == outcome(plain_run, set_a, set_b, x0, max_iters=60)
+            compared += 1
+    assert compared >= 200
+
+
+def test_an_axis_aligned_product_that_overflows_raises_as_the_public_loop_does():
+    # The B-point is the apex (0, 1e300); c1 x1 = 1e310 overflows, so the
+    # A-projection is not finite.
+    plane, vee = HalfSpace([0.0, 1e10], 0.0), absval_epigraph(1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(run, plane, vee, [0.0, 0.0])
+        assert got == outcome(plain_run, plane, vee, [0.0, 0.0])
+    assert got == ("ValueError", "vector entries must be finite")
