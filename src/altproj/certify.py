@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, StartNotInA, Unbounded
 from .linalg import as_point, unit_cone_distance, unit_distance_to_ray
-from .qp import QPResult, project_polyhedron
+from .qp import QPResult, _Face, _project_from, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _contains_point
 from .vertices import feasible_vertices, vertex_oracle
 
@@ -294,8 +294,13 @@ def one_step_shift(
 
 def _one_step_shift(
     A: HalfSpace, B: Polyhedron, x0, alpha: float, d_AB: float
-) -> tuple[float, HalfSpace, QPResult]:
-    """:func:`one_step_shift` together with the projection of ``x0`` onto B."""
+) -> tuple[float, HalfSpace, tuple[QPResult, _Face | None]]:
+    """:func:`one_step_shift` together with the projection of ``x0`` onto B.
+
+    The projection comes as :func:`qp._project_from <altproj.qp._project_from>`
+    returns it, with its final face, so that the walk to the projection of
+    the shifted start continues from that face.
+    """
     x0 = as_point(x0, A.dim)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -304,8 +309,8 @@ def _one_step_shift(
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
     nc = float(np.linalg.norm(A.c))
-    start = project_polyhedron(B, x0)
-    d_x0 = float(np.linalg.norm(x0 - start.point))
+    projected = _project_from(B, x0, None)
+    d_x0 = float(np.linalg.norm(x0 - projected[0].point))
     rate = 1.0 - alpha * alpha
     scale = alpha * alpha * nc
     base = max(0.0, (rate * d_x0 - d_AB) / scale) if scale > 0.0 else math.inf
@@ -313,7 +318,7 @@ def _one_step_shift(
     offset = A.M - mu * nc * nc
     if not math.isfinite(offset):
         raise ValueError(f"alpha = {alpha} gives a shift that is not finite")
-    return mu, HalfSpace(A.c, offset), start
+    return mu, HalfSpace(A.c, offset), projected
 
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:

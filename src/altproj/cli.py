@@ -136,9 +136,10 @@ def cmd_run(args) -> int:
 
     report = trace.to_json_dict()
     report["trace_csv"] = str(csv_path)
+    text = _dump_json(report)
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(report) + "\n")
-    print(_dump_json(report))
+        fh.write(text + "\n")
+    print(text)
     if trace.stop_reason is engine.StopReason.CERTIFIED:
         return EXIT_OK
     return EXIT_NOT_CERTIFIED

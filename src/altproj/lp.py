@@ -95,9 +95,10 @@ def solve_lp(
     threshold holds, then project the shifted start once).  The shifted
     strategy projects ``x0`` onto the polyhedron once: the shift needs
     ``d(x0, B)``, and the walk to the shifted start's projection
-    (:func:`~altproj.qp.project_along_ray`) begins from the same result.
-    A given ``x0`` outside the half-space by more than 1e-8 raises
-    :class:`StartNotInA` from :func:`engine.run` or the shift.
+    (:func:`~altproj.qp.project_along_ray`) begins from the same result,
+    on its face and QR factor.  The walk raises :class:`NotConverged` past
+    its step cap.  A given ``x0`` outside the half-space by more than 1e-8
+    raises :class:`StartNotInA` from :func:`engine.run` or the shift.
 
     ``max_iters`` caps the direct strategy's cycles; it must be an integer
     of at least 1 (``ValueError`` otherwise, from :func:`engine.run`).  The
@@ -137,9 +138,10 @@ def solve_lp(
         alpha = certify.alpha_polyhedron_halfspace(poly, halfspace)
         # d_AB = 0 is a valid lower bound on the pair distance and yields a
         # larger (still sufficient) shift, so no distance estimate is needed.
-        # The shift projects x0 onto B for d(x0, B); the walk starts there.
-        mu, _, start = certify._one_step_shift(halfspace, poly, x0, alpha, 0.0)
-        b_star = _walk_from(poly, x0, start, -c, mu).point
+        # The shift projects x0 onto B for d(x0, B); the walk starts there,
+        # on the face of that projection.
+        mu, _, projected = certify._one_step_shift(halfspace, poly, x0, alpha, 0.0)
+        b_star = _walk_from(poly, *projected, -c, mu).point
         _check_strict_bound(c, M, b_star)
         # Certify b* against the unshifted half-space: the shifted pair has
         # the same direction c and the same cone at b*, but its A-point lies

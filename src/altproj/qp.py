@@ -43,10 +43,14 @@ and the engine's closed-form cycles read it from there.
 
 :func:`project_along_ray` follows the piecewise-linear path
 ``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
-the scale of the polyhedron.  Its rates on a face come from a
-least-squares split against the tight rows, because those rows can be
-dependent and no factor is kept for them; its only fallback is a step cap,
-past which it projects the far point directly.
+the scale of the polyhedron.  It starts on the final face of the
+projection of ``base`` and continues from a copy of its factor.  On each
+face it reads ``h = Q' direction``: the working multipliers move at the
+rates ``R^-1 h_1`` and the point along ``Q_2 h_2``.  A row the point
+reaches is added and a row whose multiplier reaches zero is dropped, by
+the same updates of the factor as above, so the working rows stay
+independent.  A walk that changes faces more than ``40 (m + 1)`` times
+raises :class:`NotConverged`.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ _FEAS_TOL = 1e-13
 _DEP_TOL = 1e-13
 # Active-set steps granted per row and per coordinate.
 _STEPS_PER_DIM = 50
+# Face changes granted to a walk per row, and once more: ``40 (m + 1)``.
+_WALK_STEPS_PER_ROW = 40
 
 
 @dataclass
@@ -87,8 +93,7 @@ class QPResult:
     steps (full and partial; 0 when ``x`` is already feasible, and 0 when
     the face of an earlier projection is accepted as it is).  For
     :func:`project_along_ray`, ``iterations`` is the active-set steps of
-    the projection of the base point plus one per face walked; past the
-    step cap it is that of the direct projection.
+    the projection of the base point plus one per face walked.
     """
 
     point: np.ndarray
@@ -302,20 +307,19 @@ def project_along_ray(
     A direct projection of a very distant point is accurate only relative
     to its distance, so the solver projects ``base`` and then walks the
     piecewise-linear path ``t -> P(base + t * direction)`` exactly.  On a
-    fixed set ``W`` of tight rows the point and multipliers move linearly
-    in t, at the rates of the face step: split against
-    the rows of ``W``, ``direction`` leaves the multiplier rates as its
-    least-squares coefficients (the minimum-norm ones for dependent rows)
-    and the point's rate as its residual.  The walk switches faces when a
-    multiplier hits zero (drop) or an inactive row becomes tight (add).  The
-    point goes stationary once ``-direction`` enters the cone of the tight
-    rows; all arithmetic stays at the scale of the polyhedron regardless of
-    ``t_target``.  A negative ``t_target`` walks along ``-direction``.
+    fixed set ``W`` of working rows the point and multipliers move linearly
+    in t: with the factor ``A_W' = Q_1 R`` of the projection and
+    ``h = Q' direction``, the multipliers at the rates ``R^-1 h_1`` and the
+    point along ``Q_2 h_2``.  The walk switches faces when a multiplier hits
+    zero (drop) or an inactive row becomes tight (add), and updates the
+    factor as the projection does.  The point goes stationary once
+    ``-direction`` enters the cone of the working rows; all arithmetic stays
+    at the scale of the polyhedron regardless of ``t_target``.  A negative
+    ``t_target`` walks along ``-direction``.
 
-    The only fallback is the step cap: a walk that changes faces
-    ``40 (m + 1)`` times (cycling at a degenerate vertex) returns the direct
-    projection of the far point.  :class:`QPResult` says what
-    ``iterations`` counts here.
+    Raises :class:`NotConverged` when the walk changes faces more than
+    ``40 (m + 1)`` times, and what :func:`project_polyhedron` raises for
+    ``base``.  :class:`QPResult` says what ``iterations`` counts here.
     """
     base = as_point(base, p.dim)
     direction = as_point(direction, p.dim)
@@ -324,60 +328,60 @@ def project_along_ray(
         raise ValueError("t_target must be finite")
     if t_target < 0.0:
         direction, t_target = -direction, -t_target
-    return _walk_from(p, base, project_polyhedron(p, base), direction, t_target)
+    return _walk_from(p, *_project_from(p, base, None), direction, t_target)
 
 
-def _walk_from(p: Polyhedron, base, start: QPResult, direction, t_target: float) -> QPResult:
-    """:func:`project_along_ray`'s walk from ``start``, the projection of ``base``.
+def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float) -> QPResult:
+    """:func:`project_along_ray`'s walk from ``start`` on ``face``.
 
-    Takes validated points and a finite ``t_target >= 0``; a caller that
-    has already projected ``base`` passes its result instead of projecting
-    it again.
+    ``start`` and ``face`` are what :func:`_project_from` returned for the
+    base point, so a caller that has already projected it walks on.  Takes
+    a validated ``direction`` and a finite ``t_target >= 0``.
     """
     if t_target == 0.0 or not direction.any():
         return start
     A, b = p.A, p.b
-    m = p.num_rows
-    z = start.point.copy()
-    lam = start.dual.copy()
-    act_tol = 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0)))
-    W = (b - A.dot(z) <= act_tol) | (lam > 1e-12)
+    m, n = A.shape
+    W, Q, R, u = [], np.eye(n), np.zeros((n, n)), []
+    if face is not None:
+        k = len(face.W)
+        W, Q, u = list(face.W), face.Q.copy(), start.dual[face.W].tolist()
+        R[:k, :k] = face.R
+    z = start.point
     t = 0.0
-    iterations = start.iterations
-    for _ in range(40 * (m + 1)):
-        iterations += 1
-        # Split ``direction`` against the tight rows, which can be
-        # dependent: the least-squares coefficients (the minimum-norm ones)
-        # are the multiplier rates and the residual is the point's rate.
-        Aw = A[W]
-        r, *_ = np.linalg.lstsq(Aw.T, direction, rcond=None)
-        rate = np.zeros(m)
-        rate[W] = r
-        dz = direction - Aw.T.dot(r)
-        if np.linalg.norm(dz) <= 1e-12 * np.linalg.norm(direction):
-            # Stationary face: the point no longer moves, only the
-            # multipliers do; zeroing dz keeps the large remaining step
-            # from injecting rounding noise into z.
-            dz = np.zeros_like(dz)
+    for steps in range(1, _WALK_STEPS_PER_ROW * (m + 1) + 1):
+        k = len(W)
+        h = direction.dot(Q)
+        r = _substitute(R[:k, :k], h[:k])
+        # A point rate below 1e-12 of the direction is rounding: the face is
+        # stationary and only the multipliers move.  Moving the point would
+        # inject that noise, times the large remaining step, into z.
+        dz = Q[:, k:].dot(h[k:]) if _norm(h[k:]) > 1e-12 * _norm(direction) else np.zeros(n)
         # Next face change along the path: the first working multiplier to
         # reach zero or the first inactive row to become tight.
         dt = np.full(m, math.inf)
-        drop = W & (rate < -1e-13)
-        dt[drop] = lam[drop] / -rate[drop]
+        dt[W] = [u_i / -r_i if r_i < -1e-13 else math.inf for u_i, r_i in zip(u, r)]
         approach = A.dot(dz)
-        add = ~W & (approach > 1e-13)
+        approach[W] = 0.0
+        add = approach > 1e-13
         dt[add] = np.maximum((b - A.dot(z))[add], 0.0) / approach[add]
-        i = int(np.argmin(dt))
+        i = int(dt.argmin())
         remaining = t_target - t
         event = dt[i] < remaining - 1e-15
-        step = dt[i] if event else remaining
+        step = float(dt[i]) if event else remaining
         z = z + step * dz
-        lam = np.maximum(lam + step * rate, 0.0)
+        u = [max(u_i + step * r_i, 0.0) for u_i, r_i in zip(u, r)]
         if not event:
-            return QPResult(z, lam, iterations)
+            lam = np.zeros(m)
+            lam[W] = u
+            return QPResult(z, lam, start.iterations + steps)
         t += step
-        if W[i]:
-            lam[i] = 0.0
-        W[i] = not W[i]
-    # Degenerate face walk: last resort is the direct solve.
-    return project_polyhedron(p, base + t_target * direction)
+        if i in W:
+            j = W.index(i)
+            _delete_column(Q, R, k, j)
+            del W[j], u[j]
+        else:
+            _add_column(Q, R, k, A[i].dot(Q))
+            W.append(i)
+            u.append(0.0)
+    raise NotConverged(f"the walk changed faces more than {_WALK_STEPS_PER_ROW * (m + 1)} times")

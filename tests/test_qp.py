@@ -1,3 +1,7 @@
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.linalg import norm
@@ -7,6 +11,7 @@ from altproj import (
     EmptyPolyhedron,
     EpigraphSet,
     HalfSpace,
+    NotConverged,
     Polyhedron,
     project_epigraph,
     project_halfspace,
@@ -14,6 +19,7 @@ from altproj import (
     verify,
 )
 from altproj import qp
+from altproj.cli import main
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import _project_from, project_along_ray
 from test_certify import bad_geometry_pairs
@@ -298,3 +304,37 @@ def test_triangular_substitution_matches_a_lapack_solve():
                 want = np.linalg.solve(M, y) if k else np.zeros(0)
                 assert got.shape == (k,)
                 assert norm(got - want) <= 1e-13 * (1.0 + norm(want))
+
+
+def test_walk_past_its_cap_raises(monkeypatch, tmp_path, capsys):
+    # A cap of 0 face changes: every walk that has to move raises, through
+    # the library and through the CLI's shifted LP solve.
+    monkeypatch.setattr(qp, "_WALK_STEPS_PER_ROW", 0)
+    box, base = unit_box(), np.array([0.5, 0.0])
+    with pytest.raises(NotConverged):
+        project_along_ray(box, base, [1.0, 0.0], 5.0)
+    problem = tmp_path / "lp.json"
+    problem.write_text(json.dumps({"c": [-1, 0], "A": box.A.tolist(), "b": [1, 0, 1, 0], "M": -2.0}))
+    assert main(["lp", str(problem), "--strategy", "shifted"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # A zero offset walks no face and returns the projection of the base.
+    res = project_along_ray(box, base + 3.0, [1.0, 0.0], 0.0)
+    ref = project_polyhedron(box, base + 3.0)
+    assert np.array_equal(res.point, ref.point) and np.array_equal(res.dual, ref.dual)
+
+
+def test_qp_calls_no_np_linalg():
+    # The projection and the walk read every solve off the kept QR factor
+    # (``_substitute`` and the factor updates) and every norm off
+    # ``linalg._norm``: no call into ``np.linalg`` is left in ``qp``.
+    # ``.linalg`` is the package's own module; ``numpy.linalg`` is not.
+    path = Path(__file__).resolve().parent.parent / "src" / "altproj" / "qp.py"
+    uses = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and "linalg" in ast.unparse(node.func).split(".")[:-1]:
+            uses.add(ast.unparse(node.func))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and "linalg" in node.module:
+            uses.add(node.module)
+    assert uses == set()

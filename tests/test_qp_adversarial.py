@@ -301,3 +301,38 @@ def test_factor_after_a_drop_and_a_readd(monkeypatch):
     x = np.array([6.0, 5.0])
     assert_kkt(poly, x, project_polyhedron(poly, x))
     assert histories == [[[], [], [3], [], [2], [2, 0], [0], [0, 3]]]
+
+
+def test_walks_from_degenerate_apexes_stay_on_the_factor(monkeypatch):
+    # Walks from the apex of a cone with k > n rows through it, along random
+    # directions and along rows, so that the walk adds and drops rows at a
+    # degenerate vertex.  The walk must reach t without hitting its cap and
+    # without projecting any point but the base.
+    projected = []
+    direct = qp.project_polyhedron
+
+    def spy(p, x):
+        projected.append(np.array(x, dtype=float))
+        return direct(p, x)
+
+    monkeypatch.setattr(qp, "project_polyhedron", spy)
+    rng = np.random.default_rng(405)
+    for _ in range(25):
+        cone, inside = apex_cone(rng)
+        n, A, b = cone.dim, cone.A, cone.b
+        apex = inside + np.eye(n)[0]
+        directions = [unit(rng, n) for _ in range(3)]
+        directions += [A[0] / np.linalg.norm(A[0]), -A[-1] / np.linalg.norm(A[-1])]
+        bases = (apex, apex + 1e-3 * rng.normal(size=n))
+        for base in bases:
+            for direction in directions:
+                for t in (1e2, 1e6, 1e9):
+                    projected.clear()
+                    res = project_along_ray(cone, base, direction, t)
+                    assert all(np.array_equal(x, base) for x in projected)
+                    scale = 1.0 + float(np.abs(b).max()) + np.linalg.norm(res.point)
+                    assert float((A @ res.point - b).max()) <= 1e-13 * scale
+                    assert float(res.dual.min()) >= -DUAL_TOL
+                    if t == 1e2:
+                        x = base + t * direction
+                        np.testing.assert_allclose(res.point, direct(cone, x).point, atol=1e-9)

@@ -139,7 +139,9 @@ def test_bound_report_enumerates_the_vertices_once(monkeypatch, dims):
 
 
 def test_shifted_solve_projects_the_start_once(monkeypatch):
-    calls = count_calls(monkeypatch, [certify, qp], "project_polyhedron")
+    # The shift projects x0 with ``_project_from``, whose face the walk
+    # continues from; ``project_polyhedron`` goes through it too.
+    calls = count_calls(monkeypatch, [certify, qp], "_project_from")
     for inst in random_pairs(19, 30):
         A = inst.halfspace
         calls.clear()
