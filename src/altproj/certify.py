@@ -14,6 +14,7 @@ the half-space that forces that threshold.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, StartNotInA, Unbounded
-from .linalg import as_point, unit_cone_distance, unit_distance_to_ray
+from .linalg import _dot_row_norms, _dot_rows, _norm, as_point, unit_cone_distance
 from .qp import QPResult, _Face, _project_from, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _contains_point
 from .vertices import feasible_vertices, vertex_oracle
@@ -135,100 +136,182 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     screen bounds every face from below, so a face that could hold the
     minimum is measured before the loop stops.
 
+    What does not depend on ``c`` is made once per polyhedron and kept on
+    it (:class:`_ConeTable`, built by the first call): the unit rows and
+    their norms and, for n >= 3, the candidate family over all rows with
+    the QR factors of its cones.  Each call then reads the cosines and ray
+    distances of the rows from stacked products, keeps the cones whose
+    rows all qualify (exactly the family above), screens them against the
+    kept factors and measures them in the order above.  So the first call
+    for a polyhedron pays for the table, and every later call, under any
+    objective, only for its own pass; alpha's bits do not depend on which
+    call built the table.
+
     For n >= 3 the cones come from B's :func:`feasible_vertices`, which
     keeps the oracle's limits (n <= 8, m <= 24); the plane needs none.
+    Both ``c``'s length and these limits are checked before a table is
+    kept.
     """
     c = as_point(A.c, B.dim)
+    table = B._cones
+    if table is None:
+        table = _cone_table(B)
+        object.__setattr__(B, "_cones", table)
     nc = float(np.linalg.norm(c))
     neg_c = -c
     neg_chat = neg_c / nc
-    units = np.empty_like(B.A)
-    ray = np.full(B.num_rows, math.nan)  # ray distances of the qualifying rows
-    qualifying = []
-    best = math.inf
-    for i in range(B.num_rows):
-        row = B.A[i]
-        nrow = float(np.linalg.norm(row))
-        units[i] = row / nrow
-        cos = float(row.dot(c)) / (nrow * nc)
-        if cos > -1.0 + _STRICT_MARGIN:
-            qualifying.append(i)
-            ray[i] = dist = unit_distance_to_ray(units[i], neg_c)
-            best = min(best, dist)
-    if B.dim < 3:
-        return 0.5 * min(1.0, best)
+    qualifying = _dot_rows(B.A, c) / (table.norms * nc) > -1.0 + _STRICT_MARGIN
+    # The ray distances of the qualifying rows, each as unit_distance_to_ray
+    # gives it, and NaN for the others.
+    uhat = neg_c / _norm(neg_c)
+    rejection = table.units - _dot_rows(table.units, uhat)[:, None] * uhat
+    ray = np.where(
+        _dot_rows(table.units, neg_c) <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(rejection))
+    )
+    ray[~qualifying] = math.nan
+    best = float(ray[qualifying].min(initial=math.inf))
 
-    qualifying_set = set(qualifying)
-    cones = set(itertools.combinations(qualifying, 2))
-    for _, active in feasible_vertices(B):
-        rows = tuple(i for i in active if i in qualifying_set)
-        for size in range(2, len(rows) + 1):
-            cones.update(itertools.combinations(rows, size))
-    if not cones:
+    unqualified = sum(1 << i for i in np.flatnonzero(~qualifying).tolist())
+    kept = np.flatnonzero((table.masks & unqualified) == 0)
+    if kept.size == 0:
         return 0.5 * min(1.0, best)
-    cones = sorted(cones, key=lambda cone: (len(cone), cone))
-    groups = {k: np.array(list(group)) for k, group in itertools.groupby(cones, key=len)}
-    screened = np.concatenate(_screen(groups, units, neg_chat, ray))
-
+    screened = np.concatenate(_screen(table, neg_chat, ray))
     # Cones without a value rank first and never end the loop (NaN > x is
     # false), so each of them is measured.
-    for j in np.argsort(np.nan_to_num(screened, nan=-math.inf), kind="stable").tolist():
+    order = np.argsort(np.nan_to_num(screened[kept], nan=-math.inf), kind="stable")
+    for j in kept[order].tolist():
         if screened[j] > best + _SCREEN_MARGIN:
             break
-        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[list(cones[j])].T))
+        rows = table.cone(j)
+        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[rows].T))
         if dist > _CONTAINS_TOL:
             best = min(best, dist)
     return 0.5 * min(1.0, best)
 
 
-def _screen(groups, units, vhat, ray) -> list:
+@dataclass(frozen=True, eq=False)
+class _ConeGroup:
+    """The candidate cones of one size k, with what of their screen is fixed by B.
+
+    ``idx`` holds the cones' sorted row indices, one row per cone.  For
+    k >= 3, ``faces[g]`` are the positions of cone g's (k-1)-row faces in
+    the group before.  For k <= n, ``Q`` and ``R`` are the QR factors of
+    the cones with independent unit rows (``independent``).  For k = 2,
+    ``antiparallel`` and ``acute`` mark the pairs with ``u = -w`` and
+    ``u.w > 0``, and ``gap2`` is ``2 ||u - w||``.
+    """
+
+    idx: np.ndarray
+    faces: np.ndarray | None = None
+    independent: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    R: np.ndarray | None = None
+    antiparallel: np.ndarray | None = None
+    acute: np.ndarray | None = None
+    gap2: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _ConeTable:
+    """The part of :func:`alpha_polyhedron_halfspace` that B alone fixes.
+
+    ``units`` and ``norms`` are the unit rows and the row norms.  For
+    n >= 3, ``groups`` holds the candidate family over all rows (every pair
+    of rows and every subset of two or more rows active together at a
+    vertex), sorted by ``(len, cone)`` and grouped by size; ``masks`` holds
+    each cone's row bitmask in that order and ``starts`` each group's first
+    position.  In the plane the family is empty.
+    """
+
+    units: np.ndarray
+    norms: np.ndarray
+    groups: tuple
+    masks: np.ndarray
+    starts: tuple
+
+    def cone(self, j: int) -> np.ndarray:
+        """Row indices of the cone at position ``j`` of the family."""
+        g = bisect.bisect_right(self.starts, j) - 1
+        return self.groups[g].idx[j - self.starts[g]]
+
+
+def _cone_table(B: Polyhedron) -> _ConeTable:
+    """Build B's :class:`_ConeTable`; raises what :func:`feasible_vertices` raises."""
+    norms = _dot_row_norms(B.A)
+    units = B.A / norms[:, None]
+    if B.dim < 3:
+        return _ConeTable(units, norms, (), np.empty(0, dtype=np.int64), ())
+    cones = set(itertools.combinations(range(B.num_rows), 2))
+    for _, active in feasible_vertices(B):
+        for size in range(2, len(active) + 1):
+            cones.update(itertools.combinations(active, size))
+    cones = sorted(cones, key=lambda cone: (len(cone), cone))
+    groups, masks, starts = [], [], []
+    for k, group in itertools.groupby(cones, key=len):
+        idx = np.array(list(group))
+        bits = np.left_shift(1, idx)
+        group_masks = bits.sum(axis=1)
+        parts = {}
+        if k >= 3:
+            # Each (k-1)-row face, found by its row bitmask in the group
+            # before; the family holds every face of its cones.
+            order = np.argsort(masks[-1])
+            at = np.searchsorted(masks[-1], group_masks[:, None] - bits, sorter=order)
+            parts["faces"] = order[at]
+        if k <= B.dim:
+            Q, R = np.linalg.qr(units[idx].transpose(0, 2, 1))
+            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            independent = diag.min(axis=1) >= _SCREEN_RANK_TOL
+            parts.update(independent=independent, Q=Q[independent], R=R[independent])
+        if k == 2:
+            u, w = units[idx[:, 0]], units[idx[:, 1]]
+            parts.update(
+                antiparallel=(u == -w).all(axis=1),
+                acute=np.einsum("gi,gi->g", u, w) > 0.0,
+                gap2=2.0 * np.linalg.norm(u - w, axis=1),
+            )
+        starts.append(sum(m.size for m in masks))
+        groups.append(_ConeGroup(idx, **parts))
+        masks.append(group_masks)
+    return _ConeTable(units, norms, tuple(groups), np.concatenate(masks), tuple(starts))
+
+
+def _screen(table: _ConeTable, vhat, ray) -> list:
     """Lower bounds on ``d(vhat, cone)``, by the rules of :func:`alpha_polyhedron_halfspace`.
 
-    ``groups`` maps each cone size k >= 2, in ascending order, to a
-    ``(count, k)`` array of sorted row indices; every (k-1)-row subset of a
-    cone of size k >= 3 is a cone of the group before.  ``units`` holds the
-    unit rows and ``ray`` each row's ray distance.  Returns one value array
-    per group, NaN where a cone has no value.
+    Screens every cone of ``table``'s family, one value array per group
+    (NaN where a cone has no value); ``ray`` holds each row's ray distance,
+    NaN for a row that does not qualify.  Only the objective's part runs
+    here: ``Q' vhat`` and the span residual from the kept ``Q``, the
+    least-squares coefficients from the kept ``R``, and the face minima by
+    the kept face positions.  Each value is formed cone by cone, so a
+    cone's value does not depend on the other cones of its group, and a
+    cone whose rows all qualify reads only faces whose rows qualify.
     """
     n = vhat.shape[0]
     values = []
-    for k, idx in groups.items():
-        bits = np.left_shift(1, idx)
-        masks = bits.sum(axis=1)
+    for group in table.groups:
+        k = group.idx.shape[1]
         if k == 2:
-            least = ray[idx].min(axis=1)
+            least = ray[group.idx].min(axis=1)
         else:
-            # Look each (k-1)-row face up by its row bitmask in the group before.
-            faces = masks[:, None] - bits
-            order = np.argsort(face_masks)
-            at = np.searchsorted(face_masks, faces, sorter=order)
-            pos = order[np.minimum(at, order.size - 1)]
-            least = np.where(face_masks[pos] == faces, face_values[pos], math.nan).min(axis=1)
+            least = values[-1][group.faces].min(axis=1)
         if k > n:
-            vals = least
+            values.append(least)
+            continue
+        if k == 2:
+            parallel = np.where(group.acute, least - group.gap2, math.nan)
+            vals = np.where(group.antiparallel, least, parallel)
         else:
-            Q, R = np.linalg.qr(units[idx].transpose(0, 2, 1))
-            qy = np.einsum("gik,i->gk", Q, vhat)
-            resid = np.linalg.norm(vhat - np.einsum("gik,gk->gi", Q, qy), axis=1)
-            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            independent = diag.min(axis=1) >= _SCREEN_RANK_TOL
-            coef = np.zeros_like(qy)
-            if independent.any():
-                rhs = qy[independent, :, None]
-                coef[independent] = np.linalg.solve(R[independent], rhs)[..., 0]
-            outside = (coef < -_SCREEN_COEF_TOL).any(axis=1) & ~np.isnan(least)
-            dependent = math.nan
-            if k == 2:
-                u, w = units[idx[:, 0]], units[idx[:, 1]]
-                parallel = np.where(
-                    np.einsum("gi,gi->g", u, w) > 0.0,
-                    least - 2.0 * np.linalg.norm(u - w, axis=1),
-                    math.nan,
-                )
-                dependent = np.where((u == -w).all(axis=1), least, parallel)
-            vals = np.where(independent, np.where(outside, least, resid), dependent)
+            vals = np.full(least.shape, math.nan)
+        if group.Q.shape[0]:
+            qy = np.einsum("gik,i->gk", group.Q, vhat)
+            resid = np.linalg.norm(vhat - np.einsum("gik,gk->gi", group.Q, qy), axis=1)
+            coef = np.linalg.solve(group.R, qy[..., None])[..., 0]
+            least_ind = least[group.independent]
+            outside = (coef < -_SCREEN_COEF_TOL).any(axis=1) & ~np.isnan(least_ind)
+            vals[group.independent] = np.where(outside, least_ind, resid)
         values.append(vals)
-        face_masks, face_values = masks, vals
     return values
 
 

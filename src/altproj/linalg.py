@@ -12,9 +12,10 @@ from then on works on the validated array.  The rule for loops follows from
 it: a point is validated once, where it enters the package, and the loop
 runs on kernels that take validated arrays.  The kernels that do no
 validation here are :func:`unit_distance_to_ray`,
-:func:`unit_cone_distance`, ``_norm`` and ``_dot_row_norms``; ``sets``,
-``engine`` and ``qp`` keep their own (``_project_point``, ``_certificate``,
-``_certified``, ``_project_from`` and the kernels behind them).
+:func:`unit_cone_distance`, ``_norm``, ``_dot_row_norms`` and
+``_dot_rows``; ``sets``, ``engine`` and ``qp`` keep their own
+(``_project_point``, ``_certificate``, ``_certified``, ``_project_from``
+and the kernels behind them).
 
 Products.  Every vector-vector and matrix-vector product in the package is
 written ``x.dot(y)``, not ``x @ y``.  Both call the same BLAS routine and
@@ -26,10 +27,12 @@ matrix times a vector takes 1.5 us against 0.9 us.  The only ``@`` left
 are block products, one call for many rows: the two of
 :func:`altproj.vertices.feasible_vertices` and the stacked
 ``(1, n) @ (n, 1)`` products of ``_dot_row_norms``, which give every gap
-of an engine run at its stop and round each row as ``d.dot(d)`` does.
-``tests/test_products.py`` holds the source to this rule and checks on the
-installed NumPy that the two forms give the same bits and that
-``_dot_row_norms`` gives ``_norm``'s.
+of an engine run at its stop and round each row as ``d.dot(d)`` does, and
+of ``_dot_rows``, which give alpha's row cosines and ray distances and
+round each row as ``M[i].dot(x)`` does.  ``tests/test_products.py`` holds
+the source to this rule and checks on the installed NumPy that the two
+forms give the same bits, that ``_dot_row_norms`` gives ``_norm``'s and
+that ``_dot_rows`` gives ``.dot``'s.
 """
 
 from __future__ import annotations
@@ -126,6 +129,13 @@ def _dot_row_norms(D: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(np.isinf(ss)):
         norms[i] = _norm(D[i])
     return norms
+
+
+def _dot_rows(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # ``M[i].dot(x)`` for each row of a 2-D float array, bit for bit, from
+    # one block product: each stacked ``(1, n) @ (n, 1)`` product is the
+    # BLAS dot that ``.dot`` calls for one row.
+    return (M[:, None, :] @ x[:, None]).reshape(-1)
 
 
 def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:

@@ -85,9 +85,12 @@ class Polyhedron(_ValueSet):
 
     A: np.ndarray
     b: np.ndarray
-    # The vertex list of :func:`altproj.vertices.feasible_vertices`, made on
-    # first use and kept: ``A`` and ``b`` are frozen, so it cannot go stale.
+    # The vertex list of :func:`altproj.vertices.feasible_vertices` and the
+    # cone table of :func:`altproj.certify.alpha_polyhedron_halfspace`, each
+    # made on first use and kept: ``A`` and ``b`` are frozen, so neither can
+    # go stale.  Neither is part of the value.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _cones: object | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(_real_array(self.A))

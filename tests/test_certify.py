@@ -7,17 +7,22 @@ import pytest
 from numpy.linalg import norm
 
 from altproj import (
+    DimensionMismatch,
     HalfSpace,
     InvalidDistance,
+    LPProblem,
     NotPolyhedralPair,
     Polyhedron,
     StartNotInA,
+    TooLarge,
     alpha_polyhedron_halfspace,
     bound_report,
     certify,
     iteration_bound,
     one_step_shift,
     polyhedron_halfspace_distance,
+    solve_lp,
+    translate,
     verify,
 )
 from altproj.instances import (
@@ -220,6 +225,94 @@ def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
         alpha_polyhedron_halfspace(B, A)
     assert candidates == 3275
     assert len(calls) <= 0.05 * candidates
+
+
+def reuse_queries():
+    """``(B, objectives)``: each polyhedron of :func:`bad_geometry_pairs` under
+    its own ``c`` and under ``c = -a_0`` (row 0 then does not qualify), and
+    random pool polyhedra in R^2 to R^4 under those two and one random ``c``.
+    """
+    for B, A in bad_geometry_pairs():
+        yield B, [A.c, -B.A[0]]
+    rng = np.random.default_rng(409)
+    for _ in range(20):
+        inst = random_pair_instance(rng)
+        B = inst.poly
+        yield B, [inst.halfspace.c, -B.A[0], rng.normal(size=B.dim)]
+
+
+def test_alpha_reads_a_table_built_under_another_objective():
+    # Each polyhedron keeps the table of its first alpha call.  The table is
+    # built under each objective in turn, on a fresh polyhedron, and every
+    # other objective then reads it: alpha must be what the objective gets
+    # on a polyhedron of its own.
+    for B, objectives in reuse_queries():
+        halfspaces = [HalfSpace(c, -10.0) for c in objectives]
+        fresh, reused = {}, {}
+        for first, A in enumerate(halfspaces):
+            kept = Polyhedron(B.A, B.b)
+            fresh[first] = alpha_polyhedron_halfspace(kept, A)
+            table = kept._cones
+            for j, other in enumerate(halfspaces):
+                if j != first:
+                    reused[first, j] = alpha_polyhedron_halfspace(kept, other)
+            assert kept._cones is table
+        for (_, j), got in reused.items():
+            assert got == fresh[j]
+
+
+def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
+    # Under c = -a_0 row 0 does not qualify, and the cones through it leave
+    # the family: the filter of the kept table runs, which no pool reaches.
+    # alpha, on a table built under the polyhedron's own c, must still be
+    # the unpruned search's value.
+    filtered = 0
+    for B, A in bad_geometry_pairs():
+        kept = Polyhedron(B.A, B.b)
+        alpha_polyhedron_halfspace(kept, A)
+        flipped = HalfSpace(-B.A[0], -10.0)
+        expected, subsets = unpruned_alpha(B, flipped)
+        assert alpha_polyhedron_halfspace(kept, flipped) == expected
+        filtered += len(subsets) < kept._cones.masks.size
+    assert filtered >= 40
+
+
+def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
+    built = []
+
+    def spy(B):
+        built.append(B)
+        return cone_table(B)
+
+    cone_table = certify._cone_table
+    monkeypatch.setattr(certify, "_cone_table", spy)
+    rng = np.random.default_rng(5)
+    inst = random_pair_instance(rng)
+    while inst.poly.dim < 3:
+        inst = random_pair_instance(rng)
+    hs, B = inst.halfspace, inst.poly
+    bound_report(B, hs, inst.x0)
+    solve_lp(LPProblem(hs.c, B, hs.M), x0=inst.x0, strategy="shifted")
+    alpha_polyhedron_halfspace(B, HalfSpace(-hs.c, 0.0))
+    assert built == [B] and built[0] is B
+    moved = translate(B, np.ones(B.dim))
+    assert moved._cones is None
+    alpha_polyhedron_halfspace(moved, hs)
+    assert len(built) == 2 and built[1] is moved and moved._cones is not B._cones
+
+
+def test_alpha_errors_keep_no_table():
+    B = SQUARE_PYRAMID
+    fresh = Polyhedron(B.A, B.b)
+    with pytest.raises(DimensionMismatch):
+        alpha_polyhedron_halfspace(fresh, HalfSpace([1.0, 2.0], 0.0))
+    assert fresh._cones is None
+    rng = np.random.default_rng(11)
+    for n, m in ((3, 25), (9, 12)):
+        big = Polyhedron(rng.normal(size=(m, n)), np.ones(m))
+        with pytest.raises(TooLarge):
+            alpha_polyhedron_halfspace(big, HalfSpace(rng.normal(size=n), 0.0))
+        assert big._cones is None and big._vertices is None
 
 
 @pytest.mark.parametrize(

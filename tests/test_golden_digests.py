@@ -9,7 +9,14 @@
 - the direct-strategy ``solve_lp`` runs of 300 ``random_lp_instance`` LPs
   at each of rng seeds 1, 7 and 11: every iterate and gap by bytes, the
   stop reason, the step count, the generated cycles, the active-set steps,
-  the certificate residuals and the objective by ``float.hex``.
+  the certificate residuals and the objective by ``float.hex``, and
+- the constants path on 200 ``random_pair_instance`` pairs at each of rng
+  seeds 1 and 11, as the ``constants`` benchmark runs it: ``bound_report``
+  (alpha, ``d_AB``, ``N`` and ``one_step``), the shift ``mu`` of
+  ``one_step_shift`` at that alpha and ``d_AB = 0``, and the shifted
+  ``solve_lp`` (its solution by bytes, its objective and certificate
+  residuals by ``float.hex``).  Each polyhedron answers all three calls, so
+  the later ones read what the first kept on it.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result
@@ -37,7 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altproj import instances, lp
+from altproj import certify, instances, lp
 from altproj.cli import main
 from altproj.sets import set_to_json
 
@@ -46,6 +53,8 @@ PLANAR_KS = (0.0, 0.5, 1.0, 2.0)
 PLANAR_X0 = (1.0, 3.0, 10.0, 100.0)
 LP_SEEDS = (1, 7, 11)
 LP_COUNT = 300
+CONSTANTS_SEEDS = (1, 11)
+CONSTANTS_COUNT = 200
 
 
 def _sha(data: bytes) -> str:
@@ -115,10 +124,38 @@ def lp_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def constants_digest(seed: int) -> str:
+    """One digest over the constants and shifted solves of the pairs drawn at rng ``seed``."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(CONSTANTS_COUNT):
+        inst = instances.random_pair_instance(rng)
+        hs, poly = inst.halfspace, inst.poly
+        report = certify.bound_report(poly, hs, inst.x0)
+        mu, _ = certify.one_step_shift(hs, poly, inst.x0, report.alpha, 0.0)
+        out = lp.solve_lp(lp.LPProblem(hs.c, poly, hs.M), x0=inst.x0, strategy="shifted")
+        cert = out.certificate
+        h.update(out.solution.tobytes())
+        fields = (
+            report.alpha.hex(),
+            report.d_AB.hex(),
+            report.N,
+            report.one_step,
+            mu.hex(),
+            out.steps,
+            cert.residual_A.hex(),
+            cert.residual_B.hex(),
+            out.objective.hex(),
+        )
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
 def all_digests(work: Path) -> dict:
     return {
         "planar": planar_digests(work),
         "lp_direct": {str(seed): lp_digest(seed) for seed in LP_SEEDS},
+        "constants": {str(seed): constants_digest(seed) for seed in CONSTANTS_SEEDS},
     }
 
 
@@ -134,6 +171,11 @@ def test_planar_outputs_match_golden_digests(tmp_path, golden):
 @pytest.mark.parametrize("seed", LP_SEEDS)
 def test_direct_lp_traces_match_golden_digests(seed, golden):
     assert lp_digest(seed) == golden["lp_direct"][str(seed)], numpy_build()
+
+
+@pytest.mark.parametrize("seed", CONSTANTS_SEEDS)
+def test_constants_path_matches_golden_digests(seed, golden):
+    assert constants_digest(seed) == golden["constants"][str(seed)], numpy_build()
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@
 ``x.dot(y)`` costs about half of ``x @ y`` on the package's small arrays and
 gives the same bits.  One test holds the source to the rule; the others
 check its premises on the installed NumPy, so that an upgrade on which the
-two forms round differently, or on which the block product of a run's
-gaps stops rounding as ``.dot``, fails here instead of moving results
-silently.  One more premise is the reason ``sets._project_halfplane_xy``
-reads an axis-aligned half-plane's ``<c, x>`` on floats.
+two forms round differently, or on which a block product (of a run's
+gaps, or of alpha's rows) stops rounding as ``.dot``, fails here instead
+of moving results silently.  One more premise is the reason
+``sets._project_halfplane_xy`` reads an axis-aligned half-plane's
+``<c, x>`` on floats.
 """
 
 import ast
@@ -14,16 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from altproj.linalg import _dot_row_norms, _norm
+from altproj.linalg import _dot_row_norms, _dot_rows, _norm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "altproj"
 
 # The block products of vertices.feasible_vertices, one call for many
-# vertices, and of a run's gaps, one call for every step.
+# vertices, of a run's gaps, one call for every step, and of alpha's row
+# cosines and ray distances, one call for every row.
 ALLOWED = {
     ("vertices.py", "feasible_vertices", "v @ p.A.T"),
     ("vertices.py", "feasible_vertices", "p.A @ v[..., None]"),
     ("linalg.py", "_dot_row_norms", "D[:, None, :] @ D[:, :, None]"),
+    ("linalg.py", "_dot_rows", "M[:, None, :] @ x[:, None]"),
 }
 
 
@@ -103,6 +106,20 @@ def test_the_block_product_of_the_gaps_is_norm_row_by_row():
     D = np.array([[3e200, -4e200], [1.7e308, 1.7e308], [np.inf, 1.0], [0.0, -0.5]])
     with np.errstate(over="ignore"):
         assert _dot_row_norms(D).tobytes() == np.array([_norm(d) for d in D]).tobytes()
+
+
+def test_the_block_product_of_the_rows_is_dot_row_by_row():
+    # alpha reads every row's cosine and ray distance from _dot_rows calls;
+    # they must be the bits M[i].dot(x) gives each row, for every dimension
+    # alpha serves, on unit rows and on raw ones.
+    rng = np.random.default_rng(20261021)
+    for n in range(2, 9):
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            M = rng.standard_normal((2000, n)) * scale
+            x = rng.standard_normal(n)
+            for rows in (M, M / np.linalg.norm(M, axis=1, keepdims=True)):
+                want = np.array([row.dot(x) for row in rows])
+                assert _dot_rows(rows, x).tobytes() == want.tobytes(), (n, scale)
 
 
 def test_a_product_with_a_zero_entry_is_the_other_product_rounded_once():

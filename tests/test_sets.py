@@ -8,6 +8,7 @@ from altproj import (
     HalfSpace,
     PointNotInSet,
     Polyhedron,
+    alpha_polyhedron_halfspace,
     contains,
     distance_to_finite_cone,
     project,
@@ -217,8 +218,19 @@ def test_sets_compare_and_hash_by_value():
 
 
 def test_a_polyhedron_equals_its_copy_whatever_their_vertex_lists():
+    # Neither the kept vertex list nor alpha's kept cone table is part of
+    # the value: not in ==, hash or repr.
     a, b = equal_pairs()[1]
     vertex_oracle(a, [-1.0, -1.0])
     assert a._vertices is not None and b._vertices is None
     assert a == b and hash(a) == hash(b)
     assert "_vertices" not in repr(a)
+    alpha_polyhedron_halfspace(a, HalfSpace([1.0, 1.0], -5.0))
+    assert a._cones is not None and b._cones is None
+    assert a == b and hash(a) == hash(b)
+    assert "_cones" not in repr(a)
+    cube = Polyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    copy = Polyhedron(cube.A, cube.b)
+    alpha_polyhedron_halfspace(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))
+    assert cube._cones.masks.size > 0 and copy._cones is None
+    assert cube == copy and hash(cube) == hash(copy) and repr(cube) == repr(copy)
