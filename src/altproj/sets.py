@@ -87,8 +87,10 @@ class Polyhedron(_ValueSet):
     b: np.ndarray
     # The vertex list of :func:`altproj.vertices.feasible_vertices` and the
     # cone table of :func:`altproj.certify.alpha_polyhedron_halfspace`, each
-    # made on first use and kept: ``A`` and ``b`` are frozen, so neither can
-    # go stale.  Neither is part of the value.
+    # made on first use and kept for as long as the polyhedron lives: ``A``
+    # and ``b`` are frozen, so neither can go stale.  Neither is part of the
+    # value, and a copy ``Polyhedron(A, b)`` starts without them.  The cone
+    # table is the larger: about 28 MB at n = 8, m = 24, mostly QR factors.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: object | None = field(default=None, init=False, repr=False, compare=False)
 

@@ -273,19 +273,26 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
         flipped = HalfSpace(-B.A[0], -10.0)
         expected, subsets = unpruned_alpha(B, flipped)
         assert alpha_polyhedron_halfspace(kept, flipped) == expected
-        filtered += len(subsets) < kept._cones.masks.size
+        filtered += len(subsets) < sum(len(g.idx) for g in kept._cones.groups)
     assert filtered >= 40
 
 
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
-    built = []
+    # The table is built once, but every call reads the kept vertex list,
+    # so the calls an alpha call makes do not depend on earlier calls.
+    built, reads = [], []
 
-    def spy(B):
+    def spy(B, vertices):
         built.append(B)
-        return cone_table(B)
+        return cone_table(B, vertices)
 
-    cone_table = certify._cone_table
+    def read(B):
+        reads.append(B)
+        return vertex_list(B)
+
+    cone_table, vertex_list = certify._cone_table, certify.feasible_vertices
     monkeypatch.setattr(certify, "_cone_table", spy)
+    monkeypatch.setattr(certify, "feasible_vertices", read)
     rng = np.random.default_rng(5)
     inst = random_pair_instance(rng)
     while inst.poly.dim < 3:
@@ -295,6 +302,7 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
     solve_lp(LPProblem(hs.c, B, hs.M), x0=inst.x0, strategy="shifted")
     alpha_polyhedron_halfspace(B, HalfSpace(-hs.c, 0.0))
     assert built == [B] and built[0] is B
+    assert len(reads) == 3 and all(r is B for r in reads)
     moved = translate(B, np.ones(B.dim))
     assert moved._cones is None
     alpha_polyhedron_halfspace(moved, hs)
@@ -313,6 +321,22 @@ def test_alpha_errors_keep_no_table():
         with pytest.raises(TooLarge):
             alpha_polyhedron_halfspace(big, HalfSpace(rng.normal(size=n), 0.0))
         assert big._cones is None and big._vertices is None
+
+
+def test_planar_alpha_has_no_row_limit():
+    # A regular 80-gon under c = -a_70: row 70 does not qualify, and alpha
+    # is the row-wise minimum over the other 79, through alpha and through
+    # the shifted solve, whatever the row count.
+    angles = 2.0 * np.pi * np.arange(80) / 80
+    B = Polyhedron(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(80))
+    A = HalfSpace(-B.A[70], -3.0)
+    rows = [i for i in range(80) if i != 70]
+    expected = 0.5 * min(unit_distance_to_ray(B.A[i] / norm(B.A[i]), -A.c) for i in rows)
+    assert alpha_polyhedron_halfspace(B, A) == expected
+    assert expected == pytest.approx(0.5 * math.sin(2.0 * math.pi / 80), rel=1e-12)
+    out = solve_lp(LPProblem(A.c, Polyhedron(B.A, B.b), A.M), strategy="shifted")
+    assert out.certificate.holds
+    assert out.objective == pytest.approx(-1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
