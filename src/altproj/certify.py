@@ -99,10 +99,11 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     ``-c`` than any single row does, and the cone minimum is the constant
     the contraction argument actually needs.
 
-    Each cone is measured by one NNLS solve (:func:`unit_cone_distance`),
-    but only where the minimum can lie.  A screen first gives every
-    candidate a lower bound on its distance, from one stacked QR
-    factorisation of the unit rows per cone size (:func:`_screen`):
+    Each cone is measured by one NNLS solve (:func:`unit_cone_distance`:
+    the least-squares shortcut, or the projection onto the polar cone of
+    the unit rows), but only where the minimum can lie.  A screen first
+    gives every candidate a lower bound on its distance, from one stacked
+    QR factorisation of the unit rows per cone size (:func:`_screen`):
 
     - one row: its ray distance, the exact value alpha takes for it;
     - independent rows: the residual against their span, which holds the

@@ -69,13 +69,11 @@ def _load_spec(path: str) -> dict:
 
 
 def _spec_max_iters(value) -> int:
-    # A JSON integer or an integral float such as 1e3, at least 1; a bool,
-    # a string, null or a fraction is rejected, not rounded.
+    # JSON writes an integer such as 1000 also as 1e3; that float is taken
+    # as the integer.  The rest is :func:`engine.run`'s rule.
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"max_iters must be an integer of at least 1, got {value!r}")
-    return value
+    return engine._check_max_iters(value)
 
 
 def _spec_outputs(value) -> dict:

@@ -156,6 +156,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PointNotInSet, StartNotInA, ZeroVector
 from .linalg import (
+    _FEAS_TOL,
     ZERO_TOL,
     _dot_row_norms,
     _norm,
@@ -163,7 +164,7 @@ from .linalg import (
     as_point,
     unit_cone_distance,
 )
-from .qp import _FEAS_TOL, _Face, _project_from
+from .qp import _Face, _project_from
 from .sets import (
     ACTIVE_TOL,
     EpigraphSet,
@@ -461,8 +462,8 @@ def run(
         Starting point, must lie in ``set_a`` (tolerance 1e-8).
     max_iters : int
         Cap on full A-B cycles (two projections each): an integer of at
-        least 1 (``ValueError`` for anything else, a float or a string
-        included).
+        least 1 (``ValueError`` for anything else, a bool, a float or a
+        string included).
     cert_tol : float
         Residual threshold for the optimality certificate, checked after
         every completed cycle.  A gap in ``(cert_tol, ZERO_TOL]``, possible
@@ -677,10 +678,12 @@ def _screened_residual(s: HalfSpace | EpigraphSet, b0: float, b1: float, w0: flo
 
 
 def _check_max_iters(max_iters) -> int:
-    # The cap must be an integer of at least 1: a float such as nan or 2.5,
-    # or a string, is rejected rather than compared or rounded.
+    # The cap must be an integer of at least 1: a bool, a float such as nan
+    # or 2.5, or a string, is rejected rather than compared or rounded.  A
+    # bool is an int, so it is turned away by name, as ``_real_scalar``
+    # turns it away for ``M`` and ``cert_tol``.
     try:
-        cap = operator.index(max_iters)
+        cap = 0 if isinstance(max_iters, bool) else operator.index(max_iters)
     except TypeError:
         cap = 0
     if cap < 1:

@@ -1,4 +1,5 @@
-"""Dense vector kernels: validation, norms, ray and cone distances, and NNLS.
+"""Dense vector kernels: validation, norms, ray and cone distances, NNLS and
+the active-set kernel.
 
 Everything in this module is a pure function on small dense vectors
 (problems of interest have n <= 100, usually n <= 10).  Vectors are plain
@@ -33,15 +34,25 @@ round each row as ``M[i].dot(x)`` does.  ``tests/test_products.py`` holds
 the source to this rule and checks on the installed NumPy that the two
 forms give the same bits, that ``_dot_row_norms`` gives ``_norm``'s and
 that ``_dot_rows`` gives ``.dot``'s.
+
+The active-set kernel.  ``_working_set`` and its factor updates
+(``_substitute``, ``_add_column``, ``_delete_column``) are the dual
+active-set method of Goldfarb and Idnani that :mod:`altproj.qp` describes;
+they live here, below both of their callers.  ``qp`` projects a point onto a
+polyhedron with them, and :func:`nnls` projects its target onto the polar
+cone of its unit generators.  So a cone solve takes one of two routes: the
+``lstsq`` shortcut, one least-squares solve on all columns, or that polar
+projection.  No other least-squares method remains in the package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, EmptyPolyhedron, NotConverged, ZeroVector
 
 # Norm below which a vector counts as zero; double precision leaves ample
 # headroom at desk scale.
@@ -123,11 +134,12 @@ def _dot_row_norms(D: np.ndarray) -> np.ndarray:
     # product: the stacked ``(1, n) @ (n, 1)`` products round each row's sum
     # of squares as ``d.dot(d)`` does, where ``np.linalg.norm`` along axis 1
     # need not.  A row whose sum of squares overflows is taken again by
-    # ``_norm``.
-    ss = (D[:, None, :] @ D[:, :, None]).reshape(-1)
-    norms = np.sqrt(ss)
-    for i in np.flatnonzero(np.isinf(ss)):
-        norms[i] = _norm(D[i])
+    # ``_norm``; that overflow is expected, so it raises no warning.
+    with np.errstate(over="ignore"):
+        ss = (D[:, None, :] @ D[:, :, None]).reshape(-1)
+        norms = np.sqrt(ss)
+        for i in np.isinf(ss).nonzero()[0]:
+            norms[i] = _norm(D[i])
     return norms
 
 
@@ -155,17 +167,158 @@ def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
     return min(1.0, _norm(rejection))
 
 
+# A row counts as violated when its slack exceeds this fraction of the data
+# scale ``1 + max|b| + ||x||``; rounding in the incremental updates of ``z``
+# stays well below it, so degenerate vertices do not cycle.
+_FEAS_TOL = 1e-13
+# A new row counts as spanned by the working rows when the part the working
+# rows cannot cancel is below this fraction of the terms that formed it.
+_DEP_TOL = 1e-13
+# Active-set steps granted per row and per coordinate.
+_STEPS_PER_DIM = 50
+
+
+def _substitute(T, y, lower=False) -> list[float]:
+    # ``T^-1 y`` for a triangular ``T`` (upper unless ``lower``) by
+    # substitution on Python floats.  A face has at most n rows, and at that
+    # size a LAPACK call costs more than the arithmetic.  ``T`` must be zero
+    # off its triangle: each row is read whole against the unsolved zeros.
+    rows, y = T.tolist(), y.tolist()
+    v = [0.0] * len(y)
+    for i in range(len(y)) if lower else reversed(range(len(y))):
+        row = rows[i]
+        v[i] = (y[i] - sum(map(operator.mul, row, v))) / row[i]
+    return v
+
+
+def _add_column(Q, R, k, h) -> None:
+    # Append the row with ``h = Q' a`` to the factor of ``k`` rows: one
+    # Householder reflection of the trailing columns of ``Q`` maps
+    # ``h[k:]`` to ``alpha e_1``, so ``a = Q[:, :k+1] (h[:k], alpha)``.  A
+    # single trailing column needs no reflection.  ``R`` stays zero below
+    # its diagonal, as :func:`_substitute` needs.
+    h2 = h[k:]
+    alpha = float(h2[0])
+    if h2.shape[0] > 1:
+        sigma = math.sqrt(float(h2.dot(h2)))
+        alpha = -math.copysign(sigma, alpha)
+        v = h2.copy()
+        v[0] -= alpha
+        Q2 = Q[:, k:]
+        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(float(h2[0])))))
+    R[:k, k] = h[:k]
+    R[k, k] = alpha
+    R[k + 1 :, k] = 0.0
+
+
+def _delete_column(Q, R, k, j) -> None:
+    # Drop row ``j`` of the ``k`` in the factor: delete column ``j`` of
+    # ``R``, then a Givens rotation per later column clears the subdiagonal
+    # this leaves, applied to the rows of ``R`` and the columns of ``Q``.
+    R[:k, j : k - 1] = R[:k, j + 1 : k]
+    for i in range(j, k - 1):
+        rho = math.hypot(R[i, i], R[i + 1, i])
+        c, s = R[i, i] / rho, R[i + 1, i] / rho
+        G = np.array([[c, s], [-s, c]])
+        R[i : i + 2, i : k - 1] = G.dot(R[i : i + 2, i : k - 1])
+        R[i + 1, i] = 0.0
+        Q[:, i : i + 2] = Q[:, i : i + 2].dot(G.T)
+
+
+def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
+    """Active-set steps from a dual-feasible start to the final face.
+
+    ``z`` is the projection of the point onto the face where the rows ``W``
+    are tight and ``u >= 0`` its multipliers in ``W`` order.  ``Q`` (n x n,
+    orthogonal) and the leading ``k x k`` block of ``R`` (``k = len(W)``,
+    upper triangular) factor the working rows: ``A_W' = Q[:, :k] R[:k, :k]``.
+    The cold start is ``([], I, 0, [], x)``.  ``W``, ``Q``, ``R`` and ``z``
+    are updated in place; returns the number of steps.
+    """
+    m, n = A.shape
+    max_steps = _STEPS_PER_DIM * (m + n)
+    steps = 0
+    while True:
+        slack = A.dot(z) - b
+        p = int(slack.argmax())
+        if slack[p] <= feas_tol:
+            return steps
+        a = A[p]
+        norm_a = math.sqrt(float(a.dot(a)))
+        u_p = 0.0
+        while True:  # raise the multiplier of row p until row p is tight
+            steps += 1
+            if steps > max_steps:
+                raise NotConverged(f"projection took more than {max_steps} active-set steps")
+            k = len(W)
+            # ``Q' a`` splits ``a``: the working rows cancel ``Q_1 h[:k]``
+            # with the rates ``r``, and ``Q_2 h[k:]`` is left over.
+            h = a.dot(Q)
+            h2 = h[k:]
+            dd = float(h2.dot(h2))
+            if W:
+                r = _substitute(R[:k, :k], h[:k])
+                spanned_tol = _DEP_TOL * (norm_a + _norm(np.abs(A[W]).T.dot(np.abs(r))))
+            else:
+                r, spanned_tol = [], 0.0
+            spanned = math.sqrt(dd) <= spanned_tol
+            t_full = math.inf if spanned else max(float(a.dot(z)) - float(b[p]), 0.0) / dd
+            # The first working multiplier to reach zero as row p's rises.
+            t_part, j = math.inf, -1
+            for i, (u_i, r_i) in enumerate(zip(u, r)):
+                if r_i > 0.0 and u_i / r_i < t_part:
+                    t_part, j = u_i / r_i, i
+            if spanned and j < 0:
+                raise EmptyPolyhedron(
+                    "a violated row is spanned by the working rows with no multiplier "
+                    "free to fall; the polyhedron is empty"
+                )
+            t = min(t_full, t_part)
+            if not spanned:
+                z -= t * Q[:, k:].dot(h2)
+            u = [u_i - t * r_i for u_i, r_i in zip(u, r)]
+            u_p += t
+            if t_full <= t_part:
+                _add_column(Q, R, k, h)
+                W.append(p)
+                u.append(u_p)
+                break
+            _delete_column(Q, R, k, j)
+            del W[j]
+            del u[j]
+
+
+# Spread of column sizes (largest entries) up to which ``nnls`` tries its
+# least-squares shortcut.  The SVD solve behind ``lstsq`` is backward
+# stable relative to ``||G||``, so its residual errs by about eps times the
+# spread of the column norms: on random cones in R^2..R^8, 2e-13 at a
+# spread of 1e2 and 1e-4 at 1e6.
+_LSTSQ_SPREAD = 1e2
+
+
 def nnls(G: np.ndarray, y: np.ndarray):
-    """Solve ``min_{lam >= 0} ||G @ lam - y||`` by the Lawson-Hanson method.
+    """Solve ``min_{lam >= 0} ||G @ lam - y||``.
 
     When every column makes an acute angle with ``y``, as it does for most
-    targets inside the cone and few outside it, the unconstrained
-    least-squares solution on all columns is tried first: if every
-    coefficient is strictly positive it satisfies the optimality conditions
-    of the constrained problem and is returned as is.  That is the same
-    solve Lawson-Hanson ends with when it finishes with every column
-    passive, so the result is then bit-identical.  Otherwise Lawson-Hanson
-    runs from ``lam = 0``, for at most ``50 m`` outer iterations.
+    targets inside the cone and few outside it, and the columns' largest
+    entries lie within a factor ``_LSTSQ_SPREAD`` (100) of each other, the
+    unconstrained least-squares solution on all columns is tried first: if
+    every coefficient is strictly positive it satisfies the optimality
+    conditions of the constrained problem and is returned as is.
+
+    Otherwise the nonzero columns are scaled to unit norm, ``G_hat``, and
+    ``y`` is split by Moreau's decomposition as ``y = z + G_hat lam_hat``,
+    where ``z`` is the projection of ``y`` onto the polar cone
+    ``{x : G_hat' x <= 0}``.  :func:`_working_set` computes it from the
+    empty working set, as it does for the polyhedron projection.  On its
+    final face the tight columns factor as ``G_hat_W = Q_1 R`` and ``z`` is
+    orthogonal to ``Q_1``, so ``lam_hat_W = R^-1 Q_1' y``, clamped at 0,
+    and ``lam = lam_hat / ||g||``.  Unit columns keep the kernel's
+    tolerances at the scale of ``y`` however the columns' norms spread.  A
+    zero column gets 0.  The kernel's errors pass through:
+    :class:`NotConverged` past ``50 (m + n)`` active-set steps, and
+    :class:`EmptyPolyhedron`, which the polar cone, holding 0, could only
+    meet by rounding.
 
     Parameters
     ----------
@@ -177,56 +330,40 @@ def nnls(G: np.ndarray, y: np.ndarray):
     Returns
     -------
     lam : ndarray, shape (m,)
-        Nonnegative coefficients at termination.
+        Nonnegative coefficients.
     rnorm : float
-        Residual norm ``||G @ lam - y||``.
+        Residual norm ``||G @ lam - y||``, formed as ``||G_hat lam_hat - y||``
+        off the shortcut.
     """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = G.shape
 
     # Dual feasibility tolerance, scaled to the data.
-    tol = 1e-11 * max(1.0, float(np.abs(G).max(initial=0.0))) * max(
-        1.0, float(np.linalg.norm(y))
-    )
+    sizes = np.abs(G).max(axis=0, initial=0.0).tolist()
+    ny = _norm(y)
+    tol = 1e-11 * max(1.0, max(sizes, default=0.0)) * max(1.0, ny)
     # The angle test keeps the extra solve off most targets outside the
-    # cone, where it would fail.  With no columns it returns [] and ||y||.
-    if (G.T.dot(y) > tol).all():
+    # cone, where it would fail, and the size test off columns whose
+    # largest entries differ so much that it would be inaccurate.  With no
+    # columns it returns [] and ||y||.
+    even = max(sizes, default=1.0) <= _LSTSQ_SPREAD * min(sizes, default=1.0)
+    if even and (G.T.dot(y) > tol).all():
         lam, *_ = np.linalg.lstsq(G, y, rcond=None)
         if (lam > 0.0).all():
             return lam, float(np.linalg.norm(y - G.dot(lam)))
 
-    lam = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
-    resid = y.copy()
-
-    for _ in range(50 * max(m, 1)):
-        w = G.T.dot(resid)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            break
-        passive[j] = True
-        while True:
-            idx = np.flatnonzero(passive)
-            s_sub, *_ = np.linalg.lstsq(G[:, idx], y, rcond=None)
-            if np.all(s_sub > 0.0):
-                lam = np.zeros(m)
-                lam[idx] = s_sub
-                break
-            # Step toward s until the first coefficient hits zero.
-            s = np.zeros(m)
-            s[idx] = s_sub
-            mask = passive & (s <= 0.0)
-            ratios = lam[mask] / (lam[mask] - s[mask])
-            step = float(np.min(ratios))
-            lam = lam + step * (s - lam)
-            passive &= lam > ZERO_TOL
-            lam[~passive] = 0.0
-            if not np.any(passive):
-                break
-        resid = y - G.dot(lam)
-    return lam, float(np.linalg.norm(resid))
+    norms = _dot_row_norms(G.T)
+    # A zero column stays a zero row of ``U``: never violated, it never
+    # enters the working set, and its coefficient stays 0.
+    norms[norms == 0.0] = 1.0
+    U = G.T / norms[:, None]
+    W, Q, R = [], np.eye(n), np.zeros((n, n))
+    _working_set(U, np.zeros(m), _FEAS_TOL * (1.0 + ny), W, Q, R, [], y.copy())
+    k = len(W)
+    lam_hat = np.zeros(m)
+    lam_hat[W] = np.maximum(_substitute(R[:k, :k], y.dot(Q[:, :k])), 0.0)
+    return lam_hat / norms, _norm(y - U.T.dot(lam_hat))
 
 
 def unit_cone_distance(vhat: np.ndarray, G: np.ndarray) -> float:

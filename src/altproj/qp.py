@@ -27,6 +27,12 @@ and the point is refined once on the working rows.  All arithmetic is at
 the scale of ``x``, so the cost does not grow with the distance from ``x``
 to the polyhedron.
 
+The steps and the factor updates (``_working_set``, ``_add_column``,
+``_delete_column`` and ``_substitute``) live in :mod:`altproj.linalg`,
+which also runs them to project onto polar cones for
+:func:`~altproj.linalg.nnls`.  This module starts them, reads the answer
+from the final face and walks rays.
+
 The method may start from any dual-feasible working set: rows ``W`` with
 nonnegative multipliers and ``z`` the projection of ``x`` onto the face
 where they are tight.  The empty set with ``z = x`` is one such start, and
@@ -56,30 +62,29 @@ raises :class:`NotConverged`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyPolyhedron, NotConverged
+from .errors import NotConverged
 
 # ``nnls`` has no caller here; the binding stays because benchmarks/tracer.py
 # resolves ``altproj.qp.nnls`` by name.
-from .linalg import _norm, as_point, nnls  # noqa: F401
+from .linalg import (  # noqa: F401
+    _FEAS_TOL,
+    _add_column,
+    _delete_column,
+    _norm,
+    _substitute,
+    _working_set,
+    as_point,
+    nnls,
+)
 
 if TYPE_CHECKING:
     from .sets import Polyhedron
 
-# A row counts as violated when its slack exceeds this fraction of the data
-# scale ``1 + max|b| + ||x||``; rounding in the incremental updates of ``z``
-# stays well below it, so degenerate vertices do not cycle.
-_FEAS_TOL = 1e-13
-# A new row counts as spanned by the working rows when the part the working
-# rows cannot cancel is below this fraction of the terms that formed it.
-_DEP_TOL = 1e-13
-# Active-set steps granted per row and per coordinate.
-_STEPS_PER_DIM = 50
 # Face changes granted to a walk per row, and once more: ``40 (m + 1)``.
 _WALK_STEPS_PER_ROW = 40
 
@@ -99,116 +104,6 @@ class QPResult:
     point: np.ndarray
     dual: np.ndarray
     iterations: int
-
-
-def _substitute(T, y, lower=False) -> list[float]:
-    # ``T^-1 y`` for a triangular ``T`` (upper unless ``lower``) by
-    # substitution on Python floats.  A face has at most n rows, and at that
-    # size a LAPACK call costs more than the arithmetic.  ``T`` must be zero
-    # off its triangle: each row is read whole against the unsolved zeros.
-    rows, y = T.tolist(), y.tolist()
-    v = [0.0] * len(y)
-    for i in range(len(y)) if lower else reversed(range(len(y))):
-        row = rows[i]
-        v[i] = (y[i] - sum(map(operator.mul, row, v))) / row[i]
-    return v
-
-
-def _add_column(Q, R, k, h) -> None:
-    # Append the row with ``h = Q' a`` to the factor of ``k`` rows: one
-    # Householder reflection of the trailing columns of ``Q`` maps
-    # ``h[k:]`` to ``alpha e_1``, so ``a = Q[:, :k+1] (h[:k], alpha)``.  A
-    # single trailing column needs no reflection.  ``R`` stays zero below
-    # its diagonal, as :func:`_substitute` needs.
-    h2 = h[k:]
-    alpha = float(h2[0])
-    if h2.shape[0] > 1:
-        sigma = math.sqrt(float(h2.dot(h2)))
-        alpha = -math.copysign(sigma, alpha)
-        v = h2.copy()
-        v[0] -= alpha
-        Q2 = Q[:, k:]
-        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(float(h2[0])))))
-    R[:k, k] = h[:k]
-    R[k, k] = alpha
-    R[k + 1 :, k] = 0.0
-
-
-def _delete_column(Q, R, k, j) -> None:
-    # Drop row ``j`` of the ``k`` in the factor: delete column ``j`` of
-    # ``R``, then a Givens rotation per later column clears the subdiagonal
-    # this leaves, applied to the rows of ``R`` and the columns of ``Q``.
-    R[:k, j : k - 1] = R[:k, j + 1 : k]
-    for i in range(j, k - 1):
-        rho = math.hypot(R[i, i], R[i + 1, i])
-        c, s = R[i, i] / rho, R[i + 1, i] / rho
-        G = np.array([[c, s], [-s, c]])
-        R[i : i + 2, i : k - 1] = G.dot(R[i : i + 2, i : k - 1])
-        R[i + 1, i] = 0.0
-        Q[:, i : i + 2] = Q[:, i : i + 2].dot(G.T)
-
-
-def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
-    """Active-set steps from a dual-feasible start to the final face.
-
-    ``z`` is the projection of the point onto the face where the rows ``W``
-    are tight and ``u >= 0`` its multipliers in ``W`` order.  ``Q`` (n x n,
-    orthogonal) and the leading ``k x k`` block of ``R`` (``k = len(W)``,
-    upper triangular) factor the working rows: ``A_W' = Q[:, :k] R[:k, :k]``.
-    The cold start is ``([], I, 0, [], x)``.  ``W``, ``Q``, ``R`` and ``z``
-    are updated in place; returns the number of steps.
-    """
-    m, n = A.shape
-    max_steps = _STEPS_PER_DIM * (m + n)
-    steps = 0
-    while True:
-        slack = A.dot(z) - b
-        p = int(slack.argmax())
-        if slack[p] <= feas_tol:
-            return steps
-        a = A[p]
-        norm_a = math.sqrt(float(a.dot(a)))
-        u_p = 0.0
-        while True:  # raise the multiplier of row p until row p is tight
-            steps += 1
-            if steps > max_steps:
-                raise NotConverged(f"projection took more than {max_steps} active-set steps")
-            k = len(W)
-            # ``Q' a`` splits ``a``: the working rows cancel ``Q_1 h[:k]``
-            # with the rates ``r``, and ``Q_2 h[k:]`` is left over.
-            h = a.dot(Q)
-            h2 = h[k:]
-            dd = float(h2.dot(h2))
-            if W:
-                r = _substitute(R[:k, :k], h[:k])
-                spanned_tol = _DEP_TOL * (norm_a + _norm(np.abs(A[W]).T.dot(np.abs(r))))
-            else:
-                r, spanned_tol = [], 0.0
-            spanned = math.sqrt(dd) <= spanned_tol
-            t_full = math.inf if spanned else max(float(a.dot(z)) - float(b[p]), 0.0) / dd
-            # The first working multiplier to reach zero as row p's rises.
-            t_part, j = math.inf, -1
-            for i, (u_i, r_i) in enumerate(zip(u, r)):
-                if r_i > 0.0 and u_i / r_i < t_part:
-                    t_part, j = u_i / r_i, i
-            if spanned and j < 0:
-                raise EmptyPolyhedron(
-                    "a violated row is spanned by the working rows with no multiplier "
-                    "free to fall; the polyhedron is empty"
-                )
-            t = min(t_full, t_part)
-            if not spanned:
-                z -= t * Q[:, k:].dot(h2)
-            u = [u_i - t * r_i for u_i, r_i in zip(u, r)]
-            u_p += t
-            if t_full <= t_part:
-                _add_column(Q, R, k, h)
-                W.append(p)
-                u.append(u_p)
-                break
-            _delete_column(Q, R, k, j)
-            del W[j]
-            del u[j]
 
 
 class _Face(NamedTuple):

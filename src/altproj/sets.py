@@ -21,7 +21,7 @@ from .errors import (
     PointNotInSet,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, _real_array, _real_scalar, as_point
+from .linalg import ZERO_TOL, _dot_row_norms, _real_array, _real_scalar, as_point
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
@@ -101,8 +101,7 @@ class Polyhedron(_ValueSet):
         b = as_point(self.b, A.shape[0])
         if not np.all(np.isfinite(A)):
             raise ValueError("constraint matrix entries must be finite")
-        row_norms = np.linalg.norm(A, axis=1)
-        if np.any(row_norms <= ZERO_TOL):
+        if np.any(_dot_row_norms(A) <= ZERO_TOL):
             raise DegenerateRow("every constraint row must be nonzero")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))

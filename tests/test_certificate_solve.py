@@ -3,8 +3,10 @@
 ``reference_nnls`` is the Lawson-Hanson loop started from ``lam = 0`` with
 no least-squares shortcut, ``reference_generators`` the proximal normal
 generators as a list of vectors, and ``reference_certificate`` the
-certificate computed from both: the formula the fast paths of
-``linalg.nnls`` and ``engine.check_certificate`` must reproduce.
+certificate computed from both: the formula ``linalg.nnls`` and
+``engine.check_certificate`` must reproduce.  ``linalg.nnls`` no longer runs
+Lawson-Hanson; its residuals match the reference to 1e-12, and its bits
+where its least-squares shortcut answers.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from altproj import (
     proximal_normal_generators,
     run,
 )
+from altproj import linalg
 from altproj.instances import (
     absval_epigraph,
     lower_halfplane,
@@ -31,6 +34,7 @@ from altproj.instances import (
     random_lp_instance,
 )
 from altproj.sets import ACTIVE_TOL
+from test_polar_cone import assert_nnls_kkt
 
 
 def reference_nnls(G, y):
@@ -135,22 +139,42 @@ def _nnls_cases(rng):
         yield G, y
 
 
-def test_nnls_matches_lawson_hanson_from_zero():
+def test_nnls_matches_lawson_hanson_from_zero(monkeypatch):
+    # Where the least-squares shortcut answers and Lawson-Hanson ends with
+    # every column passive, both end with the same solve, so the bits
+    # agree.  Every other answer must meet the optimality conditions: the
+    # polar projection's (it runs the active-set kernel), and the
+    # shortcut's minimum-norm solution on dependent columns, which is
+    # another optimum.  The residual agrees with the reference everywhere.
+    projected = []
+    working_set = linalg._working_set
+
+    def spy(*args):
+        projected.append(True)
+        return working_set(*args)
+
+    monkeypatch.setattr(linalg, "_working_set", spy)
     rng = np.random.default_rng(2024)
-    seen = {"deficient": 0, "duplicate": 0, "zero_coef": 0, "all_positive": 0, "outside": 0}
+    seen = dict.fromkeys(
+        ("deficient", "duplicate", "zero_coef", "all_positive", "outside", "shortcut", "projection"),
+        0,
+    )
     for G, y in _nnls_cases(rng):
+        projected.clear()
         lam, rnorm = nnls(G, y)
         ref_lam, ref_rnorm = reference_nnls(G, y)
         assert lam.shape == (G.shape[1],)
         assert np.all(lam >= 0.0)
         assert rnorm == pytest.approx(float(np.linalg.norm(G @ lam - y)), abs=1e-12)
         assert rnorm == pytest.approx(ref_rnorm, abs=1e-12)
-        if np.all(ref_lam > 0.0):
-            # Lawson-Hanson ended with every column passive: its last solve
-            # is the shortcut's solve.
+        if not projected and np.all(ref_lam > 0.0):
             np.testing.assert_array_equal(lam, ref_lam)
             assert rnorm == ref_rnorm
-            seen["all_positive"] += 1
+            seen["shortcut"] += 1
+        else:
+            assert_nnls_kkt(G, y, lam, rnorm)
+            seen["projection"] += bool(projected)
+        seen["all_positive"] += bool(np.all(ref_lam > 0.0))
         seen["deficient"] += np.linalg.matrix_rank(G) < G.shape[1]
         seen["duplicate"] += len({c.tobytes() for c in G.T}) < G.shape[1]
         seen["zero_coef"] += bool(np.any(ref_lam == 0.0))

@@ -47,9 +47,10 @@ def test_certificate_tolerance_must_be_finite_and_nonnegative(tol):
         check_certificate(lower_halfplane(), absval_epigraph(1.0), [0.0, 0.0], [0.0, 1.0], tol)
 
 
-@pytest.mark.parametrize("cap", [math.nan, 2.5, "3", 0, -1])
+@pytest.mark.parametrize("cap", [math.nan, 2.5, "3", 0, -1, True, False])
 def test_cycle_cap_must_be_an_integer_of_at_least_one(cap):
-    # A NaN cap ran no cycle and ended in an UnboundLocalError; 2.5 ran 3.
+    # A NaN cap ran no cycle and ended in an UnboundLocalError; 2.5 ran 3
+    # and True ran 1.
     with pytest.raises(ValueError, match="max_iters"):
         run(lower_halfplane(), absval_epigraph(1.0), [3.0, 0.0], max_iters=cap)
 

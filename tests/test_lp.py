@@ -37,7 +37,7 @@ def first_quadrant():
     return Polyhedron([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
 
 
-@pytest.mark.parametrize("cap", [math.nan, 2.5, "3"])
+@pytest.mark.parametrize("cap", [math.nan, 2.5, "3", True, False])
 def test_direct_solve_rejects_a_cycle_cap_that_is_not_an_integer(cap):
     problem = LPProblem([1.0, 1.0], first_quadrant(), -1.0)
     with pytest.raises(ValueError, match="max_iters"):

@@ -11,7 +11,7 @@ grows with ``||x||``.
 import numpy as np
 import pytest
 
-from altproj import EmptyPolyhedron, Polyhedron, project_polyhedron, qp
+from altproj import EmptyPolyhedron, Polyhedron, linalg, project_polyhedron, qp
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import project_along_ray
 
@@ -256,10 +256,12 @@ def watch_factor(monkeypatch):
 
         return spy
 
+    # The projection calls the kernel by its name in ``qp``; the kernel
+    # calls the factor updates by their names in ``linalg``, where it lives.
     working_set = qp._working_set
     monkeypatch.setattr(qp, "_working_set", solve)
-    monkeypatch.setattr(qp, "_add_column", update(qp._add_column))
-    monkeypatch.setattr(qp, "_delete_column", update(qp._delete_column))
+    monkeypatch.setattr(linalg, "_add_column", update(linalg._add_column))
+    monkeypatch.setattr(linalg, "_delete_column", update(linalg._delete_column))
     return histories
 
 
