@@ -14,7 +14,8 @@ class ZeroVector(AltprojError):
 
 
 class DegenerateRow(AltprojError):
-    """A constraint row or half-space normal is (numerically) zero."""
+    """A constraint row or half-space normal is (numerically) zero, or too
+    long for a projection to square (norm 2**510, about 3.4e153, or more)."""
 
 
 class PointNotInSet(AltprojError):

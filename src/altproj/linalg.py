@@ -52,7 +52,7 @@ import operator
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyPolyhedron, NotConverged, ZeroVector
+from .errors import DegenerateRow, DimensionMismatch, EmptyPolyhedron, NotConverged, ZeroVector
 
 # Norm below which a vector counts as zero; double precision leaves ample
 # headroom at desk scale.
@@ -176,6 +176,10 @@ _FEAS_TOL = 1e-13
 _DEP_TOL = 1e-13
 # Active-set steps granted per row and per coordinate.
 _STEPS_PER_DIM = 50
+# Norm from which a row is refused before it enters the factor: the
+# Householder update of ``_add_column`` forms ``sigma (sigma + |h_0|)``, up
+# to ``2 ||a||^2``, which stays below 2**1021 and so finite for shorter rows.
+_ROW_NORM_LIMIT = 2.0**510
 
 
 def _substitute(T, y, lower=False) -> list[float]:
@@ -233,7 +237,10 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
     orthogonal) and the leading ``k x k`` block of ``R`` (``k = len(W)``,
     upper triangular) factor the working rows: ``A_W' = Q[:, :k] R[:k, :k]``.
     The cold start is ``([], I, 0, [], x)``.  ``W``, ``Q``, ``R`` and ``z``
-    are updated in place; returns the number of steps.
+    are updated in place; returns the number of steps.  A violated row of
+    norm ``_ROW_NORM_LIMIT`` (2**510, about 3.4e153) or more would fill the
+    factor with non-finite values, so it raises :class:`DegenerateRow`
+    before any update.
     """
     m, n = A.shape
     max_steps = _STEPS_PER_DIM * (m + n)
@@ -245,6 +252,11 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
             return steps
         a = A[p]
         norm_a = math.sqrt(float(a.dot(a)))
+        if not norm_a < _ROW_NORM_LIMIT:
+            raise DegenerateRow(
+                f"constraint row {p} is too long to project on: its norm must be "
+                f"below 2**510 (about {_ROW_NORM_LIMIT:.2g})"
+            )
         u_p = 0.0
         while True:  # raise the multiplier of row p until row p is tight
             steps += 1

@@ -45,7 +45,10 @@ back unchanged, so a warm face never replaces it by a point of the face.
 The kept factor also serves the engine: on a face whose working rows are
 exactly its positive-multiplier rows, ``Q_1`` spans those rows, so the
 projection of a vector onto the face's null space is ``v - Q_1 (Q_1' v)``,
-and the engine's closed-form cycles read it from there.
+and the engine's closed-form cycles read it from there.  Its cycle
+decisions read the distance from the run's direction to the span of the
+working rows, and the coefficients ``R^-1 Q_1' w`` on them, from the same
+factor.
 
 :func:`project_along_ray` follows the piecewise-linear path
 ``t -> P(base + t * direction)`` face by face, which keeps huge offsets at
@@ -172,16 +175,20 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     lam = np.zeros(A.shape[0])
     if float((A.dot(x) - b).max()) <= feas_tol:
         return QPResult(x.copy(), lam, 0), None
-    W, Q, R, u, z = [], np.eye(n), np.zeros((n, n)), [], x.copy()
+    warm = False
     if face is not None:
         u_f, z_f = _on_face(A, b, face, x)
-        if (u_f >= 0.0).all():
-            if float((A.dot(z_f) - b).max()) <= feas_tol:
-                lam[face.W] = u_f
-                return QPResult(z_f, lam, 0), face
-            k = len(face.W)
-            W, Q, u, z = list(face.W), face.Q.copy(), u_f.tolist(), z_f
-            R[:k, :k] = face.R
+        warm = (u_f >= 0.0).all()
+        if warm and float((A.dot(z_f) - b).max()) <= feas_tol:
+            lam[face.W] = u_f
+            return QPResult(z_f, lam, 0), face
+    R = np.zeros((n, n))
+    if warm:
+        k = len(face.W)
+        W, Q, u, z = list(face.W), face.Q.copy(), u_f.tolist(), z_f
+        R[:k, :k] = face.R
+    else:
+        W, Q, u, z = [], np.eye(n), [], x.copy()
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z)
     k = len(W)
     R = R[:k, :k]

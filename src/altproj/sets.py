@@ -349,6 +349,16 @@ def _epigraph_generators(e: EpigraphSet, x0: float, x1: float, tol: float) -> tu
     return ((1.0 if z0 > 0 else -1.0, -1.0),)
 
 
+def _tight_rows(p: Polyhedron, x: np.ndarray, tol: float) -> np.ndarray:
+    # The polyhedron branch of ``normal_cone_columns`` as a mask: the rows
+    # tight at ``x`` within ``tol``, which generate the cone.  Raises
+    # ``PointNotInSet`` when ``x`` is not in ``p`` within ``tol``.
+    ax = p.A.dot(x)
+    if not (ax <= p.b + tol).all():
+        raise PointNotInSet("point is not in the set within tolerance")
+    return np.abs(ax - p.b) <= tol
+
+
 def normal_cone_columns(
     s: ProjectableSet, x: np.ndarray, tol: float = ACTIVE_TOL
 ) -> np.ndarray:
@@ -369,10 +379,7 @@ def normal_cone_columns(
             return s.c[:, None]
         return np.empty((s.dim, 0))
     if isinstance(s, Polyhedron):
-        ax = s.A.dot(x)
-        if not (ax <= s.b + tol).all():
-            raise PointNotInSet("point is not in the set within tolerance")
-        return s.A[np.abs(ax - s.b) <= tol].T
+        return s.A[_tight_rows(s, x, tol)].T
     gens = _epigraph_generators(s, *x.tolist(), tol)
     if gens is None:
         raise PointNotInSet("point is not in the set within tolerance")

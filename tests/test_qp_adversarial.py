@@ -11,7 +11,7 @@ grows with ``||x||``.
 import numpy as np
 import pytest
 
-from altproj import EmptyPolyhedron, Polyhedron, linalg, project_polyhedron, qp
+from altproj import DegenerateRow, EmptyPolyhedron, Polyhedron, linalg, project_polyhedron, qp
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import project_along_ray
 
@@ -176,6 +176,23 @@ def test_empty_polyhedra_raise():
             for r in (0.0, 1.0, 1e3):
                 with pytest.raises(EmptyPolyhedron):
                     project_polyhedron(empty, interior + r * unit(rng, n))
+
+
+def long_row_box(scale):
+    """The box [0, 1]^3 with its lower faces written as ``-scale x_i <= 0``."""
+    return Polyhedron(np.vstack([np.eye(3), -scale * np.eye(3)]), np.r_[np.ones(3), np.zeros(3)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_row_too_long_to_square_raises_a_typed_error():
+    # ||a||^2 of a row -1e155 e_i overflows; the factor would fill with NaN
+    # and the projection end in a bare ValueError from the factor updates.
+    # Rows of norm 2**510 or more are refused before any update.
+    for scale in (1e155, 2.0**510):
+        with pytest.raises(DegenerateRow, match="too long to project on"):
+            project_polyhedron(long_row_box(scale), [-1.0, -2.0, -3.0])
+    res = project_polyhedron(long_row_box(2.0**509), [-1.0, -2.0, -3.0])
+    np.testing.assert_array_equal(res.point, [0.0, 0.0, 0.0])
 
 
 def test_agrees_with_face_walk_up_to_1e4():
