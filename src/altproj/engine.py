@@ -34,14 +34,14 @@ Planar pairs.  When both sets are 2-D and neither is a polyhedron
 (half-planes and the two epigraphs), a cycle of NumPy calls on 2-vectors
 is almost all call overhead, so :func:`run` carries each iterate as two
 floats.  The projections are the float kernels of ``sets``, which make the
-array code's operations entry by entry and so give its bits.  Two products
-keep the BLAS call, because OpenBLAS's ``ddot`` forms a product of two
+array code's operations entry by entry and so give its bits.  The epigraph
+kernels form no product of two 2-vectors.  Only the half-plane's product
+keeps the BLAS call, because OpenBLAS's ``ddot`` forms a product of two
 2-vectors as ``fma(x1, y1, x0 * y0)``, which can round otherwise than
 ``x0 * y0 + x1 * y1``: a half-plane's ``<c, x>``, whose rounding enters the
-projected point, is taken by ``c.dot`` on the wrapped pair, and so are the
-abs epigraph's two squared distances when they lie within rounding of each
-other.  The exception is a half-plane whose ``c`` has a zero entry, such
-as the fixtures' ``v <= 0``: one product is then an exact zero, and
+projected point, is taken by ``c.dot`` on the wrapped pair.  The exception
+is a half-plane whose ``c`` has a zero entry, such as the fixtures'
+``v <= 0``: one product is then an exact zero, and
 ``<c, x>`` is the other product rounded once in every summation order,
 fused or not, so ``c0 x0 + c1 x1`` on floats has its bits on any BLAS (a
 zero sum can differ in sign only, and a zero excess moves no point).

@@ -240,7 +240,8 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
     are updated in place; returns the number of steps.  A violated row of
     norm ``_ROW_NORM_LIMIT`` (2**510, about 3.4e153) or more would fill the
     factor with non-finite values, so it raises :class:`DegenerateRow`
-    before any update.
+    before any update.  The row's norm is taken by ``math.hypot``, which
+    does not square the row, so no overflow warning precedes the error.
     """
     m, n = A.shape
     max_steps = _STEPS_PER_DIM * (m + n)
@@ -251,7 +252,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
         if slack[p] <= feas_tol:
             return steps
         a = A[p]
-        norm_a = math.sqrt(float(a.dot(a)))
+        norm_a = math.hypot(*a.tolist())
         if not norm_a < _ROW_NORM_LIMIT:
             raise DegenerateRow(
                 f"constraint row {p} is too long to project on: its norm must be "

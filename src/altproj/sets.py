@@ -218,71 +218,49 @@ def _epigraph_offset(e: EpigraphSet, x0: float, x1: float) -> tuple[float, float
 
 
 def _project_abs_base(z0: float, z1: float) -> tuple[float, float]:
-    # Epigraph of |u|, for a point ``z = (z0, z1)`` outside it.  Candidates:
-    # the two boundary rays (the apex is the clamped endpoint of either),
-    # and the nearer one wins; ties resolve to the first branch.  The two
-    # squared distances are compared on floats unless they lie within
-    # rounding of each other, which happens only next to the normal line
-    # through the apex; there they are formed by ``dot`` on the wrapped
-    # pairs, whose rounding decides the tie.
-    t = max(0.0, 0.5 * (z0 + z1))
-    dr0, dr1 = t - z0, t - z1
-    u = max(0.0, 0.5 * (z1 - z0))
-    dl0, dl1 = -u - z0, u - z1
-    rr = dr0 * dr0 + dr1 * dr1
-    ll = dl0 * dl0 + dl1 * dl1
-    if not abs(rr - ll) > 1e-14 * (rr + ll) + 1e-300:
-        dr, dl = np.array((dr0, dr1)), np.array((dl0, dl1))
-        rr, ll = float(dr.dot(dr)), float(dl.dot(dl))
-    return (t, t) if rr <= ll else (-u, u)
+    # Epigraph of |u|, for a point ``z = (z0, z1)`` outside it.  The apex's
+    # normal cone is ``{v <= -|u|}``, so a point there projects onto the
+    # apex.  Any other point projects onto the boundary ray on its own side,
+    # at ``t = (|z0| + z1) / 2`` along ``(sign z0, 1)``; for ``z0 < 0``,
+    # ``-z0 + z1`` is ``z1 - z0`` bit for bit.
+    if z1 <= -abs(z0):
+        return 0.0, 0.0
+    t = 0.5 * (abs(z0) + z1)
+    return math.copysign(t, z0), t
 
 
 def _parabola_root(z1: float, z2: float) -> float:
     # Stationarity of the squared distance over the boundary v = u^2 gives
-    # the cubic g(u) = 2u^3 + (1 - 2 z2) u - z1 = 0.  For an outside point
-    # the minimizing root lies between 0 and z1, where g is convex (z1 > 0)
-    # or concave (z1 < 0), so guarded Newton from a start on z1's side of
-    # the root is safe.
-    if z1 == 0.0:
-        return 0.0
+    # the cubic 2u^3 + (1 - 2 z2) u - z1 = 0.  It is odd in (u, z1), so the
+    # root is found for a = |z1| > 0, where g(u) = 2u^3 + (1 - 2 z2) u - a
+    # has one positive root (g(0) = -a and g has at most one minimum on
+    # u > 0), and z1's sign is restored at the end.  Past the root g is
+    # convex with a positive slope, so Newton started there falls
+    # monotonically onto it.  Each of a, cbrt(a/2) + sqrt(max(z2 - 1/2, 0))
+    # and, when 1 - 2 z2 > 0, a / (1 - 2 z2) is such a start: g is positive
+    # at each, and the last keeps (1 - 2 z2) u from overflowing when z2 is
+    # far below the vertex.  The loop stops at the first step whose length
+    # is not strictly below the previous one's: from there the steps are
+    # rounding, and a first step that rounding lands below the root comes
+    # back above it with a shorter one.  ``lin_err`` is the rounding error
+    # of 1 - 2 z2 (Knuth's two-sum; 2 z2 is exact), carried in g so that
+    # the root is that of the given z2.  Every root is within 2 ulps up to
+    # about 5e102, where 2u^3 overflows (z2 above about 3e205): there the
+    # first step is not finite and the start is returned.
+    a = abs(z1)
     lin = 1.0 - 2.0 * z2
-    lo, hi = (0.0, z1) if z1 > 0.0 else (z1, 0.0)
-    # Bracket invariant g(lo) < 0 < g(hi): g(0) = -z1 and
-    # g(z1) = 2 z1 (z1^2 - z2), which has the sign of z1 outside the set.
-    # Newton starts from z1 with the residual stop 1e-12 * scale and the
-    # bracket stop 1e-16 * scale while that bracket stop is no coarser than
-    # the residual stop (1e-12 relative) at the root's size.  With
-    # a = z2 - 1/2, the root of u^3 - a u = |z1|/2 is at most
-    # bound = cbrt(|z1|/2) + sqrt(max(a, 0)), and g has the sign of z1 there.
-    # Beyond (|z1| above about 7e5 for z2 = 0, or z2 far below -|z1|) the
-    # bracket stop would widen past the root (from |z1| = 1e24), Newton
-    # from z1 would shrink u by only about 2/3 a step, and scale would
-    # outgrow the terms of g.  There Newton starts from the bound, the
-    # residual stop is scaled to the terms of g at u, and the bracket stop
-    # is relative to u: the root and u are in the bracket.
-    u = z1
-    scale = 1.0 + abs(z1) + abs(z2)
-    bound = (0.5 * abs(z1)) ** (1.0 / 3.0) + math.sqrt(max(z2 - 0.5, 0.0))
-    near = 1e-16 * scale <= 1e-12 * bound
-    if not near:
-        u = math.copysign(min(abs(z1), bound), z1)
-    for _ in range(200):
-        val = 2.0 * u * u * u + lin * u - z1
-        if abs(val) <= 1e-12 * (scale if near else abs(z1) + abs(lin * u)):
-            return u
-        if val > 0.0:
-            hi = u
-        else:
-            lo = u
-        slope = 6.0 * u * u + lin
-        if slope != 0.0:
-            step = u - val / slope
-        else:
-            step = lo + 0.5 * (hi - lo)
-        u = step if lo < step < hi else lo + 0.5 * (hi - lo)
-        if hi - lo <= (1e-16 * scale if near else 1e-15 * abs(u)):
-            return u
-    return u
+    back = lin - 1.0
+    lin_err = (1.0 - (lin - back)) - (2.0 * z2 + back)
+    u = min(a, (0.5 * a) ** (1.0 / 3.0) + math.sqrt(max(z2 - 0.5, 0.0)))
+    if lin > 0.0:
+        u = min(u, a / lin)
+    last = math.inf
+    while True:
+        step = (2.0 * u * u * u + (lin * u - a) + lin_err * u) / (6.0 * u * u + lin)
+        if not abs(step) < last:
+            return math.copysign(u, z1)
+        u -= step
+        last = abs(step)
 
 
 def project_epigraph(e: EpigraphSet, x) -> np.ndarray:

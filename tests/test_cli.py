@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,19 +202,22 @@ def test_run_reports_an_unwritable_output_path(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_reports_a_row_too_long_to_project_on(tmp_path, capsys):
     # The box [0, 1]^3 with rows -1e155 e_i: the first B-projection refuses
-    # the row whose square overflows, and the run exits 1 with an error line.
+    # the row whose square overflows, and the run exits 1 with an error line
+    # and nothing else: no overflow warning comes before it.
     box = {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1e155, 0, 0], [0, -1e155, 0], [0, 0, -1e155]],
            "b": [1, 1, 1, 0, 0, 0]}
     spec = write_json(
         tmp_path / "long_rows.json",
         {"setA": {"halfspace": {"c": [0, 0, 1], "M": -3}}, "setB": {"polyhedron": box}, "x0": [-1, -2, -3]},
     )
-    assert main(["run", spec, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: constraint row 5 is too long to project on") and "Traceback" not in err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", spec, "--out", str(tmp_path)]) == 1
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: constraint row 5 is too long to project on")
 
 
 def test_bound_command_reports_constants(tmp_path, capsys):

@@ -183,7 +183,6 @@ def long_row_box(scale):
     return Polyhedron(np.vstack([np.eye(3), -scale * np.eye(3)]), np.r_[np.ones(3), np.zeros(3)])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_row_too_long_to_square_raises_a_typed_error():
     # ||a||^2 of a row -1e155 e_i overflows; the factor would fill with NaN
     # and the projection end in a bare ValueError from the factor updates.

@@ -21,6 +21,9 @@ the last tests hold its kernel and its runs, with normals that are not
 unit vectors, to the array code.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -45,7 +48,15 @@ from altproj.instances import (
     sample_member,
 )
 from altproj.linalg import ZERO_TOL, _norm
-from altproj.sets import ABS, SQUARE, _parabola_root, _project_halfplane_xy, _project_halfspace
+from altproj.sets import (
+    ABS,
+    SQUARE,
+    _parabola_root,
+    _project_abs_base,
+    _project_halfplane_xy,
+    _project_halfspace,
+)
+from exact import floats_around, parabola_cubic, squared_distance
 from test_face_cycles import plain_run
 
 PLANAR_KS = (0.0, 0.5, 1.0, 2.0)
@@ -179,9 +190,9 @@ def test_parabola_root_is_stationary_at_every_scale(sign, z2):
 @pytest.mark.parametrize("z2", [0.0, -3.0, 0.75, 2.0, 1e3])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_parabola_root_is_stationary_on_both_sides_of_the_switch(sign, z2):
-    # Newton starts from z1 while the bracket stop 1e-16 * scale is fine
-    # next to the root, and from the bound beyond (|z1| about 7e5 for
-    # z2 = 0); the band up to 1e24 was converging from z1 before.
+    # This band once straddled a switch between two Newton regimes (at
+    # |z1| about 7e5 for z2 = 0); one Newton rule now covers it, and the
+    # root must stay stationary across the whole band.
     for exponent in np.arange(0.0, 24.0, 0.25):
         z1 = sign * 10.0**exponent
         if z1 * z1 <= z2:
@@ -207,6 +218,37 @@ def test_parabola_root_far_out_with_both_terms_of_the_bound():
     u = _parabola_root(z1, z2)
     assert max(s, c) < u <= s + c
     assert stationarity(u, z1, z2) <= 1e-12 * abs(z1)
+
+
+def assert_root_within_2_ulps(z1, z2):
+    # The exact cubic changes sign between the floats two steps either side
+    # of the returned root, and the root has z1's sign.
+    u = _parabola_root(z1, z2)
+    assert math.copysign(1.0, u) == math.copysign(1.0, z1), (z1, z2, u)
+    lo, hi = floats_around(abs(u), 2)
+    assert parabola_cubic(lo, z1, z2) <= 0 <= parabola_cubic(hi, z1, z2), (z1, z2, u)
+
+
+@pytest.mark.parametrize("z1, z2", [(1e-4, -100.0), (8.5e-5, -28.2), (5.8e149, -9.1e298), (1e200, 0.0)])
+def test_parabola_root_is_within_2_ulps_at_the_hard_cases(z1, z2):
+    # Small z1 below the vertex, where every term of the cubic is tiny next
+    # to z2; z2 so far below the vertex that (1 - 2 z2) z1 overflows; and a
+    # far z1, where the cubic term dominates.
+    assert_root_within_2_ulps(z1, z2)
+    assert_root_within_2_ulps(-z1, z2)
+
+
+def test_parabola_root_is_within_2_ulps_on_a_grid():
+    rng = np.random.default_rng(30)
+    tried = 0
+    for _ in range(600):
+        z1 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0))
+        z2 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 6.0))
+        if z2 >= z1 * z1:
+            continue  # inside the epigraph: not projected through the root
+        assert_root_within_2_ulps(z1, z2)
+        tried += 1
+    assert tried >= 400
 
 
 @pytest.mark.parametrize("x", [1e24, 1e120, 1e200])
@@ -376,22 +418,41 @@ def test_far_tilted_pairs_stop_or_raise_as_the_public_loop_does(low, high):
     assert compared >= 200
 
 
-def test_abs_projection_breaks_near_ties_as_the_blas_products_do():
-    # Next to the normal line through the apex the two candidates' squared
-    # distances differ by 2 t^2, below their rounding; the kernel must then
-    # pick the candidate that ``dot`` on the two difference arrays picks.
+def test_abs_projection_next_to_the_apex_normal_is_the_rounded_exact_projection():
+    # Next to the normal line through the apex the two boundary rays are
+    # almost equally near, within rounding of their squared distances.  The
+    # point still projects onto the ray on its own side, at the exact
+    # nearest point rounded entry by entry.
     rng = np.random.default_rng(18)
     vee = absval_epigraph(0.0)
     for _ in range(2000):
         z0 = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
         t = abs(z0) * 10.0 ** rng.uniform(-12.0, -6.0)
         z = np.array([z0, 2.0 * t - abs(z0)])
-        right = np.array([max(0.0, 0.5 * (z[0] + z[1]))] * 2)
-        u = max(0.0, 0.5 * (z[1] - z[0]))
-        left = np.array([-u, u])
-        dr, dl = right - z, left - z
-        want = (right if float(dr.dot(dr)) <= float(dl.dot(dl)) else left) + vee.shift
+        exact = (abs(Fraction(z[0])) + Fraction(z[1])) / 2
+        want = np.array([math.copysign(float(exact), z0), float(exact)])
         assert project(vee, z).tobytes() == want.tobytes()
+
+
+def test_abs_projection_is_the_exactly_nearer_boundary_ray():
+    # The two candidates a comparison would weigh, the clamped points of
+    # the right and the left boundary ray: the kernel returns the one that
+    # is nearer in exact arithmetic, at every scale, the apex's normal cone
+    # included.
+    rng = np.random.default_rng(44)
+    for _ in range(1000):
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        z0, z1 = (float(v) for v in scale * rng.normal(size=2))
+        if z1 >= abs(z0):
+            continue  # inside the epigraph
+        t = max(0.0, 0.5 * (z0 + z1))
+        u = max(0.0, 0.5 * (z1 - z0))
+        right, left = (t, t), (-u, u)
+        got = _project_abs_base(z0, z1)
+        assert got in (right, left)
+        assert squared_distance(got, (z0, z1)) == min(
+            squared_distance(right, (z0, z1)), squared_distance(left, (z0, z1))
+        ), (z0, z1)
 
 
 def axis_normal(rng, scale=1.0):
