@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, StartNotInA, Unbounded
 from .linalg import _dot_row_norms, _dot_rows, _norm, as_point, unit_cone_distance
-from .qp import QPResult, _Face, _project_from, project_polyhedron
+from .qp import project_polyhedron
 from .sets import HalfSpace, Polyhedron, _contains_point
 from .vertices import feasible_vertices, vertex_oracle
 
@@ -375,20 +375,9 @@ def one_step_shift(
     strict one-step threshold when the run starts from ``x0 - mu c``.
     ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.  Raises
     ``ValueError`` when the shift is not finite, which happens once
-    ``alpha^2 ||c||`` underflows or the quotient overflows.
-    """
-    mu, shifted, _ = _one_step_shift(A, B, x0, alpha, d_AB)
-    return mu, shifted
-
-
-def _one_step_shift(
-    A: HalfSpace, B: Polyhedron, x0, alpha: float, d_AB: float
-) -> tuple[float, HalfSpace, tuple[QPResult, _Face | None]]:
-    """:func:`one_step_shift` together with the projection of ``x0`` onto B.
-
-    The projection comes as :func:`qp._project_from <altproj.qp._project_from>`
-    returns it, with its final face, so that the walk to the projection of
-    the shifted start continues from that face.
+    ``alpha^2 ||c||`` underflows or the quotient overflows.  The shifted
+    LP solve does not call it: it walks ``t -> P(x0 - t c)`` to where the
+    projection stops moving, which the one-step threshold puts by ``mu``.
     """
     x0 = as_point(x0, A.dim)
     if not 0.0 < alpha < 1.0:
@@ -398,8 +387,7 @@ def _one_step_shift(
     if not _contains_point(A, x0, 1e-8):
         raise StartNotInA("x0 must belong to the half-space")
     nc = float(np.linalg.norm(A.c))
-    projected = _project_from(B, x0, None)
-    d_x0 = float(np.linalg.norm(x0 - projected[0].point))
+    d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     rate = 1.0 - alpha * alpha
     scale = alpha * alpha * nc
     base = max(0.0, (rate * d_x0 - d_AB) / scale) if scale > 0.0 else math.inf
@@ -407,7 +395,7 @@ def _one_step_shift(
     offset = A.M - mu * nc * nc
     if not math.isfinite(offset):
         raise ValueError(f"alpha = {alpha} gives a shift that is not finite")
-    return mu, HalfSpace(A.c, offset), projected
+    return mu, HalfSpace(A.c, offset)
 
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:

@@ -3,8 +3,8 @@
 ``min <c, x> over {Ax <= b}`` becomes the search for a nearest pair of the
 feasible polyhedron and the sub-level half-space ``{x : <c, x> <= M}``,
 where ``M`` is a lower bound strictly below the optimal value.  Either run
-the alternating-projections engine directly, or shift the half-space far
-enough that a single projection of the shifted start lands on the solution.
+the alternating-projections engine directly, or walk the projection of the
+start shifted along ``-c`` until it stops moving, at the solution.
 
 The brute-force vertex oracle that gives independent ground truth lives in
 :mod:`altproj.vertices`.
@@ -12,15 +12,16 @@ The brute-force vertex oracle that gives independent ground truth lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import certify, engine
-from .errors import LowerBoundNotStrict, NotConverged, ZeroVector
+from . import engine
+from .errors import LowerBoundNotStrict, NotConverged, StartNotInA, Unbounded, ZeroVector
 from .linalg import ZERO_TOL, _real_scalar, as_point
-from .qp import _walk_from
-from .sets import HalfSpace, Polyhedron, _ValueSet, _freeze, project_halfspace
+from .qp import _project_from, _walk_from
+from .sets import HalfSpace, Polyhedron, _ValueSet, _contains_point, _freeze, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -91,14 +92,16 @@ def solve_lp(
 
     ``strategy`` is ``"direct"`` (run the engine until the nearest-pair
     certificate holds; the solution is the final feasible iterate) or
-    ``"shifted"`` (translate the sub-level half-space so the one-step
-    threshold holds, then project the shifted start once).  The shifted
-    strategy projects ``x0`` onto the polyhedron once: the shift needs
-    ``d(x0, B)``, and the walk to the shifted start's projection
-    (:func:`~altproj.qp.project_along_ray`) begins from the same result,
-    on its face and QR factor.  The walk raises :class:`NotConverged` past
-    its step cap.  A given ``x0`` outside the half-space by more than 1e-8
-    raises :class:`StartNotInA` from :func:`engine.run` or the shift.
+    ``"shifted"`` (project ``x0`` once, then walk ``t -> P(x0 - t c)`` as
+    :func:`~altproj.qp.project_along_ray` does, to the first face where the
+    point stands still and no working multiplier falls).  There it stays
+    for every larger shift, the paper's one-step shift included, and it is
+    the optimum by the KKT conditions.  The walk reads no vertex list, so
+    it raises no :class:`TooLarge`; a point that moves on with no face
+    ahead raises :class:`LowerBoundNotStrict`, as the direct solve does on
+    an unbounded LP, and a walk past its step cap :class:`NotConverged`.
+    A given ``x0`` outside the half-space by more than 1e-8 raises
+    :class:`StartNotInA`.
 
     ``max_iters`` caps the direct strategy's cycles; it must be an integer
     of at least 1 (``ValueError`` otherwise, from :func:`engine.run`).  The
@@ -125,9 +128,7 @@ def solve_lp(
         if trace.final_gap <= cert_tol:
             # The run found a (near-)common point: the sets intersect, so M
             # was not strictly below the optimum.
-            raise LowerBoundNotStrict(
-                f"offset M={M} is not strictly below the optimal value"
-            )
+            raise _not_strict(M)
         _check_strict_bound(c, M, b_star)
         if trace.stop_reason is not engine.StopReason.CERTIFIED:
             raise NotConverged(
@@ -137,18 +138,15 @@ def solve_lp(
         steps = trace.steps_to_converge
         certificate = trace.certificate
     else:
-        alpha = certify.alpha_polyhedron_halfspace(poly, halfspace)
-        # d_AB = 0 is a valid lower bound on the pair distance and yields a
-        # larger (still sufficient) shift, so no distance estimate is needed.
-        # The shift projects x0 onto B for d(x0, B); the walk starts there,
-        # on the face of that projection.
-        mu, _, projected = certify._one_step_shift(halfspace, poly, x0, alpha, 0.0)
-        b_star = _walk_from(poly, *projected, -c, mu).point
+        if not _contains_point(halfspace, x0, 1e-8):
+            raise StartNotInA("x0 must belong to the half-space")
+        try:
+            b_star = _walk_from(poly, *_project_from(poly, x0, None), -c, math.inf).point
+        except Unbounded:
+            raise _not_strict(M) from None
         _check_strict_bound(c, M, b_star)
-        # Certify b* against the unshifted half-space: the shifted pair has
-        # the same direction c and the same cone at b*, but its A-point lies
-        # mu ||c|| away, where rounding of <c, a*> (about mu ||c||^2 eps)
-        # can exceed the activity tolerance and leave a* with no normals.
+        # Certify b* against the unshifted half-space: the walk stopped where
+        # -c lies in the cone of b*'s working rows.
         a_star = project_halfspace(halfspace, b_star)
         certificate = engine.check_certificate(halfspace, poly, a_star, b_star, cert_tol)
         if not certificate.holds:
@@ -173,9 +171,11 @@ def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
     # vanishes the offset M was not strictly below the optimum.
     gap = (float(c.dot(b_star)) - M) / float(np.linalg.norm(c))
     if gap <= _STRICT_TOL:
-        raise LowerBoundNotStrict(
-            f"offset M={M} is not strictly below the optimal value"
-        )
+        raise _not_strict(M)
+
+
+def _not_strict(M: float) -> LowerBoundNotStrict:
+    return LowerBoundNotStrict(f"offset M={M} is not strictly below the optimal value")
 
 
 def problem_from_json(obj: dict, M=None) -> LPProblem:

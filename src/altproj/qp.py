@@ -70,7 +70,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import NotConverged
+from .errors import NotConverged, Unbounded
 
 # ``nnls`` has no caller here; the binding stays because benchmarks/tracer.py
 # resolves ``altproj.qp.nnls`` by name.
@@ -238,7 +238,10 @@ def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float)
 
     ``start`` and ``face`` are what :func:`_project_from` returned for the
     base point, so a caller that has already projected it walks on.  Takes
-    a validated ``direction`` and a finite ``t_target >= 0``.
+    a validated ``direction`` and ``t_target >= 0``.  An endless walk stops
+    on the first face where the point stands still and no working
+    multiplier falls; a point that moves on with no event ahead raises
+    :class:`Unbounded`.
     """
     if t_target == 0.0 or not direction.any():
         return start
@@ -270,6 +273,13 @@ def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float)
         i = int(dt.argmin())
         remaining = t_target - t
         event = dt[i] < remaining - 1e-15
+        if not event and remaining == math.inf:
+            # No event ahead on an endless walk: a still point stays put for
+            # every t and ends the walk with a zero step; a moving one never
+            # stops.
+            if dz.any():
+                raise Unbounded("the point moves forever along the walk")
+            remaining = 0.0
         step = float(dt[i]) if event else remaining
         z = z + step * dz
         u = [max(u_i + step * r_i, 0.0) for u_i, r_i in zip(u, r)]

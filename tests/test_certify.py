@@ -279,7 +279,9 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
 
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
     # The table is built once, but every call reads the kept vertex list,
-    # so the calls an alpha call makes do not depend on earlier calls.
+    # so the calls an alpha call makes do not depend on earlier calls.  The
+    # shifted solve takes no alpha: on a fresh copy it reads no vertex list
+    # and builds no table.
     built, reads = [], []
 
     def spy(B, vertices):
@@ -299,10 +301,13 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
         inst = random_pair_instance(rng)
     hs, B = inst.halfspace, inst.poly
     bound_report(B, hs, inst.x0)
-    solve_lp(LPProblem(hs.c, B, hs.M), x0=inst.x0, strategy="shifted")
     alpha_polyhedron_halfspace(B, HalfSpace(-hs.c, 0.0))
     assert built == [B] and built[0] is B
-    assert len(reads) == 3 and all(r is B for r in reads)
+    assert len(reads) == 2 and all(r is B for r in reads)
+    fresh = Polyhedron(B.A, B.b)
+    solve_lp(LPProblem(hs.c, fresh, hs.M), x0=inst.x0, strategy="shifted")
+    assert len(built) == 1 and len(reads) == 2
+    assert fresh._cones is None and fresh._vertices is None
     moved = translate(B, np.ones(B.dim))
     assert moved._cones is None
     alpha_polyhedron_halfspace(moved, hs)

@@ -359,6 +359,11 @@ def test_lp_command_accepts_an_integer_or_float_bound(tmp_path, capsys, M):
 def test_lp_command_loose_bound_exit_code(tmp_path):
     problem = box_lp(tmp_path, M=5.0)
     assert main(["lp", problem]) == 66
+    # c = (1, 1) over x, y <= 0 is unbounded: no lower bound is strict.
+    obj = {"c": [1, 1], "A": [[1, 0], [0, 1]], "b": [0, 0], "M": -10}
+    unbounded = write_json(tmp_path / "unbounded.json", obj)
+    for strategy in ("direct", "shifted"):
+        assert main(["lp", unbounded, "--strategy", strategy]) == 66
 
 
 def test_verify_single_suite_passes(capsys):

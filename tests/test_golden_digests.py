@@ -15,8 +15,9 @@
   (alpha, ``d_AB``, ``N`` and ``one_step``), the shift ``mu`` of
   ``one_step_shift`` at that alpha and ``d_AB = 0``, and the shifted
   ``solve_lp`` (its solution by bytes, its objective and certificate
-  residuals by ``float.hex``).  Each polyhedron answers all three calls, so
-  the later ones read what the first kept on it.
+  residuals by ``float.hex``).  ``bound_report`` keeps the vertex list and
+  the cone table on each polyhedron; ``one_step_shift`` takes its alpha,
+  and the shifted solve, which walks to the optimum, reads nothing kept.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result

@@ -62,6 +62,28 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
+def package_modules_imported(path):
+    """The package modules that ``path`` imports from, by their stems."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_lp_imports_no_certify():
+    # The shifted solve walks to the optimum and takes no constants, so the
+    # LP layer sits below certify in the import graph.
+    assert package_modules_imported(SRC / "altproj" / "lp.py") == {
+        "engine",
+        "errors",
+        "linalg",
+        "qp",
+        "sets",
+        "vertices",
+    }
+
+
 @pytest.mark.parametrize("module", ["altproj.certify", "altproj.lp", "altproj.vertices"])
 def test_module_imports_first_in_a_fresh_interpreter(module):
     env = {**os.environ, "PYTHONPATH": str(SRC)}

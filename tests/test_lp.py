@@ -217,6 +217,12 @@ def test_solve_lp_rejects_loose_lower_bound():
     problem2 = LPProblem([-1.0, 0.0], unit_box(), -1.0)  # M equal to the optimum
     with pytest.raises(LowerBoundNotStrict):
         solve_lp(problem2, strategy="shifted")
+    # c = (1, 1) over x, y <= 0 falls without bound: the direct run finds
+    # the sets intersect, and the shifted walk moves on with no face ahead.
+    unbounded = LPProblem([1.0, 1.0], Polyhedron(np.eye(2), [0.0, 0.0]), -10.0)
+    for strategy in ("direct", "shifted"):
+        with pytest.raises(LowerBoundNotStrict):
+            solve_lp(unbounded, strategy=strategy)
 
 
 def test_solve_lp_validates_given_start():
@@ -267,10 +273,28 @@ def test_oracle_agreement_random():
         assert result.ok, f"{result.name}: {result.detail}"
 
 
+def test_shifted_solve_takes_no_vertex_list_past_the_oracle_limit():
+    # 30 rows at n = 3 are past the enumeration limit of 24 rows, so alpha
+    # raises TooLarge; the shifted solve walks to the optimum with no
+    # vertex list and agrees with the direct solve.
+    for seed in (3, 30, 31):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(30, 3))
+        rows /= norm(rows, axis=1, keepdims=True)
+        problem = LPProblem(rng.normal(size=3), Polyhedron(rows, np.ones(30)), -10.0)
+        with pytest.raises(TooLarge):
+            alpha_polyhedron_halfspace(problem.poly, HalfSpace(problem.c, problem.M))
+        direct = solve_lp(problem, strategy="direct")
+        shifted = solve_lp(problem, strategy="shifted")
+        assert shifted.certificate.holds and shifted.steps == 1
+        assert shifted.objective == pytest.approx(direct.objective, rel=1e-12)
+
+
 def test_shifted_solve_certifies_after_a_huge_shift():
-    # alpha ~ 1.4e-4 puts the shifted half-space ~1e8 away; the solution is
-    # the oracle vertex, and its certificate must not fail on the rounding
-    # of the far shifted A-point.
+    # alpha ~ 1.4e-4 would put the paper's shifted half-space ~1e8 away.
+    # The solve walks to the first stationary face instead, so no point
+    # lies that far; the solution is the oracle vertex, certified against
+    # the unshifted half-space.
     rng = np.random.default_rng(1)
     problem, optimum, vertex = [random_lp_instance(rng) for _ in range(30)][-1]
     halfspace = HalfSpace(problem.c, problem.M)

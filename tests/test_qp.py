@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from altproj import (
     HalfSpace,
     NotConverged,
     Polyhedron,
+    Unbounded,
     project_epigraph,
     project_halfspace,
     project_polyhedron,
@@ -323,6 +325,28 @@ def test_walk_past_its_cap_raises(monkeypatch, tmp_path, capsys):
     res = project_along_ray(box, base + 3.0, [1.0, 0.0], 0.0)
     ref = project_polyhedron(box, base + 3.0)
     assert np.array_equal(res.point, ref.point) and np.array_equal(res.dual, ref.dual)
+
+
+def test_an_endless_walk_stops_on_the_first_still_face_where_no_multiplier_falls():
+    # On the unit box [0, 1]^2, (2, 2) projects onto the vertex (1, 1) with
+    # both upper rows working.  Along (1, -1) the point stands still there
+    # while the multiplier of y <= 1 falls, so the walk passes that face and
+    # goes on to (1, 0), where the point stands still and no multiplier
+    # falls.  From the vertex itself, with no working row, it ends there too.
+    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), [1.0, 1.0, 0.0, 0.0])
+    direction = np.array([1.0, -1.0])
+    for base in ([1.0, 1.0], [2.0, 2.0]):
+        end = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
+        assert end.point.tolist() == [1.0, 0.0]
+        assert np.array_equal(end.point, project_along_ray(box, base, direction, 1e6).point)
+    # Below the line y = 0 the projection of (0, 1) stands still along
+    # (0, 1) and moves forever along (1, 0), with no face change ahead.
+    below = Polyhedron([[0.0, 1.0]], [0.0])
+    start = _project_from(below, np.array([0.0, 1.0]), None)
+    end = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
+    assert end.point.tolist() == [0.0, 0.0]
+    with pytest.raises(Unbounded):
+        qp._walk_from(below, *start, np.array([1.0, 0.0]), math.inf)
 
 
 def test_qp_calls_no_np_linalg():

@@ -1,9 +1,9 @@
 """One enumeration per polyhedron, one projection of x0 per shifted solve.
 
 A polyhedron keeps its vertex list from the first enumeration, so the
-alpha search, ``d_AB``, the oracle and the shifted solve all read one list;
-the shifted LP strategy walks from the projection of ``x0`` that the shift
-already made.  These tests pin the sharing by counting calls, check by
+alpha search, ``d_AB`` and the oracle all read one list; the shifted LP
+strategy reads none, and walks on from its one projection of ``x0``.
+These tests pin the sharing by counting calls, check by
 ``float.hex`` that the shared paths give what the public composition gives
 on a polyhedron that enumerates afresh, and pin the error that each kind
 of bad pair raises.
@@ -22,10 +22,13 @@ from altproj import (
     alpha_polyhedron_halfspace,
     bound_report,
     certify,
+    engine,
     iteration_bound,
+    lp,
     one_step_shift,
     polyhedron_halfspace_distance,
     qp,
+    sets,
     solve_lp,
     translate,
     vertex_oracle,
@@ -139,9 +142,10 @@ def test_bound_report_enumerates_the_vertices_once(monkeypatch, dims):
 
 
 def test_shifted_solve_projects_the_start_once(monkeypatch):
-    # The shift projects x0 with ``_project_from``, whose face the walk
-    # continues from; ``project_polyhedron`` goes through it too.
-    calls = count_calls(monkeypatch, [certify, qp], "_project_from")
+    # The solve projects x0 with ``_project_from``, whose face the walk
+    # continues from; ``project_polyhedron`` goes through it too.  Every
+    # module that binds it is counted.
+    calls = count_calls(monkeypatch, [engine, lp, qp, sets], "_project_from")
     for inst in random_pairs(19, 30):
         A = inst.halfspace
         calls.clear()
@@ -179,7 +183,13 @@ def shared_and_public(B, A, x0):
 
 
 def shifted_and_walked(B, A, x0):
-    """The shifted solution (or its error) next to the walk from ``x0``."""
+    """The shifted solution (or its error) next to the walk from ``x0`` out
+    to the paper's shift ``mu``.
+
+    The solve stops on the first face where the point stands still, with a
+    zero step, and the walk to ``mu`` ends on the same face: both add a
+    zero to the point there, so even the sign of a zero agrees.
+    """
     solved = outcome(
         lambda: solve_lp(LPProblem(A.c, B, A.M), x0=x0, strategy="shifted").solution
     )
