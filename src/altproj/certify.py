@@ -22,10 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidDistance, NotPolyhedralPair, StartNotInA, Unbounded
+from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
 from .linalg import _dot_row_norms, _dot_rows, _norm, as_point, unit_cone_distance
 from .qp import project_polyhedron
-from .sets import HalfSpace, Polyhedron, _contains_point
+from .sets import HalfSpace, Polyhedron, _check_start
 from .vertices import feasible_vertices, vertex_oracle
 
 # Margin for strict-inequality tests on normalized inner products, so that
@@ -77,6 +77,11 @@ class TransversalityReport:
             "one_step": self.one_step,
             "condition": "polyhedral",
         }
+
+
+def _check_pair(A, B) -> None:
+    if not isinstance(A, HalfSpace) or not isinstance(B, Polyhedron):
+        raise NotPolyhedralPair("bound requires setA to be a half-space and setB a polyhedron")
 
 
 def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
@@ -156,6 +161,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     number of rows.  Both ``c``'s length and the limits are checked before
     a table is kept.
     """
+    _check_pair(A, B)
     c = as_point(A.c, B.dim)
     vertices = feasible_vertices(B) if B.dim >= 3 else ()
     table = B._cones
@@ -179,8 +185,6 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
         return 0.5 * min(1.0, best)
 
     kept = np.flatnonzero(np.concatenate([qualifying[g.idx].all(axis=1) for g in table.groups]))
-    if kept.size == 0:
-        return 0.5 * min(1.0, best)
     screened = np.concatenate(_screen(table, neg_chat, ray))
     # Cones without a value rank first and never end the loop (NaN > x is
     # false), so each of them is measured.
@@ -379,13 +383,13 @@ def one_step_shift(
     LP solve does not call it: it walks ``t -> P(x0 - t c)`` to where the
     projection stops moving, which the one-step threshold puts by ``mu``.
     """
+    _check_pair(A, B)
     x0 = as_point(x0, A.dim)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if d_AB < 0.0:
         raise InvalidDistance("d_AB must be nonnegative")
-    if not _contains_point(A, x0, 1e-8):
-        raise StartNotInA("x0 must belong to the half-space")
+    _check_start(A, x0)
     nc = float(np.linalg.norm(A.c))
     d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     rate = 1.0 - alpha * alpha
@@ -400,6 +404,7 @@ def one_step_shift(
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
     """Exact ``d(A, B)`` via the vertex oracle: ``max(0, min_B <c,x> - M)/||c||``."""
+    _check_pair(A, B)
     try:
         optimum, _ = vertex_oracle(B, A.c)
     except Unbounded:
@@ -423,11 +428,9 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     B's one vertex list.  Any other pair of set types raises
     :class:`NotPolyhedralPair` first.
     """
-    if not isinstance(A, HalfSpace) or not isinstance(B, Polyhedron):
-        raise NotPolyhedralPair("bound requires setA to be a half-space and setB a polyhedron")
+    _check_pair(A, B)
     x0 = as_point(x0, A.dim)
-    if not _contains_point(A, x0, 1e-8):
-        raise StartNotInA("x0 must belong to the half-space")
+    _check_start(A, x0)
     alpha = alpha_polyhedron_halfspace(B, A)
     d_ab = polyhedron_halfspace_distance(B, A)
     if d_ab <= 0.0:

@@ -163,7 +163,7 @@ def cmd_lp(args) -> int:
         if args.auto_bound:
             poly = Polyhedron(spec["A"], spec["b"])
             optimum, _ = vertices.vertex_oracle(poly, spec["c"])
-            problem = lp.problem_from_json(spec, M=optimum - 1.0)
+            problem = lp.LPProblem(spec["c"], poly, optimum - 1.0)
         else:
             problem = lp.problem_from_json(spec)
     except _SPEC_ERRORS as exc:

@@ -200,7 +200,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointNotInSet, StartNotInA, ZeroVector
+from .errors import DimensionMismatch, PointNotInSet, ZeroVector
 from .linalg import (
     _FEAS_TOL,
     ZERO_TOL,
@@ -218,6 +218,7 @@ from .sets import (
     HalfSpace,
     Polyhedron,
     ProjectableSet,
+    _check_start,
     _contains_point,
     _epigraph_generators,
     _project_epigraph_xy,
@@ -557,8 +558,7 @@ def run(
     x0 = as_point(x0, set_a.dim)
     max_iters = _check_max_iters(max_iters)
     cert_tol = _check_tol(cert_tol)
-    if not _contains_point(set_a, x0, 1e-8):
-        raise StartNotInA("x0 must belong to the first set")
+    _check_start(set_a, x0)
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
     if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
@@ -806,11 +806,14 @@ def _face_jump(
     ``c - Q_1 (Q_1' c)``, formed twice to re-orthogonalise it, with ``Q_1``
     the factor's first ``k`` columns, which span the working rows.  ``J``
     is 0 when the working rows are not exactly the rows of ``face`` (a
-    working row with a zero multiplier), when the face does not move the
-    run (``||P_V c||`` is below ``ZERO_TOL ||c||`` or all of ``c``), when
-    ``b`` is in the half-space, when an inactive row is within
+    working row with a zero multiplier), when an inactive row is within
     ``10 * ACTIVE_TOL`` of tight or is reached within three cycles, or when
-    the next cycle could stall or find the A-point feasible.
+    the next cycle could stall or find the A-point feasible.  No run
+    reaches the other guards: ``b`` in the half-space (a zero A-step, so
+    the run stopped) and a face that does not move the run, ``||P_V c||``
+    below ``ZERO_TOL ||c||`` or all of ``c`` (the cycle before, on this
+    face, cut its gap by ``q/2`` of it, a stall for gaps under 2e10, or to
+    ``1 - q`` of the gap before, a stop for gaps under 1e4).
     """
     c, cc = h.c, h._cc
     s = (float(c.dot(b)) - h.M) / cc

@@ -142,19 +142,13 @@ def _objective_for(rng: np.random.Generator, poly: Polyhedron) -> np.ndarray:
 
 
 def random_pair_instance(rng: np.random.Generator) -> PairInstance:
-    """Random polyhedron and half-space at oracle-computed positive distance."""
-    n = int(rng.integers(2, 5))
-    extra = int(rng.integers(0, 13 - 2 * n))
-    poly, _ = random_bounded_polyhedron(rng, n, extra)
-    c = _objective_for(rng, poly)
-    optimum, _ = vertex_oracle(poly, c)
+    """The LP of :func:`random_lp_instance` as a pair at a random positive distance."""
+    problem, optimum, _ = random_lp_instance(rng)
     delta = rng.uniform(0.5, 2.5)
-    M = optimum - delta
-    halfspace = HalfSpace(c, M)
-    # <c, x0> = M - s keeps the start inside the half-space.
-    s = rng.uniform(0.5, 5.0)
-    x0 = (M - s) * c
-    return PairInstance(halfspace, poly, x0, delta)
+    halfspace = HalfSpace(problem.c, optimum - delta)
+    # <c, x0> = M - s with s > 0 keeps the start inside the half-space.
+    x0 = (halfspace.M - rng.uniform(0.5, 5.0)) * problem.c
+    return PairInstance(halfspace, problem.poly, x0, delta)
 
 
 def random_lp_instance(rng: np.random.Generator):

@@ -13,15 +13,15 @@ The brute-force vertex oracle that gives independent ground truth lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine
-from .errors import LowerBoundNotStrict, NotConverged, StartNotInA, Unbounded, ZeroVector
-from .linalg import ZERO_TOL, _real_scalar, as_point
+from .errors import LowerBoundNotStrict, NotConverged, Unbounded
+from .linalg import as_point
 from .qp import _project_from, _walk_from
-from .sets import HalfSpace, Polyhedron, _ValueSet, _contains_point, _freeze, project_halfspace
+from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -40,22 +40,20 @@ class LPProblem(_ValueSet):
     """``min <c, x>`` over ``poly`` with strict lower bound ``M``.
 
     A value, as the sets are: two problems with equal ``c``, ``poly`` and
-    ``M`` compare equal and hash alike.
+    ``M`` compare equal and hash alike.  ``c`` and ``M`` are checked by
+    building the half-space ``{x : <c, x> <= M}``, kept for the solves.
     """
 
     c: np.ndarray
     poly: Polyhedron
     M: float
+    _halfspace: HalfSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = as_point(self.c, self.poly.dim)
-        if float(np.linalg.norm(c)) <= ZERO_TOL:
-            raise ZeroVector("objective vector must be nonzero")
-        M = _real_scalar(self.M, "M")
-        if not np.isfinite(M):
-            raise ValueError("lower bound M must be finite")
-        object.__setattr__(self, "c", _freeze(c))
-        object.__setattr__(self, "M", M)
+        halfspace = HalfSpace(as_point(self.c, self.poly.dim), self.M)
+        object.__setattr__(self, "c", halfspace.c)
+        object.__setattr__(self, "M", halfspace.M)
+        object.__setattr__(self, "_halfspace", halfspace)
 
 
 @dataclass
@@ -100,15 +98,14 @@ def solve_lp(
     it raises no :class:`TooLarge`; a point that moves on with no face
     ahead raises :class:`LowerBoundNotStrict`, as the direct solve does on
     an unbounded LP, and a walk past its step cap :class:`NotConverged`.
-    A given ``x0`` outside the half-space by more than 1e-8 raises
-    :class:`StartNotInA`.
+    Either strategy checks ``x0`` (``StartNotInA``), ``max_iters`` and
+    ``cert_tol`` (``ValueError``) by :func:`engine.run`'s rules first.
 
-    ``max_iters`` caps the direct strategy's cycles; it must be an integer
-    of at least 1 (``ValueError`` otherwise, from :func:`engine.run`).  The
-    default, ``10**6``, lets the long runs certify: on the 1,800 random LPs
-    of ``random_lp_instance`` at seeds 1, 3, 7, 11, 21 and 31 the longest
-    run took 133,352 cycles, all but 7 of them generated in closed form on
-    one face, and no run projected more than 17 cycles.  The worst case is a
+    ``max_iters`` caps the direct strategy's cycles.  The default,
+    ``10**6``, lets the long runs certify: on the 1,800 random LPs of
+    ``random_lp_instance`` at seeds 1, 3, 7, 11, 21 and 31 the longest run
+    took 133,352 cycles, all but 7 of them generated in closed form on one
+    face, and no run projected more than 17 cycles.  The worst case is a
     run that projects every cycle up to the cap: at about 0.05 ms per
     projected cycle that the face factor decides, and 0.08 ms per cycle
     that takes a cone solve (n = 3 and 4, 2 vCPU), that is one to two
@@ -117,9 +114,10 @@ def solve_lp(
     method = _METHODS.get(strategy)
     if method is None:
         raise ValueError(f"unknown strategy {strategy!r}")
-    c, poly, M = problem.c, problem.poly, problem.M
+    halfspace, c, poly, M = problem._halfspace, problem.c, problem.poly, problem.M
     x0 = _default_start(c, M) if x0 is None else as_point(x0, poly.dim)
-    halfspace = HalfSpace(c, M)
+    max_iters = engine._check_max_iters(max_iters)
+    cert_tol = engine._check_tol(cert_tol)
 
     if method == DIRECT:
         trace = engine.run(halfspace, poly, x0, max_iters=max_iters, cert_tol=cert_tol)
@@ -138,8 +136,7 @@ def solve_lp(
         steps = trace.steps_to_converge
         certificate = trace.certificate
     else:
-        if not _contains_point(halfspace, x0, 1e-8):
-            raise StartNotInA("x0 must belong to the half-space")
+        _check_start(halfspace, x0)
         try:
             b_star = _walk_from(poly, *_project_from(poly, x0, None), -c, math.inf).point
         except Unbounded:
@@ -178,21 +175,17 @@ def _not_strict(M: float) -> LowerBoundNotStrict:
     return LowerBoundNotStrict(f"offset M={M} is not strictly below the optimal value")
 
 
-def problem_from_json(obj: dict, M=None) -> LPProblem:
+def problem_from_json(obj: dict) -> LPProblem:
     """Build an :class:`LPProblem` from ``{"c", "A", "b", "M"}``.
 
-    ``M`` overrides the object's bound.  ``ValueError`` when ``obj`` is not
+    ``KeyError`` when a key is missing.  ``ValueError`` when ``obj`` is not
     an object, or when ``M`` or an entry of ``c``, ``A`` or ``b`` is a
     bool, a string or null.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"LP problem must be an object, got {obj!r}")
     poly = Polyhedron(obj["A"], obj["b"])
-    if M is None:
-        if "M" not in obj:
-            raise KeyError("problem JSON has no 'M' and no override was given")
-        M = obj["M"]
-    return LPProblem(obj["c"], poly, M)
+    return LPProblem(obj["c"], poly, obj["M"])
 
 
 def outcome_to_json(outcome: LPOutcome, trace_csv: str | None = None) -> dict:

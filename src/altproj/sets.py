@@ -19,6 +19,7 @@ from .errors import (
     DegenerateRow,
     DimensionMismatch,
     PointNotInSet,
+    StartNotInA,
     ZeroVector,
 )
 from .linalg import ZERO_TOL, _dot_row_norms, _real_array, _real_scalar, as_point
@@ -161,6 +162,11 @@ def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
         return bool((s.A.dot(x) <= s.b + tol).all())
     _, z1, profile = _epigraph_offset(s, *x.tolist())
     return z1 >= profile - tol
+
+
+def _check_start(s: ProjectableSet, x0: np.ndarray) -> None:
+    if not _contains_point(s, x0, 1e-8):
+        raise StartNotInA("x0 must belong to the first set")
 
 
 def translate(s: ProjectableSet, v) -> ProjectableSet:

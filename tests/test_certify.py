@@ -143,6 +143,10 @@ def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
         [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], [1, 1, 1, 1, 0]
     )
     pairs.append((pyramid, HalfSpace([0.0, 0.0, -1.0], -2.0)))
+    # Rows -c and e_2: -c does not qualify, so no cone of two or more rows
+    # is kept, and alpha is half e_2's ray distance, 1.
+    pairs.append((Polyhedron([[-1, 0, 0], [0, 0, 1]], [0, 0]), HalfSpace([1.0, 0.0, 0.0], -1.0)))
+    assert alpha_polyhedron_halfspace(*pairs[-1]) == 0.5
     pruned_pairs = containing = 0
     for B, A in pairs:
         measured.clear()
@@ -344,19 +348,34 @@ def test_planar_alpha_has_no_row_limit():
     assert out.objective == pytest.approx(-1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "B, A",
-    [
-        (parabola_epigraph(1.0), lower_halfplane()),
-        (absval_polyhedron(1.0), absval_polyhedron(1.0)),
-        (lower_halfplane(), absval_polyhedron(1.0)),
-    ],
-    ids=["epigraph-B", "polyhedron-A", "swapped"],
-)
+NOT_POLYHEDRAL_PAIRS = {
+    "epigraph-B": (parabola_epigraph(1.0), lower_halfplane()),
+    "polyhedron-A": (absval_polyhedron(1.0), absval_polyhedron(1.0)),
+    "swapped": (lower_halfplane(), absval_polyhedron(1.0)),
+}
+
+
+@pytest.mark.parametrize("B, A", NOT_POLYHEDRAL_PAIRS.values(), ids=NOT_POLYHEDRAL_PAIRS)
 def test_bound_report_requires_a_polyhedron_and_a_halfspace(B, A):
     # The wrong set types once ended in a bare AttributeError.
     with pytest.raises(NotPolyhedralPair, match="setA to be a half-space and setB a polyhedron"):
         bound_report(B, A, [0.0, -1.0])
+
+
+@pytest.mark.parametrize("B, A", NOT_POLYHEDRAL_PAIRS.values(), ids=NOT_POLYHEDRAL_PAIRS)
+@pytest.mark.parametrize(
+    "call",
+    [
+        alpha_polyhedron_halfspace,
+        polyhedron_halfspace_distance,
+        lambda B, A: one_step_shift(A, B, [0.0, -1.0], 0.25, 1.0),
+    ],
+    ids=["alpha_polyhedron_halfspace", "polyhedron_halfspace_distance", "one_step_shift"],
+)
+def test_pair_functions_require_a_polyhedron_and_a_halfspace(call, B, A):
+    # Each once ended in a bare AttributeError, as bound_report did.
+    with pytest.raises(NotPolyhedralPair, match="setA to be a half-space and setB a polyhedron"):
+        call(B, A)
 
 
 def test_iteration_bound_examples():

@@ -314,6 +314,61 @@ def test_tight_row_with_a_zero_multiplier_keeps_plain_cycles():
     assert trace.generated_cycles == 0
 
 
+def jump_blocks(monkeypatch):
+    """The number of rows of each block ``engine._face_jump`` returns."""
+    blocks = []
+    face_jump = engine._face_jump
+
+    def spy(*args):
+        block = face_jump(*args)
+        blocks.append(len(block))
+        return block
+
+    monkeypatch.setattr(engine, "_face_jump", spy)
+    return blocks
+
+
+def test_working_row_with_a_zero_multiplier_refuses_the_jump(monkeypatch):
+    # The B-projection keeps row 0 in its working set with a zero
+    # multiplier, so the working rows are more than the face and the jump
+    # is refused.
+    blocks = jump_blocks(monkeypatch)
+    poly = Polyhedron([[-2.0, -2.0, 0.0], [1.0, 0.0, 0.0]], [2.0, -1.0])
+    trace = assert_same_run(HalfSpace([-1.0, 0.0, 1.0], -6.0), poly, [4.0, -2.0, -4.0])
+    assert blocks == [0]
+    assert trace.generated_cycles == 0
+
+
+def test_jump_onto_an_a_point_feasible_by_rounding_is_refused(monkeypatch):
+    # Some 1e4 from the origin the B-projection's feasibility tolerance is
+    # about 1.4e-9, above the A-point's violation of the face row when the
+    # jump is tried: the next projection returns the A-point unchanged, a
+    # common point, and no cycle may be generated before it.
+    blocks = jump_blocks(monkeypatch)
+    shift = (1e4, 1e4)
+    set_a = translate(HalfSpace([0.0, 1.0], 0.0), shift)
+    set_b = translate(Polyhedron([[1.0, -1.0]], [0.0]), shift)
+    x0 = np.add(shift, [4.2e-9, 0.0])
+    trace = assert_same_run(set_a, set_b, x0, max_iters=5000, cert_tol=1e-15)
+    assert blocks == [0]
+    assert trace.stop_reason is StopReason.CERTIFIED and trace.final_gap == 0.0
+
+
+def test_jump_before_a_stall_is_refused(monkeypatch):
+    # The run is linear in its start.  From x = 2.055e-11 the gap decrease
+    # of the second cycle clears GAP_STALL_TOL and that of the third falls
+    # about 0.5 % short of it, so the jump tried after the second cycle is
+    # refused and the third cycle stalls (the window of x is 1 % wide).
+    blocks = jump_blocks(monkeypatch)
+    one_row = Polyhedron([[0.1, -1.0]], [0.0])
+    trace = assert_same_run(
+        HalfSpace([0.0, 1.0], 0.0), one_row, [2.055e-11, 0.0], max_iters=5000, cert_tol=1e-15
+    )
+    assert blocks == [0]
+    assert trace.stop_reason is StopReason.GAP_STALLED
+    assert len(trace.gaps) == 6
+
+
 def test_reversed_pair_keeps_plain_cycles():
     # A polyhedron A with a half-space B is out of the face walk's scope.
     poly = wedge(0.01)

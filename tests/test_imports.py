@@ -62,6 +62,19 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
+@pytest.mark.parametrize("error", ["StartNotInA", "NotPolyhedralPair"])
+def test_each_entry_rule_raises_at_one_site(error):
+    # The start rule is sets._check_start and the pair rule
+    # certify._check_pair; every entry point calls them, none repeats them.
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "altproj").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == error
+    ]
+    assert len(sites) == 1, sites
+
+
 def package_modules_imported(path):
     """The package modules that ``path`` imports from, by their stems."""
     found = set()

@@ -16,6 +16,7 @@ from altproj import (
     Unbounded,
     alpha_polyhedron_halfspace,
     bound_report,
+    one_step_shift,
     polyhedron_halfspace_distance,
     run,
     solve_lp,
@@ -37,11 +38,14 @@ def first_quadrant():
     return Polyhedron([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
 
 
-@pytest.mark.parametrize("cap", [math.nan, 2.5, "3", True, False])
+@pytest.mark.parametrize("cap", [math.nan, 2.5, "3", True, False, 0])
 def test_direct_solve_rejects_a_cycle_cap_that_is_not_an_integer(cap):
-    problem = LPProblem([1.0, 1.0], first_quadrant(), -1.0)
-    with pytest.raises(ValueError, match="max_iters"):
-        solve_lp(problem, max_iters=cap)
+    # The shifted solve takes no cycles but checks the cap by the same rule;
+    # before, it returned an answer for 0 and True.
+    problem = LPProblem([-1.0, 0.0], unit_box(), -2.0)
+    for strategy in ("direct", "shifted"):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_lp(problem, strategy=strategy, max_iters=cap)
 
 
 def test_solve_lp_quadrant_example():
@@ -255,6 +259,24 @@ def test_solve_lp_takes_the_start_rule_of_run_and_bound_report():
             else:
                 with pytest.raises(StartNotInA):
                     call(*pair, x0)
+
+
+OUTSIDE_START_CALLS = {
+    "run": lambda hs, poly, x0: run(hs, poly, x0),
+    "solve_lp-direct": lambda hs, poly, x0: solve_lp(LPProblem(hs.c, poly, hs.M), x0=x0),
+    "solve_lp-shifted": lambda hs, poly, x0: solve_lp(
+        LPProblem(hs.c, poly, hs.M), x0=x0, strategy="shifted"
+    ),
+    "bound_report": lambda hs, poly, x0: bound_report(poly, hs, x0),
+    "one_step_shift": lambda hs, poly, x0: one_step_shift(hs, poly, x0, 0.25, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", OUTSIDE_START_CALLS.values(), ids=OUTSIDE_START_CALLS)
+def test_every_entry_point_rejects_an_outside_start_alike(call):
+    # One rule, one error and one message; x0 = 0 has <c, x0> = 0 > M.
+    with pytest.raises(StartNotInA, match="^x0 must belong to the first set$"):
+        call(HalfSpace([-1.0, 0.0], -2.0), unit_box(), [0.0, 0.0])
 
 
 def test_default_start_sits_strictly_inside_the_sublevel_set():

@@ -9,17 +9,21 @@ error or a silently broadcast answer.
 """
 
 import json
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
 from altproj import (
+    DegenerateRow,
     DimensionMismatch,
     EpigraphSet,
     HalfSpace,
+    InvalidDistance,
     LPProblem,
     Polyhedron,
+    ZeroVector,
     alpha_polyhedron_halfspace,
     bound_report,
     check_certificate,
@@ -39,6 +43,7 @@ from altproj import (
 from altproj.cli import EXIT_ERROR, EXIT_USAGE, main
 from altproj.instances import absval_epigraph, absval_polyhedron, lower_halfplane
 from altproj.linalg import as_point
+from altproj.lp import problem_from_json
 from altproj.qp import project_along_ray
 
 HS = lower_halfplane()
@@ -79,6 +84,31 @@ CALLS = {
 def test_wrong_length_raises_dimension_mismatch(call, length):
     with pytest.raises(DimensionMismatch):
         call(np.arange(1.0, length + 1.0))
+
+
+# Other bad inputs, each with the typed error and message of its one raise
+# site: a zero vector, a matrix of the wrong shape, a bad entry or row, an
+# unknown name, a constant out of range and a CLI value that is no number.
+REJECTED = {
+    "HalfSpace-zero-normal": (ZeroVector, "normal must be nonzero", lambda: HalfSpace([0.0, 0.0], 0.0)),
+    "LPProblem-zero-objective": (ZeroVector, "normal must be nonzero", lambda: LPProblem([0.0, 0.0], POLY, -10.0)),
+    "vertex_oracle-zero-c": (ZeroVector, "zero vector", lambda: vertex_oracle(POLY, [0.0, 0.0])),
+    "Polyhedron-3d-matrix": (DimensionMismatch, "matrix has shape", lambda: Polyhedron([[[1.0, 0.0]]], [1.0])),
+    "Polyhedron-infinite-entry": (ValueError, "matrix entries must be finite", lambda: Polyhedron([[math.inf, 0.0]], [1.0])),
+    "Polyhedron-zero-row": (DegenerateRow, "row must be nonzero", lambda: Polyhedron([[0.0, 0.0]], [1.0])),
+    "as_point-matrix": (DimensionMismatch, "expected a 1-D vector", lambda: as_point([[1.0, 2.0]])),
+    "EpigraphSet-kind": (ValueError, "unknown epigraph kind", lambda: EpigraphSet("cube", [0.0, 0.0])),
+    "problem_from_json-list": (ValueError, "must be an object", lambda: problem_from_json([1.0])),
+    "one_step_shift-alpha": (ValueError, "alpha must lie in", lambda: one_step_shift(HS, POLY, A_POINT, 1.0, 1.0)),
+    "one_step_shift-d_AB": (InvalidDistance, "d_AB must be nonnegative", lambda: one_step_shift(HS, POLY, A_POINT, 0.25, -1.0)),
+    "verify-alpha-scale": (SystemExit, f"^{EXIT_USAGE}$", lambda: main(["verify", "--alpha-scale", "abc"])),
+}
+
+
+@pytest.mark.parametrize("error, match, call", REJECTED.values(), ids=REJECTED)
+def test_a_bad_input_raises_its_typed_error(error, match, call):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("a", [[-1.0], [0.0]])
@@ -221,6 +251,8 @@ def test_a_tolerance_that_is_not_a_number_raises_value_error(tol):
         run(plane, vee, [1.0, 0.0], cert_tol=tol)
     with pytest.raises(ValueError, match="^cert_tol must be a number"):
         check_certificate(plane, vee, [0.0, 0.0], [0.0, 1.0], tol)
+    with pytest.raises(ValueError, match="^cert_tol must be a number"):
+        solve_lp(LPProblem(HS.c, POLY, -10.0), strategy="shifted", cert_tol=tol)
 
 
 @pytest.mark.parametrize("value", [3, -5.0, np.int64(3), np.float32(0.5), 10**20])
