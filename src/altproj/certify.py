@@ -84,6 +84,11 @@ def _check_pair(A, B) -> None:
         raise NotPolyhedralPair("bound requires setA to be a half-space and setB a polyhedron")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     """Angle constant of the pair; always in (0, 1/2].
 
@@ -331,8 +336,7 @@ def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityR
     Requires ``0 < alpha < 1`` and ``0 < d_AB <= d_x0_B`` (a starting point
     in A can never be closer to B than the sets are to each other).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if d_AB <= 0.0:
         raise InvalidDistance("d_AB must be positive")
     if d_x0_B < d_AB - _STRICT_MARGIN:
@@ -385,8 +389,7 @@ def one_step_shift(
     """
     _check_pair(A, B)
     x0 = as_point(x0, A.dim)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if d_AB < 0.0:
         raise InvalidDistance("d_AB must be nonnegative")
     _check_start(A, x0)

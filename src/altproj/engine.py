@@ -132,7 +132,9 @@ The face factor.  On the same pairs each real B-projection starts from the
 face of the one before (``qp._project_from``).  The run keeps that face,
 as the active-set method left it, in a local variable: the working rows ``W``,
 the QR factor ``A_W' = Q_1 R`` that the method updated on each add and drop
-of a row, and ``w = R^-T b_W``.  For the next point ``x`` the face gives,
+of a row, and ``w = R^-T b_W``; the record also carries ``Q_1``, ``A_W``
+and ``b_W``, cut once when the projection builds it, so no reader slices
+the factor or the rows again.  For the next point ``x`` the face gives,
 with a few products and two triangular solves, the multipliers
 ``u = R^-1 (Q_1' x - w)`` and the point ``z`` nearest ``x`` on the affine
 hull of the face, refined once on the working rows.  When ``u >= 0`` and
@@ -243,6 +245,13 @@ GAP_STALL_TOL = 1e-14
 _RESIDUAL_MARGIN = 1e-12
 _STALL_MARGIN = 1e-12
 _DOT_MARGIN = 1e-15
+
+# Generated blocks of up to this many cycles are formed by broadcasting
+# along the coordinates, longer ones by a pass along the cycles per
+# coordinate (``_face_jump``): the passes cost a few NumPy calls per
+# coordinate, broadcasting a loop per cycle.  At n = 4 the two take the
+# same time at about 150 cycles.
+_BROADCAST_CYCLES = 128
 
 
 class StopReason(enum.Enum):
@@ -395,11 +404,15 @@ def check_certificate(
     must be finite and nonnegative (``ValueError`` otherwise).
     """
     tol = _check_tol(tol)
-    if set_a.dim != set_b.dim:
-        raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
+    _check_dims(set_a, set_b)
     a, b = as_point(a, set_a.dim), as_point(b, set_b.dim)
     d = a - b
     return _certificate(set_a, set_b, a, b, d, _norm(d), tol)
+
+
+def _check_dims(set_a: ProjectableSet, set_b: ProjectableSet) -> None:
+    if set_a.dim != set_b.dim:
+        raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
 
 
 def _check_tol(tol) -> float:
@@ -426,9 +439,9 @@ def _certificate(
     cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, normals_b, _, w = cone
+    normals_a, normals_b, tight_b, w = cone
     res_a = unit_cone_distance(-w, normals_a)
-    res_b = unit_cone_distance(w, normals_b)
+    res_b = unit_cone_distance(w, _b_normals(set_b, normals_b, tight_b))
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
 
 
@@ -455,7 +468,7 @@ def _certified(
     normals_a, normals_b, tight_b, w = cone
     res_b = None if face is None else _face_residual(face, tight_b, w, tol)
     if res_b is None:
-        res_b = unit_cone_distance(w, normals_b)
+        res_b = unit_cone_distance(w, _b_normals(set_b, normals_b, tight_b))
     if not res_b <= tol:
         return None
     res_a = unit_cone_distance(-w, normals_a)
@@ -470,10 +483,10 @@ def _face_residual(face: _Face, tight: np.ndarray, w: np.ndarray, tol: float) ->
     # as ``unit_cone_distance(w, normals_b)`` does, and is that distance
     # when it is at most ``tol``.  ``tight`` is B's tight-row mask at the
     # B-point.
-    W = face.W
-    if len(W) != np.count_nonzero(tight) or not tight[W].all():
+    W, tight = face.W, tight.tolist()
+    if tight.count(True) != len(W) or not all(tight[i] for i in W):
         return None
-    Q1 = face.Q[:, : len(W)]
+    Q1 = face.Q1
     h = w.dot(Q1)
     r = _norm(w - Q1.dot(h))
     if r > tol + _RESIDUAL_MARGIN:
@@ -491,16 +504,19 @@ def _cone_prelude(
     d: np.ndarray,
     gap: float,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray] | None:
     # Membership, normal cones and direction of the pair ``(a, b)``, given
     # ``d = a - b`` and ``gap = ||d||``: None when the pair witnesses a
     # common point, which is accepted within 1e-6 of each set; otherwise
     # ``normal_cone_columns`` tests membership, within ``ACTIVE_TOL``, and
-    # the result is the generators of A's and B's cones, B's tight-row mask
-    # when B is a polyhedron (None otherwise) and the unit vector
-    # ``w = (a - b)/||a - b||``.  B's residual measures ``w`` and
-    # A's ``-w``, which is bitwise ``(b - a)/||b - a||``: negation is exact
-    # and ``||a - b||`` sums the same squares as ``||b - a||``.
+    # the result is the generators of A's cone, those of B's cone, B's
+    # tight-row mask and the unit vector ``w = (a - b)/||a - b||``.  When B
+    # is a polyhedron its generators are None and ``_b_normals`` forms them
+    # from the mask, only for a cone solve (a cycle decided on the face
+    # factor reads the mask alone); otherwise the mask is None.  B's
+    # residual measures ``w`` and A's ``-w``, which is bitwise
+    # ``(b - a)/||b - a||``: negation is exact and ``||a - b||`` sums the
+    # same squares as ``||b - a||``.
     if gap <= tol:
         if not _contains_point(set_a, a, 1e-6):
             raise PointNotInSet("first point is not in the first set")
@@ -513,8 +529,7 @@ def _cone_prelude(
         raise PointNotInSet("first point is not in the first set") from None
     try:
         if isinstance(set_b, Polyhedron):
-            tight_b = _tight_rows(set_b, b, ACTIVE_TOL)
-            normals_b = set_b.A[tight_b].T
+            tight_b, normals_b = _tight_rows(set_b, b, ACTIVE_TOL), None
         else:
             tight_b, normals_b = None, normal_cone_columns(set_b, b)
     except PointNotInSet:
@@ -522,6 +537,14 @@ def _cone_prelude(
     if gap <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     return normals_a, normals_b, tight_b, d / gap
+
+
+def _b_normals(
+    set_b: ProjectableSet, normals_b: np.ndarray | None, tight_b: np.ndarray | None
+) -> np.ndarray:
+    # B's cone generators from what ``_cone_prelude`` returned: a
+    # polyhedron's tight rows as columns, every other set's generators.
+    return set_b.A[tight_b].T if normals_b is None else normals_b
 
 
 def run(
@@ -559,8 +582,7 @@ def run(
     max_iters = _check_max_iters(max_iters)
     cert_tol = _check_tol(cert_tol)
     _check_start(set_a, x0)
-    if set_a.dim != set_b.dim:
-        raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
+    _check_dims(set_a, set_b)
     if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
         return _run_planar(set_a, set_b, x0, max_iters, cert_tol)
 
@@ -625,7 +647,7 @@ def _trace(
     reason, steps, cert = stop
     return Trace(
         points,
-        _dot_row_norms(np.diff(points, axis=0)),
+        _dot_row_norms(points[1:] - points[:-1]),
         stop_reason=reason,
         steps_to_converge=steps,
         certificate=cert,
@@ -818,8 +840,8 @@ def _face_jump(
     c, cc = h.c, h._cc
     s = (float(c.dot(b)) - h.M) / cc
     none = np.empty((0, b.shape[0]))
-    W = factor.W
-    if not s > 0.0 or len(W) != np.count_nonzero(face) or not face[W].all():
+    W, rows = factor.W, face.tolist()
+    if not s > 0.0 or rows.count(True) != len(W) or not all(rows[i] for i in W):
         return none
     # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c.
     margin = 10.0 * ACTIVE_TOL
@@ -827,7 +849,7 @@ def _face_jump(
     slack[face] = math.inf
     if float(slack.min()) <= margin:
         return none
-    Q1 = factor.Q[:, : len(W)]
+    Q1 = factor.Q1
     pvc = c - Q1.dot(c.dot(Q1))
     pvc -= Q1.dot(pvc.dot(Q1))
     q = float(pvc.dot(pvc)) / cc
@@ -853,7 +875,7 @@ def _face_jump(
     # it unchanged once that is within the projection's feasibility
     # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
     reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
-    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(poly.b).max()) + reach)
+    feas_tol = _FEAS_TOL * (poly._scale + reach)
     violation = -s * float(poly.A[face].dot(c).min())
     if not violation > feas_tol:
         return none
@@ -867,8 +889,22 @@ def _face_jump(
     jumps = int(horizon) - 2
     if jumps < 1:
         return none
+    # ``block[j - 1]`` holds ``b_{k+j}`` and ``a_{k+j+1}``.  Both ways of
+    # filling it make the same operations entry by entry.  A long block is
+    # formed one coordinate at a time, each in a pass along the cycles;
+    # broadcasting along the few coordinates would cost a loop per cycle.
+    # It stays C-contiguous, so its last row, the next iterate, enters the
+    # BLAS products of the next cycle as a contiguous vector: OpenBLAS's
+    # ``ddot`` can round a strided vector otherwise.
     j_log_rho = np.arange(1, jumps + 1) * log_rho
-    block = np.empty((2 * jumps, b.shape[0]))
-    block[0::2] = b - (s * -np.expm1(j_log_rho) / q)[:, None] * pvc
-    block[1::2] = block[0::2] - (s * np.exp(j_log_rho))[:, None] * c
-    return block
+    g = s * -np.expm1(j_log_rho) / q
+    e = s * np.exp(j_log_rho)
+    block = np.empty((jumps, 2, b.shape[0]))
+    if jumps <= _BROADCAST_CYCLES:
+        block[:, 0] = b - g[:, None] * pvc
+        block[:, 1] = block[:, 0] - e[:, None] * c
+    else:
+        for col, b_i, pvc_i, c_i in zip(block.T, b.tolist(), pvc.tolist(), c.tolist()):
+            np.subtract(b_i, g * pvc_i, out=col[0])
+            np.subtract(col[0], e * c_i, out=col[1])
+    return block.reshape(2 * jumps, -1)

@@ -195,21 +195,22 @@ def _substitute(T, y, lower=False) -> list[float]:
     return v
 
 
-def _add_column(Q, R, k, h) -> None:
+def _add_column(Q, R, k, h, hh) -> None:
     # Append the row with ``h = Q' a`` to the factor of ``k`` rows: one
     # Householder reflection of the trailing columns of ``Q`` maps
     # ``h[k:]`` to ``alpha e_1``, so ``a = Q[:, :k+1] (h[:k], alpha)``.  A
-    # single trailing column needs no reflection.  ``R`` stays zero below
-    # its diagonal, as :func:`_substitute` needs.
+    # single trailing column needs no reflection.  ``hh`` is
+    # ``float(h[k:].dot(h[k:]))``, which the caller has formed already.
+    # ``R`` stays zero below its diagonal, as :func:`_substitute` needs.
     h2 = h[k:]
-    alpha = float(h2[0])
+    alpha = h0 = float(h2[0])
     if h2.shape[0] > 1:
-        sigma = math.sqrt(float(h2.dot(h2)))
-        alpha = -math.copysign(sigma, alpha)
+        sigma = math.sqrt(hh)
+        alpha = -math.copysign(sigma, h0)
         v = h2.copy()
         v[0] -= alpha
         Q2 = Q[:, k:]
-        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(float(h2[0])))))
+        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(h0))))
     R[:k, k] = h[:k]
     R[k, k] = alpha
     R[k + 1 :, k] = 0.0
@@ -245,6 +246,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
     """
     m, n = A.shape
     max_steps = _STEPS_PER_DIM * (m + n)
+    abs_A = np.abs(A)
     steps = 0
     while True:
         slack = A.dot(z) - b
@@ -271,7 +273,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
             dd = float(h2.dot(h2))
             if W:
                 r = _substitute(R[:k, :k], h[:k])
-                spanned_tol = _DEP_TOL * (norm_a + _norm(np.abs(A[W]).T.dot(np.abs(r))))
+                spanned_tol = _DEP_TOL * (norm_a + _norm(abs_A.take(W, 0).T.dot(np.abs(r))))
             else:
                 r, spanned_tol = [], 0.0
             spanned = math.sqrt(dd) <= spanned_tol
@@ -292,7 +294,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
             u = [u_i - t * r_i for u_i, r_i in zip(u, r)]
             u_p += t
             if t_full <= t_part:
-                _add_column(Q, R, k, h)
+                _add_column(Q, R, k, h, dd)
                 W.append(p)
                 u.append(u_p)
                 break

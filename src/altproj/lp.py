@@ -106,10 +106,10 @@ def solve_lp(
     ``random_lp_instance`` at seeds 1, 3, 7, 11, 21 and 31 the longest run
     took 133,352 cycles, all but 7 of them generated in closed form on one
     face, and no run projected more than 17 cycles.  The worst case is a
-    run that projects every cycle up to the cap: at about 0.05 ms per
-    projected cycle that the face factor decides, and 0.08 ms per cycle
-    that takes a cone solve (n = 3 and 4, 2 vCPU), that is one to two
-    minutes.
+    run that projects every cycle up to the cap: at about 0.045 ms per
+    projected cycle that the face factor decides, and 0.065 ms per cycle
+    that takes a cone solve (n = 3 and 4, 2-vCPU Xeon), that is about a
+    minute.
     """
     method = _METHODS.get(strategy)
     if method is None:

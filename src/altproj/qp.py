@@ -117,32 +117,38 @@ class _Face(NamedTuple):
     the factor :func:`_working_set` kept up to date through its steps, and
     it depends on the polyhedron and ``W`` only, so the projections of any
     number of points onto the face share it (:func:`_on_face`) and the
-    next projection may continue from it.
+    next projection may continue from it.  The slices that its readers
+    take are cut once, when it is built: ``Q1`` is the view ``Q[:, :k]``,
+    and ``A_W`` and ``b_W`` are the copies ``A[W]`` and ``b[W]``.  ``Q`` is
+    never changed in place once the face is built (a continuation steps on
+    a copy), so the view stays the factor's.
     """
 
     W: list[int]
     Q: np.ndarray
     R: np.ndarray
     w: np.ndarray
+    Q1: np.ndarray
+    A_W: np.ndarray
+    b_W: np.ndarray
 
 
-def _on_face(A, b, face: _Face, x) -> tuple[np.ndarray, np.ndarray]:
+def _on_face(face: _Face, x) -> tuple[list[float], np.ndarray]:
     """Multipliers and projection of ``x`` on ``face``: ``(R^-1 y, x - Q_1 y)``.
 
-    ``y = Q_1' x - w`` with ``Q_1 = Q[:, :k]``.  Forming ``y`` this way
-    keeps the condition number of ``R`` off the large term ``Q_1' x``.  The
-    point then takes one step of refinement on the working rows, which
-    removes their residual up to rounding at the scale of the point:
-    without it a far ``x`` leaves the working rows off by ``||Q_1' Q_1 - I||
-    ||x||``, and that loss of orthogonality grows with every update of the
-    factor.  The multipliers are not clamped.
+    ``y = Q_1' x - w``.  Forming ``y`` this way keeps the condition number
+    of ``R`` off the large term ``Q_1' x``.  The point then takes one step
+    of refinement on the working rows, which removes their residual up to
+    rounding at the scale of the point: without it a far ``x`` leaves the
+    working rows off by ``||Q_1' Q_1 - I|| ||x||``, and that loss of
+    orthogonality grows with every update of the factor.  The multipliers
+    are a list of floats, not clamped.
     """
-    W, R = face.W, face.R
-    Q1 = face.Q[:, : len(W)]
+    Q1 = face.Q1
     y = x.dot(Q1) - face.w
     z = x - Q1.dot(y)
-    z -= Q1.dot(_substitute(R.T, A[W].dot(z) - b[W], lower=True))
-    return np.array(_substitute(R, y)), z
+    z -= Q1.dot(_substitute(face.R.T, face.A_W.dot(z) - face.b_W, lower=True))
+    return _substitute(face.R, y), z
 
 
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
@@ -171,29 +177,34 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     """
     A, b = p.A, p.b
     n = x.shape[0]
-    feas_tol = _FEAS_TOL * (1.0 + float(np.abs(b).max()) + _norm(x))
+    feas_tol = _FEAS_TOL * (p._scale + _norm(x))
     lam = np.zeros(A.shape[0])
-    if float((A.dot(x) - b).max()) <= feas_tol:
+    # Python's ``max`` of a list skips a NaN that is not first, so the
+    # feasibility tests read every entry: a NaN excess is not feasible.
+    if all(v <= feas_tol for v in (A.dot(x) - b).tolist()):
         return QPResult(x.copy(), lam, 0), None
     warm = False
     if face is not None:
-        u_f, z_f = _on_face(A, b, face, x)
-        warm = (u_f >= 0.0).all()
-        if warm and float((A.dot(z_f) - b).max()) <= feas_tol:
+        u_f, z_f = _on_face(face, x)
+        warm = all(v >= 0.0 for v in u_f)
+        if warm and all(v <= feas_tol for v in (A.dot(z_f) - b).tolist()):
             lam[face.W] = u_f
             return QPResult(z_f, lam, 0), face
     R = np.zeros((n, n))
     if warm:
         k = len(face.W)
-        W, Q, u, z = list(face.W), face.Q.copy(), u_f.tolist(), z_f
+        W, Q, u, z = list(face.W), face.Q.copy(), u_f, z_f
         R[:k, :k] = face.R
     else:
         W, Q, u, z = [], np.eye(n), [], x.copy()
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z)
     k = len(W)
     R = R[:k, :k]
-    face = _Face(W, Q, R, np.array(_substitute(R.T, b[W], lower=True)))
-    u, z = _on_face(A, b, face, x)
+    # ``take`` copies the working rows as ``A[W]`` does, at a third of the cost.
+    b_W = b.take(W)
+    w = np.array(_substitute(R.T, b_W, lower=True))
+    face = _Face(W, Q, R, w, Q[:, :k], A.take(W, 0), b_W)
+    u, z = _on_face(face, x)
     lam[W] = np.maximum(u, 0.0)
     return QPResult(z, lam, steps), face
 
@@ -293,7 +304,8 @@ def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float)
             _delete_column(Q, R, k, j)
             del W[j], u[j]
         else:
-            _add_column(Q, R, k, A[i].dot(Q))
+            h_i = A[i].dot(Q)
+            _add_column(Q, R, k, h_i, float(h_i[k:].dot(h_i[k:])))
             W.append(i)
             u.append(0.0)
     raise NotConverged(f"the walk changed faces more than {_WALK_STEPS_PER_ROW * (m + 1)} times")

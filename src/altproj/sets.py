@@ -94,6 +94,9 @@ class Polyhedron(_ValueSet):
     # table is the larger: about 28 MB at n = 8, m = 24, mostly QR factors.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: object | None = field(default=None, init=False, repr=False, compare=False)
+    # ``1 + max|b|``, the part of the projection's data scale
+    # ``1 + max|b| + ||x||`` that does not depend on the point, formed once.
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(_real_array(self.A))
@@ -106,6 +109,7 @@ class Polyhedron(_ValueSet):
             raise DegenerateRow("every constraint row must be nonzero")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))
+        object.__setattr__(self, "_scale", 1.0 + float(np.abs(b).max()))
 
     @property
     def dim(self) -> int:
@@ -338,7 +342,7 @@ def _tight_rows(p: Polyhedron, x: np.ndarray, tol: float) -> np.ndarray:
     # tight at ``x`` within ``tol``, which generate the cone.  Raises
     # ``PointNotInSet`` when ``x`` is not in ``p`` within ``tol``.
     ax = p.A.dot(x)
-    if not (ax <= p.b + tol).all():
+    if not all((ax <= p.b + tol).tolist()):
         raise PointNotInSet("point is not in the set within tolerance")
     return np.abs(ax - p.b) <= tol
 

@@ -369,6 +369,38 @@ def test_jump_before_a_stall_is_refused(monkeypatch):
     assert len(trace.gaps) == 6
 
 
+def test_generated_iterates_reach_the_projection_contiguous(monkeypatch):
+    # The last generated B-point starts the next real cycle, and OpenBLAS's
+    # ``ddot`` can round a strided vector otherwise than a contiguous one,
+    # so a block handed on as a transposed view would move the run's bits.
+    blocks, points = [], []
+    face_jump, project_from = engine._face_jump, engine._project_from
+
+    def jump_spy(*args):
+        block = face_jump(*args)
+        blocks.append(block)
+        return block
+
+    def project_spy(poly, x, face):
+        points.append(x)
+        return project_from(poly, x, face)
+
+    monkeypatch.setattr(engine, "_face_jump", jump_spy)
+    monkeypatch.setattr(engine, "_project_from", project_spy)
+    # The wedges generate long blocks and the LPs short ones, which
+    # ``_face_jump`` fills in another way.
+    for set_b, x0 in [(wedge(0.01), [20.0, -1.0]), (wedge(0.01, [-1.0, -1.0]), [5.0, -1.0])]:
+        assert run(BELOW, set_b, x0, max_iters=5000).generated_cycles > 0
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        problem, _ = random_lp_instance(rng)[:2]
+        run(*lp_pair(problem), max_iters=5000)
+    cycles = [len(block) // 2 for block in blocks if len(block)]
+    assert min(cycles) <= engine._BROADCAST_CYCLES < max(cycles)
+    assert all(block.flags.c_contiguous for block in blocks)
+    assert all(x.flags.c_contiguous for x in points)
+
+
 def test_reversed_pair_keeps_plain_cycles():
     # A polyhedron A with a half-space B is out of the face walk's scope.
     poly = wedge(0.01)

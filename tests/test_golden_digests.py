@@ -27,9 +27,13 @@ on purpose regenerates the file and says so in its change record:
 
 The digests also pin how the installed BLAS rounds: OpenBLAS's ``ddot``
 forms a product of two 2-vectors as ``fma(x1, y1, x0 * y0)``, and the
-package's small products and stored gaps keep that rounding.  On another
-NumPy or BLAS build a digest can fail with the package unchanged, so a
-failure names the build it ran on.
+package's small products and stored gaps keep that rounding.  Its
+``ddot`` can also round a strided vector otherwise than a contiguous copy
+of it (3,313 of 20,000 random products at n = 2..4), so the package hands
+every iterate to BLAS contiguous; a generated block of cycles returned as
+a transposed view moved the iterates of 23 of the 600 LPs of pools 1 and
+7.  On another NumPy or BLAS build a digest can fail with the package
+unchanged, so a failure names the build it ran on.
 """
 
 from __future__ import annotations

@@ -62,15 +62,35 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
-@pytest.mark.parametrize("error", ["StartNotInA", "NotPolyhedralPair"])
+def builds_error(node, rule):
+    """Whether ``node`` calls the error type ``rule`` or passes a message
+    that contains the text ``rule``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if getattr(node.func, "id", None) == rule:
+        return True
+    return any(
+        isinstance(part, ast.Constant) and isinstance(part.value, str) and rule in part.value
+        for arg in node.args
+        for part in ast.walk(arg)
+    )
+
+
+@pytest.mark.parametrize(
+    "error", ["StartNotInA", "NotPolyhedralPair", "alpha must lie in (0, 1)", "sets have dimensions"]
+)
 def test_each_entry_rule_raises_at_one_site(error):
-    # The start rule is sets._check_start and the pair rule
-    # certify._check_pair; every entry point calls them, none repeats them.
+    # The start rule is sets._check_start, the pair rule
+    # certify._check_pair, the alpha range certify._check_alpha and the
+    # rule that the two sets share a dimension engine._check_dims; every
+    # entry point calls them, none repeats them.  The last two raise
+    # ValueError and DimensionMismatch, which other rules raise too, so they
+    # are found by their message text.
     sites = [
         f"{path.name}:{node.lineno}"
         for path in sorted((SRC / "altproj").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == error
+        if builds_error(node, error)
     ]
     assert len(sites) == 1, sites
 

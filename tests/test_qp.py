@@ -291,6 +291,62 @@ def test_empty_polyhedron_raises_from_a_warm_face(monkeypatch):
     assert branch == ["continue"]
 
 
+def assert_face_record(poly, face):
+    """The slices ``face`` carries are its polyhedron's and its factor's, bit
+    for bit: ``A_W`` and ``b_W`` are the working rows, ``Q1`` is the view
+    ``Q[:, :k]`` (same memory and layout) and ``w = R^-T b_W`` as
+    ``_project_from`` forms it."""
+    W, k = face.W, len(face.W)
+    assert face.A_W.shape == (k, poly.dim) and face.A_W.tobytes() == poly.A[W].tobytes()
+    assert face.b_W.shape == (k,) and face.b_W.tobytes() == poly.b[W].tobytes()
+    assert face.Q1.__array_interface__ == face.Q[:, :k].__array_interface__
+    assert face.w.tobytes() == np.array(qp._substitute(face.R.T, poly.b[W], lower=True)).tobytes()
+
+
+def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
+    # Faces from cold projections, faces accepted as they are, faces of warm
+    # continuations that take active-set steps, and faces that a walk (the
+    # shifted LP solve's) starts from.  Each is checked again at the end, after the later
+    # projections and walks that started from it: those step on copies of
+    # ``Q``, so the view ``Q1`` still reads the factor it was made with.
+    branch = warm_branch(monkeypatch)
+    made = []  # (polyhedron, face, bytes of Q1 when the face was made)
+    seen = {"cold": 0, "hit": 0, "continue": 0, "walk": 0}
+
+    def keep(poly, face):
+        assert_face_record(poly, face)
+        made.append((poly, face, face.Q1.tobytes()))
+
+    rng = np.random.default_rng(34)
+    for poly, inside in warm_polyhedra():
+        points = warm_points(rng, poly, inside)
+        faces = []
+        for y in points:
+            start, face = _project_from(poly, y, None)
+            if face is None:
+                continue
+            keep(poly, face)
+            faces.append(face)
+            seen["cold"] += 1
+            direction = rng.normal(size=poly.dim)
+            walked = qp._walk_from(poly, start, face, direction, 10.0)
+            seen["walk"] += walked.iterations - start.iterations > 1
+        for x in points:
+            for face in faces:
+                branch.clear()
+                res, new_face = _project_from(poly, x, face)
+                if new_face is face:
+                    seen["hit"] += 1
+                    assert_face_record(poly, face)
+                elif branch == ["continue"] and res.iterations > 0:
+                    seen["continue"] += 1
+                    keep(poly, new_face)
+    for poly, face, q1 in made:
+        assert_face_record(poly, face)
+        assert face.Q1.tobytes() == q1
+    assert min(seen.values()) >= 50, seen
+
+
 def test_triangular_substitution_matches_a_lapack_solve():
     # ``qp._substitute`` replaces ``np.linalg.solve`` on the face factor.  It
     # sums in another order, so the two agree only up to rounding: 1e-13

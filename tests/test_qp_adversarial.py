@@ -265,9 +265,9 @@ def watch_factor(monkeypatch):
         return steps
 
     def update(change):
-        def spy(Q, R, k, i):
+        def spy(Q, R, k, *args):
             check()
-            change(Q, R, k, i)
+            change(Q, R, k, *args)
             state["updates"] += 1
 
         return spy
