@@ -246,13 +246,6 @@ _RESIDUAL_MARGIN = 1e-12
 _STALL_MARGIN = 1e-12
 _DOT_MARGIN = 1e-15
 
-# Generated blocks of up to this many cycles are formed by broadcasting
-# along the coordinates, longer ones by a pass along the cycles per
-# coordinate (``_face_jump``): the passes cost a few NumPy calls per
-# coordinate, broadcasting a loop per cycle.  At n = 4 the two take the
-# same time at about 150 cycles.
-_BROADCAST_CYCLES = 128
-
 
 class StopReason(enum.Enum):
     CERTIFIED = "Certified"
@@ -439,9 +432,9 @@ def _certificate(
     cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, normals_b, tight_b, w = cone
+    normals_a, cone_b, w = cone
     res_a = unit_cone_distance(-w, normals_a)
-    res_b = unit_cone_distance(w, _b_normals(set_b, normals_b, tight_b))
+    res_b = unit_cone_distance(w, _b_normals(set_b, cone_b))
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
 
 
@@ -465,10 +458,10 @@ def _certified(
     cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, normals_b, tight_b, w = cone
-    res_b = None if face is None else _face_residual(face, tight_b, w, tol)
+    normals_a, cone_b, w = cone
+    res_b = None if face is None else _face_residual(face, cone_b, w, tol)
     if res_b is None:
-        res_b = unit_cone_distance(w, _b_normals(set_b, normals_b, tight_b))
+        res_b = unit_cone_distance(w, _b_normals(set_b, cone_b))
     if not res_b <= tol:
         return None
     res_a = unit_cone_distance(-w, normals_a)
@@ -480,9 +473,9 @@ def _certified(
 def _face_residual(face: _Face, tight: np.ndarray, w: np.ndarray, tol: float) -> float | None:
     # B's residual read from the face factor (module docstring): None when
     # the factor cannot decide the cycle, otherwise a value that decides it
-    # as ``unit_cone_distance(w, normals_b)`` does, and is that distance
-    # when it is at most ``tol``.  ``tight`` is B's tight-row mask at the
-    # B-point.
+    # as the cone solve ``unit_cone_distance(w, _b_normals(B, tight))``
+    # does, and is that distance when it is at most ``tol``.  ``tight`` is
+    # B's tight-row mask at the B-point.
     W, tight = face.W, tight.tolist()
     if tight.count(True) != len(W) or not all(tight[i] for i in W):
         return None
@@ -504,17 +497,16 @@ def _cone_prelude(
     d: np.ndarray,
     gap: float,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     # Membership, normal cones and direction of the pair ``(a, b)``, given
     # ``d = a - b`` and ``gap = ||d||``: None when the pair witnesses a
     # common point, which is accepted within 1e-6 of each set; otherwise
     # ``normal_cone_columns`` tests membership, within ``ACTIVE_TOL``, and
-    # the result is the generators of A's cone, those of B's cone, B's
-    # tight-row mask and the unit vector ``w = (a - b)/||a - b||``.  When B
-    # is a polyhedron its generators are None and ``_b_normals`` forms them
-    # from the mask, only for a cone solve (a cycle decided on the face
-    # factor reads the mask alone); otherwise the mask is None.  B's
-    # residual measures ``w`` and A's ``-w``, which is bitwise
+    # the result is the generators of A's cone, B's cone as ``_b_normals``
+    # reads it and the unit vector ``w = (a - b)/||a - b||``.  B's cone is
+    # its tight-row mask when B is a polyhedron, so that a cycle decided on
+    # the face factor forms no generators, and its generators otherwise.
+    # B's residual measures ``w`` and A's ``-w``, which is bitwise
     # ``(b - a)/||b - a||``: negation is exact and ``||a - b||`` sums the
     # same squares as ``||b - a||``.
     if gap <= tol:
@@ -529,22 +521,20 @@ def _cone_prelude(
         raise PointNotInSet("first point is not in the first set") from None
     try:
         if isinstance(set_b, Polyhedron):
-            tight_b, normals_b = _tight_rows(set_b, b, ACTIVE_TOL), None
+            cone_b = _tight_rows(set_b, b, ACTIVE_TOL)
         else:
-            tight_b, normals_b = None, normal_cone_columns(set_b, b)
+            cone_b = normal_cone_columns(set_b, b)
     except PointNotInSet:
         raise PointNotInSet("second point is not in the second set") from None
     if gap <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
-    return normals_a, normals_b, tight_b, d / gap
+    return normals_a, cone_b, d / gap
 
 
-def _b_normals(
-    set_b: ProjectableSet, normals_b: np.ndarray | None, tight_b: np.ndarray | None
-) -> np.ndarray:
-    # B's cone generators from what ``_cone_prelude`` returned: a
+def _b_normals(set_b: ProjectableSet, cone_b: np.ndarray) -> np.ndarray:
+    # B's cone generators from the cone ``_cone_prelude`` returned: a
     # polyhedron's tight rows as columns, every other set's generators.
-    return set_b.A[tight_b].T if normals_b is None else normals_b
+    return set_b.A[cone_b].T if isinstance(set_b, Polyhedron) else cone_b
 
 
 def run(
@@ -889,22 +879,17 @@ def _face_jump(
     jumps = int(horizon) - 2
     if jumps < 1:
         return none
-    # ``block[j - 1]`` holds ``b_{k+j}`` and ``a_{k+j+1}``.  Both ways of
-    # filling it make the same operations entry by entry.  A long block is
-    # formed one coordinate at a time, each in a pass along the cycles;
-    # broadcasting along the few coordinates would cost a loop per cycle.
-    # It stays C-contiguous, so its last row, the next iterate, enters the
-    # BLAS products of the next cycle as a contiguous vector: OpenBLAS's
-    # ``ddot`` can round a strided vector otherwise.
+    # ``b_{k+j} = b - g(j) P_V c`` and ``a_{k+j+1} = b_{k+j} - e(j) c`` are
+    # formed with the cycles along the last axis, so that every loop runs
+    # along the cycles and not along the few coordinates, and then copied
+    # once into rows ``2j - 2`` and ``2j - 1``.  The result is C-contiguous,
+    # so its last row, the next iterate, enters the BLAS products of the
+    # next cycle as a contiguous vector: OpenBLAS's ``ddot`` can round a
+    # strided vector otherwise.
     j_log_rho = np.arange(1, jumps + 1) * log_rho
     g = s * -np.expm1(j_log_rho) / q
     e = s * np.exp(j_log_rho)
-    block = np.empty((jumps, 2, b.shape[0]))
-    if jumps <= _BROADCAST_CYCLES:
-        block[:, 0] = b - g[:, None] * pvc
-        block[:, 1] = block[:, 0] - e[:, None] * c
-    else:
-        for col, b_i, pvc_i, c_i in zip(block.T, b.tolist(), pvc.tolist(), c.tolist()):
-            np.subtract(b_i, g * pvc_i, out=col[0])
-            np.subtract(col[0], e * c_i, out=col[1])
-    return block.reshape(2 * jumps, -1)
+    stretch = np.empty((2, b.shape[0], jumps))
+    np.subtract(b[:, None], np.multiply.outer(pvc, g), out=stretch[0])
+    np.subtract(stretch[0], np.multiply.outer(c, e), out=stretch[1])
+    return np.ascontiguousarray(stretch.transpose(2, 0, 1)).reshape(2 * jumps, -1)

@@ -195,22 +195,21 @@ def _substitute(T, y, lower=False) -> list[float]:
     return v
 
 
-def _add_column(Q, R, k, h, hh) -> None:
+def _add_column(Q, R, k, h) -> None:
     # Append the row with ``h = Q' a`` to the factor of ``k`` rows: one
     # Householder reflection of the trailing columns of ``Q`` maps
     # ``h[k:]`` to ``alpha e_1``, so ``a = Q[:, :k+1] (h[:k], alpha)``.  A
-    # single trailing column needs no reflection.  ``hh`` is
-    # ``float(h[k:].dot(h[k:]))``, which the caller has formed already.
-    # ``R`` stays zero below its diagonal, as :func:`_substitute` needs.
+    # single trailing column needs no reflection.  ``R`` stays zero below
+    # its diagonal, as :func:`_substitute` needs.
     h2 = h[k:]
-    alpha = h0 = float(h2[0])
+    alpha = float(h2[0])
     if h2.shape[0] > 1:
-        sigma = math.sqrt(hh)
-        alpha = -math.copysign(sigma, h0)
+        sigma = math.sqrt(float(h2.dot(h2)))
+        alpha = -math.copysign(sigma, alpha)
         v = h2.copy()
         v[0] -= alpha
         Q2 = Q[:, k:]
-        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(h0))))
+        Q2 -= Q2.dot(v)[:, None] * (v / (sigma * (sigma + abs(float(h2[0])))))
     R[:k, k] = h[:k]
     R[k, k] = alpha
     R[k + 1 :, k] = 0.0
@@ -294,7 +293,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
             u = [u_i - t * r_i for u_i, r_i in zip(u, r)]
             u_p += t
             if t_full <= t_part:
-                _add_column(Q, R, k, h, dd)
+                _add_column(Q, R, k, h)
                 W.append(p)
                 u.append(u_p)
                 break

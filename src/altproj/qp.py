@@ -304,8 +304,7 @@ def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float)
             _delete_column(Q, R, k, j)
             del W[j], u[j]
         else:
-            h_i = A[i].dot(Q)
-            _add_column(Q, R, k, h_i, float(h_i[k:].dot(h_i[k:])))
+            _add_column(Q, R, k, A[i].dot(Q))
             W.append(i)
             u.append(0.0)
     raise NotConverged(f"the walk changed faces more than {_WALK_STEPS_PER_ROW * (m + 1)} times")

@@ -387,16 +387,13 @@ def test_generated_iterates_reach_the_projection_contiguous(monkeypatch):
 
     monkeypatch.setattr(engine, "_face_jump", jump_spy)
     monkeypatch.setattr(engine, "_project_from", project_spy)
-    # The wedges generate long blocks and the LPs short ones, which
-    # ``_face_jump`` fills in another way.
+    # The wedges generate long blocks and the LPs short ones.
     for set_b, x0 in [(wedge(0.01), [20.0, -1.0]), (wedge(0.01, [-1.0, -1.0]), [5.0, -1.0])]:
         assert run(BELOW, set_b, x0, max_iters=5000).generated_cycles > 0
     rng = np.random.default_rng(7)
     for _ in range(40):
         problem, _ = random_lp_instance(rng)[:2]
         run(*lp_pair(problem), max_iters=5000)
-    cycles = [len(block) // 2 for block in blocks if len(block)]
-    assert min(cycles) <= engine._BROADCAST_CYCLES < max(cycles)
     assert all(block.flags.c_contiguous for block in blocks)
     assert all(x.flags.c_contiguous for x in points)
 

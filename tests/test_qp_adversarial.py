@@ -265,9 +265,9 @@ def watch_factor(monkeypatch):
         return steps
 
     def update(change):
-        def spy(Q, R, k, *args):
+        def spy(Q, R, k, i):
             check()
-            change(Q, R, k, *args)
+            change(Q, R, k, i)
             state["updates"] += 1
 
         return spy
