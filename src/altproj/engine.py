@@ -107,11 +107,16 @@ not change; the path leaves ``F`` only when an inactive row becomes tight.
 exactly the rows of ``F``, the first ``k`` columns ``Q_1`` of its ``Q``
 span them and ``P_V c = c - Q_1 (Q_1' c)``, formed twice to
 re-orthogonalise it.  A working row with a zero multiplier makes ``W``
-larger than ``F``, and no cycle is generated.  When two consecutive
-B-projections have the same face, :func:`run` finds the first cycle at
-which one of five events could happen:
+larger than ``F``, and no cycle is generated.  A row outside ``W`` that is
+tight with a zero multiplier, such as a copy of a face row, stops nothing
+by itself: the path does not move it, and it enters the row event below
+like every other inactive row.  When two consecutive B-projections have
+the same face, :func:`run` finds the first cycle at which one of five
+events could happen:
 
-- an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``;
+- an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``, or, for
+  a row already within that margin, falls by the smallest feasibility
+  tolerance of a B-projection below the larger of its slack and 0;
 - the gap ``s_k rho^j ||c||`` falls to the certificate tolerance (the
   pair witnesses a common point) or to ``ZERO_TOL``, whichever is larger;
 - the A-point's violation of the face rows, ``s_k rho^j max(-A_F c)``,
@@ -818,26 +823,24 @@ def _face_jump(
     ``c - Q_1 (Q_1' c)``, formed twice to re-orthogonalise it, with ``Q_1``
     the factor's first ``k`` columns, which span the working rows.  ``J``
     is 0 when the working rows are not exactly the rows of ``face`` (a
-    working row with a zero multiplier), when an inactive row is within
-    ``10 * ACTIVE_TOL`` of tight or is reached within three cycles, or when
-    the next cycle could stall or find the A-point feasible.  No run
-    reaches the other guards: ``b`` in the half-space (a zero A-step, so
-    the run stopped) and a face that does not move the run, ``||P_V c||``
-    below ``ZERO_TOL ||c||`` or all of ``c`` (the cycle before, on this
-    face, cut its gap by ``q/2`` of it, a stall for gaps under 2e10, or to
-    ``1 - q`` of the gap before, a stop for gaps under 1e4).
+    working row with a zero multiplier) and when the first event falls
+    within three cycles: an approaching inactive row that reaches its floor
+    (``10 * ACTIVE_TOL``, or for a row already within that margin its slack
+    less the smallest B-projection feasibility tolerance), a gap at the
+    certificate tolerance, an A-point feasible within the projection's
+    tolerance, or a stall.  A row within the margin that the path does not
+    move, such as a copy of a face row, limits nothing.  No run reaches the
+    other guards: ``b`` in the half-space (a zero A-step, so the run
+    stopped) and a face that does not move the run, ``||P_V c||`` below
+    ``ZERO_TOL ||c||`` or all of ``c`` (the cycle before, on this face, cut
+    its gap by ``q/2`` of it, a stall for gaps under 2e10, or to ``1 - q``
+    of the gap before, a stop for gaps under 1e4).
     """
     c, cc = h.c, h._cc
     s = (float(c.dot(b)) - h.M) / cc
     none = np.empty((0, b.shape[0]))
     W, rows = factor.W, face.tolist()
     if not s > 0.0 or rows.count(True) != len(W) or not all(rows[i] for i in W):
-        return none
-    # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c.
-    margin = 10.0 * ACTIVE_TOL
-    slack = poly.b - poly.A.dot(b)
-    slack[face] = math.inf
-    if float(slack.min()) <= margin:
         return none
     Q1 = factor.Q1
     pvc = c - Q1.dot(c.dot(Q1))
@@ -847,35 +850,47 @@ def _face_jump(
         return none
     log_rho = math.log1p(-q)
     nc = math.sqrt(cc)
+
+    def reached(value: float, floor: float) -> int:
+        # The first j with value * rho^j <= floor, or the one before it (the
+        # floor of the real solution); 0 when the value is already there.
+        return math.floor(math.log(floor / value) / log_rho) if value > floor else 0
+
     horizon = float(cycles_left + 1)  # the first cycle past the cap
-    # An approaching row reaches the margin once 1 - rho^j >= t.
+    # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c, so an
+    # approaching row reaches its floor once 1 - rho^j >= t.  A row beyond
+    # the margin may fall to it.  A row already within it may fall by the
+    # smallest feasibility tolerance of any B-projection, _FEAS_TOL times
+    # the polyhedron's scale, below max(slack_i, 0): every slack of a
+    # generated B-point then stays above minus that tolerance, so the point
+    # passes the feasibility test of the real projection that would return
+    # it.  A copy of a face row has A_i P_V c = 0 but for rounding, so over
+    # the whole stretch it falls by about ||A_i|| / sqrt(q) times the unit
+    # roundoff of the gap and seldom limits it; a row the path moves ends
+    # the stretch once it has fallen by the tolerance.
+    margin = 10.0 * ACTIVE_TOL
     closing = -poly.A.dot(pvc)
     closing[face] = 0.0
     hit = closing > 0.0
-    t = q * (slack[hit] - margin) / (s * closing[hit])
+    slack = (poly.b - poly.A.dot(b))[hit]
+    floor = np.where(slack > margin, margin, np.maximum(slack, 0.0) - _FEAS_TOL * poly._scale)
+    t = q * (slack - floor) / (s * closing[hit])
     t = t[t < 1.0]
     if t.size:
         horizon = min(horizon, float(np.floor(np.log1p(-t) / log_rho).min()))
     # Common point: s rho^j ||c|| <= max(cert_tol, ZERO_TOL), where the run
     # certifies or stops on a gap too small to normalise.
-    gap_tol = max(cert_tol, ZERO_TOL)
-    horizon = min(horizon, math.floor(math.log(gap_tol / (s * nc)) / log_rho))
+    horizon = min(horizon, reached(s * nc, max(cert_tol, ZERO_TOL)))
     # Common point by rounding: the A-point of cycle k + j violates a face
     # row by at most s rho^j max(-A_F c), and the next B-projection returns
     # it unchanged once that is within the projection's feasibility
     # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
     reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
     feas_tol = _FEAS_TOL * (poly._scale + reach)
-    violation = -s * float(poly.A[face].dot(c).min())
-    if not violation > feas_tol:
-        return none
-    horizon = min(horizon, 1 + math.floor(math.log(feas_tol / violation) / log_rho))
+    horizon = min(horizon, 1 + reached(-s * float(poly.A[face].dot(c).min()), feas_tol))
     # Gap stall: s rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||) < GAP_STALL_TOL.
     prc = _norm(c - pvc)
-    stall = s * prc * (1.0 - prc / nc)
-    if not stall > GAP_STALL_TOL:
-        return none
-    horizon = min(horizon, 1 + math.floor(math.log(GAP_STALL_TOL / stall) / log_rho))
+    horizon = min(horizon, 1 + reached(s * prc * (1.0 - prc / nc), GAP_STALL_TOL))
     jumps = int(horizon) - 2
     if jumps < 1:
         return none

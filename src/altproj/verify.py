@@ -362,12 +362,6 @@ def shifted_matches_oracle(rng: np.random.Generator, cases: int) -> CheckResult:
     return _matches_oracle("lp/shifted-matches-oracle", rng, cases, "shifted")
 
 
-def shifted_single_projection(rng: np.random.Generator, cases: int) -> CheckResult:
-    """The shifted LP solve takes exactly one projection."""
-    steps = [out.steps for _, _, out in _lp_solves(rng, cases, "shifted")]
-    return CheckResult("lp/shifted-single-projection", all(s == 1 for s in steps), "steps == 1")
-
-
 def solution_cone_certificate(rng: np.random.Generator, cases: int) -> CheckResult:
     """At the shifted solution, ``-c`` lies in the cone of the active rows, to 1e-6."""
     worst = 0.0
@@ -471,7 +465,6 @@ SUITES = {
     "lp": (
         (direct_matches_oracle, 20),
         (shifted_matches_oracle, 20),
-        (shifted_single_projection, 20),
         (solution_cone_certificate, 20),
     ),
     "examples": (

@@ -204,11 +204,7 @@ def test_criterion_8_lp_oracle_equivalence():
     started = time.perf_counter()
     results = [
         check(np.random.default_rng(SEED + 1), 200)
-        for check in (
-            verify.direct_matches_oracle,
-            verify.shifted_matches_oracle,
-            verify.shifted_single_projection,
-        )
+        for check in (verify.direct_matches_oracle, verify.shifted_matches_oracle)
     ]
     elapsed = time.perf_counter() - started
     ok = all(r.ok for r in results) and elapsed < 60.0

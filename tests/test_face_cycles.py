@@ -12,6 +12,7 @@ bound would measure only that rounding).
 """
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -305,13 +306,48 @@ def test_degenerate_vertex_with_a_zero_multiplier():
     assert outcome.objective == pytest.approx(0.0, abs=1e-12)
 
 
-def test_tight_row_with_a_zero_multiplier_keeps_plain_cycles():
-    # A repeated row is tight all along the face with a zero multiplier, so
-    # no cycle may be generated.
+def test_tight_row_with_a_zero_multiplier_leaves_the_face_generated():
+    # A repeated row is tight all along the face with a zero multiplier.
+    # The path does not move it, so the cycles on the face are generated
+    # as without the copy.
     poly = wedge(0.01, [0.01, -1.0])
     trace = assert_same_run(BELOW, poly, [5.0, -1.0], max_iters=5000)
     assert trace.stop_reason is StopReason.CERTIFIED
-    assert trace.generated_cycles == 0
+    assert trace.generated_cycles > 0
+
+
+def test_copied_row_walks_the_narrow_wedge_as_without_it():
+    # 182,322 cycles on one face.  Projected one by one they take some 16 s,
+    # so the time bound holds only when the copy lets them be generated.
+    plain = run(BELOW, wedge(0.001), [200.0, -1.0], max_iters=10**6)
+    started = time.perf_counter()
+    trace = run(BELOW, wedge(0.001, [0.001, -1.0]), [200.0, -1.0], max_iters=10**6)
+    assert time.perf_counter() - started < 0.5
+    assert trace.stop_reason is plain.stop_reason is StopReason.CERTIFIED
+    assert trace.steps_to_converge == plain.steps_to_converge
+    assert len(trace.gaps) == len(plain.gaps) == 2 * 182322
+    assert trace.generated_cycles == plain.generated_cycles > 182000
+    assert trace.final_pair()[1].tobytes() == plain.final_pair()[1].tobytes()
+
+
+def test_random_lps_with_copied_rows_match_plain_cycles():
+    # Each LP repeats three of its rows: a copy of a row of the face a run
+    # walks is tight there with a zero multiplier.  The copies change no
+    # face's path, so each run generates the cycles the LP without them
+    # generates, 516 in all.
+    rng = np.random.default_rng(5)
+    generated = 0
+    for _ in range(30):
+        problem = random_lp_instance(rng)[0]
+        A, b = problem.poly.A, problem.poly.b
+        pick = rng.choice(len(b), size=3, replace=False)
+        copied = LPProblem(problem.c, Polyhedron(np.vstack([A, A[pick]]), np.concatenate([b, b[pick]])), problem.M)
+        trace = assert_same_run(*lp_pair(copied), max_iters=5000)
+        alone = run(*lp_pair(problem), max_iters=5000)
+        assert len(trace.gaps) == len(alone.gaps)
+        assert trace.generated_cycles == alone.generated_cycles
+        generated += trace.generated_cycles
+    assert generated > 400
 
 
 def jump_blocks(monkeypatch):
