@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
 from .linalg import _dot_row_norms, _dot_rows, _norm, as_point, unit_cone_distance
-from .qp import project_polyhedron
+from .qp import _walk_to_optimum, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _check_start
-from .vertices import feasible_vertices, vertex_oracle
+from .vertices import feasible_vertices
 
 # Margin for strict-inequality tests on normalized inner products, so that
 # floating-point ties cannot silently flip membership decisions.
@@ -178,9 +178,9 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     neg_chat = neg_c / nc
     qualifying = _dot_rows(B.A, c) / (table.norms * nc) > -1.0 + _STRICT_MARGIN
     # The ray distances of the qualifying rows, each as unit_distance_to_ray
-    # gives it, and NaN for the others.
-    uhat = neg_c / _norm(neg_c)
-    rejection = table.units - _dot_rows(table.units, uhat)[:, None] * uhat
+    # gives it (its unit vector, ``-c / ||-c||``, is ``neg_chat`` bit for
+    # bit), and NaN for the others.
+    rejection = table.units - _dot_rows(table.units, neg_chat)[:, None] * neg_chat
     ray = np.where(
         _dot_rows(table.units, neg_c) <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(rejection))
     )
@@ -406,14 +406,32 @@ def one_step_shift(
 
 
 def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
-    """Exact ``d(A, B)`` via the vertex oracle: ``max(0, min_B <c,x> - M)/||c||``."""
+    """Exact ``d(A, B) = max(0, min_B <c, x> - M) / ||c||``.
+
+    The minimum is the end of the walk from ``P_B(0)`` along ``-c``
+    (:func:`~altproj.qp._walk_to_optimum`), the optimum that the shifted
+    LP solve reads.  No vertex list is read, so neither the size of B nor a
+    polyhedron without a vertex limits it.  A walk that moves on forever
+    means the objective is unbounded below on B, so B reaches into A and
+    the distance is 0.  Raises :class:`EmptyPolyhedron` for an empty B and
+    :class:`NotConverged` for a walk past its cap.
+    """
     _check_pair(A, B)
+    return _distances(B, A, np.zeros(B.dim))[1]
+
+
+def _distances(B: Polyhedron, A: HalfSpace, x) -> tuple[float, float]:
+    """``d(x, B)`` from the projection of ``x`` and ``d(A, B)`` from the walk on from it.
+
+    ``x`` is a validated point.  An unbounded walk gives ``d(A, B) = 0``
+    and NaN for ``d(x, B)``, which is then not needed.
+    """
+    c = as_point(A.c, B.dim)
     try:
-        optimum, _ = vertex_oracle(B, A.c)
+        start, end = _walk_to_optimum(B, x, c)
     except Unbounded:
-        # The objective is unbounded below on B, so B reaches into A.
-        return 0.0
-    return max(0.0, optimum - A.M) / float(np.linalg.norm(A.c))
+        return math.nan, 0.0
+    return _norm(x - start.point), max(0.0, float(c.dot(end.point)) - A.M) / _norm(c)
 
 
 def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
@@ -426,17 +444,24 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     :func:`engine.run <altproj.engine.run>` validates it, before the alpha
     search, so a bad start raises before any cone is measured.
 
-    Then it raises what :func:`alpha_polyhedron_halfspace` and
-    :func:`polyhedron_halfspace_distance` raise, in that order; both read
-    B's one vertex list.  Any other pair of set types raises
-    :class:`NotPolyhedralPair` first.
+    ``x0`` is projected onto B once.  That projection gives ``d(x0, B)``,
+    bit for bit what :func:`project_polyhedron` gives, and the walk on from
+    it along ``-c`` gives ``d_AB`` as :func:`polyhedron_halfspace_distance`
+    forms it: bit for bit ``(objective - M) / ||c||`` of the shifted LP
+    solve from the same ``x0``.  Only alpha reads B's vertex list, and only
+    for n >= 3.
+
+    Then it raises what :func:`alpha_polyhedron_halfspace` raises, then
+    what the projection of ``x0`` and the walk raise
+    (:class:`EmptyPolyhedron`, :class:`NotConverged`), then
+    :class:`InvalidDistance` when the walk is unbounded or ends in A.  Any
+    other pair of set types raises :class:`NotPolyhedralPair` first.
     """
     _check_pair(A, B)
     x0 = as_point(x0, A.dim)
     _check_start(A, x0)
     alpha = alpha_polyhedron_halfspace(B, A)
-    d_ab = polyhedron_halfspace_distance(B, A)
+    d_x0, d_ab = _distances(B, A, x0)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")
-    d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
     return iteration_bound(alpha, d_ab, max(d_x0, d_ab))

@@ -20,10 +20,13 @@ import sys
 from itertools import chain, cycle
 from pathlib import Path
 
-from . import certify, engine, lp, verify, vertices
+import numpy as np
+
+from . import certify, engine, lp, verify
 from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair
 from .linalg import as_point
-from .sets import Polyhedron, set_from_json
+from .qp import _walk_to_optimum
+from .sets import set_from_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -160,12 +163,13 @@ def cmd_bound(args) -> int:
 def cmd_lp(args) -> int:
     try:
         spec = _load_spec(args.problem)
+        # Under --auto-bound the problem is read with M = 0, which checks c
+        # as the LP's half-space does; M is then the optimum less one, the
+        # end of the walk from the projection of the origin.
+        problem = lp.problem_from_json({**spec, "M": 0.0} if args.auto_bound else spec)
         if args.auto_bound:
-            poly = Polyhedron(spec["A"], spec["b"])
-            optimum, _ = vertices.vertex_oracle(poly, spec["c"])
-            problem = lp.LPProblem(spec["c"], poly, optimum - 1.0)
-        else:
-            problem = lp.problem_from_json(spec)
+            end = _walk_to_optimum(problem.poly, np.zeros(len(problem.c)), problem.c)[1].point
+            problem = lp.LPProblem(problem.c, problem.poly, float(problem.c.dot(end)) - 1.0)
     except _SPEC_ERRORS as exc:
         print(f"error: cannot parse LP problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -220,7 +224,7 @@ def build_parser() -> _Parser:
     p_lp.add_argument(
         "--auto-bound",
         action="store_true",
-        help="set M to the vertex-oracle optimum minus one (test convenience)",
+        help="set M to the LP optimum minus one, found by the walk (test convenience)",
     )
     p_lp.add_argument("--out", default=None, help="directory for the run trace CSV")
     p_lp.set_defaults(func=cmd_lp)

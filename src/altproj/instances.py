@@ -80,10 +80,8 @@ def random_bounded_polyhedron(rng: np.random.Generator, n: int, extra_rows: int)
         rows.append(a)
         rhs.append(float(a.dot(interior)) + rng.uniform(0.3, 2.0))
     half_width = rng.uniform(1.0, 3.0)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(e.copy())
+    for j, e in enumerate(np.eye(n)):
+        rows.append(e)
         rhs.append(float(interior[j]) + half_width)
         rows.append(-e)
         rhs.append(-(float(interior[j]) - half_width))

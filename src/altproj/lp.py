@@ -12,7 +12,6 @@ The brute-force vertex oracle that gives independent ground truth lives in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import engine
 from .errors import LowerBoundNotStrict, NotConverged, Unbounded
 from .linalg import as_point
-from .qp import _project_from, _walk_from
+from .qp import _walk_to_optimum
 from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
@@ -92,7 +91,8 @@ def solve_lp(
     certificate holds; the solution is the final feasible iterate) or
     ``"shifted"`` (project ``x0`` once, then walk ``t -> P(x0 - t c)`` as
     :func:`~altproj.qp.project_along_ray` does, to the first face where the
-    point stands still and no working multiplier falls).  There it stays
+    point stands still and no working multiplier falls:
+    :func:`~altproj.qp._walk_to_optimum`).  There it stays
     for every larger shift, the paper's one-step shift included, and it is
     the optimum by the KKT conditions.  The walk reads no vertex list, so
     it raises no :class:`TooLarge`; a point that moves on with no face
@@ -138,7 +138,7 @@ def solve_lp(
     else:
         _check_start(halfspace, x0)
         try:
-            b_star = _walk_from(poly, *_project_from(poly, x0, None), -c, math.inf).point
+            b_star = _walk_to_optimum(poly, x0, c)[1].point
         except Unbounded:
             raise _not_strict(M) from None
         _check_strict_bound(c, M, b_star)

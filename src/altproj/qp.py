@@ -59,7 +59,10 @@ rates ``R^-1 h_1`` and the point along ``Q_2 h_2``.  A row the point
 reaches is added and a row whose multiplier reaches zero is dropped, by
 the same updates of the factor as above, so the working rows stay
 independent.  A walk that changes faces more than ``40 (m + 1)`` times
-raises :class:`NotConverged`.
+raises :class:`NotConverged`.  Walked with no end along ``-c``, from the
+projection of any start, it stops at a minimiser of ``<c, .>``
+(:func:`_walk_to_optimum`): the LP optimum behind the shifted solve,
+``d(A, B)`` and ``lp --auto-bound``.
 """
 
 from __future__ import annotations
@@ -151,6 +154,20 @@ def _on_face(face: _Face, x) -> tuple[list[float], np.ndarray]:
     return _substitute(face.R, y), z
 
 
+def _continued(face: _Face | None, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Working rows, ``Q`` and an n x n ``R`` that continue from ``face``.
+
+    A copy of the face's factor, ``R`` padded with zeros to the room the
+    steps may fill; None gives the empty working set.  The projection and
+    the walk both step on what this returns, never on the face itself.
+    """
+    R = np.zeros((n, n))
+    if face is None:
+        return [], np.eye(n), R
+    R[: len(face.W), : len(face.W)] = face.R
+    return list(face.W), face.Q.copy(), R
+
+
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
     """Project ``x`` onto the polyhedron ``p``.
 
@@ -190,13 +207,8 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
         if warm and all(v <= feas_tol for v in (A.dot(z_f) - b).tolist()):
             lam[face.W] = u_f
             return QPResult(z_f, lam, 0), face
-    R = np.zeros((n, n))
-    if warm:
-        k = len(face.W)
-        W, Q, u, z = list(face.W), face.Q.copy(), u_f, z_f
-        R[:k, :k] = face.R
-    else:
-        W, Q, u, z = [], np.eye(n), [], x.copy()
+    W, Q, R = _continued(face if warm else None, n)
+    u, z = (u_f, z_f) if warm else ([], x.copy())
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z)
     k = len(W)
     R = R[:k, :k]
@@ -244,6 +256,22 @@ def project_along_ray(
     return _walk_from(p, *_project_from(p, base, None), direction, t_target)
 
 
+def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult]:
+    """The projection of ``x`` onto ``p`` and the end of the walk on from it along ``-c``.
+
+    The package's one LP optimum.  The walk ``t -> P(x - t c)`` has no end
+    and stops on the first face where the point stands still and no working
+    multiplier falls; there ``-c`` lies in the cone of the working rows, so
+    the point minimises ``<c, .>`` over ``p`` by the KKT conditions.  It
+    reads no vertex list, so it has no size limit and takes polyhedra
+    without a vertex.  Takes a validated ``x`` and ``c``; raises
+    :class:`Unbounded` when the point moves on with no face ahead, and what
+    :func:`_project_from` and :func:`_walk_from` raise.
+    """
+    start, face = _project_from(p, x, None)
+    return start, _walk_from(p, start, face, -c, math.inf)
+
+
 def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float) -> QPResult:
     """:func:`project_along_ray`'s walk from ``start`` on ``face``.
 
@@ -258,11 +286,8 @@ def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float)
         return start
     A, b = p.A, p.b
     m, n = A.shape
-    W, Q, R, u = [], np.eye(n), np.zeros((n, n)), []
-    if face is not None:
-        k = len(face.W)
-        W, Q, u = list(face.W), face.Q.copy(), start.dual[face.W].tolist()
-        R[:k, :k] = face.R
+    W, Q, R = _continued(face, n)
+    u = start.dual[W].tolist()
     z = start.point
     t = 0.0
     for steps in range(1, _WALK_STEPS_PER_ROW * (m + 1) + 1):

@@ -90,8 +90,11 @@ class Polyhedron(_ValueSet):
     # cone table of :func:`altproj.certify.alpha_polyhedron_halfspace`, each
     # made on first use and kept for as long as the polyhedron lives: ``A``
     # and ``b`` are frozen, so neither can go stale.  Neither is part of the
-    # value, and a copy ``Polyhedron(A, b)`` starts without them.  The cone
-    # table is the larger: about 28 MB at n = 8, m = 24, mostly QR factors.
+    # value, and a copy ``Polyhedron(A, b)`` starts without them.  Alpha
+    # reads the vertex list for n >= 3 only, and the oracle reads it; no LP
+    # optimum or distance does, so a planar ``bound_report`` leaves it None.
+    # The cone table is the larger: about 28 MB at n = 8, m = 24, mostly QR
+    # factors.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: object | None = field(default=None, init=False, repr=False, compare=False)
     # ``1 + max|b|``, the part of the projection's data scale

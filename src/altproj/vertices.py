@@ -1,9 +1,14 @@
 """Vertex enumeration and the brute-force LP oracle.
 
 Every n-subset of rows is solved as a square system and the feasible
-solutions are kept with their full active row sets.  This gives independent
-ground truth at desk scale (n <= 8, m <= 24) for the LP solver and the
-vertex-based constants of :mod:`altproj.certify`.
+solutions are kept with their full active row sets.  The vertex list gives
+alpha its cone family for n >= 3 (:mod:`altproj.certify`), its one use in
+an answer of the package.  The oracle gives independent ground truth at
+desk scale (n <= 8, m <= 24): the tests and the benchmark compare the LP
+solver and ``d(A, B)`` against it, and :mod:`altproj.instances` draws the
+random LPs' ``M`` from it.  No answer reads the oracle: the package's LP
+optimum is the walk of :func:`altproj.qp._walk_to_optimum`, which has no
+size limit and needs no vertex.
 """
 
 from __future__ import annotations

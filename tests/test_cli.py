@@ -341,6 +341,32 @@ def test_lp_command_auto_bound(tmp_path, capsys):
     assert out["objective"] == pytest.approx(-1.0, abs=1e-7)
 
 
+def test_lp_auto_bound_reads_no_vertex_list(tmp_path, capsys):
+    # 30 rows at n = 3, past the enumeration's 24 rows: M is the walk's
+    # optimum less one, and the direct solve certifies under it.
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(30, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    c = [1.0, 0.5, -0.2]
+    problem = write_json(tmp_path / "lp.json", {"c": c, "A": rows.tolist(), "b": [1.0] * 30})
+    for strategy in ("direct", "shifted"):
+        assert main(["lp", problem, "--auto-bound", "--strategy", strategy]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["certificate"]["holds"]
+        assert out["objective"] == pytest.approx(float(np.dot(c, out["solution"])), abs=1e-12)
+        assert np.max(rows @ out["solution"] - 1.0) <= 1e-9
+
+
+def test_lp_auto_bound_rejects_a_zero_objective_as_the_half_space_does(tmp_path, capsys):
+    problem = write_json(
+        tmp_path / "lp.json", {"c": [0, 0], "A": [[1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 0, 1, 0]}
+    )
+    assert main(["lp", problem, "--auto-bound"]) == 64
+    assert capsys.readouterr().err == (
+        "error: cannot parse LP problem: half-space normal must be nonzero\n"
+    )
+
+
 @pytest.mark.parametrize("M", [None, [3], True, "3", "-2"])
 def test_lp_command_rejects_a_bound_that_is_not_a_number(tmp_path, capsys, M):
     # null and a list raised TypeError; true and "3" were coerced to 1.0 and 3.0.

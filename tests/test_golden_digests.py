@@ -15,9 +15,10 @@
   (alpha, ``d_AB``, ``N`` and ``one_step``), the shift ``mu`` of
   ``one_step_shift`` at that alpha and ``d_AB = 0``, and the shifted
   ``solve_lp`` (its solution by bytes, its objective and certificate
-  residuals by ``float.hex``).  ``bound_report`` keeps the vertex list and
-  the cone table on each polyhedron; ``one_step_shift`` takes its alpha,
-  and the shifted solve, which walks to the optimum, reads nothing kept.
+  residuals by ``float.hex``).  ``bound_report`` keeps the cone table on
+  each polyhedron, and alpha reads the vertex list for n >= 3;
+  ``one_step_shift`` takes its alpha.  ``bound_report``'s ``d_AB`` and the
+  shifted solve walk from ``x0`` to one optimum and read nothing kept.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result

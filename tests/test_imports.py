@@ -62,6 +62,41 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
+def call_sites(name):
+    """``module.function`` of every call of ``name`` in the package, named
+    by the innermost def around it (the module alone at module level)."""
+    sites = set()
+
+    def visit(node, site):
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            sites.add(site)
+        for child in ast.iter_child_nodes(node):
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{site.split('.')[0]}.{child.name}" if inner else site)
+
+    for path in sorted((SRC / "altproj").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return sites
+
+
+def test_the_brute_force_gives_no_answer():
+    # The walk is the package's one LP optimum.  Outside ``vertices``, the
+    # brute force itself, the vertex oracle only draws the pools' M in
+    # ``instances`` (pool data), and the vertex list only gives alpha its
+    # cone family.
+    outside = {
+        name: {site for site in call_sites(name) if not site.startswith("vertices.")}
+        for name in ("vertex_oracle", "feasible_vertices")
+    }
+    assert outside == {
+        "vertex_oracle": {"instances.random_lp_instance"},
+        "feasible_vertices": {"certify.alpha_polyhedron_halfspace"},
+    }
+
+
 def builds_error(node, rule):
     """Whether ``node`` calls the error type ``rule`` or passes a message
     that contains the text ``rule``."""

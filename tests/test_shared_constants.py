@@ -1,12 +1,14 @@
-"""One enumeration per polyhedron, one projection of x0 per shifted solve.
+"""One enumeration per polyhedron, one projection of x0 per solve, one LP optimum.
 
 A polyhedron keeps its vertex list from the first enumeration, so the
-alpha search, ``d_AB`` and the oracle all read one list; the shifted LP
-strategy reads none, and walks on from its one projection of ``x0``.
-These tests pin the sharing by counting calls, check by
-``float.hex`` that the shared paths give what the public composition gives
-on a polyhedron that enumerates afresh, and pin the error that each kind
-of bad pair raises.
+alpha search and the oracle read one list.  ``d_AB`` and the shifted LP
+strategy read none: both walk on from their one projection of ``x0`` to
+the LP optimum, and ``bound_report``'s ``d_AB`` is the shifted solve's
+``(objective - M) / ||c||`` bit for bit.  In the plane ``bound_report``
+reads no vertex list at all, so it has no row limit.  These tests pin the
+sharing by counting calls, check by ``float.hex`` that the shared paths
+give what the public composition gives on a polyhedron that enumerates
+afresh, and pin the error that each kind of bad pair raises.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from altproj import (
     EmptyPolyhedron,
     HalfSpace,
     InvalidDistance,
+    LowerBoundNotStrict,
     LPProblem,
     Polyhedron,
     TooLarge,
@@ -145,7 +148,7 @@ def test_shifted_solve_projects_the_start_once(monkeypatch):
     # The solve projects x0 with ``_project_from``, whose face the walk
     # continues from; ``project_polyhedron`` goes through it too.  Every
     # module that binds it is counted.
-    calls = count_calls(monkeypatch, [engine, lp, qp, sets], "_project_from")
+    calls = count_calls(monkeypatch, [engine, qp, sets], "_project_from")
     for inst in random_pairs(19, 30):
         A = inst.halfspace
         calls.clear()
@@ -156,7 +159,13 @@ def test_shifted_solve_projects_the_start_once(monkeypatch):
 
 def shared_and_public(B, A, x0):
     """``bound_report`` and the constants over B's kept vertex list next to
-    the public composition over a copy of B, which enumerates its own."""
+    the public composition over a copy of B, which enumerates its own.
+
+    The composition takes ``d_AB`` from the shifted solve from the same
+    ``x0``, ``(objective - M) / ||c||``, which walks to the optimum from
+    where ``bound_report`` walks; ``polyhedron_halfspace_distance`` walks
+    from ``P_B(0)`` and is compared on its own.
+    """
 
     def fields(report):
         if isinstance(report, type):
@@ -171,15 +180,17 @@ def shared_and_public(B, A, x0):
     )
     fresh = Polyhedron(B.A, B.b)
     alpha = alpha_polyhedron_halfspace(fresh, A)
-    d_ab = polyhedron_halfspace_distance(fresh, A)
+    solved = outcome(lambda: solve_lp(LPProblem(A.c, fresh, A.M), x0=x0, strategy="shifted"))
 
     def composed():
-        if d_ab <= 0.0:
+        if solved is LowerBoundNotStrict:
             raise InvalidDistance("the sets intersect")
+        d_ab = (solved.objective - A.M) / float(np.linalg.norm(A.c))
         d_x0 = float(np.linalg.norm(x0 - qp.project_polyhedron(fresh, x0).point))
         return iteration_bound(alpha, d_ab, max(d_x0, d_ab))
 
-    return shared, (hexed(alpha), hexed(d_ab), fields(outcome(composed)))
+    public_distance = hexed(polyhedron_halfspace_distance(fresh, A))
+    return shared, (hexed(alpha), public_distance, fields(outcome(composed)))
 
 
 def shifted_and_walked(B, A, x0):
@@ -231,12 +242,75 @@ def unit_rows(m, n, rng):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True), np.ones(m)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [3])
 def test_bound_report_too_many_rows_raises_too_large(n):
+    # At n >= 3 alpha's cone family still comes from the vertex list.
     rows, rhs = unit_rows(25, n, np.random.default_rng(n))
     A = HalfSpace(np.eye(n)[0], -5.0)
     with pytest.raises(TooLarge):
         bound_report(Polyhedron(rows, rhs), A, start_in(A))
+
+
+def test_planar_bound_has_no_row_limit():
+    # 25 rows, past the enumeration's 24: in the plane alpha is the
+    # row-wise minimum and d_AB the walk's, so neither reads a vertex.
+    rows, rhs = unit_rows(25, 2, np.random.default_rng(2))
+    B, A = Polyhedron(rows, rhs), HalfSpace([1.0, 0.0], -5.0)
+    x0 = start_in(A)
+    report = bound_report(B, A, x0)
+    assert B._vertices is None
+    assert 0.0 < report.alpha <= 0.5
+    # Walked from P_B(0), the optimum may differ in its last bits.
+    assert report.d_AB == pytest.approx(polyhedron_halfspace_distance(B, A), rel=1e-14)
+    direct = solve_lp(LPProblem(A.c, B, A.M), strategy="direct")
+    assert report.d_AB == pytest.approx(direct.objective - A.M, rel=1e-9)
+    trace = engine.run(A, B, x0, max_iters=10_000)
+    assert trace.stop_reason is engine.StopReason.CERTIFIED
+    assert trace.steps_to_converge <= report.max_steps
+
+
+def test_planar_bound_report_reads_no_vertex_list():
+    planar = [inst for inst in random_pairs(29, 40) if inst.poly.dim == 2]
+    assert len(planar) >= 5
+    for inst in planar:
+        bound_report(inst.poly, inst.halfspace, inst.x0)
+        # The pool's own oracle call enumerated a polyhedron of equal
+        # value; this one is a copy and starts without a list.
+        B = Polyhedron(inst.poly.A, inst.poly.b)
+        bound_report(B, inst.halfspace, inst.x0)
+        assert B._vertices is None
+        assert B._cones is not None
+
+
+def test_a_polyhedron_without_a_vertex_gets_a_bound():
+    # The slab |x1| <= 1, |x2| <= 1 in R^3 with x3 free is nonempty and has
+    # no vertex; the oracle finds none, the walk needs none.
+    B = Polyhedron([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]], np.ones(4))
+    A = HalfSpace([1.0, 0.0, 0.0], -3.0)
+    x0 = np.array([-4.0, 0.0, 0.0])
+    assert polyhedron_halfspace_distance(B, A) == 2.0
+    report = bound_report(B, A, x0)
+    assert report.d_AB == 2.0
+    assert report.d_x0_B == 3.0
+    trace = engine.run(A, B, x0, max_iters=1000)
+    assert trace.stop_reason is engine.StopReason.CERTIFIED
+    assert trace.steps_to_converge <= report.max_steps
+    with pytest.raises(EmptyPolyhedron):
+        vertex_oracle(B, A.c)
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_d_ab_is_the_shifted_optimum_bit_for_bit(seed):
+    # The constants pools: bound_report walks from x0 as the shifted solve
+    # does, so the two give one optimum.
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        inst = random_pair_instance(rng)
+        A, B = inst.halfspace, inst.poly
+        report = bound_report(B, A, inst.x0)
+        out = solve_lp(LPProblem(A.c, B, A.M), x0=inst.x0, strategy="shifted")
+        expected = (out.objective - A.M) / float(np.linalg.norm(A.c))
+        assert report.d_AB.hex() == expected.hex()
 
 
 @pytest.mark.parametrize("n", [2, 3])
