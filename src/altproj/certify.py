@@ -10,11 +10,15 @@ contraction of the step gaps by ``1 - alpha^2``.  That yields a finite
 bound on the number of projections needed to attain the minimum distance,
 a threshold under which a single projection pair suffices, and a shift of
 the half-space that forces that threshold.
+
+alpha is read, with no search, off one least-squares solve per candidate
+cone: the nearest point of a polyhedral cone is the least-squares
+projection onto the rows of one of its faces with every coefficient
+positive, and the candidate family holds every such face.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,15 +38,10 @@ _STRICT_MARGIN = 1e-10
 # Cones at most this far from -c/||c|| contain it: optimal-face geometry,
 # left out of alpha.
 _CONTAINS_TOL = 1e-9
-# alpha_polyhedron_halfspace's screen.  A cone is measured when its screened
-# value is within _SCREEN_MARGIN of the least distance found so far.  Unit
-# rows count as independent when every diagonal entry of their R factor is
-# at least _SCREEN_RANK_TOL, which keeps the span residual within about
-# 1e-10 of its exact value, and a least-squares coefficient below
-# -_SCREEN_COEF_TOL puts the nearest point of the span outside the cone.
-_SCREEN_MARGIN = 1e-9
-_SCREEN_RANK_TOL = 1e-6
-_SCREEN_COEF_TOL = 1e-9
+# Unit rows count as independent when every diagonal entry of their R factor
+# is at least this, which keeps the span residual within about 1e-10 of its
+# exact value.
+_RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,56 +108,35 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     ``-c`` than any single row does, and the cone minimum is the constant
     the contraction argument actually needs.
 
-    Each cone is measured by one NNLS solve (:func:`unit_cone_distance`:
-    the least-squares shortcut, or the projection onto the polar cone of
-    the unit rows), but only where the minimum can lie.  A screen first
-    gives every candidate a lower bound on its distance, from one stacked
-    QR factorisation of the unit rows per cone size (:func:`_screen`):
-
-    - one row: its ray distance, the exact value alpha takes for it;
-    - independent rows: the residual against their span, which holds the
-      cone;
-    - independent rows with a least-squares coefficient below
-      ``-_SCREEN_COEF_TOL``: the nearest point of the span lies outside
-      the cone, so the nearest point of the cone lies on a proper face;
-    - more rows than n: they are dependent, and by Caratheodory's theorem
-      every point of the cone lies in the cone of an independent subset;
-    - in the last two cases, the least screened value of the rows'
-      (k-1)-subsets when each has one.  The faces of a polyhedral cone are
-      cones of subsets of its rows, so the cone's distance is the least
-      distance over those subsets, which their values bound from below;
-    - two exactly antiparallel rows span a line, the union of their rays,
-      so the smaller ray distance; two nearly parallel rows at unit
-      distance ``e`` apart, the smaller ray distance less ``2 e``;
-    - otherwise no value, and the cone is always measured: other
-      dependent rows, and more than n rows with a subset without a value.
-
-    So the screen never exceeds a cone's distance by more than its
-    rounding, and NNLS never returns less than the distance by more than
-    its own rounding: its coefficients are nonnegative, so its residual is
-    that of a point of the cone.  The screened cones are measured in
-    ascending order until the next value exceeds the least distance found
-    so far by more than ``_SCREEN_MARGIN``.  That margin is far above both
-    roundings (about 1e-10 at the rank cut-off), so every cone left
-    unmeasured is farther than the minimum, and alpha is bit-identical to
-    measuring every candidate.  A vertex cone that contains ``-c`` needs no
-    descent into its faces: each face of two or more rows is a candidate
-    of its own, each single row enters through its ray distance, and the
-    screen bounds every face from below, so a face that could hold the
-    minimum is measured before the loop stops.
+    The minimum is read off least-squares solves, with no search.  The
+    nearest point of a polyhedral cone lies in the relative interior of one
+    of its faces, and by Caratheodory's theorem it is a positive
+    combination of independent rows of that face: it is the least-squares
+    projection onto their span, with every coefficient positive.  The
+    family holds every subset of each of its cones, so it holds that
+    subset.  So a cone of 2..n independent rows adds its span residual
+    ``||v - U' lam||`` when every least-squares coefficient ``lam_i`` is
+    positive, and nothing otherwise, since its nearest point then lies on a
+    proper face that is a candidate of its own; each single row adds its
+    ray distance; and a cone of more than n rows adds nothing, because its
+    rows are dependent and their subsets of n rows or fewer cover it.  A
+    cone whose rows are numerically dependent (a diagonal entry of their R
+    factor below ``_RANK_TOL``) is measured by :func:`unit_cone_distance`,
+    except an exactly antiparallel pair: it spans a line, whose nearest
+    point lies on one of its two rays.
 
     What does not depend on ``c`` is made once per polyhedron and kept on
     it (:class:`_ConeTable`, built by the first call): the unit rows and
     their norms and, for n >= 3, the candidate family over all rows with
-    the QR factors of its cones.  Each call then reads the cosines and ray
-    distances of the rows from stacked products, keeps the cones whose
-    rows all qualify (exactly the family above), screens them against the
-    kept factors and measures them in the order above.  So the first call
-    for a polyhedron pays for the table, and every later call, under any
-    objective, only for its own pass; alpha's bits do not depend on which
-    call built the table.  The table stays on B for as long as B lives: at
-    n = 8, m = 24 (about 38,000 cones) it holds about 28 MB, mostly the QR
-    factors, which the screen reads on every call.
+    the R factors of its independent cones.  Each call reads the cosines
+    and ray distances of the rows from stacked products, keeps the cones
+    whose rows all qualify (exactly the family above), and solves their
+    semi-normal equations ``R'R lam = U v`` batched by cone size.  So the
+    first call for a polyhedron pays for the table, and every later call,
+    under any objective, only for its own solves; alpha's bits do not
+    depend on which call built the table.  The table stays on B for as
+    long as B lives: at n = 8, m = 24 (about 38,000 cones) it holds about
+    12 MB, mostly the R factors.
 
     For n >= 3 the cones come from B's :func:`feasible_vertices`, read on
     every call; it keeps the oracle's limits (n <= 8, m <= 24).  The plane
@@ -179,51 +157,45 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     qualifying = _dot_rows(B.A, c) / (table.norms * nc) > -1.0 + _STRICT_MARGIN
     # The ray distances of the qualifying rows, each as unit_distance_to_ray
     # gives it (its unit vector, ``-c / ||-c||``, is ``neg_chat`` bit for
-    # bit), and NaN for the others.
-    rejection = table.units - _dot_rows(table.units, neg_chat)[:, None] * neg_chat
+    # bit).
+    uv = _dot_rows(table.units, neg_chat)
+    rejection = table.units - uv[:, None] * neg_chat
     ray = np.where(
         _dot_rows(table.units, neg_c) <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(rejection))
     )
-    ray[~qualifying] = math.nan
     best = float(ray[qualifying].min(initial=math.inf))
-    if not table.groups:
-        return 0.5 * min(1.0, best)
-
-    kept = np.flatnonzero(np.concatenate([qualifying[g.idx].all(axis=1) for g in table.groups]))
-    screened = np.concatenate(_screen(table, neg_chat, ray))
-    # Cones without a value rank first and never end the loop (NaN > x is
-    # false), so each of them is measured.
-    order = np.argsort(np.nan_to_num(screened[kept], nan=-math.inf), kind="stable")
-    for j in kept[order].tolist():
-        if screened[j] > best + _SCREEN_MARGIN:
-            break
-        rows = table.cone(j)
-        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[rows].T))
-        if dist > _CONTAINS_TOL:
-            best = min(best, dist)
+    for group in table.groups:
+        kept = qualifying[group.idx].all(axis=1)
+        idx = group.idx[kept]
+        lam = _semi_normal_solve(group.R[kept], uv[idx])
+        inside = (lam > 0.0).all(axis=1)
+        # The residual is a small difference of unit-scale vectors, so it is
+        # formed in long double: in doubles it errs by about 1e-16 absolute.
+        # (On a platform whose long double is a double it rounds as one.)
+        point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), table.units[idx[inside]])
+        resid = neg_chat - point
+        dist = np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float)
+        best = min(best, float(dist[dist > _CONTAINS_TOL].min(initial=math.inf)))
+        for rows in group.dependent[qualifying[group.dependent].all(axis=1)]:
+            dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[rows].T))
+            if dist > _CONTAINS_TOL:
+                best = min(best, dist)
     return 0.5 * min(1.0, best)
 
 
 @dataclass(frozen=True, eq=False)
 class _ConeGroup:
-    """The candidate cones of one size k, with what of their screen is fixed by B.
+    """The candidate cones of one size k <= n, with their part that B fixes.
 
-    ``idx`` holds the cones' sorted row indices, one row per cone.  For
-    k >= 3, ``faces[g]`` are the positions of cone g's (k-1)-row faces in
-    the group before.  For k <= n, ``Q`` and ``R`` are the QR factors of
-    the cones with independent unit rows (``independent``).  For k = 2,
-    ``antiparallel`` and ``acute`` mark the pairs with ``u = -w`` and
-    ``u.w > 0``, and ``gap2`` is ``2 ||u - w||``.
+    ``idx`` holds the sorted row indices of the cones with independent unit
+    rows, one row per cone, and ``R`` their R factors.  ``dependent`` holds
+    the other cones, which are measured, less the exactly antiparallel
+    pairs.
     """
 
     idx: np.ndarray
-    faces: np.ndarray | None = None
-    independent: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    R: np.ndarray | None = None
-    antiparallel: np.ndarray | None = None
-    acute: np.ndarray | None = None
-    gap2: np.ndarray | None = None
+    R: np.ndarray
+    dependent: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,22 +203,15 @@ class _ConeTable:
     """The part of :func:`alpha_polyhedron_halfspace` that B alone fixes.
 
     ``units`` and ``norms`` are the unit rows and the row norms.  For
-    n >= 3, ``groups`` holds the candidate family over all rows (every pair
-    of rows and every subset of two or more rows active together at a
-    vertex), sorted by ``(len, cone)`` and grouped by size, and ``starts``
-    each group's first position in that order.  In the plane the family is
+    n >= 3, ``groups`` holds the candidate family of 2..n rows over all
+    rows (every pair of rows and every subset of two or more rows active
+    together at a vertex), grouped by size.  In the plane the family is
     empty.
     """
 
     units: np.ndarray
     norms: np.ndarray
     groups: tuple
-    starts: tuple
-
-    def cone(self, j: int) -> np.ndarray:
-        """Row indices of the cone at position ``j`` of the family."""
-        g = bisect.bisect_right(self.starts, j) - 1
-        return self.groups[g].idx[j - self.starts[g]]
 
 
 def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
@@ -254,80 +219,41 @@ def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
     norms = _dot_row_norms(B.A)
     units = B.A / norms[:, None]
     if B.dim < 3:
-        return _ConeTable(units, norms, (), ())
-    cones = set(itertools.combinations(range(B.num_rows), 2))
+        return _ConeTable(units, norms, ())
+    cones = [set() for _ in range(B.dim + 1)]
+    cones[2].update(itertools.combinations(range(B.num_rows), 2))
     for _, active in vertices:
-        for size in range(2, len(active) + 1):
-            cones.update(itertools.combinations(active, size))
-    cones = sorted(cones, key=lambda cone: (len(cone), cone))
-    # Each cone's row bitmask (m <= 24 here), to find its faces by.
-    groups, masks, starts = [], [], []
-    for k, group in itertools.groupby(cones, key=len):
-        idx = np.array(list(group))
-        bits = np.left_shift(1, idx)
-        group_masks = bits.sum(axis=1)
-        parts = {}
-        if k >= 3:
-            # Each (k-1)-row face, found by its row bitmask in the group
-            # before; the family holds every face of its cones.
-            order = np.argsort(masks[-1])
-            at = np.searchsorted(masks[-1], group_masks[:, None] - bits, sorter=order)
-            parts["faces"] = order[at]
-        if k <= B.dim:
-            Q, R = np.linalg.qr(units[idx].transpose(0, 2, 1))
-            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            independent = diag.min(axis=1) >= _SCREEN_RANK_TOL
-            parts.update(independent=independent, Q=Q[independent], R=R[independent])
-        if k == 2:
-            u, w = units[idx[:, 0]], units[idx[:, 1]]
-            parts.update(
-                antiparallel=(u == -w).all(axis=1),
-                acute=np.einsum("gi,gi->g", u, w) > 0.0,
-                gap2=2.0 * np.linalg.norm(u - w, axis=1),
-            )
-        starts.append(sum(m.size for m in masks))
-        groups.append(_ConeGroup(idx, **parts))
-        masks.append(group_masks)
-    return _ConeTable(units, norms, tuple(groups), tuple(starts))
-
-
-def _screen(table: _ConeTable, vhat, ray) -> list:
-    """Lower bounds on ``d(vhat, cone)``, by the rules of :func:`alpha_polyhedron_halfspace`.
-
-    Screens every cone of ``table``'s family, one value array per group
-    (NaN where a cone has no value); ``ray`` holds each row's ray distance,
-    NaN for a row that does not qualify.  Only the objective's part runs
-    here: ``Q' vhat`` and the span residual from the kept ``Q``, the
-    least-squares coefficients from the kept ``R``, and the face minima by
-    the kept face positions.  Each value is formed cone by cone, so a
-    cone's value does not depend on the other cones of its group, and a
-    cone whose rows all qualify reads only faces whose rows qualify.
-    """
-    n = vhat.shape[0]
-    values = []
-    for group in table.groups:
-        k = group.idx.shape[1]
-        if k == 2:
-            least = ray[group.idx].min(axis=1)
-        else:
-            least = values[-1][group.faces].min(axis=1)
-        if k > n:
-            values.append(least)
+        for size in range(3, min(len(active), B.dim) + 1):
+            cones[size].update(itertools.combinations(active, size))
+    groups = []
+    for k, group in enumerate(cones):
+        if not group:
             continue
+        idx = np.array(sorted(group))
+        R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
+        independent = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
+        dependent = ~independent
         if k == 2:
-            parallel = np.where(group.acute, least - group.gap2, math.nan)
-            vals = np.where(group.antiparallel, least, parallel)
-        else:
-            vals = np.full(least.shape, math.nan)
-        if group.Q.shape[0]:
-            qy = np.einsum("gik,i->gk", group.Q, vhat)
-            resid = np.linalg.norm(vhat - np.einsum("gik,gk->gi", group.Q, qy), axis=1)
-            coef = np.linalg.solve(group.R, qy[..., None])[..., 0]
-            least_ind = least[group.independent]
-            outside = (coef < -_SCREEN_COEF_TOL).any(axis=1) & ~np.isnan(least_ind)
-            vals[group.independent] = np.where(outside, least_ind, resid)
-        values.append(vals)
-    return values
+            dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
+        groups.append(_ConeGroup(idx[independent], R[independent], idx[dependent]))
+    return _ConeTable(units, norms, tuple(groups))
+
+
+def _semi_normal_solve(R, b) -> np.ndarray:
+    """``lam`` with ``R'R lam = b`` for each cone of a group, by substitution.
+
+    ``R`` is ``(g, k, k)`` upper triangular and ``b`` is ``(g, k)``: forward
+    substitution on ``R'`` then back substitution on ``R``, each column
+    vectorised over the cones.
+    """
+    k = R.shape[2]
+    y = np.empty_like(b)
+    for i in range(k):
+        y[:, i] = (b[:, i] - np.einsum("gj,gj->g", R[:, :i, i], y[:, :i])) / R[:, i, i]
+    lam = np.empty_like(b)
+    for i in reversed(range(k)):
+        lam[:, i] = (y[:, i] - np.einsum("gj,gj->g", R[:, i, i + 1 :], lam[:, i + 1 :])) / R[:, i, i]
+    return lam
 
 
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:
@@ -441,8 +367,8 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     1e-8 tolerance of :func:`engine.run <altproj.engine.run>`) raises
     :class:`StartNotInA`.  ``d(x0, B)`` is raised to ``d_AB`` only to absorb
     the rounding of a start in A.  ``x0`` is validated against A, as
-    :func:`engine.run <altproj.engine.run>` validates it, before the alpha
-    search, so a bad start raises before any cone is measured.
+    :func:`engine.run <altproj.engine.run>` validates it, before alpha, so
+    a bad start raises before the vertex list is read.
 
     ``x0`` is projected onto B once.  That projection gives ``d(x0, B)``,
     bit for bit what :func:`project_polyhedron` gives, and the walk on from

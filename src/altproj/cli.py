@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, engine, lp, verify
-from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair
+from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair, Unbounded
 from .linalg import as_point
 from .qp import _walk_to_optimum
 from .sets import set_from_json
@@ -164,15 +164,23 @@ def cmd_lp(args) -> int:
     try:
         spec = _load_spec(args.problem)
         # Under --auto-bound the problem is read with M = 0, which checks c
-        # as the LP's half-space does; M is then the optimum less one, the
-        # end of the walk from the projection of the origin.
+        # as the LP's half-space does.
         problem = lp.problem_from_json({**spec, "M": 0.0} if args.auto_bound else spec)
-        if args.auto_bound:
-            end = _walk_to_optimum(problem.poly, np.zeros(len(problem.c)), problem.c)[1].point
-            problem = lp.LPProblem(problem.c, problem.poly, float(problem.c.dot(end)) - 1.0)
     except _SPEC_ERRORS as exc:
         print(f"error: cannot parse LP problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.auto_bound:
+        # M is the optimum less one, the end of the walk from the projection
+        # of the origin.  The walk's errors are the solve's: an empty
+        # polyhedron or a walk past its cap exits 1, and an unbounded
+        # objective, which no M is strictly below, exits 66.
+        try:
+            end = _walk_to_optimum(problem.poly, np.zeros(len(problem.c)), problem.c)[1].point
+        except Unbounded:
+            raise LowerBoundNotStrict(
+                "the objective is unbounded below on the polyhedron, so no M is strictly below it"
+            ) from None
+        problem = lp.LPProblem(problem.c, problem.poly, float(problem.c.dot(end)) - 1.0)
     outcome = lp.solve_lp(problem, strategy=args.strategy)
     trace_csv = None
     if args.out is not None and outcome.trace is not None:

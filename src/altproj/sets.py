@@ -93,7 +93,7 @@ class Polyhedron(_ValueSet):
     # value, and a copy ``Polyhedron(A, b)`` starts without them.  Alpha
     # reads the vertex list for n >= 3 only, and the oracle reads it; no LP
     # optimum or distance does, so a planar ``bound_report`` leaves it None.
-    # The cone table is the larger: about 28 MB at n = 8, m = 24, mostly QR
+    # The cone table is the larger: about 12 MB at n = 8, m = 24, mostly R
     # factors.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: object | None = field(default=None, init=False, repr=False, compare=False)
@@ -257,9 +257,13 @@ def _parabola_root(z1: float, z2: float) -> float:
     # rounding, and a first step that rounding lands below the root comes
     # back above it with a shorter one.  ``lin_err`` is the rounding error
     # of 1 - 2 z2 (Knuth's two-sum; 2 z2 is exact), carried in g so that
-    # the root is that of the given z2.  Every root is within 2 ulps up to
-    # about 5e102, where 2u^3 overflows (z2 above about 3e205): there the
-    # first step is not finite and the start is returned.
+    # the root is that of the given z2.  Above about 5e102 (z2 above about
+    # 3e205, or |z1| near the largest float) 2u^3 overflows and the first
+    # step is not finite; there the same iteration runs on w = u / s, for s
+    # the power of two at the start, on g(s w) / s^3, whose coefficients are
+    # g's divided by powers of two: exactly, or, past the smallest normal,
+    # with an error far under an ulp of the root.  Every root is within 2
+    # ulps up to z2 of about 9e307, where 1 - 2 z2 overflows.
     a = abs(z1)
     lin = 1.0 - 2.0 * z2
     back = lin - 1.0
@@ -267,11 +271,23 @@ def _parabola_root(z1: float, z2: float) -> float:
     u = min(a, (0.5 * a) ** (1.0 / 3.0) + math.sqrt(max(z2 - 0.5, 0.0)))
     if lin > 0.0:
         u = min(u, a / lin)
+    root = _cubic_newton(u, lin, lin_err, a)
+    if root is None:
+        s = math.ldexp(1.0, math.frexp(u)[1] - 1)
+        w = _cubic_newton(u / s, lin / s / s, lin_err / s / s, a / s / s / s)
+        root = u if w is None else s * w
+    return math.copysign(root, z1)
+
+
+def _cubic_newton(u: float, lin: float, lin_err: float, a: float) -> float | None:
+    # Newton on 2u^3 + (lin + lin_err) u - a from u past the root, to the
+    # first step whose length is not strictly below the previous one's (see
+    # ``_parabola_root``); None when the first step is not finite.
     last = math.inf
     while True:
         step = (2.0 * u * u * u + (lin * u - a) + lin_err * u) / (6.0 * u * u + lin)
         if not abs(step) < last:
-            return math.copysign(u, z1)
+            return None if last == math.inf else u
         u -= step
         last = abs(step)
 

@@ -33,6 +33,7 @@ from altproj.instances import (
 )
 from altproj.linalg import unit_cone_distance, unit_distance_to_ray
 from altproj.vertices import feasible_vertices
+from exact import cone_family_distance, sqrt_relative_error
 from test_qp_adversarial import nearly_parallel, random_poly, unit, with_duplicates
 
 RATE_78_ALPHA = 1.0 / (2.0 * math.sqrt(2.0))
@@ -123,6 +124,46 @@ def unpruned_alpha(B, A):
     return 0.5 * min(1.0, best), subsets
 
 
+def exact_alpha_error(B, A, alpha):
+    """Relative distance of ``alpha`` from the exact constant over the same family:
+    the qualifying rows, their pairs and the subsets of n rows or fewer of each
+    vertex's qualifying active rows (more rows are dependent)."""
+    qualifying, active_sets = qualifying_active_sets(B, A)
+    family = {(i,) for i in qualifying} | set(itertools.combinations(qualifying, 2))
+    for rows in active_sets:
+        for size in range(3, min(len(rows), B.dim) + 1):
+            family.update(itertools.combinations(rows, size))
+    exact = cone_family_distance(-A.c / norm(A.c), B.A, family, floor=1e-9)
+    return sqrt_relative_error(2.0 * alpha, exact)
+
+
+# The worst relative distance of the search that alpha replaced (an NNLS
+# solve per screened cone, bit-identical to unpruned_alpha) from the exact
+# constant, rounded up: on rng72_pool_pairs (1.3273e-14), on
+# bad_geometry_pairs (7.9522e-13) and on them under c = -a_0 (2.7136e-12).
+POOL_EXACT_BOUND = 1.33e-14
+BAD_GEOMETRY_EXACT_BOUND = 7.96e-13
+FLIPPED_EXACT_BOUND = 2.72e-12
+
+
+def assert_near_exact(B, A, bound):
+    """alpha is within ``bound`` of the exact constant and of the unpruned search."""
+    alpha = alpha_polyhedron_halfspace(B, A)
+    expected, subsets = unpruned_alpha(B, A)
+    assert exact_alpha_error(B, A, alpha) <= bound
+    assert abs(alpha - expected) <= bound * expected
+    return subsets
+
+
+def rng72_pool_pairs():
+    rng = np.random.default_rng(72)
+    return [
+        (inst.poly, inst.halfspace)
+        for inst in (random_pair_instance(rng) for _ in range(60))
+        if inst.poly.dim >= 3
+    ]
+
+
 def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
     measured = []
 
@@ -131,12 +172,7 @@ def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
         return unit_cone_distance(vhat, G)
 
     monkeypatch.setattr(certify, "unit_cone_distance", spy)
-    rng = np.random.default_rng(72)
-    pairs = [
-        (inst.poly, inst.halfspace)
-        for inst in (random_pair_instance(rng) for _ in range(60))
-        if inst.poly.dim >= 3
-    ]
+    pairs = rng72_pool_pairs()
     # Square pyramid under the half-space z >= 2: the cone of the apex's
     # four active rows contains -c = (0, 0, 1).
     pyramid = Polyhedron(
@@ -150,8 +186,7 @@ def test_alpha_pruning_matches_the_unpruned_search(monkeypatch):
     pruned_pairs = containing = 0
     for B, A in pairs:
         measured.clear()
-        expected, subsets = unpruned_alpha(B, A)
-        assert alpha_polyhedron_halfspace(B, A) == expected
+        subsets = assert_near_exact(B, A, POOL_EXACT_BOUND)
         assert len(measured) == len(set(measured))
         searched = set(measured)
         pruned_pairs += not all(
@@ -199,24 +234,21 @@ def bad_geometry_pairs():
     return pairs + [(SQUARE_PYRAMID, HalfSpace([0.0, 0.0, -1.0], -2.0))]
 
 
-def test_alpha_screen_matches_the_unpruned_search_on_bad_geometry():
-    # The screen's values are accurate only on well-conditioned rows; on
-    # the rest it must fall back to measuring, so alpha stays exact.
+def test_alpha_matches_the_exact_constant_on_bad_geometry():
+    # Nearly parallel, repeated and antiparallel rows: the least-squares
+    # read must stay as close to the exact constant as the search it
+    # replaced, with numerically dependent cones measured by NNLS.
     pairs = bad_geometry_pairs()
     assert len(pairs) >= 50
     for B, A in pairs:
-        assert alpha_polyhedron_halfspace(B, A) == unpruned_alpha(B, A)[0]
+        assert_near_exact(B, A, BAD_GEOMETRY_EXACT_BOUND)
 
 
-def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
-    # A count, not a clock: on these pairs the search measures 109 of its
-    # 3275 candidate cones (the full sweep measures all of them).
-    rng = np.random.default_rng(72)
-    pairs = [
-        (inst.poly, inst.halfspace)
-        for inst in (random_pair_instance(rng) for _ in range(60))
-        if inst.poly.dim >= 3
-    ]
+def test_alpha_makes_no_cone_solve_on_pool_pairs(monkeypatch):
+    # A count, not a clock: every candidate cone of these pairs has
+    # independent rows, so each is read from its least-squares solve, and
+    # none of the 3275 candidates of the full search takes an NNLS solve.
+    pairs = rng72_pool_pairs()
     candidates = sum(len(unpruned_alpha(B, A)[1]) for B, A in pairs)
     calls = []
 
@@ -228,7 +260,7 @@ def test_alpha_screen_measures_few_of_its_candidate_cones(monkeypatch):
     for B, A in pairs:
         alpha_polyhedron_halfspace(B, A)
     assert candidates == 3275
-    assert len(calls) <= 0.05 * candidates
+    assert calls == []
 
 
 def reuse_queries():
@@ -269,15 +301,16 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
     # Under c = -a_0 row 0 does not qualify, and the cones through it leave
     # the family: the filter of the kept table runs, which no pool reaches.
     # alpha, on a table built under the polyhedron's own c, must still be
-    # the unpruned search's value.
+    # as close to the exact constant as the search it replaced.
     filtered = 0
     for B, A in bad_geometry_pairs():
         kept = Polyhedron(B.A, B.b)
         alpha_polyhedron_halfspace(kept, A)
         flipped = HalfSpace(-B.A[0], -10.0)
-        expected, subsets = unpruned_alpha(B, flipped)
-        assert alpha_polyhedron_halfspace(kept, flipped) == expected
-        filtered += len(subsets) < sum(len(g.idx) for g in kept._cones.groups)
+        assert_near_exact(kept, flipped, FLIPPED_EXACT_BOUND)
+        qualifying = set(qualifying_active_sets(B, flipped)[0])
+        cones = [rows for g in kept._cones.groups for rows in (*g.idx, *g.dependent)]
+        filtered += sum(set(rows) <= qualifying for rows in cones) < len(cones)
     assert filtered >= 40
 
 
@@ -510,24 +543,24 @@ def test_bound_report_rejects_a_start_outside_the_halfspace(x0):
 
 
 def test_bound_report_rejects_an_outside_start_before_the_alpha_search(monkeypatch):
-    # The start is checked first, so a start outside A measures no cone.
-    solves = []
+    # The start is checked first, so a start outside A reads no vertex list.
+    reads = []
 
-    def spy(*args):
-        solves.append(1)
-        return unit_cone_distance(*args)
+    def spy(B):
+        reads.append(B)
+        return feasible_vertices(B)
 
-    monkeypatch.setattr(certify, "unit_cone_distance", spy)
+    monkeypatch.setattr(certify, "feasible_vertices", spy)
     rng = np.random.default_rng(3)
     inst = next(i for i in (random_pair_instance(rng) for _ in range(50)) if i.poly.dim == 4)
     bound_report(inst.poly, inst.halfspace, inst.x0)
-    assert solves  # the alpha search of this pair measures cones
-    solves.clear()
+    assert reads == [inst.poly]  # the alpha search of this pair reads it
+    reads.clear()
     c, M = inst.halfspace.c, inst.halfspace.M
     outside = inst.x0 + ((M + 1.0 - c @ inst.x0) / (c @ c)) * c  # <c, x> = M + 1
     with pytest.raises(StartNotInA):
         bound_report(inst.poly, inst.halfspace, outside)
-    assert solves == []
+    assert reads == []
 
 
 def test_bound_report_accepts_a_start_on_the_boundary_within_tolerance():

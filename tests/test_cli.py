@@ -367,6 +367,23 @@ def test_lp_auto_bound_rejects_a_zero_objective_as_the_half_space_does(tmp_path,
     )
 
 
+@pytest.mark.parametrize("strategy", ["direct", "shifted"])
+def test_lp_auto_bound_reports_solver_errors_as_the_solve_does(tmp_path, capsys, strategy):
+    # The walk runs after the spec is read, so its errors are not parse
+    # errors: an unbounded objective has no strict lower bound (66), as an
+    # explicit M gets from the solve, and an empty polyhedron is an error (1).
+    unbounded = {"c": [1, 0], "A": [[0, 1], [0, -1]], "b": [1, 1]}
+    empty = {"c": [1, 1], "A": [[1, 0], [-1, 0], [0, 1]], "b": [-1, -2, 1]}
+    for spec, code in ((unbounded, 66), (empty, 1)):
+        for extra, flags in (({"M": -5}, []), ({}, ["--auto-bound"])):
+            problem = write_json(tmp_path / "lp.json", {**spec, **extra})
+            assert main(["lp", problem, "--strategy", strategy, *flags]) == code
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "cannot parse" not in err
+    main(["lp", write_json(tmp_path / "lp.json", unbounded), "--strategy", strategy, "--auto-bound"])
+    assert "unbounded" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("M", [None, [3], True, "3", "-2"])
 def test_lp_command_rejects_a_bound_that_is_not_a_number(tmp_path, capsys, M):
     # null and a list raised TypeError; true and "3" were coerced to 1.0 and 3.0.

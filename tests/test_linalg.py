@@ -10,7 +10,8 @@ from altproj import (
     nnls,
     verify,
 )
-from altproj.linalg import unit_distance_to_ray
+from altproj.linalg import unit_cone_distance, unit_distance_to_ray
+from exact import cone_family_distance
 
 
 def grid_cone_distance(v, generators, lam_max=4.0, steps=81):
@@ -129,3 +130,22 @@ def test_nnls_satisfies_kkt():
         grad = G.T @ resid  # positive gradient entries would allow descent
         assert float(grad.max(initial=0.0)) <= 1e-7
         assert float(np.abs(grad[lam > 1e-10]).max(initial=0.0)) <= 1e-7
+
+
+def test_cone_distance_is_the_least_positive_face_residual():
+    # The nearest point of a cone is a positive combination of independent
+    # generators and their least-squares projection, so the distance is the
+    # least residual over the subsets whose exact least-squares coefficients
+    # are all positive (1 with none).  alpha reads its cones this way.
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(2, n + 1))
+        G = rng.normal(size=(n, k))
+        G /= np.linalg.norm(G, axis=0)
+        # Half the targets lean into the cone, so that more faces are hit.
+        v = rng.normal(size=n) + (G @ rng.random(k) if rng.random() < 0.5 else 0.0)
+        v /= np.linalg.norm(v)
+        subsets = [s for size in range(1, k + 1) for s in itertools.combinations(range(k), size)]
+        exact = cone_family_distance(v, G.T, subsets)
+        assert abs(unit_cone_distance(v, G) - math.sqrt(exact)) <= 1e-14

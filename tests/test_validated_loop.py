@@ -251,6 +251,23 @@ def test_parabola_root_is_within_2_ulps_on_a_grid():
     assert tried >= 400
 
 
+def test_parabola_root_is_within_2_ulps_where_its_cube_overflows():
+    # Roots above about 5e102, where 2u^3 overflows and the first Newton
+    # step is not finite: the start (-5.157540750183401e104) was returned
+    # for the first pair.  The iteration runs on u / 2^k instead.
+    assert_root_within_2_ulps(-2.12e298, 2.66e209)
+    assert_root_within_2_ulps(1.7e308, 0.0)
+    assert_root_within_2_ulps(1.7e308, -1e100)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        z1 = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 308.0))
+        z2 = float(10.0 ** rng.uniform(206.0, 307.5))
+        if z2 >= z1 * z1:
+            continue  # inside the epigraph: not projected through the root
+        assert abs(_parabola_root(z1, z2)) > 4e102
+        assert_root_within_2_ulps(z1, z2)
+
+
 @pytest.mark.parametrize("x", [1e24, 1e120, 1e200])
 def test_far_parabola_runs_project_onto_the_parabola(x):
     # Every B-point is the nearest point of the parabola to the A-point
