@@ -68,8 +68,8 @@ code raises, in its order, and builds the one certificate of a stop.  On the
 32 half-plane / epigraph fixtures the arrays decide one to four cycles of
 each run, the stopping one included, and none of the 1000 cycles of the
 tangent (``square_k0``) runs.  The loop keeps only the floats of its
-iterates; the ``(k, 2)`` points and the gaps are built once, at the stop, by
-the trace builder that the general loop shares (below).
+iterates and puts them into one array at the stop; the ``(k, 2)`` points and
+the gaps are built from it on first read, as the general loop's are (below).
 
 Validation happens once, at the boundary.  :func:`run` validates ``x0``
 and every cycle then runs on kernels that take validated arrays or floats:
@@ -82,12 +82,18 @@ is tested for finite entries only when its distance from the previous one
 is not finite, which every non-finite iterate makes it.
 
 Iterates only.  Both loops keep nothing but their iterates: the general
-loop one flat array per real point and one per block of generated cycles,
-the planar loop the floats.  At the stop :func:`_trace` stacks them and
-forms every gap from one block product, ``linalg._dot_row_norms`` of the
-differences of consecutive rows, which rounds each row's sum of squares as
-``d.dot(d)`` does.  So every stored gap is bitwise ``_norm`` of its step,
-the value the cycle itself measured, generated cycles included.
+loop one flat array per real point, joined into one whenever a stretch of
+generated cycles begins, and for each stretch its closed form
+(:class:`_Stretch`), not its points; the planar loop the floats.  The trace
+builds ``points`` and ``gaps`` on their first read (:class:`_Record`): it
+fills every stretch from its closed form, stacks the pieces and forms every
+gap from one block product, ``linalg._dot_row_norms`` of the differences of
+consecutive rows, which rounds each row's sum of squares as ``d.dot(d)``
+does.  So every stored gap is bitwise ``_norm`` of its step, the value the
+cycle itself measured, generated cycles included.  The final pair, the
+final gap, the number of iterates, the stop and the certificate are kept by
+the run itself, so a direct LP solve, which reads nothing else, builds
+nothing and pays for its real cycles only.
 
 Cycles on one face.  When A is a half-space ``{<c, x> <= M}`` and B a
 polyhedron, a run can spend thousands of cycles creeping along one face
@@ -126,11 +132,15 @@ events could happen:
   with ``P_r = I - P_V``, falls below ``GAP_STALL_TOL``;
 - the cycle cap.
 
-It then generates the iterates of every cycle up to two before that one
-from the closed form and resumes ordinary cycles, so every face change,
-certificate and stop decision still comes from real projections.  The
-gaps of the generated cycles are formed with all the others, at the
-stop.  This is done at most once per visit to a face.  Other pairs,
+It then keeps every cycle up to two before that one as one stretch in
+closed form, and resumes ordinary cycles from the stretch's last A-point, so
+every face change, certificate and stop decision still comes from real
+projections.  That point, and the B-point before it, are the closed form
+at ``j = J`` by the NumPy ufuncs the trace's fill uses, on a one-element
+``j``: every operation is elementwise in ``j``, so they are bit for bit
+the last two rows the fill gives.  The iterates and gaps of the generated
+cycles are built with all the others, on the trace's first read.  This is
+done at most once per visit to a face.  Other pairs,
 and a polyhedron A with a half-space B, run ordinary cycles throughout.
 
 The face factor.  On the same pairs each real B-projection starts from the
@@ -204,6 +214,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -314,7 +325,37 @@ class _Iterates(Sequence):
             yield i, _LABELS[i % 2], point
 
 
-@dataclass
+class _Record(NamedTuple):
+    """The iterates of a run as :func:`run` keeps them, before they are built.
+
+    ``pieces`` holds, in run order, flat arrays of consecutive real
+    iterates and the :class:`_Stretch` records of generated cycles; the last
+    piece is an array that ends with the final B- and A-point.  ``n`` is the
+    dimension, ``count`` the number of iterates and ``final_gap`` the
+    A-step's gap of the last cycle, ``_norm(a - b)`` as the cycle measured
+    it.
+    """
+
+    pieces: list
+    n: int
+    count: int
+    final_gap: float
+
+    def build(self) -> tuple[np.ndarray, np.ndarray]:
+        # ``points`` and ``gaps``, row for row as the run made them: every
+        # stretch filled by its closed form, every gap from one block
+        # product that rounds each row as ``_norm`` does.
+        pieces = [p.rows(np.arange(1, p.J + 1)).ravel() if isinstance(p, _Stretch) else p for p in self.pieces]
+        points = (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, self.n)
+        return points, _dot_row_norms(points[1:] - points[:-1])
+
+
+def _read_only(values) -> np.ndarray:
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 class Trace:
     """Full record of one alternating-projections run.
 
@@ -323,13 +364,19 @@ class Trace:
     label A for even ``i`` and B for odd ``i``; ``gaps`` is the 1-D array
     whose entry ``i`` is the distance between rows ``i`` and ``i + 1``, for
     a trace of :func:`run` bitwise ``_norm(points[i + 1] - points[i])``.
-    Both are read-only views, about ``8 (n + 1)`` bytes per iterate, and
-    ``iterates`` reads ``points`` as ``(index, label, point)`` tuples with
-    labels alternating A, B, A, B, ...  ``steps_to_converge`` counts
-    individual projections until the minimum distance was attained, i.e.
-    the index of the projection that produced the first certified pair's
-    B-point (the A-projection that completes the pair confirms it but is
-    not counted).
+    Both are read-only views, and ``iterates`` reads ``points`` as
+    ``(index, label, point)`` tuples with labels alternating A, B, A, B, ...
+    ``Trace(points, gaps, ...)`` is a trace of the given arrays.  A trace of
+    :func:`run` builds the two arrays on their first read, about
+    ``8 (n + 1)`` bytes per iterate; until then it holds its real iterates,
+    ``8 n`` bytes each, and a record of a few hundred bytes per stretch of
+    generated cycles (module docstring).  ``num_iterates``, ``final_pair``,
+    ``final_gap`` and ``to_json_dict`` read the run's own values and build
+    nothing.
+    ``steps_to_converge`` counts individual projections until the minimum
+    distance was attained, i.e. the index of the projection that produced
+    the first certified pair's B-point (the A-projection that completes the
+    pair confirms it but is not counted).
     ``certificate`` is that of the final pair, or None when the run stopped
     on a gap too small to normalise (see :func:`run`).  It is built once,
     for the pair the run stops on; a cycle that does not stop the run is
@@ -344,31 +391,61 @@ class Trace:
     counts 0.  Like ``generated_cycles`` it is not part of the report JSON.
     """
 
-    points: np.ndarray
-    gaps: np.ndarray
-    stop_reason: StopReason = StopReason.MAX_ITERS
-    steps_to_converge: int | None = None
-    certificate: Certificate | None = None
-    generated_cycles: int = 0
-    active_set_steps: int = 0
+    def __init__(
+        self,
+        points,
+        gaps,
+        stop_reason: StopReason = StopReason.MAX_ITERS,
+        steps_to_converge: int | None = None,
+        certificate: Certificate | None = None,
+        generated_cycles: int = 0,
+        active_set_steps: int = 0,
+    ):
+        self.stop_reason = stop_reason
+        self.steps_to_converge = steps_to_converge
+        self.certificate = certificate
+        self.generated_cycles = generated_cycles
+        self.active_set_steps = active_set_steps
+        if isinstance(points, _Record):
+            # A run's record (``_trace``): the arrays are built on first read.
+            self._record, self._arrays = points, None
+        else:
+            # Read-only views: the arrays passed in stay as they were.
+            self._record, self._arrays = None, (_read_only(points), _read_only(gaps))
 
-    def __post_init__(self):
-        # Read-only views: the arrays passed in stay as they were.
-        self.points = np.asarray(self.points, dtype=float).view()
-        self.points.flags.writeable = False
-        self.gaps = np.asarray(self.gaps, dtype=float).view()
-        self.gaps.flags.writeable = False
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            points, gaps = self._record.build()
+            self._arrays = _read_only(points), _read_only(gaps)
+        return self._arrays
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._built()[0]
+
+    @property
+    def gaps(self) -> np.ndarray:
+        return self._built()[1]
 
     @property
     def iterates(self) -> _Iterates:
         return _Iterates(self.points)
 
+    @property
+    def num_iterates(self) -> int:
+        return len(self.points) if self._record is None else self._record.count
+
     def final_pair(self):
         """Last (A-point, B-point) of the run: the last two rows of ``points``."""
-        return self.points[-1], self.points[-2]
+        if self._record is None:
+            return self.points[-1], self.points[-2]
+        last = _read_only(self._record.pieces[-1][-2 * self._record.n :]).reshape(2, -1)
+        return last[1], last[0]
 
     @property
     def final_gap(self) -> float:
+        if self._record is not None:
+            return self._record.final_gap
         return float(self.gaps[-1]) if len(self.gaps) else 0.0
 
     def to_json_dict(self) -> dict:
@@ -377,7 +454,7 @@ class Trace:
         return {
             "stop_reason": self.stop_reason.value,
             "steps_to_converge": self.steps_to_converge,
-            "num_iterates": len(self.points),
+            "num_iterates": self.num_iterates,
             "final_gap": self.final_gap,
             "certificate": None if cert is None else cert.to_json_dict(),
         }
@@ -581,9 +658,12 @@ def run(
     if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
         return _run_planar(set_a, set_b, x0, max_iters, cert_tol)
 
-    # Every iterate, real or generated, is a flat array in ``points``; the
-    # gaps are formed from them once, when the run stops (``_trace``).
-    points = [x0]
+    # The real iterates since the last stretch are flat arrays in ``points``.
+    # A stretch joins them into one piece and follows it in ``pieces`` as
+    # its closed form; the stop joins the rest.  The joined copies keep the
+    # trace apart from ``x0`` and from the certificate's pair, which callers
+    # hold (``_trace`` builds the arrays on first read).
+    points, pieces = [x0], []
     # On a half-space/polyhedron pair the B-projection's multipliers name
     # the face it lands on; a repeated face is walked in closed form.
     walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
@@ -615,34 +695,37 @@ def run(
             last_face, walked = key, False
         elif not walked:
             walked = True
-            block = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
-            if len(block):
-                points.append(block.ravel())
-                generated += len(block) // 2
-                cycle += len(block) // 2
-                current = block[-1]
+            jump = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
+            if jump is not None:
+                stretch, last = jump
+                pieces += (np.concatenate(points), stretch)
+                points = []
+                generated += stretch.J
+                cycle += stretch.J
+                current = last[1]
     else:
         # The last cycle was a real one: a closed-form stretch stops at
         # least one cycle short of the cap.
         stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
-    return _trace(np.concatenate(points), x0.shape[0], stop, generated, active_steps)
+    pieces.append(np.concatenate(points))
+    return _trace(pieces, x0.shape[0], gap_a, stop, generated, active_steps)
 
 
 def _trace(
-    flat: np.ndarray,
+    pieces: list,
     n: int,
+    final_gap: float,
     stop: tuple[StopReason, int | None, Certificate | None],
     generated: int = 0,
     active_steps: int = 0,
 ) -> Trace:
-    # The ``Trace`` of a run from its iterates, concatenated as one flat
-    # array, and its stop.  Every gap comes from one block product that
-    # rounds each row as ``_norm`` does, so it is the gap a cycle measures.
-    points = flat.reshape(-1, n)
+    # The ``Trace`` of a run from its pieces (``_Record``), the last cycle's
+    # A-step gap and its stop.  The points and gaps are built on first read.
+    count = sum(2 * p.J if isinstance(p, _Stretch) else len(p) // n for p in pieces)
     reason, steps, cert = stop
     return Trace(
-        points,
-        _dot_row_norms(points[1:] - points[:-1]),
+        _Record(pieces, n, count, final_gap),
+        None,
         stop_reason=reason,
         steps_to_converge=steps,
         certificate=cert,
@@ -691,8 +774,9 @@ def _run_planar(
 
     Each iterate is carried as two floats and every cycle is screened on
     floats; a cycle the screen cannot clear is decided again on arrays by
-    :func:`_decide`.  Only the floats of the iterates are kept;
-    :func:`_trace` builds the points and gaps from them at the stop.
+    :func:`_decide`.  Only the floats of the iterates are kept, and put
+    into one array at the stop; the trace builds the points and gaps from
+    it on first read (:func:`_trace`).
     """
     project_a, project_b = _planar_projection(set_a), _planar_projection(set_b)
     gap_floor = 2.0 * max(cert_tol, ZERO_TOL)
@@ -724,7 +808,7 @@ def _run_planar(
         b, a = np.array((b0, b1)), np.array((a0, a1))
         d, gap_a = _step_gap(a, b)
         stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
-    return _trace(np.array(xy), 2, stop)
+    return _trace([np.array(xy)], 2, gap_a, stop)
 
 
 def _planar_projection(s: HalfSpace | EpigraphSet):
@@ -802,6 +886,41 @@ def _step_gap(p: np.ndarray, prev: np.ndarray) -> tuple[np.ndarray, float]:
     return d, gap
 
 
+class _Stretch(NamedTuple):
+    """The cycles of one closed-form stretch on a face (module docstring).
+
+    Cycle ``j`` of the stretch, ``1 <= j <= J``, has the B-point
+    ``b - g(j) P_V c`` and the A-point ``b - g(j) P_V c - e(j) c``, with
+    ``g(j) = s (1 - rho^j)/q``, ``e(j) = s rho^j`` and ``b`` the B-point of
+    the real cycle before the stretch; ``pvc`` is ``P_V c``.
+    """
+
+    b: np.ndarray
+    pvc: np.ndarray
+    c: np.ndarray
+    s: float
+    log_rho: float
+    q: float
+    J: int
+
+    def rows(self, j: np.ndarray) -> np.ndarray:
+        # The B- and A-point of each cycle of ``j`` (an integer array) in
+        # rows ``2i`` and ``2i + 1``.  Every operation is elementwise in
+        # ``j``, so a cycle's rows have the same bits whatever else ``j``
+        # holds.  The points are formed with the cycles along the last axis,
+        # so that every loop runs along the cycles and not along the few
+        # coordinates, and then copied once into C-contiguous rows: the last
+        # A-point of a stretch starts the next real cycle, and OpenBLAS's
+        # ``ddot`` can round a strided vector otherwise.
+        j_log_rho = j * self.log_rho
+        g = self.s * -np.expm1(j_log_rho) / self.q
+        e = self.s * np.exp(j_log_rho)
+        points = np.empty((2, self.b.shape[0], len(j)))
+        np.subtract(self.b[:, None], np.multiply.outer(self.pvc, g), out=points[0])
+        np.subtract(points[0], np.multiply.outer(self.c, e), out=points[1])
+        return np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(2 * len(j), -1)
+
+
 def _face_jump(
     h: HalfSpace,
     poly: Polyhedron,
@@ -810,44 +929,45 @@ def _face_jump(
     b: np.ndarray,
     cycles_left: int,
     cert_tol: float,
-) -> np.ndarray:
-    """Iterates of the cycles after ``b`` that stay on ``face``.
+) -> tuple[_Stretch, np.ndarray] | None:
+    """The stretch of cycles after ``b`` that stay on ``face``, and its end.
 
     ``b`` is the B-point of the cycle just completed, on the face whose
     rows ``face`` marks, and ``factor`` the face factor of its projection;
-    ``cycles_left`` cycles remain under the cap.  Rows ``2j - 2`` and
-    ``2j - 1`` of the ``(2J, n)`` result hold ``b_{k+j}`` and
-    ``a_{k+j+1}`` (module docstring), the B- and A-point of each cycle in
-    run order, for ``J`` two short of the first cycle at which the face
-    could change or a stop rule could fire.  ``P_V c`` is
+    ``cycles_left`` cycles remain under the cap.  The stretch covers the
+    cycles ``k + 1`` to ``k + J`` (module docstring), for ``J`` two short
+    of the first cycle at which the face could change or a stop rule could
+    fire; the second value holds the B- and A-point of its last cycle as
+    the C-contiguous rows of ``stretch.rows`` at ``j = J``, bit for bit the
+    last two rows of the stretch's block.  ``P_V c`` is
     ``c - Q_1 (Q_1' c)``, formed twice to re-orthogonalise it, with ``Q_1``
-    the factor's first ``k`` columns, which span the working rows.  ``J``
-    is 0 when the working rows are not exactly the rows of ``face`` (a
-    working row with a zero multiplier) and when the first event falls
-    within three cycles: an approaching inactive row that reaches its floor
-    (``10 * ACTIVE_TOL``, or for a row already within that margin its slack
-    less the smallest B-projection feasibility tolerance), a gap at the
-    certificate tolerance, an A-point feasible within the projection's
-    tolerance, or a stall.  A row within the margin that the path does not
-    move, such as a copy of a face row, limits nothing.  No run reaches the
-    other guards: ``b`` in the half-space (a zero A-step, so the run
-    stopped) and a face that does not move the run, ``||P_V c||`` below
-    ``ZERO_TOL ||c||`` or all of ``c`` (the cycle before, on this face, cut
-    its gap by ``q/2`` of it, a stall for gaps under 2e10, or to ``1 - q``
-    of the gap before, a stop for gaps under 1e4).
+    the factor's first ``k`` columns, which span the working rows.  The
+    result is None when the working rows are not exactly the rows of
+    ``face`` (a working row with a zero multiplier) and when the first
+    event falls within three cycles: an approaching inactive row that
+    reaches its floor (``10 * ACTIVE_TOL``, or for a row already within
+    that margin its slack less the smallest B-projection feasibility
+    tolerance), a gap at the certificate tolerance, an A-point feasible
+    within the projection's tolerance, or a stall.  A row within the
+    margin that the path does not move, such as a copy of a face row,
+    limits nothing.  No run reaches the other guards: ``b`` in the
+    half-space (a zero A-step, so the run stopped) and a face that does not
+    move the run, ``||P_V c||`` below ``ZERO_TOL ||c||`` or all of ``c``
+    (the cycle before, on this face, cut its gap by ``q/2`` of it, a stall
+    for gaps under 2e10, or to ``1 - q`` of the gap before, a stop for gaps
+    under 1e4).
     """
     c, cc = h.c, h._cc
     s = (float(c.dot(b)) - h.M) / cc
-    none = np.empty((0, b.shape[0]))
     W, rows = factor.W, face.tolist()
     if not s > 0.0 or rows.count(True) != len(W) or not all(rows[i] for i in W):
-        return none
+        return None
     Q1 = factor.Q1
     pvc = c - Q1.dot(c.dot(Q1))
     pvc -= Q1.dot(pvc.dot(Q1))
     q = float(pvc.dot(pvc)) / cc
     if not ZERO_TOL < math.sqrt(q) < 1.0:
-        return none
+        return None
     log_rho = math.log1p(-q)
     nc = math.sqrt(cc)
 
@@ -893,18 +1013,6 @@ def _face_jump(
     horizon = min(horizon, 1 + reached(s * prc * (1.0 - prc / nc), GAP_STALL_TOL))
     jumps = int(horizon) - 2
     if jumps < 1:
-        return none
-    # ``b_{k+j} = b - g(j) P_V c`` and ``a_{k+j+1} = b_{k+j} - e(j) c`` are
-    # formed with the cycles along the last axis, so that every loop runs
-    # along the cycles and not along the few coordinates, and then copied
-    # once into rows ``2j - 2`` and ``2j - 1``.  The result is C-contiguous,
-    # so its last row, the next iterate, enters the BLAS products of the
-    # next cycle as a contiguous vector: OpenBLAS's ``ddot`` can round a
-    # strided vector otherwise.
-    j_log_rho = np.arange(1, jumps + 1) * log_rho
-    g = s * -np.expm1(j_log_rho) / q
-    e = s * np.exp(j_log_rho)
-    stretch = np.empty((2, b.shape[0], jumps))
-    np.subtract(b[:, None], np.multiply.outer(pvc, g), out=stretch[0])
-    np.subtract(stretch[0], np.multiply.outer(c, e), out=stretch[1])
-    return np.ascontiguousarray(stretch.transpose(2, 0, 1)).reshape(2 * jumps, -1)
+        return None
+    stretch = _Stretch(b, pvc, c, s, log_rho, q, jumps)
+    return stretch, stretch.rows(np.arange(jumps, jumps + 1))

@@ -229,15 +229,17 @@ def _delete_column(Q, R, k, j) -> None:
         Q[:, i : i + 2] = Q[:, i : i + 2].dot(G.T)
 
 
-def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
+def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
     """Active-set steps from a dual-feasible start to the final face.
 
     ``z`` is the projection of the point onto the face where the rows ``W``
     are tight and ``u >= 0`` its multipliers in ``W`` order.  ``Q`` (n x n,
     orthogonal) and the leading ``k x k`` block of ``R`` (``k = len(W)``,
     upper triangular) factor the working rows: ``A_W' = Q[:, :k] R[:k, :k]``.
-    The cold start is ``([], I, 0, [], x)``.  ``W``, ``Q``, ``R`` and ``z``
-    are updated in place; returns the number of steps.  A violated row of
+    The cold start is ``([], I, 0, [], x)``.  ``slack`` is ``A.dot(z) - b``
+    at the start, which the caller has formed to test ``z``; each later
+    step forms it again.  ``W``, ``Q``, ``R`` and ``z`` are updated in
+    place; returns the number of steps.  A violated row of
     norm ``_ROW_NORM_LIMIT`` (2**510, about 3.4e153) or more would fill the
     factor with non-finite values, so it raises :class:`DegenerateRow`
     before any update.  The row's norm is taken by ``math.hypot``, which
@@ -248,7 +250,6 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
     abs_A = np.abs(A)
     steps = 0
     while True:
-        slack = A.dot(z) - b
         p = int(slack.argmax())
         if slack[p] <= feas_tol:
             return steps
@@ -300,6 +301,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z) -> int:
             _delete_column(Q, R, k, j)
             del W[j]
             del u[j]
+        slack = A.dot(z) - b
 
 
 # Spread of column sizes (largest entries) up to which ``nnls`` tries its
@@ -372,8 +374,8 @@ def nnls(G: np.ndarray, y: np.ndarray):
     # enters the working set, and its coefficient stays 0.
     norms[norms == 0.0] = 1.0
     U = G.T / norms[:, None]
-    W, Q, R = [], np.eye(n), np.zeros((n, n))
-    _working_set(U, np.zeros(m), _FEAS_TOL * (1.0 + ny), W, Q, R, [], y.copy())
+    W, Q, R, z, b = [], np.eye(n), np.zeros((n, n)), y.copy(), np.zeros(m)
+    _working_set(U, b, _FEAS_TOL * (1.0 + ny), W, Q, R, [], z, U.dot(z) - b)
     k = len(W)
     lam_hat = np.zeros(m)
     lam_hat[W] = np.maximum(_substitute(R[:k, :k], y.dot(Q[:, :k])), 0.0)

@@ -149,9 +149,10 @@ def test_nnls_matches_lawson_hanson_from_zero(monkeypatch):
     projected = []
     working_set = linalg._working_set
 
-    def spy(*args):
+    def spy(A, b, feas_tol, W, Q, R, u, z, slack):
+        assert slack.tobytes() == (A.dot(z) - b).tobytes()
         projected.append(True)
-        return working_set(*args)
+        return working_set(A, b, feas_tol, W, Q, R, u, z, slack)
 
     monkeypatch.setattr(linalg, "_working_set", spy)
     rng = np.random.default_rng(2024)

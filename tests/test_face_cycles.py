@@ -22,6 +22,7 @@ from altproj import (
     HalfSpace,
     LowerBoundNotStrict,
     LPProblem,
+    NotConverged,
     Polyhedron,
     StopReason,
     Trace,
@@ -37,7 +38,7 @@ from altproj.cli import main
 from altproj.engine import GAP_STALL_TOL
 from altproj.instances import random_lp_instance, random_pair_instance
 from altproj.linalg import ZERO_TOL
-from altproj.lp import _default_start
+from altproj.lp import _default_start, outcome_to_json
 from altproj.sets import set_to_json
 
 REL_TOL = 1e-12
@@ -185,12 +186,14 @@ def test_long_pool_lps_certify_under_the_default_cap(seed, index, cycles):
 def test_longest_pool_lp_holds_two_arrays():
     # 266,705 iterates in four dimensions: about 8.5 MB of points and 2.1 MB
     # of gaps.  Kept as a tuple and a float per iterate, the trace held 75 MB.
+    # The arrays are built on their first read, inside the measured window.
     problem, _ = pool_lp(3, 117)
     solve_lp(problem)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         outcome = solve_lp(problem)
+        outcome.trace.points
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -351,14 +354,15 @@ def test_random_lps_with_copied_rows_match_plain_cycles():
 
 
 def jump_blocks(monkeypatch):
-    """The number of rows of each block ``engine._face_jump`` returns."""
+    """The number of rows each stretch ``engine._face_jump`` returns would
+    fill, 0 for a refusal."""
     blocks = []
     face_jump = engine._face_jump
 
     def spy(*args):
-        block = face_jump(*args)
-        blocks.append(len(block))
-        return block
+        jump = face_jump(*args)
+        blocks.append(0 if jump is None else 2 * jump[0].J)
+        return jump
 
     monkeypatch.setattr(engine, "_face_jump", spy)
     return blocks
@@ -405,33 +409,122 @@ def test_jump_before_a_stall_is_refused(monkeypatch):
     assert len(trace.gaps) == 6
 
 
-def test_generated_iterates_reach_the_projection_contiguous(monkeypatch):
-    # The last generated B-point starts the next real cycle, and OpenBLAS's
-    # ``ddot`` can round a strided vector otherwise than a contiguous one,
-    # so a block handed on as a transposed view would move the run's bits.
-    blocks, points = [], []
-    face_jump, project_from = engine._face_jump, engine._project_from
+def stretch_ends(monkeypatch):
+    """The ``(stretch, last)`` pairs ``engine._face_jump`` returns."""
+    ends = []
+    face_jump = engine._face_jump
 
-    def jump_spy(*args):
-        block = face_jump(*args)
-        blocks.append(block)
-        return block
+    def spy(*args):
+        jump = face_jump(*args)
+        if jump is not None:
+            ends.append(jump)
+        return jump
+
+    monkeypatch.setattr(engine, "_face_jump", spy)
+    return ends
+
+
+def test_generated_iterates_reach_the_projection_contiguous(monkeypatch):
+    # The last generated A-point starts the next real cycle, and OpenBLAS's
+    # ``ddot`` can round a strided vector otherwise than a contiguous one,
+    # so an end handed on as a transposed view would move the run's bits.
+    ends, points = stretch_ends(monkeypatch), []
+    project_from = engine._project_from
 
     def project_spy(poly, x, face):
         points.append(x)
         return project_from(poly, x, face)
 
-    monkeypatch.setattr(engine, "_face_jump", jump_spy)
     monkeypatch.setattr(engine, "_project_from", project_spy)
-    # The wedges generate long blocks and the LPs short ones.
+    # The wedges generate long stretches and the LPs short ones.
     for set_b, x0 in [(wedge(0.01), [20.0, -1.0]), (wedge(0.01, [-1.0, -1.0]), [5.0, -1.0])]:
         assert run(BELOW, set_b, x0, max_iters=5000).generated_cycles > 0
     rng = np.random.default_rng(7)
     for _ in range(40):
         problem, _ = random_lp_instance(rng)[:2]
         run(*lp_pair(problem), max_iters=5000)
-    assert all(block.flags.c_contiguous for block in blocks)
+    assert len(ends) > 2
+    assert all(last.flags.c_contiguous and last[1].flags.c_contiguous for _, last in ends)
     assert all(x.flags.c_contiguous for x in points)
+
+
+def test_handed_on_points_are_the_last_rows_of_the_built_block(monkeypatch):
+    # The run goes on from the end of a stretch computed on its own, with
+    # the ufuncs of the fill on a one-element ``j``; the trace fills the
+    # whole stretch when it is read.  Both must give the same bytes.
+    ends = stretch_ends(monkeypatch)
+    for seed in (1, 7, 11):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            problem = random_lp_instance(rng)[0]
+            try:
+                solve_lp(problem)
+            except NotConverged:
+                pass
+    pools = len(ends)
+    assert pools > 300
+    for set_b, x0 in [
+        (wedge(0.01), [20.0, -1.0]),
+        (wedge(0.001), [200.0, -1.0]),
+        (wedge(0.001, [0.001, -1.0]), [200.0, -1.0]),
+    ]:
+        run(BELOW, set_b, x0, max_iters=10**6)
+    assert len(ends) > pools + 2
+    for stretch, last in ends:
+        block = stretch.rows(np.arange(1, stretch.J + 1))
+        assert block.shape == (2 * stretch.J, stretch.b.shape[0])
+        assert block[-2:].tobytes() == last.tobytes()
+
+
+def test_a_solve_builds_no_trace_arrays(monkeypatch):
+    # ``solve_lp``, the report JSON and the trace's own reads take the run's
+    # values; ``points`` and ``gaps`` are built once, on their first read.
+    built = []
+    build = engine._Record.build
+
+    def spy(record):
+        built.append(record)
+        return build(record)
+
+    monkeypatch.setattr(engine._Record, "build", spy)
+    rng = np.random.default_rng(1)
+    outcomes = [solve_lp(random_lp_instance(rng)[0]) for _ in range(30)]
+    assert sum(out.trace.generated_cycles for out in outcomes) > 0
+    for out in outcomes:
+        trace = out.trace
+        report = (outcome_to_json(out), trace.to_json_dict(), trace.final_pair(), trace.final_gap)
+        assert report[1]["num_iterates"] == trace.num_iterates
+    # A capped solve names its cycle count from the count the trace keeps.
+    with pytest.raises(NotConverged, match="MaxIters after 5000 cycles"):
+        solve_lp(pool_lp(1, 264)[0], max_iters=5000)
+    assert built == []
+    for out in outcomes:
+        trace = out.trace
+        a, b = trace.final_pair()
+        final_gap, count = trace.final_gap, trace.num_iterates
+        assert len(trace.points) == count == len(trace.gaps) + 1
+        assert a.tobytes() == trace.points[-1].tobytes() and b.tobytes() == trace.points[-2].tobytes()
+        assert final_gap == trace.gaps[-1]
+        assert not a.flags.writeable and not b.flags.writeable
+        assert trace.points is trace.points and trace.gaps is trace.gaps
+    assert len(built) == len(outcomes)
+
+
+def test_longest_pool_lp_holds_its_real_cycles_only():
+    # 133,352 cycles, all but 7 generated: before ``points`` is read the
+    # trace holds its real points and one record per stretch.
+    problem, _ = pool_lp(3, 117)
+    solve_lp(problem)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcome = solve_lp(problem)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert outcome.trace.num_iterates == 2 * 133352 + 1
+    assert outcome.trace.generated_cycles > 133000
+    assert held < 1e6
 
 
 def test_reversed_pair_keeps_plain_cycles():

@@ -7,9 +7,11 @@
   (the lower half-plane against the abs and parabola epigraphs shifted up
   by k in {0, 0.5, 1, 2}, from (x, 0) for x in {1, 3, 10, 100}), and
 - the direct-strategy ``solve_lp`` runs of 300 ``random_lp_instance`` LPs
-  at each of rng seeds 1, 7 and 11: every iterate and gap by bytes, the
-  stop reason, the step count, the generated cycles, the active-set steps,
-  the certificate residuals and the objective by ``float.hex``, and
+  at each of rng seeds 1, 7 and 11: every iterate and gap by bytes, as the
+  trace builds them on their first read (generated stretches filled from
+  their closed form), the stop reason, the step count, the generated
+  cycles, the active-set steps, the certificate residuals and the
+  objective by ``float.hex``, and
 - the constants path on 200 ``random_pair_instance`` pairs at each of rng
   seeds 1 and 11, as the ``constants`` benchmark runs it: ``bound_report``
   (alpha, ``d_AB``, ``N`` and ``one_step``), the shift ``mu`` of
@@ -33,7 +35,9 @@ package's small products and stored gaps keep that rounding.  Its
 of it (3,313 of 20,000 random products at n = 2..4), so the package hands
 every iterate to BLAS contiguous; a generated block of cycles returned as
 a transposed view moved the iterates of 23 of the 600 LPs of pools 1 and
-7.  On another NumPy or BLAS build a digest can fail with the package
+7.  The end of a generated stretch, from which the run goes on, is formed
+on its own, by the fill's ufuncs on a one-element ``j``, so the digests
+also pin that it has the bits of the filled block's last rows.  On another NumPy or BLAS build a digest can fail with the package
 unchanged, so a failure names the build it ran on.
 """
 

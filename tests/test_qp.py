@@ -195,9 +195,11 @@ def warm_branch(monkeypatch):
     branch = []
     solve = qp._working_set
 
-    def spy(A, b, feas_tol, W, Q, R, u, z):
+    def spy(A, b, feas_tol, W, Q, R, u, z, slack):
+        # The first step reads the slack the projection has just tested.
+        assert slack.tobytes() == (A.dot(z) - b).tobytes()
         branch.append("continue" if W else "cold")
-        return solve(A, b, feas_tol, W, Q, R, u, z)
+        return solve(A, b, feas_tol, W, Q, R, u, z, slack)
 
     monkeypatch.setattr(qp, "_working_set", spy)
     return branch
@@ -252,6 +254,24 @@ def test_warm_face_takes_every_branch_and_matches_the_cold_projection(monkeypatc
                 seen[kind] += 1
                 assert_matches_cold(poly, x, res)
     assert min(seen.values()) >= 100, seen
+
+
+def test_a_strided_point_starts_on_the_slack_of_its_contiguous_copy(monkeypatch):
+    # The active-set method starts on a contiguous copy of a cold point, so
+    # the slack handed to its first step is the copy's (the spy compares the
+    # bytes), and the projection is within rounding of the copy's.
+    branch = warm_branch(monkeypatch)
+    rng = np.random.default_rng(32)
+    cold = 0
+    for poly, inside in warm_polyhedra():
+        for x in warm_points(rng, poly, inside):
+            wide = np.stack([x, -x], axis=1)
+            branch.clear()
+            res = project_polyhedron(poly, wide[:, 0])
+            cold += branch == ["cold"]
+            ref = project_polyhedron(poly, x.copy())
+            assert norm(res.point - ref.point) <= 1e-12 * (1.0 + norm(x))
+    assert cold >= 100
 
 
 def test_warm_face_of_the_point_itself_is_a_hit(monkeypatch):

@@ -256,11 +256,11 @@ def watch_factor(monkeypatch):
         assert not np.tril(R[:k, :k], -1).any()
         histories[-1].append(list(W))
 
-    def solve(A, b, feas_tol, W, Q, R, u, z):
+    def solve(A, b, feas_tol, W, Q, R, u, z, slack):
         state.update(A=A, W=W, Q=Q, R=R, updates=0)
         histories.append([])
         check()
-        steps = working_set(A, b, feas_tol, W, Q, R, u, z)
+        steps = working_set(A, b, feas_tol, W, Q, R, u, z, slack)
         check()
         return steps
 
