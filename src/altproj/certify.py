@@ -88,6 +88,15 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _check_distances(**distances: float) -> None:
+    # Every distance passed to a bound must be finite: NaN passes no
+    # comparison and infinity every upper one, so either would give a step
+    # count or a shift that means nothing.
+    for name, d in distances.items():
+        if not math.isfinite(d):
+            raise InvalidDistance(f"{name} must be finite, got {d}")
+
+
 def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     """Angle constant of the pair; always in (0, 1/2].
 
@@ -259,10 +268,12 @@ def _semi_normal_solve(R, b) -> np.ndarray:
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:
     """Finite-step bound ``N = floor(log_{1-alpha^2}(d_AB / d_x0_B))``.
 
-    Requires ``0 < alpha < 1`` and ``0 < d_AB <= d_x0_B`` (a starting point
-    in A can never be closer to B than the sets are to each other).
+    Requires ``0 < alpha < 1`` and finite ``0 < d_AB <= d_x0_B`` (a
+    starting point in A can never be closer to B than the sets are to each
+    other); :class:`InvalidDistance` otherwise.
     """
     _check_alpha(alpha)
+    _check_distances(d_AB=d_AB, d_x0_B=d_x0_B)
     if d_AB <= 0.0:
         raise InvalidDistance("d_AB must be positive")
     if d_x0_B < d_AB - _STRICT_MARGIN:
@@ -307,8 +318,9 @@ def one_step_shift(
     ``mu`` exceeds ``((1 - alpha^2) d(x0, B) - d_AB) / (alpha^2 ||c||)`` by
     a small margin, which guarantees that the shifted pair satisfies the
     strict one-step threshold when the run starts from ``x0 - mu c``.
-    ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.  Raises
-    ``ValueError`` when the shift is not finite, which happens once
+    ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.  ``d_AB``
+    must be finite and nonnegative (:class:`InvalidDistance` otherwise).
+    Raises ``ValueError`` when the shift is not finite, which happens once
     ``alpha^2 ||c||`` underflows or the quotient overflows.  The shifted
     LP solve does not call it: it walks ``t -> P(x0 - t c)`` to where the
     projection stops moving, which the one-step threshold puts by ``mu``.
@@ -316,6 +328,7 @@ def one_step_shift(
     _check_pair(A, B)
     x0 = as_point(x0, A.dim)
     _check_alpha(alpha)
+    _check_distances(d_AB=d_AB)
     if d_AB < 0.0:
         raise InvalidDistance("d_AB must be nonnegative")
     _check_start(A, x0)

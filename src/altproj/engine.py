@@ -10,14 +10,17 @@ cone of A at ``a`` and ``a - b`` in that of B at ``b``; the certificate
 measures both cone distances.  For nonconvex sets the inclusion is only a
 necessary condition, so a certified stop there means "stationary pair".
 
-How a cycle is decided.  Each cycle makes the checks of
-:func:`check_certificate` in its order: A's membership, B's membership,
-then the direction ``b - a`` (``ZeroVector`` when it cannot be normalised).
-The decision takes the A-step's difference ``a - b`` and its gap from
-:func:`_step_gap` instead of forming them again; ``-(a - b)/gap`` is
-bitwise ``(b - a)/||b - a||``.  It then measures B's residual, and A's only
-when B's is at most the tolerance.  ``a`` is the A-projection of ``b``, so
-A's residual is about 0 by construction and B's decides almost every cycle.
+How a cycle is decided.  One function, :func:`_decide`, decides every
+cycle that is not screened on floats (below).  It makes the checks of
+:func:`check_certificate` in its order, by the same prelude
+(:func:`_cone_prelude`): A's membership, B's membership, each by the one
+rule of ``sets._active``, then the direction ``b - a`` (``ZeroVector``
+when it cannot be normalised).  The decision takes the A-step's difference
+``a - b`` and its gap from :func:`_step_gap` instead of forming them again;
+``-(a - b)/gap`` is bitwise ``(b - a)/||b - a||``.  It then measures B's
+residual, and A's only when B's is at most the tolerance.  ``a`` is the
+A-projection of ``b``, so A's residual is about 0 by construction and B's
+decides almost every cycle.
 On a half-space/polyhedron run B's residual is read from the face factor of
 the cycle's B-projection wherever that decides the cycle, and measured by
 the cone solve everywhere else (below, "The face factor").
@@ -27,8 +30,7 @@ stops on: on a certified stop from the two residuals just measured, on a
 last pair, exactly as :func:`check_certificate` does.  Every decision
 equals that of calling :func:`check_certificate` after every cycle, and so
 does every residual except a certified ``residual_B`` read from the factor,
-which can differ from the cone solve's in the last bits.  :func:`_decide`
-makes this decision on arrays.
+which can differ from the cone solve's in the last bits.
 
 Planar pairs.  When both sets are 2-D and neither is a polyhedron
 (half-planes and the two epigraphs), a cycle of NumPy calls on 2-vectors
@@ -75,7 +77,7 @@ Validation happens once, at the boundary.  :func:`run` validates ``x0``
 and every cycle then runs on kernels that take validated arrays or floats:
 the set projections behind ``sets.project`` (``qp._project_from`` for a
 polyhedron, the float kernels for a planar pair) and the cycle decision
-:func:`_certified`, which shares its prelude with :func:`_certificate`
+:func:`_decide`, which shares its prelude with :func:`_certificate`
 behind :func:`check_certificate`, with 1-D norms from ``linalg._norm``.
 The sets' dimensions are compared once, before the first cycle.  An iterate
 is tested for finite entries only when its distance from the previous one
@@ -167,12 +169,13 @@ face is never factored afresh.
 
 The same factor decides the cycle (:func:`_face_residual`).  B's normal
 cone at ``b`` is generated by the rows tight there within ``ACTIVE_TOL``,
-the mask ``|A b - b| <= ACTIVE_TOL`` that ``normal_cone_columns`` forms,
-here formed once per decision.  When those rows are exactly the working
-rows ``W``, the cone lies in the span of ``Q_1``, so B's residual is at
-least the span residual ``r = ||w - Q_1 (Q_1' w)||``; and the nearest point
-of the span, ``Q_1 Q_1' w = A_W' mu`` with ``mu = R^-1 Q_1' w``, lies in the
-cone when every ``mu_i`` is positive, so the residual is then ``r`` itself.
+the mask ``|A b - b| <= ACTIVE_TOL`` of ``sets._active``, formed once per
+decision.  When those rows are exactly the working rows ``W``
+(:func:`_on_working_rows`, the test :func:`_face_jump` makes too), the cone
+lies in the span of ``Q_1``, so B's residual is at least the span residual
+``r = ||w - Q_1 (Q_1' w)||``; and the nearest point of the span,
+``Q_1 Q_1' w = A_W' mu`` with ``mu = R^-1 Q_1' w``, lies in the cone when
+every ``mu_i`` is positive, so the residual is then ``r`` itself.
 The decision reads:
 
 - ``r > tol + _RESIDUAL_MARGIN``: not certified, with no cone solve;
@@ -220,9 +223,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, PointNotInSet, ZeroVector
 from .linalg import (
-    _FEAS_TOL,
     ZERO_TOL,
     _dot_row_norms,
+    _feas_tol,
     _norm,
     _real_scalar,
     _substitute,
@@ -236,19 +239,21 @@ from .sets import (
     HalfSpace,
     Polyhedron,
     ProjectableSet,
+    _active,
+    _active_columns,
     _check_start,
-    _contains_point,
     _epigraph_generators,
     _project_epigraph_xy,
     _project_halfplane_xy,
     _project_point,
-    _tight_rows,
-    normal_cone_columns,
 )
 
 # Decrease of the step gap below which the run is declared stalled; guards
 # fixtures whose convergence is asymptotic only.
 GAP_STALL_TOL = 1e-14
+# A pair closer than the certificate tolerance witnesses a common point when
+# each point is in its set within this tolerance.
+_COMMON_POINT_TOL = 1e-6
 
 # Margins of the float screen of a planar cycle (module docstring): the
 # screen's residual must exceed the tolerance by _RESIDUAL_MARGIN, its gap
@@ -514,52 +519,26 @@ def _certificate(
     cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, cone_b, w = cone
-    res_a = unit_cone_distance(-w, normals_a)
-    res_b = unit_cone_distance(w, _b_normals(set_b, cone_b))
+    active_a, active_b, w = cone
+    res_a = unit_cone_distance(-w, _active_columns(set_a, active_a))
+    res_b = unit_cone_distance(w, _active_columns(set_b, active_b))
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
 
 
-def _certified(
-    set_a: ProjectableSet,
-    set_b: ProjectableSet,
-    a: np.ndarray,
-    b: np.ndarray,
-    d: np.ndarray,
-    gap: float,
-    tol: float,
-    face: _Face | None = None,
-) -> Certificate | None:
-    # The decision of one engine cycle (module docstring): the certificate
-    # of ``(a, b)`` when it holds, None otherwise, from the A-step's
-    # ``d = a - b`` and ``gap = ||d||``.  It raises what ``_certificate``
-    # raises, in the same order.  ``face`` is the final face of the cycle's
-    # B-projection on a half-space/polyhedron run (None otherwise); B's
-    # residual is read from its factor where that decides the cycle, and
-    # measured by the cone solve everywhere else.
-    cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
-    if cone is None:
-        return Certificate(a, b, 0.0, 0.0, True)
-    normals_a, cone_b, w = cone
-    res_b = None if face is None else _face_residual(face, cone_b, w, tol)
-    if res_b is None:
-        res_b = unit_cone_distance(w, _b_normals(set_b, cone_b))
-    if not res_b <= tol:
-        return None
-    res_a = unit_cone_distance(-w, normals_a)
-    if not res_a <= tol:
-        return None
-    return Certificate(a, b, res_a, res_b, True)
+def _on_working_rows(rows: np.ndarray, W: list[int]) -> bool:
+    # Whether the rows that the mask ``rows`` marks are exactly the working
+    # rows ``W`` of a face factor.
+    rows = rows.tolist()
+    return rows.count(True) == len(W) and all(rows[i] for i in W)
 
 
 def _face_residual(face: _Face, tight: np.ndarray, w: np.ndarray, tol: float) -> float | None:
     # B's residual read from the face factor (module docstring): None when
     # the factor cannot decide the cycle, otherwise a value that decides it
-    # as the cone solve ``unit_cone_distance(w, _b_normals(B, tight))``
+    # as the cone solve ``unit_cone_distance(w, _active_columns(B, tight))``
     # does, and is that distance when it is at most ``tol``.  ``tight`` is
     # B's tight-row mask at the B-point.
-    W, tight = face.W, tight.tolist()
-    if tight.count(True) != len(W) or not all(tight[i] for i in W):
+    if not _on_working_rows(tight, face.W):
         return None
     Q1 = face.Q1
     h = w.dot(Q1)
@@ -579,44 +558,30 @@ def _cone_prelude(
     d: np.ndarray,
     gap: float,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    # Membership, normal cones and direction of the pair ``(a, b)``, given
-    # ``d = a - b`` and ``gap = ||d||``: None when the pair witnesses a
-    # common point, which is accepted within 1e-6 of each set; otherwise
-    # ``normal_cone_columns`` tests membership, within ``ACTIVE_TOL``, and
-    # the result is the generators of A's cone, B's cone as ``_b_normals``
-    # reads it and the unit vector ``w = (a - b)/||a - b||``.  B's cone is
-    # its tight-row mask when B is a polyhedron, so that a cycle decided on
-    # the face factor forms no generators, and its generators otherwise.
-    # B's residual measures ``w`` and A's ``-w``, which is bitwise
+) -> tuple | None:
+    # Membership, tight constraints and direction of the pair ``(a, b)``,
+    # given ``d = a - b`` and ``gap = ||d||``.  Each point must be in its set
+    # (``sets._active``) within ``_COMMON_POINT_TOL`` when ``gap <= tol``,
+    # where the pair witnesses a common point and the result is None, and
+    # within ``ACTIVE_TOL`` otherwise.  The result is then what is tight at
+    # ``a`` in A and at ``b`` in B, which ``sets._active_columns`` turns into
+    # cone generators (a cycle decided on the face factor reads B's mask and
+    # forms none), and the unit vector ``w = (a - b)/||a - b||``.  B's
+    # residual measures ``w`` and A's ``-w``, which is bitwise
     # ``(b - a)/||b - a||``: negation is exact and ``||a - b||`` sums the
     # same squares as ``||b - a||``.
+    within = _COMMON_POINT_TOL if gap <= tol else ACTIVE_TOL
+    active_a = _active(set_a, a, within)
+    if active_a is None:
+        raise PointNotInSet("first point is not in the first set")
+    active_b = _active(set_b, b, within)
+    if active_b is None:
+        raise PointNotInSet("second point is not in the second set")
     if gap <= tol:
-        if not _contains_point(set_a, a, 1e-6):
-            raise PointNotInSet("first point is not in the first set")
-        if not _contains_point(set_b, b, 1e-6):
-            raise PointNotInSet("second point is not in the second set")
         return None
-    try:
-        normals_a = normal_cone_columns(set_a, a)
-    except PointNotInSet:
-        raise PointNotInSet("first point is not in the first set") from None
-    try:
-        if isinstance(set_b, Polyhedron):
-            cone_b = _tight_rows(set_b, b, ACTIVE_TOL)
-        else:
-            cone_b = normal_cone_columns(set_b, b)
-    except PointNotInSet:
-        raise PointNotInSet("second point is not in the second set") from None
     if gap <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
-    return normals_a, cone_b, d / gap
-
-
-def _b_normals(set_b: ProjectableSet, cone_b: np.ndarray) -> np.ndarray:
-    # B's cone generators from the cone ``_cone_prelude`` returned: a
-    # polyhedron's tight rows as columns, every other set's generators.
-    return set_b.A[cone_b].T if isinstance(set_b, Polyhedron) else cone_b
+    return active_a, active_b, d / gap
 
 
 def run(
@@ -747,17 +712,29 @@ def _decide(
     face: _Face | None = None,
 ) -> tuple[StopReason, int | None, Certificate | None] | None:
     # The decision of cycle ``cycle`` on arrays (module docstring): None when
-    # the run goes on, otherwise its stop reason, steps and certificate.
-    # ``d = a - b`` and ``gap_a = ||d||`` are the A-step's, ``gap_b`` the
-    # B-step's, and ``face`` that of the B-projection (see ``_certified``).
+    # the run goes on, otherwise its stop reason, steps and certificate.  It
+    # raises what ``_certificate`` raises, in the same order.  ``d = a - b``
+    # and ``gap_a = ||d||`` are the A-step's, ``gap_b`` the B-step's, and
+    # ``face`` the final face of the cycle's B-projection on a
+    # half-space/polyhedron run (None otherwise): B's residual is read from
+    # its factor where that decides the cycle, and measured by the cone
+    # solve everywhere else.  A certified stop means the B-projection of
+    # this cycle attained the minimum distance; the closing A-projection
+    # confirmed it.
     if cert_tol < gap_a <= ZERO_TOL:
         # Too small a gap to normalise: no certificate can be checked.
         return StopReason.GAP_STALLED, None, None
-    cert = _certified(set_a, set_b, a, b, d, gap_a, cert_tol, face)
-    if cert is not None:
-        # The B-projection of this cycle attained the minimum distance; the
-        # closing A-projection confirmed it.
-        return StopReason.CERTIFIED, 2 * cycle + 1, cert
+    cone = _cone_prelude(set_a, set_b, a, b, d, gap_a, cert_tol)
+    if cone is None:
+        return StopReason.CERTIFIED, 2 * cycle + 1, Certificate(a, b, 0.0, 0.0, True)
+    active_a, active_b, w = cone
+    res_b = None if face is None else _face_residual(face, active_b, w, cert_tol)
+    if res_b is None:
+        res_b = unit_cone_distance(w, _active_columns(set_b, active_b))
+    if res_b <= cert_tol:
+        res_a = unit_cone_distance(-w, _active_columns(set_a, active_a))
+        if res_a <= cert_tol:
+            return StopReason.CERTIFIED, 2 * cycle + 1, Certificate(a, b, res_a, res_b, True)
     if gap_b - gap_a < GAP_STALL_TOL:
         return StopReason.GAP_STALLED, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
     return None
@@ -820,10 +797,10 @@ def _planar_projection(s: HalfSpace | EpigraphSet):
 def _screened_generators(s: HalfSpace | EpigraphSet, x0: float, x1: float) -> tuple | None:
     # The generators of ``normal_cone_columns(s, (x0, x1))`` as float pairs,
     # or None when the float screen cannot tell that the point is in ``s``.
-    # An epigraph's kernel is the array code's own; a half-plane's float
-    # ``<c, x> - M`` decides membership and activeness only where it clears
-    # ``ACTIVE_TOL`` by ``_DOT_MARGIN`` times its terms, and is None
-    # otherwise.
+    # An epigraph's kernel is the array code's own (the epigraph branch of
+    # ``sets._active``); a half-plane's float ``<c, x> - M`` decides
+    # membership and activeness only where it clears ``ACTIVE_TOL`` by
+    # ``_DOT_MARGIN`` times its terms, and is None otherwise.
     if isinstance(s, EpigraphSet):
         return _epigraph_generators(s, x0, x1, ACTIVE_TOL)
     c0, c1 = s._c_floats
@@ -959,8 +936,7 @@ def _face_jump(
     """
     c, cc = h.c, h._cc
     s = (float(c.dot(b)) - h.M) / cc
-    W, rows = factor.W, face.tolist()
-    if not s > 0.0 or rows.count(True) != len(W) or not all(rows[i] for i in W):
+    if not s > 0.0 or not _on_working_rows(face, factor.W):
         return None
     Q1 = factor.Q1
     pvc = c - Q1.dot(c.dot(Q1))
@@ -980,11 +956,11 @@ def _face_jump(
     # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c, so an
     # approaching row reaches its floor once 1 - rho^j >= t.  A row beyond
     # the margin may fall to it.  A row already within it may fall by the
-    # smallest feasibility tolerance of any B-projection, _FEAS_TOL times
-    # the polyhedron's scale, below max(slack_i, 0): every slack of a
-    # generated B-point then stays above minus that tolerance, so the point
-    # passes the feasibility test of the real projection that would return
-    # it.  A copy of a face row has A_i P_V c = 0 but for rounding, so over
+    # smallest feasibility tolerance of any B-projection, ``_feas_tol`` of
+    # the polyhedron's scale and a zero norm, below max(slack_i, 0): every
+    # slack of a generated B-point then stays above minus that tolerance,
+    # so the point passes the feasibility test of the real projection that
+    # would return it.  A copy of a face row has A_i P_V c = 0 but for rounding, so over
     # the whole stretch it falls by about ||A_i|| / sqrt(q) times the unit
     # roundoff of the gap and seldom limits it; a row the path moves ends
     # the stretch once it has fallen by the tolerance.
@@ -993,7 +969,7 @@ def _face_jump(
     closing[face] = 0.0
     hit = closing > 0.0
     slack = (poly.b - poly.A.dot(b))[hit]
-    floor = np.where(slack > margin, margin, np.maximum(slack, 0.0) - _FEAS_TOL * poly._scale)
+    floor = np.where(slack > margin, margin, np.maximum(slack, 0.0) - _feas_tol(poly._scale, 0.0))
     t = q * (slack - floor) / (s * closing[hit])
     t = t[t < 1.0]
     if t.size:
@@ -1006,7 +982,7 @@ def _face_jump(
     # it unchanged once that is within the projection's feasibility
     # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
     reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
-    feas_tol = _FEAS_TOL * (poly._scale + reach)
+    feas_tol = _feas_tol(poly._scale, reach)
     horizon = min(horizon, 1 + reached(-s * float(poly.A[face].dot(c).min()), feas_tol))
     # Gap stall: s rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||) < GAP_STALL_TOL.
     prc = _norm(c - pvc)

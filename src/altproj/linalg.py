@@ -13,10 +13,11 @@ from then on works on the validated array.  The rule for loops follows from
 it: a point is validated once, where it enters the package, and the loop
 runs on kernels that take validated arrays.  The kernels that do no
 validation here are :func:`unit_distance_to_ray`,
-:func:`unit_cone_distance`, ``_norm``, ``_dot_row_norms`` and
-``_dot_rows``; ``sets``, ``engine`` and ``qp`` keep their own
-(``_project_point``, ``_certificate``, ``_certified``, ``_project_from``
-and the kernels behind them).
+:func:`unit_cone_distance`, ``_norm``, ``_dot_row_norms``, ``_dot_rows``
+and ``_feas_tol``, the one reader of the feasibility tolerance
+``_FEAS_TOL``; ``sets``, ``engine`` and ``qp`` keep their own
+(``_active``, ``_project_point``, ``_certificate``, ``_decide``,
+``_project_from`` and the kernels behind them).
 
 Products.  Every vector-vector and matrix-vector product in the package is
 written ``x.dot(y)``, not ``x @ y``.  Both call the same BLAS routine and
@@ -180,6 +181,15 @@ _STEPS_PER_DIM = 50
 # Householder update of ``_add_column`` forms ``sigma (sigma + |h_0|)``, up
 # to ``2 ||a||^2``, which stays below 2**1021 and so finite for shorter rows.
 _ROW_NORM_LIMIT = 2.0**510
+
+
+def _feas_tol(scale: float, size: float) -> float:
+    # The feasibility tolerance ``_FEAS_TOL (scale + size)`` of an active-set
+    # solve, with ``scale`` the part of the data scale that the point does
+    # not change and ``size`` the point's norm.  Its callers are the
+    # polyhedron projection (``1 + max|b|`` and ``||x||``), the polar solve
+    # of ``nnls`` (1 and ``||y||``) and the engine's face events.
+    return _FEAS_TOL * (scale + size)
 
 
 def _substitute(T, y, lower=False) -> list[float]:
@@ -375,7 +385,7 @@ def nnls(G: np.ndarray, y: np.ndarray):
     norms[norms == 0.0] = 1.0
     U = G.T / norms[:, None]
     W, Q, R, z, b = [], np.eye(n), np.zeros((n, n)), y.copy(), np.zeros(m)
-    _working_set(U, b, _FEAS_TOL * (1.0 + ny), W, Q, R, [], z, U.dot(z) - b)
+    _working_set(U, b, _feas_tol(1.0, ny), W, Q, R, [], z, U.dot(z) - b)
     k = len(W)
     lam_hat = np.zeros(m)
     lam_hat[W] = np.maximum(_substitute(R[:k, :k], y.dot(Q[:, :k])), 0.0)

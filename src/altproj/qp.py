@@ -78,9 +78,9 @@ from .errors import NotConverged, Unbounded
 # ``nnls`` has no caller here; the binding stays because benchmarks/tracer.py
 # resolves ``altproj.qp.nnls`` by name.
 from .linalg import (  # noqa: F401
-    _FEAS_TOL,
     _add_column,
     _delete_column,
+    _feas_tol,
     _norm,
     _substitute,
     _working_set,
@@ -194,7 +194,7 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     """
     A, b = p.A, p.b
     n = x.shape[0]
-    feas_tol = _FEAS_TOL * (p._scale + _norm(x))
+    feas_tol = _feas_tol(p._scale, _norm(x))
     lam = np.zeros(A.shape[0])
     # Python's ``max`` of a list skips a NaN that is not first, so the
     # feasibility tests read every entry: a NaN excess is not feasible.  The

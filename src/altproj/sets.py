@@ -158,21 +158,11 @@ ProjectableSet = Union[HalfSpace, Polyhedron, EpigraphSet]
 
 def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
     """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``."""
-    return _contains_point(s, as_point(x, s.dim), tol)
-
-
-def _contains_point(s: ProjectableSet, x: np.ndarray, tol: float) -> bool:
-    # ``contains`` for a point already validated against ``s``.
-    if isinstance(s, HalfSpace):
-        return float(s.c.dot(x)) <= s.M + tol
-    if isinstance(s, Polyhedron):
-        return bool((s.A.dot(x) <= s.b + tol).all())
-    _, z1, profile = _epigraph_offset(s, *x.tolist())
-    return z1 >= profile - tol
+    return _active(s, as_point(x, s.dim), tol) is not None
 
 
 def _check_start(s: ProjectableSet, x0: np.ndarray) -> None:
-    if not _contains_point(s, x0, 1e-8):
+    if _active(s, x0, ACTIVE_TOL) is None:
         raise StartNotInA("x0 must belong to the first set")
 
 
@@ -339,11 +329,36 @@ _ABS_APEX_GENERATORS = ((1.0, -1.0), (-1.0, -1.0))
 _ABS_APEX_NORMALS = _freeze(np.array(_ABS_APEX_GENERATORS).T)
 
 
+def _active(s: ProjectableSet, x, tol: float):
+    """What is tight at ``x`` in ``s`` within ``tol``, or None when ``x`` is not in ``s``.
+
+    The one membership and activity rule of the three set types, read by
+    :func:`contains`, :func:`_check_start`, :func:`normal_cone_columns` and
+    the engine's cycle decision; the engine's planar screen calls its
+    epigraph branch, :func:`_epigraph_generators`, on floats.  ``x`` is a
+    validated point of the set's dimension.  It is in ``s`` within ``tol``
+    when ``<c, x> <= M + tol``, every ``A_i x <= b_i + tol``, or
+    ``z1 >= p - tol`` for ``z = x - shift`` and the profile ``p`` (``|z0|``
+    or ``z0^2``); a NaN entry is in no set.  What is tight there is, for a half-space, the bool
+    ``|<c, x> - M| <= tol``; for a polyhedron, the mask of the rows with
+    ``|A_i x - b_i| <= tol``; for an epigraph, the generators of the cone as
+    float pairs: none at an interior point (``z1 > p + tol``), two at the
+    abs apex (``|z0| <= tol``), one elsewhere.  Each quantity (``<c, x>``,
+    ``A x`` or ``z``) is formed once for both tests.
+    """
+    if isinstance(s, HalfSpace):
+        cx = float(s.c.dot(x))
+        return abs(cx - s.M) <= tol if cx <= s.M + tol else None
+    if isinstance(s, Polyhedron):
+        ax = s.A.dot(x)
+        return np.abs(ax - s.b) <= tol if all((ax <= s.b + tol).tolist()) else None
+    return _epigraph_generators(s, *x.tolist(), tol)
+
+
 def _epigraph_generators(e: EpigraphSet, x0: float, x1: float, tol: float) -> tuple | None:
-    # The epigraph branch of ``normal_cone_columns`` on floats: None when
-    # ``(x0, x1)`` is not in ``e`` within ``tol``, otherwise the generators
-    # of the cone as float pairs (none at an interior point, two at the abs
-    # apex).
+    # The epigraph branch of ``_active`` on the floats ``(x0, x1)``.  The
+    # planar screen calls it once per cycle, so it takes floats and no
+    # dispatch.
     z0, z1, profile = _epigraph_offset(e, x0, x1)
     if not z1 >= profile - tol:
         return None
@@ -356,14 +371,22 @@ def _epigraph_generators(e: EpigraphSet, x0: float, x1: float, tol: float) -> tu
     return ((1.0 if z0 > 0 else -1.0, -1.0),)
 
 
-def _tight_rows(p: Polyhedron, x: np.ndarray, tol: float) -> np.ndarray:
-    # The polyhedron branch of ``normal_cone_columns`` as a mask: the rows
-    # tight at ``x`` within ``tol``, which generate the cone.  Raises
-    # ``PointNotInSet`` when ``x`` is not in ``p`` within ``tol``.
-    ax = p.A.dot(x)
-    if not all((ax <= p.b + tol).tolist()):
-        raise PointNotInSet("point is not in the set within tolerance")
-    return np.abs(ax - p.b) <= tol
+def _active_columns(s: ProjectableSet, active) -> np.ndarray:
+    """The generators of a proximal normal cone of ``s``, one per column.
+
+    ``active`` is what :func:`_active` found tight at a point of ``s`` (not
+    None): the normal ``c`` of a tight half-space, a polyhedron's tight
+    rows or an epigraph's float pairs.  The result is ``(dim, k)`` and may
+    be a read-only view.
+    """
+    if isinstance(s, HalfSpace):
+        return s.c[:, None] if active else np.empty((s.dim, 0))
+    if isinstance(s, Polyhedron):
+        return s.A[active].T
+    if len(active) == 1:
+        (g0, g1), = active
+        return np.array([[g0], [g1]])
+    return _ABS_APEX_NORMALS if active else _NO_PLANAR_NORMALS
 
 
 def normal_cone_columns(
@@ -374,26 +397,13 @@ def normal_cone_columns(
     ``x`` must already be a finite 1-D array of the set's dimension; the
     result is ``(dim, k)`` with ``k = 0`` at interior points, and may be a
     read-only view.  Raises ``PointNotInSet`` when ``x`` is not in ``s``
-    within ``tol``.  Membership is decided by the comparison
-    :func:`_contains_point` makes, on the same quantity (``<c, x>``,
-    ``A x`` or ``x - shift``), which is computed once for both tests.
+    within ``tol``.  Membership and the tight constraints are those of
+    :func:`_active`, the rule :func:`contains` reads.
     """
-    if isinstance(s, HalfSpace):
-        cx = float(s.c.dot(x))
-        if not cx <= s.M + tol:
-            raise PointNotInSet("point is not in the set within tolerance")
-        if abs(cx - s.M) <= tol:
-            return s.c[:, None]
-        return np.empty((s.dim, 0))
-    if isinstance(s, Polyhedron):
-        return s.A[_tight_rows(s, x, tol)].T
-    gens = _epigraph_generators(s, *x.tolist(), tol)
-    if gens is None:
+    active = _active(s, x, tol)
+    if active is None:
         raise PointNotInSet("point is not in the set within tolerance")
-    if len(gens) == 1:
-        (g0, g1), = gens
-        return np.array([[g0], [g1]])
-    return _ABS_APEX_NORMALS if gens else _NO_PLANAR_NORMALS
+    return _active_columns(s, active)
 
 
 def proximal_normal_generators(

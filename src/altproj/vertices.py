@@ -99,10 +99,15 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     """Brute-force LP solve over :func:`feasible_vertices`.
 
     Returns ``(optimum, argmin_vertex)``, the vertex a copy.  Raises
-    :class:`TooLarge` beyond desk scale (n > 8 or m > 24), then
-    :class:`Unbounded` when ``-c`` is not in the cone of the rows (the
-    objective then decreases along a recession direction), both before any
-    enumeration, and :class:`EmptyPolyhedron` when no vertex exists.
+    :class:`TooLarge` beyond desk scale (n > 8 or m > 24), before any
+    enumeration.  When ``-c`` is not in the cone of the rows, the objective
+    decreases along a recession direction of the polyhedron if it is
+    nonempty.  Rows of rank n then have their vertex list read: an empty
+    list means the polyhedron is empty (a pointed polyhedron has a vertex)
+    and raises :class:`EmptyPolyhedron`.  Every other such case raises
+    :class:`Unbounded`, rows of rank below n included, where no vertex can
+    tell.  A bounded objective raises :class:`EmptyPolyhedron` when no
+    vertex exists.
     """
     c = as_point(c, p.dim)
     check_oracle_limits(p)
@@ -112,6 +117,8 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     if nc <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
+        if np.linalg.matrix_rank(p.A) == p.dim and not feasible_vertices(p):
+            raise EmptyPolyhedron("no vertex on rows of rank n: the polyhedron is empty")
         raise Unbounded("objective decreases along a recession direction")
 
     best_obj = np.inf

@@ -1,6 +1,6 @@
 """Each engine cycle is decided on B's residual; the certificate is built once.
 
-``engine.run`` decides a cycle with ``engine._certified``: the membership,
+``engine.run`` decides a cycle with ``engine._decide``: the membership,
 normal-cone and direction checks of ``check_certificate`` in its order,
 then B's residual, and A's only when B's is within the tolerance.  On a
 half-space/polyhedron run B's residual is read from the B-projection's face
@@ -124,7 +124,7 @@ def test_a_point_outside_its_set_raises_as_the_public_check_does():
 
 # -- B's residual read from the face factor ----------------------------------
 #
-# On a half-space/polyhedron run ``engine._certified`` receives the final
+# On a half-space/polyhedron run ``engine._decide`` receives the final
 # face of the cycle's B-projection and reads B's residual from its factor
 # (``engine._face_residual``) when the rows tight at the B-point are exactly
 # the working rows; every other cycle measures it with the cone solve.  The
@@ -140,26 +140,31 @@ def decision_spies(monkeypatch):
     tight rows)`` per read of the factor.
     """
     compared, reads = [], []
-    certified, face_residual = engine._certified, engine._face_residual
+    decide, face_residual = engine._decide, engine._face_residual
 
-    def certified_spy(set_a, set_b, a, b, d, gap, tol, face=None):
-        cert = certified(set_a, set_b, a, b, d, gap, tol, face)
+    def certificate(stop):
+        # The certificate of a certified stop, None for every other decision.
+        return stop[2] if stop is not None and stop[0] is StopReason.CERTIFIED else None
+
+    def decide_spy(set_a, set_b, a, b, d, gap_b, gap_a, cycle, tol, face=None):
+        stop = decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, tol, face)
         if face is not None:
-            ref = certified(set_a, set_b, a, b, d, gap, tol)
+            cert = certificate(stop)
+            ref = certificate(decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, tol))
             assert (cert is None) == (ref is None)
             if cert is not None:
                 assert cert.residual_A == ref.residual_A
                 compared.append((True, cert.residual_B, ref.residual_B))
             else:
                 compared.append((False, None, None))
-        return cert
+        return stop
 
     def face_residual_spy(face, tight, w, tol):
         value = face_residual(face, tight, w, tol)
         reads.append((value, len(face.W), int(np.count_nonzero(tight))))
         return value
 
-    monkeypatch.setattr(engine, "_certified", certified_spy)
+    monkeypatch.setattr(engine, "_decide", decide_spy)
     monkeypatch.setattr(engine, "_face_residual", face_residual_spy)
     return compared, reads
 

@@ -2,8 +2,10 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -62,24 +64,31 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
-def call_sites(name):
-    """``module.function`` of every call of ``name`` in the package, named
-    by the innermost def around it (the module alone at module level)."""
-    sites = set()
+def sites(match, modules=None):
+    """``module.function`` of every AST node for which ``match`` holds, named
+    by the innermost def around it (the module alone at module level), in
+    the package modules whose stems ``modules`` lists (all when None)."""
+    found = set()
 
     def visit(node, site):
-        if isinstance(node, ast.Call) and name in (
-            getattr(node.func, "id", None),
-            getattr(node.func, "attr", None),
-        ):
-            sites.add(site)
+        if match(node):
+            found.add(site)
         for child in ast.iter_child_nodes(node):
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, f"{site.split('.')[0]}.{child.name}" if inner else site)
 
     for path in sorted((SRC / "altproj").glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path.stem)
-    return sites
+        if modules is None or path.stem in modules:
+            visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def call_sites(name):
+    """``module.function`` of every call of ``name`` in the package."""
+    return sites(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
 
 
 def test_the_brute_force_gives_no_answer():
@@ -95,6 +104,35 @@ def test_the_brute_force_gives_no_answer():
         "vertex_oracle": {"instances.random_lp_instance"},
         "feasible_vertices": {"certify.alpha_polyhedron_halfspace"},
     }
+
+
+def reads_feas_tol(node):
+    """Whether ``node`` reads or imports the name ``_FEAS_TOL``."""
+    if isinstance(node, ast.Name):
+        return node.id == "_FEAS_TOL" and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.alias) and node.name == "_FEAS_TOL"
+
+
+def compares_an_offset(node):
+    """Whether ``node`` is a comparison that reads an offset ``.M`` or ``.b``:
+    a half-space's or a polyhedron's membership or activity test."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(part, ast.Attribute) and part.attr in ("M", "b")
+        for operand in (node.left, *node.comparators)
+        for part in ast.walk(operand)
+    )
+
+
+def test_each_membership_feasibility_and_cycle_rule_has_one_site():
+    # The feasibility tolerance is read through linalg._feas_tol only; the
+    # membership and activity tests of the half-space and the polyhedron
+    # are made by sets._active only, and the engine makes none of its own;
+    # a cycle is decided by engine._decide, with no second decision
+    # function, and the helpers that once repeated these rules are gone.
+    assert sites(reads_feas_tol) == {"linalg._feas_tol"}
+    assert sites(compares_an_offset, ("sets", "engine")) == {"sets._active"}
+    removed = ("_certified", "_tight_rows", "_b_normals")
+    assert not sites(lambda node: isinstance(node, ast.FunctionDef) and node.name in removed)
 
 
 def builds_error(node, rule):
@@ -184,3 +222,87 @@ def test_public_names_resolve_once():
     missing = [name for name in altproj.__all__ if not hasattr(altproj, name)]
     assert not missing, missing
     assert len(set(altproj.__all__)) == len(altproj.__all__)
+
+
+def documentation(path):
+    """``(line, text)`` of every docstring of ``path`` and of every block of
+    consecutive comment lines, the lines of a block joined by spaces."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = [
+        (node.body[0].lineno, ast.get_docstring(node, clean=False))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False)
+    ]
+    blocks = []  # (first line, last line, text)
+    with path.open() as f:
+        for token in tokenize.generate_tokens(f.readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            line, text = token.start[0], token.string.lstrip("#")
+            if blocks and blocks[-1][1] == line - 1:
+                blocks[-1] = (blocks[-1][0], line, blocks[-1][2] + " " + text)
+            else:
+                blocks.append((line, line, text))
+    return found + [(first, text) for first, _, text in blocks]
+
+
+BACKTICKED = re.compile(r"``([A-Za-z_][\w.]*)``")
+ROLE = re.compile(r":(?:func|class):`([^`]+)`")
+
+
+def cited_names(text):
+    """Every private name in double backticks and every ``:func:`` or
+    ``:class:`` target in ``text``."""
+    private = [
+        name
+        for name in BACKTICKED.findall(text)
+        if any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
+    ]
+    # ``:func:`title <target>``` cites its target; ``~`` only shortens it.
+    targets = [role.split("<")[-1].rstrip(">").strip().lstrip("~") for role in ROLE.findall(text)]
+    return private + targets
+
+
+def defined_names():
+    """Every name the package binds: defs, classes, arguments, assignment
+    targets (attributes included) and imports."""
+    names = set()
+    for path in sorted((SRC / "altproj").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add((node.asname or node.name).split(".")[0])
+    return names
+
+
+def test_documentation_names_only_what_the_package_defines():
+    # A docstring or comment that cites a helper by name goes stale when the
+    # helper is folded away.  A dotted name that starts with a package
+    # module must be an attribute of that module; a module path alone, a
+    # standard-library or NumPy name passes; every other part must be a
+    # name the package binds.
+    modules = {path.stem for path in (SRC / "altproj").glob("*.py")}
+    defined = defined_names()
+    stale = []
+    for path in sorted((SRC / "altproj").glob("*.py")):
+        for line, text in documentation(path):
+            for name in cited_names(text):
+                parts = name.removeprefix("altproj.").split(".")
+                if parts[0] in modules:
+                    module = importlib.import_module(f"altproj.{parts[0]}")
+                    ok = len(parts) == 1 or (hasattr(module, parts[1]) and set(parts[2:]) <= defined)
+                elif parts[0] in sys.stdlib_module_names or parts[0] in ("np", "numpy"):
+                    ok = True
+                else:
+                    ok = set(parts) <= defined
+                if not ok:
+                    stale.append(f"{path.name}:{line} {name}")
+    assert not stale, stale

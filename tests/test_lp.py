@@ -108,6 +108,15 @@ def test_vertex_oracle_empty():
     empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
     with pytest.raises(EmptyPolyhedron):
         vertex_oracle(empty, [1.0, 0.0])
+    # -c = (-1, -1) is outside the cone of the rows, but the rows have rank
+    # 2 and no vertex: the polyhedron is empty, not the objective unbounded,
+    # as both LP strategies report.
+    empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0, 1.0])
+    with pytest.raises(EmptyPolyhedron):
+        vertex_oracle(empty, [1.0, 1.0])
+    for strategy in ("direct", "shifted"):
+        with pytest.raises(EmptyPolyhedron):
+            solve_lp(LPProblem([1.0, 1.0], empty, -10.0), strategy=strategy)
 
 
 def test_feasible_vertices_reports_full_active_sets():

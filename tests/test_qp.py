@@ -20,7 +20,7 @@ from altproj import (
     project_polyhedron,
     verify,
 )
-from altproj import qp
+from altproj import linalg, qp
 from altproj.cli import main
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import _project_from, project_along_ray
@@ -207,8 +207,8 @@ def warm_branch(monkeypatch):
 
 def feasible(poly, x):
     """Whether the projection takes ``x`` as it is (its tolerance)."""
-    scale = 1.0 + float(np.abs(poly.b).max()) + norm(x)
-    return float(np.max(poly.A @ x - poly.b)) <= qp._FEAS_TOL * scale
+    tol = linalg._feas_tol(1.0 + float(np.abs(poly.b).max()), norm(x))
+    return float(np.max(poly.A @ x - poly.b)) <= tol
 
 
 def assert_matches_cold(poly, x, res):

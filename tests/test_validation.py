@@ -29,6 +29,7 @@ from altproj import (
     check_certificate,
     contains,
     distance_to_finite_cone,
+    iteration_bound,
     one_step_shift,
     project,
     project_epigraph,
@@ -101,6 +102,12 @@ REJECTED = {
     "problem_from_json-list": (ValueError, "must be an object", lambda: problem_from_json([1.0])),
     "one_step_shift-alpha": (ValueError, "alpha must lie in", lambda: one_step_shift(HS, POLY, A_POINT, 1.0, 1.0)),
     "one_step_shift-d_AB": (InvalidDistance, "d_AB must be nonnegative", lambda: one_step_shift(HS, POLY, A_POINT, 0.25, -1.0)),
+    "one_step_shift-nan-d_AB": (InvalidDistance, "d_AB must be finite", lambda: one_step_shift(HS, POLY, A_POINT, 0.3, math.nan)),
+    "one_step_shift-inf-d_AB": (InvalidDistance, "d_AB must be finite", lambda: one_step_shift(HS, POLY, A_POINT, 0.3, math.inf)),
+    "iteration_bound-nan-d_AB": (InvalidDistance, "d_AB must be finite", lambda: iteration_bound(0.3, math.nan, 1.0)),
+    "iteration_bound-nan-d_x0_B": (InvalidDistance, "d_x0_B must be finite", lambda: iteration_bound(0.3, 1.0, math.nan)),
+    "iteration_bound-inf-both": (InvalidDistance, "d_AB must be finite", lambda: iteration_bound(0.3, math.inf, math.inf)),
+    "iteration_bound-inf-d_x0_B": (InvalidDistance, "d_x0_B must be finite", lambda: iteration_bound(0.3, 1.0, math.inf)),
     "verify-alpha-scale": (SystemExit, f"^{EXIT_USAGE}$", lambda: main(["verify", "--alpha-scale", "abc"])),
 }
 
