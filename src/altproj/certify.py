@@ -367,7 +367,7 @@ def _distances(B: Polyhedron, A: HalfSpace, x) -> tuple[float, float]:
     """
     c = as_point(A.c, B.dim)
     try:
-        start, end = _walk_to_optimum(B, x, c)
+        start, end, _ = _walk_to_optimum(B, x, c)
     except Unbounded:
         return math.nan, 0.0
     return _norm(x - start.point), max(0.0, float(c.dot(end.point)) - A.M) / _norm(c)

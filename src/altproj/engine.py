@@ -31,6 +31,17 @@ last pair, exactly as :func:`check_certificate` does.  Every decision
 equals that of calling :func:`check_certificate` after every cycle, and so
 does every residual except a certified ``residual_B`` read from the factor,
 which can differ from the cone solve's in the last bits.
+The certificate is face-aware too: :func:`_certificate` takes an optional
+face factor of B at ``b``, and B's residual then comes from it by the one
+rule of the cycle decision, "face factor first, else the cone solve"
+(:func:`_residual_b`).  A run passes no face, so its ``GAP_STALLED`` and
+``MAX_ITERS`` certificates and the planar path measure as
+:func:`check_certificate` does.  The shifted LP solve passes the final
+face of its walk (``qp._walk_to_optimum``), where ``-c`` lies in the cone
+of the working rows, so its certificate takes no cone solve wherever the
+factor decides; its ``residual_B`` can then differ from the cone solve's in
+the last bits, as a direct one already can (at most 2.5e-15 on the 800
+pairs of the ``constants`` pools at seeds 1, 3, 7 and 11).
 
 Planar pairs.  When both sets are 2-D and neither is a polyhedron
 (half-planes and the two epigraphs), a cycle of NumPy calls on 2-vectors
@@ -513,16 +524,32 @@ def _certificate(
     d: np.ndarray,
     gap: float,
     tol: float,
+    face: _Face | None = None,
 ) -> Certificate:
     # ``check_certificate`` for points already validated against their sets,
-    # with ``d = a - b`` and ``gap = ||d||``.
+    # with ``d = a - b`` and ``gap = ||d||``.  ``face`` is a face factor of B
+    # at ``b`` (the shifted LP solve passes its walk's final face; a run
+    # passes none): B's residual is then read from it where it decides, by
+    # ``_residual_b``, so ``holds`` is the cone solve's and a residual at
+    # most ``tol`` is the cone distance up to rounding.
     cone = _cone_prelude(set_a, set_b, a, b, d, gap, tol)
     if cone is None:
         return Certificate(a, b, 0.0, 0.0, True)
     active_a, active_b, w = cone
     res_a = unit_cone_distance(-w, _active_columns(set_a, active_a))
-    res_b = unit_cone_distance(w, _active_columns(set_b, active_b))
+    res_b = _residual_b(set_b, active_b, w, tol, face)
     return Certificate(a, b, res_a, res_b, res_a <= tol and res_b <= tol)
+
+
+def _residual_b(
+    set_b: ProjectableSet, tight: np.ndarray, w: np.ndarray, tol: float, face: _Face | None
+) -> float:
+    # B's residual at a pair whose prelude gave B's tight mask ``tight`` and
+    # the unit direction ``w``: read from ``face`` wherever its factor
+    # decides (``_face_residual``), measured by the cone solve everywhere
+    # else, a missing face included.
+    res = None if face is None else _face_residual(face, tight, w, tol)
+    return unit_cone_distance(w, _active_columns(set_b, tight)) if res is None else res
 
 
 def _on_working_rows(rows: np.ndarray, W: list[int]) -> bool:
@@ -728,9 +755,7 @@ def _decide(
     if cone is None:
         return StopReason.CERTIFIED, 2 * cycle + 1, Certificate(a, b, 0.0, 0.0, True)
     active_a, active_b, w = cone
-    res_b = None if face is None else _face_residual(face, active_b, w, cert_tol)
-    if res_b is None:
-        res_b = unit_cone_distance(w, _active_columns(set_b, active_b))
+    res_b = _residual_b(set_b, active_b, w, cert_tol, face)
     if res_b <= cert_tol:
         res_a = unit_cone_distance(-w, _active_columns(set_a, active_a))
         if res_a <= cert_tol:

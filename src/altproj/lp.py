@@ -18,9 +18,9 @@ import numpy as np
 
 from . import engine
 from .errors import LowerBoundNotStrict, NotConverged, Unbounded
-from .linalg import as_point
+from .linalg import _norm, as_point
 from .qp import _walk_to_optimum
-from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, project_halfspace
+from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, _project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
 # ``altproj.lp.feasible_vertices`` and ``altproj.lp.vertex_oracle`` by name;
@@ -94,7 +94,11 @@ def solve_lp(
     point stands still and no working multiplier falls:
     :func:`~altproj.qp._walk_to_optimum`).  There it stays
     for every larger shift, the paper's one-step shift included, and it is
-    the optimum by the KKT conditions.  The walk reads no vertex list, so
+    the optimum by the KKT conditions.  The optimum is certified on the
+    walk's final face: B's residual is read from its factor, as a direct
+    run reads it, and measured by a cone solve only where the factor cannot
+    decide, so no cone solve runs after the walk on the benchmark's pools.
+    The walk reads no vertex list, so
     it raises no :class:`TooLarge`; a point that moves on with no face
     ahead raises :class:`LowerBoundNotStrict`, as the direct solve does on
     an unbounded LP, and a walk past its step cap :class:`NotConverged`.
@@ -142,14 +146,18 @@ def solve_lp(
     else:
         _check_start(halfspace, x0)
         try:
-            b_star = _walk_to_optimum(poly, x0, c)[1].point
+            _, end, face = _walk_to_optimum(poly, x0, c)
         except Unbounded:
             raise _not_strict(M) from None
+        b_star = end.point
         _check_strict_bound(c, M, b_star)
         # Certify b* against the unshifted half-space: the walk stopped where
-        # -c lies in the cone of b*'s working rows.
-        a_star = project_halfspace(halfspace, b_star)
-        certificate = engine.check_certificate(halfspace, poly, a_star, b_star, cert_tol)
+        # -c lies in the cone of b*'s working rows, so B's residual is read
+        # from the walk's final face wherever its factor decides.  Both
+        # points are the solve's own, validated arrays.
+        a_star = _project_halfspace(halfspace, b_star)
+        d = a_star - b_star
+        certificate = engine._certificate(halfspace, poly, a_star, b_star, d, _norm(d), cert_tol, face)
         if not certificate.holds:
             raise NotConverged("shifted projection did not certify optimality")
         steps = 1
@@ -170,7 +178,7 @@ def solve_lp(
 def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
     # Distance from the solve's own feasible point to the half-space; if it
     # vanishes the offset M was not strictly below the optimum.
-    gap = (float(c.dot(b_star)) - M) / float(np.linalg.norm(c))
+    gap = (float(c.dot(b_star)) - M) / _norm(c)
     if gap <= _STRICT_TOL:
         raise _not_strict(M)
 

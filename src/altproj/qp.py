@@ -62,7 +62,11 @@ independent.  A walk that changes faces more than ``40 (m + 1)`` times
 raises :class:`NotConverged`.  Walked with no end along ``-c``, from the
 projection of any start, it stops at a minimiser of ``<c, .>``
 (:func:`_walk_to_optimum`): the LP optimum behind the shifted solve,
-``d(A, B)`` and ``lp --auto-bound``.
+``d(A, B)`` and ``lp --auto-bound``.  :func:`_walk_from` returns its final
+face with its point, built as :func:`_project_from` builds its own, from
+the factor the walk stepped on: there ``-c`` lies in the cone of the
+working rows, and the shifted solve certifies its optimum on that factor.
+Callers that need only the point ignore it.
 """
 
 from __future__ import annotations
@@ -168,6 +172,21 @@ def _continued(face: _Face | None, n: int) -> tuple[list[int], np.ndarray, np.nd
     return list(face.W), face.Q.copy(), R
 
 
+def _face_of(A: np.ndarray, b: np.ndarray, W: list[int], Q: np.ndarray, R: np.ndarray) -> _Face:
+    """The :class:`_Face` of the working rows ``W`` with the factor ``Q``, ``R``.
+
+    ``R`` is the padded triangle that the steps filled; its leading
+    ``k x k`` block (``k = len(W)``) is the face's.  ``W``, ``Q`` and ``R``
+    become the face's own, so the caller steps on them no more.
+    """
+    k = len(W)
+    R = R[:k, :k]
+    # ``take`` copies the working rows as ``A[W]`` does, at a third of the cost.
+    b_W = b.take(W)
+    w = np.array(_substitute(R.T, b_W, lower=True))
+    return _Face(W, Q, R, w, Q[:, :k], A.take(W, 0), b_W)
+
+
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
     """Project ``x`` onto the polyhedron ``p``.
 
@@ -224,12 +243,7 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
             # the first step does not rely on that.
             slack = A.dot(z) - b
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z, slack)
-    k = len(W)
-    R = R[:k, :k]
-    # ``take`` copies the working rows as ``A[W]`` does, at a third of the cost.
-    b_W = b.take(W)
-    w = np.array(_substitute(R.T, b_W, lower=True))
-    face = _Face(W, Q, R, w, Q[:, :k], A.take(W, 0), b_W)
+    face = _face_of(A, b, W, Q, R)
     u, z = _on_face(face, x)
     lam[W] = np.maximum(u, 0.0)
     return QPResult(z, lam, steps), face
@@ -267,11 +281,11 @@ def project_along_ray(
         raise ValueError("t_target must be finite")
     if t_target < 0.0:
         direction, t_target = -direction, -t_target
-    return _walk_from(p, *_project_from(p, base, None), direction, t_target)
+    return _walk_from(p, *_project_from(p, base, None), direction, t_target)[0]
 
 
-def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult]:
-    """The projection of ``x`` onto ``p`` and the end of the walk on from it along ``-c``.
+def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Face | None]:
+    """The projection of ``x`` onto ``p``, the end of the walk on from it along ``-c``, and its face.
 
     The package's one LP optimum.  The walk ``t -> P(x - t c)`` has no end
     and stops on the first face where the point stands still and no working
@@ -280,38 +294,45 @@ def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult]:
     reads no vertex list, so it has no size limit and takes polyhedra
     without a vertex.  Takes a validated ``x`` and ``c``; raises
     :class:`Unbounded` when the point moves on with no face ahead, and what
-    :func:`_project_from` and :func:`_walk_from` raise.
+    :func:`_project_from` and :func:`_walk_from` raise.  The face is the
+    walk's final one: there ``-c`` lies in the cone of its working rows, so
+    its factor holds the optimum's certificate.
     """
     start, face = _project_from(p, x, None)
-    return start, _walk_from(p, start, face, -c, math.inf)
+    return start, *_walk_from(p, start, face, -c, math.inf)
 
 
-def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float) -> QPResult:
-    """:func:`project_along_ray`'s walk from ``start`` on ``face``.
+def _walk_from(
+    p: Polyhedron, start: QPResult, face: _Face | None, direction, t_target: float
+) -> tuple[QPResult, _Face | None]:
+    """:func:`project_along_ray`'s walk from ``start`` on ``face``; also its final face.
 
     ``start`` and ``face`` are what :func:`_project_from` returned for the
     base point, so a caller that has already projected it walks on.  Takes
     a validated ``direction`` and ``t_target >= 0``.  An endless walk stops
     on the first face where the point stands still and no working
     multiplier falls; a point that moves on with no event ahead raises
-    :class:`Unbounded`.
+    :class:`Unbounded`.  A walk that does not move returns ``(start,
+    face)``; every other walk the :class:`_Face` of the working rows it
+    ends on, built from the factor it stepped on.
     """
     if t_target == 0.0 or not direction.any():
-        return start
+        return start, face
     A, b = p.A, p.b
     m, n = A.shape
     W, Q, R = _continued(face, n)
     u = start.dual[W].tolist()
     z = start.point
     t = 0.0
+    # A point rate below 1e-12 of the direction is rounding: the face is
+    # stationary and only the multipliers move.  Moving the point would
+    # inject that noise, times the large remaining step, into z.
+    still = 1e-12 * _norm(direction)
     for steps in range(1, _WALK_STEPS_PER_ROW * (m + 1) + 1):
         k = len(W)
         h = direction.dot(Q)
         r = _substitute(R[:k, :k], h[:k])
-        # A point rate below 1e-12 of the direction is rounding: the face is
-        # stationary and only the multipliers move.  Moving the point would
-        # inject that noise, times the large remaining step, into z.
-        dz = Q[:, k:].dot(h[k:]) if _norm(h[k:]) > 1e-12 * _norm(direction) else np.zeros(n)
+        dz = Q[:, k:].dot(h[k:]) if _norm(h[k:]) > still else np.zeros(n)
         # Next face change along the path: the first working multiplier to
         # reach zero or the first inactive row to become tight.
         dt = np.full(m, math.inf)
@@ -336,7 +357,7 @@ def _walk_from(p: Polyhedron, start: QPResult, face, direction, t_target: float)
         if not event:
             lam = np.zeros(m)
             lam[W] = u
-            return QPResult(z, lam, start.iterations + steps)
+            return QPResult(z, lam, start.iterations + steps), _face_of(A, b, W, Q, R)
         t += step
         if i in W:
             j = W.index(i)

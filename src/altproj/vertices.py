@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import EmptyPolyhedron, TooLarge, Unbounded, ZeroVector
 from .linalg import ZERO_TOL, as_point, unit_cone_distance
+from .qp import _project_from
 from .sets import Polyhedron
 
 _MAX_ORACLE_DIM = 8
@@ -104,10 +105,12 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     decreases along a recession direction of the polyhedron if it is
     nonempty.  Rows of rank n then have their vertex list read: an empty
     list means the polyhedron is empty (a pointed polyhedron has a vertex)
-    and raises :class:`EmptyPolyhedron`.  Every other such case raises
-    :class:`Unbounded`, rows of rank below n included, where no vertex can
-    tell.  A bounded objective raises :class:`EmptyPolyhedron` when no
-    vertex exists.
+    and raises :class:`EmptyPolyhedron`.  Rows of rank below n have no
+    vertex to tell, so one projection of the origin
+    (:func:`~altproj.qp._project_from`) decides instead, and raises
+    :class:`EmptyPolyhedron` on an empty polyhedron.  Every other such case
+    raises :class:`Unbounded`.  A bounded objective raises
+    :class:`EmptyPolyhedron` when no vertex exists.
     """
     c = as_point(c, p.dim)
     check_oracle_limits(p)
@@ -117,7 +120,9 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     if nc <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
-        if np.linalg.matrix_rank(p.A) == p.dim and not feasible_vertices(p):
+        if np.linalg.matrix_rank(p.A) < p.dim:
+            _project_from(p, np.zeros(p.dim), None)
+        elif not feasible_vertices(p):
             raise EmptyPolyhedron("no vertex on rows of rank n: the polyhedron is empty")
         raise Unbounded("objective decreases along a recession direction")
 

@@ -135,6 +135,14 @@ def test_each_membership_feasibility_and_cycle_rule_has_one_site():
     assert not sites(lambda node: isinstance(node, ast.FunctionDef) and node.name in removed)
 
 
+def test_the_face_read_of_b_residual_has_one_site():
+    # A cycle decision and a certificate both take B's residual from
+    # engine._residual_b, the one rule "face factor first, else the cone
+    # solve"; nothing else reads the factor's residual.
+    assert call_sites("_face_residual") == {"engine._residual_b"}
+    assert call_sites("_residual_b") == {"engine._decide", "engine._certificate"}
+
+
 def builds_error(node, rule):
     """Whether ``node`` calls the error type ``rule`` or passes a message
     that contains the text ``rule``."""

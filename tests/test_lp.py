@@ -117,6 +117,15 @@ def test_vertex_oracle_empty():
     for strategy in ("direct", "shifted"):
         with pytest.raises(EmptyPolyhedron):
             solve_lp(LPProblem([1.0, 1.0], empty, -10.0), strategy=strategy)
+    # The first two rows alone have rank 1 and no vertex to tell, and
+    # -c = (0, -1) is outside the cone of the rows: the oracle's one
+    # projection finds the polyhedron empty, as both strategies do.
+    empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
+    with pytest.raises(EmptyPolyhedron):
+        vertex_oracle(empty, [0.0, 1.0])
+    for strategy in ("direct", "shifted"):
+        with pytest.raises(EmptyPolyhedron):
+            solve_lp(LPProblem([0.0, 1.0], empty, -10.0), strategy=strategy)
 
 
 def test_feasible_vertices_reports_full_active_sets():

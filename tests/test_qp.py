@@ -326,9 +326,10 @@ def assert_face_record(poly, face):
 def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
     # Faces from cold projections, faces accepted as they are, faces of warm
     # continuations that take active-set steps, and faces that a walk (the
-    # shifted LP solve's) starts from.  Each is checked again at the end, after the later
-    # projections and walks that started from it: those step on copies of
-    # ``Q``, so the view ``Q1`` still reads the factor it was made with.
+    # shifted LP solve's) starts from and ends on.  Each is checked again at
+    # the end, after the later projections and walks that started from it:
+    # those step on copies of ``Q``, so the view ``Q1`` still reads the
+    # factor it was made with.
     branch = warm_branch(monkeypatch)
     made = []  # (polyhedron, face, bytes of Q1 when the face was made)
     seen = {"cold": 0, "hit": 0, "continue": 0, "walk": 0}
@@ -349,7 +350,8 @@ def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
             faces.append(face)
             seen["cold"] += 1
             direction = rng.normal(size=poly.dim)
-            walked = qp._walk_from(poly, start, face, direction, 10.0)
+            walked, end_face = qp._walk_from(poly, start, face, direction, 10.0)
+            keep(poly, end_face)
             seen["walk"] += walked.iterations - start.iterations > 1
         for x in points:
             for face in faces:
@@ -412,15 +414,15 @@ def test_an_endless_walk_stops_on_the_first_still_face_where_no_multiplier_falls
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), [1.0, 1.0, 0.0, 0.0])
     direction = np.array([1.0, -1.0])
     for base in ([1.0, 1.0], [2.0, 2.0]):
-        end = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
-        assert end.point.tolist() == [1.0, 0.0]
+        end, face = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
+        assert end.point.tolist() == [1.0, 0.0] and face.W == [0, 3]
         assert np.array_equal(end.point, project_along_ray(box, base, direction, 1e6).point)
     # Below the line y = 0 the projection of (0, 1) stands still along
     # (0, 1) and moves forever along (1, 0), with no face change ahead.
     below = Polyhedron([[0.0, 1.0]], [0.0])
     start = _project_from(below, np.array([0.0, 1.0]), None)
-    end = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
-    assert end.point.tolist() == [0.0, 0.0]
+    end, face = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
+    assert end.point.tolist() == [0.0, 0.0] and face.W == [0]
     with pytest.raises(Unbounded):
         qp._walk_from(below, *start, np.array([1.0, 0.0]), math.inf)
 
