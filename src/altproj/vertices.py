@@ -103,13 +103,10 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     :class:`TooLarge` beyond desk scale (n > 8 or m > 24), before any
     enumeration.  When ``-c`` is not in the cone of the rows, the objective
     decreases along a recession direction of the polyhedron if it is
-    nonempty.  Rows of rank n then have their vertex list read: an empty
-    list means the polyhedron is empty (a pointed polyhedron has a vertex)
-    and raises :class:`EmptyPolyhedron`.  Rows of rank below n have no
-    vertex to tell, so one projection of the origin
-    (:func:`~altproj.qp._project_from`) decides instead, and raises
-    :class:`EmptyPolyhedron` on an empty polyhedron.  Every other such case
-    raises :class:`Unbounded`.  A bounded objective raises
+    nonempty.  One projection of the origin
+    (:func:`~altproj.qp._project_from`) decides that, for rows of any rank:
+    it raises :class:`EmptyPolyhedron` on an empty polyhedron, and every
+    other such case raises :class:`Unbounded`.  A bounded objective raises
     :class:`EmptyPolyhedron` when no vertex exists.
     """
     c = as_point(c, p.dim)
@@ -120,10 +117,7 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     if nc <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:
-        if np.linalg.matrix_rank(p.A) < p.dim:
-            _project_from(p, np.zeros(p.dim), None)
-        elif not feasible_vertices(p):
-            raise EmptyPolyhedron("no vertex on rows of rank n: the polyhedron is empty")
+        _project_from(p, np.zeros(p.dim), None)
         raise Unbounded("objective decreases along a recession direction")
 
     best_obj = np.inf

@@ -108,9 +108,9 @@ def test_vertex_oracle_empty():
     empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
     with pytest.raises(EmptyPolyhedron):
         vertex_oracle(empty, [1.0, 0.0])
-    # -c = (-1, -1) is outside the cone of the rows, but the rows have rank
-    # 2 and no vertex: the polyhedron is empty, not the objective unbounded,
-    # as both LP strategies report.
+    # -c = (-1, -1) is outside the cone of the rows, but the polyhedron is
+    # empty, not the objective unbounded: the oracle's one projection finds
+    # it empty, as both LP strategies do.
     empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0, 1.0])
     with pytest.raises(EmptyPolyhedron):
         vertex_oracle(empty, [1.0, 1.0])
@@ -126,6 +126,15 @@ def test_vertex_oracle_empty():
     for strategy in ("direct", "shifted"):
         with pytest.raises(EmptyPolyhedron):
             solve_lp(LPProblem([0.0, 1.0], empty, -10.0), strategy=strategy)
+    # Empty by 1e-8 only: a vertex read within the enumeration's slack
+    # tolerance would call the objective unbounded, but the one projection
+    # decides as both strategies do.
+    empty = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [-1.0, 1.0 - 1e-8, 1.0])
+    with pytest.raises(EmptyPolyhedron):
+        vertex_oracle(empty, [1.0, 1.0])
+    for strategy in ("direct", "shifted"):
+        with pytest.raises(EmptyPolyhedron):
+            solve_lp(LPProblem([1.0, 1.0], empty, -10.0), strategy=strategy)
 
 
 def test_feasible_vertices_reports_full_active_sets():
