@@ -25,13 +25,23 @@
   measured by a cone solve, so it pins the factor the walk ends on too.
   Only these two digests were regenerated when that read replaced the cone
   solve: it moved ``residual_B`` alone, in its last bits (104 of the 200
-  pairs at seed 1 and 100 at seed 11, by at most 1.5e-15).
+  pairs at seed 1 and 100 at seed 11, by at most 1.5e-15), and
+- the cold projections of the ``far_projection`` benchmark stream at rng
+  seeds 1 and 23: 256 random bounded polyhedra with n = 2..4, each probed
+  at radii 1e1 and 1e2 from its interior point, by
+  ``project_polyhedron``: every point and dual by bytes and the step
+  count.  On the same stream the active-set kernel's work is pinned as a
+  count: its steps, and its calls of ``_add_column`` and
+  ``_delete_column``.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result
-on purpose regenerates the file and says so in its change record:
+on purpose regenerates the sections it moves, by name, and says so in its
+change record; every other section of the file stays byte for byte:
 
-    PYTHONPATH=src python tests/test_golden_digests.py --write
+    PYTHONPATH=src python tests/test_golden_digests.py --write far_projection
+
+With no arguments the script prints every section's digests.
 
 The digests also pin how the installed BLAS rounds: OpenBLAS's ``ddot``
 forms a product of two 2-vectors as ``fma(x1, y1, x0 * y0)``, and the
@@ -48,6 +58,7 @@ unchanged, so a failure names the build it ran on.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -59,8 +70,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altproj import certify, instances, lp
+from altproj import certify, instances, linalg, lp
 from altproj.cli import main
+from altproj.qp import project_polyhedron
 from altproj.sets import set_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
@@ -70,6 +82,11 @@ LP_SEEDS = (1, 7, 11)
 LP_COUNT = 300
 CONSTANTS_SEEDS = (1, 11)
 CONSTANTS_COUNT = 200
+FAR_SEEDS = (1, 23)
+FAR_POLYHEDRA = 256
+FAR_RADII = (1e1, 1e2)
+# ``(steps, adds, drops)`` of the kernel on the far stream at each seed.
+FAR_WORK = {1: (1618, 1489, 129), 23: (1706, 1543, 163)}
 
 
 def _sha(data: bytes) -> str:
@@ -166,12 +183,35 @@ def constants_digest(seed: int) -> str:
     return h.hexdigest()
 
 
-def all_digests(work: Path) -> dict:
-    return {
-        "planar": planar_digests(work),
-        "lp_direct": {str(seed): lp_digest(seed) for seed in LP_SEEDS},
-        "constants": {str(seed): constants_digest(seed) for seed in CONSTANTS_SEEDS},
-    }
+def far_stream(seed: int):
+    """``(polyhedron, point)`` of the ``far_projection`` benchmark pool at rng ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(FAR_POLYHEDRA):
+        n = int(rng.integers(2, 5))
+        poly, interior = instances.random_bounded_polyhedron(rng, n, int(rng.integers(0, 13 - 2 * n)))
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        for r in FAR_RADII:
+            yield poly, interior + r * u
+
+
+def far_digest(seed: int) -> str:
+    """One digest over the cold projections of the far stream at rng ``seed``."""
+    h = hashlib.sha256()
+    for poly, x in far_stream(seed):
+        res = project_polyhedron(poly, x)
+        h.update(res.point.tobytes())
+        h.update(res.dual.tobytes())
+        h.update(repr(res.iterations).encode())
+    return h.hexdigest()
+
+
+SECTIONS = {
+    "planar": planar_digests,
+    "lp_direct": lambda _work: {str(seed): lp_digest(seed) for seed in LP_SEEDS},
+    "constants": lambda _work: {str(seed): constants_digest(seed) for seed in CONSTANTS_SEEDS},
+    "far_projection": lambda _work: {str(seed): far_digest(seed) for seed in FAR_SEEDS},
+}
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +233,52 @@ def test_constants_path_matches_golden_digests(seed, golden):
     assert constants_digest(seed) == golden["constants"][str(seed)], numpy_build()
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("seed", FAR_SEEDS)
+def test_far_projections_match_golden_digests(seed, golden):
+    assert far_digest(seed) == golden["far_projection"][str(seed)], numpy_build()
+
+
+@pytest.mark.parametrize("seed", FAR_SEEDS)
+def test_far_projections_take_the_pinned_kernel_work(seed, monkeypatch):
+    # The steps each projection reports, and the factor updates the kernel
+    # makes, counted by name in ``linalg`` where the kernel calls them.  A
+    # change that moves no result but takes another path moves these.
+    calls = {"add": 0, "drop": 0}
+
+    def counted(name, update):
+        def spy(*args):
+            calls[name] += 1
+            return update(*args)
+
+        return spy
+
+    monkeypatch.setattr(linalg, "_add_column", counted("add", linalg._add_column))
+    monkeypatch.setattr(linalg, "_delete_column", counted("drop", linalg._delete_column))
+    steps = sum(project_polyhedron(poly, x).iterations for poly, x in far_stream(seed))
+    assert (steps, calls["add"], calls["drop"]) == FAR_WORK[seed]
+
+
+def script(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Print the golden digests, or write named sections.")
+    parser.add_argument(
+        "--write",
+        nargs="+",
+        choices=sorted(SECTIONS),
+        metavar="SECTION",
+        help=f"regenerate these sections of the file and keep the others byte for byte: {', '.join(sorted(SECTIONS))}",
+    )
+    args = parser.parse_args(argv)
+    names = args.write or sorted(SECTIONS)
     with tempfile.TemporaryDirectory() as tmp:
-        digests = all_digests(Path(tmp))
-    text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
-    if "--write" in sys.argv[1:]:
-        GOLDEN.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        fresh = {name: SECTIONS[name](Path(tmp)) for name in names}
+    if args.write is None:
+        sys.stdout.write(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
+        return 0
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    digests.update(fresh)
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(script(sys.argv[1:]))
