@@ -19,7 +19,7 @@ import numpy as np
 from . import engine
 from .errors import LowerBoundNotStrict, NotConverged, Unbounded
 from .linalg import _norm, as_point
-from .qp import _walk_to_optimum
+from .qp import _face_of, _walk_to_optimum
 from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, _project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
@@ -146,7 +146,7 @@ def solve_lp(
     else:
         _check_start(halfspace, x0)
         try:
-            _, end, face = _walk_to_optimum(poly, x0, c)
+            _, end, factor = _walk_to_optimum(poly, x0, c)
         except Unbounded:
             raise _not_strict(M) from None
         b_star = end.point
@@ -157,6 +157,7 @@ def solve_lp(
         # points are the solve's own, validated arrays.
         a_star = _project_halfspace(halfspace, b_star)
         d = a_star - b_star
+        face = _face_of(poly.A, poly.b, *factor)
         certificate = engine._certificate(halfspace, poly, a_star, b_star, d, _norm(d), cert_tol, face)
         if not certificate.holds:
             raise NotConverged("shifted projection did not certify optimality")

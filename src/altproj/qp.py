@@ -62,11 +62,13 @@ independent.  A walk that changes faces more than ``40 (m + 1)`` times
 raises :class:`NotConverged`.  Walked with no end along ``-c``, from the
 projection of any start, it stops at a minimiser of ``<c, .>``
 (:func:`_walk_to_optimum`): the LP optimum behind the shifted solve,
-``d(A, B)`` and ``lp --auto-bound``.  :func:`_walk_from` returns its final
-face with its point, built as :func:`_project_from` builds its own, from
-the factor the walk stepped on: there ``-c`` lies in the cone of the
-working rows, and the shifted solve certifies its optimum on that factor.
-Callers that need only the point ignore it.
+``d(A, B)`` and ``lp --auto-bound``.  :func:`_walk_from` returns its end
+point with the working rows and the factor it ended on, as the steps left
+them; it builds no :class:`_Face`.  There ``-c`` lies in the cone of the
+working rows, and the shifted solve, the one caller that reads the face,
+builds it from them (:func:`_face_of`) and certifies its optimum on that
+factor.  ``d(A, B)``, ``project_along_ray`` and ``lp --auto-bound`` read
+the point alone.
 """
 
 from __future__ import annotations
@@ -158,7 +160,13 @@ def _on_face(face: _Face, x) -> tuple[list[float], np.ndarray]:
     return _substitute(face.R, y), z
 
 
-def _continued(face: _Face | None, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+# Working rows ``W`` and their factor ``Q``, ``R`` as the active-set steps
+# and the walk leave them: ``R`` is n x n, its leading ``len(W)`` square the
+# triangle (:func:`_continued`, :func:`_face_of`).
+_Factor = tuple[list[int], np.ndarray, np.ndarray]
+
+
+def _continued(face: _Face | None, n: int) -> _Factor:
     """Working rows, ``Q`` and an n x n ``R`` that continue from ``face``.
 
     A copy of the face's factor, ``R`` padded with zeros to the room the
@@ -167,7 +175,10 @@ def _continued(face: _Face | None, n: int) -> tuple[list[int], np.ndarray, np.nd
     """
     R = np.zeros((n, n))
     if face is None:
-        return [], np.eye(n), R
+        # The identity, filled on its diagonal: ``np.eye`` costs twice as much.
+        Q = np.zeros((n, n))
+        Q.ravel()[:: n + 1] = 1.0
+        return [], Q, R
     R[: len(face.W), : len(face.W)] = face.R
     return list(face.W), face.Q.copy(), R
 
@@ -245,8 +256,17 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z, slack)
     face = _face_of(A, b, W, Q, R)
     u, z = _on_face(face, x)
-    lam[W] = np.maximum(u, 0.0)
+    lam[W] = _clamped(u)
     return QPResult(z, lam, steps), face
+
+
+def _clamped(u: list[float]) -> list[float]:
+    """``np.maximum(u, 0.0)`` on a list of floats, bit for bit.
+
+    A NaN stays and -0.0 becomes 0.0; ``max(v, 0.0)`` would keep -0.0.
+    On floats it skips building an array from the list.
+    """
+    return [v if v > 0.0 or v != v else 0.0 for v in u]
 
 
 def project_along_ray(
@@ -284,8 +304,8 @@ def project_along_ray(
     return _walk_from(p, *_project_from(p, base, None), direction, t_target)[0]
 
 
-def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Face | None]:
-    """The projection of ``x`` onto ``p``, the end of the walk on from it along ``-c``, and its face.
+def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Factor]:
+    """The projection of ``x`` onto ``p``, the end of the walk on from it along ``-c``, and its factor.
 
     The package's one LP optimum.  The walk ``t -> P(x - t c)`` has no end
     and stops on the first face where the point stands still and no working
@@ -294,9 +314,10 @@ def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Face | N
     reads no vertex list, so it has no size limit and takes polyhedra
     without a vertex.  Takes a validated ``x`` and ``c``; raises
     :class:`Unbounded` when the point moves on with no face ahead, and what
-    :func:`_project_from` and :func:`_walk_from` raise.  The face is the
-    walk's final one: there ``-c`` lies in the cone of its working rows, so
-    its factor holds the optimum's certificate.
+    :func:`_project_from` and :func:`_walk_from` raise.  The working rows
+    and factor are the walk's final ones: there ``-c`` lies in the cone of
+    those rows, so their face (:func:`_face_of`) holds the optimum's
+    certificate.
     """
     start, face = _project_from(p, x, None)
     return start, *_walk_from(p, start, face, -c, math.inf)
@@ -304,23 +325,24 @@ def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Face | N
 
 def _walk_from(
     p: Polyhedron, start: QPResult, face: _Face | None, direction, t_target: float
-) -> tuple[QPResult, _Face | None]:
-    """:func:`project_along_ray`'s walk from ``start`` on ``face``; also its final face.
+) -> tuple[QPResult, _Factor]:
+    """:func:`project_along_ray`'s walk from ``start`` on ``face``; also its final factor.
 
     ``start`` and ``face`` are what :func:`_project_from` returned for the
     base point, so a caller that has already projected it walks on.  Takes
     a validated ``direction`` and ``t_target >= 0``.  An endless walk stops
     on the first face where the point stands still and no working
     multiplier falls; a point that moves on with no event ahead raises
-    :class:`Unbounded`.  A walk that does not move returns ``(start,
-    face)``; every other walk the :class:`_Face` of the working rows it
-    ends on, built from the factor it stepped on.
+    :class:`Unbounded`.  The second value is ``(W, Q, R)``, the working
+    rows and the padded factor the walk ends on, from which
+    :func:`_face_of` builds their face; a walk that does not move returns
+    ``start`` with a copy of ``face``'s.
     """
-    if t_target == 0.0 or not direction.any():
-        return start, face
     A, b = p.A, p.b
     m, n = A.shape
     W, Q, R = _continued(face, n)
+    if t_target == 0.0 or not direction.any():
+        return start, (W, Q, R)
     u = start.dual[W].tolist()
     z = start.point
     t = 0.0
@@ -357,14 +379,15 @@ def _walk_from(
         if not event:
             lam = np.zeros(m)
             lam[W] = u
-            return QPResult(z, lam, start.iterations + steps), _face_of(A, b, W, Q, R)
+            return QPResult(z, lam, start.iterations + steps), (W, Q, R)
         t += step
         if i in W:
             j = W.index(i)
             _delete_column(Q, R, k, j)
             del W[j], u[j]
         else:
-            _add_column(Q, R, k, A[i].dot(Q))
+            h_i = A[i].dot(Q)
+            _add_column(Q, R, k, h_i, float(h_i[k:].dot(h_i[k:])))
             W.append(i)
             u.append(0.0)
     raise NotConverged(f"the walk changed faces more than {_WALK_STEPS_PER_ROW * (m + 1)} times")

@@ -22,7 +22,7 @@ from .errors import (
     StartNotInA,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, _dot_row_norms, _real_array, _real_scalar, as_point
+from .linalg import _ROW_NORM_LIMIT, ZERO_TOL, _dot_row_norms, _real_array, _real_scalar, as_point
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
@@ -54,7 +54,14 @@ class _ValueSet:
 
 @dataclass(frozen=True, eq=False)
 class HalfSpace(_ValueSet):
-    """Closed half-space ``{x : <c, x> <= M}`` with outward normal ``c``."""
+    """Closed half-space ``{x : <c, x> <= M}`` with outward normal ``c``.
+
+    Raises :class:`ZeroVector` for a normal of norm ``ZERO_TOL`` or less and
+    :class:`DegenerateRow` for one of norm 2**510 (about 3.4e153) or more,
+    the bound a polyhedron's rows are projected under: its square would
+    overflow in every projection onto the half-space.  The norm is taken by
+    ``math.hypot``, so no overflow warning comes before the error.
+    """
 
     c: np.ndarray
     M: float
@@ -65,8 +72,13 @@ class HalfSpace(_ValueSet):
 
     def __post_init__(self):
         c = as_point(self.c)
-        if float(np.linalg.norm(c)) <= ZERO_TOL:
+        norm_c = math.hypot(*c.tolist())
+        if norm_c <= ZERO_TOL:
             raise ZeroVector("half-space normal must be nonzero")
+        if not norm_c < _ROW_NORM_LIMIT:
+            raise DegenerateRow(
+                f"half-space normal is too long: its norm must be below 2**510 (about {_ROW_NORM_LIMIT:.2g})"
+            )
         M = _real_scalar(self.M, "M")
         if not math.isfinite(M):
             raise ValueError("half-space offset M must be finite")

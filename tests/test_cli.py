@@ -219,6 +219,22 @@ def test_run_reports_a_row_too_long_to_project_on(tmp_path, capsys):
     assert line.startswith("error: constraint row 5 is too long to project on")
 
 
+def test_run_refuses_a_half_space_normal_too_long_to_square(tmp_path, capsys):
+    # c = (1e200, 0): the spec is refused as it is read, with exit 64 and
+    # one error line, before any overflow warning.
+    box = {"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [1, 1, 1, 1]}
+    spec = write_json(
+        tmp_path / "long_normal.json",
+        {"setA": {"halfspace": {"c": [1e200, 0], "M": -2e200}}, "setB": {"polyhedron": box}, "x0": [-4, -4]},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", spec, "--out", str(tmp_path)]) == 64
+    assert [str(w.message) for w in caught] == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot parse experiment spec: half-space normal is too long")
+
+
 def test_bound_command_reports_constants(tmp_path, capsys):
     problem = write_json(
         tmp_path / "bound.json",

@@ -350,7 +350,8 @@ def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
             faces.append(face)
             seen["cold"] += 1
             direction = rng.normal(size=poly.dim)
-            walked, end_face = qp._walk_from(poly, start, face, direction, 10.0)
+            walked, factor = qp._walk_from(poly, start, face, direction, 10.0)
+            end_face = qp._face_of(poly.A, poly.b, *factor)
             keep(poly, end_face)
             seen["walk"] += walked.iterations - start.iterations > 1
         for x in points:
@@ -367,6 +368,15 @@ def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
         assert_face_record(poly, face)
         assert face.Q1.tobytes() == q1
     assert min(seen.values()) >= 50, seen
+
+
+def test_clamped_multipliers_are_numpys_maximum_bit_for_bit():
+    # -0.0 is the case ``max(v, 0.0)`` gets wrong: it keeps -0.0, which
+    # NumPy's maximum turns into 0.0.
+    tiny = np.nextafter(0.0, 1.0)
+    values = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, -1.5, 2.0, tiny, -tiny, 1e308, -1e-308]
+    got = np.array(qp._clamped(values))
+    assert got.tobytes() == np.maximum(values, 0.0).tobytes()
 
 
 def test_triangular_substitution_matches_a_lapack_solve():
@@ -414,15 +424,15 @@ def test_an_endless_walk_stops_on_the_first_still_face_where_no_multiplier_falls
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), [1.0, 1.0, 0.0, 0.0])
     direction = np.array([1.0, -1.0])
     for base in ([1.0, 1.0], [2.0, 2.0]):
-        end, face = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
-        assert end.point.tolist() == [1.0, 0.0] and face.W == [0, 3]
+        end, (W, _, _) = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
+        assert end.point.tolist() == [1.0, 0.0] and W == [0, 3]
         assert np.array_equal(end.point, project_along_ray(box, base, direction, 1e6).point)
     # Below the line y = 0 the projection of (0, 1) stands still along
     # (0, 1) and moves forever along (1, 0), with no face change ahead.
     below = Polyhedron([[0.0, 1.0]], [0.0])
     start = _project_from(below, np.array([0.0, 1.0]), None)
-    end, face = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
-    assert end.point.tolist() == [0.0, 0.0] and face.W == [0]
+    end, (W, _, _) = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
+    assert end.point.tolist() == [0.0, 0.0] and W == [0]
     with pytest.raises(Unbounded):
         qp._walk_from(below, *start, np.array([1.0, 0.0]), math.inf)
 

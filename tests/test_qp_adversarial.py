@@ -8,6 +8,8 @@ that they scale with ``||x|| / 1e4``, because the rounding in ``x - z``
 grows with ``||x||``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -265,9 +267,10 @@ def watch_factor(monkeypatch):
         return steps
 
     def update(change):
-        def spy(Q, R, k, i):
+        def spy(Q, R, k, *row):
+            # ``row`` is ``(h, dd)`` for an add and ``(j,)`` for a drop.
             check()
-            change(Q, R, k, i)
+            change(Q, R, k, *row)
             state["updates"] += 1
 
         return spy
@@ -354,3 +357,97 @@ def test_walks_from_degenerate_apexes_stay_on_the_factor(monkeypatch):
                     if t == 1e2:
                         x = base + t * direction
                         np.testing.assert_allclose(res.point, direct(cone, x).point, atol=1e-9)
+
+
+class _FirstUpdate(Exception):
+    """Raised by a spied factor update to stop the kernel after one step."""
+
+
+def reference_spanned_tol(A_W, norm_a, r):
+    # The span tolerance as first written: the working rows' entries in
+    # absolute value against the rates', ``_DEP_TOL (||a|| + || |A_W|' |r| ||)``.
+    return linalg._DEP_TOL * (norm_a + linalg._norm(np.abs(A_W).T.dot(np.abs(r))))
+
+
+def nearly_dependent_rows(rng):
+    """``(A_W, a)``: independent working rows and a row spanned by them or
+    nearly.
+
+    The rows have norms 1e-3..1e3.  ``a`` is a working row, its negation, or
+    a combination of all the working rows with coefficients of one sign,
+    each perturbed by 0 or 1e-16..1e-12 of its norm in a random direction.
+    """
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, n + 1))
+    A_W = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+    kind = rng.integers(0, 3)
+    if kind < 2:
+        coef = np.zeros(k)
+        coef[rng.integers(0, k)] = 1.0 if kind == 0 else -1.0
+    else:
+        coef = rng.uniform(0.1, 2.0, size=k) * rng.choice([-1.0, 1.0])
+    a = coef.dot(A_W)
+    eps = float(rng.choice([0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12]))
+    return A_W, a + eps * np.linalg.norm(a) * unit(rng, n)
+
+
+def test_span_decision_on_nearly_dependent_rows_matches_the_reference_formula(monkeypatch):
+    # The kernel's tolerance sums |r_i| ||a_{W_i}||: by the triangle
+    # inequality at least the reference's || |A_W|' |r| || and at most
+    # sqrt(k) times it.  On exact copies of working rows and on perturbed
+    # combinations of them the two decide "spanned" alike, except for a
+    # part left over that falls between the two tolerances, where the
+    # kernel calls the row spanned and the reference does not; such rows
+    # are rare (1 of these 3,000) and rounding decides them either way.
+    # The kernel starts on the working rows' face with the violated row
+    # selected first and stops at its first factor update: where no
+    # multiplier can fall, a spanned row proves the polyhedron empty and
+    # any other row is added, so its outcome shows the decision it took.
+    def stop(kind):
+        def spy(*args):
+            raise _FirstUpdate(kind)
+
+        return spy
+
+    monkeypatch.setattr(linalg, "_add_column", stop("add"))
+    monkeypatch.setattr(linalg, "_delete_column", stop("drop"))
+    rng = np.random.default_rng(410)
+    decided = {True: 0, False: 0}
+    between = 0
+    for _ in range(3000):
+        A_W, a = nearly_dependent_rows(rng)
+        k, n = A_W.shape
+        Q, R = np.eye(n), np.zeros((n, n))
+        for i, row in enumerate(A_W):
+            h = row.dot(Q)
+            qp._add_column(Q, R, i, h, float(h[i:].dot(h[i:])))
+        h = a.dot(Q)
+        norm_a = math.hypot(*a.tolist())
+        r = linalg._substitute(R[:k, :k], h[:k])
+        norms = [math.hypot(*row.tolist()) for row in A_W]
+        reach = math.sqrt(float(h[k:].dot(h[k:])))
+        tol = linalg._DEP_TOL * (norm_a + sum(abs(r_i) * n_i for r_i, n_i in zip(r, norms)))
+        reference = reference_spanned_tol(A_W, norm_a, r)
+        assert reference * (1.0 - 1e-12) <= tol <= math.sqrt(k) * reference * (1.0 + 1e-12)
+        spanned = reach <= tol
+        if spanned != (reach <= reference):
+            assert spanned
+            between += 1
+        decided[spanned] += 1
+
+        z = rng.normal(size=n)
+        A = np.vstack([A_W, a])
+        b = np.r_[A_W.dot(z), a.dot(z) - 1.0]
+        u = rng.uniform(0.5, 2.0, size=k).tolist()
+        feas_tol = linalg._feas_tol(1.0 + float(np.abs(b).max()), linalg._norm(z))
+        try:
+            linalg._working_set(A, b, feas_tol, list(range(k)), Q, R, u, z, A.dot(z) - b)
+        except EmptyPolyhedron:
+            outcome = "empty"
+        except _FirstUpdate as first:
+            outcome = first.args[0]
+        if all(r_i <= 0.0 for r_i in r):
+            assert outcome == ("empty" if spanned else "add"), (A_W, a)
+        else:
+            assert outcome != "empty"
+    assert min(decided.values()) >= 250 and between <= 3, (decided, between)

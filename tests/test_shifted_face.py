@@ -134,7 +134,8 @@ def test_the_walk_returns_the_factor_of_its_final_face(seed):
     # The returned face factors the working rows it ends on, A_W' = Q_1 R,
     # and B's tight rows at the optimum are those rows on every pool pair.
     for hs, poly, x0 in pool_pairs(seed):
-        _, end, face = qp._walk_to_optimum(poly, x0, hs.c)
+        _, end, factor = qp._walk_to_optimum(poly, x0, hs.c)
+        face = qp._face_of(poly.A, poly.b, *factor)
         assert np.abs(face.A_W.T - face.Q1.dot(face.R)).max() <= 1e-14
         assert face.A_W.tobytes() == poly.A[face.W].tobytes()
         tight = np.abs(poly.A.dot(end.point) - poly.b) <= ACTIVE_TOL

@@ -10,6 +10,7 @@ error or a silently broadcast answer.
 
 import json
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -93,6 +94,8 @@ def test_wrong_length_raises_dimension_mismatch(call, length):
 REJECTED = {
     "HalfSpace-zero-normal": (ZeroVector, "normal must be nonzero", lambda: HalfSpace([0.0, 0.0], 0.0)),
     "LPProblem-zero-objective": (ZeroVector, "normal must be nonzero", lambda: LPProblem([0.0, 0.0], POLY, -10.0)),
+    "HalfSpace-long-normal": (DegenerateRow, "normal is too long", lambda: HalfSpace([1e200, 0.0], -2e200)),
+    "LPProblem-long-objective": (DegenerateRow, "normal is too long", lambda: LPProblem([1e200, 0.0], POLY, -2e200)),
     "vertex_oracle-zero-c": (ZeroVector, "zero vector", lambda: vertex_oracle(POLY, [0.0, 0.0])),
     "Polyhedron-3d-matrix": (DimensionMismatch, "matrix has shape", lambda: Polyhedron([[[1.0, 0.0]]], [1.0])),
     "Polyhedron-infinite-entry": (ValueError, "matrix entries must be finite", lambda: Polyhedron([[math.inf, 0.0]], [1.0])),
@@ -116,6 +119,28 @@ REJECTED = {
 def test_a_bad_input_raises_its_typed_error(error, match, call):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_a_half_space_normal_too_long_to_square_is_refused_without_a_warning():
+    # A normal whose square overflows kept <c, c> = inf, so the projection
+    # returned (5, 0) unchanged though <c, x> = 5e200 > M, and the LP
+    # solves on the box [-1, 1]^2 raised PointNotInSet.  The limit is the
+    # one a polyhedron's rows are projected under, 2**510, on the norm, so
+    # entries below it can still make a normal too long.
+    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    limit = 2.0**510
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in ([1e200, 0.0], [limit, 0.0], [0.0, -limit], [3e153, 3e153]):
+            with pytest.raises(DegenerateRow, match="normal is too long"):
+                HalfSpace(c, -2e200)
+            with pytest.raises(DegenerateRow, match="normal is too long"):
+                LPProblem(c, box, -2e200)
+        below = math.nextafter(limit, 0.0)
+        hs = HalfSpace([below, 0.0], -below)
+        assert math.isfinite(hs._cc)
+        assert project_halfspace(hs, [5.0, 3.0]).tolist() == [-1.0, 3.0]
+        assert solve_lp(LPProblem([below, 0.0], box, -2.0 * below), strategy="shifted").solution.tolist() == [-1.0, 0.0]
 
 
 @pytest.mark.parametrize("a", [[-1.0], [0.0]])
