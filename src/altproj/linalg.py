@@ -174,8 +174,9 @@ def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
 # scale ``1 + max|b| + ||x||``; rounding in the incremental updates of ``z``
 # stays well below it, so degenerate vertices do not cycle.
 _FEAS_TOL = 1e-13
-# A new row counts as spanned by the working rows when the part the working
-# rows cannot cancel is below this fraction of the terms that formed it.
+# A new row ``a`` counts as spanned by the working rows when the part the
+# working rows cannot cancel is below this fraction of the terms that formed
+# it, ``||a|| + sum_i |r_i| ||a_{W_i}||`` (``_working_set``).
 _DEP_TOL = 1e-13
 # Active-set steps granted per row and per coordinate.
 _STEPS_PER_DIM = 50
@@ -267,9 +268,10 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
     ``||a_{W_i}||`` is the ``math.hypot`` norm taken when row ``W_i`` was
     selected, kept in a list beside ``W``; the norms of a warm start's rows
     are taken once, on entry.  On the ``far_projection`` benchmark's
-    polyhedra (n = 2..4, up to 12 rows) one step costs about 14 us on a
-    2-vCPU Xeon, most of it the calls into NumPy: two products with ``Q``,
-    the triangular solve, the factor update and the new slack.
+    polyhedra (n = 2..4, up to 12 rows) one step costs about 15 us on a
+    2-vCPU Xeon, 4.5 us of it the factor update, and most of the rest the
+    calls into NumPy: the products with ``Q``, the triangular solve and the
+    new slack.
     """
     m, n = A.shape
     max_steps = _STEPS_PER_DIM * (m + n)

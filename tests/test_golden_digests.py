@@ -258,6 +258,24 @@ def test_far_projections_take_the_pinned_kernel_work(seed, monkeypatch):
     assert (steps, calls["add"], calls["drop"]) == FAR_WORK[seed]
 
 
+def test_write_regenerates_only_the_named_sections(tmp_path, monkeypatch, golden):
+    # On a copy of the file, with a stand-in section: --write needs a name,
+    # rewriting a section with its own digests leaves the file byte for
+    # byte, and a new digest moves that section alone.
+    original = GOLDEN.read_bytes()
+    copy = tmp_path / "golden_digests.json"
+    copy.write_bytes(original)
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", copy)
+    with pytest.raises(SystemExit):
+        script(["--write"])
+    monkeypatch.setitem(SECTIONS, "far_projection", lambda _work: golden["far_projection"])
+    assert script(["--write", "far_projection"]) == 0
+    assert copy.read_bytes() == original
+    monkeypatch.setitem(SECTIONS, "far_projection", lambda _work: {"1": "0" * 64})
+    assert script(["--write", "far_projection"]) == 0
+    assert json.loads(copy.read_text(encoding="utf-8")) == {**golden, "far_projection": {"1": "0" * 64}}
+
+
 def script(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Print the golden digests, or write named sections.")
     parser.add_argument(

@@ -451,3 +451,27 @@ def test_span_decision_on_nearly_dependent_rows_matches_the_reference_formula(mo
         else:
             assert outcome != "empty"
     assert min(decided.values()) >= 250 and between <= 3, (decided, between)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_span_tolerance_reads_the_norm_a_row_entered_with(scale):
+    # From (1, 0) the projection adds the row (s, 0) first, then meets
+    # (-s, s eps), whose part the first row cannot cancel is s eps, while
+    # no multiplier can fall.  The tolerance is 1e-13 (||a|| + |r| s) with
+    # r = -1 and s the norm kept when the first row entered: about 2e-13 s.
+    # So eps = 1.5e-13 counts as spanned and the projection raises
+    # EmptyPolyhedron, though the polyhedron holds (0, -1 / eps), 6.7e12
+    # away: the tolerance does not resolve a row this close to antiparallel.
+    # eps = 3e-13 is not spanned; a norm of 1 kept for the first row would
+    # call neither spanned at s = 1e3, and both at s = 1e-3.  Past the
+    # tolerance the answer is the far corner (0, -1 / eps) of both rows.
+    x = np.array([1.0, 0.0])
+    for eps, empty in ((1.5e-13, True), (3e-13, False)):
+        poly = Polyhedron([[scale, 0.0], [-scale, scale * eps]], [0.0, -scale])
+        if empty:
+            with pytest.raises(EmptyPolyhedron):
+                project_polyhedron(poly, x)
+        else:
+            res = project_polyhedron(poly, x)
+            np.testing.assert_allclose(res.point, [0.0, -1.0 / eps], rtol=1e-9, atol=1e-9)
+            assert res.iterations == 2 and (res.dual > 0.0).all()
