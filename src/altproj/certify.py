@@ -160,7 +160,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     if table is None:
         table = _cone_table(B, vertices)
         object.__setattr__(B, "_cones", table)
-    nc = float(np.linalg.norm(c))
+    nc = _norm(c)
     neg_c = -c
     neg_chat = neg_c / nc
     qualifying = _dot_rows(B.A, c) / (table.norms * nc) > -1.0 + _STRICT_MARGIN
@@ -332,8 +332,8 @@ def one_step_shift(
     if d_AB < 0.0:
         raise InvalidDistance("d_AB must be nonnegative")
     _check_start(A, x0)
-    nc = float(np.linalg.norm(A.c))
-    d_x0 = float(np.linalg.norm(x0 - project_polyhedron(B, x0).point))
+    nc = _norm(A.c)
+    d_x0 = _norm(x0 - project_polyhedron(B, x0).point)
     rate = 1.0 - alpha * alpha
     scale = alpha * alpha * nc
     base = max(0.0, (rate * d_x0 - d_AB) / scale) if scale > 0.0 else math.inf

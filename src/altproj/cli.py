@@ -116,11 +116,9 @@ def cmd_run(args) -> int:
         set_a = set_from_json(spec["setA"])
         set_b = set_from_json(spec["setB"])
         x0 = as_point(spec["x0"])
-        max_iters = args.max_iters
-        if max_iters is None:
-            max_iters = spec.get("max_iters", 1000)
+        max_iters = args.max_iters if args.max_iters is not None else spec.get("max_iters", engine._MAX_ITERS)
         max_iters = _spec_max_iters(max_iters)
-        cert_tol = engine._check_tol(spec.get("cert_tol", 1e-8))
+        cert_tol = engine._check_tol(spec.get("cert_tol", engine._CERT_TOL))
         outputs = _spec_outputs(spec.get("outputs", {}))
     except _SPEC_ERRORS as exc:
         print(f"error: cannot parse experiment spec: {exc}", file=sys.stderr)

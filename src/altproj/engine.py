@@ -267,6 +267,11 @@ GAP_STALL_TOL = 1e-14
 # A pair closer than the certificate tolerance witnesses a common point when
 # each point is in its set within this tolerance.
 _COMMON_POINT_TOL = 1e-6
+# The defaults of a run, read by ``run``, ``check_certificate``,
+# ``lp.solve_lp`` and ``altproj run``: the certificate tolerance and the
+# cycle cap.
+_CERT_TOL = 1e-8
+_MAX_ITERS = 1000
 
 # Margins of the float screen of a planar cycle (module docstring): the
 # screen's residual must exceed the tolerance by _RESIDUAL_MARGIN, its gap
@@ -483,7 +488,7 @@ def check_certificate(
     set_b: ProjectableSet,
     a,
     b,
-    tol: float = 1e-8,
+    tol: float = _CERT_TOL,
 ) -> Certificate:
     """Check whether ``(a, b)`` is a nearest pair of ``(set_a, set_b)``.
 
@@ -617,8 +622,8 @@ def run(
     set_a: ProjectableSet,
     set_b: ProjectableSet,
     x0,
-    max_iters: int = 1000,
-    cert_tol: float = 1e-8,
+    max_iters: int = _MAX_ITERS,
+    cert_tol: float = _CERT_TOL,
 ) -> Trace:
     """Alternate projections from ``x0`` in A until a stop rule fires.
 

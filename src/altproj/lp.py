@@ -83,7 +83,7 @@ def solve_lp(
     x0=None,
     strategy: str = "direct",
     max_iters: int = 10**6,
-    cert_tol: float = 1e-8,
+    cert_tol: float = engine._CERT_TOL,
 ) -> LPOutcome:
     """Solve the LP by alternating projections.
 

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import EmptyPolyhedron, TooLarge, Unbounded, ZeroVector
-from .linalg import ZERO_TOL, as_point, unit_cone_distance
+from .linalg import ZERO_TOL, _norm, as_point, unit_cone_distance
 from .qp import _project_from
 from .sets import Polyhedron
 
@@ -113,7 +113,7 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     check_oracle_limits(p)
     # Bounded below on a nonempty polyhedron iff -c lies in the cone of the
     # outward row normals (dual feasibility).
-    nc = float(np.linalg.norm(c))
+    nc = _norm(c)
     if nc <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     if unit_cone_distance(-c / nc, np.ascontiguousarray(p.A.T)) > 1e-8:

@@ -5,8 +5,8 @@ no least-squares shortcut, ``reference_generators`` the proximal normal
 generators as a list of vectors, and ``reference_certificate`` the
 certificate computed from both: the formula ``linalg.nnls`` and
 ``engine.check_certificate`` must reproduce.  ``linalg.nnls`` no longer runs
-Lawson-Hanson; its residuals match the reference to 1e-12, and its bits
-where its least-squares shortcut answers.
+Lawson-Hanson: it projects onto the polar cone, and its residuals match the
+reference to 1e-12.
 """
 
 import numpy as np
@@ -140,12 +140,10 @@ def _nnls_cases(rng):
 
 
 def test_nnls_matches_lawson_hanson_from_zero(monkeypatch):
-    # Where the least-squares shortcut answers and Lawson-Hanson ends with
-    # every column passive, both end with the same solve, so the bits
-    # agree.  Every other answer must meet the optimality conditions: the
-    # polar projection's (it runs the active-set kernel), and the
-    # shortcut's minimum-norm solution on dependent columns, which is
-    # another optimum.  The residual agrees with the reference everywhere.
+    # Every answer is the polar projection's (it runs the active-set
+    # kernel) and must meet the optimality conditions; on dependent columns
+    # it can be another optimum than the reference's.  The residual agrees
+    # with the reference everywhere.
     projected = []
     working_set = linalg._working_set
 
@@ -156,10 +154,7 @@ def test_nnls_matches_lawson_hanson_from_zero(monkeypatch):
 
     monkeypatch.setattr(linalg, "_working_set", spy)
     rng = np.random.default_rng(2024)
-    seen = dict.fromkeys(
-        ("deficient", "duplicate", "zero_coef", "all_positive", "outside", "shortcut", "projection"),
-        0,
-    )
+    seen = dict.fromkeys(("deficient", "duplicate", "zero_coef", "all_positive", "outside"), 0)
     for G, y in _nnls_cases(rng):
         projected.clear()
         lam, rnorm = nnls(G, y)
@@ -168,13 +163,8 @@ def test_nnls_matches_lawson_hanson_from_zero(monkeypatch):
         assert np.all(lam >= 0.0)
         assert rnorm == pytest.approx(float(np.linalg.norm(G @ lam - y)), abs=1e-12)
         assert rnorm == pytest.approx(ref_rnorm, abs=1e-12)
-        if not projected and np.all(ref_lam > 0.0):
-            np.testing.assert_array_equal(lam, ref_lam)
-            assert rnorm == ref_rnorm
-            seen["shortcut"] += 1
-        else:
-            assert_nnls_kkt(G, y, lam, rnorm)
-            seen["projection"] += bool(projected)
+        assert projected
+        assert_nnls_kkt(G, y, lam, rnorm)
         seen["all_positive"] += bool(np.all(ref_lam > 0.0))
         seen["deficient"] += np.linalg.matrix_rank(G) < G.shape[1]
         seen["duplicate"] += len({c.tobytes() for c in G.T}) < G.shape[1]

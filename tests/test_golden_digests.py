@@ -32,7 +32,13 @@
   ``project_polyhedron``: every point and dual by bytes and the step
   count.  On the same stream the active-set kernel's work is pinned as a
   count: its steps, and its calls of ``_add_column`` and
-  ``_delete_column``.
+  ``_delete_column``, and
+- the cone solves of ``linalg.nnls`` on the stream of
+  ``test_certificate_solve._nnls_cases`` at rng seeds 7 and 2024 (full
+  rank, rank-deficient and duplicate columns, targets inside and outside
+  the cone), and at the apex of the abs epigraph where every ``abs``
+  planar run stops: every ``lam`` by bytes and every residual by
+  ``float.hex``.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result
@@ -41,7 +47,9 @@ change record; every other section of the file stays byte for byte:
 
     PYTHONPATH=src python tests/test_golden_digests.py --write far_projection
 
-With no arguments the script prints every section's digests.
+For each section it writes, the script prints how many of its entries
+changed and which, with the fields that moved in a nested entry, or that
+the section is new.  With no arguments it prints every section's digests.
 
 The digests also pin how the installed BLAS rounds: OpenBLAS's ``ddot``
 forms a product of two 2-vectors as ``fma(x1, y1, x0 * y0)``, and the
@@ -74,6 +82,8 @@ from altproj import certify, instances, linalg, lp
 from altproj.cli import main
 from altproj.qp import project_polyhedron
 from altproj.sets import set_to_json
+from test_certificate_solve import _nnls_cases
+from test_polar_cone import ABS_APEX
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 PLANAR_KS = (0.0, 0.5, 1.0, 2.0)
@@ -87,6 +97,7 @@ FAR_POLYHEDRA = 256
 FAR_RADII = (1e1, 1e2)
 # ``(steps, adds, drops)`` of the kernel on the far stream at each seed.
 FAR_WORK = {1: (1618, 1489, 129), 23: (1706, 1543, 163)}
+CONE_SEEDS = (7, 2024)
 
 
 def _sha(data: bytes) -> str:
@@ -206,11 +217,28 @@ def far_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def cone_digest(cases) -> str:
+    """One digest over the ``nnls`` solves of ``(G, y)`` pairs."""
+    h = hashlib.sha256()
+    for G, y in cases:
+        lam, rnorm = linalg.nnls(G, y)
+        h.update(lam.tobytes())
+        h.update(rnorm.hex().encode())
+    return h.hexdigest()
+
+
+def cone_digests(_work) -> dict:
+    digests = {str(seed): cone_digest(_nnls_cases(np.random.default_rng(seed))) for seed in CONE_SEEDS}
+    digests["abs_apex"] = cone_digest([ABS_APEX])
+    return digests
+
+
 SECTIONS = {
     "planar": planar_digests,
     "lp_direct": lambda _work: {str(seed): lp_digest(seed) for seed in LP_SEEDS},
     "constants": lambda _work: {str(seed): constants_digest(seed) for seed in CONSTANTS_SEEDS},
     "far_projection": lambda _work: {str(seed): far_digest(seed) for seed in FAR_SEEDS},
+    "cone_solves": cone_digests,
 }
 
 
@@ -238,6 +266,10 @@ def test_far_projections_match_golden_digests(seed, golden):
     assert far_digest(seed) == golden["far_projection"][str(seed)], numpy_build()
 
 
+def test_cone_solves_match_golden_digests(golden):
+    assert cone_digests(None) == golden["cone_solves"], numpy_build()
+
+
 @pytest.mark.parametrize("seed", FAR_SEEDS)
 def test_far_projections_take_the_pinned_kernel_work(seed, monkeypatch):
     # The steps each projection reports, and the factor updates the kernel
@@ -258,22 +290,50 @@ def test_far_projections_take_the_pinned_kernel_work(seed, monkeypatch):
     assert (steps, calls["add"], calls["drop"]) == FAR_WORK[seed]
 
 
-def test_write_regenerates_only_the_named_sections(tmp_path, monkeypatch, golden):
-    # On a copy of the file, with a stand-in section: --write needs a name,
+def test_write_regenerates_only_the_named_sections(tmp_path, monkeypatch, capsys, golden):
+    # On a copy of the file, with stand-in sections: --write needs a name,
     # rewriting a section with its own digests leaves the file byte for
-    # byte, and a new digest moves that section alone.
+    # byte, and a new digest moves that section alone.  Each write says
+    # which entries it changed, and which fields of a nested one.
     original = GOLDEN.read_bytes()
     copy = tmp_path / "golden_digests.json"
     copy.write_bytes(original)
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN", copy)
     with pytest.raises(SystemExit):
         script(["--write"])
+    capsys.readouterr()
     monkeypatch.setitem(SECTIONS, "far_projection", lambda _work: golden["far_projection"])
     assert script(["--write", "far_projection"]) == 0
     assert copy.read_bytes() == original
+    assert capsys.readouterr().out == "far_projection: 0 of 2 entries changed\n"
     monkeypatch.setitem(SECTIONS, "far_projection", lambda _work: {"1": "0" * 64})
     assert script(["--write", "far_projection"]) == 0
     assert json.loads(copy.read_text(encoding="utf-8")) == {**golden, "far_projection": {"1": "0" * 64}}
+    assert capsys.readouterr().out == "far_projection: 2 of 2 entries changed: 1, 23\n"
+    planar = {**golden["planar"], "square_k2_x3": {**golden["planar"]["square_k2_x3"], "trace_csv": "0" * 64}}
+    monkeypatch.setitem(SECTIONS, "planar", lambda _work: planar)
+    monkeypatch.setitem(SECTIONS, "extra", lambda _work: {"1": "0" * 64})
+    assert script(["--write", "planar", "extra"]) == 0
+    assert capsys.readouterr().out == (
+        "planar: 1 of 32 entries changed: square_k2_x3 (trace_csv)\nextra: new section of 1 entries\n"
+    )
+
+
+def moved(name: str, old: dict | None, new: dict) -> str:
+    """One line on what writing ``new`` over the section ``old`` changes."""
+    if old is None:
+        return f"{name}: new section of {len(new)} entries"
+    changed = []
+    for key in sorted(old.keys() | new.keys()):
+        was, now = old.get(key), new.get(key)
+        if was == now:
+            continue
+        if isinstance(was, dict) and isinstance(now, dict):
+            fields = sorted(f for f in was.keys() | now.keys() if was.get(f) != now.get(f))
+            key = f"{key} ({', '.join(fields)})"
+        changed.append(key)
+    line = f"{name}: {len(changed)} of {len(old.keys() | new.keys())} entries changed"
+    return f"{line}: {', '.join(changed)}" if changed else line
 
 
 def script(argv: list[str]) -> int:
@@ -293,6 +353,8 @@ def script(argv: list[str]) -> int:
         sys.stdout.write(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
         return 0
     digests = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name in names:
+        sys.stdout.write(moved(name, digests.get(name), fresh[name]) + "\n")
     digests.update(fresh)
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

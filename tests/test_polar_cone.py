@@ -1,19 +1,22 @@
 """Cone distances on bad generators and at extreme scales.
 
-Every cone distance of the package is one ``linalg.nnls`` solve.  The
-least-squares shortcut answers where it can; every other call is the
-projection of the target onto the polar cone of the unit generators, by the
-active-set kernel of the polyhedron projection.  The optimality conditions
+Every cone distance of the package of two or more generators is one
+``linalg.nnls`` solve: the projection of the target onto the polar cone of
+the unit generators, by the active-set kernel of the polyhedron projection.
+No least-squares solve remains beside it.  The optimality conditions
 of ``min_{lam >= 0} ||G lam - y||`` certify an answer without an oracle, so
 the bad-geometry cases check those, on the generators of
 ``test_qp_adversarial``.  The scaled boxes are bounded LPs whose rows differ
 in norm by up to 1e12; a cone solve whose tolerance grows with the largest
-generator read them as unbounded.
+generator read them as unbounded.  On the targets inside a cone that a
+least-squares shortcut once answered, the residual is held to the exact
+distance of ``exact.cone_family_distance``.
 """
 
 import ast
 import contextlib
 import io
+import itertools
 import json
 import math
 import warnings
@@ -22,10 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from altproj import HalfSpace, Polyhedron, certify, lp, run, vertices
+from altproj import HalfSpace, Polyhedron, Unbounded, certify, distance_to_finite_cone, lp, run, vertices
 from altproj.cli import main
 from altproj.linalg import _dot_row_norms, _norm, nnls, unit_cone_distance
 from altproj.sets import set_to_json
+from exact import cone_family_distance
 from test_qp_adversarial import random_poly, tilted, unit, with_duplicates
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "altproj"
@@ -119,6 +123,61 @@ def test_zero_columns_get_zero_and_change_nothing():
     assert lam.tolist() == [0.0, 0.0] and rnorm == 3.0
 
 
+# The certified stop of every ``abs`` planar run: B's cone at the apex of
+# the abs epigraph, against the unit direction to A straight below it.
+ABS_APEX = (np.array([[1.0, -1.0], [-1.0, -1.0]]), np.array([0.0, -1.0]))
+
+
+def inside_cases(rng, count):
+    """``count`` pairs ``(G, y)`` of the kind a least-squares shortcut answered.
+
+    ``m <= n <= 5`` independent columns whose largest entries lie within a
+    factor 100 of each other, and ``y = G lam`` with ``lam > 0``, scaled to
+    about unit norm, at an acute angle to every column.
+    """
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n + 1))
+        G = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-1.0, 1.0, size=m)
+        lam = rng.uniform(0.05, 1.0, size=m)
+        y = G @ (lam / np.linalg.norm(G @ lam))
+        sizes = np.abs(G).max(axis=0)
+        if sizes.max() <= 100.0 * sizes.min() and (G.T @ y > 0.0).all():
+            cases.append((G, y))
+    return cases
+
+
+def test_inside_targets_meet_the_exact_distance():
+    # The residual is formed from ``y`` and the terms ``lam_i g_i``, so it
+    # rounds at the scale ``||y|| + sum_i lam_i ||g_i||``; the polar route
+    # stays within two units of that scale (3.9e-16 of it at worst over
+    # rng seeds 1..30).  The unconstrained solve on all columns that once
+    # answered these targets erred by 5.1e-16 to 3.5e-15 of it, on each
+    # of those seeds.
+    for seed in (7, 2024):
+        for G, y in [*inside_cases(np.random.default_rng(seed), 300), ABS_APEX]:
+            lam, rnorm = nnls(G, y)
+            m = G.shape[1]
+            family = [s for size in range(1, m + 1) for s in itertools.combinations(range(m), size)]
+            exact = math.sqrt(cone_family_distance(y, G.T, family))
+            scale = float(np.linalg.norm(y)) + float(lam.dot(np.linalg.norm(G, axis=0)))
+            assert abs(rnorm - exact) <= 2.0 * np.finfo(float).eps * scale, (G, y)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_targets_whose_squares_overflow_are_normalised(scale):
+    # The sum of squares of each target overflows; its norm does not.
+    halfway = math.sqrt(0.5)
+    assert distance_to_finite_cone([scale, -scale], [[1.0, 0.0], [0.0, 1.0]]) == pytest.approx(halfway, rel=1e-15)
+    assert distance_to_finite_cone([scale, scale], [[1.0, 0.0]]) == pytest.approx(halfway, rel=1e-15)
+    # The quadrant is unbounded below along -c; a -c / inf of zeros would
+    # lie in every cone and read it as bounded.
+    quadrant = Polyhedron([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
+    with pytest.raises(Unbounded):
+        vertices.vertex_oracle(quadrant, [-scale, -scale])
+
+
 C = np.array([1.0, 2.0, 3.0])
 M = -7.0
 
@@ -189,18 +248,21 @@ def test_rows_whose_squares_overflow_raise_no_warning(scale):
 
 
 def lstsq_sites():
-    """``(file, innermost function)`` of every reference to ``lstsq`` in the package."""
+    """``(file, innermost function)`` of every reference to ``lstsq`` in the
+    package, as an attribute or an imported name."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "lstsq":
+            if (isinstance(node, ast.Attribute) and node.attr == "lstsq") or (
+                isinstance(node, ast.alias) and node.name == "lstsq"
+            ):
                 owners = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 sites.append((path.name, owners[-1] if owners else "<module>"))
     return sites
 
 
-def test_lstsq_is_called_at_one_site():
-    # The cone solve's shortcut; everything else is the active-set kernel.
-    assert lstsq_sites() == [("linalg.py", "nnls")]
+def test_no_lstsq_reference_in_the_package():
+    # Every cone solve is the active-set kernel's polar projection.
+    assert lstsq_sites() == []

@@ -31,6 +31,7 @@ from altproj import (
     contains,
     distance_to_finite_cone,
     iteration_bound,
+    nnls,
     one_step_shift,
     project,
     project_epigraph,
@@ -111,6 +112,12 @@ REJECTED = {
     "iteration_bound-nan-d_x0_B": (InvalidDistance, "d_x0_B must be finite", lambda: iteration_bound(0.3, 1.0, math.nan)),
     "iteration_bound-inf-both": (InvalidDistance, "d_AB must be finite", lambda: iteration_bound(0.3, math.inf, math.inf)),
     "iteration_bound-inf-d_x0_B": (InvalidDistance, "d_x0_B must be finite", lambda: iteration_bound(0.3, 1.0, math.inf)),
+    "nnls-nan-target": (ValueError, "entries must be finite", lambda: nnls(np.eye(2), [math.nan, 1.0])),
+    "nnls-inf-target": (ValueError, "entries must be finite", lambda: nnls(np.eye(2), [math.inf, 1.0])),
+    "nnls-nan-generator": (ValueError, "matrix entries must be finite", lambda: nnls([[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0])),
+    "nnls-1d-generators": (DimensionMismatch, "generator matrix has shape", lambda: nnls([1.0, 0.0], [1.0, 1.0])),
+    "nnls-target-length": (DimensionMismatch, "expected 3 rows", lambda: nnls(np.eye(2), [1.0, 1.0, 1.0])),
+    "nnls-bool-generators": (ValueError, "must be ints or floats", lambda: nnls(np.eye(2, dtype=bool), [1.0, 1.0])),
     "verify-alpha-scale": (SystemExit, f"^{EXIT_USAGE}$", lambda: main(["verify", "--alpha-scale", "abc"])),
 }
 
