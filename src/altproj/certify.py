@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
-from .linalg import _dot_row_norms, _dot_rows, _norm, as_point, unit_cone_distance
+from .linalg import _dot_row_norms, _dot_rows, _norm, _real_scalar, as_point, unit_cone_distance
 from .qp import _walk_to_optimum, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _check_start
 from .vertices import feasible_vertices
@@ -38,10 +38,11 @@ _STRICT_MARGIN = 1e-10
 # Cones at most this far from -c/||c|| contain it: optimal-face geometry,
 # left out of alpha.
 _CONTAINS_TOL = 1e-9
-# Unit rows count as independent when every diagonal entry of their R factor
-# is at least this, which keeps the span residual within about 1e-10 of its
-# exact value.
-_RANK_TOL = 1e-6
+# Unit rows count as independent when the determinant of their Gram matrix
+# is at least this.  For unit rows it is the product of the squared diagonal
+# entries of their R factor, each at most 1, so each entry is at least 1e-6,
+# which keeps the span residual within about 1e-10 of its exact value.
+_GRAM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,21 @@ def _check_pair(A, B) -> None:
         raise NotPolyhedralPair("bound requires setA to be a half-space and setB a polyhedron")
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha) -> float:
+    alpha = _real_scalar(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
 
 
-def _check_distances(**distances: float) -> None:
-    # Every distance passed to a bound must be finite: NaN passes no
-    # comparison and infinity every upper one, so either would give a step
-    # count or a shift that means nothing.
-    for name, d in distances.items():
-        if not math.isfinite(d):
-            raise InvalidDistance(f"{name} must be finite, got {d}")
+def _check_distance(d, name: str) -> float:
+    # Every distance passed to a bound is a number by ``_real_scalar``'s
+    # rule, and finite: NaN passes no comparison and infinity every upper
+    # one, so either would give a step count or a shift that means nothing.
+    d = _real_scalar(d, name)
+    if not math.isfinite(d):
+        raise InvalidDistance(f"{name} must be finite, got {d}")
+    return d
 
 
 def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
@@ -129,23 +133,23 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     proper face that is a candidate of its own; each single row adds its
     ray distance; and a cone of more than n rows adds nothing, because its
     rows are dependent and their subsets of n rows or fewer cover it.  A
-    cone whose rows are numerically dependent (a diagonal entry of their R
-    factor below ``_RANK_TOL``) is measured by :func:`unit_cone_distance`,
-    except an exactly antiparallel pair: it spans a line, whose nearest
-    point lies on one of its two rays.
+    cone whose rows are numerically dependent (the determinant of their
+    Gram matrix below ``_GRAM_TOL``) is measured by
+    :func:`unit_cone_distance`, except an exactly antiparallel pair: it
+    spans a line, whose nearest point lies on one of its two rays.
 
     What does not depend on ``c`` is made once per polyhedron and kept on
     it (:class:`_ConeTable`, built by the first call): the unit rows and
     their norms and, for n >= 3, the candidate family over all rows with
-    the R factors of its independent cones.  Each call reads the cosines
-    and ray distances of the rows from stacked products, keeps the cones
-    whose rows all qualify (exactly the family above), and solves their
-    semi-normal equations ``R'R lam = U v`` batched by cone size.  So the
-    first call for a polyhedron pays for the table, and every later call,
-    under any objective, only for its own solves; alpha's bits do not
-    depend on which call built the table.  The table stays on B for as
-    long as B lives: at n = 8, m = 24 (about 38,000 cones) it holds about
-    12 MB, mostly the R factors.
+    the inverse Gram matrices ``(U U')^-1`` of its independent cones.  Each
+    call reads the cosines and ray distances of the rows from stacked
+    products, keeps the cones whose rows all qualify (exactly the family
+    above), and reads their coefficients ``lam = (U U')^-1 U v`` with one
+    product per cone size.  So the first call for a polyhedron pays for the
+    table, and every later call, under any objective, only for its
+    products; alpha's bits do not depend on which call built the table.
+    The table stays on B for as long as B lives: at n = 8, m = 24 (about
+    38,000 cones) it holds about 12 MB, mostly the inverse Gram matrices.
 
     For n >= 3 the cones come from B's :func:`feasible_vertices`, read on
     every call; it keeps the oracle's limits (n <= 8, m <= 24).  The plane
@@ -176,7 +180,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     for group in table.groups:
         kept = qualifying[group.idx].all(axis=1)
         idx = group.idx[kept]
-        lam = _semi_normal_solve(group.R[kept], uv[idx])
+        lam = np.einsum("gkj,gj->gk", group.gram_inv[kept], uv[idx])
         inside = (lam > 0.0).all(axis=1)
         # The residual is a small difference of unit-scale vectors, so it is
         # formed in long double: in doubles it errs by about 1e-16 absolute.
@@ -197,13 +201,13 @@ class _ConeGroup:
     """The candidate cones of one size k <= n, with their part that B fixes.
 
     ``idx`` holds the sorted row indices of the cones with independent unit
-    rows, one row per cone, and ``R`` their R factors.  ``dependent`` holds
-    the other cones, which are measured, less the exactly antiparallel
-    pairs.
+    rows, one row per cone, and ``gram_inv`` the inverses of their Gram
+    matrices ``U_S U_S'``.  ``dependent`` holds the other cones, which are
+    measured, less the exactly antiparallel pairs.
     """
 
     idx: np.ndarray
-    R: np.ndarray
+    gram_inv: np.ndarray
     dependent: np.ndarray
 
 
@@ -214,8 +218,9 @@ class _ConeTable:
     ``units`` and ``norms`` are the unit rows and the row norms.  For
     n >= 3, ``groups`` holds the candidate family of 2..n rows over all
     rows (every pair of rows and every subset of two or more rows active
-    together at a vertex), grouped by size.  In the plane the family is
-    empty.
+    together at a vertex), grouped by size in :class:`_ConeGroup`, which
+    keeps one ``k x k`` matrix per independent cone.  In the plane the
+    family is empty.
     """
 
     units: np.ndarray
@@ -234,46 +239,34 @@ def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
     for _, active in vertices:
         for size in range(3, min(len(active), B.dim) + 1):
             cones[size].update(itertools.combinations(active, size))
+    # Each cone's Gram matrix ``U_S U_S'`` is read off that of all the rows.
+    gram_rows = units.dot(units.T)
     groups = []
     for k, group in enumerate(cones):
         if not group:
             continue
         idx = np.array(sorted(group))
-        R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
-        independent = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
+        gram = gram_rows[idx[:, :, None], idx[:, None, :]]
+        independent = np.linalg.det(gram) >= _GRAM_TOL
         dependent = ~independent
         if k == 2:
             dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
-        groups.append(_ConeGroup(idx[independent], R[independent], idx[dependent]))
+        groups.append(_ConeGroup(idx[independent], np.linalg.inv(gram[independent]), idx[dependent]))
     return _ConeTable(units, norms, tuple(groups))
-
-
-def _semi_normal_solve(R, b) -> np.ndarray:
-    """``lam`` with ``R'R lam = b`` for each cone of a group, by substitution.
-
-    ``R`` is ``(g, k, k)`` upper triangular and ``b`` is ``(g, k)``: forward
-    substitution on ``R'`` then back substitution on ``R``, each column
-    vectorised over the cones.
-    """
-    k = R.shape[2]
-    y = np.empty_like(b)
-    for i in range(k):
-        y[:, i] = (b[:, i] - np.einsum("gj,gj->g", R[:, :i, i], y[:, :i])) / R[:, i, i]
-    lam = np.empty_like(b)
-    for i in reversed(range(k)):
-        lam[:, i] = (y[:, i] - np.einsum("gj,gj->g", R[:, i, i + 1 :], lam[:, i + 1 :])) / R[:, i, i]
-    return lam
 
 
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:
     """Finite-step bound ``N = floor(log_{1-alpha^2}(d_AB / d_x0_B))``.
 
-    Requires ``0 < alpha < 1`` and finite ``0 < d_AB <= d_x0_B`` (a
-    starting point in A can never be closer to B than the sets are to each
-    other); :class:`InvalidDistance` otherwise.
+    Each argument is a number by the rule that reads a point's entries
+    (``ValueError`` otherwise).  Requires ``0 < alpha < 1`` (``ValueError``)
+    and finite ``0 < d_AB <= d_x0_B`` (a starting point in A can never be
+    closer to B than the sets are to each other); :class:`InvalidDistance`
+    otherwise.
     """
-    _check_alpha(alpha)
-    _check_distances(d_AB=d_AB, d_x0_B=d_x0_B)
+    alpha = _check_alpha(alpha)
+    d_AB = _check_distance(d_AB, "d_AB")
+    d_x0_B = _check_distance(d_x0_B, "d_x0_B")
     if d_AB <= 0.0:
         raise InvalidDistance("d_AB must be positive")
     if d_x0_B < d_AB - _STRICT_MARGIN:
@@ -318,7 +311,8 @@ def one_step_shift(
     ``mu`` exceeds ``((1 - alpha^2) d(x0, B) - d_AB) / (alpha^2 ||c||)`` by
     a small margin, which guarantees that the shifted pair satisfies the
     strict one-step threshold when the run starts from ``x0 - mu c``.
-    ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.  ``d_AB``
+    ``d(x0, B)`` is computed by projecting ``x0`` onto ``B``.  ``alpha``
+    and ``d_AB`` are read as :func:`iteration_bound` reads them; ``d_AB``
     must be finite and nonnegative (:class:`InvalidDistance` otherwise).
     Raises ``ValueError`` when the shift is not finite, which happens once
     ``alpha^2 ||c||`` underflows or the quotient overflows.  The shifted
@@ -327,8 +321,8 @@ def one_step_shift(
     """
     _check_pair(A, B)
     x0 = as_point(x0, A.dim)
-    _check_alpha(alpha)
-    _check_distances(d_AB=d_AB)
+    alpha = _check_alpha(alpha)
+    d_AB = _check_distance(d_AB, "d_AB")
     if d_AB < 0.0:
         raise InvalidDistance("d_AB must be nonnegative")
     _check_start(A, x0)

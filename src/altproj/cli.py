@@ -24,7 +24,7 @@ import numpy as np
 
 from . import certify, engine, lp, verify
 from .errors import AltprojError, LowerBoundNotStrict, NotPolyhedralPair, Unbounded
-from .linalg import as_point
+from .linalg import _check_tol, as_point
 from .qp import _walk_to_optimum
 from .sets import set_from_json
 
@@ -118,7 +118,7 @@ def cmd_run(args) -> int:
         x0 = as_point(spec["x0"])
         max_iters = args.max_iters if args.max_iters is not None else spec.get("max_iters", engine._MAX_ITERS)
         max_iters = _spec_max_iters(max_iters)
-        cert_tol = engine._check_tol(spec.get("cert_tol", engine._CERT_TOL))
+        cert_tol = _check_tol(spec.get("cert_tol", engine._CERT_TOL), "cert_tol")
         outputs = _spec_outputs(spec.get("outputs", {}))
     except _SPEC_ERRORS as exc:
         print(f"error: cannot parse experiment spec: {exc}", file=sys.stderr)
@@ -264,8 +264,11 @@ def main(argv=None) -> int:
     except NotPolyhedralPair as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_POLYHEDRAL
-    except (AltprojError, OSError) as exc:
-        # OSError: an output path that cannot be written.
+    except (AltprojError, OSError, ValueError) as exc:
+        # OSError: an output path that cannot be written.  ValueError: a
+        # value that a command meets after its spec is read, such as a
+        # projection whose excess overflows; a spec that cannot be read
+        # exits EXIT_USAGE before this.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -237,10 +237,10 @@ import numpy as np
 from .errors import DimensionMismatch, PointNotInSet, ZeroVector
 from .linalg import (
     ZERO_TOL,
+    _check_tol,
     _dot_row_norms,
     _feas_tol,
     _norm,
-    _real_scalar,
     _substitute,
     as_point,
     unit_cone_distance,
@@ -501,7 +501,7 @@ def check_certificate(
     closed-form ray rejection for one generator, NNLS otherwise.  ``tol``
     must be finite and nonnegative (``ValueError`` otherwise).
     """
-    tol = _check_tol(tol)
+    tol = _check_tol(tol, "cert_tol")
     _check_dims(set_a, set_b)
     a, b = as_point(a, set_a.dim), as_point(b, set_b.dim)
     d = a - b
@@ -511,16 +511,6 @@ def check_certificate(
 def _check_dims(set_a: ProjectableSet, set_b: ProjectableSet) -> None:
     if set_a.dim != set_b.dim:
         raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
-
-
-def _check_tol(tol) -> float:
-    # A number by ``linalg._real_scalar``'s rule.  An infinite tolerance
-    # would certify any pair: the common-point test ``gap <= tol`` always
-    # passes.  NaN and negative values certify none.
-    tol = _real_scalar(tol, "cert_tol")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"cert_tol must be finite and nonnegative, got {tol}")
-    return tol
 
 
 def _certificate(
@@ -651,7 +641,7 @@ def run(
     """
     x0 = as_point(x0, set_a.dim)
     max_iters = _check_max_iters(max_iters)
-    cert_tol = _check_tol(cert_tol)
+    cert_tol = _check_tol(cert_tol, "cert_tol")
     _check_start(set_a, x0)
     _check_dims(set_a, set_b)
     if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):

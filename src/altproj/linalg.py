@@ -5,8 +5,10 @@ Everything in this module is a pure function on small dense vectors
 (problems of interest have n <= 100, usually n <= 10).  Vectors are plain
 1-D ``numpy.ndarray`` objects.  :func:`as_point` is the one place in the
 package that coerces and validates a vector; ``Polyhedron`` reads its matrix
-by the same entry rule, and ``_real_scalar`` reads a number by it (a
-half-space's or an LP's offset ``M``, the certificate tolerance).  A public
+by the same entry rule, ``_real_scalar`` reads a number by it (a
+half-space's or an LP's offset ``M``, the constants and distances of the
+bounds, a walk's ``t_target``) and ``_check_tol`` a tolerance (the
+certificate's and that of the membership tests of ``sets``).  A public
 function passes each vector argument through ``as_point(x, dim)``, which
 also checks the length against the set or space the vector belongs to, and
 from then on works on the validated array.  The rule for loops follows from
@@ -93,6 +95,17 @@ def _real_scalar(value, name: str) -> float:
         raise ValueError(f"{name} is too large for a float") from None
 
 
+def _check_tol(tol, name: str) -> float:
+    # A tolerance: a number by ``_real_scalar``'s rule, finite and
+    # nonnegative.  An infinite tolerance would pass every test it bounds
+    # (a certificate's common-point test ``gap <= tol``, a membership test);
+    # NaN and negative values pass none.
+    tol = _real_scalar(tol, name)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def as_point(values, dim: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a finite 1-D float array of length ``dim``.
 
@@ -130,6 +143,13 @@ def _norm(d: np.ndarray) -> float:
         return ss
     e = d / big
     return big * math.sqrt(float(e.dot(e)))
+
+
+def _entry_norm(d: np.ndarray) -> float:
+    # ``_norm`` of a vector as a caller passed it, where a sum of squares
+    # that overflows is expected, so it raises no warning.
+    with np.errstate(over="ignore"):
+        return _norm(d)
 
 
 def _dot_row_norms(D: np.ndarray) -> np.ndarray:
@@ -380,7 +400,7 @@ def nnls(G, y):
     if not all(map(math.isfinite, G.ravel().tolist())):
         raise ValueError("generator matrix entries must be finite")
     n, m = G.shape
-    ny = _norm(y)
+    ny = _entry_norm(y)
     if m == 0:
         return np.zeros(0), ny
 
@@ -422,10 +442,10 @@ def distance_to_finite_cone(v, generators) -> float:
     are ignored, but like the others must have the length of ``v``.
     """
     v = as_point(v)
-    nv = _norm(v)
+    nv = _entry_norm(v)
     if nv <= ZERO_TOL:
         raise ZeroVector("cannot normalize a zero vector")
     gens = [as_point(g, v.shape[0]) for g in generators]
-    gens = [g for g in gens if _norm(g) > ZERO_TOL]
+    gens = [g for g in gens if _entry_norm(g) > ZERO_TOL]
     G = np.column_stack(gens) if gens else np.empty((v.shape[0], 0))
     return unit_cone_distance(v / nv, G)

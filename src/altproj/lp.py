@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine
 from .errors import LowerBoundNotStrict, NotConverged, Unbounded
-from .linalg import _norm, as_point
+from .linalg import _check_tol, _norm, as_point
 from .qp import _face_of, _walk_to_optimum
 from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, _project_halfspace
 
@@ -125,7 +125,7 @@ def solve_lp(
     halfspace, c, poly, M = problem._halfspace, problem.c, problem.poly, problem.M
     x0 = _default_start(c, M) if x0 is None else as_point(x0, poly.dim)
     max_iters = engine._check_max_iters(max_iters)
-    cert_tol = engine._check_tol(cert_tol)
+    cert_tol = _check_tol(cert_tol, "cert_tol")
 
     if method == DIRECT:
         trace = engine.run(halfspace, poly, x0, max_iters=max_iters, cert_tol=cert_tol)

@@ -92,6 +92,7 @@ from .linalg import (  # noqa: F401
     _delete_column,
     _feas_tol,
     _norm,
+    _real_scalar,
     _substitute,
     _working_set,
     as_point,
@@ -294,13 +295,15 @@ def project_along_ray(
     at the scale of the polyhedron regardless of ``t_target``.  A negative
     ``t_target`` walks along ``-direction``.
 
-    Raises :class:`NotConverged` when the walk changes faces more than
-    ``40 (m + 1)`` times, and what :func:`project_polyhedron` raises for
-    ``base``.  :class:`QPResult` says what ``iterations`` counts here.
+    ``t_target`` is a finite number by the rule that reads a point's entries
+    (``ValueError`` otherwise).  Raises :class:`NotConverged` when the walk
+    changes faces more than ``40 (m + 1)`` times, and what
+    :func:`project_polyhedron` raises for ``base``.  :class:`QPResult` says
+    what ``iterations`` counts here.
     """
     base = as_point(base, p.dim)
     direction = as_point(direction, p.dim)
-    t_target = float(t_target)
+    t_target = _real_scalar(t_target, "t_target")
     if not math.isfinite(t_target):
         raise ValueError("t_target must be finite")
     if t_target < 0.0:

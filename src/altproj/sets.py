@@ -22,7 +22,7 @@ from .errors import (
     StartNotInA,
     ZeroVector,
 )
-from .linalg import _ROW_NORM_LIMIT, ZERO_TOL, _dot_row_norms, _real_array, _real_scalar, as_point
+from .linalg import _ROW_NORM_LIMIT, ZERO_TOL, _check_tol, _dot_row_norms, _real_array, _real_scalar, as_point
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
@@ -169,8 +169,11 @@ ProjectableSet = Union[HalfSpace, Polyhedron, EpigraphSet]
 
 
 def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
-    """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``."""
-    return _active(s, as_point(x, s.dim), tol) is not None
+    """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``.
+
+    ``tol`` must be a finite, nonnegative number (``ValueError`` otherwise).
+    """
+    return _active(s, as_point(x, s.dim), _check_tol(tol, "tol")) is not None
 
 
 def _check_start(s: ProjectableSet, x0: np.ndarray) -> None:
@@ -409,10 +412,11 @@ def normal_cone_columns(
     ``x`` must already be a finite 1-D array of the set's dimension; the
     result is ``(dim, k)`` with ``k = 0`` at interior points, and may be a
     read-only view.  Raises ``PointNotInSet`` when ``x`` is not in ``s``
-    within ``tol``.  Membership and the tight constraints are those of
+    within ``tol``, a finite, nonnegative number (``ValueError``
+    otherwise).  Membership and the tight constraints are those of
     :func:`_active`, the rule :func:`contains` reads.
     """
-    active = _active(s, x, tol)
+    active = _active(s, x, _check_tol(tol, "tol"))
     if active is None:
         raise PointNotInSet("point is not in the set within tolerance")
     return _active_columns(s, active)
@@ -424,7 +428,7 @@ def proximal_normal_generators(
     """Finite generator list for the proximal normal cone of ``s`` at ``x``.
 
     Interior points get an empty list (the cone is ``{0}``).  ``x`` must
-    belong to ``s`` within ``tol``.
+    belong to ``s`` within ``tol``, which :func:`normal_cone_columns` reads.
     """
     x = as_point(x, s.dim)
     return [g.copy() for g in normal_cone_columns(s, x, tol).T]

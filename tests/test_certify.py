@@ -244,12 +244,9 @@ def test_alpha_matches_the_exact_constant_on_bad_geometry():
         assert_near_exact(B, A, BAD_GEOMETRY_EXACT_BOUND)
 
 
-def test_alpha_makes_no_cone_solve_on_pool_pairs(monkeypatch):
-    # A count, not a clock: every candidate cone of these pairs has
-    # independent rows, so each is read from its least-squares solve, and
-    # none of the 3275 candidates of the full search takes an NNLS solve.
-    pairs = rng72_pool_pairs()
-    candidates = sum(len(unpruned_alpha(B, A)[1]) for B, A in pairs)
+def cone_solves(monkeypatch, pairs):
+    """The number of cone solves that alpha makes on ``pairs``, each
+    polyhedron a fresh copy."""
     calls = []
 
     def spy(vhat, G):
@@ -258,9 +255,27 @@ def test_alpha_makes_no_cone_solve_on_pool_pairs(monkeypatch):
 
     monkeypatch.setattr(certify, "unit_cone_distance", spy)
     for B, A in pairs:
-        alpha_polyhedron_halfspace(B, A)
+        alpha_polyhedron_halfspace(Polyhedron(B.A, B.b), A)
+    return len(calls)
+
+
+def test_alpha_makes_no_cone_solve_on_pool_pairs(monkeypatch):
+    # A count, not a clock: every candidate cone of these pairs has
+    # independent rows, so each is read from its least-squares solve, and
+    # none of the 3275 candidates of the full search takes an NNLS solve.
+    pairs = rng72_pool_pairs()
+    candidates = sum(len(unpruned_alpha(B, A)[1]) for B, A in pairs)
     assert candidates == 3275
-    assert calls == []
+    assert cone_solves(monkeypatch, pairs) == 0
+
+
+def test_alpha_solves_the_dependent_cones_of_bad_geometry(monkeypatch):
+    # The cones that the independence split sends to the NNLS route, under
+    # each pair's own c and under c = -a_0: a split that moves fails here.
+    pairs = bad_geometry_pairs()
+    assert cone_solves(monkeypatch, pairs) == 769
+    flipped = [(B, HalfSpace(-B.A[0], -10.0)) for B, _ in pairs]
+    assert cone_solves(monkeypatch, flipped) == 543
 
 
 def reuse_queries():

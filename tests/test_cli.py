@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from altproj import verify
-from altproj.cli import main
+from altproj.cli import EXIT_ERROR, main
 
 
 VERIFY_CHECKS = [
@@ -217,6 +217,23 @@ def test_run_reports_a_row_too_long_to_project_on(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: constraint row 5 is too long to project on")
+
+
+def test_run_reports_a_step_that_overflows_without_a_traceback(tmp_path, capsys):
+    # Both half-spaces lie beyond -1e308 on their axis: the spec parses, and
+    # the first B-projection's excess overflows, which the run refuses.  It
+    # exits 1 with one error line, not a traceback.
+    spec = write_json(
+        tmp_path / "overflow.json",
+        {
+            "setA": {"halfspace": {"c": [0, 1], "M": -1e308}},
+            "setB": {"halfspace": {"c": [0, -1], "M": -1e308}},
+            "x0": [0, -1.7e308],
+        },
+    )
+    assert main(["run", spec, "--out", str(tmp_path)]) == EXIT_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: vector entries must be finite"
 
 
 def test_run_refuses_a_half_space_normal_too_long_to_square(tmp_path, capsys):

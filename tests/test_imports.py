@@ -158,15 +158,23 @@ def builds_error(node, rule):
 
 
 @pytest.mark.parametrize(
-    "error", ["StartNotInA", "NotPolyhedralPair", "alpha must lie in (0, 1)", "sets have dimensions"]
+    "error",
+    [
+        "StartNotInA",
+        "NotPolyhedralPair",
+        "alpha must lie in (0, 1)",
+        "sets have dimensions",
+        "must be finite and nonnegative",
+    ],
 )
 def test_each_entry_rule_raises_at_one_site(error):
     # The start rule is sets._check_start, the pair rule
-    # certify._check_pair, the alpha range certify._check_alpha and the
-    # rule that the two sets share a dimension engine._check_dims; every
-    # entry point calls them, none repeats them.  The last two raise
-    # ValueError and DimensionMismatch, which other rules raise too, so they
-    # are found by their message text.
+    # certify._check_pair, the alpha range certify._check_alpha, the rule
+    # that the two sets share a dimension engine._check_dims and the
+    # tolerance rule linalg._check_tol, which reads cert_tol and the tol of
+    # sets; every entry point calls them, none repeats them.  The last three
+    # raise ValueError and DimensionMismatch, which other rules raise too,
+    # so they are found by their message text.
     sites = [
         f"{path.name}:{node.lineno}"
         for path in sorted((SRC / "altproj").glob("*.py"))

@@ -165,9 +165,13 @@ def test_inside_targets_meet_the_exact_distance():
             assert abs(rnorm - exact) <= 2.0 * np.finfo(float).eps * scale, (G, y)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e154, 1e300])
 def test_targets_whose_squares_overflow_are_normalised(scale):
-    # The sum of squares of each target overflows; its norm does not.
+    # The sum of squares of each target overflows; its norm does not, and
+    # no overflow warning is raised on the way.
+    lam, rnorm = nnls(np.eye(2), [scale, scale])
+    assert lam.tolist() == [scale, scale] and rnorm == 0.0
     halfway = math.sqrt(0.5)
     assert distance_to_finite_cone([scale, -scale], [[1.0, 0.0], [0.0, 1.0]]) == pytest.approx(halfway, rel=1e-15)
     assert distance_to_finite_cone([scale, scale], [[1.0, 0.0]]) == pytest.approx(halfway, rel=1e-15)

@@ -119,6 +119,15 @@ REJECTED = {
     "nnls-target-length": (DimensionMismatch, "expected 3 rows", lambda: nnls(np.eye(2), [1.0, 1.0, 1.0])),
     "nnls-bool-generators": (ValueError, "must be ints or floats", lambda: nnls(np.eye(2, dtype=bool), [1.0, 1.0])),
     "verify-alpha-scale": (SystemExit, f"^{EXIT_USAGE}$", lambda: main(["verify", "--alpha-scale", "abc"])),
+    "iteration_bound-string-alpha": (ValueError, "alpha must be a number", lambda: iteration_bound("0.5", 1.0, 2.0)),
+    "iteration_bound-bool-d_AB": (ValueError, "d_AB must be a number", lambda: iteration_bound(0.5, True, 2.0)),
+    "one_step_shift-string-alpha": (ValueError, "alpha must be a number", lambda: one_step_shift(HS, POLY, A_POINT, "0.3", 1.0)),
+    "project_along_ray-string-t": (ValueError, "t_target must be a number", lambda: project_along_ray(POLY, A_POINT, B_POINT, "2.5")),
+    "project_along_ray-bool-t": (ValueError, "t_target must be a number", lambda: project_along_ray(POLY, A_POINT, B_POINT, True)),
+    "contains-string-tol": (ValueError, "tol must be a number", lambda: contains(POLY, A_POINT, "1e-3")),
+    "contains-nan-tol": (ValueError, "tol must be finite and nonnegative", lambda: contains(POLY, A_POINT, math.nan)),
+    "contains-negative-tol": (ValueError, "tol must be finite and nonnegative", lambda: contains(POLY, A_POINT, -1e-3)),
+    "proximal_normal_generators-string-tol": (ValueError, "tol must be a number", lambda: proximal_normal_generators(POLY, B_POINT, "x")),
 }
 
 
