@@ -38,11 +38,10 @@ _STRICT_MARGIN = 1e-10
 # Cones at most this far from -c/||c|| contain it: optimal-face geometry,
 # left out of alpha.
 _CONTAINS_TOL = 1e-9
-# Unit rows count as independent when the determinant of their Gram matrix
-# is at least this.  For unit rows it is the product of the squared diagonal
-# entries of their R factor, each at most 1, so each entry is at least 1e-6,
-# which keeps the span residual within about 1e-10 of its exact value.
-_GRAM_TOL = 1e-12
+# Unit rows count as independent when every diagonal entry of their R factor
+# is at least this, which keeps the span residual within about 1e-10 of its
+# exact value.
+_RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,23 +132,27 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     proper face that is a candidate of its own; each single row adds its
     ray distance; and a cone of more than n rows adds nothing, because its
     rows are dependent and their subsets of n rows or fewer cover it.  A
-    cone whose rows are numerically dependent (the determinant of their
-    Gram matrix below ``_GRAM_TOL``) is measured by
-    :func:`unit_cone_distance`, except an exactly antiparallel pair: it
-    spans a line, whose nearest point lies on one of its two rays.
+    cone whose rows are numerically dependent (a diagonal entry of their R
+    factor below ``_RANK_TOL``) is measured by :func:`unit_cone_distance`,
+    except an exactly antiparallel pair: it spans a line, whose nearest
+    point lies on one of its two rays.
 
     What does not depend on ``c`` is made once per polyhedron and kept on
     it (:class:`_ConeTable`, built by the first call): the unit rows and
     their norms and, for n >= 3, the candidate family over all rows with
-    the inverse Gram matrices ``(U U')^-1`` of its independent cones.  Each
+    the inverses ``R^-1`` of the R factors of its independent cones.  Each
     call reads the cosines and ray distances of the rows from stacked
     products, keeps the cones whose rows all qualify (exactly the family
-    above), and reads their coefficients ``lam = (U U')^-1 U v`` with one
-    product per cone size.  So the first call for a polyhedron pays for the
-    table, and every later call, under any objective, only for its
-    products; alpha's bits do not depend on which call built the table.
+    above), and reads their coefficients ``lam = R^-1 R^-T U v`` with two
+    products per cone size.  The inverse Gram matrix ``(U U')^-1`` is the
+    same product, but kept whole it rounds each coefficient by its condition
+    number, the square of R's: on a cone at the split its nearest point
+    errs by about 1e-5, where the two triangular factors keep it near
+    1e-11.  So the first call for a polyhedron pays for the table, and
+    every later call, under any objective, only for its products; alpha's
+    bits do not depend on which call built the table.
     The table stays on B for as long as B lives: at n = 8, m = 24 (about
-    38,000 cones) it holds about 12 MB, mostly the inverse Gram matrices.
+    38,000 cones) it holds about 12 MB, mostly the inverse R factors.
 
     For n >= 3 the cones come from B's :func:`feasible_vertices`, read on
     every call; it keeps the oracle's limits (n <= 8, m <= 24).  The plane
@@ -180,7 +183,8 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     for group in table.groups:
         kept = qualifying[group.idx].all(axis=1)
         idx = group.idx[kept]
-        lam = np.einsum("gkj,gj->gk", group.gram_inv[kept], uv[idx])
+        r_inv = group.r_inv[kept]
+        lam = np.einsum("gkj,gj->gk", r_inv, np.einsum("gjk,gj->gk", r_inv, uv[idx]))
         inside = (lam > 0.0).all(axis=1)
         # The residual is a small difference of unit-scale vectors, so it is
         # formed in long double: in doubles it errs by about 1e-16 absolute.
@@ -201,13 +205,13 @@ class _ConeGroup:
     """The candidate cones of one size k <= n, with their part that B fixes.
 
     ``idx`` holds the sorted row indices of the cones with independent unit
-    rows, one row per cone, and ``gram_inv`` the inverses of their Gram
-    matrices ``U_S U_S'``.  ``dependent`` holds the other cones, which are
-    measured, less the exactly antiparallel pairs.
+    rows, one row per cone, and ``r_inv`` the inverses of their R factors
+    (``U_S' = Q R``), upper triangular.  ``dependent`` holds the other
+    cones, which are measured, less the exactly antiparallel pairs.
     """
 
     idx: np.ndarray
-    gram_inv: np.ndarray
+    r_inv: np.ndarray
     dependent: np.ndarray
 
 
@@ -239,19 +243,17 @@ def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
     for _, active in vertices:
         for size in range(3, min(len(active), B.dim) + 1):
             cones[size].update(itertools.combinations(active, size))
-    # Each cone's Gram matrix ``U_S U_S'`` is read off that of all the rows.
-    gram_rows = units.dot(units.T)
     groups = []
     for k, group in enumerate(cones):
         if not group:
             continue
         idx = np.array(sorted(group))
-        gram = gram_rows[idx[:, :, None], idx[:, None, :]]
-        independent = np.linalg.det(gram) >= _GRAM_TOL
+        R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
+        independent = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
         dependent = ~independent
         if k == 2:
             dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
-        groups.append(_ConeGroup(idx[independent], np.linalg.inv(gram[independent]), idx[dependent]))
+        groups.append(_ConeGroup(idx[independent], np.linalg.inv(R[independent]), idx[dependent]))
     return _ConeTable(units, norms, tuple(groups))
 
 

@@ -278,6 +278,20 @@ def test_alpha_solves_the_dependent_cones_of_bad_geometry(monkeypatch):
     assert cone_solves(monkeypatch, flipped) == 543
 
 
+@pytest.mark.parametrize("eps", [2e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("c", [[-2.0, -1.0, 0.0], [-1.0, -1.0, -1e-3]])
+def test_alpha_reads_a_nearly_dependent_cone_to_the_exact_constant(monkeypatch, eps, c):
+    # The vertex x <= 0, y <= 0, x + y + eps z <= 0: its three-row cone has
+    # R factor diagonal (1, 1, about eps / sqrt 2), so it is read off the
+    # kept factors, with a Gram condition number of about 1 / eps^2.  Under
+    # c = -(2, 1, 0) the cone contains -c/||c||, and a read that errs in the
+    # cone's near-null direction counts it with a distance near 1e-6.
+    B = Polyhedron([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, eps]], [0.0, 0.0, 0.0])
+    A = HalfSpace(c, -10.0)
+    assert cone_solves(monkeypatch, [(B, A)]) == 0
+    assert exact_alpha_error(B, A, alpha_polyhedron_halfspace(B, A)) <= POOL_EXACT_BOUND
+
+
 def reuse_queries():
     """``(B, objectives)``: each polyhedron of :func:`bad_geometry_pairs` under
     its own ``c`` and under ``c = -a_0`` (row 0 then does not qualify), and
