@@ -33,6 +33,11 @@
   count.  On the same stream the active-set kernel's work is pinned as a
   count: its steps, and its calls of ``_add_column`` and
   ``_delete_column``, and
+- the ray walks of ``project_along_ray`` that stop in the middle of a
+  face: from each radius-1e1 point of that far stream, along a unit
+  direction drawn from rng ``[seed, 1]``, to each ``t_target`` in
+  {0.5, 5, 50, 5e3}: every point and dual by bytes and the iteration
+  count, and
 - the cone solves of ``linalg.nnls`` on the stream of
   ``test_certificate_solve._nnls_cases`` at rng seeds 7 and 2024 (full
   rank, rank-deficient and duplicate columns, targets inside and outside
@@ -70,6 +75,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -80,7 +86,7 @@ import pytest
 
 from altproj import certify, instances, linalg, lp
 from altproj.cli import main
-from altproj.qp import project_polyhedron
+from altproj.qp import project_along_ray, project_polyhedron
 from altproj.sets import set_to_json
 from test_certificate_solve import _nnls_cases
 from test_polar_cone import ABS_APEX
@@ -97,6 +103,7 @@ FAR_POLYHEDRA = 256
 FAR_RADII = (1e1, 1e2)
 # ``(steps, adds, drops)`` of the kernel on the far stream at each seed.
 FAR_WORK = {1: (1618, 1489, 129), 23: (1706, 1543, 163)}
+RAY_TARGETS = (0.5, 5.0, 50.0, 5e3)
 CONE_SEEDS = (7, 2024)
 
 
@@ -217,6 +224,21 @@ def far_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def ray_digest(seed: int) -> str:
+    """One digest over the finite ray walks from the radius-1e1 points of the far stream at rng ``seed``."""
+    rng = np.random.default_rng([seed, 1])
+    h = hashlib.sha256()
+    for poly, base in itertools.islice(far_stream(seed), 0, None, len(FAR_RADII)):
+        u = rng.normal(size=poly.dim)
+        u /= np.linalg.norm(u)
+        for t in RAY_TARGETS:
+            res = project_along_ray(poly, base, u, t)
+            h.update(res.point.tobytes())
+            h.update(res.dual.tobytes())
+            h.update(repr(res.iterations).encode())
+    return h.hexdigest()
+
+
 def cone_digest(cases) -> str:
     """One digest over the ``nnls`` solves of ``(G, y)`` pairs."""
     h = hashlib.sha256()
@@ -238,6 +260,7 @@ SECTIONS = {
     "lp_direct": lambda _work: {str(seed): lp_digest(seed) for seed in LP_SEEDS},
     "constants": lambda _work: {str(seed): constants_digest(seed) for seed in CONSTANTS_SEEDS},
     "far_projection": lambda _work: {str(seed): far_digest(seed) for seed in FAR_SEEDS},
+    "ray_walks": lambda _work: {str(seed): ray_digest(seed) for seed in FAR_SEEDS},
     "cone_solves": cone_digests,
 }
 
@@ -264,6 +287,11 @@ def test_constants_path_matches_golden_digests(seed, golden):
 @pytest.mark.parametrize("seed", FAR_SEEDS)
 def test_far_projections_match_golden_digests(seed, golden):
     assert far_digest(seed) == golden["far_projection"][str(seed)], numpy_build()
+
+
+@pytest.mark.parametrize("seed", FAR_SEEDS)
+def test_ray_walks_match_golden_digests(seed, golden):
+    assert ray_digest(seed) == golden["ray_walks"][str(seed)], numpy_build()
 
 
 def test_cone_solves_match_golden_digests(golden):
