@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
-from .linalg import _dot_row_norms, _dot_rows, _norm, _real_scalar, as_point, unit_cone_distance
+from .linalg import _dot_row_norms, _dot_rows, _entry_norm, _norm, _real_scalar, as_point, unit_cone_distance
 from .qp import _walk_to_optimum, project_polyhedron
 from .sets import HalfSpace, Polyhedron, _check_start
 from .vertices import feasible_vertices
@@ -232,26 +232,48 @@ class _ConeTable:
     groups: tuple
 
 
+def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
+    """The candidate cones of 2..n of ``m`` rows, one array of sorted row
+    indices per size, in lexicographic order: every pair of rows and every
+    subset of two or more rows active together at one of ``vertices``.
+
+    A sorted k-subset is keyed by the integer ``sum_i idx_i m^(k-1-i)``,
+    below ``24^8`` at the oracle limit and so an int64, whose order is the
+    subsets' lexicographic order, so one sort of the keys orders each size
+    and drops its repeats at once.  (``np.unique`` does the same, but from
+    NumPy 2.3 it hashes first, which took ten times as long as the sort on
+    the 126,000 keys of one size at n = 8, m = 24.)
+    """
+    actives = {}
+    for _, active in vertices:
+        actives.setdefault(len(active), []).append(active)
+    actives = {size: np.array(rows) for size, rows in actives.items()}
+    family = [np.column_stack(np.triu_indices(m, 1))]
+    for k in range(3, n + 1):
+        powers = m ** np.arange(k - 1, -1, -1)
+        keys = [
+            rows[:, list(itertools.combinations(range(size), k))].dot(powers).ravel()
+            for size, rows in actives.items()
+            if size >= k
+        ]
+        if keys:
+            keys = np.sort(np.concatenate(keys))
+            family.append(keys[np.r_[True, keys[1:] != keys[:-1]]][:, None] // powers % m)
+    return [idx for idx in family if len(idx)]
+
+
 def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
     """Build B's :class:`_ConeTable` from its :func:`feasible_vertices` (none in the plane)."""
     norms = _dot_row_norms(B.A)
     units = B.A / norms[:, None]
     if B.dim < 3:
         return _ConeTable(units, norms, ())
-    cones = [set() for _ in range(B.dim + 1)]
-    cones[2].update(itertools.combinations(range(B.num_rows), 2))
-    for _, active in vertices:
-        for size in range(3, min(len(active), B.dim) + 1):
-            cones[size].update(itertools.combinations(active, size))
     groups = []
-    for k, group in enumerate(cones):
-        if not group:
-            continue
-        idx = np.array(sorted(group))
+    for idx in _cone_family(B.num_rows, B.dim, vertices):
         R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
         independent = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
         dependent = ~independent
-        if k == 2:
+        if idx.shape[1] == 2:
             dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
         groups.append(_ConeGroup(idx[independent], np.linalg.inv(R[independent]), idx[dependent]))
     return _ConeTable(units, norms, tuple(groups))
@@ -366,7 +388,7 @@ def _distances(B: Polyhedron, A: HalfSpace, x) -> tuple[float, float]:
         start, end, _ = _walk_to_optimum(B, x, c)
     except Unbounded:
         return math.nan, 0.0
-    return _norm(x - start.point), max(0.0, float(c.dot(end.point)) - A.M) / _norm(c)
+    return _entry_norm(x - start.point), max(0.0, float(c.dot(end.point)) - A.M) / _norm(c)
 
 
 def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:

@@ -229,7 +229,8 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     """
     A, b = p.A, p.b
     n = x.shape[0]
-    feas_tol = _feas_tol(p._scale, _norm(x))
+    # ``hypot`` cannot overflow on a far ``x``, where ``x.dot(x)`` would warn.
+    feas_tol = _feas_tol(p._scale, math.hypot(*x.tolist()))
     lam = np.zeros(A.shape[0])
     # Python's ``max`` of a list skips a NaN that is not first, so the
     # feasibility tests read every entry: a NaN excess is not feasible.  The

@@ -343,6 +343,25 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
     assert filtered >= 40
 
 
+def test_the_cone_family_is_every_pair_and_every_active_subset():
+    # The reference builds the family as sets of index tuples, sorted; the
+    # table keys each subset by an integer instead.  Degenerate apexes with
+    # up to 2n + 2 active rows are among the bad geometry.
+    for B, _ in rng72_pool_pairs() + bad_geometry_pairs():
+        vertices = feasible_vertices(B)
+        cones = [set() for _ in range(B.dim + 1)]
+        cones[2].update(itertools.combinations(range(B.num_rows), 2))
+        for _, active in vertices:
+            for size in range(3, min(len(active), B.dim) + 1):
+                cones[size].update(itertools.combinations(active, size))
+        expected = [np.array(sorted(group)) for group in cones if group]
+        family = certify._cone_family(B.num_rows, B.dim, vertices)
+        assert len(family) == len(expected)
+        for idx, ref in zip(family, expected):
+            assert idx.dtype == ref.dtype and idx.shape == ref.shape
+            np.testing.assert_array_equal(idx, ref)
+
+
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
     # The table is built once, but every call reads the kept vertex list,
     # so the calls an alpha call makes do not depend on earlier calls.  The

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from altproj import verify
-from altproj.cli import EXIT_ERROR, main
+from altproj.cli import EXIT_ERROR, _write_output, main
 
 
 VERIFY_CHECKS = [
@@ -201,6 +203,69 @@ def test_run_reports_an_unwritable_output_path(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_new_output_gets_the_mode_open_gives_it(tmp_path):
+    spec = absval_run_spec(tmp_path)
+    old = os.umask(0o027)
+    try:
+        assert main(["run", spec, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "by_open.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {
+        stat.S_IMODE(path.stat().st_mode)
+        for path in (tmp_path / "out" / "spec_trace.csv", tmp_path / "out" / "spec_report.json", tmp_path / "by_open.txt")
+    }
+    assert modes == {0o640}
+
+
+def test_outputs_to_dev_null_are_written_as_before(tmp_path, capsys):
+    # A device is written, not cut to length.
+    spec = json.loads(Path(absval_run_spec(tmp_path)).read_text())
+    spec["outputs"] = {"trace_csv": os.devnull, "report_json": os.devnull}
+    assert main(["run", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["trace_csv"] == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "read-only file"])
+def test_run_reports_an_existing_output_it_cannot_write(tmp_path, capsys, kind):
+    target = tmp_path / "trace.csv"
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.write_text("old")
+        target.chmod(0o444)
+        if os.access(target, os.W_OK):
+            pytest.skip("this user may write a read-only file")
+    spec = json.loads(Path(absval_run_spec(tmp_path)).read_text())
+    spec["outputs"] = {"trace_csv": str(target)}
+    assert main(["run", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert kind == "directory" or target.read_text() == "old"
+
+
+def test_an_output_is_written_over_the_old_bytes_and_cut_to_length(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"0123456789" * 1000)
+    _write_output(path, "a,b\r\n", "")
+    assert path.read_bytes() == b"a,b\r\n"
+    _write_output(path, "{\n}\n", None)
+    assert path.read_bytes() == "{\n}\n".replace("\n", os.linesep).encode()
+
+
+def test_an_output_whose_write_raises_is_left_empty(tmp_path):
+    # A lone surrogate cannot be encoded, so the write raises; the old
+    # bytes must not survive as if they were the new output.
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"0123456789" * 1000)
+    with pytest.raises(UnicodeEncodeError):
+        _write_output(path, "a,b\r\n" * 5000 + "\ud800", "")
+    assert path.read_bytes() == b""
+
+
 def test_run_reports_a_row_too_long_to_project_on(tmp_path, capsys):
     # The box [0, 1]^3 with rows -1e155 e_i: the first B-projection refuses
     # the row whose square overflows, and the run exits 1 with an error line
@@ -363,6 +428,16 @@ def test_lp_command_direct_and_shifted(tmp_path, capsys):
     shifted = json.loads(capsys.readouterr().out)
     assert shifted["steps"] == 1
     assert shifted["objective"] == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_lp_trace_is_written_over_a_longer_old_file(tmp_path, capsys):
+    problem = box_lp(tmp_path)
+    assert main(["lp", problem, "--out", str(tmp_path / "fresh")]) == 0
+    old = tmp_path / "old" / "lp_trace.csv"
+    old.parent.mkdir()
+    old.write_bytes(b"9" * 100_000)
+    assert main(["lp", problem, "--out", str(old.parent)]) == 0
+    assert old.read_bytes() == (tmp_path / "fresh" / "lp_trace.csv").read_bytes()
 
 
 def test_lp_command_auto_bound(tmp_path, capsys):

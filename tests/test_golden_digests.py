@@ -271,7 +271,27 @@ def golden():
 
 
 def test_planar_outputs_match_golden_digests(tmp_path, golden):
+    # The second pass writes every output over the first pass's file.
     assert planar_digests(tmp_path) == golden["planar"], numpy_build()
+    assert planar_digests(tmp_path) == golden["planar"], numpy_build()
+
+
+def test_a_short_run_written_over_a_longer_one_matches_its_digests(tmp_path, golden):
+    # abs_k1_x3's outputs (a 6-line CSV) written over square_k0_x1's (2,002
+    # lines, a run that stops at its cap), through the spec's output paths.
+    fixtures = dict(planar_fixtures())
+    outputs = {"trace_csv": str(tmp_path / "trace.csv"), "report_json": str(tmp_path / "report.json")}
+    for stem in ("square_k0_x1", "abs_k1_x3"):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps({**fixtures[stem], "outputs": outputs}), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["run", str(path)])
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    del report["trace_csv"]
+    assert {
+        "trace_csv": _sha((tmp_path / "trace.csv").read_bytes()),
+        "report_json": _sha(json.dumps(report, sort_keys=True).encode()),
+    } == golden["planar"]["abs_k1_x3"], numpy_build()
 
 
 @pytest.mark.parametrize("seed", LP_SEEDS)

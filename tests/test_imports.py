@@ -135,6 +135,46 @@ def test_each_membership_feasibility_and_cycle_rule_has_one_site():
     assert not sites(lambda node: isinstance(node, ast.FunctionDef) and node.name in removed)
 
 
+def opens_for_writing(node):
+    """Whether ``node`` opens a file for writing: any ``os.open``, a
+    ``write_text`` or ``write_bytes``, or an ``open`` whose mode holds ``w``,
+    ``a`` or ``x`` or is not a constant."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os" and func.attr == "open":
+        return True
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # The mode is the second argument of the builtin, the first of a method
+    # such as ``Path.open``; with none given it is "r".
+    first = 1 if isinstance(func, ast.Name) else 0
+    modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[first : first + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(flag in mode.value for flag in "wax")
+
+
+def test_files_are_written_at_one_site():
+    # Every output goes through cli._write_output, which writes over an
+    # existing file's bytes and cuts it to length; a second writer would
+    # bring back the truncation to zero, or miss the cut.
+    assert sites(opens_for_writing) == {"cli._write_output"}
+    sample = ast.parse(
+        "open(p)\nopen(p, 'r')\nopen(p, 'a')\nopen(p, mode)\nPath(p).open('x')\nos.open(p, 0)\n"
+        "p.write_text(s)\nopen(p, mode='rb')"
+    )
+    assert [opens_for_writing(s.value) for s in sample.body] == [
+        False, False, True, True, True, True, True, False
+    ]
+
+
 def test_the_face_read_of_b_residual_has_one_site():
     # A cycle decision and a certificate both take B's residual from
     # engine._residual_b, the one rule "face factor first, else the cone

@@ -9,11 +9,23 @@ grows with ``||x||``.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from altproj import DegenerateRow, EmptyPolyhedron, Polyhedron, linalg, project_polyhedron, qp
+from altproj import (
+    DegenerateRow,
+    EmptyPolyhedron,
+    HalfSpace,
+    LPProblem,
+    Polyhedron,
+    bound_report,
+    linalg,
+    project_polyhedron,
+    qp,
+    solve_lp,
+)
 from altproj.instances import random_bounded_polyhedron
 from altproj.qp import project_along_ray
 
@@ -194,6 +206,30 @@ def test_a_row_too_long_to_square_raises_a_typed_error():
             project_polyhedron(long_row_box(scale), [-1.0, -2.0, -3.0])
     res = project_polyhedron(long_row_box(2.0**509), [-1.0, -2.0, -3.0])
     np.testing.assert_array_equal(res.point, [0.0, 0.0, 0.0])
+
+
+SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "call, answer",
+    [
+        (lambda: project_polyhedron(SQUARE, [1e300, 1e300]).point.tolist(), [1.0, 1.0]),
+        (
+            lambda: solve_lp(LPProblem([1, 1], SQUARE, -5), x0=[-1e200, -1e200], strategy="shifted").objective,
+            -2.0,
+        ),
+        (lambda: bound_report(SQUARE, HalfSpace([1, 1], -5), [-1e200, -1e200]).d_AB, 3.0 / math.sqrt(2.0)),
+    ],
+    ids=["project", "shifted-solve", "bound-report"],
+)
+def test_a_far_start_raises_no_overflow_warning(call, answer):
+    # ``||x||`` of a start whose squares overflow is the feasibility
+    # tolerance's scale and, in ``bound_report``, ``d(x0, B)``; neither may
+    # warn on the way to the right answer.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() == pytest.approx(answer, rel=1e-15)
 
 
 def test_agrees_with_face_walk_up_to_1e4():
