@@ -234,15 +234,16 @@ class _ConeTable:
 
 def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
     """The candidate cones of 2..n of ``m`` rows, one array of sorted row
-    indices per size, in lexicographic order: every pair of rows and every
-    subset of two or more rows active together at one of ``vertices``.
+    indices per size that has any, in lexicographic order: every pair of
+    rows, and every subset of 3..n rows active together at one of
+    ``vertices``.
 
     A sorted k-subset is keyed by the integer ``sum_i idx_i m^(k-1-i)``,
-    below ``24^8`` at the oracle limit and so an int64, whose order is the
-    subsets' lexicographic order, so one sort of the keys orders each size
-    and drops its repeats at once.  (``np.unique`` does the same, but from
-    NumPy 2.3 it hashes first, which took ten times as long as the sort on
-    the 126,000 keys of one size at n = 8, m = 24.)
+    below ``24^8`` at the oracle limit and so an int64.  The keys order as
+    the subsets do, so one sort of each size's keys orders it and brings
+    its repeats together.  (``np.unique`` would do the same, but from NumPy
+    2.3 it hashes first, which took ten times as long as the sort on the
+    126,000 keys of one size at n = 8, m = 24.)
     """
     actives = {}
     for _, active in vertices:
