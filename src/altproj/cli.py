@@ -100,25 +100,40 @@ def _write_output(path, text: str, newline: str | None) -> None:
     newline=newline)`` would, but over the old bytes of an existing file.
 
     A new file gets the mode ``open`` gives it, 0o666 less the umask.  A
-    regular file is then cut at the end of what was written, or to zero
-    length if the write raised, so no tail of an older, longer output
-    survives; a device such as ``/dev/null`` is not cut.  Cutting a
-    non-empty file to zero before writing it, as ``"w"`` does, costs far
-    more on ext4 than the write (about 90 us against 20 us in all for a
-    122 B output on a virtual disk; ``tests/write_cost.py`` measures both),
-    while cutting it to a nonzero length costs little.
+    regular file that was longer than the new output is then cut at the end
+    of what was written, and one whose write raised is cut to zero length,
+    so no tail of an older, longer output survives.  Anything else (``/dev/null``, a terminal, a pipe such as
+    ``/dev/stdout`` under ``|``) is only written: it has no length to cut
+    and no position to read.  Cutting a non-empty file to zero before
+    writing it, as ``"w"`` does, costs far more on ext4 than the write
+    (about 90 us against 20 us in all for a 122 B output on a virtual disk;
+    ``tests/write_cost.py`` measures both), while cutting it to a nonzero
+    length costs little.  The saving is had only where the output already
+    exists; a new file costs what it did.
+
+    The price is a window that ``"w"`` does not have: if the process is
+    killed, or the host goes down, between the write and the cut, a
+    regular file holds the new bytes followed by the tail of a longer old
+    output.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    end = 0
     try:
+        old = os.fstat(fd)
+        regular = stat.S_ISREG(old.st_mode)
         try:
             # The text layer is closed first: it flushes what it holds, or
             # drops it if the flush fails, so nothing is written after the cut.
             with open(fd, "w", encoding="utf-8", newline=newline, closefd=False) as fh:
                 fh.write(text)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            # A new file, or an old one no longer than the new output, has
+            # no tail to cut.
             end = os.lseek(fd, 0, os.SEEK_CUR)
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            if end < old.st_size:
                 os.ftruncate(fd, end)
     finally:
         os.close(fd)

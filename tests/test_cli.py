@@ -1,15 +1,17 @@
 import csv
+import errno
 import json
 import math
 import os
 import stat
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from altproj import verify
+from altproj import cli, verify
 from altproj.cli import EXIT_ERROR, _write_output, main
 
 
@@ -229,22 +231,70 @@ def test_outputs_to_dev_null_are_written_as_before(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
-@pytest.mark.parametrize("kind", ["directory", "read-only file"])
-def test_run_reports_an_existing_output_it_cannot_write(tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind", ["directory", "read-only file", "refused open", "file as parent"])
+def test_run_reports_an_existing_output_it_cannot_write(tmp_path, capsys, monkeypatch, kind):
+    # "refused open" is a read-only file as the writer meets it when the
+    # user may not override the mode: its open raises PermissionError,
+    # whether or not this user may write read-only files.
     target = tmp_path / "trace.csv"
     if kind == "directory":
         target.mkdir()
     else:
         target.write_text("old")
+    if kind == "read-only file":
         target.chmod(0o444)
         if os.access(target, os.W_OK):
             pytest.skip("this user may write a read-only file")
+    elif kind == "refused open":
+        real_open = os.open
+
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == str(target):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", refuse)
     spec = json.loads(Path(absval_run_spec(tmp_path)).read_text())
-    spec["outputs"] = {"trace_csv": str(target)}
+    spec["outputs"] = {"trace_csv": str(target / "trace.csv" if kind == "file as parent" else target)}
     assert main(["run", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert kind == "directory" or target.read_text() == "old"
+
+
+def test_outputs_to_named_pipes_are_written_whole(tmp_path, capsys):
+    # A pipe has no length to cut and no position to read: the run writes
+    # to it what it writes to a regular file, and exits 0.
+    spec = json.loads(Path(absval_run_spec(tmp_path)).read_text())
+    assert main(["run", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "files")]) == 0
+    pipes = {key: tmp_path / f"{key}.fifo" for key in ("trace_csv", "report_json")}
+    read = {}
+
+    def drain(key):
+        with open(pipes[key], "rb") as fh:
+            read[key] = fh.read()
+
+    readers = []
+    for key, path in pipes.items():
+        os.mkfifo(path)
+        readers.append(threading.Thread(target=drain, args=(key,), daemon=True))
+        readers[-1].start()
+    spec["outputs"] = {key: str(path) for key, path in pipes.items()}
+    try:
+        code = main(["run", write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path)])
+    finally:
+        # A reader still waiting for a writer is let go with an empty read.
+        for reader, path in zip(readers, pipes.values()):
+            if reader.is_alive():
+                try:
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:
+                    pass
+            reader.join(timeout=10)
+    assert code == 0, capsys.readouterr().err
+    assert read["trace_csv"] == (tmp_path / "files" / "spec_trace.csv").read_bytes()
+    report = json.loads((tmp_path / "files" / "spec_report.json").read_text())
+    assert json.loads(read["report_json"]) == {**report, "trace_csv": str(pipes["trace_csv"])}
 
 
 def test_an_output_is_written_over_the_old_bytes_and_cut_to_length(tmp_path):
@@ -254,6 +304,8 @@ def test_an_output_is_written_over_the_old_bytes_and_cut_to_length(tmp_path):
     assert path.read_bytes() == b"a,b\r\n"
     _write_output(path, "{\n}\n", None)
     assert path.read_bytes() == "{\n}\n".replace("\n", os.linesep).encode()
+    _write_output(path, "a,b\r\n" * 3, "")
+    assert path.read_bytes() == b"a,b\r\n" * 3
 
 
 def test_an_output_whose_write_raises_is_left_empty(tmp_path):

@@ -7,13 +7,14 @@ as ``open(path, "w")`` does, costs far more than writing it.  How much that
 saves depends on the filesystem, so this is the first thing to run where a
 benchmark pair does not show the gain.  Run as
 
-    python tests/write_cost.py [directory] [--repeats N]
+    python tests/write_cost.py [directory]
 
 which prints the ``/proc/mounts`` line of the filesystem that holds the
 directory (default: the current one), then the median microseconds of
 rewriting a 122 B file and a 127 KB file there, once by truncation and once
-by ``_write_output``.  The files are made in a fresh subdirectory, removed
-at the end.  pytest does not collect this file.
+by ``_write_output``, each over ``REPEATS`` rewrites.  The files are made in
+a fresh subdirectory, removed at the end.  pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from altproj.cli import _write_output  # noqa: E402
 
 # A short planar run's report and a long run's trace CSV.
 SIZES = {"122 B": 122, "127 KB": 127_000}
+REPEATS = 300
 
 
 def mount_line(directory: Path) -> str:
@@ -53,10 +55,10 @@ def by_truncation(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def median_us(directory: Path, text: str, repeats: int) -> tuple[float, float]:
+def median_us(directory: Path, text: str) -> tuple[float, float]:
     """Median microseconds of one rewrite by truncation and by ``_write_output``.
 
-    Each way rewrites a file of its own ``repeats`` times in a row, as runs
+    Each way rewrites a file of its own ``REPEATS`` times in a row, as runs
     rewrite their outputs: taking turns with the other way would charge it
     for the journal work that a truncation leaves behind."""
     medians = []
@@ -64,7 +66,7 @@ def median_us(directory: Path, text: str, repeats: int) -> tuple[float, float]:
         path = directory / f"{write.__name__}.csv"
         write(path, text, *args)
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter_ns()
             write(path, text, *args)
             times.append((time.perf_counter_ns() - start) / 1e3)
@@ -77,12 +79,11 @@ def median_us(directory: Path, text: str, repeats: int) -> tuple[float, float]:
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("directory", nargs="?", default=".", type=Path)
-    parser.add_argument("--repeats", type=int, default=300, help="rewrites of each kind and size")
     args = parser.parse_args(argv)
     print(mount_line(args.directory))
     with tempfile.TemporaryDirectory(dir=args.directory) as tmp:
         for label, size in SIZES.items():
-            truncated, over = median_us(Path(tmp), "x" * (size - 2) + "\r\n", args.repeats)
+            truncated, over = median_us(Path(tmp), "x" * (size - 2) + "\r\n")
             print(f"{label}: truncate {truncated:.1f} us, write over {over:.1f} us")
 
 
