@@ -137,50 +137,52 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     except an exactly antiparallel pair: it spans a line, whose nearest
     point lies on one of its two rays.
 
-    What does not depend on ``c`` is made once per polyhedron and kept on
-    it (:class:`_ConeTable`, built by the first call): the unit rows and
-    their norms and, for n >= 3, the candidate family over all rows with
-    the inverses ``R^-1`` of the R factors of its independent cones.  Each
-    call reads the cosines and ray distances of the rows from stacked
-    products, keeps the cones whose rows all qualify (exactly the family
-    above), and reads their coefficients ``lam = R^-1 R^-T U v`` with two
-    products per cone size.  The inverse Gram matrix ``(U U')^-1`` is the
+    Every row is read in the polyhedron's normal form, its unit row (the
+    cones and their distances do not depend on how long the rows are
+    written).  What does not depend on ``c`` is made once per polyhedron
+    and kept on it as ``B._cones`` (built by the first call): for n >= 3,
+    the candidate family over all rows, grouped by size
+    (:class:`_ConeGroup`), with the inverses ``R^-1`` of the R factors of
+    its independent cones; in the plane it is empty.  Each call reads the
+    cosines and ray distances of the unit rows from stacked products, keeps
+    the cones whose rows all qualify (exactly the family above), and reads
+    their coefficients ``lam = R^-1 R^-T U v`` with two products per cone
+    size.  The inverse Gram matrix ``(U U')^-1`` is the
     same product, but kept whole it rounds each coefficient by its condition
     number, the square of R's: on a cone at the split its nearest point
     errs by about 1e-5, where the two triangular factors keep it near
-    1e-11.  So the first call for a polyhedron pays for the table, and
+    1e-11.  So the first call for a polyhedron pays for the family, and
     every later call, under any objective, only for its products; alpha's
-    bits do not depend on which call built the table.
-    The table stays on B for as long as B lives: at n = 8, m = 24 (about
+    bits do not depend on which call built the family.
+    The family stays on B for as long as B lives: at n = 8, m = 24 (about
     38,000 cones) it holds about 12 MB, mostly the inverse R factors.
 
     For n >= 3 the cones come from B's :func:`feasible_vertices`, read on
     every call; it keeps the oracle's limits (n <= 8, m <= 24).  The plane
     needs no limit and no family: its alpha is the row-wise minimum for any
     number of rows.  Both ``c``'s length and the limits are checked before
-    a table is kept.
+    a family is kept.
     """
     _check_pair(A, B)
     c = as_point(A.c, B.dim)
     vertices = feasible_vertices(B) if B.dim >= 3 else ()
-    table = B._cones
-    if table is None:
-        table = _cone_table(B, vertices)
-        object.__setattr__(B, "_cones", table)
+    groups = B._cones
+    if groups is None:
+        groups = _cone_groups(B, vertices)
+        object.__setattr__(B, "_cones", groups)
+    units = B._units
     nc = _norm(c)
     neg_c = -c
     neg_chat = neg_c / nc
-    qualifying = _dot_rows(B.A, c) / (table.norms * nc) > -1.0 + _STRICT_MARGIN
+    qualifying = _dot_rows(units, c) / nc > -1.0 + _STRICT_MARGIN
     # The ray distances of the qualifying rows, each as unit_distance_to_ray
     # gives it (its unit vector, ``-c / ||-c||``, is ``neg_chat`` bit for
     # bit).
-    uv = _dot_rows(table.units, neg_chat)
-    rejection = table.units - uv[:, None] * neg_chat
-    ray = np.where(
-        _dot_rows(table.units, neg_c) <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(rejection))
-    )
+    uv = _dot_rows(units, neg_chat)
+    rejection = units - uv[:, None] * neg_chat
+    ray = np.where(_dot_rows(units, neg_c) <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(rejection)))
     best = float(ray[qualifying].min(initial=math.inf))
-    for group in table.groups:
+    for group in groups:
         kept = qualifying[group.idx].all(axis=1)
         idx = group.idx[kept]
         r_inv = group.r_inv[kept]
@@ -189,12 +191,12 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
         # The residual is a small difference of unit-scale vectors, so it is
         # formed in long double: in doubles it errs by about 1e-16 absolute.
         # (On a platform whose long double is a double it rounds as one.)
-        point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), table.units[idx[inside]])
+        point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), units[idx[inside]])
         resid = neg_chat - point
         dist = np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float)
         best = min(best, float(dist[dist > _CONTAINS_TOL].min(initial=math.inf)))
         for rows in group.dependent[qualifying[group.dependent].all(axis=1)]:
-            dist = unit_cone_distance(neg_chat, np.ascontiguousarray(B.A[rows].T))
+            dist = unit_cone_distance(neg_chat, np.ascontiguousarray(units[rows].T))
             if dist > _CONTAINS_TOL:
                 best = min(best, dist)
     return 0.5 * min(1.0, best)
@@ -213,23 +215,6 @@ class _ConeGroup:
     idx: np.ndarray
     r_inv: np.ndarray
     dependent: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class _ConeTable:
-    """The part of :func:`alpha_polyhedron_halfspace` that B alone fixes.
-
-    ``units`` and ``norms`` are the unit rows and the row norms.  For
-    n >= 3, ``groups`` holds the candidate family of 2..n rows over all
-    rows (every pair of rows and every subset of two or more rows active
-    together at a vertex), grouped by size in :class:`_ConeGroup`, which
-    keeps one ``k x k`` matrix per independent cone.  In the plane the
-    family is empty.
-    """
-
-    units: np.ndarray
-    norms: np.ndarray
-    groups: tuple
 
 
 def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
@@ -263,12 +248,14 @@ def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
     return [idx for idx in family if len(idx)]
 
 
-def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
-    """Build B's :class:`_ConeTable` from its :func:`feasible_vertices` (none in the plane)."""
-    norms = _dot_row_norms(B.A)
-    units = B.A / norms[:, None]
+def _cone_groups(B: Polyhedron, vertices) -> tuple:
+    """B's candidate family of 2..n rows over all rows, one :class:`_ConeGroup`
+    per size, from its :func:`feasible_vertices`: every pair of rows and
+    every subset of two or more rows active together at a vertex.  In the
+    plane the family is empty."""
     if B.dim < 3:
-        return _ConeTable(units, norms, ())
+        return ()
+    units = B._units
     groups = []
     for idx in _cone_family(B.num_rows, B.dim, vertices):
         R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
@@ -277,7 +264,7 @@ def _cone_table(B: Polyhedron, vertices) -> _ConeTable:
         if idx.shape[1] == 2:
             dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
         groups.append(_ConeGroup(idx[independent], np.linalg.inv(R[independent]), idx[dependent]))
-    return _ConeTable(units, norms, tuple(groups))
+    return tuple(groups)
 
 
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:

@@ -140,7 +140,7 @@ events could happen:
   tolerance of a B-projection below the larger of its slack and 0;
 - the gap ``s_k rho^j ||c||`` falls to the certificate tolerance (the
   pair witnesses a common point) or to ``ZERO_TOL``, whichever is larger;
-- the A-point's violation of the face rows, ``s_k rho^j max(-A_F c)``,
+- the A-point's violation of the face rows, ``s_k rho^j max(-U_F c)``,
   falls to the feasibility tolerance of the polyhedron projection, which
   then returns the A-point unchanged (a common point by rounding);
 - the gap-stall difference ``s_k rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||)``,
@@ -182,8 +182,8 @@ face is never factored afresh.
 
 The same factor decides the cycle (:func:`_face_residual`).  B's normal
 cone at ``b`` is generated by the rows tight there within ``ACTIVE_TOL``,
-the mask ``|A b - b| <= ACTIVE_TOL`` of ``sets._active``, formed once per
-decision.  When those rows are exactly the working rows ``W``
+the mask ``|U b - o| <= ACTIVE_TOL`` of ``sets._active`` on the unit rows
+``U`` and offsets ``o``, formed once per decision.  When those rows are exactly the working rows ``W``
 (:func:`_on_working_rows`, the test :func:`_face_jump` makes too), the cone
 lies in the span of ``Q_1``, so B's residual is at least the span residual
 ``r = ||w - Q_1 (Q_1' w)||``; and the nearest point of the span,
@@ -975,22 +975,24 @@ def _face_jump(
         return math.floor(math.log(floor / value) / log_rho) if value > floor else 0
 
     horizon = float(cycles_left + 1)  # the first cycle past the cap
-    # Inactive rows: slack_i(j) = slack_i + s g(j) A_i P_V c, so an
+    # Inactive rows, read as the unit rows u_i of the polyhedron's normal
+    # form: slack_i(j) = slack_i + s g(j) u_i P_V c, a distance, so an
     # approaching row reaches its floor once 1 - rho^j >= t.  A row beyond
     # the margin may fall to it.  A row already within it may fall by the
     # smallest feasibility tolerance of any B-projection, ``_feas_tol`` of
     # the polyhedron's scale and a zero norm, below max(slack_i, 0): every
     # slack of a generated B-point then stays above minus that tolerance,
     # so the point passes the feasibility test of the real projection that
-    # would return it.  A copy of a face row has A_i P_V c = 0 but for rounding, so over
-    # the whole stretch it falls by about ||A_i|| / sqrt(q) times the unit
-    # roundoff of the gap and seldom limits it; a row the path moves ends
-    # the stretch once it has fallen by the tolerance.
+    # would return it.  A copy of a face row has u_i P_V c = 0 but for
+    # rounding, so over the whole stretch it falls by about 1 / sqrt(q)
+    # times the unit roundoff of the gap and seldom limits it; a row the
+    # path moves ends the stretch once it has fallen by the tolerance.
     margin = 10.0 * ACTIVE_TOL
-    closing = -poly.A.dot(pvc)
+    units = poly._units
+    closing = -units.dot(pvc)
     closing[face] = 0.0
     hit = closing > 0.0
-    slack = (poly.b - poly.A.dot(b))[hit]
+    slack = (poly._offsets - units.dot(b))[hit]
     floor = np.where(slack > margin, margin, np.maximum(slack, 0.0) - _feas_tol(poly._scale, 0.0))
     t = q * (slack - floor) / (s * closing[hit])
     t = t[t < 1.0]
@@ -1000,12 +1002,12 @@ def _face_jump(
     # certifies or stops on a gap too small to normalise.
     horizon = min(horizon, reached(s * nc, max(cert_tol, ZERO_TOL)))
     # Common point by rounding: the A-point of cycle k + j violates a face
-    # row by at most s rho^j max(-A_F c), and the next B-projection returns
+    # row by at most s rho^j max(-U_F c), and the next B-projection returns
     # it unchanged once that is within the projection's feasibility
     # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
     reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
     feas_tol = _feas_tol(poly._scale, reach)
-    horizon = min(horizon, 1 + reached(-s * float(poly.A[face].dot(c).min()), feas_tol))
+    horizon = min(horizon, 1 + reached(-s * float(units[face].dot(c).min()), feas_tol))
     # Gap stall: s rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||) < GAP_STALL_TOL.
     prc = _norm(c - pvc)
     horizon = min(horizon, 1 + reached(s * prc * (1.0 - prc / nc), GAP_STALL_TOL))

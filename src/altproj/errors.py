@@ -14,8 +14,9 @@ class ZeroVector(AltprojError):
 
 
 class DegenerateRow(AltprojError):
-    """A constraint row or half-space normal is (numerically) zero, or too
-    long for a projection to square (norm 2**510, about 3.4e153, or more)."""
+    """A constraint row or half-space normal is (numerically) zero or too
+    long: a row without a finite unit form, or a normal whose square a
+    projection would overflow."""
 
 
 class PointNotInSet(AltprojError):

@@ -55,7 +55,7 @@ import operator
 
 import numpy as np
 
-from .errors import DegenerateRow, DimensionMismatch, EmptyPolyhedron, NotConverged, ZeroVector
+from .errors import DimensionMismatch, EmptyPolyhedron, NotConverged, ZeroVector
 
 # Norm below which a vector counts as zero; double precision leaves ample
 # headroom at desk scale.
@@ -194,16 +194,12 @@ def unit_distance_to_ray(vhat: np.ndarray, u: np.ndarray) -> float:
 # scale ``1 + max|b| + ||x||``; rounding in the incremental updates of ``z``
 # stays well below it, so degenerate vertices do not cycle.
 _FEAS_TOL = 1e-13
-# A new row ``a`` counts as spanned by the working rows when the part the
+# A new unit row counts as spanned by the working rows when the part the
 # working rows cannot cancel is below this fraction of the terms that formed
-# it, ``||a|| + sum_i |r_i| ||a_{W_i}||`` (``_working_set``).
+# it, ``1 + sum_i |r_i|`` (``_working_set``).
 _DEP_TOL = 1e-13
 # Active-set steps granted per row and per coordinate.
 _STEPS_PER_DIM = 50
-# Norm from which a row is refused before it enters the factor: the
-# Householder update of ``_add_column`` forms ``sigma (sigma + |h_0|)``, up
-# to ``2 ||a||^2``, which stays below 2**1021 and so finite for shorter rows.
-_ROW_NORM_LIMIT = 2.0**510
 
 
 def _feas_tol(scale: float, size: float) -> float:
@@ -268,47 +264,34 @@ def _delete_column(Q, R, k, j) -> None:
 def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
     """Active-set steps from a dual-feasible start to the final face.
 
-    ``z`` is the projection of the point onto the face where the rows ``W``
-    are tight and ``u >= 0`` its multipliers in ``W`` order.  ``Q`` (n x n,
-    orthogonal) and the leading ``k x k`` block of ``R`` (``k = len(W)``,
-    upper triangular) factor the working rows: ``A_W' = Q[:, :k] R[:k, :k]``.
-    The cold start is ``([], I, 0, [], x)``.  ``slack`` is ``A.dot(z) - b``
-    at the start, which the caller has formed to test ``z``; each later
-    step forms it again.  ``W``, ``Q``, ``R`` and ``z`` are updated in
-    place; returns the number of steps.  A violated row of
-    norm ``_ROW_NORM_LIMIT`` (2**510, about 3.4e153) or more would fill the
-    factor with non-finite values, so it raises :class:`DegenerateRow`
-    before any update.  The row's norm is taken by ``math.hypot``, which
-    does not square the row, so no overflow warning precedes the error.
+    Every row of ``A`` is a unit row or zero: :class:`~altproj.sets.Polyhedron`
+    forms its unit rows once and :func:`nnls` scales its columns, and a zero
+    row is never violated.  ``z`` is the projection of the point onto the
+    face where the rows ``W`` are tight and ``u >= 0`` its multipliers in
+    ``W`` order.  ``Q`` (n x n, orthogonal) and the leading ``k x k`` block
+    of ``R`` (``k = len(W)``, upper triangular) factor the working rows:
+    ``A_W' = Q[:, :k] R[:k, :k]``.  The cold start is ``([], I, 0, [], x)``.
+    ``slack`` is ``A.dot(z) - b`` at the start, which the caller has formed
+    to test ``z``; each later step forms it again.  ``W``, ``Q``, ``R`` and
+    ``z`` are updated in place; returns the number of steps.
 
     A violated row ``a`` counts as spanned by the working rows when the
     part of it they cannot cancel, ``||Q_2' a||``, is at most
-    ``_DEP_TOL (||a|| + sum_i |r_i| ||a_{W_i}||)``: ``1e-13`` of the terms
-    that formed it, with ``r`` the rates of the working multipliers.  Each
-    ``||a_{W_i}||`` is the ``math.hypot`` norm taken when row ``W_i`` was
-    selected, kept in a list beside ``W``; the norms of a warm start's rows
-    are taken once, on entry.  On the ``far_projection`` benchmark's
-    polyhedra (n = 2..4, up to 12 rows) one step costs about 15 us on a
-    2-vCPU Xeon, 4.5 us of it the factor update, and most of the rest the
-    calls into NumPy: the products with ``Q``, the triangular solve and the
-    new slack.
+    ``_DEP_TOL (1 + sum_i |r_i|)``: ``1e-13`` of the terms that formed it,
+    with ``r`` the rates of the working multipliers and every row of norm
+    1.  On the ``far_projection`` benchmark's polyhedra (n = 2..4, up to 12
+    rows) one step costs about 15 us on a 2-vCPU Xeon, 4.5 us of it the
+    factor update, and most of the rest the calls into NumPy: the products
+    with ``Q``, the triangular solve and the new slack.
     """
     m, n = A.shape
     max_steps = _STEPS_PER_DIM * (m + n)
-    # ``||a||`` of each working row, in ``W`` order.
-    norms = [math.hypot(*A[i].tolist()) for i in W]
     steps = 0
     while True:
         p = int(slack.argmax())
         if slack[p] <= feas_tol:
             return steps
         a = A[p]
-        norm_a = math.hypot(*a.tolist())
-        if not norm_a < _ROW_NORM_LIMIT:
-            raise DegenerateRow(
-                f"constraint row {p} is too long to project on: its norm must be "
-                f"below 2**510 (about {_ROW_NORM_LIMIT:.2g})"
-            )
         u_p = 0.0
         while True:  # raise the multiplier of row p until row p is tight
             steps += 1
@@ -320,12 +303,8 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
             h = a.dot(Q)
             h2 = h[k:]
             dd = float(h2.dot(h2))
-            if W:
-                r = _substitute(R[:k, :k], h[:k])
-                spanned_tol = _DEP_TOL * (norm_a + sum(map(operator.mul, map(abs, r), norms)))
-            else:
-                r, spanned_tol = [], 0.0
-            spanned = math.sqrt(dd) <= spanned_tol
+            r = _substitute(R[:k, :k], h[:k])
+            spanned = math.sqrt(dd) <= _DEP_TOL * (1.0 + sum(map(abs, r)))
             t_full = math.inf if spanned else max(float(a.dot(z)) - float(b[p]), 0.0) / dd
             # The first working multiplier to reach zero as row p's rises.
             t_part, j = math.inf, -1
@@ -345,12 +324,10 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
             if t_full <= t_part:
                 _add_column(Q, R, k, h, dd)
                 W.append(p)
-                norms.append(norm_a)
                 u.append(u_p)
                 break
             _delete_column(Q, R, k, j)
             del W[j]
-            del norms[j]
             del u[j]
         slack = A.dot(z) - b
 

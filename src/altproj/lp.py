@@ -157,13 +157,13 @@ def solve_lp(
         # points are the solve's own, validated arrays.
         a_star = _project_halfspace(halfspace, b_star)
         d = a_star - b_star
-        face = _face_of(poly.A, poly.b, *factor)
+        face = _face_of(poly, *factor)
         certificate = engine._certificate(halfspace, poly, a_star, b_star, d, _norm(d), cert_tol, face)
         if not certificate.holds:
             raise NotConverged("shifted projection did not certify optimality")
         steps = 1
 
-    viol = float(np.max(poly.A.dot(b_star) - poly.b, initial=0.0))
+    viol = float(np.max(poly._units.dot(b_star) - poly._offsets, initial=0.0))
     if viol > 1e-7:
         raise NotConverged(f"solution violates feasibility by {viol:.3e}")
     return LPOutcome(

@@ -19,9 +19,8 @@ full, which makes the new row tight and adds it to the working set, or
 partial, which drops the working row whose multiplier reaches zero first.
 A violated row that the working rows span, while no working multiplier can
 fall, proves the polyhedron empty; the row ``a`` counts as spanned when
-``||Q_2' a||`` is at most ``1e-13 (||a|| + sum_i |r_i| ||a_{W_i}||)``, with
-``r`` the rates and each working row's norm kept from when it was
-selected.  One step, factor update included, costs about 15 us at
+``||Q_2' a||`` is at most ``1e-13 (1 + sum_i |r_i|)``, with ``r`` the
+rates.  One step, factor update included, costs about 15 us at
 n = 2..4.  Every full step strictly raises the
 dual objective and partial steps only shrink the working set, so no working
 set recurs and the method ends after finitely many steps.  The point and
@@ -30,6 +29,15 @@ factor kept through the steps (:class:`_Face`, which the caller may keep),
 and the point is refined once on the working rows.  All arithmetic is at
 the scale of ``x``, so the cost does not grow with the distance from ``x``
 to the polyhedron.
+
+The method runs on the polyhedron's normal form, the unit rows and the
+offsets over the row norms that :class:`~altproj.sets.Polyhedron` forms
+once, never on the rows as written: a row's scale changes neither the
+polyhedron nor any step, and every tolerance on a row is a distance.  The
+factor, the working multipliers and every :class:`_Face` belong to the unit
+rows.  The public :func:`project_polyhedron` and :func:`project_along_ray`
+divide the multipliers by the row norms once, at the end
+(:func:`_written`), so that their ``dual`` is that of the written rows.
 
 The steps and the factor updates (``_working_set``, ``_add_column``,
 ``_delete_column`` and ``_substitute``) live in :mod:`altproj.linalg`,
@@ -127,15 +135,16 @@ class _Face(NamedTuple):
     """Factor of the face where the rows ``W`` are tight.
 
     ``Q`` is n x n orthogonal, ``R`` is k x k upper triangular with
-    ``A_W' = Q[:, :k] R`` (``k = len(W)``), and ``w = R^-T b_W``.  It is
-    the factor :func:`_working_set` kept up to date through its steps, and
-    it depends on the polyhedron and ``W`` only, so the projections of any
-    number of points onto the face share it (:func:`_on_face`) and the
-    next projection may continue from it.  The slices that its readers
-    take are cut once, when it is built: ``Q1`` is the view ``Q[:, :k]``,
-    and ``A_W`` and ``b_W`` are the copies ``A[W]`` and ``b[W]``.  ``Q`` is
-    never changed in place once the face is built (a continuation steps on
-    a copy), so the view stays the factor's.
+    ``A_W' = Q[:, :k] R`` (``k = len(W)``), and ``w = R^-T b_W``, for the
+    unit rows ``A_W`` and offsets ``b_W`` of the polyhedron's normal form.
+    It is the factor :func:`_working_set` kept up to date through its
+    steps, and it depends on the polyhedron and ``W`` only, so the
+    projections of any number of points onto the face share it
+    (:func:`_on_face`) and the next projection may continue from it.  The
+    slices that its readers take are cut once, when it is built: ``Q1`` is
+    the view ``Q[:, :k]``, and ``A_W`` and ``b_W`` are copies of the
+    working rows.  ``Q`` is never changed in place once the face is built
+    (a continuation steps on a copy), so the view stays the factor's.
     """
 
     W: list[int]
@@ -188,8 +197,8 @@ def _continued(face: _Face | None, n: int) -> _Factor:
     return list(face.W), face.Q.copy(), R
 
 
-def _face_of(A: np.ndarray, b: np.ndarray, W: list[int], Q: np.ndarray, R: np.ndarray) -> _Face:
-    """The :class:`_Face` of the working rows ``W`` with the factor ``Q``, ``R``.
+def _face_of(p: Polyhedron, W: list[int], Q: np.ndarray, R: np.ndarray) -> _Face:
+    """The :class:`_Face` of ``p``'s working rows ``W`` with the factor ``Q``, ``R``.
 
     ``R`` is the padded triangle that the steps filled; its leading
     ``k x k`` block (``k = len(W)``) is the face's.  ``W``, ``Q`` and ``R``
@@ -198,9 +207,9 @@ def _face_of(A: np.ndarray, b: np.ndarray, W: list[int], Q: np.ndarray, R: np.nd
     k = len(W)
     R = R[:k, :k]
     # ``take`` copies the working rows as ``A[W]`` does, at a third of the cost.
-    b_W = b.take(W)
+    b_W = p._offsets.take(W)
     w = np.array(_substitute(R.T, b_W, lower=True))
-    return _Face(W, Q, R, w, Q[:, :k], A.take(W, 0), b_W)
+    return _Face(W, Q, R, w, Q[:, :k], p._units.take(W, 0), b_W)
 
 
 def project_polyhedron(p: Polyhedron, x) -> QPResult:
@@ -210,7 +219,13 @@ def project_polyhedron(p: Polyhedron, x) -> QPResult:
     Raises :class:`EmptyPolyhedron` when ``p`` has no point and
     :class:`NotConverged` past ``50 (m + n)`` active-set steps.
     """
-    return _project_from(p, as_point(x, p.dim), None)[0]
+    return _written(p, _project_from(p, as_point(x, p.dim), None)[0])
+
+
+def _written(p: Polyhedron, res: QPResult) -> QPResult:
+    """``res`` with its multipliers of ``p``'s unit rows turned into those of
+    the rows as written: ``x - z = U' lam = A' (lam / ||A_i||)``."""
+    return QPResult(res.point, res.dual / p._norms, res.iterations)
 
 
 def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face | None]:
@@ -225,9 +240,10 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     step), and otherwise the dual-feasible start of the active-set method,
     which continues from a copy of the face's factor.  A negative multiplier
     starts it from the empty working set.  The second value is the factor of
-    the final face, None for a feasible ``x``.
+    the final face, None for a feasible ``x``.  The multipliers are those of
+    the unit rows.
     """
-    A, b = p.A, p.b
+    A, b = p._units, p._offsets
     n = x.shape[0]
     # ``hypot`` cannot overflow on a far ``x``, where ``x.dot(x)`` would warn.
     feas_tol = _feas_tol(p._scale, math.hypot(*x.tolist()))
@@ -260,7 +276,7 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
             # the first step does not rely on that.
             slack = A.dot(z) - b
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z, slack)
-    face = _face_of(A, b, W, Q, R)
+    face = _face_of(p, W, Q, R)
     u, z = _on_face(face, x)
     lam[W] = _clamped(u)
     return QPResult(z, lam, steps), face
@@ -309,7 +325,7 @@ def project_along_ray(
         raise ValueError("t_target must be finite")
     if t_target < 0.0:
         direction, t_target = -direction, -t_target
-    return _walk_from(p, *_project_from(p, base, None), direction, t_target)[0]
+    return _written(p, _walk_from(p, *_project_from(p, base, None), direction, t_target)[0])
 
 
 def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Factor]:
@@ -344,9 +360,10 @@ def _walk_from(
     :class:`Unbounded`.  The second value is ``(W, Q, R)``, the working
     rows and the padded factor the walk ends on, from which
     :func:`_face_of` builds their face; a walk that does not move returns
-    ``start`` with a copy of ``face``'s.
+    ``start`` with a copy of ``face``'s.  It runs on the unit rows, and its
+    multipliers are theirs.
     """
-    A, b = p.A, p.b
+    A, b = p._units, p._offsets
     m, n = A.shape
     W, Q, R = _continued(face, n)
     if t_target == 0.0 or not direction.any():

@@ -22,12 +22,16 @@ from .errors import (
     StartNotInA,
     ZeroVector,
 )
-from .linalg import _ROW_NORM_LIMIT, ZERO_TOL, _check_tol, _dot_row_norms, _real_array, _real_scalar, as_point
+from .linalg import ZERO_TOL, _check_tol, _dot_row_norms, _real_array, _real_scalar, as_point
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
 # Projections are accurate to ~1e-10, so this leaves a safety margin.
 ACTIVE_TOL = 1e-8
+# Norm from which a half-space normal is refused: ``<c, c>``, which every
+# projection onto the half-space divides by, stays below 2**1020 and so
+# finite for shorter normals.
+_ROW_NORM_LIMIT = 2.0**510
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -57,10 +61,10 @@ class HalfSpace(_ValueSet):
     """Closed half-space ``{x : <c, x> <= M}`` with outward normal ``c``.
 
     Raises :class:`ZeroVector` for a normal of norm ``ZERO_TOL`` or less and
-    :class:`DegenerateRow` for one of norm 2**510 (about 3.4e153) or more,
-    the bound a polyhedron's rows are projected under: its square would
-    overflow in every projection onto the half-space.  The norm is taken by
-    ``math.hypot``, so no overflow warning comes before the error.
+    :class:`DegenerateRow` for one of norm 2**510 (about 3.4e153) or more:
+    its square would overflow in every projection onto the half-space.  The
+    norm is taken by ``math.hypot``, so no overflow warning comes before the
+    error.
     """
 
     c: np.ndarray
@@ -94,23 +98,37 @@ class HalfSpace(_ValueSet):
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron(_ValueSet):
-    """Polyhedron ``{x : A @ x <= b}``; the rows of ``A`` are outward normals."""
+    """Polyhedron ``{x : A @ x <= b}``; the rows of ``A`` are outward normals.
+
+    ``A`` and ``b`` are kept as written.  Every kernel reads the one normal
+    form of the rows instead, made here: the unit rows ``A_i / ||A_i||``
+    and the offsets ``b_i / ||A_i||``.  A positive scale of a row leaves the
+    polyhedron as it is, so it changes no projection, no active set and no
+    tolerance: each tolerance on a row is a distance to its hyperplane.
+    Raises :class:`DegenerateRow` for a row of norm ``ZERO_TOL`` or less and
+    for a row without a finite normal form: a norm that overflows, or an
+    offset over the norm that does.
+    """
 
     A: np.ndarray
     b: np.ndarray
     # The vertex list of :func:`altproj.vertices.feasible_vertices` and the
-    # cone table of :func:`altproj.certify.alpha_polyhedron_halfspace`, each
+    # cone family of :func:`altproj.certify.alpha_polyhedron_halfspace`, each
     # made on first use and kept for as long as the polyhedron lives: ``A``
     # and ``b`` are frozen, so neither can go stale.  Neither is part of the
     # value, and a copy ``Polyhedron(A, b)`` starts without them.  Alpha
     # reads the vertex list for n >= 3 only, and the oracle reads it; no LP
     # optimum or distance does, so a planar ``bound_report`` leaves it None.
-    # The cone table is the larger: about 12 MB at n = 8, m = 24, mostly R
+    # The cone family is the larger: about 12 MB at n = 8, m = 24, mostly R
     # factors.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _cones: object | None = field(default=None, init=False, repr=False, compare=False)
-    # ``1 + max|b|``, the part of the projection's data scale
-    # ``1 + max|b| + ||x||`` that does not depend on the point, formed once.
+    _cones: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The row norms, the unit rows and the offsets over the norms, and
+    # ``1 + max|_offsets|``, the part of the projection's data scale
+    # ``1 + max|_offsets| + ||x||`` that does not depend on the point.
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _units: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -120,11 +138,19 @@ class Polyhedron(_ValueSet):
         b = as_point(self.b, A.shape[0])
         if not np.all(np.isfinite(A)):
             raise ValueError("constraint matrix entries must be finite")
-        if np.any(_dot_row_norms(A) <= ZERO_TOL):
+        norms = _dot_row_norms(A)
+        if np.any(norms <= ZERO_TOL):
             raise DegenerateRow("every constraint row must be nonzero")
+        with np.errstate(over="ignore"):
+            offsets = b / norms
+        if not (np.isfinite(norms).all() and np.isfinite(offsets).all()):
+            raise DegenerateRow("every constraint row must have a finite norm and a finite offset over it")
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "b", _freeze(b))
-        object.__setattr__(self, "_scale", 1.0 + float(np.abs(b).max()))
+        object.__setattr__(self, "_norms", _freeze(norms))
+        object.__setattr__(self, "_units", _freeze(A / norms[:, None]))
+        object.__setattr__(self, "_offsets", _freeze(offsets))
+        object.__setattr__(self, "_scale", 1.0 + float(np.abs(offsets).max()))
 
     @property
     def dim(self) -> int:
@@ -352,21 +378,25 @@ def _active(s: ProjectableSet, x, tol: float):
     the engine's cycle decision; the engine's planar screen calls its
     epigraph branch, :func:`_epigraph_generators`, on floats.  ``x`` is a
     validated point of the set's dimension.  It is in ``s`` within ``tol``
-    when ``<c, x> <= M + tol``, every ``A_i x <= b_i + tol``, or
+    when ``<c, x> <= M + tol``, every ``u_i x <= o_i + tol``, or
     ``z1 >= p - tol`` for ``z = x - shift`` and the profile ``p`` (``|z0|``
-    or ``z0^2``); a NaN entry is in no set.  What is tight there is, for a half-space, the bool
-    ``|<c, x> - M| <= tol``; for a polyhedron, the mask of the rows with
-    ``|A_i x - b_i| <= tol``; for an epigraph, the generators of the cone as
-    float pairs: none at an interior point (``z1 > p + tol``), two at the
-    abs apex (``|z0| <= tol``), one elsewhere.  Each quantity (``<c, x>``,
-    ``A x`` or ``z``) is formed once for both tests.
+    or ``z0^2``); a NaN entry is in no set.  A polyhedron is read in its
+    normal form, the unit rows ``u_i`` and offsets ``o_i`` of
+    :class:`Polyhedron`, so there ``tol`` is a distance to each row's
+    hyperplane, whatever scale the row was written at.  What is tight there
+    is, for a half-space, the bool ``|<c, x> - M| <= tol``; for a
+    polyhedron, the mask of the rows with ``|u_i x - o_i| <= tol``; for an
+    epigraph, the generators of the cone as float pairs: none at an
+    interior point (``z1 > p + tol``), two at the abs apex
+    (``|z0| <= tol``), one elsewhere.  Each quantity (``<c, x>``, ``U x``
+    or ``z``) is formed once for both tests.
     """
     if isinstance(s, HalfSpace):
         cx = float(s.c.dot(x))
         return abs(cx - s.M) <= tol if cx <= s.M + tol else None
     if isinstance(s, Polyhedron):
-        ax = s.A.dot(x)
-        return np.abs(ax - s.b) <= tol if all((ax <= s.b + tol).tolist()) else None
+        ux = s._units.dot(x)
+        return np.abs(ux - s._offsets) <= tol if all((ux <= s._offsets + tol).tolist()) else None
     return _epigraph_generators(s, *x.tolist(), tol)
 
 
@@ -391,7 +421,8 @@ def _active_columns(s: ProjectableSet, active) -> np.ndarray:
 
     ``active`` is what :func:`_active` found tight at a point of ``s`` (not
     None): the normal ``c`` of a tight half-space, a polyhedron's tight
-    rows or an epigraph's float pairs.  The result is ``(dim, k)`` and may
+    rows as written (a row's scale leaves the cone as it is) or an
+    epigraph's float pairs.  The result is ``(dim, k)`` and may
     be a read-only view.
     """
     if isinstance(s, HalfSpace):

@@ -338,7 +338,7 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
         flipped = HalfSpace(-B.A[0], -10.0)
         assert_near_exact(kept, flipped, FLIPPED_EXACT_BOUND)
         qualifying = set(qualifying_active_sets(B, flipped)[0])
-        cones = [rows for g in kept._cones.groups for rows in (*g.idx, *g.dependent)]
+        cones = [rows for g in kept._cones for rows in (*g.idx, *g.dependent)]
         filtered += sum(set(rows) <= qualifying for rows in cones) < len(cones)
     assert filtered >= 40
 
@@ -371,14 +371,14 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
 
     def spy(B, vertices):
         built.append(B)
-        return cone_table(B, vertices)
+        return cone_groups(B, vertices)
 
     def read(B):
         reads.append(B)
         return vertex_list(B)
 
-    cone_table, vertex_list = certify._cone_table, certify.feasible_vertices
-    monkeypatch.setattr(certify, "_cone_table", spy)
+    cone_groups, vertex_list = certify._cone_groups, certify.feasible_vertices
+    monkeypatch.setattr(certify, "_cone_groups", spy)
     monkeypatch.setattr(certify, "feasible_vertices", read)
     rng = np.random.default_rng(5)
     inst = random_pair_instance(rng)

@@ -318,10 +318,11 @@ def test_an_output_whose_write_raises_is_left_empty(tmp_path):
     assert path.read_bytes() == b""
 
 
-def test_run_reports_a_row_too_long_to_project_on(tmp_path, capsys):
-    # The box [0, 1]^3 with rows -1e155 e_i: the first B-projection refuses
-    # the row whose square overflows, and the run exits 1 with an error line
-    # and nothing else: no overflow warning comes before it.
+def test_run_projects_on_rows_too_long_to_square(tmp_path, capsys):
+    # The box [0, 1]^3 with rows -1e155 e_i, whose squares overflow: the
+    # projections read the rows' unit form, so the run certifies the pair
+    # at distance 3 after one cycle, with no overflow warning and nothing
+    # on stderr.
     box = {"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1e155, 0, 0], [0, -1e155, 0], [0, 0, -1e155]],
            "b": [1, 1, 1, 0, 0, 0]}
     spec = write_json(
@@ -330,10 +331,11 @@ def test_run_reports_a_row_too_long_to_project_on(tmp_path, capsys):
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", spec, "--out", str(tmp_path)]) == 1
+        assert main(["run", spec, "--out", str(tmp_path)]) == 0
     assert [str(w.message) for w in caught] == []
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: constraint row 5 is too long to project on")
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "long_rows_report.json").read_text())
+    assert report["stop_reason"] == "Certified" and report["final_gap"] == 3.0
 
 
 def test_run_reports_a_step_that_overflows_without_a_traceback(tmp_path, capsys):

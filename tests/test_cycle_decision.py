@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import altproj.engine as engine
-from altproj import HalfSpace, PointNotInSet, Polyhedron, StopReason, linalg, run, solve_lp
+from altproj import HalfSpace, PointNotInSet, Polyhedron, StopReason, check_certificate, linalg, run, solve_lp
 from altproj.instances import (
     absval_epigraph,
     lower_halfplane,
@@ -112,14 +112,22 @@ def test_a_capped_run_builds_one_certificate_and_skips_a_residual(monkeypatch, c
 
 
 def test_a_point_outside_its_set_raises_as_the_public_check_does():
-    # At scale 1e10 the B-projection's rounding, about eps times the scale
-    # of the point, exceeds the absolute membership tolerance; the cycle
-    # names the second point, as check_certificate does.
-    t = 1e10
-    set_a = HalfSpace([0, 1], -t)
-    set_b = Polyhedron([[0.01, -1], [-1, 0]], [0, 0])
-    with pytest.raises(PointNotInSet, match="^second point is not in the second set$"):
-        run(set_a, set_b, [20 * t, -t], max_iters=5000)
+    # A B-point 1 outside B, and an A-point 1 outside A: a distance that no
+    # rounding explains, so the point is outside at every scale B's rows are
+    # written at.  The cycle decision names the point as check_certificate
+    # does.
+    set_a = HalfSpace([0, 1], -1)
+    for scale in (1e-3, 1.0, 1e3):
+        set_b = Polyhedron(scale * np.array([[0.01, -1.0], [-1.0, 0.0]]), [0.0, 0.0])
+        for a, b, which in (([0.0, -2.0], [-1.0, 0.0], "second"), ([0.0, 0.0], [1.0, 1.0], "first")):
+            a, b = np.array(a), np.array(b)
+            d = a - b
+            gap = linalg._norm(d)
+            message = f"^{which} point is not in the {which} set$"
+            with pytest.raises(PointNotInSet, match=message):
+                check_certificate(set_a, set_b, a, b)
+            with pytest.raises(PointNotInSet, match=message):
+                engine._decide(set_a, set_b, a, b, d, gap + 1.0, gap, 0, 1e-8)
 
 
 # -- B's residual read from the face factor ----------------------------------

@@ -114,10 +114,11 @@ def reads_feas_tol(node):
 
 
 def compares_an_offset(node):
-    """Whether ``node`` is a comparison that reads an offset ``.M`` or ``.b``:
-    a half-space's or a polyhedron's membership or activity test."""
+    """Whether ``node`` is a comparison that reads an offset ``.M``, ``.b`` or
+    ``._offsets``: a half-space's or a polyhedron's membership or activity
+    test."""
     return isinstance(node, ast.Compare) and any(
-        isinstance(part, ast.Attribute) and part.attr in ("M", "b")
+        isinstance(part, ast.Attribute) and part.attr in ("M", "b", "_offsets")
         for operand in (node.left, *node.comparators)
         for part in ast.walk(operand)
     )
@@ -133,6 +134,55 @@ def test_each_membership_feasibility_and_cycle_rule_has_one_site():
     assert sites(compares_an_offset, ("sets", "engine")) == {"sets._active"}
     removed = ("_certified", "_tight_rows", "_b_normals")
     assert not sites(lambda node: isinstance(node, ast.FunctionDef) and node.name in removed)
+
+
+def reads_written_rows(node):
+    """Whether ``node`` reads an attribute ``.A`` or ``.b`` of anything but
+    ``self``: a polyhedron's rows or offsets as written.  (``self.b`` is a
+    closed-form stretch's B-point.)"""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("A", "b")
+        and isinstance(node.ctx, ast.Load)
+        and getattr(node.value, "id", None) != "self"
+    )
+
+
+def sets_the_normal_form(node):
+    """Whether ``node`` sets a polyhedron's row norms, unit rows or offsets
+    over the norms by ``object.__setattr__``."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "__setattr__"
+        and any(isinstance(arg, ast.Constant) and arg.value in ("_norms", "_units", "_offsets") for arg in node.args)
+    )
+
+
+def test_every_kernel_reads_the_unit_rows():
+    # Polyhedron.__post_init__ forms the rows' normal form once; the
+    # projection, the walk, the active-set kernel, the cycle decision, the
+    # LP's feasibility check and alpha read it, never the rows as written.
+    # The one reader of the row norms is qp._written, which turns the unit
+    # rows' multipliers into the written rows' for the public projections.
+    forms = set()
+    for path in sorted((SRC / "altproj").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef):
+                forms |= {
+                    f"{path.stem}.{cls.name}.{func.name}"
+                    for func in cls.body
+                    if isinstance(func, ast.FunctionDef)
+                    for node in ast.walk(func)
+                    if sets_the_normal_form(node)
+                }
+    assert forms == {"sets.Polyhedron.__post_init__"}
+    assert sites(sets_the_normal_form) == {"sets.__post_init__"}
+    assert sites(reads_written_rows, ("qp", "linalg", "engine", "lp", "certify")) == set()
+    assert sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_norms") == {"qp._written"}
+    sample = ast.parse("p.A\np.b\nself.b\np._units\nface.A_W\np.A = 1")
+    assert [reads_written_rows(s.value if isinstance(s, ast.Expr) else s.targets[0]) for s in sample.body] == [
+        True, True, False, False, False, False
+    ]
 
 
 def opens_for_writing(node):

@@ -405,3 +405,39 @@ def test_lp_problems_compare_and_hash_by_value():
     for other in different:
         assert a != other and not a == other
     assert len({a, *different[:3]}) == 4
+
+
+# -- the row scale ------------------------------------------------------------
+#
+# A positive scale of a row, ``(a_i, b_i) -> (s_i a_i, s_i b_i)``, leaves the
+# polyhedron and so the LP as they are.  Every kernel reads the rows' unit
+# form, so the answers must not depend on the scale.
+
+
+def test_the_small_norm_box_certifies_its_optimum():
+    # [-1, 1]^3 written with rows 1e4 e_i and -1e-8 e_i: a row of norm 1e-8
+    # read as written would count as tight anywhere within about 1 of its
+    # face, where the direct solve once certified -5.571.  Both strategies
+    # certify the optimum -6.
+    box = Polyhedron(np.vstack([1e4 * np.eye(3), -1e-8 * np.eye(3)]), np.r_[np.full(3, 1e4), np.full(3, 1e-8)])
+    for strategy in ("direct", "shifted"):
+        out = solve_lp(LPProblem([1.0, 2.0, 3.0], box, -7.0), strategy=strategy)
+        assert out.objective == -6.0 and out.certificate.holds
+        assert out.solution.tolist() == [-1.0, -1.0, -1.0]
+
+
+def test_rescaled_rows_give_the_pool_answers():
+    # The LPs of pool seed 1 with each row and offset scaled by 10^U(-8, 8),
+    # the scales drawn from rng 99 LP after LP: both strategies solve every
+    # one, to its oracle optimum.  Read as written, these rows gave 13 and 5
+    # certified wrong answers (up to 33% off) and 90 and 60 refusals.
+    rng, scales = np.random.default_rng(1), np.random.default_rng(99)
+    for _ in range(300):
+        problem, optimum, _ = random_lp_instance(rng)
+        P = problem.poly
+        s = 10.0 ** scales.uniform(-8.0, 8.0, size=P.num_rows)
+        scaled = LPProblem(problem.c, Polyhedron(s[:, None] * P.A, s * P.b), problem.M)
+        for strategy in ("direct", "shifted"):
+            out = solve_lp(scaled, strategy=strategy)
+            assert out.certificate.holds
+            assert abs(out.objective - optimum) <= 1e-12 * max(1.0, abs(optimum))

@@ -206,16 +206,20 @@ def warm_branch(monkeypatch):
 
 
 def feasible(poly, x):
-    """Whether the projection takes ``x`` as it is (its tolerance)."""
-    tol = linalg._feas_tol(1.0 + float(np.abs(poly.b).max()), norm(x))
-    return float(np.max(poly.A @ x - poly.b)) <= tol
+    """Whether the projection takes ``x`` as it is (its tolerance, on the
+    unit rows)."""
+    tol = linalg._feas_tol(poly._scale, norm(x))
+    return float(np.max(poly._units @ x - poly._offsets)) <= tol
 
 
 def assert_matches_cold(poly, x, res):
     # The same point, and the same dual support where the multipliers are
     # unique: the rows tight at the point are independent.  At a degenerate
     # vertex (the bad-geometry apexes) another support is as exact, so
-    # there the dual must be a KKT certificate of the point instead.
+    # there the dual must be a KKT certificate of the point instead.  ``res``
+    # is a private projection's, with the unit rows' multipliers: they are
+    # checked as the public projection hands them out, of the written rows.
+    res = qp._written(poly, res)
     ref = project_polyhedron(poly, x)
     scale = 1.0 + norm(x)
     assert norm(res.point - ref.point) <= 1e-12 * scale
@@ -313,14 +317,15 @@ def test_empty_polyhedron_raises_from_a_warm_face(monkeypatch):
 
 def assert_face_record(poly, face):
     """The slices ``face`` carries are its polyhedron's and its factor's, bit
-    for bit: ``A_W`` and ``b_W`` are the working rows, ``Q1`` is the view
-    ``Q[:, :k]`` (same memory and layout) and ``w = R^-T b_W`` as
-    ``_project_from`` forms it."""
+    for bit: ``A_W`` and ``b_W`` are the working unit rows and offsets,
+    ``Q1`` is the view ``Q[:, :k]`` (same memory and layout) and
+    ``w = R^-T b_W`` as ``_project_from`` forms it."""
     W, k = face.W, len(face.W)
-    assert face.A_W.shape == (k, poly.dim) and face.A_W.tobytes() == poly.A[W].tobytes()
-    assert face.b_W.shape == (k,) and face.b_W.tobytes() == poly.b[W].tobytes()
+    b_W = poly._offsets[W]
+    assert face.A_W.shape == (k, poly.dim) and face.A_W.tobytes() == poly._units[W].tobytes()
+    assert face.b_W.shape == (k,) and face.b_W.tobytes() == b_W.tobytes()
     assert face.Q1.__array_interface__ == face.Q[:, :k].__array_interface__
-    assert face.w.tobytes() == np.array(qp._substitute(face.R.T, poly.b[W], lower=True)).tobytes()
+    assert face.w.tobytes() == np.array(qp._substitute(face.R.T, b_W, lower=True)).tobytes()
 
 
 def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
@@ -351,7 +356,7 @@ def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
             seen["cold"] += 1
             direction = rng.normal(size=poly.dim)
             walked, factor = qp._walk_from(poly, start, face, direction, 10.0)
-            end_face = qp._face_of(poly.A, poly.b, *factor)
+            end_face = qp._face_of(poly, *factor)
             keep(poly, end_face)
             seen["walk"] += walked.iterations - start.iterations > 1
         for x in points:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from altproj import (
-    DegenerateRow,
     EmptyPolyhedron,
     HalfSpace,
     LPProblem,
@@ -197,15 +196,26 @@ def long_row_box(scale):
     return Polyhedron(np.vstack([np.eye(3), -scale * np.eye(3)]), np.r_[np.ones(3), np.zeros(3)])
 
 
-def test_a_row_too_long_to_square_raises_a_typed_error():
-    # ||a||^2 of a row -1e155 e_i overflows; the factor would fill with NaN
-    # and the projection end in a bare ValueError from the factor updates.
-    # Rows of norm 2**510 or more are refused before any update.
-    for scale in (1e155, 2.0**510):
-        with pytest.raises(DegenerateRow, match="too long to project on"):
-            project_polyhedron(long_row_box(scale), [-1.0, -2.0, -3.0])
-    res = project_polyhedron(long_row_box(2.0**509), [-1.0, -2.0, -3.0])
-    np.testing.assert_array_equal(res.point, [0.0, 0.0, 0.0])
+def test_a_row_too_long_to_square_projects_on_its_unit_form():
+    # ||a||^2 of a row -1e155 e_i overflows, but the projection reads the
+    # unit row -e_i, so every scale gives the box's corner (0, 0, 0), with
+    # the unit rows' multipliers (1, 2, 3) over the scale.
+    for scale in (2.0**509, 2.0**510, 1e155, 1e300):
+        res = project_polyhedron(long_row_box(scale), [-1.0, -2.0, -3.0])
+        np.testing.assert_array_equal(res.point, [0.0, 0.0, 0.0])
+        assert res.iterations == 3
+        np.testing.assert_allclose(res.dual * scale, [0.0, 0.0, 0.0, 1.0, 2.0, 3.0], rtol=1e-15)
+
+
+def test_a_huge_offset_hides_no_other_rows_violation():
+    # [-1, 1]^3 with upper rows 1e100 e_i (offsets 1e100) and lower rows
+    # -e_i.  Read as written, the offsets 1e100 set the feasibility
+    # tolerance for every row, and (-5, -6, -7) came back unprojected; in
+    # unit form every offset is 1.
+    box = Polyhedron(np.vstack([1e100 * np.eye(3), -np.eye(3)]), np.r_[np.full(3, 1e100), np.ones(3)])
+    res = project_polyhedron(box, [-5.0, -6.0, -7.0])
+    assert res.point.tolist() == [-1.0, -1.0, -1.0] and res.iterations == 3
+    assert res.dual.tolist() == [0.0, 0.0, 0.0, 4.0, 5.0, 6.0]
 
 
 SQUARE = Polyhedron([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1])
@@ -348,16 +358,13 @@ def test_factor_stays_orthogonal_and_exact_through_adds_and_drops(monkeypatch):
 
 
 def test_factor_after_a_drop_and_a_readd(monkeypatch):
-    # The solve adds row 3, drops it for row 2, adds row 0, drops row 2 and
-    # adds row 3 again.
+    # The solve adds rows 0 and 2, drops row 2, adds row 1, drops row 0,
+    # adds row 3, drops row 1 and adds row 2 again.
     histories = watch_factor(monkeypatch)
-    poly = Polyhedron(
-        [[0.4, -0.4], [-0.5, -0.1], [0.3, 0.5], [-0.2, 1.5], [0.6, -0.6]],
-        [0.1, 0.6, 0.4, 0.4, 1.3],
-    )
-    x = np.array([6.0, 5.0])
+    poly = Polyhedron([[0.5, -0.7], [0.6, -0.1], [1.3, 1.2], [-0.5, -0.9]], [1.2, 0.5, 0.3, 0.1])
+    x = np.array([7.0, -6.0])
     assert_kkt(poly, x, project_polyhedron(poly, x))
-    assert histories == [[[], [], [3], [], [2], [2, 0], [0], [0, 3]]]
+    assert histories == [[[], [], [0], [0, 2], [0], [0, 1], [1], [1, 3], [3], [3, 2]]]
 
 
 def test_walks_from_degenerate_apexes_stay_on_the_factor(monkeypatch):
@@ -399,23 +406,25 @@ class _FirstUpdate(Exception):
     """Raised by a spied factor update to stop the kernel after one step."""
 
 
-def reference_spanned_tol(A_W, norm_a, r):
-    # The span tolerance as first written: the working rows' entries in
-    # absolute value against the rates', ``_DEP_TOL (||a|| + || |A_W|' |r| ||)``.
-    return linalg._DEP_TOL * (norm_a + linalg._norm(np.abs(A_W).T.dot(np.abs(r))))
+def reference_spanned_tol(A_W, r):
+    # The span tolerance as first written, for unit rows: the working rows'
+    # entries in absolute value against the rates',
+    # ``_DEP_TOL (1 + || |A_W|' |r| ||)``.
+    return linalg._DEP_TOL * (1.0 + linalg._norm(np.abs(A_W).T.dot(np.abs(r))))
 
 
 def nearly_dependent_rows(rng):
-    """``(A_W, a)``: independent working rows and a row spanned by them or
-    nearly.
+    """``(A_W, a)``: independent unit working rows and a unit row spanned by
+    them or nearly, as the kernel takes its rows.
 
-    The rows have norms 1e-3..1e3.  ``a`` is a working row, its negation, or
-    a combination of all the working rows with coefficients of one sign,
-    each perturbed by 0 or 1e-16..1e-12 of its norm in a random direction.
+    ``a`` is a working row, its negation, or a combination of all the
+    working rows with coefficients of one sign, perturbed by 0 or
+    1e-16..1e-12 of its norm in a random direction and scaled to norm 1.
     """
     n = int(rng.integers(2, 7))
     k = int(rng.integers(1, n + 1))
-    A_W = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1))
+    A_W = rng.normal(size=(k, n))
+    A_W /= np.linalg.norm(A_W, axis=1, keepdims=True)
     kind = rng.integers(0, 3)
     if kind < 2:
         coef = np.zeros(k)
@@ -424,17 +433,19 @@ def nearly_dependent_rows(rng):
         coef = rng.uniform(0.1, 2.0, size=k) * rng.choice([-1.0, 1.0])
     a = coef.dot(A_W)
     eps = float(rng.choice([0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12]))
-    return A_W, a + eps * np.linalg.norm(a) * unit(rng, n)
+    a = a + eps * np.linalg.norm(a) * unit(rng, n)
+    return A_W, a / np.linalg.norm(a)
 
 
 def test_span_decision_on_nearly_dependent_rows_matches_the_reference_formula(monkeypatch):
-    # The kernel's tolerance sums |r_i| ||a_{W_i}||: by the triangle
-    # inequality at least the reference's || |A_W|' |r| || and at most
+    # On unit rows the kernel's tolerance sums |r_i|: by the triangle
+    # inequality at least the reference's || |A_W|' |r| || and, as the
+    # entries of |A_W| |A_W|' are nonnegative with a unit diagonal, at most
     # sqrt(k) times it.  On exact copies of working rows and on perturbed
     # combinations of them the two decide "spanned" alike, except for a
     # part left over that falls between the two tolerances, where the
     # kernel calls the row spanned and the reference does not; such rows
-    # are rare (1 of these 3,000) and rounding decides them either way.
+    # are rare (2 of these 3,000) and rounding decides them either way.
     # The kernel starts on the working rows' face with the violated row
     # selected first and stops at its first factor update: where no
     # multiplier can fall, a spanned row proves the polyhedron empty and
@@ -458,12 +469,10 @@ def test_span_decision_on_nearly_dependent_rows_matches_the_reference_formula(mo
             h = row.dot(Q)
             qp._add_column(Q, R, i, h, float(h[i:].dot(h[i:])))
         h = a.dot(Q)
-        norm_a = math.hypot(*a.tolist())
         r = linalg._substitute(R[:k, :k], h[:k])
-        norms = [math.hypot(*row.tolist()) for row in A_W]
         reach = math.sqrt(float(h[k:].dot(h[k:])))
-        tol = linalg._DEP_TOL * (norm_a + sum(abs(r_i) * n_i for r_i, n_i in zip(r, norms)))
-        reference = reference_spanned_tol(A_W, norm_a, r)
+        tol = linalg._DEP_TOL * (1.0 + sum(abs(r_i) for r_i in r))
+        reference = reference_spanned_tol(A_W, r)
         assert reference * (1.0 - 1e-12) <= tol <= math.sqrt(k) * reference * (1.0 + 1e-12)
         spanned = reach <= tol
         if spanned != (reach <= reference):
@@ -489,25 +498,32 @@ def test_span_decision_on_nearly_dependent_rows_matches_the_reference_formula(mo
     assert min(decided.values()) >= 250 and between <= 3, (decided, between)
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1e3])
-def test_span_tolerance_reads_the_norm_a_row_entered_with(scale):
-    # From (1, 0) the projection adds the row (s, 0) first, then meets
-    # (-s, s eps), whose part the first row cannot cancel is s eps, while
-    # no multiplier can fall.  The tolerance is 1e-13 (||a|| + |r| s) with
-    # r = -1 and s the norm kept when the first row entered: about 2e-13 s.
-    # So eps = 1.5e-13 counts as spanned and the projection raises
-    # EmptyPolyhedron, though the polyhedron holds (0, -1 / eps), 6.7e12
-    # away: the tolerance does not resolve a row this close to antiparallel.
-    # eps = 3e-13 is not spanned; a norm of 1 kept for the first row would
-    # call neither spanned at s = 1e3, and both at s = 1e-3.  Past the
-    # tolerance the answer is the far corner (0, -1 / eps) of both rows.
+def test_the_span_decision_does_not_depend_on_the_row_scale():
+    # From (1, 0) the projection adds the row (1, 0) first, then meets
+    # (-1, eps) (unit rows up to rounding), whose part the first row cannot
+    # cancel is eps, while no multiplier can fall.  The tolerance is
+    # 1e-13 (1 + |r|) with r = -1: 2e-13.  So eps = 1.5e-13 counts as
+    # spanned and the projection raises EmptyPolyhedron, though the
+    # polyhedron holds (0, -1 / eps), 6.7e12 away: the tolerance does not
+    # resolve a row this close to antiparallel.  eps = 3e-13 is not spanned,
+    # and the answer is the far corner (0, -1 / eps) of both rows.  The rows
+    # written at any scale s have one unit form, so every scale, 1e155 whose
+    # squares overflow included, gives the same outcome bit for bit.
     x = np.array([1.0, 0.0])
     for eps, empty in ((1.5e-13, True), (3e-13, False)):
-        poly = Polyhedron([[scale, 0.0], [-scale, scale * eps]], [0.0, -scale])
-        if empty:
-            with pytest.raises(EmptyPolyhedron):
-                project_polyhedron(poly, x)
-        else:
-            res = project_polyhedron(poly, x)
+        outcomes = set()
+        for scale in (1e-3, 1.0, 1e3, 1e155):
+            poly = Polyhedron([[scale, 0.0], [-scale, scale * eps]], [0.0, -scale])
+            try:
+                res, _ = qp._project_from(poly, x, None)
+            except EmptyPolyhedron:
+                outcomes.add((poly._units.tobytes(), poly._offsets.tobytes(), "empty"))
+                continue
+            assert not empty and res.iterations == 2 and (res.dual > 0.0).all()
             np.testing.assert_allclose(res.point, [0.0, -1.0 / eps], rtol=1e-9, atol=1e-9)
-            assert res.iterations == 2 and (res.dual > 0.0).all()
+            written = project_polyhedron(poly, x)
+            assert written.point.tobytes() == res.point.tobytes()
+            assert written.dual.tobytes() == (res.dual / poly._norms).tobytes()
+            outcomes.add((poly._units.tobytes(), poly._offsets.tobytes(), res.point.tobytes(), res.dual.tobytes()))
+        assert len(outcomes) == 1
+        assert empty == ("empty" in outcomes.pop())

@@ -232,5 +232,5 @@ def test_a_polyhedron_equals_its_copy_whatever_their_vertex_lists():
     cube = Polyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
     copy = Polyhedron(cube.A, cube.b)
     alpha_polyhedron_halfspace(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))
-    assert cube._cones.groups and copy._cones is None
+    assert cube._cones and copy._cones is None
     assert cube == copy and hash(cube) == hash(copy) and repr(cube) == repr(copy)

@@ -135,8 +135,8 @@ def test_the_walk_returns_the_factor_of_its_final_face(seed):
     # and B's tight rows at the optimum are those rows on every pool pair.
     for hs, poly, x0 in pool_pairs(seed):
         _, end, factor = qp._walk_to_optimum(poly, x0, hs.c)
-        face = qp._face_of(poly.A, poly.b, *factor)
+        face = qp._face_of(poly, *factor)
         assert np.abs(face.A_W.T - face.Q1.dot(face.R)).max() <= 1e-14
-        assert face.A_W.tobytes() == poly.A[face.W].tobytes()
-        tight = np.abs(poly.A.dot(end.point) - poly.b) <= ACTIVE_TOL
+        assert face.A_W.tobytes() == poly._units[face.W].tobytes()
+        tight = np.abs(poly._units.dot(end.point) - poly._offsets) <= ACTIVE_TOL
         assert engine._on_working_rows(tight, face.W)

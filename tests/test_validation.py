@@ -101,6 +101,8 @@ REJECTED = {
     "Polyhedron-3d-matrix": (DimensionMismatch, "matrix has shape", lambda: Polyhedron([[[1.0, 0.0]]], [1.0])),
     "Polyhedron-infinite-entry": (ValueError, "matrix entries must be finite", lambda: Polyhedron([[math.inf, 0.0]], [1.0])),
     "Polyhedron-zero-row": (DegenerateRow, "row must be nonzero", lambda: Polyhedron([[0.0, 0.0]], [1.0])),
+    "Polyhedron-offset-over-norm": (DegenerateRow, "finite offset over it", lambda: Polyhedron([[1e-11, 0.0]], [1e300])),
+    "Polyhedron-norm-overflows": (DegenerateRow, "must have a finite norm", lambda: Polyhedron([[1.5e308] * 4], [1.0])),
     "as_point-matrix": (DimensionMismatch, "expected a 1-D vector", lambda: as_point([[1.0, 2.0]])),
     "EpigraphSet-kind": (ValueError, "unknown epigraph kind", lambda: EpigraphSet("cube", [0.0, 0.0])),
     "problem_from_json-list": (ValueError, "must be an object", lambda: problem_from_json([1.0])),
@@ -140,9 +142,9 @@ def test_a_bad_input_raises_its_typed_error(error, match, call):
 def test_a_half_space_normal_too_long_to_square_is_refused_without_a_warning():
     # A normal whose square overflows kept <c, c> = inf, so the projection
     # returned (5, 0) unchanged though <c, x> = 5e200 > M, and the LP
-    # solves on the box [-1, 1]^2 raised PointNotInSet.  The limit is the
-    # one a polyhedron's rows are projected under, 2**510, on the norm, so
-    # entries below it can still make a normal too long.
+    # solves on the box [-1, 1]^2 raised PointNotInSet.  The limit is
+    # 2**510, on the norm, so entries below it can still make a normal too
+    # long.
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     limit = 2.0**510
     with warnings.catch_warnings():
