@@ -498,6 +498,30 @@ def test_span_decision_on_nearly_dependent_rows_matches_the_reference_formula(mo
     assert min(decided.values()) >= 250 and between <= 3, (decided, between)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_span_tolerance_reads_the_norm_a_row_entered_with(scale):
+    # From (1, 0) the projection adds the row (s, 0) first, then meets
+    # (-s, s eps), whose part the first row cannot cancel is s eps, while
+    # no multiplier can fall.  Every row enters the kernel in its unit
+    # form, so the norm it entered with is 1 and the tolerance is
+    # 1e-13 (1 + |r|) with r = -1: 2e-13, whatever s was written.  So
+    # eps = 1.5e-13 counts as spanned and the projection raises
+    # EmptyPolyhedron, though the polyhedron holds (0, -1 / eps), 6.7e12
+    # away: the tolerance does not resolve a row this close to antiparallel.
+    # eps = 3e-13 is not spanned, and the answer is the far corner
+    # (0, -1 / eps) of both rows.
+    x = np.array([1.0, 0.0])
+    for eps, empty in ((1.5e-13, True), (3e-13, False)):
+        poly = Polyhedron([[scale, 0.0], [-scale, scale * eps]], [0.0, -scale])
+        if empty:
+            with pytest.raises(EmptyPolyhedron):
+                project_polyhedron(poly, x)
+        else:
+            res = project_polyhedron(poly, x)
+            np.testing.assert_allclose(res.point, [0.0, -1.0 / eps], rtol=1e-9, atol=1e-9)
+            assert res.iterations == 2 and (res.dual > 0.0).all()
+
+
 def test_the_span_decision_does_not_depend_on_the_row_scale():
     # From (1, 0) the projection adds the row (1, 0) first, then meets
     # (-1, eps) (unit rows up to rounding), whose part the first row cannot
