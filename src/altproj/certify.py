@@ -137,10 +137,11 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     except an exactly antiparallel pair: it spans a line, whose nearest
     point lies on one of its two rays.
 
-    Every row is read in the polyhedron's normal form, its unit row (the
-    cones and their distances do not depend on how long the rows are
-    written).  What does not depend on ``c`` is made once per polyhedron
-    and kept on it as ``B._cones`` (built by the first call): for n >= 3,
+    Every row is read in the polyhedron's normal form, its unit row, and
+    ``c`` as the half-space's unit normal (the cones and their distances do
+    not depend on how long the rows or ``c`` are written).  What does not
+    depend on ``c`` is made once per polyhedron and kept on it as
+    ``B._cones`` (built by the first call): for n >= 3,
     the candidate family over all rows, grouped by size
     (:class:`_ConeGroup`), with the inverses ``R^-1`` of the R factors of
     its independent cones; in the plane it is empty.  Each call reads the
@@ -164,23 +165,20 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     a family is kept.
     """
     _check_pair(A, B)
-    c = as_point(A.c, B.dim)
+    neg_chat = -as_point(A._unit, B.dim)
     vertices = feasible_vertices(B) if B.dim >= 3 else ()
     groups = B._cones
     if groups is None:
         groups = _cone_groups(B, vertices)
         object.__setattr__(B, "_cones", groups)
     units = B._units
-    nc = _norm(c)
-    neg_c = -c
-    neg_chat = neg_c / nc
-    qualifying = _dot_rows(units, c) / nc > -1.0 + _STRICT_MARGIN
-    # The ray distances of the qualifying rows, each as unit_distance_to_ray
-    # gives it (its unit vector, ``-c / ||-c||``, is ``neg_chat`` bit for
-    # bit).
+    # A row qualifies when ``<a_i, c> > -||a_i|| ||c||``, read on the unit
+    # rows and the half-space's unit normal.  The ray distances of the
+    # qualifying rows are formed as unit_distance_to_ray forms them, with
+    # ``neg_chat`` as the ray's unit vector.
     uv = _dot_rows(units, neg_chat)
-    rejection = units - uv[:, None] * neg_chat
-    ray = np.where(_dot_rows(units, neg_c) <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(rejection)))
+    qualifying = uv < 1.0 - _STRICT_MARGIN
+    ray = np.where(uv <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(units - uv[:, None] * neg_chat)))
     best = float(ray[qualifying].min(initial=math.inf))
     for group in groups:
         kept = qualifying[group.idx].all(axis=1)

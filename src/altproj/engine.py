@@ -53,14 +53,15 @@ array code's operations entry by entry and so give its bits.  The epigraph
 kernels form no product of two 2-vectors.  Only the half-plane's product
 keeps the BLAS call, because OpenBLAS's ``ddot`` forms a product of two
 2-vectors as ``fma(x1, y1, x0 * y0)``, which can round otherwise than
-``x0 * y0 + x1 * y1``: a half-plane's ``<c, x>``, whose rounding enters the
-projected point, is taken by ``c.dot`` on the wrapped pair.  The exception
-is a half-plane whose ``c`` has a zero entry, such as the fixtures'
-``v <= 0``: one product is then an exact zero, and
-``<c, x>`` is the other product rounded once in every summation order,
-fused or not, so ``c0 x0 + c1 x1`` on floats has its bits on any BLAS (a
-zero sum can differ in sign only, and a zero excess moves no point).
-Each cycle is then screened on floats: the gaps by ``math.hypot``,
+``x0 * y0 + x1 * y1``: a half-plane is read in its normal form, the unit
+normal ``u = c/||c||`` and offset ``o = M/||c||`` of ``HalfSpace``, and its
+``<u, x>``, whose rounding enters the projected point, is taken by
+``u.dot`` on the wrapped pair.  The exception is a half-plane whose ``u``
+has a zero entry, such as the fixtures' ``v <= 0``: one product is then an
+exact zero, and ``<u, x>`` is the other product rounded once in every
+summation order, fused or not, so ``u0 x0 + u1 x1`` on floats has its bits
+on any BLAS (a zero sum can differ in sign only, and a zero excess moves no
+point).  Each cycle is then screened on floats: the gaps by ``math.hypot``,
 each point's membership and normal cone by float tests, and B's residual
 by the ray rejection on floats.  These can differ from the array
 code's values in the last bits, so the screen lets a cycle go on only when
@@ -72,7 +73,7 @@ every test clears its threshold by a margin far above that difference:
 - the gap decrease ``gap_b - gap_a`` exceeds ``GAP_STALL_TOL`` by
   ``1e-12 gap_b``;
 - both points are in their sets: an epigraph's float test is the array
-  code's own, and a half-plane's float ``<c, x> - M`` must clear
+  code's own, and a half-plane's float ``<u, x> - o`` must clear
   ``ACTIVE_TOL`` by ``1e-15`` times the size of its terms;
 - B's residual exceeds ``cert_tol`` by ``1e-12``.
 
@@ -114,19 +115,20 @@ Cycles on one face.  When A is a half-space ``{<c, x> <= M}`` and B a
 polyhedron, a run can spend thousands of cycles creeping along one face
 ``F`` of B, the rows whose projection multipliers are positive.  While the
 B-projection stays on ``F`` it is the projection onto the affine hull of
-``F``.  With ``V`` the null space of ``A_F``, ``P_V`` the projection onto
-it and ``s_k = (<c, b_k> - M)/||c||^2`` the A-step of cycle ``k``, one
-cycle maps ``b_{k+1} = b_k - s_k P_V c`` and ``s_{k+1} = rho s_k`` with
-``rho = 1 - q`` and ``q = ||P_V c||^2/||c||^2``.  After ``j`` cycles
+``F``.  With ``u`` and ``o`` the half-space's normal form (above), ``V``
+the null space of ``A_F``, ``P_V`` the projection onto it and
+``s_k = <u, b_k> - o`` the A-step of cycle ``k``, a distance, one cycle
+maps ``b_{k+1} = b_k - s_k P_V u`` and ``s_{k+1} = rho s_k`` with
+``rho = 1 - q`` and ``q = ||P_V u||^2``.  After ``j`` cycles
 
-    b_{k+j} = b_k - s_k g(j) P_V c,   g(j) = (1 - rho^j)/q,
-    a_{k+j+1} = b_{k+j} - s_k rho^j c.
+    b_{k+j} = b_k - s_k g(j) P_V u,   g(j) = (1 - rho^j)/q,
+    a_{k+j+1} = b_{k+j} - s_k rho^j u.
 
 The multipliers are ``s_k rho^j`` times a fixed vector, so their signs do
 not change; the path leaves ``F`` only when an inactive row becomes tight.
-``P_V c`` comes from the face factor below: when the working rows ``W`` are
+``P_V u`` comes from the face factor below: when the working rows ``W`` are
 exactly the rows of ``F``, the first ``k`` columns ``Q_1`` of its ``Q``
-span them and ``P_V c = c - Q_1 (Q_1' c)``, formed twice to
+span them and ``P_V u = u - Q_1 (Q_1' u)``, formed twice to
 re-orthogonalise it.  A working row with a zero multiplier makes ``W``
 larger than ``F``, and no cycle is generated.  A row outside ``W`` that is
 tight with a zero multiplier, such as a copy of a face row, stops nothing
@@ -138,12 +140,12 @@ events could happen:
 - an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``, or, for
   a row already within that margin, falls by the smallest feasibility
   tolerance of a B-projection below the larger of its slack and 0;
-- the gap ``s_k rho^j ||c||`` falls to the certificate tolerance (the
+- the gap ``s_k rho^j`` falls to the certificate tolerance (the
   pair witnesses a common point) or to ``ZERO_TOL``, whichever is larger;
-- the A-point's violation of the face rows, ``s_k rho^j max(-U_F c)``,
+- the A-point's violation of the face rows, ``s_k rho^j max(-U_F u)``,
   falls to the feasibility tolerance of the polyhedron projection, which
   then returns the A-point unchanged (a common point by rounding);
-- the gap-stall difference ``s_k rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||)``,
+- the gap-stall difference ``s_k rho^(j-1) ||P_r u|| (1 - ||P_r u||)``,
   with ``P_r = I - P_V``, falls below ``GAP_STALL_TOL``;
 - the cycle cap.
 
@@ -177,7 +179,7 @@ continues from ``(W, u, z)`` and a copy of the factor; a negative entry of
 ``u`` starts it from the empty working set.  A feasible ``x`` is returned
 unchanged before the face is tried, as the cold projection does.  On random
 LPs about half the B-projections land on the face of the cycle before.  The
-same factor gives the closed-form cycles their ``P_V c`` (above), so a
+same factor gives the closed-form cycles their ``P_V u`` (above), so a
 face is never factored afresh.
 
 The same factor decides the cycle (:func:`_face_residual`).  B's normal
@@ -276,11 +278,11 @@ _MAX_ITERS = 1000
 # Margins of the float screen of a planar cycle (module docstring): the
 # screen's residual must exceed the tolerance by _RESIDUAL_MARGIN, its gap
 # decrease GAP_STALL_TOL by _STALL_MARGIN times the B-step's gap, and a
-# half-plane's float ``<c, x> - M`` must clear ACTIVE_TOL by _DOT_MARGIN
+# half-plane's float ``<u, x> - o`` must clear ACTIVE_TOL by _DOT_MARGIN
 # times the size of its terms.  Each is far above the rounding by which the
 # float value can differ from the array code's (a few units in the last
 # place of 1 for the residual and of the gaps, about 3e-16 of the terms
-# for ``<c, x>``).
+# for ``<u, x>``).
 _RESIDUAL_MARGIN = 1e-12
 _STALL_MARGIN = 1e-12
 _DOT_MARGIN = 1e-15
@@ -644,60 +646,64 @@ def run(
     cert_tol = _check_tol(cert_tol, "cert_tol")
     _check_start(set_a, x0)
     _check_dims(set_a, set_b)
-    if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
-        return _run_planar(set_a, set_b, x0, max_iters, cert_tol)
+    # A far iterate's step can square past the float range; ``_norm`` then
+    # takes its length again from the scaled step, so the overflow of the
+    # first try is expected and raises no warning.
+    with np.errstate(over="ignore"):
+        if set_a.dim == 2 and not isinstance(set_a, Polyhedron) and not isinstance(set_b, Polyhedron):
+            return _run_planar(set_a, set_b, x0, max_iters, cert_tol)
 
-    # The real iterates since the last stretch are flat arrays in ``points``.
-    # A stretch joins them into one piece and follows it in ``pieces`` as
-    # its closed form; the stop joins the rest.  The joined copies keep the
-    # trace apart from ``x0`` and from the certificate's pair, which callers
-    # hold (``_trace`` builds the arrays on first read).
-    points, pieces = [x0], []
-    # On a half-space/polyhedron pair the B-projection's multipliers name
-    # the face it lands on; a repeated face is walked in closed form.
-    walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
-    last_face, walked = None, False
-    factor = None  # the face factor of the last B-projection (module docstring)
-    generated = active_steps = 0
-    current = x0
-    cycle = 0
-    while cycle < max_iters:
-        if walk:
-            res, factor = _project_from(set_b, current, factor)
-            b, face = res.point, res.dual > 0.0
-            active_steps += res.iterations
+        # The real iterates since the last stretch are flat arrays in ``points``.
+        # A stretch joins them into one piece and follows it in ``pieces`` as
+        # its closed form; the stop joins the rest.  The joined copies keep the
+        # trace apart from ``x0`` and from the certificate's pair, which callers
+        # hold (``_trace`` builds the arrays on first read).
+        points, pieces = [x0], []
+        # On a half-space/polyhedron pair the B-projection's multipliers name
+        # the face it lands on; a repeated face is walked in closed form.
+        walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
+        last_face, walked = None, False
+        factor = None  # the face factor of the last B-projection (module docstring)
+        generated = active_steps = 0
+        current = x0
+        cycle = 0
+        while cycle < max_iters:
+            if walk:
+                res, factor = _project_from(set_b, current, factor)
+                b, face = res.point, res.dual > 0.0
+                active_steps += res.iterations
+            else:
+                b = _project_point(set_b, current)
+            gap_b = _step_gap(b, current)[1]
+            a = _project_point(set_a, b)
+            d, gap_a = _step_gap(a, b)
+            points += (b, a)
+            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol, factor)
+            if stop is not None:
+                break
+            current = a
+            cycle += 1
+            if not walk:
+                continue
+            key = face.tobytes()
+            if key != last_face:
+                last_face, walked = key, False
+            elif not walked:
+                walked = True
+                jump = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
+                if jump is not None:
+                    stretch, last = jump
+                    pieces += (np.concatenate(points), stretch)
+                    points = []
+                    generated += stretch.J
+                    cycle += stretch.J
+                    current = last[1]
         else:
-            b = _project_point(set_b, current)
-        gap_b = _step_gap(b, current)[1]
-        a = _project_point(set_a, b)
-        d, gap_a = _step_gap(a, b)
-        points += (b, a)
-        stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol, factor)
-        if stop is not None:
-            break
-        current = a
-        cycle += 1
-        if not walk:
-            continue
-        key = face.tobytes()
-        if key != last_face:
-            last_face, walked = key, False
-        elif not walked:
-            walked = True
-            jump = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
-            if jump is not None:
-                stretch, last = jump
-                pieces += (np.concatenate(points), stretch)
-                points = []
-                generated += stretch.J
-                cycle += stretch.J
-                current = last[1]
-    else:
-        # The last cycle was a real one: a closed-form stretch stops at
-        # least one cycle short of the cap.
-        stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
-    pieces.append(np.concatenate(points))
-    return _trace(pieces, x0.shape[0], gap_a, stop, generated, active_steps)
+            # The last cycle was a real one: a closed-form stretch stops at
+            # least one cycle short of the cap.
+            stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+        pieces.append(np.concatenate(points))
+        return _trace(pieces, x0.shape[0], gap_a, stop, generated, active_steps)
 
 
 def _trace(
@@ -817,20 +823,22 @@ def _planar_projection(s: HalfSpace | EpigraphSet):
 
 
 def _screened_generators(s: HalfSpace | EpigraphSet, x0: float, x1: float) -> tuple | None:
-    # The generators of ``normal_cone_columns(s, (x0, x1))`` as float pairs,
-    # or None when the float screen cannot tell that the point is in ``s``.
-    # An epigraph's kernel is the array code's own (the epigraph branch of
-    # ``sets._active``); a half-plane's float ``<c, x> - M`` decides
-    # membership and activeness only where it clears ``ACTIVE_TOL`` by
-    # ``_DOT_MARGIN`` times its terms, and is None otherwise.
+    # Generators of the cone of ``normal_cone_columns(s, (x0, x1))`` as float
+    # pairs, or None when the float screen cannot tell that the point is in
+    # ``s``.  An epigraph's kernel is the array code's own (the epigraph
+    # branch of ``sets._active``); a half-plane's float ``<u, x> - o`` on
+    # its unit normal ``u`` and offset ``o`` decides membership and
+    # activeness only where it clears ``ACTIVE_TOL`` by ``_DOT_MARGIN`` times
+    # its terms, and is None otherwise.  Its generator is ``u``, which spans
+    # the cone that ``c`` spans.
     if isinstance(s, EpigraphSet):
         return _epigraph_generators(s, x0, x1, ACTIVE_TOL)
-    c0, c1 = s._c_floats
-    t0, t1 = c0 * x0, c1 * x1
-    excess = t0 + t1 - s.M
-    margin = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(s.M)) + 1e-300
+    u0, u1 = s._unit_floats
+    t0, t1 = u0 * x0, u1 * x1
+    excess = t0 + t1 - s._offset
+    margin = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(s._offset)) + 1e-300
     if abs(excess) <= ACTIVE_TOL - margin:
-        return ((c0, c1),)
+        return ((u0, u1),)
     if excess < -ACTIVE_TOL - margin:
         return ()
     return None
@@ -889,14 +897,15 @@ class _Stretch(NamedTuple):
     """The cycles of one closed-form stretch on a face (module docstring).
 
     Cycle ``j`` of the stretch, ``1 <= j <= J``, has the B-point
-    ``b - g(j) P_V c`` and the A-point ``b - g(j) P_V c - e(j) c``, with
-    ``g(j) = s (1 - rho^j)/q``, ``e(j) = s rho^j`` and ``b`` the B-point of
-    the real cycle before the stretch; ``pvc`` is ``P_V c``.
+    ``b - g(j) P_V u`` and the A-point ``b - g(j) P_V u - e(j) u``, with
+    ``u`` the half-space's unit normal, ``g(j) = s (1 - rho^j)/q``,
+    ``e(j) = s rho^j`` and ``b`` the B-point of the real cycle before the
+    stretch; ``pvu`` is ``P_V u``.
     """
 
     b: np.ndarray
-    pvc: np.ndarray
-    c: np.ndarray
+    pvu: np.ndarray
+    u: np.ndarray
     s: float
     log_rho: float
     q: float
@@ -915,8 +924,8 @@ class _Stretch(NamedTuple):
         g = self.s * -np.expm1(j_log_rho) / self.q
         e = self.s * np.exp(j_log_rho)
         points = np.empty((2, self.b.shape[0], len(j)))
-        np.subtract(self.b[:, None], np.multiply.outer(self.pvc, g), out=points[0])
-        np.subtract(points[0], np.multiply.outer(self.c, e), out=points[1])
+        np.subtract(self.b[:, None], np.multiply.outer(self.pvu, g), out=points[0])
+        np.subtract(points[0], np.multiply.outer(self.u, e), out=points[1])
         return np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(2 * len(j), -1)
 
 
@@ -938,36 +947,35 @@ def _face_jump(
     of the first cycle at which the face could change or a stop rule could
     fire; the second value holds the B- and A-point of its last cycle as
     the C-contiguous rows of ``stretch.rows`` at ``j = J``, bit for bit the
-    last two rows of the stretch's block.  ``P_V c`` is
-    ``c - Q_1 (Q_1' c)``, formed twice to re-orthogonalise it, with ``Q_1``
-    the factor's first ``k`` columns, which span the working rows.  The
-    result is None when the working rows are not exactly the rows of
-    ``face`` (a working row with a zero multiplier) and when the first
-    event falls within three cycles: an approaching inactive row that
-    reaches its floor (``10 * ACTIVE_TOL``, or for a row already within
-    that margin its slack less the smallest B-projection feasibility
-    tolerance), a gap at the certificate tolerance, an A-point feasible
-    within the projection's tolerance, or a stall.  A row within the
-    margin that the path does not move, such as a copy of a face row,
-    limits nothing.  No run reaches the other guards: ``b`` in the
-    half-space (a zero A-step, so the run stopped) and a face that does not
-    move the run, ``||P_V c||`` below ``ZERO_TOL ||c||`` or all of ``c``
-    (the cycle before, on this face, cut its gap by ``q/2`` of it, a stall
-    for gaps under 2e10, or to ``1 - q`` of the gap before, a stop for gaps
-    under 1e4).
+    last two rows of the stretch's block.  ``P_V u``, for the unit normal
+    ``u`` of ``h``, is ``u - Q_1 (Q_1' u)``, formed twice to
+    re-orthogonalise it, with ``Q_1`` the factor's first ``k`` columns,
+    which span the working rows.  The result is None when the working rows
+    are not exactly the rows of ``face`` (a working row with a zero
+    multiplier) and when the first event falls within three cycles: an
+    approaching inactive row that reaches its floor (``10 * ACTIVE_TOL``,
+    or for a row already within that margin its slack less the smallest
+    B-projection feasibility tolerance), a gap at the certificate
+    tolerance, an A-point feasible within the projection's tolerance, or a
+    stall.  A row within the margin that the path does not move, such as a
+    copy of a face row, limits nothing.  No run reaches the other guards:
+    ``b`` in the half-space (a zero A-step, so the run stopped) and a face
+    that does not move the run, ``||P_V u||`` below ``ZERO_TOL`` or all of
+    ``u`` (the cycle before, on this face, cut its gap by ``q/2`` of it, a
+    stall for gaps under 2e10, or to ``1 - q`` of the gap before, a stop for
+    gaps under 1e4).
     """
-    c, cc = h.c, h._cc
-    s = (float(c.dot(b)) - h.M) / cc
+    u = h._unit
+    s = float(u.dot(b)) - h._offset
     if not s > 0.0 or not _on_working_rows(face, factor.W):
         return None
     Q1 = factor.Q1
-    pvc = c - Q1.dot(c.dot(Q1))
-    pvc -= Q1.dot(pvc.dot(Q1))
-    q = float(pvc.dot(pvc)) / cc
+    pvu = u - Q1.dot(u.dot(Q1))
+    pvu -= Q1.dot(pvu.dot(Q1))
+    q = float(pvu.dot(pvu))
     if not ZERO_TOL < math.sqrt(q) < 1.0:
         return None
     log_rho = math.log1p(-q)
-    nc = math.sqrt(cc)
 
     def reached(value: float, floor: float) -> int:
         # The first j with value * rho^j <= floor, or the one before it (the
@@ -976,20 +984,20 @@ def _face_jump(
 
     horizon = float(cycles_left + 1)  # the first cycle past the cap
     # Inactive rows, read as the unit rows u_i of the polyhedron's normal
-    # form: slack_i(j) = slack_i + s g(j) u_i P_V c, a distance, so an
+    # form: slack_i(j) = slack_i + s g(j) u_i P_V u, a distance, so an
     # approaching row reaches its floor once 1 - rho^j >= t.  A row beyond
     # the margin may fall to it.  A row already within it may fall by the
     # smallest feasibility tolerance of any B-projection, ``_feas_tol`` of
     # the polyhedron's scale and a zero norm, below max(slack_i, 0): every
     # slack of a generated B-point then stays above minus that tolerance,
     # so the point passes the feasibility test of the real projection that
-    # would return it.  A copy of a face row has u_i P_V c = 0 but for
+    # would return it.  A copy of a face row has u_i P_V u = 0 but for
     # rounding, so over the whole stretch it falls by about 1 / sqrt(q)
     # times the unit roundoff of the gap and seldom limits it; a row the
     # path moves ends the stretch once it has fallen by the tolerance.
     margin = 10.0 * ACTIVE_TOL
     units = poly._units
-    closing = -units.dot(pvc)
+    closing = -units.dot(pvu)
     closing[face] = 0.0
     hit = closing > 0.0
     slack = (poly._offsets - units.dot(b))[hit]
@@ -998,21 +1006,21 @@ def _face_jump(
     t = t[t < 1.0]
     if t.size:
         horizon = min(horizon, float(np.floor(np.log1p(-t) / log_rho).min()))
-    # Common point: s rho^j ||c|| <= max(cert_tol, ZERO_TOL), where the run
+    # Common point: s rho^j <= max(cert_tol, ZERO_TOL), where the run
     # certifies or stops on a gap too small to normalise.
-    horizon = min(horizon, reached(s * nc, max(cert_tol, ZERO_TOL)))
+    horizon = min(horizon, reached(s, max(cert_tol, ZERO_TOL)))
     # Common point by rounding: the A-point of cycle k + j violates a face
-    # row by at most s rho^j max(-U_F c), and the next B-projection returns
+    # row by at most s rho^j max(-U_F u), and the next B-projection returns
     # it unchanged once that is within the projection's feasibility
-    # tolerance; ||a|| <= ||b|| + s ||c|| (1 + 1/sqrt(q)) along the face.
-    reach = _norm(b) + s * nc * (1.0 + 1.0 / math.sqrt(q))
+    # tolerance; ||a|| <= ||b|| + s (1 + 1/sqrt(q)) along the face.
+    reach = _norm(b) + s * (1.0 + 1.0 / math.sqrt(q))
     feas_tol = _feas_tol(poly._scale, reach)
-    horizon = min(horizon, 1 + reached(-s * float(units[face].dot(c).min()), feas_tol))
-    # Gap stall: s rho^(j-1) ||P_r c|| (1 - ||P_r c||/||c||) < GAP_STALL_TOL.
-    prc = _norm(c - pvc)
-    horizon = min(horizon, 1 + reached(s * prc * (1.0 - prc / nc), GAP_STALL_TOL))
+    horizon = min(horizon, 1 + reached(-s * float(units[face].dot(u).min()), feas_tol))
+    # Gap stall: s rho^(j-1) ||P_r u|| (1 - ||P_r u||) < GAP_STALL_TOL.
+    pru = _norm(u - pvu)
+    horizon = min(horizon, 1 + reached(s * pru * (1.0 - pru), GAP_STALL_TOL))
     jumps = int(horizon) - 2
     if jumps < 1:
         return None
-    stretch = _Stretch(b, pvc, c, s, log_rho, q, jumps)
+    stretch = _Stretch(b, pvu, u, s, log_rho, q, jumps)
     return stretch, stretch.rows(np.arange(jumps, jumps + 1))

@@ -135,7 +135,7 @@ def solve_lp(
             # The run found a (near-)common point: the sets intersect, so M
             # was not strictly below the optimum.
             raise _not_strict(M)
-        _check_strict_bound(c, M, b_star)
+        _check_strict_bound(halfspace, b_star)
         if trace.stop_reason is not engine.StopReason.CERTIFIED:
             raise NotConverged(
                 f"direct solve stopped with {trace.stop_reason.value} "
@@ -150,7 +150,7 @@ def solve_lp(
         except Unbounded:
             raise _not_strict(M) from None
         b_star = end.point
-        _check_strict_bound(c, M, b_star)
+        _check_strict_bound(halfspace, b_star)
         # Certify b* against the unshifted half-space: the walk stopped where
         # -c lies in the cone of b*'s working rows, so B's residual is read
         # from the walk's final face wherever its factor decides.  Both
@@ -176,12 +176,13 @@ def solve_lp(
     )
 
 
-def _check_strict_bound(c: np.ndarray, M: float, b_star: np.ndarray) -> None:
-    # Distance from the solve's own feasible point to the half-space; if it
-    # vanishes the offset M was not strictly below the optimum.
-    gap = (float(c.dot(b_star)) - M) / _norm(c)
+def _check_strict_bound(halfspace: HalfSpace, b_star: np.ndarray) -> None:
+    # Distance from the solve's own feasible point to the half-space, read
+    # on its unit normal and offset; if it vanishes the offset M was not
+    # strictly below the optimum.
+    gap = float(halfspace._unit.dot(b_star)) - halfspace._offset
     if gap <= _STRICT_TOL:
-        raise _not_strict(M)
+        raise _not_strict(halfspace.M)
 
 
 def _not_strict(M: float) -> LowerBoundNotStrict:

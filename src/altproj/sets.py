@@ -22,15 +22,16 @@ from .errors import (
     StartNotInA,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, _check_tol, _dot_row_norms, _real_array, _real_scalar, as_point
+from .linalg import ZERO_TOL, _check_tol, _dot_row_norms, _entry_norm, _real_array, _real_scalar, as_point
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
 # Projections are accurate to ~1e-10, so this leaves a safety margin.
 ACTIVE_TOL = 1e-8
-# Norm from which a half-space normal is refused: ``<c, c>``, which every
-# projection onto the half-space divides by, stays below 2**1020 and so
-# finite for shorter normals.
+# Norm from which a half-space normal is refused.  The kernels read the unit
+# normal, but the walk along ``-c``, the LP's default start and
+# ``unit_distance_to_ray`` still form ``<c, c>``, which stays below 2**1020
+# and so finite for shorter normals.
 _ROW_NORM_LIMIT = 2.0**510
 
 
@@ -60,23 +61,29 @@ class _ValueSet:
 class HalfSpace(_ValueSet):
     """Closed half-space ``{x : <c, x> <= M}`` with outward normal ``c``.
 
-    Raises :class:`ZeroVector` for a normal of norm ``ZERO_TOL`` or less and
-    :class:`DegenerateRow` for one of norm 2**510 (about 3.4e153) or more:
-    its square would overflow in every projection onto the half-space.  The
-    norm is taken by ``math.hypot``, so no overflow warning comes before the
-    error.
+    ``c`` and ``M`` are kept as written.  Every kernel reads the one normal
+    form made here instead, as for :class:`Polyhedron`'s rows: the unit
+    normal ``c / ||c||`` and the offset ``M / ||c||``.  A positive scale of
+    ``(c, M)`` leaves the half-space as it is, so it changes no projection
+    and no tolerance: a tolerance on ``<c, x> <= M`` is a distance to the
+    boundary hyperplane.  Raises :class:`ZeroVector` for a normal of norm
+    ``ZERO_TOL`` or less and :class:`DegenerateRow` for one of norm 2**510
+    (about 3.4e153) or more, whose square would overflow, and for an offset
+    over the norm that overflows.  The norm is ``linalg._norm``'s, taken
+    with no overflow warning.
     """
 
     c: np.ndarray
     M: float
-    # ``<c, c>``, formed once for every projection onto the half-space, and
-    # the entries of ``c`` as floats for the planar kernels.
-    _cc: float = field(init=False, repr=False, compare=False)
-    _c_floats: tuple = field(init=False, repr=False, compare=False)
+    # The unit normal and the offset over the norm, and the unit normal's
+    # entries as floats for the planar kernels.
+    _unit: np.ndarray = field(init=False, repr=False, compare=False)
+    _offset: float = field(init=False, repr=False, compare=False)
+    _unit_floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = as_point(self.c)
-        norm_c = math.hypot(*c.tolist())
+        norm_c = _entry_norm(c)
         if norm_c <= ZERO_TOL:
             raise ZeroVector("half-space normal must be nonzero")
         if not norm_c < _ROW_NORM_LIMIT:
@@ -86,10 +93,14 @@ class HalfSpace(_ValueSet):
         M = _real_scalar(self.M, "M")
         if not math.isfinite(M):
             raise ValueError("half-space offset M must be finite")
+        offset = M / norm_c
+        if not math.isfinite(offset):
+            raise DegenerateRow("half-space offset over the normal's norm must be finite")
         object.__setattr__(self, "c", _freeze(c))
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "_cc", float(c.dot(c)))
-        object.__setattr__(self, "_c_floats", tuple(c.tolist()))
+        object.__setattr__(self, "_unit", _freeze(c / norm_c))
+        object.__setattr__(self, "_offset", offset)
+        object.__setattr__(self, "_unit_floats", tuple(self._unit.tolist()))
 
     @property
     def dim(self) -> int:
@@ -197,7 +208,9 @@ ProjectableSet = Union[HalfSpace, Polyhedron, EpigraphSet]
 def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
     """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``.
 
-    ``tol`` must be a finite, nonnegative number (``ValueError`` otherwise).
+    For a half-space or a polyhedron ``tol`` is a distance to each boundary
+    hyperplane, whatever scale its inequality is written at.  ``tol`` must
+    be a finite, nonnegative number (``ValueError`` otherwise).
     """
     return _active(s, as_point(x, s.dim), _check_tol(tol, "tol")) is not None
 
@@ -223,33 +236,34 @@ def project_halfspace(h: HalfSpace, x) -> np.ndarray:
 
 
 def _project_halfspace(h: HalfSpace, x: np.ndarray) -> np.ndarray:
-    # ``project_halfspace`` for a point already validated against ``h``.
-    excess = float(h.c.dot(x)) - h.M
+    # ``project_halfspace`` for a point already validated against ``h``:
+    # ``excess`` is the distance of ``x`` past the boundary.
+    excess = float(h._unit.dot(x)) - h._offset
     if excess <= 0.0:
         return x.copy()
-    return x - (excess / h._cc) * h.c
+    return x - excess * h._unit
 
 
 def _project_halfplane_xy(h: HalfSpace, x0: float, x1: float) -> tuple[float, float]:
-    # ``_project_halfspace`` for the 2-D point ``(x0, x1)``, on floats.
-    # A BLAS product of two 2-vectors can round otherwise than
-    # ``c0 x0 + c1 x1`` (OpenBLAS fuses the second product into the sum), and
-    # the rounding of ``<c, x>`` enters the point.  When ``c`` has a zero
-    # entry, one product is an exact zero (at a finite point) and ``<c, x>``
-    # is the other product rounded once, in every summation order, fused or
-    # not; only the sign of a zero sum can differ, and a zero ``excess``
-    # moves no point.  So floats stand in for ``c.dot`` there, whatever the
-    # BLAS.  Any other ``c`` keeps ``c.dot`` on the wrapped pair.  The rest
-    # is the array code's arithmetic, entry by entry.
-    c0, c1 = h._c_floats
-    if c0 == 0.0 or c1 == 0.0:
-        excess = c0 * x0 + c1 * x1 - h.M
+    # ``_project_halfspace`` for the 2-D point ``(x0, x1)``, on floats, with
+    # ``u`` the unit normal.  A BLAS product of two 2-vectors can round
+    # otherwise than ``u0 x0 + u1 x1`` (OpenBLAS fuses the second product
+    # into the sum), and the rounding of ``<u, x>`` enters the point.  When
+    # ``u`` has a zero entry, one product is an exact zero (at a finite
+    # point) and ``<u, x>`` is the other product rounded once, in every
+    # summation order, fused or not; only the sign of a zero sum can
+    # differ, and a zero ``excess`` moves no point.  So floats stand in for
+    # ``u.dot`` there, whatever the BLAS.  Any other ``u`` keeps ``u.dot``
+    # on the wrapped pair.  The rest is the array code's arithmetic, entry
+    # by entry.
+    u0, u1 = h._unit_floats
+    if u0 == 0.0 or u1 == 0.0:
+        excess = u0 * x0 + u1 * x1 - h._offset
     else:
-        excess = float(h.c.dot(np.array((x0, x1)))) - h.M
+        excess = float(h._unit.dot(np.array((x0, x1)))) - h._offset
     if excess <= 0.0:
         return x0, x1
-    s = excess / h._cc
-    return x0 - s * c0, x1 - s * c1
+    return x0 - excess * u0, x1 - excess * u1
 
 
 def _epigraph_offset(e: EpigraphSet, x0: float, x1: float) -> tuple[float, float, float]:
@@ -378,22 +392,23 @@ def _active(s: ProjectableSet, x, tol: float):
     the engine's cycle decision; the engine's planar screen calls its
     epigraph branch, :func:`_epigraph_generators`, on floats.  ``x`` is a
     validated point of the set's dimension.  It is in ``s`` within ``tol``
-    when ``<c, x> <= M + tol``, every ``u_i x <= o_i + tol``, or
+    when ``<u, x> <= o + tol``, every ``u_i x <= o_i + tol``, or
     ``z1 >= p - tol`` for ``z = x - shift`` and the profile ``p`` (``|z0|``
-    or ``z0^2``); a NaN entry is in no set.  A polyhedron is read in its
-    normal form, the unit rows ``u_i`` and offsets ``o_i`` of
-    :class:`Polyhedron`, so there ``tol`` is a distance to each row's
-    hyperplane, whatever scale the row was written at.  What is tight there
-    is, for a half-space, the bool ``|<c, x> - M| <= tol``; for a
+    or ``z0^2``); a NaN entry is in no set.  A half-space and a polyhedron
+    are read in their normal form, the unit normal ``u`` and offset ``o``
+    of :class:`HalfSpace` and the unit rows ``u_i`` and offsets ``o_i`` of
+    :class:`Polyhedron`, so there ``tol`` is a distance to each
+    hyperplane, whatever scale it was written at.  What is tight there
+    is, for a half-space, the bool ``|<u, x> - o| <= tol``; for a
     polyhedron, the mask of the rows with ``|u_i x - o_i| <= tol``; for an
     epigraph, the generators of the cone as float pairs: none at an
     interior point (``z1 > p + tol``), two at the abs apex
-    (``|z0| <= tol``), one elsewhere.  Each quantity (``<c, x>``, ``U x``
+    (``|z0| <= tol``), one elsewhere.  Each quantity (``<u, x>``, ``U x``
     or ``z``) is formed once for both tests.
     """
     if isinstance(s, HalfSpace):
-        cx = float(s.c.dot(x))
-        return abs(cx - s.M) <= tol if cx <= s.M + tol else None
+        ux = float(s._unit.dot(x))
+        return abs(ux - s._offset) <= tol if ux <= s._offset + tol else None
     if isinstance(s, Polyhedron):
         ux = s._units.dot(x)
         return np.abs(ux - s._offsets) <= tol if all((ux <= s._offsets + tol).tolist()) else None

@@ -114,11 +114,11 @@ def reads_feas_tol(node):
 
 
 def compares_an_offset(node):
-    """Whether ``node`` is a comparison that reads an offset ``.M``, ``.b`` or
-    ``._offsets``: a half-space's or a polyhedron's membership or activity
-    test."""
+    """Whether ``node`` is a comparison that reads an offset ``.M``, ``.b``,
+    ``._offset`` or ``._offsets``: a half-space's or a polyhedron's
+    membership or activity test."""
     return isinstance(node, ast.Compare) and any(
-        isinstance(part, ast.Attribute) and part.attr in ("M", "b", "_offsets")
+        isinstance(part, ast.Attribute) and part.attr in ("M", "b", "_offset", "_offsets")
         for operand in (node.left, *node.comparators)
         for part in ast.walk(operand)
     )
@@ -148,22 +148,22 @@ def reads_written_rows(node):
     )
 
 
-def sets_the_normal_form(node):
-    """Whether ``node`` sets a polyhedron's row norms, unit rows or offsets
-    over the norms by ``object.__setattr__``."""
+ROW_FORM = ("_norms", "_units", "_offsets")
+HALF_SPACE_FORM = ("_unit", "_offset")
+
+
+def sets_the_normal_form(node, names):
+    """Whether ``node`` sets one of the attributes ``names`` of a normal form
+    by ``object.__setattr__``."""
     return (
         isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) == "__setattr__"
-        and any(isinstance(arg, ast.Constant) and arg.value in ("_norms", "_units", "_offsets") for arg in node.args)
+        and any(isinstance(arg, ast.Constant) and arg.value in names for arg in node.args)
     )
 
 
-def test_every_kernel_reads_the_unit_rows():
-    # Polyhedron.__post_init__ forms the rows' normal form once; the
-    # projection, the walk, the active-set kernel, the cycle decision, the
-    # LP's feasibility check and alpha read it, never the rows as written.
-    # The one reader of the row norms is qp._written, which turns the unit
-    # rows' multipliers into the written rows' for the public projections.
+def normal_form_setters(names):
+    """``module.Class.method`` of every method that sets one of ``names``."""
     forms = set()
     for path in sorted((SRC / "altproj").glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -173,16 +173,42 @@ def test_every_kernel_reads_the_unit_rows():
                     for func in cls.body
                     if isinstance(func, ast.FunctionDef)
                     for node in ast.walk(func)
-                    if sets_the_normal_form(node)
+                    if sets_the_normal_form(node, names)
                 }
-    assert forms == {"sets.Polyhedron.__post_init__"}
-    assert sites(sets_the_normal_form) == {"sets.__post_init__"}
+    return forms
+
+
+def test_every_kernel_reads_the_unit_rows():
+    # Polyhedron.__post_init__ forms the rows' normal form once; the
+    # projection, the walk, the active-set kernel, the cycle decision, the
+    # LP's feasibility check and alpha read it, never the rows as written.
+    # The one reader of the row norms is qp._written, which turns the unit
+    # rows' multipliers into the written rows' for the public projections.
+    assert normal_form_setters(ROW_FORM) == {"sets.Polyhedron.__post_init__"}
+    assert sites(lambda node: sets_the_normal_form(node, ROW_FORM)) == {"sets.__post_init__"}
     assert sites(reads_written_rows, ("qp", "linalg", "engine", "lp", "certify")) == set()
     assert sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_norms") == {"qp._written"}
     sample = ast.parse("p.A\np.b\nself.b\np._units\nface.A_W\np.A = 1")
     assert [reads_written_rows(s.value if isinstance(s, ast.Expr) else s.targets[0]) for s in sample.body] == [
         True, True, False, False, False, False
     ]
+
+
+def reads_c_or_m(node):
+    """Whether ``node`` reads an attribute ``.c`` or ``.M``: a half-space's
+    normal or offset as written."""
+    return isinstance(node, ast.Attribute) and node.attr in ("c", "M") and isinstance(node.ctx, ast.Load)
+
+
+def test_every_kernel_reads_the_unit_normal():
+    # HalfSpace.__post_init__ forms the half-space's normal form once, the
+    # unit normal and the offset over the norm, and keeps no <c, c>.  The
+    # engine's projections, screen, cycle decision and closed-form cycles
+    # read that form only, never c or M as written.
+    assert normal_form_setters(HALF_SPACE_FORM) == {"sets.HalfSpace.__post_init__"}
+    assert sites(lambda node: sets_the_normal_form(node, HALF_SPACE_FORM)) == {"sets.__post_init__"}
+    assert not sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_cc")
+    assert sites(reads_c_or_m, ("engine",)) == set()
 
 
 def opens_for_writing(node):

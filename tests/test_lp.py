@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -441,3 +442,39 @@ def test_rescaled_rows_give_the_pool_answers():
             out = solve_lp(scaled, strategy=strategy)
             assert out.certificate.holds
             assert abs(out.objective - optimum) <= 1e-12 * max(1.0, abs(optimum))
+
+
+# -- the half-space scale -----------------------------------------------------
+#
+# A positive scale of the objective and the bound together,
+# ``(c, M) -> (s c, s M)``, leaves the half-space ``{<c, x> <= M}`` and so the
+# LP's solution as they are.  Every kernel reads the half-space's unit form,
+# so no answer may depend on the scale.
+
+
+def test_rescaled_objectives_give_the_pool_answers():
+    # The LPs of pool seed 1 with c and M scaled together by one 10^U(-8, 8)
+    # per LP, the scales drawn from rng 99: both strategies solve every one,
+    # to its oracle optimum.  Read as written, an absolute tolerance on
+    # <c, x> - M made the direct strategy refuse 8 of them and the shifted
+    # strategy 5, every one at a scale above 2e7.
+    rng, scales = np.random.default_rng(1), np.random.default_rng(99)
+    for _ in range(300):
+        problem, optimum, _ = random_lp_instance(rng)
+        s = 10.0 ** scales.uniform(-8.0, 8.0)
+        scaled = LPProblem(s * problem.c, problem.poly, s * problem.M)
+        for strategy in ("direct", "shifted"):
+            out = solve_lp(scaled, strategy=strategy)
+            assert out.certificate.holds
+            assert abs(out.objective / s - optimum) <= 1e-12 * max(1.0, abs(optimum))
+
+
+def test_a_far_start_solves_without_a_warning():
+    # From (-1e200, -1e200) the first B-step's sum of squares overflows, and
+    # the step's length is taken again from the scaled step: an expected
+    # overflow, so it must raise no warning.
+    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_lp(LPProblem([1.0, 1.0], box, -5.0), x0=[-1e200, -1e200], strategy="direct")
+    assert out.solution.tolist() == [-1.0, -1.0] and out.certificate.holds

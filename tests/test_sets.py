@@ -35,6 +35,19 @@ def test_contains_rejects_dimension_mismatch():
         contains(HalfSpace([0, 1], 0.0), [1, 2, 3])
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_a_half_space_tolerance_is_a_distance(scale):
+    # {<(3, 4), x> <= 5} lies at distance 1 from the origin along (0.6, 0.8),
+    # written at three scales.  The default tolerance, 1e-8, is a distance
+    # to that line at each: a point 0.5e-8 past it is in the set, on the
+    # boundary, and a point 2e-8 past it is not.
+    h = HalfSpace([3.0 * scale, 4.0 * scale], 5.0 * scale)
+    past = [(1.0 + d) * np.array([0.6, 0.8]) for d in (0.5e-8, 2e-8)]
+    assert contains(h, past[0]) and not contains(h, past[1])
+    assert len(proximal_normal_generators(h, past[0])) == 1
+    assert proximal_normal_generators(h, [0.0, 0.0]) == []
+
+
 def test_project_halfspace_examples():
     h = HalfSpace([0, 1], 0.0)
     np.testing.assert_allclose(project_halfspace(h, [3, -2]), [3, -2])

@@ -537,10 +537,12 @@ def test_far_axis_aligned_pairs_stop_or_raise_as_the_public_loop_does():
 
 
 def test_an_axis_aligned_product_that_overflows_raises_as_the_public_loop_does():
-    # The B-point is the apex (0, 1e300); c1 x1 = 1e310 overflows, so the
-    # A-projection is not finite.
-    plane, vee = HalfSpace([0.0, 1e10], 0.0), absval_epigraph(1e300)
+    # The B-point is the apex (0, 1e308), so the A-step's excess
+    # 1e308 - (-1e308) overflows and the A-projection is not finite.  (The
+    # kernels read the unit normal, so a long normal such as (0, 1e10) no
+    # longer overflows a product.)
+    plane, vee, x0 = HalfSpace([0.0, 1.0], -1e308), absval_epigraph(1e308), [0.0, -1e308]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = outcome(run, plane, vee, [0.0, 0.0])
-        assert got == outcome(plain_run, plane, vee, [0.0, 0.0])
+        got = outcome(run, plane, vee, x0)
+        assert got == outcome(plain_run, plane, vee, x0)
     assert got == ("ValueError", "vector entries must be finite")

@@ -101,6 +101,7 @@ REJECTED = {
     "Polyhedron-3d-matrix": (DimensionMismatch, "matrix has shape", lambda: Polyhedron([[[1.0, 0.0]]], [1.0])),
     "Polyhedron-infinite-entry": (ValueError, "matrix entries must be finite", lambda: Polyhedron([[math.inf, 0.0]], [1.0])),
     "Polyhedron-zero-row": (DegenerateRow, "row must be nonzero", lambda: Polyhedron([[0.0, 0.0]], [1.0])),
+    "HalfSpace-offset-over-norm": (DegenerateRow, "offset over the normal's norm", lambda: HalfSpace([1e-11, 0.0], 1e300)),
     "Polyhedron-offset-over-norm": (DegenerateRow, "finite offset over it", lambda: Polyhedron([[1e-11, 0.0]], [1e300])),
     "Polyhedron-norm-overflows": (DegenerateRow, "must have a finite norm", lambda: Polyhedron([[1.5e308] * 4], [1.0])),
     "as_point-matrix": (DimensionMismatch, "expected a 1-D vector", lambda: as_point([[1.0, 2.0]])),
@@ -142,9 +143,10 @@ def test_a_bad_input_raises_its_typed_error(error, match, call):
 def test_a_half_space_normal_too_long_to_square_is_refused_without_a_warning():
     # A normal whose square overflows kept <c, c> = inf, so the projection
     # returned (5, 0) unchanged though <c, x> = 5e200 > M, and the LP
-    # solves on the box [-1, 1]^2 raised PointNotInSet.  The limit is
-    # 2**510, on the norm, so entries below it can still make a normal too
-    # long.
+    # solves on the box [-1, 1]^2 raised PointNotInSet.  The kernels now
+    # read the unit normal, but the walk along -c and the default start
+    # still square c.  The limit is 2**510, on the norm, so entries below
+    # it can still make a normal too long.
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     limit = 2.0**510
     with warnings.catch_warnings():
@@ -156,7 +158,7 @@ def test_a_half_space_normal_too_long_to_square_is_refused_without_a_warning():
                 LPProblem(c, box, -2e200)
         below = math.nextafter(limit, 0.0)
         hs = HalfSpace([below, 0.0], -below)
-        assert math.isfinite(hs._cc)
+        assert hs._unit.tolist() == [1.0, 0.0] and hs._offset == -1.0
         assert project_halfspace(hs, [5.0, 3.0]).tolist() == [-1.0, 3.0]
         assert solve_lp(LPProblem([below, 0.0], box, -2.0 * below), strategy="shifted").solution.tolist() == [-1.0, 0.0]
 
