@@ -73,8 +73,10 @@ every test clears its threshold by a margin far above that difference:
 - the gap decrease ``gap_b - gap_a`` exceeds ``GAP_STALL_TOL`` by
   ``1e-12 gap_b``;
 - both points are in their sets: an epigraph's float test is the array
-  code's own, and a half-plane's float ``<u, x> - o`` must clear
-  ``ACTIVE_TOL`` by ``1e-15`` times the size of its terms;
+  code's own, and a half-plane's float ``<u, x> - o`` must clear the
+  bound of ``sets._active``, ``ACTIVE_TOL`` plus the rounding allowance
+  ``linalg._feas_tol`` at the point, by ``1e-15`` times the size of its
+  terms;
 - B's residual exceeds ``cert_tol`` by ``1e-12``.
 
 Every other cycle, among them those at the abs apex (a cone of two
@@ -266,9 +268,6 @@ from .sets import (
 # Decrease of the step gap below which the run is declared stalled; guards
 # fixtures whose convergence is asymptotic only.
 GAP_STALL_TOL = 1e-14
-# A pair closer than the certificate tolerance witnesses a common point when
-# each point is in its set within this tolerance.
-_COMMON_POINT_TOL = 1e-6
 # The defaults of a run, read by ``run``, ``check_certificate``,
 # ``lp.solve_lp`` and ``altproj run``: the certificate tolerance and the
 # cycle cap.
@@ -278,11 +277,13 @@ _MAX_ITERS = 1000
 # Margins of the float screen of a planar cycle (module docstring): the
 # screen's residual must exceed the tolerance by _RESIDUAL_MARGIN, its gap
 # decrease GAP_STALL_TOL by _STALL_MARGIN times the B-step's gap, and a
-# half-plane's float ``<u, x> - o`` must clear ACTIVE_TOL by _DOT_MARGIN
-# times the size of its terms.  Each is far above the rounding by which the
-# float value can differ from the array code's (a few units in the last
-# place of 1 for the residual and of the gaps, about 3e-16 of the terms
-# for ``<u, x>``).
+# half-plane's float ``<u, x> - o`` must clear the membership bound of
+# ``sets._active`` by _DOT_MARGIN times the size of its terms.  Each is far
+# above the rounding by which the float value can differ from the array
+# code's (a few units in the last place of 1 for the residual and of the
+# gaps, about 3e-16 of the terms for ``<u, x>``).  _DOT_MARGIN bounds that
+# difference, not the rounding of the point itself, which the membership
+# bound's allowance covers.
 _RESIDUAL_MARGIN = 1e-12
 _STALL_MARGIN = 1e-12
 _DOT_MARGIN = 1e-15
@@ -587,20 +588,20 @@ def _cone_prelude(
 ) -> tuple | None:
     # Membership, tight constraints and direction of the pair ``(a, b)``,
     # given ``d = a - b`` and ``gap = ||d||``.  Each point must be in its set
-    # (``sets._active``) within ``_COMMON_POINT_TOL`` when ``gap <= tol``,
-    # where the pair witnesses a common point and the result is None, and
-    # within ``ACTIVE_TOL`` otherwise.  The result is then what is tight at
-    # ``a`` in A and at ``b`` in B, which ``sets._active_columns`` turns into
-    # cone generators (a cycle decided on the face factor reads B's mask and
-    # forms none), and the unit vector ``w = (a - b)/||a - b||``.  B's
-    # residual measures ``w`` and A's ``-w``, which is bitwise
+    # within ``ACTIVE_TOL`` by the one rule of ``sets._active``, which adds
+    # the set's rounding allowance at the point, whatever the gap: a pair
+    # with ``gap <= tol`` witnesses a common point only when both points
+    # pass it, and the result is then None.  Otherwise it is what is tight
+    # at ``a`` in A and at ``b`` in B, which ``sets._active_columns`` turns
+    # into cone generators (a cycle decided on the face factor reads B's
+    # mask and forms none), and the unit vector ``w = (a - b)/||a - b||``.
+    # B's residual measures ``w`` and A's ``-w``, which is bitwise
     # ``(b - a)/||b - a||``: negation is exact and ``||a - b||`` sums the
     # same squares as ``||b - a||``.
-    within = _COMMON_POINT_TOL if gap <= tol else ACTIVE_TOL
-    active_a = _active(set_a, a, within)
+    active_a = _active(set_a, a, ACTIVE_TOL)
     if active_a is None:
         raise PointNotInSet("first point is not in the first set")
-    active_b = _active(set_b, b, within)
+    active_b = _active(set_b, b, ACTIVE_TOL)
     if active_b is None:
         raise PointNotInSet("second point is not in the second set")
     if gap <= tol:
@@ -624,7 +625,9 @@ def run(
     set_a, set_b : ProjectableSet
         The two closed sets; iterates with label "A" belong to ``set_a``.
     x0 : array_like
-        Starting point, must lie in ``set_a`` (tolerance 1e-8).
+        Starting point, must lie in ``set_a`` within 1e-8 and, for a
+        half-space or a polyhedron, the rounding allowance at ``x0`` of
+        ``sets._active``.
     max_iters : int
         Cap on full A-B cycles (two projections each): an integer of at
         least 1 (``ValueError`` for anything else, a bool, a float or a
@@ -828,18 +831,21 @@ def _screened_generators(s: HalfSpace | EpigraphSet, x0: float, x1: float) -> tu
     # ``s``.  An epigraph's kernel is the array code's own (the epigraph
     # branch of ``sets._active``); a half-plane's float ``<u, x> - o`` on
     # its unit normal ``u`` and offset ``o`` decides membership and
-    # activeness only where it clears ``ACTIVE_TOL`` by ``_DOT_MARGIN`` times
-    # its terms, and is None otherwise.  Its generator is ``u``, which spans
-    # the cone that ``c`` spans.
+    # activeness only where it clears the bound of ``sets._active``,
+    # ``ACTIVE_TOL`` plus the rounding allowance ``_feas_tol`` at the point
+    # (formed by the same operations, so with the same bits), by
+    # ``_DOT_MARGIN`` times its terms, and is None otherwise.  Its generator
+    # is ``u``, which spans the cone that ``c`` spans.
     if isinstance(s, EpigraphSet):
         return _epigraph_generators(s, x0, x1, ACTIVE_TOL)
     u0, u1 = s._unit_floats
     t0, t1 = u0 * x0, u1 * x1
     excess = t0 + t1 - s._offset
+    bound = ACTIVE_TOL + _feas_tol(s._scale, math.hypot(x0, x1))
     margin = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(s._offset)) + 1e-300
-    if abs(excess) <= ACTIVE_TOL - margin:
+    if abs(excess) <= bound - margin:
         return ((u0, u1),)
-    if excess < -ACTIVE_TOL - margin:
+    if excess < -bound - margin:
         return ()
     return None
 
@@ -994,7 +1000,12 @@ def _face_jump(
     # would return it.  A copy of a face row has u_i P_V u = 0 but for
     # rounding, so over the whole stretch it falls by about 1 / sqrt(q)
     # times the unit roundoff of the gap and seldom limits it; a row the
-    # path moves ends the stretch once it has fallen by the tolerance.
+    # path moves ends the stretch once it has fallen by the tolerance.  The
+    # margin stays absolute, with no rounding allowance of the point as
+    # ``sets._active`` adds: it decides no membership, only where a stretch
+    # ends, and the closed form holds up to it at any scale.  A stretch that
+    # ends early costs real cycles only, and each real cycle after it
+    # decides membership, tightness and the stop again by that rule.
     margin = 10.0 * ACTIVE_TOL
     units = poly._units
     closing = -units.dot(pvu)

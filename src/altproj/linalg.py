@@ -205,9 +205,14 @@ _STEPS_PER_DIM = 50
 def _feas_tol(scale: float, size: float) -> float:
     # The feasibility tolerance ``_FEAS_TOL (scale + size)`` of an active-set
     # solve, with ``scale`` the part of the data scale that the point does
-    # not change and ``size`` the point's norm.  Its callers are the
-    # polyhedron projection (``1 + max|b|`` and ``||x||``), the polar solve
-    # of ``nnls`` (1 and ``||y||``) and the engine's face events.
+    # not change and ``size`` the point's norm: the package's one rounding
+    # rule.  Its callers are the polyhedron projection ``qp._project_from``
+    # (``1 + max|b|`` and ``||x||``, on the unit rows), the polar solve of
+    # ``nnls`` (1 and ``||y||``), the engine's face events
+    # (``engine._face_jump``), and membership: ``sets._active`` adds it,
+    # with the set's ``_scale`` and ``||x||``, to the tolerance of a
+    # half-space or a polyhedron, and ``engine._screened_generators`` to
+    # that of its float test of a half-plane.
     return _FEAS_TOL * (scale + size)
 
 

@@ -102,8 +102,12 @@ def solve_lp(
     it raises no :class:`TooLarge`; a point that moves on with no face
     ahead raises :class:`LowerBoundNotStrict`, as the direct solve does on
     an unbounded LP, and a walk past its step cap :class:`NotConverged`.
-    Either strategy checks ``x0`` (``StartNotInA``), ``max_iters`` and
-    ``cert_tol`` (``ValueError``) by :func:`engine.run`'s rules first.
+    Either strategy raises :class:`LowerBoundNotStrict` by one rule when its
+    solution lies within ``cert_tol`` (at least 1e-10) of the half-space
+    ``{<c, x> <= M}``: the sets then meet to within the certificate's
+    tolerance.  Either strategy checks ``x0`` (``StartNotInA``),
+    ``max_iters`` and ``cert_tol`` (``ValueError``) by :func:`engine.run`'s
+    rules first.
 
     ``max_iters`` caps the direct strategy's cycles.  The default,
     ``10**6``, lets the long runs certify: on the 1,800 random LPs of
@@ -131,11 +135,7 @@ def solve_lp(
         trace = engine.run(halfspace, poly, x0, max_iters=max_iters, cert_tol=cert_tol)
         # A copy: the trace's rows are read-only views.
         b_star = trace.final_pair()[1].copy()
-        if trace.final_gap <= cert_tol:
-            # The run found a (near-)common point: the sets intersect, so M
-            # was not strictly below the optimum.
-            raise _not_strict(M)
-        _check_strict_bound(halfspace, b_star)
+        _check_strict_bound(halfspace, b_star, cert_tol)
         if trace.stop_reason is not engine.StopReason.CERTIFIED:
             raise NotConverged(
                 f"direct solve stopped with {trace.stop_reason.value} "
@@ -150,7 +150,7 @@ def solve_lp(
         except Unbounded:
             raise _not_strict(M) from None
         b_star = end.point
-        _check_strict_bound(halfspace, b_star)
+        _check_strict_bound(halfspace, b_star, cert_tol)
         # Certify b* against the unshifted half-space: the walk stopped where
         # -c lies in the cone of b*'s working rows, so B's residual is read
         # from the walk's final face wherever its factor decides.  Both
@@ -163,9 +163,6 @@ def solve_lp(
             raise NotConverged("shifted projection did not certify optimality")
         steps = 1
 
-    viol = float(np.max(poly._units.dot(b_star) - poly._offsets, initial=0.0))
-    if viol > 1e-7:
-        raise NotConverged(f"solution violates feasibility by {viol:.3e}")
     return LPOutcome(
         solution=b_star,
         objective=float(c.dot(b_star)),
@@ -176,12 +173,16 @@ def solve_lp(
     )
 
 
-def _check_strict_bound(halfspace: HalfSpace, b_star: np.ndarray) -> None:
-    # Distance from the solve's own feasible point to the half-space, read
-    # on its unit normal and offset; if it vanishes the offset M was not
-    # strictly below the optimum.
+def _check_strict_bound(halfspace: HalfSpace, b_star: np.ndarray, cert_tol: float) -> None:
+    # The one strictness test of both strategies.  The distance from the
+    # solve's own feasible point to the half-space, read on its unit normal
+    # and offset, must exceed the certificate tolerance (and _STRICT_TOL):
+    # within it the pair witnesses a common point, the sets meet, and the
+    # offset M was not strictly below the optimum.  ``b_star`` needs no
+    # feasibility test of its own: the prelude of its certificate tested it
+    # by the membership rule of ``sets._active``.
     gap = float(halfspace._unit.dot(b_star)) - halfspace._offset
-    if gap <= _STRICT_TOL:
+    if gap <= max(cert_tol, _STRICT_TOL):
         raise _not_strict(halfspace.M)
 
 

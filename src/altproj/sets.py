@@ -22,11 +22,14 @@ from .errors import (
     StartNotInA,
     ZeroVector,
 )
-from .linalg import ZERO_TOL, _check_tol, _dot_row_norms, _entry_norm, _real_array, _real_scalar, as_point
+from .linalg import (
+    ZERO_TOL, _check_tol, _dot_row_norms, _entry_norm, _feas_tol, _real_array, _real_scalar, as_point
+)
 from .qp import _project_from
 
 # Default tolerance for deciding which constraints are active at a point.
-# Projections are accurate to ~1e-10, so this leaves a safety margin.
+# A half-space or a polyhedron adds its projection's rounding allowance to
+# it (``_active``), so at any point scale it is a margin over rounding.
 ACTIVE_TOL = 1e-8
 # Norm from which a half-space normal is refused.  The kernels read the unit
 # normal, but the walk along ``-c``, the LP's default start and
@@ -66,7 +69,10 @@ class HalfSpace(_ValueSet):
     normal ``c / ||c||`` and the offset ``M / ||c||``.  A positive scale of
     ``(c, M)`` leaves the half-space as it is, so it changes no projection
     and no tolerance: a tolerance on ``<c, x> <= M`` is a distance to the
-    boundary hyperplane.  Raises :class:`ZeroVector` for a normal of norm
+    boundary hyperplane, to which membership adds the rounding allowance
+    ``_feas_tol(1 + |offset|, ||x||)`` of the point ``x`` (:func:`_active`);
+    ``1 + |offset|`` is kept as ``_scale``, as :class:`Polyhedron` keeps
+    ``1 + max|offsets|``.  Raises :class:`ZeroVector` for a normal of norm
     ``ZERO_TOL`` or less and :class:`DegenerateRow` for one of norm 2**510
     (about 3.4e153) or more, whose square would overflow, and for an offset
     over the norm that overflows.  The norm is ``linalg._norm``'s, taken
@@ -75,10 +81,11 @@ class HalfSpace(_ValueSet):
 
     c: np.ndarray
     M: float
-    # The unit normal and the offset over the norm, and the unit normal's
-    # entries as floats for the planar kernels.
+    # The unit normal and the offset over the norm, ``1 + |_offset|``, and
+    # the unit normal's entries as floats for the planar kernels.
     _unit: np.ndarray = field(init=False, repr=False, compare=False)
     _offset: float = field(init=False, repr=False, compare=False)
+    _scale: float = field(init=False, repr=False, compare=False)
     _unit_floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,6 +107,7 @@ class HalfSpace(_ValueSet):
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "_unit", _freeze(c / norm_c))
         object.__setattr__(self, "_offset", offset)
+        object.__setattr__(self, "_scale", 1.0 + abs(offset))
         object.__setattr__(self, "_unit_floats", tuple(self._unit.tolist()))
 
     @property
@@ -209,8 +217,12 @@ def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
     """True iff every defining inequality of ``s`` holds at ``x`` within ``tol``.
 
     For a half-space or a polyhedron ``tol`` is a distance to each boundary
-    hyperplane, whatever scale its inequality is written at.  ``tol`` must
-    be a finite, nonnegative number (``ValueError`` otherwise).
+    hyperplane, whatever scale its inequality is written at, and carries
+    the rounding allowance of the set's projection at ``x``:
+    ``1e-13 (1 + |offset| + ||x||)``, with the largest ``|offset|`` of a
+    polyhedron (:func:`_active`), which grows with the point as the
+    rounding of a slack does.  ``tol`` must be a finite, nonnegative number
+    (``ValueError`` otherwise).
     """
     return _active(s, as_point(x, s.dim), _check_tol(tol, "tol")) is not None
 
@@ -398,21 +410,34 @@ def _active(s: ProjectableSet, x, tol: float):
     are read in their normal form, the unit normal ``u`` and offset ``o``
     of :class:`HalfSpace` and the unit rows ``u_i`` and offsets ``o_i`` of
     :class:`Polyhedron`, so there ``tol`` is a distance to each
-    hyperplane, whatever scale it was written at.  What is tight there
-    is, for a half-space, the bool ``|<u, x> - o| <= tol``; for a
-    polyhedron, the mask of the rows with ``|u_i x - o_i| <= tol``; for an
-    epigraph, the generators of the cone as float pairs: none at an
-    interior point (``z1 > p + tol``), two at the abs apex
-    (``|z0| <= tol``), one elsewhere.  Each quantity (``<u, x>``, ``U x``
-    or ``z``) is formed once for both tests.
+    hyperplane, whatever scale it was written at.  Their ``tol`` also
+    carries the rounding allowance ``linalg._feas_tol(s._scale, ||x||)``
+    that the polyhedron projection grants its own output, with ``_scale``
+    one plus the largest ``|o_i|``.  A slack rounds with the size of its
+    terms, so an absolute tolerance refuses the projections of far points;
+    with the allowance, a problem scaled by up to 1e12 keeps its stops and
+    step counts (``tests/test_point_scale.py``).  ``||x||`` is
+    ``math.hypot``'s, which raises no overflow warning for a far point.
+    What is tight there is, for a half-space, the bool
+    ``|<u, x> - o| <= tol``; for a polyhedron, the mask of the rows with
+    ``|u_i x - o_i| <= tol``, each with the allowance; for an epigraph, the
+    generators of the cone as float pairs: none at an interior point
+    (``z1 > p + tol``), two at the abs apex (``|z0| <= tol``), one
+    elsewhere.  Each quantity (``<u, x>``, ``U x`` or ``z``) is formed once
+    for both tests.
     """
+    if isinstance(s, EpigraphSet):
+        # An epigraph takes no allowance.  None is needed: half-plane/abs
+        # runs from points 1e8 to 1e15 away certify without one, because the
+        # point that fell outside its set there was the half-plane's, whose
+        # slack rounds with ``<u, x>``.
+        return _epigraph_generators(s, *x.tolist(), tol)
+    tol += _feas_tol(s._scale, math.hypot(*x.tolist()))
     if isinstance(s, HalfSpace):
         ux = float(s._unit.dot(x))
         return abs(ux - s._offset) <= tol if ux <= s._offset + tol else None
-    if isinstance(s, Polyhedron):
-        ux = s._units.dot(x)
-        return np.abs(ux - s._offsets) <= tol if all((ux <= s._offsets + tol).tolist()) else None
-    return _epigraph_generators(s, *x.tolist(), tol)
+    ux = s._units.dot(x)
+    return np.abs(ux - s._offsets) <= tol if all((ux <= s._offsets + tol).tolist()) else None
 
 
 def _epigraph_generators(e: EpigraphSet, x0: float, x1: float, tol: float) -> tuple | None:
@@ -460,7 +485,10 @@ def normal_cone_columns(
     read-only view.  Raises ``PointNotInSet`` when ``x`` is not in ``s``
     within ``tol``, a finite, nonnegative number (``ValueError``
     otherwise).  Membership and the tight constraints are those of
-    :func:`_active`, the rule :func:`contains` reads.
+    :func:`_active`, the rule :func:`contains` reads: for a half-space or a
+    polyhedron ``tol`` carries the rounding allowance at ``x``, so a
+    constraint counts as tight within ``tol + 1e-13 (1 + max|o_i| +
+    ||x||)`` of its hyperplane.
     """
     active = _active(s, x, _check_tol(tol, "tol"))
     if active is None:

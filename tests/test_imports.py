@@ -136,6 +136,26 @@ def test_each_membership_feasibility_and_cycle_rule_has_one_site():
     assert not sites(lambda node: isinstance(node, ast.FunctionDef) and node.name in removed)
 
 
+def test_one_membership_rule_at_every_point_scale():
+    # The rounding allowance _feas_tol is the package's one rounding rule:
+    # the projection and the polar solve read it for their own output, the
+    # face events for a stretch's end, and membership by sets._active and
+    # the planar screen that mirrors it.  No second membership tolerance is
+    # left: the common pair is tested by the one rule, and lp makes no
+    # feasibility test of its own, so it reads no polyhedron's unit rows or
+    # offsets (its strict-bound test reads the half-space's form).
+    assert call_sites("_feas_tol") == {
+        "sets._active",
+        "engine._screened_generators",
+        "engine._face_jump",
+        "qp._project_from",
+        "linalg.nnls",
+    }
+    names = ("id", "attr", "name")  # of a Name, an Attribute and an import
+    assert not sites(lambda node: "_COMMON_POINT_TOL" in (getattr(node, n, None) for n in names))
+    assert not sites(lambda node: isinstance(node, ast.Attribute) and node.attr in ("_units", "_offsets"), ("lp",))
+
+
 def reads_written_rows(node):
     """Whether ``node`` reads an attribute ``.A`` or ``.b`` of anything but
     ``self``: a polyhedron's rows or offsets as written.  (``self.b`` is a
@@ -149,7 +169,7 @@ def reads_written_rows(node):
 
 
 ROW_FORM = ("_norms", "_units", "_offsets")
-HALF_SPACE_FORM = ("_unit", "_offset")
+HALF_SPACE_FORM = ("_unit", "_offset", "_scale")
 
 
 def sets_the_normal_form(node, names):
@@ -205,7 +225,10 @@ def test_every_kernel_reads_the_unit_normal():
     # unit normal and the offset over the norm, and keeps no <c, c>.  The
     # engine's projections, screen, cycle decision and closed-form cycles
     # read that form only, never c or M as written.
-    assert normal_form_setters(HALF_SPACE_FORM) == {"sets.HalfSpace.__post_init__"}
+    # The scale of the rounding allowance, ``_scale``, is part of both
+    # forms: the polyhedron sets its own for its rows.
+    assert normal_form_setters(HALF_SPACE_FORM[:2]) == {"sets.HalfSpace.__post_init__"}
+    assert normal_form_setters(("_scale",)) == {"sets.HalfSpace.__post_init__", "sets.Polyhedron.__post_init__"}
     assert sites(lambda node: sets_the_normal_form(node, HALF_SPACE_FORM)) == {"sets.__post_init__"}
     assert not sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_cc")
     assert sites(reads_c_or_m, ("engine",)) == set()

@@ -257,6 +257,22 @@ def test_solve_lp_rejects_loose_lower_bound():
             solve_lp(unbounded, strategy=strategy)
 
 
+@pytest.mark.parametrize("strategy", ["direct", "shifted"])
+def test_both_strategies_refuse_a_bound_within_the_certificate_tolerance(strategy):
+    # Over [-1, 1]^2 with c = (1, 1) the optimum is -2, and M = -2 - delta
+    # puts the solution delta / sqrt(2) from the half-space.  Within
+    # cert_tol the sets meet to the certificate's tolerance, and both
+    # strategies refuse M by one rule; beyond it both solve.  The shifted
+    # strategy once returned -2.0 with holds=True at delta = 1e-9 and 5e-9,
+    # where the direct one refused.
+    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    for delta in (1e-9, 5e-9):
+        with pytest.raises(LowerBoundNotStrict):
+            solve_lp(LPProblem([1.0, 1.0], box, -2.0 - delta), strategy=strategy)
+    out = solve_lp(LPProblem([1.0, 1.0], box, -2.0 - 2e-8), strategy=strategy)
+    assert out.objective == -2.0 and out.certificate.holds
+
+
 def test_solve_lp_validates_given_start():
     problem = LPProblem([-1.0, 0.0], unit_box(), -2.0)
     with pytest.raises(StartNotInA):
@@ -478,3 +494,29 @@ def test_a_far_start_solves_without_a_warning():
         warnings.simplefilter("error")
         out = solve_lp(LPProblem([1.0, 1.0], box, -5.0), x0=[-1e200, -1e200], strategy="direct")
     assert out.solution.tolist() == [-1.0, -1.0] and out.certificate.holds
+
+
+# -- the point scale ----------------------------------------------------------
+#
+# Scaling the offsets ``b`` and ``M`` by ``s`` scales the LP's solution by
+# ``s``, and every point the solve makes with it.  Membership carries the
+# projection's rounding allowance, which grows with the point, so no answer
+# may depend on ``s`` either.
+
+
+def test_point_scaled_lps_give_the_pool_answers():
+    # The first 100 LPs of pool seed 1 with b and M scaled by 1e9 and 1e12:
+    # both strategies solve every one, to s times its oracle optimum.  With
+    # an absolute membership tolerance 56 to 67 of the 100 were refused per
+    # strategy and scale (PointNotInSet, or NotConverged on a stalled gap or
+    # an open certificate).
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        problem, optimum, _ = random_lp_instance(rng)
+        P = problem.poly
+        for s in (1e9, 1e12):
+            scaled = LPProblem(problem.c, Polyhedron(P.A, s * P.b), s * problem.M)
+            for strategy in ("direct", "shifted"):
+                out = solve_lp(scaled, strategy=strategy)
+                assert out.certificate.holds
+                assert abs(out.objective / s - optimum) <= 1e-12 * max(1.0, abs(optimum)), (s, strategy)
