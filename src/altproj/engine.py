@@ -1006,17 +1006,11 @@ def _face_jump(
     # ends, and the closed form holds up to it at any scale.  A stretch that
     # ends early costs real cycles only, and each real cycle after it
     # decides membership, tightness and the stop again by that rule.
-    margin = 10.0 * ACTIVE_TOL
-    units = poly._units
-    closing = -units.dot(pvu)
-    closing[face] = 0.0
-    hit = closing > 0.0
-    slack = (poly._offsets - units.dot(b))[hit]
-    floor = np.where(slack > margin, margin, np.maximum(slack, 0.0) - _feas_tol(poly._scale, 0.0))
-    t = q * (slack - floor) / (s * closing[hit])
-    t = t[t < 1.0]
-    if t.size:
-        horizon = min(horizon, float(np.floor(np.log1p(-t) / log_rho).min()))
+    units, fall = poly._units, _feas_tol(poly._scale, 0.0)
+    t = _closing_ratios(units, poly._offsets, face, pvu, b, s, q, 10.0 * ACTIVE_TOL, fall)
+    if t:
+        # ``np.log1p``, not ``math.log1p``, whose bits differ on some floats.
+        horizon = min(horizon, float(np.floor(np.log1p(-np.array(t)) / log_rho).min()))
     # Common point: s rho^j <= max(cert_tol, ZERO_TOL), where the run
     # certifies or stops on a gap too small to normalise.
     horizon = min(horizon, reached(s, max(cert_tol, ZERO_TOL)))
@@ -1035,3 +1029,31 @@ def _face_jump(
         return None
     stretch = _Stretch(b, pvu, u, s, log_rho, q, jumps)
     return stretch, stretch.rows(np.arange(jumps, jumps + 1))
+
+
+def _closing_ratios(units, offsets, face, pvu, b, s, q, margin, fall) -> list[float]:
+    """The ratios ``t < 1`` of :func:`_face_jump`'s row event, in row order.
+
+    An inactive unit row ``u_i`` (``face`` marks the face rows) closes when
+    ``c_i = -u_i P_V u > 0``, ``pvu`` being ``P_V u``.  Its slack
+    ``sl = o_i - u_i b`` reaches its floor, ``margin`` when ``sl > margin``
+    and otherwise ``max(sl, 0) - fall``, once ``1 - rho^j >= t`` with
+    ``t = q (sl - floor) / (s c_i)``.  The closing rows are read from one
+    product ``units.dot(pvu)`` and their slacks from one ``units.dot(b)``,
+    formed only when a row closes; the ratio test runs on floats
+    (``linalg``'s module docstring, "Ratio tests and substitutions on
+    floats").
+    """
+    rates = zip(units.dot(pvu).tolist(), face.tolist())
+    closing = [(i, -c) for i, (c, on_face) in enumerate(rates) if c < 0.0 and not on_face]
+    if not closing:
+        return []
+    slack = (offsets - units.dot(b)).tolist()
+    ratios = []
+    for i, c in closing:
+        sl = slack[i]
+        floor = margin if sl > margin else (sl if sl > 0.0 or sl != sl else 0.0) - fall
+        t = q * (sl - floor) / (s * c)
+        if t < 1.0:
+            ratios.append(t)
+    return ratios

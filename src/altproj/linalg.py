@@ -38,6 +38,23 @@ the source to this rule and checks on the installed NumPy that the two
 forms give the same bits, that ``_dot_row_norms`` gives ``_norm``'s and
 that ``_dot_rows`` gives ``.dot``'s.
 
+Ratio tests and substitutions on floats.  The small loops that pick one
+event or solve one triangle run on Python floats, not on NumPy arrays of a
+dozen entries: the walk's next event (``qp._next_event``), the face jump's
+row event (``engine._closing_ratios``) and the triangular solve
+:func:`_substitute`.  They give the bits of the array forms they replaced.
+A comparison, a negation and a clamp are exact, and a product or a
+division of two floats rounds once, in Python as in NumPy.  A clamp at zero
+follows ``np.maximum(x, 0.0)`` (NaN stays, -0.0 becomes 0.0), and a search
+for the least entry takes the first one, or the first NaN, as ``argmin``
+does.  Every matrix-vector product stays one ``.dot`` of the whole matrix,
+read back by ``tolist``, so BLAS rounds it as before, and ``np.log1p``
+stays a NumPy call because ``math.log1p`` rounds some arguments
+differently.  Sums are loops from 0.0 in index order, never the builtin
+``sum``, which compensates float sums from Python 3.12 on and would give
+other bits there than on 3.11.  ``tests/test_float_kernels.py`` compares
+each float form with its array form bit for bit.
+
 The active-set kernel.  ``_working_set`` and its factor updates
 (``_substitute``, ``_add_column``, ``_delete_column``) are the dual
 active-set method of Goldfarb and Idnani that :mod:`altproj.qp` describes;
@@ -51,7 +68,6 @@ the package.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -219,13 +235,18 @@ def _feas_tol(scale: float, size: float) -> float:
 def _substitute(T, y, lower=False) -> list[float]:
     # ``T^-1 y`` for a triangular ``T`` (upper unless ``lower``) by
     # substitution on Python floats.  A face has at most n rows, and at that
-    # size a LAPACK call costs more than the arithmetic.  ``T`` must be zero
-    # off its triangle: each row is read whole against the unsolved zeros.
+    # size a LAPACK call costs more than the arithmetic.  Each row sums only
+    # its solved part, from 0.0 in index order (module docstring, "Ratio
+    # tests and substitutions on floats"); nothing off the triangle is read.
     rows, y = T.tolist(), y.tolist()
-    v = [0.0] * len(y)
-    for i in range(len(y)) if lower else reversed(range(len(y))):
+    k = len(y)
+    v = [0.0] * k
+    for i in range(k) if lower else reversed(range(k)):
         row = rows[i]
-        v[i] = (y[i] - sum(map(operator.mul, row, v))) / row[i]
+        s = 0.0
+        for j in range(i) if lower else range(i + 1, k):
+            s += row[j] * v[j]
+        v[i] = (y[i] - s) / row[i]
     return v
 
 
@@ -235,10 +256,11 @@ def _add_column(Q, R, k, h, dd) -> None:
     # ``h[k:]`` to ``alpha e_1``, so ``a = Q[:, :k+1] (h[:k], alpha)``.  A
     # single trailing column needs no reflection.  ``dd`` is
     # ``h[k:].dot(h[k:])``, which the caller has formed for its step.  Every
-    # column of ``R`` is zero below its diagonal, as :func:`_substitute`
-    # needs, beyond the leading ``k`` too: a start pads its triangle with
-    # zeros, an add writes column ``k`` down to its diagonal only, and a
-    # drop clears the one subdiagonal entry each of its rotations makes.
+    # column of ``R`` is zero below its diagonal, beyond the leading ``k``
+    # too, so a drop leaves only a subdiagonal for its rotations to clear: a
+    # start pads its triangle with zeros, an add writes column ``k`` down to
+    # its diagonal only, and a drop clears the one subdiagonal entry each of
+    # its rotations makes.
     h2 = h[k:]
     h_0 = alpha = float(h2[0])
     if h2.shape[0] > 1:
@@ -309,7 +331,12 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
             h2 = h[k:]
             dd = float(h2.dot(h2))
             r = _substitute(R[:k, :k], h[:k])
-            spanned = math.sqrt(dd) <= _DEP_TOL * (1.0 + sum(map(abs, r)))
+            # ``sum_i |r_i|`` from 0.0 in index order (module docstring,
+            # "Ratio tests and substitutions on floats").
+            size = 0.0
+            for r_i in r:
+                size += abs(r_i)
+            spanned = math.sqrt(dd) <= _DEP_TOL * (1.0 + size)
             t_full = math.inf if spanned else max(float(a.dot(z)) - float(b[p]), 0.0) / dd
             # The first working multiplier to reach zero as row p's rises.
             t_part, j = math.inf, -1

@@ -379,27 +379,20 @@ def _walk_from(
         k = len(W)
         h = direction.dot(Q)
         r = _substitute(R[:k, :k], h[:k])
-        dz = Q[:, k:].dot(h[k:]) if _norm(h[k:]) > still else np.zeros(n)
-        # Next face change along the path: the first working multiplier to
-        # reach zero or the first inactive row to become tight.
-        dt = np.full(m, math.inf)
-        dt[W] = [u_i / -r_i if r_i < -1e-13 else math.inf for u_i, r_i in zip(u, r)]
-        approach = A.dot(dz)
-        approach[W] = 0.0
-        add = approach > 1e-13
-        dt[add] = np.maximum((b - A.dot(z))[add], 0.0) / approach[add]
-        i = int(dt.argmin())
+        # None on a still face, whose point moves by ``step * 0.0``.
+        dz = Q[:, k:].dot(h[k:]) if _norm(h[k:]) > still else None
+        i, dt_i = _next_event(A, b, W, u, r, z, dz)
         remaining = t_target - t
-        event = dt[i] < remaining - 1e-15
+        event = dt_i < remaining - 1e-15
         if not event and remaining == math.inf:
             # No event ahead on an endless walk: a still point stays put for
             # every t and ends the walk with a zero step; a moving one never
             # stops.
-            if dz.any():
+            if dz is not None and dz.any():
                 raise Unbounded("the point moves forever along the walk")
             remaining = 0.0
-        step = float(dt[i]) if event else remaining
-        z = z + step * dz
+        step = dt_i if event else remaining
+        z = z + step * (0.0 if dz is None else dz)
         u = [max(u_i + step * r_i, 0.0) for u_i, r_i in zip(u, r)]
         if not event:
             lam = np.zeros(m)
@@ -416,3 +409,39 @@ def _walk_from(
             W.append(i)
             u.append(0.0)
     raise NotConverged(f"the walk changed faces more than {_WALK_STEPS_PER_ROW * (m + 1)} times")
+
+
+def _next_event(A, b, W: list[int], u: list[float], r: list[float], z, dz) -> tuple[int, float]:
+    """The walk's next face change on the face of the working rows ``W``: its row and step.
+
+    The first working multiplier ``u_i`` to reach zero at its rate ``r_i``
+    (one below ``-1e-13``), or the first inactive row of ``A`` to become
+    tight as ``z`` moves along ``dz`` (one approaching faster than
+    ``1e-13``), its slack ``b - A z`` clamped at zero as :func:`_clamped`
+    does.  ``dz`` is None on a still face, where no row approaches.  The
+    step of every other row is ``inf``, and the row is the first with the
+    least step, or the first whose step is NaN, as ``argmin`` takes it on
+    the array of all ``m`` steps; a NaN or infinite step is no event.  The
+    ratio test runs on floats; ``A.dot(dz)`` and ``A.dot(z)`` stay one
+    product each, formed only when needed (``linalg``'s module docstring,
+    "Ratio tests and substitutions on floats").
+    """
+    dt = [math.inf] * A.shape[0]
+    for w, u_w, r_w in zip(W, u, r):
+        if r_w < -1e-13:
+            dt[w] = u_w / -r_w
+    if dz is not None:
+        approach = A.dot(dz).tolist()
+        rows = [j for j, a_j in enumerate(approach) if a_j > 1e-13 and j not in W]
+        if rows:
+            slack = (b - A.dot(z)).tolist()
+            for j in rows:
+                s_j = slack[j]
+                dt[j] = (s_j if s_j > 0.0 or s_j != s_j else 0.0) / approach[j]
+    i, best = 0, dt[0]
+    for j, v in enumerate(dt):
+        if v < best:
+            i, best = j, v
+        elif v != v:
+            return j, v
+    return i, best

@@ -23,7 +23,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import (
-    ZERO_TOL, _check_tol, _dot_row_norms, _entry_norm, _feas_tol, _real_array, _real_scalar, as_point
+    ZERO_TOL, _check_tol, _dot_row_norms, _entry_norm, _feas_tol, _norm, _real_array, _real_scalar, as_point
 )
 from .qp import _project_from
 
@@ -90,7 +90,10 @@ class HalfSpace(_ValueSet):
 
     def __post_init__(self):
         c = as_point(self.c)
-        norm_c = _entry_norm(c)
+        # ``hypot`` cannot overflow: a normal it puts below the limit has a
+        # finite ``<c, c>``, so ``_norm`` runs bare, and only a longer one
+        # pays for ``_entry_norm``'s errstate.  Both give ``_norm``'s bits.
+        norm_c = _norm(c) if math.hypot(*c.tolist()) < _ROW_NORM_LIMIT else _entry_norm(c)
         if norm_c <= ZERO_TOL:
             raise ZeroVector("half-space normal must be nonzero")
         if not norm_c < _ROW_NORM_LIMIT:

@@ -282,6 +282,25 @@ def test_the_face_read_of_b_residual_has_one_site():
     assert call_sites("_residual_b") == {"engine._decide", "engine._certificate"}
 
 
+def calls_attr(node, owner, attr):
+    """Whether ``node`` calls ``owner.attr``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        and getattr(node.func.value, "id", None) == owner
+    )
+
+
+def test_the_float_kernels_keep_their_bits_on_every_python():
+    # linalg sums floats by explicit loops from 0.0 in index order: the
+    # builtin sum of floats is compensated from Python 3.12 on, so it would
+    # give other bits there than on 3.11.  The face jump's row event takes
+    # np.log1p of its ratios; math.log1p gives other bits on some floats.
+    assert not sites(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum", ("linalg",))
+    assert sites(lambda node: calls_attr(node, "np", "log1p")) == {"engine._face_jump"}
+
+
 def builds_error(node, rule):
     """Whether ``node`` calls the error type ``rule`` or passes a message
     that contains the text ``rule``."""
