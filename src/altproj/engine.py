@@ -135,9 +135,14 @@ re-orthogonalise it.  A working row with a zero multiplier makes ``W``
 larger than ``F``, and no cycle is generated.  A row outside ``W`` that is
 tight with a zero multiplier, such as a copy of a face row, stops nothing
 by itself: the path does not move it, and it enters the row event below
-like every other inactive row.  When two consecutive B-projections have
-the same face, :func:`run` finds the first cycle at which one of five
-events could happen:
+like every other inactive row.
+
+The multipliers of the next B-projection on ``F`` are ``s_k`` times the
+rates ``-R^-1 Q_1' u`` of the face factor, read with one triangular solve.
+So :func:`run` tries the jump on the cycle that enters ``F``, when its
+working rows are exactly the rows of ``F`` and every rate is positive, and
+otherwise on the second cycle on ``F``; it tries once per visit to a face.
+The jump finds the first cycle at which one of five events could happen:
 
 - an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``, or, for
   a row already within that margin, falls by the smallest feasibility
@@ -151,16 +156,22 @@ events could happen:
   with ``P_r = I - P_V``, falls below ``GAP_STALL_TOL``;
 - the cycle cap.
 
-It then keeps every cycle up to two before that one as one stretch in
-closed form, and resumes ordinary cycles from the stretch's last A-point, so
-every face change, certificate and stop decision still comes from real
-projections.  That point, and the B-point before it, are the closed form
-at ``j = J`` by the NumPy ufuncs the trace's fill uses, on a one-element
-``j``: every operation is elementwise in ``j``, so they are bit for bit
-the last two rows the fill gives.  The iterates and gaps of the generated
-cycles are built with all the others, on the trace's first read.  This is
-done at most once per visit to a face.  Other pairs,
-and a polyhedron A with a half-space B, run ordinary cycles throughout.
+When the first event is a row's, the stretch runs to it: it keeps every
+cycle whose B-point holds each closing row at or above its floor, which is
+already a margin, and on the random LPs the next real cycle is the one that
+enters the next face.  Before the other events, which are decided at the rounding level or
+by the cap, it keeps every cycle up to two before that one.  The run
+resumes ordinary cycles from the stretch's last A-point, so every face
+change, certificate and stop decision still comes from real projections.
+That point, and the B-point before it, are the closed form at ``j = J`` by
+the NumPy ufuncs the trace's fill uses, on a one-element ``j``: every
+operation is elementwise in ``j``, so they are bit for bit the last two
+rows the fill gives.  The iterates and gaps of the generated cycles are
+built with all the others, on the trace's first read.  On the 300 LPs of
+the ``lp_direct`` pool at seed 1 every stretch ends at a row, and a visit
+to a face costs one real cycle, its entry: the pass projects 641 cycles
+and generates 74,039.  Other pairs, and a polyhedron A with a half-space
+B, run ordinary cycles throughout.
 
 The face factor.  On the same pairs each real B-projection starts from the
 face of the one before (``qp._project_from``).  The run keeps that face,
@@ -179,9 +190,12 @@ they are sufficient.  That case takes no active-set step and no update of
 the factor.  When ``u >= 0`` but ``z`` is infeasible, the active-set method
 continues from ``(W, u, z)`` and a copy of the factor; a negative entry of
 ``u`` starts it from the empty working set.  A feasible ``x`` is returned
-unchanged before the face is tried, as the cold projection does.  On random
-LPs about half the B-projections land on the face of the cycle before.  The
-same factor gives the closed-form cycles their ``P_V u`` (above), so a
+unchanged before the face is tried, as the cold projection does.  On the
+random LPs of the ``lp_direct`` pool none of the B-projections lands on the
+face of the cycle before, since a visit to a face is its entry and then a
+stretch (above); the projection that ends a stretch continues the
+active-set method from the face it leaves.  The same factor gives the
+closed-form cycles their ``P_V u`` and the jump its rates (above), so a
 face is never factored afresh.
 
 The same factor decides the cycle (:func:`_face_residual`).  B's normal
@@ -205,9 +219,9 @@ The decision reads:
   returned a feasible point unchanged (no face), and every other pair.
 
 Rounding.  The Householder and Givens updates keep ``Q`` orthogonal to
-within a few units of rounding (``max |Q'Q - I|`` is 1.1e-15 over the final
-faces of the 3,925 B-projections of the ``lp_direct`` pools of seeds 1, 7
-and 11, 2,030 distinct factors) and factor each working row with an error
+within a few units of rounding (``max |Q'Q - I|`` is 1.3e-15 over the final
+faces of the 2,030 B-projections of the ``lp_direct`` pools of seeds 1, 7
+and 11, each its own factor) and factor each working row with an error
 of a few units of rounding relative to that row.  So ``r`` is the distance
 from ``w`` to the span of the working rows to within a few units of
 rounding times the conditioning of the unit working rows, and the cone
@@ -224,7 +238,7 @@ margin leave the cone solve's own value no more accurate than ``r``.  On
 the 900 LPs of the pools every iterate, stop and step count is as with the
 cone solve on every cycle, and a certified ``residual_B`` moves on 477 of
 them by at most 3.2e-15.  A pass makes 13, 23 and 29 NNLS calls at seeds 1,
-7 and 11, against 1,009, 1,113 and 1,189.
+7 and 11, against 552, 600 and 613 with the cone solve on every real cycle.
 """
 
 from __future__ import annotations
@@ -663,7 +677,7 @@ def run(
         # hold (``_trace`` builds the arrays on first read).
         points, pieces = [x0], []
         # On a half-space/polyhedron pair the B-projection's multipliers name
-        # the face it lands on; a repeated face is walked in closed form.
+        # the face it lands on, whose cycles are generated in closed form.
         walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
         last_face, walked = None, False
         factor = None  # the face factor of the last B-projection (module docstring)
@@ -688,11 +702,19 @@ def run(
             cycle += 1
             if not walk:
                 continue
+            # One jump is tried per face visit: on the cycle that enters the
+            # face when the closed form's multiplier rates ``-R^-1 Q_1' u``
+            # are all positive (``R^-1 Q_1' u`` all negative), else on the
+            # second cycle on it.
             key = face.tobytes()
             if key != last_face:
                 last_face, walked = key, False
-            elif not walked:
-                walked = True
+                if factor is not None and _on_working_rows(face, factor.W):
+                    walked = all(r < 0.0 for r in _substitute(factor.R, set_a._unit.dot(factor.Q1)))
+                tried = walked
+            else:
+                tried, walked = not walked, True
+            if tried:
                 jump = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
                 if jump is not None:
                     stretch, last = jump
@@ -949,27 +971,25 @@ def _face_jump(
     ``b`` is the B-point of the cycle just completed, on the face whose
     rows ``face`` marks, and ``factor`` the face factor of its projection;
     ``cycles_left`` cycles remain under the cap.  The stretch covers the
-    cycles ``k + 1`` to ``k + J`` (module docstring), for ``J`` two short
-    of the first cycle at which the face could change or a stop rule could
-    fire; the second value holds the B- and A-point of its last cycle as
+    cycles ``k + 1`` to ``k + J`` (module docstring).  ``J`` is the last
+    cycle whose B-point keeps every approaching inactive row at or above
+    its floor (``10 * ACTIVE_TOL``, or for a row already within that margin
+    its slack less the smallest B-projection feasibility tolerance), and at
+    most two short of the first cycle at which a stop rule could fire: a
+    gap at the certificate tolerance, an A-point feasible within the
+    projection's tolerance, a stall, or the cap.  The
+    second value holds the B- and A-point of the stretch's last cycle as
     the C-contiguous rows of ``stretch.rows`` at ``j = J``, bit for bit the
     last two rows of the stretch's block.  ``P_V u``, for the unit normal
     ``u`` of ``h``, is ``u - Q_1 (Q_1' u)``, formed twice to
     re-orthogonalise it, with ``Q_1`` the factor's first ``k`` columns,
     which span the working rows.  The result is None when the working rows
     are not exactly the rows of ``face`` (a working row with a zero
-    multiplier) and when the first event falls within three cycles: an
-    approaching inactive row that reaches its floor (``10 * ACTIVE_TOL``,
-    or for a row already within that margin its slack less the smallest
-    B-projection feasibility tolerance), a gap at the certificate
-    tolerance, an A-point feasible within the projection's tolerance, or a
-    stall.  A row within the margin that the path does not move, such as a
-    copy of a face row, limits nothing.  No run reaches the other guards:
-    ``b`` in the half-space (a zero A-step, so the run stopped) and a face
-    that does not move the run, ``||P_V u||`` below ``ZERO_TOL`` or all of
-    ``u`` (the cycle before, on this face, cut its gap by ``q/2`` of it, a
-    stall for gaps under 2e10, or to ``1 - q`` of the gap before, a stop for
-    gaps under 1e4).
+    multiplier) and when ``J`` is below 1.  A row within the margin that
+    the path does not move, such as a copy of a face row, limits nothing.
+    The other guards refuse ``b`` in the half-space (a zero A-step, on
+    which the run has stopped) and a face that does not move the run,
+    ``||P_V u||`` below ``ZERO_TOL`` or all of ``u``.
     """
     u = h._unit
     s = float(u.dot(b)) - h._offset
@@ -1006,11 +1026,12 @@ def _face_jump(
     # ends, and the closed form holds up to it at any scale.  A stretch that
     # ends early costs real cycles only, and each real cycle after it
     # decides membership, tightness and the stop again by that rule.
+    # The row event keeps no two-cycle margin: its floor is one, so the
+    # stretch runs to the last cycle that keeps every row at or above it.
     units, fall = poly._units, _feas_tol(poly._scale, 0.0)
     t = _closing_ratios(units, poly._offsets, face, pvu, b, s, q, 10.0 * ACTIVE_TOL, fall)
-    if t:
-        # ``np.log1p``, not ``math.log1p``, whose bits differ on some floats.
-        horizon = min(horizon, float(np.floor(np.log1p(-np.array(t)) / log_rho).min()))
+    # ``np.log1p``, not ``math.log1p``, whose bits differ on some floats.
+    row = float(np.floor(np.log1p(-np.array(t)) / log_rho).min()) if t else math.inf
     # Common point: s rho^j <= max(cert_tol, ZERO_TOL), where the run
     # certifies or stops on a gap too small to normalise.
     horizon = min(horizon, reached(s, max(cert_tol, ZERO_TOL)))
@@ -1024,7 +1045,7 @@ def _face_jump(
     # Gap stall: s rho^(j-1) ||P_r u|| (1 - ||P_r u||) < GAP_STALL_TOL.
     pru = _norm(u - pvu)
     horizon = min(horizon, 1 + reached(s * pru * (1.0 - pru), GAP_STALL_TOL))
-    jumps = int(horizon) - 2
+    jumps = int(min(row, horizon - 2))
     if jumps < 1:
         return None
     stretch = _Stretch(b, pvu, u, s, log_rho, q, jumps)

@@ -330,7 +330,7 @@ def _working_set(A, b, feas_tol, W, Q, R, u, z, slack) -> int:
             h = a.dot(Q)
             h2 = h[k:]
             dd = float(h2.dot(h2))
-            r = _substitute(R[:k, :k], h[:k])
+            r = _substitute(R[:k, :k], h[:k]) if k else []
             # ``sum_i |r_i|`` from 0.0 in index order (module docstring,
             # "Ratio tests and substitutions on floats").
             size = 0.0

@@ -112,16 +112,17 @@ def solve_lp(
     ``max_iters`` caps the direct strategy's cycles.  The default,
     ``10**6``, lets the long runs certify: on the 1,800 random LPs of
     ``random_lp_instance`` at seeds 1, 3, 7, 11, 21 and 31 the longest run
-    took 133,352 cycles, all but 7 of them generated in closed form on one
-    face, and no run projected more than 17 cycles.  The worst case is a
-    run that projects every cycle up to the cap: at about 0.027 ms per
-    projected cycle that the face factor decides, and 0.11 ms per cycle
-    that takes a cone solve (n = 3 and 4, 2-vCPU Xeon), that is half a
-    minute to two minutes, and the run holds its 2 * 10**6 real iterates
-    as it goes (some 150 bytes each at n = 4).  A generated cycle costs
-    neither: the run keeps a record of a few hundred bytes per stretch,
-    and the trace's ``points`` and ``gaps``, ``8 (n + 1)`` bytes per
-    iterate, are built on their first read, which the solve never makes.
+    took 133,352 cycles, all but 3 of them generated in closed form on one
+    face, and no run projected more than 7 cycles.  The worst case is a
+    run that projects every cycle up to the cap: at about 0.03 ms per
+    projected cycle that the face factor decides, and 0.09 to 0.15 ms per
+    cycle that takes a cone solve (n = 3 and 4, 2-vCPU Xeon), that is half
+    a minute to two and a half minutes, and the run holds its 2 * 10**6
+    real iterates as it goes (some 150 bytes each at n = 4).  A generated
+    cycle costs neither: the run keeps a record of a few hundred bytes per
+    stretch, and the trace's ``points`` and ``gaps``, ``8 (n + 1)`` bytes
+    per iterate, are built on their first read, which the solve never
+    makes.
     """
     method = _METHODS.get(strategy)
     if method is None:

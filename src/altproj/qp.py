@@ -378,7 +378,7 @@ def _walk_from(
     for steps in range(1, _WALK_STEPS_PER_ROW * (m + 1) + 1):
         k = len(W)
         h = direction.dot(Q)
-        r = _substitute(R[:k, :k], h[:k])
+        r = _substitute(R[:k, :k], h[:k]) if k else []
         # None on a still face, whose point moves by ``step * 0.0``.
         dz = Q[:, k:].dot(h[k:]) if _norm(h[k:]) > still else None
         i, dt_i = _next_event(A, b, W, u, r, z, dz)

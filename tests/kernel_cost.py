@@ -14,6 +14,12 @@ and their sum, the kernel's share of the pass:
   that return a stretch (accepted) and those that return None (refused);
 - ``linalg._substitute`` over both pools, by the size k of the triangle.
 
+It also prints the real cycles of one ``lp_direct`` pass by kind: the first
+cycle of a run, a face entry (a B-projection on another face than the
+cycle before), the second cycle on a face before any jump is tried there,
+a cycle on the face after a stretch (its tail) and one after a refused
+jump.
+
 Run as
 
     python tests/kernel_cost.py [pool_seed]
@@ -81,6 +87,54 @@ def substitute_args(args):
     return (np.copy(T, order="K"), np.copy(y), *rest)
 
 
+KINDS = ("first cycle", "face entry", "second cycle on a face", "tail after a stretch", "after a refusal")
+
+
+def real_cycles_by_kind(pool_seed: int) -> dict[str, int]:
+    """The real cycles of one ``lp_direct`` pass, counted by kind.
+
+    Each run's B-projections and jump attempts are read in order by spies
+    on ``engine._project_from`` and ``engine._face_jump``.
+    """
+    events = []
+    project_from, face_jump = engine._project_from, engine._face_jump
+
+    def project_spy(poly, x, face):
+        res, final = project_from(poly, x, face)
+        events.append((res.dual > 0.0).tobytes())
+        return res, final
+
+    def jump_spy(*args):
+        jump = face_jump(*args)
+        events.append(jump is not None)
+        return jump
+
+    engine._project_from, engine._face_jump = project_spy, jump_spy
+    counts = dict.fromkeys(KINDS, 0)
+    try:
+        for case in workloads.build_lp_direct(pool_seed, None):
+            events.clear()
+            workloads.op_lp_direct(case)
+            face, jumped = None, None  # the face of the cycle before; its visit's jump
+            for event in events:
+                if isinstance(event, bool):
+                    jumped = event
+                    continue
+                if face is None:
+                    kind = "first cycle"
+                elif event != face:
+                    kind, jumped = "face entry", None
+                elif jumped is None:
+                    kind = "second cycle on a face"
+                else:
+                    kind = "tail after a stretch" if jumped else "after a refusal"
+                counts[kind] += 1
+                face = event
+    finally:
+        engine._project_from, engine._face_jump = project_from, face_jump
+    return counts
+
+
 def main(argv: list[str]) -> None:
     pool_seed = int(argv[0]) if argv else 1
     walks, jumps, solves = [], [], []
@@ -105,7 +159,11 @@ def main(argv: list[str]) -> None:
         median, total = statistics.median(costs), sum(costs) / 1e3
         print(f"{label}: {median:.2f} us per call, {total:.2f} ms in all ({len(costs)} calls)")
 
-    print(f"pool seed {pool_seed}; median of {REPEATS} replays per call, then over calls")
+    kinds = real_cycles_by_kind(pool_seed)
+    print(f"pool seed {pool_seed}; real cycles of the lp_direct pass: {sum(kinds.values())}")
+    for kind, count in kinds.items():
+        print(f"  {kind}: {count}")
+    print(f"median of {REPEATS} replays per call, then over calls")
     report("qp._walk_from (constants)", [median_us(walk, *call[:2]) for call in walks])
     for label, accepted in (("accepted", True), ("refused", False)):
         costs = [median_us(jump, args, kw) for args, kw, res in jumps if (res is not None) == accepted]

@@ -184,22 +184,24 @@ def pool_seed_1():
 
 
 def test_factor_decisions_match_the_cone_solve_on_a_pool(monkeypatch, pool_seed_1):
-    # Every cycle of the 300 direct solves of pool seed 1, decided on the
-    # factor or not, gets the cone solve's decision; a certified residual
-    # read from the factor lies within 1e-14 of the solve's (3.2e-15 at
-    # most on the pools of seeds 1, 7 and 11).
+    # Every real cycle of the 600 direct solves of pool seeds 1 and 7,
+    # decided on the factor or not, gets the cone solve's decision; a
+    # certified residual read from the factor lies within 1e-14 of the
+    # solve's (3.2e-15 at most on the pools of seeds 1, 7 and 11).  A face
+    # visit costs one real cycle, so pool seed 1 alone has 641 of them.
+    rng = np.random.default_rng(7)
+    pool = pool_seed_1 + [random_lp_instance(rng)[0] for _ in range(300)]
     compared, reads = decision_spies(monkeypatch)
-    for problem in pool_seed_1:
+    for problem in pool:
         solve_lp(problem, strategy="direct")
     decided = [value for value, _, _ in reads if value is not None]
     assert len(compared) > 1000 and len(decided) > 0.95 * len(compared)
-    assert sum(cert for cert, _, _ in compared) == 300
+    assert sum(cert for cert, _, _ in compared) == 600
     assert all(abs(res - ref) <= 1e-14 for cert, res, ref in compared if cert)
 
 
-def test_pool_decisions_make_few_cone_solves(monkeypatch, pool_seed_1):
-    # Work gate: the factor decides all but 13 of the cycles of pool seed 1;
-    # deciding every cycle with the cone solve took 1,009 NNLS calls.
+def decision_nnls_calls(monkeypatch):
+    """The NNLS calls made inside ``engine._decide``, as their shapes."""
     calls, inside = [], []
     nnls, decide = linalg.nnls, engine._decide
 
@@ -217,9 +219,61 @@ def test_pool_decisions_make_few_cone_solves(monkeypatch, pool_seed_1):
 
     monkeypatch.setattr(linalg, "nnls", nnls_spy)
     monkeypatch.setattr(engine, "_decide", decide_spy)
+    return calls
+
+
+def test_pool_decisions_make_few_cone_solves(monkeypatch, pool_seed_1):
+    # Work gate: the factor decides all but 13 of the cycles of pool seed 1;
+    # deciding every real cycle with the cone solve takes 552 NNLS calls.
+    calls = decision_nnls_calls(monkeypatch)
     for problem in pool_seed_1:
         solve_lp(problem, strategy="direct")
     assert len(calls) == 13
+
+
+def test_direct_pool_work_per_pass(monkeypatch, pool_seed_1):
+    # Work gate of one pass of the ``lp_direct`` benchmark at pool seed 1.
+    # A face visit costs one real cycle, its entry: the jump is tried there
+    # when the closed form's multiplier rates are all positive, and a
+    # stretch bounded by a row runs to that row, so no B-projection lands on
+    # the face of the cycle before.  With the jump tried on the second cycle
+    # on a face and every stretch stopped two cycles short of its event, the
+    # pass made 1,204 B-projections, 563 of them accepted on the face before
+    # (warm hits), and 229 attempts with 132 jumps for 73,476 generated
+    # cycles; the steps, decisions and step counts were as below.
+    work = dict(projections=0, warm=0, attempts=0, jumps=0)
+    project_from, face_jump = engine._project_from, engine._face_jump
+
+    def project_spy(poly, x, face):
+        res, final = project_from(poly, x, face)
+        work["projections"] += 1
+        work["warm"] += face is not None and final is face
+        return res, final
+
+    def jump_spy(*args):
+        jump = face_jump(*args)
+        work["attempts"] += 1
+        work["jumps"] += jump is not None
+        return jump
+
+    monkeypatch.setattr(engine, "_project_from", project_spy)
+    monkeypatch.setattr(engine, "_face_jump", jump_spy)
+    calls = decision_nnls_calls(monkeypatch)
+    traces = [solve_lp(problem, strategy="direct").trace for problem in pool_seed_1]
+    work["generated"] = sum(trace.generated_cycles for trace in traces)
+    work["active_set_steps"] = sum(trace.active_set_steps for trace in traces)
+    work["nnls"] = len(calls)
+    work["steps"] = sum(trace.steps_to_converge for trace in traces)
+    assert work == dict(
+        projections=641,
+        warm=0,
+        attempts=314,
+        jumps=229,
+        generated=74039,
+        active_set_steps=989,
+        nnls=13,
+        steps=149060,
+    )
 
 
 def test_a_repeated_face_row_falls_back_to_the_cone_solve(monkeypatch):

@@ -12,6 +12,7 @@ bound would measure only that rounding).
 """
 
 import json
+import math
 import time
 import tracemalloc
 
@@ -37,9 +38,9 @@ from altproj import engine
 from altproj.cli import main
 from altproj.engine import GAP_STALL_TOL
 from altproj.instances import random_lp_instance, random_pair_instance
-from altproj.linalg import ZERO_TOL
+from altproj.linalg import ZERO_TOL, _feas_tol, _substitute
 from altproj.lp import _default_start, outcome_to_json
-from altproj.sets import set_to_json
+from altproj.sets import ACTIVE_TOL, set_to_json
 
 REL_TOL = 1e-12
 
@@ -106,24 +107,29 @@ def test_random_lps_match_plain_cycles():
 
 
 def test_warm_faces_halve_the_active_set_steps(monkeypatch):
-    # The LPs above: the steps the run counts against the steps of cold
-    # projections of the points its real cycles projected.
+    # The LPs above: the steps of the projections that start from the face
+    # of the cycle before, against the steps of cold projections of the
+    # same points.  The first cycle of a run starts cold on both sides.
     projected = []
     warm_project = engine._project_from
 
     def spy(poly, x, face):
-        projected.append((poly, x))
-        return warm_project(poly, x, face)
+        res = warm_project(poly, x, face)
+        if face is not None:
+            projected.append((poly, x, res[0].iterations))
+        return res
 
     monkeypatch.setattr(engine, "_project_from", spy)
     rng = np.random.default_rng(7)
-    warm = 0
+    steps = 0
     for _ in range(40):
         problem, _ = random_lp_instance(rng)[:2]
         trace = run(*lp_pair(problem), max_iters=5000)
-        warm += trace.active_set_steps
+        steps += trace.active_set_steps
         assert "active_set_steps" not in trace.to_json_dict()
-    cold = sum(project_polyhedron(poly, x).iterations for poly, x in projected)
+    assert steps == 130
+    warm = sum(iterations for _, _, iterations in projected)
+    cold = sum(project_polyhedron(poly, x).iterations for poly, x, _ in projected)
     assert 0 < warm < cold / 2
 
 
@@ -397,8 +403,9 @@ def test_jump_onto_an_a_point_feasible_by_rounding_is_refused(monkeypatch):
 def test_jump_before_a_stall_is_refused(monkeypatch):
     # The run is linear in its start.  From x = 2.055e-11 the gap decrease
     # of the second cycle clears GAP_STALL_TOL and that of the third falls
-    # about 0.5 % short of it, so the jump tried after the second cycle is
-    # refused and the third cycle stalls (the window of x is 1 % wide).
+    # about 0.5 % short of it, so the jump tried on the first cycle, which
+    # enters the face, is refused and the third cycle stalls (the window of
+    # x is 1 % wide).
     blocks = jump_blocks(monkeypatch)
     one_row = Polyhedron([[0.1, -1.0]], [0.0])
     trace = assert_same_run(
@@ -407,6 +414,60 @@ def test_jump_before_a_stall_is_refused(monkeypatch):
     assert blocks == [0]
     assert trace.stop_reason is StopReason.GAP_STALLED
     assert len(trace.gaps) == 6
+
+
+def jump_cycles(monkeypatch):
+    """The real cycle, counted from 0, on which each jump is tried, and the
+    faces of the real cycles' B-projections: ``(tried, faces)``."""
+    tried, faces = [], []
+    project_from, face_jump = engine._project_from, engine._face_jump
+
+    def project_spy(poly, x, face):
+        res, final = project_from(poly, x, face)
+        faces.append((res.dual > 0.0, final))
+        return res, final
+
+    def jump_spy(*args):
+        tried.append(len(faces) - 1)
+        return face_jump(*args)
+
+    monkeypatch.setattr(engine, "_project_from", project_spy)
+    monkeypatch.setattr(engine, "_face_jump", jump_spy)
+    return tried, faces
+
+
+def test_the_jump_is_tried_on_the_cycle_that_enters_the_face(monkeypatch):
+    # The first B-projection lands on the wedge's face y = 0.01 x, where
+    # the closed form's multiplier rate is positive: the jump is tried
+    # there, and the run makes two real cycles, the entry and the one that
+    # reaches the apex.
+    tried, faces = jump_cycles(monkeypatch)
+    trace = run(BELOW, wedge(0.01), [20.0, -1.0], max_iters=5000)
+    assert tried == [0]
+    assert len(faces) == 2 and faces[0][0].tolist() == [True, False]
+    assert len(trace.gaps) // 2 - trace.generated_cycles == 2
+    assert_same_run(BELOW, wedge(0.01), [20.0, -1.0], max_iters=5000)
+
+
+def test_a_face_entered_with_a_falling_rate_gets_no_jump_on_entry(monkeypatch):
+    # Found by a seeded search over the small LPs of random_lp_instance:
+    # LP 49 of rng seed 2, a box in the plane with one more row.  Its first
+    # B-point is the vertex of rows 0 and 2, both working with positive
+    # multipliers, but the closed form's rate on row 0 is negative, so the
+    # next projection drops it.  No jump is tried on that entry; the one
+    # jump is tried on the next cycle, which enters the face of row 2.
+    problem, _ = pool_lp(2, 49)
+    set_a, set_b, x0 = lp_pair(problem)
+    tried, faces = jump_cycles(monkeypatch)
+    trace = run(set_a, set_b, x0, max_iters=5000)
+    (first, factor), (second, _) = faces[:2]
+    assert first.nonzero()[0].tolist() == [0, 2] and sorted(factor.W) == [0, 2]
+    rates = [-r for r in _substitute(factor.R, set_a._unit.dot(factor.Q1))]
+    assert min(rates) < 0.0 < max(rates)
+    assert second.nonzero()[0].tolist() == [2]
+    assert tried == [1]
+    assert trace.generated_cycles > 0
+    assert_same_run(set_a, set_b, x0, max_iters=5000)
 
 
 def stretch_ends(monkeypatch):
@@ -474,6 +535,44 @@ def test_handed_on_points_are_the_last_rows_of_the_built_block(monkeypatch):
         block = stretch.rows(np.arange(1, stretch.J + 1))
         assert block.shape == (2 * stretch.J, stretch.b.shape[0])
         assert block[-2:].tobytes() == last.tobytes()
+
+
+def test_row_bounded_stretches_run_to_their_row(monkeypatch):
+    # Every stretch of the pools of seeds 1, 7 and 11 ends at its row: its
+    # last B-point keeps every closing row at or above its floor, up to the
+    # rounding of the slack, and so passes the feasibility test of the real
+    # projection, while one more generated cycle would take a closing row
+    # below its floor.  The floor is the margin 10 * ACTIVE_TOL, or for a
+    # row already within it, its slack, at least 0, less the smallest
+    # feasibility tolerance of a B-projection.
+    ends = []
+    face_jump = engine._face_jump
+
+    def spy(h, poly, face, factor, b, *rest):
+        jump = face_jump(h, poly, face, factor, b, *rest)
+        if jump is not None:
+            ends.append((poly, face, b, *jump))
+        return jump
+
+    monkeypatch.setattr(engine, "_face_jump", spy)
+    for seed in (1, 7, 11):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            solve_lp(random_lp_instance(rng)[0], strategy="direct")
+    assert len(ends) > 700
+    for poly, face, b, stretch, last in ends:
+        units, offsets = poly._units, poly._offsets
+        end = last[0]
+        feas_tol = _feas_tol(poly._scale, math.hypot(*end.tolist()))
+        assert (units.dot(end) - offsets).max() <= feas_tol
+        closing = (units.dot(stretch.pvu) < 0.0) & ~face
+        slack = offsets - units.dot(b)
+        fall = _feas_tol(poly._scale, 0.0)
+        floor = np.where(slack > 10.0 * ACTIVE_TOL, 10.0 * ACTIVE_TOL, np.maximum(slack, 0.0) - fall)
+        rounding = 1e-15 * (np.abs(offsets) + np.linalg.norm(end))
+        assert ((offsets - units.dot(end) - floor)[closing] >= -rounding[closing]).all()
+        beyond = stretch.rows(np.arange(stretch.J + 1, stretch.J + 2))[0]
+        assert ((offsets - units.dot(beyond) - floor)[closing] < 0.0).any()
 
 
 def test_a_solve_builds_no_trace_arrays(monkeypatch):

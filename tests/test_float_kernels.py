@@ -16,8 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from altproj import DegenerateRow, HalfSpace
+from altproj import DegenerateRow, HalfSpace, linalg, project_polyhedron, qp, solve_lp
 from altproj.engine import _closing_ratios
+from altproj.instances import random_lp_instance
 from altproj.linalg import _entry_norm, _substitute
 from altproj.qp import _next_event
 
@@ -83,6 +84,27 @@ def test_substitute_reads_nothing_off_the_triangle():
     T = np.array([[2.0, 1.0], [np.nan, 4.0]])
     assert _substitute(T, np.array([4.0, 8.0])) == [1.0, 2.0]
     assert _substitute(T.T, np.array([2.0, 9.0]), lower=True) == [1.0, 2.0]
+
+
+def test_no_active_set_step_solves_an_empty_triangle(monkeypatch):
+    # A step with no working row, the first of every cold projection and a
+    # walk's step on no face, has no rates to solve for: it takes ``[]``
+    # and calls no substitution.
+    sizes = []
+
+    def spy(T, y, lower=False):
+        sizes.append(len(y))
+        return _substitute(T, y, lower)
+
+    monkeypatch.setattr(linalg, "_substitute", spy)
+    monkeypatch.setattr(qp, "_substitute", spy)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        problem = random_lp_instance(rng)[0]
+        for strategy in ("direct", "shifted"):
+            solve_lp(problem, strategy=strategy)
+        project_polyhedron(problem.poly, 100.0 * rng.normal(size=problem.poly.dim))
+    assert sizes and min(sizes) > 0
 
 
 # -- the walk's next event ----------------------------------------------------
