@@ -138,10 +138,11 @@ by itself: the path does not move it, and it enters the row event below
 like every other inactive row.
 
 The multipliers of the next B-projection on ``F`` are ``s_k`` times the
-rates ``-R^-1 Q_1' u`` of the face factor, read with one triangular solve.
-So :func:`run` tries the jump on the cycle that enters ``F``, when its
-working rows are exactly the rows of ``F`` and every rate is positive, and
-otherwise on the second cycle on ``F``; it tries once per visit to a face.
+rates ``-R^-1 Q_1' u`` of the face factor, read with one triangular solve;
+a negative rate means that projection drops its row and leaves ``F``.  So
+:func:`run` tries the jump once per visit to a face, on the cycle that
+enters it, and :func:`_face_jump` refuses unless the working rows are
+exactly the rows of ``F`` and every rate is positive.
 The jump finds the first cycle at which one of five events could happen:
 
 - an approaching inactive row's slack falls to ``10 * ACTIVE_TOL``, or, for
@@ -679,7 +680,7 @@ def run(
         # On a half-space/polyhedron pair the B-projection's multipliers name
         # the face it lands on, whose cycles are generated in closed form.
         walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
-        last_face, walked = None, False
+        last_face = None
         factor = None  # the face factor of the last B-projection (module docstring)
         generated = active_steps = 0
         current = x0
@@ -702,19 +703,13 @@ def run(
             cycle += 1
             if not walk:
                 continue
-            # One jump is tried per face visit: on the cycle that enters the
-            # face when the closed form's multiplier rates ``-R^-1 Q_1' u``
-            # are all positive (``R^-1 Q_1' u`` all negative), else on the
-            # second cycle on it.
+            # One jump is tried per face visit, on the cycle that enters the
+            # face.  A run that goes on has a factor: a projection that
+            # returns its point unchanged makes a zero B-step, and the cycle
+            # certifies or stalls.
             key = face.tobytes()
             if key != last_face:
-                last_face, walked = key, False
-                if factor is not None and _on_working_rows(face, factor.W):
-                    walked = all(r < 0.0 for r in _substitute(factor.R, set_a._unit.dot(factor.Q1)))
-                tried = walked
-            else:
-                tried, walked = not walked, True
-            if tried:
+                last_face = key
                 jump = _face_jump(set_a, set_b, face, factor, b, max_iters - cycle, cert_tol)
                 if jump is not None:
                     stretch, last = jump
@@ -985,8 +980,10 @@ def _face_jump(
     re-orthogonalise it, with ``Q_1`` the factor's first ``k`` columns,
     which span the working rows.  The result is None when the working rows
     are not exactly the rows of ``face`` (a working row with a zero
-    multiplier) and when ``J`` is below 1.  A row within the margin that
-    the path does not move, such as a copy of a face row, limits nothing.
+    multiplier), when a multiplier rate ``-R^-1 Q_1' u`` is not positive
+    (the next projection leaves the face) and when ``J`` is below 1.  A
+    row within the margin that the path does not move, such as a copy of a
+    face row, limits nothing.
     The other guards refuse ``b`` in the half-space (a zero A-step, on
     which the run has stopped) and a face that does not move the run,
     ``||P_V u||`` below ``ZERO_TOL`` or all of ``u``.
@@ -996,6 +993,10 @@ def _face_jump(
     if not s > 0.0 or not _on_working_rows(face, factor.W):
         return None
     Q1 = factor.Q1
+    # The multiplier rates -R^-1 Q_1' u: a falling one drops its row at the
+    # next projection, which leaves the face.
+    if not all(r < 0.0 for r in _substitute(factor.R, u.dot(Q1))):
+        return None
     pvu = u - Q1.dot(u.dot(Q1))
     pvu -= Q1.dot(pvu.dot(Q1))
     q = float(pvu.dot(pvu))

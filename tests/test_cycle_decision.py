@@ -233,14 +233,15 @@ def test_pool_decisions_make_few_cone_solves(monkeypatch, pool_seed_1):
 
 def test_direct_pool_work_per_pass(monkeypatch, pool_seed_1):
     # Work gate of one pass of the ``lp_direct`` benchmark at pool seed 1.
-    # A face visit costs one real cycle, its entry: the jump is tried there
-    # when the closed form's multiplier rates are all positive, and a
-    # stretch bounded by a row runs to that row, so no B-projection lands on
-    # the face of the cycle before.  With the jump tried on the second cycle
-    # on a face and every stretch stopped two cycles short of its event, the
-    # pass made 1,204 B-projections, 563 of them accepted on the face before
-    # (warm hits), and 229 attempts with 132 jumps for 73,476 generated
-    # cycles; the steps, decisions and step counts were as below.
+    # A face visit costs one real cycle, its entry: the jump is tried on
+    # every entry that does not stop the run and refused there when a
+    # closed-form multiplier rate is not positive, and a stretch bounded by
+    # a row runs to that row, so no B-projection lands on the face of the
+    # cycle before.  With the jump tried on the second cycle on a face and
+    # every stretch stopped two cycles short of its event, the pass made
+    # 1,204 B-projections, 563 of them accepted on the face before (warm
+    # hits), and 229 attempts with 132 jumps for 73,476 generated cycles;
+    # the steps, decisions and step counts were as below.
     work = dict(projections=0, warm=0, attempts=0, jumps=0)
     project_from, face_jump = engine._project_from, engine._face_jump
 
@@ -267,7 +268,7 @@ def test_direct_pool_work_per_pass(monkeypatch, pool_seed_1):
     assert work == dict(
         projections=641,
         warm=0,
-        attempts=314,
+        attempts=341,
         jumps=229,
         generated=74039,
         active_set_steps=989,

@@ -375,13 +375,15 @@ def jump_blocks(monkeypatch):
 
 
 def test_working_row_with_a_zero_multiplier_refuses_the_jump(monkeypatch):
-    # The B-projection keeps row 0 in its working set with a zero
+    # The first B-projection lands on both rows, and the closed form's rate
+    # on row 0 is zero, so the jump tried on that entry is refused.  The
+    # next projection keeps row 0 in its working set with a zero
     # multiplier, so the working rows are more than the face and the jump
-    # is refused.
+    # tried on that entry is refused too.
     blocks = jump_blocks(monkeypatch)
     poly = Polyhedron([[-2.0, -2.0, 0.0], [1.0, 0.0, 0.0]], [2.0, -1.0])
     trace = assert_same_run(HalfSpace([-1.0, 0.0, 1.0], -6.0), poly, [4.0, -2.0, -4.0])
-    assert blocks == [0]
+    assert blocks == [0, 0]
     assert trace.generated_cycles == 0
 
 
@@ -454,10 +456,11 @@ def test_a_face_entered_with_a_falling_rate_gets_no_jump_on_entry(monkeypatch):
     # LP 49 of rng seed 2, a box in the plane with one more row.  Its first
     # B-point is the vertex of rows 0 and 2, both working with positive
     # multipliers, but the closed form's rate on row 0 is negative, so the
-    # next projection drops it.  No jump is tried on that entry; the one
-    # jump is tried on the next cycle, which enters the face of row 2.
+    # next projection drops it.  The jump tried on that entry is refused;
+    # the next cycle enters the face of row 2 and jumps.
     problem, _ = pool_lp(2, 49)
     set_a, set_b, x0 = lp_pair(problem)
+    blocks = jump_blocks(monkeypatch)
     tried, faces = jump_cycles(monkeypatch)
     trace = run(set_a, set_b, x0, max_iters=5000)
     (first, factor), (second, _) = faces[:2]
@@ -465,7 +468,7 @@ def test_a_face_entered_with_a_falling_rate_gets_no_jump_on_entry(monkeypatch):
     rates = [-r for r in _substitute(factor.R, set_a._unit.dot(factor.Q1))]
     assert min(rates) < 0.0 < max(rates)
     assert second.nonzero()[0].tolist() == [2]
-    assert tried == [1]
+    assert tried == [0, 1] and blocks[0] == 0 and blocks[1] > 0
     assert trace.generated_cycles > 0
     assert_same_run(set_a, set_b, x0, max_iters=5000)
 
