@@ -143,7 +143,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     depend on ``c`` is made once per polyhedron and kept on it as
     ``B._cones`` (built by the first call): for n >= 3,
     the candidate family over all rows, grouped by size
-    (:class:`_ConeGroup`), with the inverses ``R^-1`` of the R factors of
+    (:func:`_cone_table`), with the inverses ``R^-1`` of the R factors of
     its independent cones; in the plane it is empty.  Each call reads the
     cosines and ray distances of the unit rows from stacked products, keeps
     the cones whose rows all qualify (exactly the family above), and reads
@@ -167,10 +167,10 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     _check_pair(A, B)
     neg_chat = -as_point(A._unit, B.dim)
     vertices = feasible_vertices(B) if B.dim >= 3 else ()
-    groups = B._cones
-    if groups is None:
-        groups = _cone_groups(B, vertices)
-        object.__setattr__(B, "_cones", groups)
+    table = B._cones
+    if table is None:
+        table = _cone_table(B, vertices)
+        object.__setattr__(B, "_cones", table)
     units = B._units
     # A row qualifies when ``<a_i, c> > -||a_i|| ||c||``, read on the unit
     # rows and the half-space's unit normal.  The ray distances of the
@@ -180,10 +180,10 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     qualifying = uv < 1.0 - _STRICT_MARGIN
     ray = np.where(uv <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(units - uv[:, None] * neg_chat)))
     best = float(ray[qualifying].min(initial=math.inf))
-    for group in groups:
-        kept = qualifying[group.idx].all(axis=1)
-        idx = group.idx[kept]
-        r_inv = group.r_inv[kept]
+    for cones, inverses, dependent in table:
+        kept = qualifying[cones].all(axis=1)
+        idx = cones[kept]
+        r_inv = inverses[kept]
         lam = np.einsum("gkj,gj->gk", r_inv, np.einsum("gjk,gj->gk", r_inv, uv[idx]))
         inside = (lam > 0.0).all(axis=1)
         # The residual is a small difference of unit-scale vectors, so it is
@@ -193,33 +193,25 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
         resid = neg_chat - point
         dist = np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float)
         best = min(best, float(dist[dist > _CONTAINS_TOL].min(initial=math.inf)))
-        for rows in group.dependent[qualifying[group.dependent].all(axis=1)]:
+        for rows in dependent[qualifying[dependent].all(axis=1)]:
             dist = unit_cone_distance(neg_chat, np.ascontiguousarray(units[rows].T))
             if dist > _CONTAINS_TOL:
                 best = min(best, dist)
     return 0.5 * min(1.0, best)
 
 
-@dataclass(frozen=True, eq=False)
-class _ConeGroup:
-    """The candidate cones of one size k <= n, with their part that B fixes.
+def _cone_table(B: Polyhedron, vertices) -> tuple:
+    """B's candidate cones of 2..n rows over all rows, one ``(idx, r_inv,
+    dependent)`` tuple per size that has any, in increasing size, from its
+    :func:`feasible_vertices`: every pair of rows, and every subset of 3..n
+    rows active together at one of ``vertices``.  In the plane the table is
+    empty.
 
     ``idx`` holds the sorted row indices of the cones with independent unit
-    rows, one row per cone, and ``r_inv`` the inverses of their R factors
-    (``U_S' = Q R``), upper triangular.  ``dependent`` holds the other
-    cones, which are measured, less the exactly antiparallel pairs.
-    """
-
-    idx: np.ndarray
-    r_inv: np.ndarray
-    dependent: np.ndarray
-
-
-def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
-    """The candidate cones of 2..n of ``m`` rows, one array of sorted row
-    indices per size that has any, in lexicographic order: every pair of
-    rows, and every subset of 3..n rows active together at one of
-    ``vertices``.
+    rows, one row per cone in lexicographic order, and ``r_inv`` the
+    inverses of their R factors (``U_S' = Q R``), upper triangular.
+    ``dependent`` holds the other cones, which are measured, less the
+    exactly antiparallel pairs.
 
     A sorted k-subset is keyed by the integer ``sum_i idx_i m^(k-1-i)``,
     below ``24^8`` at the oracle limit and so an int64.  The keys order as
@@ -228,6 +220,9 @@ def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
     2.3 it hashes first, which took ten times as long as the sort on the
     126,000 keys of one size at n = 8, m = 24.)
     """
+    m, n = B.num_rows, B.dim
+    if n < 3:
+        return ()
     actives = {}
     for _, active in vertices:
         actives.setdefault(len(active), []).append(active)
@@ -243,26 +238,16 @@ def _cone_family(m: int, n: int, vertices) -> list[np.ndarray]:
         if keys:
             keys = np.sort(np.concatenate(keys))
             family.append(keys[np.r_[True, keys[1:] != keys[:-1]]][:, None] // powers % m)
-    return [idx for idx in family if len(idx)]
-
-
-def _cone_groups(B: Polyhedron, vertices) -> tuple:
-    """B's candidate family of 2..n rows over all rows, one :class:`_ConeGroup`
-    per size, from its :func:`feasible_vertices`: every pair of rows and
-    every subset of two or more rows active together at a vertex.  In the
-    plane the family is empty."""
-    if B.dim < 3:
-        return ()
     units = B._units
-    groups = []
-    for idx in _cone_family(B.num_rows, B.dim, vertices):
+    table = []
+    for idx in filter(len, family):
         R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
         independent = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
         dependent = ~independent
         if idx.shape[1] == 2:
             dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
-        groups.append(_ConeGroup(idx[independent], np.linalg.inv(R[independent]), idx[dependent]))
-    return tuple(groups)
+        table.append((idx[independent], np.linalg.inv(R[independent]), idx[dependent]))
+    return tuple(table)
 
 
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:

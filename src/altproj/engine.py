@@ -187,10 +187,11 @@ hull of the face, refined once on the working rows.  When ``u >= 0`` and
 ``z`` is feasible, ``z`` is the projection exactly, not approximately:
 ``x - z = A_W' u`` with ``u >= 0``, ``z`` feasible and every working row
 tight are the KKT conditions of the projection, and for a convex quadratic
-they are sufficient.  That case takes no active-set step and no update of
-the factor.  When ``u >= 0`` but ``z`` is infeasible, the active-set method
-continues from ``(W, u, z)`` and a copy of the factor; a negative entry of
-``u`` starts it from the empty working set.  A feasible ``x`` is returned
+they are sufficient.  Whenever ``u >= 0`` the active-set method continues
+from ``(W, u, z)`` and a copy of the factor: a feasible ``z`` ends it at
+its first test, with no step and no update of the factor, and the answer
+is read off the copy as from any final face.  A negative entry of ``u``
+starts it from the empty working set.  A feasible ``x`` is returned
 unchanged before the face is tried, as the cold projection does.  On the
 random LPs of the ``lp_direct`` pool none of the B-projections lands on the
 face of the cycle before, since a visit to a face is its entry and then a
@@ -372,15 +373,18 @@ class _Record(NamedTuple):
     ``pieces`` holds, in run order, flat arrays of consecutive real
     iterates and the :class:`_Stretch` records of generated cycles; the last
     piece is an array that ends with the final B- and A-point.  ``n`` is the
-    dimension, ``count`` the number of iterates and ``final_gap`` the
-    A-step's gap of the last cycle, ``_norm(a - b)`` as the cycle measured
-    it.
+    dimension and ``final_gap`` the A-step's gap of the last cycle,
+    ``_norm(a - b)`` as the cycle measured it.
     """
 
     pieces: list
     n: int
-    count: int
     final_gap: float
+
+    @property
+    def count(self) -> int:
+        # The number of iterates, summed over the pieces without building them.
+        return sum(2 * p.J if isinstance(p, _Stretch) else len(p) // self.n for p in self.pieces)
 
     def build(self) -> tuple[np.ndarray, np.ndarray]:
         # ``points`` and ``gaps``, row for row as the run made them: every
@@ -428,8 +432,9 @@ class Trace:
     cycle, and their gaps are formed the same way.
     ``active_set_steps`` sums ``QPResult.iterations`` over the projections
     onto B of a half-space/polyhedron pair, the only pair whose run reads
-    them (0 for other pairs); a projection accepted on the previous face
-    counts 0.  Like ``generated_cycles`` it is not part of the report JSON.
+    them (0 for other pairs); a projection whose start on the previous face
+    is already its answer counts 0.  Like ``generated_cycles`` it is not
+    part of the report JSON.
     """
 
     def __init__(
@@ -448,7 +453,7 @@ class Trace:
         self.generated_cycles = generated_cycles
         self.active_set_steps = active_set_steps
         if isinstance(points, _Record):
-            # A run's record (``_trace``): the arrays are built on first read.
+            # A run's record: the arrays are built on first read.
             self._record, self._arrays = points, None
         else:
             # Read-only views: the arrays passed in stay as they were.
@@ -675,7 +680,7 @@ def run(
         # A stretch joins them into one piece and follows it in ``pieces`` as
         # its closed form; the stop joins the rest.  The joined copies keep the
         # trace apart from ``x0`` and from the certificate's pair, which callers
-        # hold (``_trace`` builds the arrays on first read).
+        # hold (the trace builds the arrays on first read).
         points, pieces = [x0], []
         # On a half-space/polyhedron pair the B-projection's multipliers name
         # the face it lands on, whose cycles are generated in closed form.
@@ -723,30 +728,7 @@ def run(
             # least one cycle short of the cap.
             stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
         pieces.append(np.concatenate(points))
-        return _trace(pieces, x0.shape[0], gap_a, stop, generated, active_steps)
-
-
-def _trace(
-    pieces: list,
-    n: int,
-    final_gap: float,
-    stop: tuple[StopReason, int | None, Certificate | None],
-    generated: int = 0,
-    active_steps: int = 0,
-) -> Trace:
-    # The ``Trace`` of a run from its pieces (``_Record``), the last cycle's
-    # A-step gap and its stop.  The points and gaps are built on first read.
-    count = sum(2 * p.J if isinstance(p, _Stretch) else len(p) // n for p in pieces)
-    reason, steps, cert = stop
-    return Trace(
-        _Record(pieces, n, count, final_gap),
-        None,
-        stop_reason=reason,
-        steps_to_converge=steps,
-        certificate=cert,
-        generated_cycles=generated,
-        active_set_steps=active_steps,
-    )
+        return Trace(_Record(pieces, x0.shape[0], gap_a), None, *stop, generated, active_steps)
 
 
 def _decide(
@@ -801,7 +783,7 @@ def _run_planar(
     floats; a cycle the screen cannot clear is decided again on arrays by
     :func:`_decide`.  Only the floats of the iterates are kept, and put
     into one array at the stop; the trace builds the points and gaps from
-    it on first read (:func:`_trace`).
+    it on first read (:class:`_Record`).
     """
     project_a, project_b = _planar_projection(set_a), _planar_projection(set_b)
     gap_floor = 2.0 * max(cert_tol, ZERO_TOL)
@@ -833,7 +815,7 @@ def _run_planar(
         b, a = np.array((b0, b1)), np.array((a0, a1))
         d, gap_a = _step_gap(a, b)
         stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
-    return _trace([np.array(xy)], 2, gap_a, stop)
+    return Trace(_Record([np.array(xy)], 2, gap_a), None, *stop)
 
 
 def _planar_projection(s: HalfSpace | EpigraphSet):

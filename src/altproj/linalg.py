@@ -14,12 +14,14 @@ also checks the length against the set or space the vector belongs to, and
 from then on works on the validated array.  The rule for loops follows from
 it: a point is validated once, where it enters the package, and the loop
 runs on kernels that take validated arrays.  The kernels that do no
-validation here are :func:`unit_distance_to_ray`,
-:func:`unit_cone_distance`, ``_norm``, ``_dot_row_norms``, ``_dot_rows``
-and ``_feas_tol``, the one reader of the feasibility tolerance
-``_FEAS_TOL``; ``sets``, ``engine`` and ``qp`` keep their own
-(``_active``, ``_project_point``, ``_certificate``, ``_decide``,
-``_project_from`` and the kernels behind them).
+validation here are :func:`unit_distance_to_ray`, ``_norm``,
+``_dot_row_norms``, ``_dot_rows`` and ``_feas_tol``, the one reader of the
+feasibility tolerance ``_FEAS_TOL``; ``sets``, ``engine`` and ``qp`` keep
+their own (``_active``, ``_project_point``, ``_certificate``, ``_decide``,
+``_project_from`` and the kernels behind them).  :func:`unit_cone_distance`
+checks nothing itself, but a cone of two or more columns goes through the
+public :func:`nnls`, which reads its target by :func:`as_point` and scans
+its columns by the entry rule again on every call.
 
 Products.  Every vector-vector and matrix-vector product in the package is
 written ``x.dot(y)``, not ``x @ y``.  Both call the same BLAS routine and
@@ -429,9 +431,10 @@ def nnls(G, y):
 def unit_cone_distance(vhat: np.ndarray, G: np.ndarray) -> float:
     """Distance from the unit vector ``vhat`` to the cone spanned by ``G``'s columns.
 
-    Does no validation: ``G`` is ``(n, k)`` with finite, nonzero columns of
-    the length of ``vhat``.  No columns means the cone is ``{0}`` (distance
-    1); one column is the closed-form ray rejection; more take one NNLS.
+    Validates nothing of its own: ``G`` is ``(n, k)`` with finite, nonzero
+    columns of the length of ``vhat``.  No columns means the cone is ``{0}``
+    (distance 1); one column is the closed-form ray rejection; more take one
+    :func:`nnls`, which validates ``G`` and ``vhat`` again.
     """
     k = G.shape[1]
     if k == 0:

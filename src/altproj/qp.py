@@ -121,7 +121,7 @@ class QPResult:
     ``point`` is the nearest feasible point, ``dual`` the multipliers with
     ``x - point = A' dual``, and ``iterations`` the number of active-set
     steps (full and partial; 0 when ``x`` is already feasible, and 0 when
-    the face of an earlier projection is accepted as it is).  For
+    the projection onto the face of an earlier projection is feasible).  For
     :func:`project_along_ray`, ``iterations`` is the active-set steps of
     the projection of the base point plus one per face walked.
     """
@@ -235,13 +235,13 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     and the engine validate once, at the boundary.  ``face`` is the factor
     of an earlier projection onto ``p`` (None for a cold start).  A feasible
     ``x`` returns first, as in the cold case.  When the multipliers of ``x``
-    on ``face`` are nonnegative, the projection onto the face is the answer
-    if it is feasible (the KKT conditions hold, so it takes no active-set
-    step), and otherwise the dual-feasible start of the active-set method,
-    which continues from a copy of the face's factor.  A negative multiplier
-    starts it from the empty working set.  The second value is the factor of
-    the final face, None for a feasible ``x``.  The multipliers are those of
-    the unit rows.
+    on ``face`` are nonnegative, the projection onto the face is the
+    dual-feasible start of the active-set method, which continues from a
+    copy of the face's factor; if that start is feasible the KKT conditions
+    hold and the method ends at its first test, with no step.  A negative
+    multiplier starts it from the empty working set.  The second value is
+    the factor of the final face, None for a feasible ``x``.  The
+    multipliers are those of the unit rows.
     """
     A, b = p._units, p._offsets
     n = x.shape[0]
@@ -249,8 +249,9 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     feas_tol = _feas_tol(p._scale, math.hypot(*x.tolist()))
     lam = np.zeros(A.shape[0])
     # Python's ``max`` of a list skips a NaN that is not first, so the
-    # feasibility tests read every entry: a NaN excess is not feasible.  The
-    # slack of the point tested last starts the active-set method.
+    # feasibility test reads every entry: a NaN excess is not feasible.  The
+    # slack of the start point starts the active-set method, whose first
+    # test takes a feasible start on the face as it is.
     slack = A.dot(x) - b
     if all(v <= feas_tol for v in slack.tolist()):
         return QPResult(x.copy(), lam, 0), None
@@ -258,14 +259,10 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
     if face is not None:
         u_f, z_f = _on_face(face, x)
         warm = all(v >= 0.0 for v in u_f)
-        if warm:
-            slack = A.dot(z_f) - b
-            if all(v <= feas_tol for v in slack.tolist()):
-                lam[face.W] = u_f
-                return QPResult(z_f, lam, 0), face
     W, Q, R = _continued(face if warm else None, n)
     if warm:
         u, z = u_f, z_f
+        slack = A.dot(z) - b
     else:
         u, z = [], x.copy()
         if not x.flags.c_contiguous:

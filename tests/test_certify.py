@@ -338,7 +338,7 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
         flipped = HalfSpace(-B.A[0], -10.0)
         assert_near_exact(kept, flipped, FLIPPED_EXACT_BOUND)
         qualifying = set(qualifying_active_sets(B, flipped)[0])
-        cones = [rows for g in kept._cones for rows in (*g.idx, *g.dependent)]
+        cones = [rows for idx, _, dependent in kept._cones for rows in (*idx, *dependent)]
         filtered += sum(set(rows) <= qualifying for rows in cones) < len(cones)
     assert filtered >= 40
 
@@ -346,7 +346,10 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
 def test_the_cone_family_is_every_pair_and_every_active_subset():
     # The reference builds the family as sets of index tuples, sorted; the
     # table keys each subset by an integer instead.  Degenerate apexes with
-    # up to 2n + 2 active rows are among the bad geometry.
+    # up to 2n + 2 active rows are among the bad geometry.  Each size's
+    # independent cones, its dependent cones and the exactly antiparallel
+    # pairs the table leaves out are together the family, and the first two
+    # keep its order.
     for B, _ in rng72_pool_pairs() + bad_geometry_pairs():
         vertices = feasible_vertices(B)
         cones = [set() for _ in range(B.dim + 1)]
@@ -355,11 +358,17 @@ def test_the_cone_family_is_every_pair_and_every_active_subset():
             for size in range(3, min(len(active), B.dim) + 1):
                 cones[size].update(itertools.combinations(active, size))
         expected = [np.array(sorted(group)) for group in cones if group]
-        family = certify._cone_family(B.num_rows, B.dim, vertices)
-        assert len(family) == len(expected)
-        for idx, ref in zip(family, expected):
-            assert idx.dtype == ref.dtype and idx.shape == ref.shape
-            np.testing.assert_array_equal(idx, ref)
+        table = certify._cone_table(B, vertices)
+        assert len(table) == len(expected)
+        for (idx, _, dependent), ref in zip(table, expected):
+            left_out = ref[:0]
+            if ref.shape[1] == 2:
+                left_out = ref[(B._units[ref[:, 0]] == -B._units[ref[:, 1]]).all(axis=1)]
+            family = np.concatenate([idx, dependent, left_out])
+            assert family.dtype == ref.dtype and family.shape == ref.shape
+            np.testing.assert_array_equal(family[np.lexsort(family.T[::-1])], ref)
+            for part in (idx, dependent):
+                np.testing.assert_array_equal(np.lexsort(part.T[::-1]), np.arange(len(part)))
 
 
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
@@ -371,14 +380,14 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
 
     def spy(B, vertices):
         built.append(B)
-        return cone_groups(B, vertices)
+        return cone_table(B, vertices)
 
     def read(B):
         reads.append(B)
         return vertex_list(B)
 
-    cone_groups, vertex_list = certify._cone_groups, certify.feasible_vertices
-    monkeypatch.setattr(certify, "_cone_groups", spy)
+    cone_table, vertex_list = certify._cone_table, certify.feasible_vertices
+    monkeypatch.setattr(certify, "_cone_table", spy)
     monkeypatch.setattr(certify, "feasible_vertices", read)
     rng = np.random.default_rng(5)
     inst = random_pair_instance(rng)

@@ -248,7 +248,8 @@ def test_direct_pool_work_per_pass(monkeypatch, pool_seed_1):
     def project_spy(poly, x, face):
         res, final = project_from(poly, x, face)
         work["projections"] += 1
-        work["warm"] += face is not None and final is face
+        # A warm hit: a continuation from the face before that takes no step.
+        work["warm"] += face is not None and final is not None and res.iterations == 0
         return res, final
 
     def jump_spy(*args):

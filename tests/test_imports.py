@@ -64,6 +64,26 @@ def test_every_module_level_import_is_used():
     assert unused == UNUSED_ON_PURPOSE
 
 
+def test_every_private_definition_is_read_in_the_package():
+    # A private helper or class whose last caller in the package goes (folded
+    # into another, say) goes with it: one kept for the tests alone fails
+    # here.  A definition counts as read when the package loads its name,
+    # reads it as an attribute or imports it; the tests do not count.
+    defined, read = set(), set()
+    for path in sorted((SRC / "altproj").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert sorted(name for name in defined if name.split(".")[1] not in read) == []
+
+
 def sites(match, modules=None):
     """``module.function`` of every AST node for which ``match`` holds, named
     by the innermost def around it (the module alone at module level), in

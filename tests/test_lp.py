@@ -11,6 +11,7 @@ from altproj import (
     HalfSpace,
     LPProblem,
     LowerBoundNotStrict,
+    NotConverged,
     Polyhedron,
     StartNotInA,
     TooLarge,
@@ -365,6 +366,14 @@ def test_shifted_solve_certifies_after_a_huge_shift():
     assert out.certificate.holds
     assert out.objective == pytest.approx(optimum, abs=1e-9)
     np.testing.assert_allclose(out.solution, vertex, atol=1e-9)
+
+
+def test_shifted_solve_refuses_an_optimum_it_cannot_certify():
+    # With no tolerance the certificate of the walk's optimum fails on its
+    # rounding alone: the solve refuses, and returns no uncertified answer.
+    problem = random_lp_instance(np.random.default_rng(1))[0]
+    with pytest.raises(NotConverged, match="^shifted projection did not certify optimality$"):
+        solve_lp(problem, strategy="shifted", cert_tol=0.0)
 
 
 def test_direct_steps_within_certified_bound():

@@ -232,11 +232,25 @@ def assert_matches_cold(poly, x, res):
     assert kkt_residual(poly, res) <= 1e-9 * scale
 
 
+def assert_no_step_from(face, x, res, new_face):
+    """A continuation from ``face`` that took no active-set step: it returns
+    the projection of ``x`` onto ``face`` with its multipliers, and its final
+    face has ``face``'s working rows and factor, bit for bit."""
+    u, z = qp._on_face(face, x)
+    assert res.iterations == 0 and res.point.tobytes() == z.tobytes()
+    assert res.dual[face.W].tobytes() == np.maximum(u, 0.0).tobytes()
+    assert new_face is not face and new_face.W == face.W
+    for name in ("Q", "R", "w"):
+        assert getattr(new_face, name).tobytes() == getattr(face, name).tobytes()
+
+
 def test_warm_face_takes_every_branch_and_matches_the_cold_projection(monkeypatch):
     # Every ordered pair of points of one polyhedron: the face of the first
-    # point's projection is the warm start of the second's.
+    # point's projection is the warm start of the second's.  A continuation
+    # whose start on the face is already feasible takes no step, and counts
+    # as its own kind.
     branch = warm_branch(monkeypatch)
-    seen = {"hit": 0, "continue": 0, "cold": 0, "feasible": 0}
+    seen = {"no step": 0, "continue": 0, "cold": 0, "feasible": 0}
     rng = np.random.default_rng(31)
     for poly, inside in warm_polyhedra():
         points = warm_points(rng, poly, inside)
@@ -249,12 +263,12 @@ def test_warm_face_takes_every_branch_and_matches_the_cold_projection(monkeypatc
                     kind = "feasible"
                     assert np.array_equal(res.point, x) and res.point is not x
                     assert not res.dual.any() and res.iterations == 0 and new_face is None
-                elif branch:
+                else:
                     kind = branch[-1]
                     assert len(branch) == 1
-                else:
-                    kind = "hit"
-                    assert res.iterations == 0 and new_face is face
+                    if kind == "continue" and res.iterations == 0:
+                        kind = "no step"
+                        assert_no_step_from(face, x, res, new_face)
                 seen[kind] += 1
                 assert_matches_cold(poly, x, res)
     assert min(seen.values()) >= 100, seen
@@ -279,6 +293,7 @@ def test_a_strided_point_starts_on_the_slack_of_its_contiguous_copy(monkeypatch)
 
 
 def test_warm_face_of_the_point_itself_is_a_hit(monkeypatch):
+    # A hit is a continuation from the face that takes no active-set step.
     branch = warm_branch(monkeypatch)
     rng = np.random.default_rng(32)
     for poly, inside in warm_polyhedra():
@@ -288,7 +303,8 @@ def test_warm_face_of_the_point_itself_is_a_hit(monkeypatch):
                 continue
             branch.clear()
             res, again = _project_from(poly, x, face)
-            assert not branch and res.iterations == 0 and again is face
+            assert branch == ["continue"]
+            assert_no_step_from(face, x, res, again)
             assert_matches_cold(poly, x, res)
 
 
@@ -329,15 +345,15 @@ def assert_face_record(poly, face):
 
 
 def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
-    # Faces from cold projections, faces accepted as they are, faces of warm
-    # continuations that take active-set steps, and faces that a walk (the
+    # Faces from cold projections, faces of warm continuations that take no
+    # active-set step and of those that take some, and faces that a walk (the
     # shifted LP solve's) starts from and ends on.  Each is checked again at
     # the end, after the later projections and walks that started from it:
     # those step on copies of ``Q``, so the view ``Q1`` still reads the
     # factor it was made with.
     branch = warm_branch(monkeypatch)
     made = []  # (polyhedron, face, bytes of Q1 when the face was made)
-    seen = {"cold": 0, "hit": 0, "continue": 0, "walk": 0}
+    seen = {"cold": 0, "no step": 0, "continue": 0, "walk": 0}
 
     def keep(poly, face):
         assert_face_record(poly, face)
@@ -363,16 +379,20 @@ def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
             for face in faces:
                 branch.clear()
                 res, new_face = _project_from(poly, x, face)
-                if new_face is face:
-                    seen["hit"] += 1
-                    assert_face_record(poly, face)
-                elif branch == ["continue"] and res.iterations > 0:
-                    seen["continue"] += 1
+                if branch == ["continue"]:
+                    seen["continue" if res.iterations else "no step"] += 1
                     keep(poly, new_face)
     for poly, face, q1 in made:
         assert_face_record(poly, face)
         assert face.Q1.tobytes() == q1
     assert min(seen.values()) >= 50, seen
+
+
+def test_projection_past_its_step_cap_raises(monkeypatch):
+    # A cap of 0 active-set steps: a point outside the box needs one.
+    monkeypatch.setattr(linalg, "_STEPS_PER_DIM", 0)
+    with pytest.raises(NotConverged, match="^projection took more than 0 active-set steps$"):
+        project_polyhedron(unit_box(), [3.0, 0.5])
 
 
 def test_clamped_multipliers_are_numpys_maximum_bit_for_bit():

@@ -74,6 +74,19 @@ def test_trace_keeps_the_arrays_it_is_given_writable():
         trace.points[0, 0] = 3.0
 
 
+def test_a_trace_of_arrays_reads_the_final_fields_of_a_run():
+    # ``Trace(points, gaps)`` reads its final pair and gap off the arrays,
+    # where a run's trace reads the run's own values: the same bits, and the
+    # pair as read-only as the rows.
+    trace = wedge_run(37)
+    given = Trace(trace.points, trace.gaps)
+    for got, want in zip(given.final_pair(), trace.final_pair()):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    assert given.final_gap == trace.final_gap and given.num_iterates == trace.num_iterates
+
+
 def assert_final_fields(trace, set_a, cycles):
     a, b = trace.final_pair()
     assert trace.iterates[-1][1] == "A" and trace.iterates[-2][1] == "B"
