@@ -376,8 +376,11 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     bit for bit what :func:`project_polyhedron` gives, and the walk on from
     it along ``-c`` gives ``d_AB`` as :func:`polyhedron_halfspace_distance`
     forms it: bit for bit ``(objective - M) / ||c||`` of the shifted LP
-    solve from the same ``x0``.  Only alpha reads B's vertex list, and only
-    for n >= 3.
+    solve from the same ``x0``.  The projection and the walk are B's kept
+    walk (:func:`~altproj.qp._walk_to_optimum`) when the last one on B
+    started from the same ``x0`` along the same ``c``; otherwise they are
+    made and kept, and a shifted solve from that ``x0`` reads them.  Only
+    alpha reads B's vertex list, and only for n >= 3.
 
     Then it raises what :func:`alpha_polyhedron_halfspace` raises, then
     what the projection of ``x0`` and the walk raise

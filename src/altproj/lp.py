@@ -94,7 +94,10 @@ def solve_lp(
     point stands still and no working multiplier falls:
     :func:`~altproj.qp._walk_to_optimum`).  There it stays
     for every larger shift, the paper's one-step shift included, and it is
-    the optimum by the KKT conditions.  The optimum is certified on the
+    the optimum by the KKT conditions.  The walk is the polyhedron's kept
+    one when its last walk started from the same ``x0`` along the same
+    ``c``, as after ``bound_report`` from that ``x0``; the solution is a
+    copy of its end point.  The optimum is certified on the
     walk's final face: B's residual is read from its factor, as a direct
     run reads it, and measured by a cone solve only where the factor cannot
     decide, so no cone solve runs after the walk on the benchmark's pools.
@@ -150,7 +153,8 @@ def solve_lp(
             _, end, factor = _walk_to_optimum(poly, x0, c)
         except Unbounded:
             raise _not_strict(M) from None
-        b_star = end.point
+        # A copy: the walk's arrays are the polyhedron's kept record.
+        b_star = end.point.copy()
         _check_strict_bound(halfspace, b_star, cert_tol)
         # Certify b* against the unshifted half-space: the walk stopped where
         # -c lies in the cone of b*'s working rows, so B's residual is read

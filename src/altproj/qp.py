@@ -81,6 +81,14 @@ working rows, and the shifted solve, the one caller that reads the face,
 builds it from them (:func:`_face_of`) and certifies its optimum on that
 factor.  ``d(A, B)``, ``project_along_ray`` and ``lp --auto-bound`` read
 the point alone.
+
+A polyhedron keeps its last walk to the optimum (``Polyhedron._walk``),
+keyed by the bytes of the start and the objective and by whether each is
+C-contiguous: a strided vector can round otherwise (:func:`_project_from`).
+A later call with the same key returns the kept record, the very arrays the
+walk made, so ``bound_report`` and the shifted solve from one ``x0`` walk
+once and agree bit for bit.  The kept arrays are read-only, and a walk that
+raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -339,9 +347,25 @@ def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Factor]:
     and factor are the walk's final ones: there ``-c`` lies in the cone of
     those rows, so their face (:func:`_face_of`) holds the optimum's
     certificate.
+
+    The walk is kept on ``p`` (``Polyhedron._walk``), in place of the one
+    before, under the key ``(x.tobytes(), x C-contiguous, c.tobytes(),
+    c C-contiguous)``.  A call with the key of the kept walk returns its
+    record, the same three values as the walk that made it, with every
+    array read-only; a ``-0.0`` for a ``0.0`` or a strided copy of ``x``
+    is another key and walks again.  A walk that raises keeps nothing.
     """
+    key = (x.tobytes(), x.flags.c_contiguous, c.tobytes(), c.flags.c_contiguous)
+    kept = p._walk
+    if kept is not None and kept[0] == key:
+        return kept[1]
     start, face = _project_from(p, x, None)
-    return start, *_walk_from(p, start, face, -c, math.inf)
+    end, factor = _walk_from(p, start, face, -c, math.inf)
+    for array in (start.point, start.dual, end.point, end.dual, factor[1], factor[2]):
+        array.flags.writeable = False
+    walk = start, end, factor
+    object.__setattr__(p, "_walk", (key, walk))
+    return walk
 
 
 def _walk_from(

@@ -134,17 +134,22 @@ class Polyhedron(_ValueSet):
 
     A: np.ndarray
     b: np.ndarray
-    # The vertex list of :func:`altproj.vertices.feasible_vertices` and the
-    # cone family of :func:`altproj.certify.alpha_polyhedron_halfspace`, each
-    # made on first use and kept for as long as the polyhedron lives: ``A``
-    # and ``b`` are frozen, so neither can go stale.  Neither is part of the
-    # value, and a copy ``Polyhedron(A, b)`` starts without them.  Alpha
-    # reads the vertex list for n >= 3 only, and the oracle reads it; no LP
-    # optimum or distance does, so a planar ``bound_report`` leaves it None.
-    # The cone family is the larger: about 12 MB at n = 8, m = 24, mostly R
-    # factors.
+    # Three records, made on use and kept with the polyhedron: ``A`` and
+    # ``b`` are frozen, so none can go stale.  None is part of the value,
+    # and a copy ``Polyhedron(A, b)`` starts without them.
+    # - The vertex list of :func:`altproj.vertices.feasible_vertices`.  Alpha
+    #   reads it for n >= 3 only, and the oracle reads it; no LP optimum or
+    #   distance does, so a planar ``bound_report`` leaves it None.
+    # - The cone family of :func:`altproj.certify.alpha_polyhedron_halfspace`,
+    #   the largest: about 12 MB at n = 8, m = 24, mostly R factors.
+    # - The last walk of :func:`altproj.qp._walk_to_optimum` with the start
+    #   and objective it was made for, so ``bound_report`` and the shifted
+    #   solve from one ``x0`` walk once.  A new walk replaces it.  Two
+    #   ``QPResult``s, ``W``, ``Q`` and ``R``: under 2 KB of arrays at n = 8,
+    #   m = 24.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # The row norms, the unit rows and the offsets over the norms, and
     # ``1 + max|_offsets|``, the part of the projection's data scale
     # ``1 + max|_offsets| + ||x||`` that does not depend on the point.

@@ -8,11 +8,18 @@ pool makes and replays each call ``REPEATS`` times.  A call costs the
 median of its replays; the script prints the median cost over the calls
 and their sum, the kernel's share of the pass:
 
-- ``qp._walk_from`` over the ``constants`` pool (``bound_report`` and the
-  shifted solve of each pair);
+- ``qp._walk_from`` over the ``constants`` pool: ``bound_report``'s walk
+  of each pair, which the polyhedron keeps and the shifted solve after it
+  reads, so the pass records one walk per pair;
 - ``engine._face_jump`` over the ``lp_direct`` pool, split into the calls
   that return a stretch (accepted) and those that return None (refused);
 - ``linalg._substitute`` over both pools, by the size k of the triangle.
+
+It prints the walks and cold projections (``qp._project_from`` with no
+face) per ``constants`` operation on a first pass over a fresh pool, on a
+repeat pass over the same polyhedra, and on a pass that clears each
+polyhedron's kept walk before its operation: the share of operations that
+reuse a walk.
 
 It also prints the real cycles of one ``lp_direct`` pass by kind: the first
 cycle of a run, a face entry (a B-projection on another face than the
@@ -135,6 +142,34 @@ def real_cycles_by_kind(pool_seed: int) -> dict[str, int]:
     return counts
 
 
+def constants_walks_per_op(pool_seed: int) -> dict[str, tuple[float, float]]:
+    """Walks and cold projections per ``constants`` operation, by pass.
+
+    A first pass over a fresh pool, a repeat pass over the same polyhedra,
+    and a pass that clears each polyhedron's kept walk before its operation,
+    as a process that makes one ``bound_report`` and one shifted solve per
+    problem would see it.
+    """
+    walks, projections = [], []
+    cases = workloads.build_constants(pool_seed, None)
+    counts = {}
+    walk_from = recorded(qp, "_walk_from", walks)
+    project_from = recorded(qp, "_project_from", projections)
+    try:
+        for label, clear in (("first pass", False), ("repeat pass", False), ("walk cleared before each op", True)):
+            walks.clear()
+            projections.clear()
+            for case in cases:
+                if clear:
+                    object.__setattr__(case[0].poly, "_walk", None)
+                workloads.op_constants(case)
+            cold = sum(args[2] is None for args, _, _ in projections)
+            counts[label] = (len(walks) / len(cases), cold / len(cases))
+    finally:
+        qp._walk_from, qp._project_from = walk_from, project_from
+    return counts
+
+
 def main(argv: list[str]) -> None:
     pool_seed = int(argv[0]) if argv else 1
     walks, jumps, solves = [], [], []
@@ -159,6 +194,8 @@ def main(argv: list[str]) -> None:
         median, total = statistics.median(costs), sum(costs) / 1e3
         print(f"{label}: {median:.2f} us per call, {total:.2f} ms in all ({len(costs)} calls)")
 
+    for label, (per_op, cold_per_op) in constants_walks_per_op(pool_seed).items():
+        print(f"constants {label}: {per_op:.2f} walks and {cold_per_op:.2f} cold projections per op")
     kinds = real_cycles_by_kind(pool_seed)
     print(f"pool seed {pool_seed}; real cycles of the lp_direct pass: {sum(kinds.values())}")
     for kind, count in kinds.items():

@@ -418,6 +418,70 @@ def test_jump_before_a_stall_is_refused(monkeypatch):
     assert len(trace.gaps) == 6
 
 
+def q_and_rates(factor):
+    """``q = ||P_V u||^2`` and the multiplier rates on ``factor``'s face as
+    ``engine._face_jump`` forms them, for ``u`` the unit normal of
+    ``{y <= 0}``."""
+    u, Q1 = ABOVE_ZERO._unit, factor.Q1
+    pvu = u - Q1.dot(u.dot(Q1))
+    pvu -= Q1.dot(pvu.dot(Q1))
+    return float(pvu.dot(pvu)), _substitute(factor.R, u.dot(Q1))
+
+
+ABOVE_ZERO = HalfSpace([0.0, 1.0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "rows, b, x, q_ok",
+    [
+        # A face row at 1e-9 from parallel to u: the rate is -1e-9 and q
+        # rounds to exactly 1, where log(1 - q) has no value.
+        ([[1.0, -1e-9]], [0.0], [3.0, 2.0], lambda q: q == 1.0),
+        # Two face rows that span the plane: both rates are about -0.707 and
+        # P_V u is rounding, q about 9e-32.  Past the guard the horizon of
+        # a common point by rounding would refuse it too.
+        ([[1.0, -1.0], [-1.0, -1.0]], [-1.0, -1.0], [0.0, 0.0], lambda q: 0.0 < math.sqrt(q) <= ZERO_TOL),
+        # One face row along -u: the rate is -1 and q is exactly 0, where
+        # 1 / sqrt(q) has no value.
+        ([[0.0, -1.0]], [-1.0], [0.0, 0.0], lambda q: q == 0.0),
+    ],
+    ids=["q=1", "q~0", "q=0"],
+)
+def test_the_q_guard_refuses_the_jump(rows, b, x, q_ok):
+    # Both sides of the guard ``ZERO_TOL < sqrt(q) < 1``, reached by direct
+    # calls: every earlier test passes (the B-point lies beyond the
+    # half-space, the working rows are the face, every rate is negative).
+    set_b = Polyhedron(rows, b)
+    res, factor = engine._project_from(set_b, np.array(x), None)
+    face, point = res.dual > 0.0, res.point
+    q, rates = q_and_rates(factor)
+    assert float(ABOVE_ZERO._unit.dot(point)) > 0.0
+    assert engine._on_working_rows(face, factor.W)
+    assert all(r < 0.0 for r in rates)
+    assert q_ok(q)
+    assert engine._face_jump(ABOVE_ZERO, set_b, face, factor, point, 1000, 1e-8) is None
+
+
+def test_a_run_reaches_the_guard_at_q_one(monkeypatch):
+    # From (50, 0) the first B-point lies about 5e-8 above the half-space,
+    # beyond its membership tolerance, on a face whose q rounds to 1: the
+    # jump tried on that entry is refused by the guard, and the next cycle
+    # certifies.  At q near 0 no run gets there: the rates are negative, so
+    # -u lies in the cone of the face rows and that cycle certifies first.
+    attempts = []
+    face_jump = engine._face_jump
+
+    def spy(h, poly, face, factor, b, *rest):
+        attempts.append((q_and_rates(factor)[0], face_jump(h, poly, face, factor, b, *rest)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(engine, "_face_jump", spy)
+    set_b = Polyhedron([[1.0, -1e-9]], [0.0])
+    trace = assert_same_run(ABOVE_ZERO, set_b, [50.0, 0.0])
+    assert attempts == [(1.0, None)]
+    assert trace.stop_reason is StopReason.CERTIFIED and trace.num_iterates == 5
+
+
 def jump_cycles(monkeypatch):
     """The real cycle, counted from 0, on which each jump is tried, and the
     faces of the real cycles' B-projections: ``(tried, faces)``."""

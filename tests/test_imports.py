@@ -302,6 +302,31 @@ def test_the_face_read_of_b_residual_has_one_site():
     assert call_sites("_residual_b") == {"engine._decide", "engine._certificate"}
 
 
+KEPT_RECORDS = ("_vertices", "_cones", "_walk")
+
+
+def sets_record(node, name):
+    """Whether ``node`` is ``object.__setattr__(..., name, ...)``."""
+    return (
+        calls_attr(node, "object", "__setattr__")
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value == name
+    )
+
+
+def test_each_kept_polyhedron_record_has_one_writer():
+    # A polyhedron's kept vertex list, cone table and walk are each written
+    # by the one module that makes them, so each has one construction path.
+    writers = {
+        name: {site.split(".")[0] for site in sites(lambda node: sets_record(node, name))}
+        for name in KEPT_RECORDS
+    }
+    assert writers == {"_vertices": {"vertices"}, "_cones": {"certify"}, "_walk": {"qp"}}
+    sample = ast.parse('object.__setattr__(p, "_walk", w)\nobject.__setattr__(p, name, w)\nsetattr(p, "_walk", w)')
+    assert [sets_record(s.value, "_walk") for s in sample.body] == [True, False, False]
+
+
 def calls_attr(node, owner, attr):
     """Whether ``node`` calls ``owner.attr``."""
     return (

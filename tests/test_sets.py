@@ -11,6 +11,7 @@ from altproj import (
     alpha_polyhedron_halfspace,
     contains,
     distance_to_finite_cone,
+    polyhedron_halfspace_distance,
     project,
     project_epigraph,
     project_halfspace,
@@ -231,8 +232,8 @@ def test_sets_compare_and_hash_by_value():
 
 
 def test_a_polyhedron_equals_its_copy_whatever_their_vertex_lists():
-    # Neither the kept vertex list nor alpha's kept cone table is part of
-    # the value: not in ==, hash or repr.
+    # None of the kept vertex list, alpha's kept cone table and the kept
+    # walk to the LP optimum is part of the value: not in ==, hash or repr.
     a, b = equal_pairs()[1]
     vertex_oracle(a, [-1.0, -1.0])
     assert a._vertices is not None and b._vertices is None
@@ -247,3 +248,7 @@ def test_a_polyhedron_equals_its_copy_whatever_their_vertex_lists():
     alpha_polyhedron_halfspace(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))
     assert cube._cones and copy._cones is None
     assert cube == copy and hash(cube) == hash(copy) and repr(cube) == repr(copy)
+    polyhedron_halfspace_distance(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))
+    assert cube._walk is not None and copy._walk is None and Polyhedron(cube.A, cube.b)._walk is None
+    assert cube == copy and hash(cube) == hash(copy) and repr(cube) == repr(copy)
+    assert "_walk" not in repr(cube)

@@ -2,9 +2,10 @@
 
 A polyhedron keeps its vertex list from the first enumeration, so the
 alpha search and the oracle read one list.  ``d_AB`` and the shifted LP
-strategy read none: both walk on from their one projection of ``x0`` to
-the LP optimum, and ``bound_report``'s ``d_AB`` is the shifted solve's
-``(objective - M) / ||c||`` bit for bit.  In the plane ``bound_report``
+strategy read none: both take the walk from the projection of ``x0`` to
+the LP optimum, which the polyhedron keeps, so the pair walks once, and
+``bound_report``'s ``d_AB`` is the shifted solve's ``(objective - M) /
+||c||`` bit for bit.  In the plane ``bound_report``
 reads no vertex list at all, so it has no row limit.  These tests pin the
 sharing by counting calls, check by ``float.hex`` that the shared paths
 give what the public composition gives on a polyhedron that enumerates
@@ -22,11 +23,13 @@ from altproj import (
     LPProblem,
     Polyhedron,
     TooLarge,
+    Unbounded,
     alpha_polyhedron_halfspace,
     bound_report,
     certify,
     engine,
     iteration_bound,
+    linalg,
     lp,
     one_step_shift,
     polyhedron_halfspace_distance,
@@ -302,15 +305,157 @@ def test_a_polyhedron_without_a_vertex_gets_a_bound():
 @pytest.mark.parametrize("seed", [1, 11])
 def test_d_ab_is_the_shifted_optimum_bit_for_bit(seed):
     # The constants pools: bound_report walks from x0 as the shifted solve
-    # does, so the two give one optimum.
+    # does, so the two give one optimum.  The solve runs on a copy of B,
+    # which walks afresh: on B itself it would read bound_report's kept walk.
     rng = np.random.default_rng(seed)
     for _ in range(200):
         inst = random_pair_instance(rng)
         A, B = inst.halfspace, inst.poly
         report = bound_report(B, A, inst.x0)
-        out = solve_lp(LPProblem(A.c, B, A.M), x0=inst.x0, strategy="shifted")
+        out = solve_lp(LPProblem(A.c, Polyhedron(B.A, B.b), A.M), x0=inst.x0, strategy="shifted")
         expected = (out.objective - A.M) / float(np.linalg.norm(A.c))
         assert report.d_AB.hex() == expected.hex()
+
+
+def spy_walks(monkeypatch):
+    """Count ``_project_from`` calls in every module that binds it, and
+    ``qp._walk_from`` calls."""
+    return count_calls(monkeypatch, [engine, qp, sets], "_project_from"), count_calls(monkeypatch, [qp], "_walk_from")
+
+
+def cold_starts(projections):
+    """The points of the cold projections (``face`` None) among ``projections``."""
+    return [x for _, x, face in projections if face is None]
+
+
+def shifted(B, A, x0):
+    return solve_lp(LPProblem(A.c, B, A.M), x0=x0, strategy="shifted")
+
+
+def constants_fields(report, out):
+    """Every bound field, and the solution, objective and certificate of the
+    shifted solve, by ``float.hex``."""
+    return (
+        [hexed(getattr(report, name)) for name in ("alpha", "rate", "d_AB", "d_x0_B")],
+        report.N, report.max_steps, report.one_step,
+        hexed(out.solution), hexed(out.objective),
+        hexed(out.certificate.residual_A), hexed(out.certificate.residual_B), out.certificate.holds,
+    )
+
+
+def test_bound_report_and_the_shifted_solve_walk_once(monkeypatch):
+    # The solve reads the walk that bound_report kept on B: one cold
+    # projection of x0 and one walk between them, and every answer is that
+    # of a fresh copy of B, where each call walks for itself.
+    projections, walks = spy_walks(monkeypatch)
+    for inst in random_pairs(37, 40):
+        B, A, x0 = inst.poly, inst.halfspace, inst.x0
+        projections.clear()
+        walks.clear()
+        kept = constants_fields(bound_report(B, A, x0), shifted(B, A, x0))
+        assert [x.tobytes() for x in cold_starts(projections)] == [x0.tobytes()]
+        assert len(walks) == 1
+        fresh = constants_fields(
+            bound_report(Polyhedron(B.A, B.b), A, x0), shifted(Polyhedron(B.A, B.b), A, x0)
+        )
+        assert kept == fresh
+        assert len(walks) == 3
+
+
+def test_another_start_or_objective_walks_again(monkeypatch):
+    # The key is the bytes of x and c and their layout.  Another point, the
+    # opposite objective, a -0.0 where the kept start has 0.0 and a strided
+    # copy of the start each walk again and replace the record, which the
+    # same call then reads.
+    _, walks = spy_walks(monkeypatch)
+    for inst in random_pairs(41, 10):
+        B, A, x0 = inst.poly, inst.halfspace, inst.x0
+        c = A.c
+        signed = x0.copy()
+        signed[0] = 0.0
+        negative = signed.copy()
+        negative[0] = -0.0
+        strided = np.repeat(x0, 2)[::2]
+        assert not strided.flags.c_contiguous and np.array_equal(strided, x0)
+        shifted(B, A, x0)
+        walks.clear()
+        calls = [(x0 + 1.0, c), (x0, -c), (signed, c), (negative, c), (signed, c), (strided, c), (x0, c)]
+        for n, (x, objective) in enumerate(calls, 1):
+            for _ in range(2):
+                outcome(lambda: qp._walk_to_optimum(B, x, objective))
+            assert len(walks) == n
+        # The public calls key on their validated start: a strided x0 walks.
+        walks.clear()
+        bound_report(B, A, x0)
+        assert walks == []
+        shifted(B, A, strided)
+        assert len(walks) == 1
+
+
+def test_a_written_solution_changes_no_later_answer():
+    # The solution is a copy of the kept end point, and every kept array is
+    # read-only, so no answer can write into the record.
+    for inst in random_pairs(43, 10):
+        B, A, x0 = inst.poly, inst.halfspace, inst.x0
+        first = shifted(B, A, x0)
+        expected = constants_fields(bound_report(B, A, x0), first)
+        first.solution[:] = 7.0
+        assert first.certificate.b is first.solution
+        again = constants_fields(bound_report(B, A, x0), shifted(B, A, x0))
+        assert again == expected
+        start, end, (_, Q, R) = B._walk[1]
+        for array in (start.point, start.dual, end.point, end.dual, Q, R):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_a_raising_walk_keeps_nothing(monkeypatch):
+    # The orthant x <= 1 has no least x_3, and the box x_i <= -1, -x_i <= -1
+    # no point: each call raises again, and the record is what it was.
+    _, walks = spy_walks(monkeypatch)
+    orthant, up = Polyhedron(np.eye(3), np.ones(3)), np.array([0.0, 0.0, 1.0])
+    x = np.zeros(3)
+    for _ in range(2):
+        with pytest.raises(Unbounded):
+            qp._walk_to_optimum(orthant, x, up)
+        assert orthant._walk is None
+    assert len(walks) == 2
+    qp._walk_to_optimum(orthant, x, -up)
+    kept = orthant._walk
+    with pytest.raises(Unbounded):
+        qp._walk_to_optimum(orthant, x, up)
+    assert orthant._walk is kept and len(walks) == 4
+    box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), -np.ones(4))
+    for _ in range(2):
+        with pytest.raises(EmptyPolyhedron):
+            qp._walk_to_optimum(box, np.zeros(2), np.ones(2))
+        assert box._walk is None
+
+
+def test_constants_pool_work_per_pass(monkeypatch):
+    # Work gate of the ``constants`` benchmark at pool seed 1: cold
+    # projections, walks, NNLS calls and alpha's cone tables over one pass of
+    # bound_report and the shifted solve, then a second pass over the same
+    # polyhedra.  The solve reads bound_report's walk, and a second pass
+    # reads every record.  When each walked for itself, the passes made
+    # (400, 400, 0, 200) and (400, 400, 0, 0).
+    rng = np.random.default_rng(1)
+    pool = [random_pair_instance(rng) for _ in range(200)]
+    for inst in pool:
+        vertex_oracle(inst.poly, inst.halfspace.c)
+    projections, walks = spy_walks(monkeypatch)
+    nnls = count_calls(monkeypatch, [linalg], "nnls")
+    tables = count_calls(monkeypatch, [certify], "_cone_table")
+    counts = []
+    for _ in range(2):
+        for spy in (projections, walks, nnls, tables):
+            spy.clear()
+        for inst in pool:
+            A, B = inst.halfspace, inst.poly
+            bound_report(B, A, inst.x0)
+            shifted(B, A, inst.x0)
+        counts.append((len(cold_starts(projections)), len(walks), len(nnls), len(tables)))
+    assert counts == [(200, 200, 0, 200), (0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
