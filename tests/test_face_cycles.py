@@ -418,6 +418,9 @@ def test_jump_before_a_stall_is_refused(monkeypatch):
     assert len(trace.gaps) == 6
 
 
+ABOVE_ZERO = HalfSpace([0.0, 1.0], 0.0)
+
+
 def q_and_rates(factor):
     """``q = ||P_V u||^2`` and the multiplier rates on ``factor``'s face as
     ``engine._face_jump`` forms them, for ``u`` the unit normal of
@@ -426,9 +429,6 @@ def q_and_rates(factor):
     pvu = u - Q1.dot(u.dot(Q1))
     pvu -= Q1.dot(pvu.dot(Q1))
     return float(pvu.dot(pvu)), _substitute(factor.R, u.dot(Q1))
-
-
-ABOVE_ZERO = HalfSpace([0.0, 1.0], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -449,8 +449,9 @@ ABOVE_ZERO = HalfSpace([0.0, 1.0], 0.0)
 )
 def test_the_q_guard_refuses_the_jump(rows, b, x, q_ok):
     # Both sides of the guard ``ZERO_TOL < sqrt(q) < 1``, reached by direct
-    # calls: every earlier test passes (the B-point lies beyond the
-    # half-space, the working rows are the face, every rate is negative).
+    # calls: every earlier check of ``_face_jump`` passes (the B-point lies
+    # beyond the half-space, the working rows are the face, every rate is
+    # negative).
     set_b = Polyhedron(rows, b)
     res, factor = engine._project_from(set_b, np.array(x), None)
     face, point = res.dual > 0.0, res.point
