@@ -43,7 +43,15 @@
   rank, rank-deficient and duplicate columns, targets inside and outside
   the cone), and at the apex of the abs epigraph where every ``abs``
   planar run stops: every ``lam`` by bytes and every residual by
-  ``float.hex``.
+  ``float.hex``, and
+- alpha itself, by ``float.hex`` and not digested, on the 91 pairs of
+  ``test_certify.bad_geometry_pairs`` and ``test_certify.rng72_pool_pairs``
+  under each pair's own ``c`` and under ``c = -a_0``, each on a fresh
+  polyhedron.  Under ``c = -a_0`` row 0 does not qualify, so the filter of
+  the cone family runs, and the bad geometry sends cones to the NNLS route
+  of the numerically dependent ones: neither is reached by the
+  ``constants`` section, whose pools qualify every row and hold no
+  dependent cone.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result
@@ -87,8 +95,9 @@ import pytest
 from altproj import certify, instances, linalg, lp
 from altproj.cli import main
 from altproj.qp import project_along_ray, project_polyhedron
-from altproj.sets import set_to_json
+from altproj.sets import HalfSpace, Polyhedron, set_to_json
 from test_certificate_solve import _nnls_cases
+from test_certify import bad_geometry_pairs, rng72_pool_pairs
 from test_polar_cone import ABS_APEX
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
@@ -255,6 +264,20 @@ def cone_digests(_work) -> dict:
     return digests
 
 
+def alpha_bits(_work) -> dict:
+    """``float.hex`` of alpha on each pair of the two pair sets, by set and objective."""
+    bits = {}
+    for name, pairs in (("bad_geometry", bad_geometry_pairs()), ("rng72_pool", rng72_pool_pairs())):
+        for objective in ("own", "flipped"):
+            bits[f"{name} {objective}"] = {
+                f"{i:03d}": certify.alpha_polyhedron_halfspace(
+                    Polyhedron(B.A, B.b), HalfSpace(-B.A[0], -10.0) if objective == "flipped" else A
+                ).hex()
+                for i, (B, A) in enumerate(pairs)
+            }
+    return bits
+
+
 SECTIONS = {
     "planar": planar_digests,
     "lp_direct": lambda _work: {str(seed): lp_digest(seed) for seed in LP_SEEDS},
@@ -262,6 +285,7 @@ SECTIONS = {
     "far_projection": lambda _work: {str(seed): far_digest(seed) for seed in FAR_SEEDS},
     "ray_walks": lambda _work: {str(seed): ray_digest(seed) for seed in FAR_SEEDS},
     "cone_solves": cone_digests,
+    "alphas": alpha_bits,
 }
 
 
@@ -316,6 +340,10 @@ def test_ray_walks_match_golden_digests(seed, golden):
 
 def test_cone_solves_match_golden_digests(golden):
     assert cone_digests(None) == golden["cone_solves"], numpy_build()
+
+
+def test_alphas_match_golden_bits(golden):
+    assert alpha_bits(None) == golden["alphas"], numpy_build()
 
 
 @pytest.mark.parametrize("seed", FAR_SEEDS)
