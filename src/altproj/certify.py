@@ -141,14 +141,18 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     ``c`` as the half-space's unit normal (the cones and their distances do
     not depend on how long the rows or ``c`` are written).  What does not
     depend on ``c`` is made once per polyhedron and kept on it as
-    ``B._cones`` (built by the first call): for n >= 3,
-    the candidate family over all rows, grouped by size
-    (:func:`_cone_table`), with the inverses ``R^-1`` of the R factors of
-    its independent cones; in the plane it is empty.  Each call reads the
-    cosines and ray distances of the unit rows from stacked products, keeps
-    the cones whose rows all qualify (exactly the family above), and reads
-    their coefficients ``lam = R^-1 R^-T U v`` with two products per cone
-    size.  The inverse Gram matrix ``(U U')^-1`` is the
+    ``B._cones`` (built by the first call): for n >= 3, the candidate
+    family over all rows with the inverses ``R^-1`` of the R factors of its
+    independent cones, every size in one stack padded to n rows
+    (:func:`_cone_table`); in the plane it is empty.  Each call reads the
+    cosines and ray distances of the unit rows from stacked products, then
+    the coefficients ``lam = R^-1 R^-T U v`` of every cone of the stack in
+    one pass, with the same NumPy calls at every n (n = 8 adds one
+    product), and counts the cones whose rows all qualify (exactly the
+    family above); that filter runs only when some row does not qualify.
+    A pad adds exact zeros to every sum, so each coefficient and distance
+    has the bits of a read size by size, each size with its own ``k x k``
+    products.  The inverse Gram matrix ``(U U')^-1`` is the
     same product, but kept whole it rounds each coefficient by its condition
     number, the square of R's: on a cone at the split its nearest point
     errs by about 1e-5, where the two triangular factors keep it near
@@ -156,7 +160,8 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     every later call, under any objective, only for its products; alpha's
     bits do not depend on which call built the family.
     The family stays on B for as long as B lives: at n = 8, m = 24 (about
-    38,000 cones) it holds about 12 MB, mostly the inverse R factors.
+    38,000 cones) it holds about 22 MB, mostly the padded inverse R
+    factors, and a repeat call takes 5 to 11 ms on a 2-vCPU Xeon.
 
     For n >= 3 the cones come from B's :func:`feasible_vertices`, read on
     every call; it keeps the oracle's limits (n <= 8, m <= 24).  The plane
@@ -180,38 +185,78 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     qualifying = uv < 1.0 - _STRICT_MARGIN
     ray = np.where(uv <= 0.0, 1.0, np.minimum(1.0, _dot_row_norms(units - uv[:, None] * neg_chat)))
     best = float(ray[qualifying].min(initial=math.inf))
-    for cones, inverses, dependent in table:
-        kept = qualifying[cones].all(axis=1)
-        idx = cones[kept]
-        r_inv = inverses[kept]
-        lam = np.einsum("gkj,gj->gk", r_inv, np.einsum("gjk,gj->gk", r_inv, uv[idx]))
-        inside = (lam > 0.0).all(axis=1)
-        # The residual is a small difference of unit-scale vectors, so it is
-        # formed in long double: in doubles it errs by about 1e-16 absolute.
-        # (On a platform whose long double is a double it rounds as one.)
-        point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), units[idx[inside]])
-        resid = neg_chat - point
-        dist = np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float)
-        best = min(best, float(dist[dist > _CONTAINS_TOL].min(initial=math.inf)))
-        for rows in dependent[qualifying[dependent].all(axis=1)]:
-            dist = unit_cone_distance(neg_chat, np.ascontiguousarray(units[rows].T))
-            if dist > _CONTAINS_TOL:
-                best = min(best, dist)
+    if not table:
+        return 0.5 * min(1.0, best)
+    dist, dependent = _stack_distances(table, uv, qualifying, neg_chat)
+    best = min(best, float(dist[dist > _CONTAINS_TOL].min(initial=math.inf)))
+    for cone in dependent:
+        dist = unit_cone_distance(neg_chat, np.ascontiguousarray(units[cone[cone < B.num_rows]].T))
+        if dist > _CONTAINS_TOL:
+            best = min(best, dist)
     return 0.5 * min(1.0, best)
 
 
+def _stack_distances(table: tuple, uv: np.ndarray, qualifying: np.ndarray, neg_chat: np.ndarray) -> tuple:
+    """The span residuals ``||v - U' lam||`` of the independent cones of
+    :func:`_cone_table`'s stack whose rows all qualify and whose
+    coefficients are all positive, in the stack's order, and the dependent
+    cones whose rows all qualify.  ``uv`` holds the cosines of the unit rows
+    with ``neg_chat``."""
+    padded_units, rows, inverses, pads, dependent, full = table
+    lam = _coefficients(rows, inverses, full, uv)
+    inside = (lam > 0.0) | pads
+    if not qualifying.all():
+        # Only the cones whose rows all qualify; the pad index m qualifies.
+        kept = np.append(qualifying, True)
+        inside &= kept[rows]
+        dependent = dependent[kept[dependent].all(axis=1)]
+    # Each cone's test is reduced down a column of the transpose: NumPy
+    # reduces many short rows about four times slower.
+    inside = np.ascontiguousarray(inside.T).all(axis=0)
+    # The residual is a small difference of unit-scale vectors, so it is
+    # formed in long double: in doubles it errs by about 1e-16 absolute.
+    # (On a platform whose long double is a double it rounds as one.)  The
+    # unit rows are kept in long double, so the product casts nothing.
+    point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), padded_units[rows[inside]])
+    resid = neg_chat - point
+    dist = np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float)
+    return dist, dependent
+
+
+def _coefficients(rows: np.ndarray, inverses: np.ndarray, full: int, uv: np.ndarray) -> np.ndarray:
+    """The least-squares coefficients ``lam = R^-1 R^-T U v`` of every cone
+    of :func:`_cone_table`'s stack, padded as ``rows``."""
+    # A pad reads 0 from ``uv`` and a zero row and column of its inverse, so
+    # its coefficient is 0 and every real sum only gains exact zeros.  But
+    # NumPy sums eight or more terms in another order than fewer (an
+    # unrolled loop), so each cone is summed over at most seven terms, and
+    # at n = 8 the cones of eight rows are summed again, over eight.
+    t = np.einsum("gjk,gj->gk", inverses, np.append(uv, 0.0)[rows])
+    lam = np.einsum("gkj,gj->gk", inverses[:, :, :7], t[:, :7])
+    if t.shape[1] == 8:
+        lam[full:] = np.einsum("gkj,gj->gk", inverses[full:], t[full:])
+    return lam
+
+
 def _cone_table(B: Polyhedron, vertices) -> tuple:
-    """B's candidate cones of 2..n rows over all rows, one ``(idx, r_inv,
-    dependent)`` tuple per size that has any, in increasing size, from its
+    """B's candidate cones of 2..n rows over all rows, from its
     :func:`feasible_vertices`: every pair of rows, and every subset of 3..n
     rows active together at one of ``vertices``.  In the plane the table is
     empty.
 
-    ``idx`` holds the sorted row indices of the cones with independent unit
-    rows, one row per cone in lexicographic order, and ``r_inv`` the
-    inverses of their R factors (``U_S' = Q R``), upper triangular.
-    ``dependent`` holds the other cones, which are measured, less the
-    exactly antiparallel pairs.
+    The table is ``(padded_units, rows, inverses, pads, dependent, full)``,
+    every size in one stack.  ``padded_units`` is B's unit rows with a zero
+    row appended, at index ``m``, in long double (an exact cast).  ``rows``
+    holds the sorted row indices of the cones with independent unit rows,
+    one row per cone, padded to ``n`` entries with ``m``: in increasing
+    size, and in lexicographic order within a size.  ``inverses`` holds the
+    inverses of their R factors (``U_S' = Q R``), upper triangular, each in
+    the leading ``k x k`` block of an ``n x n`` block of zeros; ``pads``
+    marks the entries of ``rows`` that are ``m``, and ``full`` counts the
+    cones of fewer than n rows, which come first.  ``dependent`` holds the
+    other cones, padded as ``rows``, which are measured, less the exactly
+    antiparallel pairs.  Each size is factored and inverted in one stacked
+    call of its own.
 
     A sorted k-subset is keyed by the integer ``sum_i idx_i m^(k-1-i)``,
     below ``24^8`` at the oracle limit and so an int64.  The keys order as
@@ -239,15 +284,32 @@ def _cone_table(B: Polyhedron, vertices) -> tuple:
             keys = np.sort(np.concatenate(keys))
             family.append(keys[np.r_[True, keys[1:] != keys[:-1]]][:, None] // powers % m)
     units = B._units
-    table = []
+    independent, inverses, dependent = [], [], []
     for idx in filter(len, family):
         R = np.linalg.qr(units[idx].transpose(0, 2, 1), mode="r")
-        independent = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
-        dependent = ~independent
+        full_rank = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) >= _RANK_TOL
+        measured = ~full_rank
         if idx.shape[1] == 2:
-            dependent &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
-        table.append((idx[independent], np.linalg.inv(R[independent]), idx[dependent]))
-    return tuple(table)
+            measured &= ~(units[idx[:, 0]] == -units[idx[:, 1]]).all(axis=1)
+        independent.append(idx[full_rank])
+        inverses.append(np.linalg.inv(R[full_rank]))
+        dependent.append(idx[measured])
+    rows = _stacked(independent, (n,), m)
+    padded_units = np.append(units, np.zeros((1, n)), axis=0).astype(np.longdouble)
+    pads = rows == m
+    dependent = _stacked(dependent, (n,), m)
+    return padded_units, rows, _stacked(inverses, (n, n), 0.0), pads, dependent, int(pads[:, -1].sum())
+
+
+def _stacked(blocks, shape: tuple, fill) -> np.ndarray:
+    """``blocks`` stacked along their first axis, each in the leading
+    entries of ``shape`` and ``fill`` in the others."""
+    stack = np.full((sum(map(len, blocks)), *shape), fill)
+    start = 0
+    for block in blocks:
+        stack[(slice(start, start + len(block)), *map(slice, block.shape[1:]))] = block
+        start += len(block)
+    return stack
 
 
 def iteration_bound(alpha: float, d_AB: float, d_x0_B: float) -> TransversalityReport:

@@ -14,14 +14,15 @@ also checks the length against the set or space the vector belongs to, and
 from then on works on the validated array.  The rule for loops follows from
 it: a point is validated once, where it enters the package, and the loop
 runs on kernels that take validated arrays.  The kernels that do no
-validation here are :func:`unit_distance_to_ray`, ``_norm``,
-``_dot_row_norms``, ``_dot_rows`` and ``_feas_tol``, the one reader of the
-feasibility tolerance ``_FEAS_TOL``; ``sets``, ``engine`` and ``qp`` keep
-their own (``_active``, ``_project_point``, ``_certificate``, ``_decide``,
-``_project_from`` and the kernels behind them).  :func:`unit_cone_distance`
-checks nothing itself, but a cone of two or more columns goes through the
-public :func:`nnls`, which reads its target by :func:`as_point` and scans
-its columns by the entry rule again on every call.
+validation here are :func:`unit_distance_to_ray`,
+:func:`unit_cone_distance`, ``_nnls``, ``_norm``, ``_dot_row_norms``,
+``_dot_rows`` and ``_feas_tol``, the one reader of the feasibility
+tolerance ``_FEAS_TOL``; ``sets``, ``engine`` and ``qp`` keep their own
+(``_active``, ``_project_point``, ``_certificate``, ``_decide``,
+``_project_from`` and the kernels behind them).  ``_nnls`` is the kernel of
+the public :func:`nnls`, which validates its arguments and then calls it;
+a cone solve inside the package calls the kernel, so it validates nothing
+again.
 
 Products.  Every vector-vector and matrix-vector product in the package is
 written ``x.dot(y)``, not ``x @ y``.  Both call the same BLAS routine and
@@ -410,6 +411,12 @@ def nnls(G, y):
         raise DimensionMismatch(f"generator matrix has shape {G.shape}, expected {len(y)} rows")
     if not all(map(math.isfinite, G.ravel().tolist())):
         raise ValueError("generator matrix entries must be finite")
+    return _nnls(G, y)
+
+
+def _nnls(G: np.ndarray, y: np.ndarray):
+    # :func:`nnls` on a validated ``G`` and ``y``: finite float arrays,
+    # ``G`` of shape ``(len(y), m)``.  Checks nothing.
     n, m = G.shape
     ny = _entry_norm(y)
     if m == 0:
@@ -431,17 +438,17 @@ def nnls(G, y):
 def unit_cone_distance(vhat: np.ndarray, G: np.ndarray) -> float:
     """Distance from the unit vector ``vhat`` to the cone spanned by ``G``'s columns.
 
-    Validates nothing of its own: ``G`` is ``(n, k)`` with finite, nonzero
-    columns of the length of ``vhat``.  No columns means the cone is ``{0}``
-    (distance 1); one column is the closed-form ray rejection; more take one
-    :func:`nnls`, which validates ``G`` and ``vhat`` again.
+    Validates nothing: ``G`` is ``(n, k)`` with finite, nonzero columns of
+    the length of ``vhat``.  No columns means the cone is ``{0}`` (distance
+    1); one column is the closed-form ray rejection; more take one solve of
+    the kernel of :func:`nnls`, which does not validate them again.
     """
     k = G.shape[1]
     if k == 0:
         return 1.0
     if k == 1:
         return unit_distance_to_ray(vhat, G[:, 0])
-    _, rnorm = nnls(G, vhat)
+    _, rnorm = _nnls(G, vhat)
     return min(rnorm, 1.0)
 
 

@@ -141,7 +141,9 @@ class Polyhedron(_ValueSet):
     #   reads it for n >= 3 only, and the oracle reads it; no LP optimum or
     #   distance does, so a planar ``bound_report`` leaves it None.
     # - The cone family of :func:`altproj.certify.alpha_polyhedron_halfspace`,
-    #   the largest: about 12 MB at n = 8, m = 24, mostly R factors.
+    #   every cone size in one stack padded to n rows, which alpha reads in
+    #   one pass: the largest record, about 22 MB at n = 8, m = 24, mostly
+    #   the padded inverse R factors.
     # - The last walk of :func:`altproj.qp._walk_to_optimum` with the start
     #   and objective it was made for, so ``bound_report`` and the shifted
     #   solve from one ``x0`` walk once.  A new walk replaces it.  Two

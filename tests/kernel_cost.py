@@ -1,4 +1,4 @@
-"""Cost per call of three private kernels that the benchmark tracer does not wrap.
+"""Cost per call of three private kernels that the benchmark tracer does not wrap, and of alpha.
 
 The walk along a ray (``qp._walk_from``), the face jump of the engine
 (``engine._face_jump``) and the triangular solve (``linalg._substitute``)
@@ -27,6 +27,11 @@ cycle before), the second cycle on a face before any jump is tried there,
 a cycle on the face after a stretch (its tail) and one after a refused
 jump.
 
+And it prints alpha's cost per call over the ``constants`` pool, by the
+dimension n of the polyhedron: the first call, which builds the cone
+family and reads it (the pool build has kept the vertex list, as the
+benchmark's has), and a call that reads the kept family.
+
 Run as
 
     python tests/kernel_cost.py [pool_seed]
@@ -54,7 +59,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
-from altproj import engine, linalg, qp  # noqa: E402
+from altproj import certify, engine, linalg, qp  # noqa: E402
 import workloads  # noqa: E402
 
 REPEATS = 7
@@ -170,6 +175,28 @@ def constants_walks_per_op(pool_seed: int) -> dict[str, tuple[float, float]]:
     return counts
 
 
+def alpha_cost_by_dim(pool_seed: int) -> dict[int, tuple[list[float], list[float]]]:
+    """Microseconds per alpha call over the ``constants`` pool, by n.
+
+    For each pair, the median over ``REPEATS`` first calls, each on the
+    polyhedron with its cone family cleared, and the median over
+    ``REPEATS`` calls that read the family kept.
+    """
+    costs = defaultdict(lambda: ([], []))
+    for inst, _ in workloads.build_constants(pool_seed, None):
+        B, A = inst.poly, inst.halfspace
+        first = []
+        for _ in range(REPEATS):
+            object.__setattr__(B, "_cones", None)
+            start = time.perf_counter_ns()
+            certify.alpha_polyhedron_halfspace(B, A)
+            first.append(time.perf_counter_ns() - start)
+        built, read = costs[B.dim]
+        built.append(statistics.median(first) / 1e3)
+        read.append(median_us(certify.alpha_polyhedron_halfspace, (B, A), {}))
+    return dict(costs)
+
+
 def main(argv: list[str]) -> None:
     pool_seed = int(argv[0]) if argv else 1
     walks, jumps, solves = [], [], []
@@ -194,6 +221,11 @@ def main(argv: list[str]) -> None:
         median, total = statistics.median(costs), sum(costs) / 1e3
         print(f"{label}: {median:.2f} us per call, {total:.2f} ms in all ({len(costs)} calls)")
 
+    for n, (built, read) in sorted(alpha_cost_by_dim(pool_seed).items()):
+        print(
+            f"alpha n={n} ({len(built)} pairs): first call {statistics.median(built):.1f} us, "
+            f"read of the kept family {statistics.median(read):.1f} us (medians over pairs)"
+        )
     for label, (per_op, cold_per_op) in constants_walks_per_op(pool_seed).items():
         print(f"constants {label}: {per_op:.2f} walks and {cold_per_op:.2f} cold projections per op")
     kinds = real_cycles_by_kind(pool_seed)

@@ -29,9 +29,10 @@ from altproj.instances import (
     absval_polyhedron,
     lower_halfplane,
     parabola_epigraph,
+    random_bounded_polyhedron,
     random_pair_instance,
 )
-from altproj.linalg import unit_cone_distance, unit_distance_to_ray
+from altproj.linalg import _dot_rows, unit_cone_distance, unit_distance_to_ray
 from altproj.vertices import feasible_vertices
 from exact import cone_family_distance, sqrt_relative_error
 from test_qp_adversarial import nearly_parallel, random_poly, unit, with_duplicates
@@ -338,9 +339,22 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
         flipped = HalfSpace(-B.A[0], -10.0)
         assert_near_exact(kept, flipped, FLIPPED_EXACT_BOUND)
         qualifying = set(qualifying_active_sets(B, flipped)[0])
-        cones = [rows for idx, _, dependent in kept._cones for rows in (*idx, *dependent)]
-        filtered += sum(set(rows) <= qualifying for rows in cones) < len(cones)
+        _, rows, _, _, dependent, _ = kept._cones
+        cones = [cone[cone < B.num_rows] for cone in (*rows, *dependent)]
+        filtered += sum(set(cone) <= qualifying for cone in cones) < len(cones)
     assert filtered >= 40
+
+
+def assert_padded(B, cones):
+    """Each row of ``cones`` is a cone's sorted rows, then the pad index m
+    up to n entries: no pad reads a real row."""
+    m, n = B.num_rows, B.dim
+    sizes = (cones < m).sum(axis=1)
+    assert cones.shape[1] == n and (cones >= 0).all() and (cones <= m).all()
+    assert ((cones == m) == (np.arange(n) >= sizes[:, None])).all()
+    for cone, size in zip(cones, sizes):
+        assert (np.diff(cone[:size]) > 0).all()
+    return sizes
 
 
 def test_the_cone_family_is_every_pair_and_every_active_subset():
@@ -348,27 +362,117 @@ def test_the_cone_family_is_every_pair_and_every_active_subset():
     # table keys each subset by an integer instead.  Degenerate apexes with
     # up to 2n + 2 active rows are among the bad geometry.  Each size's
     # independent cones, its dependent cones and the exactly antiparallel
-    # pairs the table leaves out are together the family, and the first two
-    # keep its order.
+    # pairs the table leaves out are together the family.  The stack holds
+    # the sizes in increasing order and each size in lexicographic order,
+    # every pad reads the appended zero row and no pad reads a real row, and
+    # each inverse is the stacked one of its size, bit for bit, in the
+    # leading block of zeros.
     for B, _ in rng72_pool_pairs() + bad_geometry_pairs():
+        m, n = B.num_rows, B.dim
         vertices = feasible_vertices(B)
-        cones = [set() for _ in range(B.dim + 1)]
-        cones[2].update(itertools.combinations(range(B.num_rows), 2))
+        cones = [set() for _ in range(n + 1)]
+        cones[2].update(itertools.combinations(range(m), 2))
         for _, active in vertices:
-            for size in range(3, min(len(active), B.dim) + 1):
+            for size in range(3, min(len(active), n) + 1):
                 cones[size].update(itertools.combinations(active, size))
-        expected = [np.array(sorted(group)) for group in cones if group]
-        table = certify._cone_table(B, vertices)
-        assert len(table) == len(expected)
-        for (idx, _, dependent), ref in zip(table, expected):
-            left_out = ref[:0]
-            if ref.shape[1] == 2:
-                left_out = ref[(B._units[ref[:, 0]] == -B._units[ref[:, 1]]).all(axis=1)]
-            family = np.concatenate([idx, dependent, left_out])
-            assert family.dtype == ref.dtype and family.shape == ref.shape
-            np.testing.assert_array_equal(family[np.lexsort(family.T[::-1])], ref)
-            for part in (idx, dependent):
+        padded_units, rows, inverses, pads, dependent, full = certify._cone_table(B, vertices)
+        np.testing.assert_array_equal(padded_units, np.vstack([B._units, np.zeros(n)]))
+        assert padded_units.dtype == np.longdouble
+        sizes = assert_padded(B, rows)
+        assert rows.dtype == dependent.dtype == np.intp
+        np.testing.assert_array_equal(pads, rows == m)
+        assert (np.diff(sizes) >= 0).all() and full == (sizes < n).sum()
+        dependent_sizes = assert_padded(B, dependent)
+        assert inverses.shape == (len(rows), n, n)
+        for size in range(2, n + 1):
+            ref = np.array(sorted(cones[size]), dtype=rows.dtype).reshape(-1, size)
+            idx = rows[sizes == size, :size]
+            measured = dependent[dependent_sizes == size, :size]
+            for part in (idx, measured):
                 np.testing.assert_array_equal(np.lexsort(part.T[::-1]), np.arange(len(part)))
+            left_out = ref[:0]
+            if size == 2:
+                left_out = ref[(B._units[ref[:, 0]] == -B._units[ref[:, 1]]).all(axis=1)]
+            family = np.concatenate([idx, measured, left_out])
+            assert family.shape == ref.shape
+            np.testing.assert_array_equal(family[np.lexsort(family.T[::-1])], ref)
+            if len(idx):
+                R = np.linalg.qr(B._units[idx].transpose(0, 2, 1), mode="r")
+                block = inverses[sizes == size]
+                np.testing.assert_array_equal(block[:, :size, :size], np.linalg.inv(R))
+                assert not block[:, size:].any() and not block[:, :, size:].any()
+
+
+def per_size_read(B, A):
+    """The reference read of ``B._cones``: each cone size with its own
+    ``k x k`` products, as alpha read a table kept by size.  Returns the
+    coefficients of every cone of each size, the span residuals of the
+    cones it counts, in the stack's order, and the cosines, the qualifying
+    rows and ``-c/||c||`` it read them with."""
+    _, rows, inverses, pads, _, _ = B._cones
+    neg_chat = -A._unit
+    uv = _dot_rows(B._units, neg_chat)
+    qualifying = uv < 1.0 - certify._STRICT_MARGIN
+    sizes = (~pads).sum(axis=1)
+    coefficients, dists = {}, [np.zeros(0)]
+    for k in range(2, B.dim + 1):
+        idx, r_inv = rows[sizes == k, :k], inverses[sizes == k, :k, :k]
+        lam = np.einsum("gkj,gj->gk", r_inv, np.einsum("gjk,gj->gk", r_inv, uv[idx]))
+        coefficients[k] = lam
+        kept = qualifying[idx].all(axis=1)
+        idx, lam = idx[kept], lam[kept]
+        inside = (lam > 0.0).all(axis=1)
+        point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), B._units[idx[inside]])
+        resid = neg_chat - point
+        dists.append(np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float))
+    return coefficients, np.concatenate(dists), uv, qualifying, neg_chat
+
+
+def test_the_stacked_read_has_the_bits_of_a_read_size_by_size():
+    # Every coefficient of the stack equals the reference's, and every
+    # distance the stacked read counts has the reference's bits, in the
+    # same order: the pads add exact zeros.  Under c = -a_0 the filter runs.
+    # At n = 8 the sums of more than seven terms are kept to the cones of
+    # eight rows, because NumPy sums eight terms in another order than
+    # fewer; the polyhedron there has two random rows cut into a box.
+    rng = np.random.default_rng(410)
+    deep, _ = random_bounded_polyhedron(rng, 8, 2)
+    cases = [(B, A.c) for B, A in rng72_pool_pairs()]
+    cases += [(B, c) for B, A in bad_geometry_pairs() for c in (A.c, -B.A[0])]
+    cases += [(deep, c) for c in (rng.normal(size=8), -deep.A[0])]
+    for B, c in cases:
+        A = HalfSpace(c, -10.0)
+        kept = Polyhedron(B.A, B.b)
+        alpha_polyhedron_halfspace(kept, A)
+        coefficients, ref, uv, qualifying, neg_chat = per_size_read(kept, A)
+        _, rows, inverses, pads, _, full = kept._cones
+        lam = certify._coefficients(rows, inverses, full, uv)
+        sizes = (~pads).sum(axis=1)
+        for k, expected in coefficients.items():
+            np.testing.assert_array_equal(lam[sizes == k, :k], expected)
+            assert not lam[sizes == k, k:].any()
+        dist, _ = certify._stack_distances(kept._cones, uv, qualifying, neg_chat)
+        assert dist.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, b, alpha, count",
+    [
+        # One row: no cone of two rows, an empty stack.
+        ([[1, 0, 0]], [1], 0.5, 0),
+        # Two exactly antiparallel rows: their pair is left out, so the
+        # stack is empty again.
+        ([[1, 0, 0], [-1, 0, 0]], [1, 1], 0.47967540647319123, 0),
+        # Three rows and no vertex: a family of pairs alone.
+        ([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], [1, 1, 1], 0.4703604341917987, 3),
+    ],
+)
+def test_alpha_on_a_family_with_no_cone_or_one_size(rows, b, alpha, count):
+    B = Polyhedron(rows, b)
+    assert alpha_polyhedron_halfspace(B, HalfSpace([0.3, 0.2, 1.0], -5.0)) == alpha
+    _, stacked, inverses, _, dependent, full = B._cones
+    assert stacked.shape == (count, 3) and inverses.shape == (count, 3, 3)
+    assert dependent.shape == (0, 3) and full == count
 
 
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):

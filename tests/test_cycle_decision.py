@@ -201,9 +201,11 @@ def test_factor_decisions_match_the_cone_solve_on_a_pool(monkeypatch, pool_seed_
 
 
 def decision_nnls_calls(monkeypatch):
-    """The NNLS calls made inside ``engine._decide``, as their shapes."""
+    """The NNLS solves made inside ``engine._decide``, as their shapes: calls
+    of ``linalg._nnls``, the kernel that every cone solve of two or more
+    generators runs."""
     calls, inside = [], []
-    nnls, decide = linalg.nnls, engine._decide
+    nnls, decide = linalg._nnls, engine._decide
 
     def nnls_spy(G, y):
         if inside:
@@ -217,7 +219,7 @@ def decision_nnls_calls(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(linalg, "nnls", nnls_spy)
+    monkeypatch.setattr(linalg, "_nnls", nnls_spy)
     monkeypatch.setattr(engine, "_decide", decide_spy)
     return calls
 

@@ -169,7 +169,7 @@ def test_one_membership_rule_at_every_point_scale():
         "engine._screened_generators",
         "engine._face_jump",
         "qp._project_from",
-        "linalg.nnls",
+        "linalg._nnls",
     }
     names = ("id", "attr", "name")  # of a Name, an Attribute and an import
     assert not sites(lambda node: "_COMMON_POINT_TOL" in (getattr(node, n, None) for n in names))

@@ -434,17 +434,17 @@ def test_a_raising_walk_keeps_nothing(monkeypatch):
 
 def test_constants_pool_work_per_pass(monkeypatch):
     # Work gate of the ``constants`` benchmark at pool seed 1: cold
-    # projections, walks, NNLS calls and alpha's cone tables over one pass of
-    # bound_report and the shifted solve, then a second pass over the same
-    # polyhedra.  The solve reads bound_report's walk, and a second pass
-    # reads every record.  When each walked for itself, the passes made
-    # (400, 400, 0, 200) and (400, 400, 0, 0).
+    # projections, walks, NNLS solves (``linalg._nnls``) and alpha's cone
+    # tables over one pass of bound_report and the shifted solve, then a
+    # second pass over the same polyhedra.  The solve reads bound_report's
+    # walk, and a second pass reads every record.  When each walked for
+    # itself, the passes made (400, 400, 0, 200) and (400, 400, 0, 0).
     rng = np.random.default_rng(1)
     pool = [random_pair_instance(rng) for _ in range(200)]
     for inst in pool:
         vertex_oracle(inst.poly, inst.halfspace.c)
     projections, walks = spy_walks(monkeypatch)
-    nnls = count_calls(monkeypatch, [linalg], "nnls")
+    nnls = count_calls(monkeypatch, [linalg], "_nnls")
     tables = count_calls(monkeypatch, [certify], "_cone_table")
     counts = []
     for _ in range(2):

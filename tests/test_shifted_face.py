@@ -61,15 +61,15 @@ def shifted(hs, poly, x0):
 
 
 def spy_cone_solves(monkeypatch):
-    """Count ``linalg.nnls`` calls, which every cone solve of two or more generators makes."""
+    """Count ``linalg._nnls`` calls, which every cone solve of two or more generators makes."""
     calls = []
-    nnls = linalg.nnls
+    nnls = linalg._nnls
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape[1])
         return nnls(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "nnls", spy)
+    monkeypatch.setattr(linalg, "_nnls", spy)
     return calls
 
 
