@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
 from .linalg import _dot_row_norms, _dot_rows, _entry_norm, _norm, _real_scalar, as_point, unit_cone_distance
 from .qp import _walk_to_optimum, project_polyhedron
-from .sets import HalfSpace, Polyhedron, _check_start
+from .sets import HalfSpace, Polyhedron, _check_dims, _check_start
 from .vertices import feasible_vertices
 
 # Margin for strict-inequality tests on normalized inner products, so that
@@ -170,7 +170,8 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     a family is kept.
     """
     _check_pair(A, B)
-    neg_chat = -as_point(A._unit, B.dim)
+    _check_dims(A, B)
+    neg_chat = -A._unit
     vertices = feasible_vertices(B) if B.dim >= 3 else ()
     table = B._cones
     if table is None:
@@ -413,10 +414,12 @@ def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
 def _distances(B: Polyhedron, A: HalfSpace, x) -> tuple[float, float]:
     """``d(x, B)`` from the projection of ``x`` and ``d(A, B)`` from the walk on from it.
 
-    ``x`` is a validated point.  An unbounded walk gives ``d(A, B) = 0``
-    and NaN for ``d(x, B)``, which is then not needed.
+    ``x`` is a validated point of A's dimension; B's must match it
+    (:class:`DimensionMismatch` otherwise).  An unbounded walk gives
+    ``d(A, B) = 0`` and NaN for ``d(x, B)``, which is then not needed.
     """
-    c = as_point(A.c, B.dim)
+    _check_dims(A, B)
+    c = A.c
     try:
         start, end, _ = _walk_to_optimum(B, x, c)
     except Unbounded:

@@ -254,7 +254,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointNotInSet, ZeroVector
+from .errors import PointNotInSet, ZeroVector
 from .linalg import (
     ZERO_TOL,
     _check_tol,
@@ -274,6 +274,7 @@ from .sets import (
     ProjectableSet,
     _active,
     _active_columns,
+    _check_dims,
     _check_start,
     _epigraph_generators,
     _project_epigraph_xy,
@@ -529,11 +530,6 @@ def check_certificate(
     a, b = as_point(a, set_a.dim), as_point(b, set_b.dim)
     d = a - b
     return _certificate(set_a, set_b, a, b, d, _norm(d), tol)
-
-
-def _check_dims(set_a: ProjectableSet, set_b: ProjectableSet) -> None:
-    if set_a.dim != set_b.dim:
-        raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
 
 
 def _certificate(

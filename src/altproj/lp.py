@@ -19,7 +19,7 @@ import numpy as np
 from . import engine
 from .errors import LowerBoundNotStrict, NotConverged, Unbounded
 from .linalg import _check_tol, _norm, as_point
-from .qp import _face_of, _walk_to_optimum
+from .qp import _walk_to_optimum
 from .sets import HalfSpace, Polyhedron, _ValueSet, _check_start, _project_halfspace
 
 # ``lp.vertex_oracle`` is public API, and benchmarks/tracer.py resolves
@@ -97,9 +97,11 @@ def solve_lp(
     the optimum by the KKT conditions.  The walk is the polyhedron's kept
     one when its last walk started from the same ``x0`` along the same
     ``c``, as after ``bound_report`` from that ``x0``; the solution is a
-    copy of its end point.  The optimum is certified on the
-    walk's final face: B's residual is read from its factor, as a direct
-    run reads it, and measured by a cone solve only where the factor cannot
+    copy of its end point.  The optimum is certified on the face the walk
+    ends on, the very :class:`~altproj.qp._Face` that the walk returned (and
+    the polyhedron keeps with it), so a solve that reads a kept walk builds
+    no face: B's residual is read from the face's factor, as a direct run
+    reads it, and measured by a cone solve only where the factor cannot
     decide, so no cone solve runs after the walk on the benchmark's pools.
     The walk reads no vertex list, so
     it raises no :class:`TooLarge`; a point that moves on with no face
@@ -150,7 +152,7 @@ def solve_lp(
     else:
         _check_start(halfspace, x0)
         try:
-            _, end, factor = _walk_to_optimum(poly, x0, c)
+            _, end, face = _walk_to_optimum(poly, x0, c)
         except Unbounded:
             raise _not_strict(M) from None
         # A copy: the walk's arrays are the polyhedron's kept record.
@@ -162,7 +164,6 @@ def solve_lp(
         # points are the solve's own, validated arrays.
         a_star = _project_halfspace(halfspace, b_star)
         d = a_star - b_star
-        face = _face_of(poly, *factor)
         certificate = engine._certificate(halfspace, poly, a_star, b_star, d, _norm(d), cert_tol, face)
         if not certificate.holds:
             raise NotConverged("shifted projection did not certify optimality")

@@ -74,21 +74,23 @@ independent.  A walk that changes faces more than ``40 (m + 1)`` times
 raises :class:`NotConverged`.  Walked with no end along ``-c``, from the
 projection of any start, it stops at a minimiser of ``<c, .>``
 (:func:`_walk_to_optimum`): the LP optimum behind the shifted solve,
-``d(A, B)`` and ``lp --auto-bound``.  :func:`_walk_from` returns its end
-point with the working rows and the factor it ended on, as the steps left
-them; it builds no :class:`_Face`.  There ``-c`` lies in the cone of the
-working rows, and the shifted solve, the one caller that reads the face,
-builds it from them (:func:`_face_of`) and certifies its optimum on that
-factor.  ``d(A, B)``, ``project_along_ray`` and ``lp --auto-bound`` read
-the point alone.
+``d(A, B)`` and ``lp --auto-bound``.  :func:`_walk_from` ends as
+:func:`_project_from` does: it returns its end point with the
+:class:`_Face` it ended on.  There ``-c`` lies in the cone of the working
+rows, and the shifted solve, the one caller that reads the face, certifies
+its optimum on it.  ``d(A, B)``, ``project_along_ray`` and
+``lp --auto-bound`` read the point alone.  The two kernels' ends are the
+only places a face is built (:func:`_face_of`), and :func:`_continued` the
+only place a face becomes the state that the steps update.
 
 A polyhedron keeps its last walk to the optimum (``Polyhedron._walk``),
-keyed by the bytes of the start and the objective and by whether each is
-C-contiguous: a strided vector can round otherwise (:func:`_project_from`).
-A later call with the same key returns the kept record, the very arrays the
-walk made, so ``bound_report`` and the shifted solve from one ``x0`` walk
-once and agree bit for bit.  The kept arrays are read-only, and a walk that
-raises keeps nothing.
+keyed by the bytes of the start and the objective.  Both are validated
+vectors, C-contiguous (:func:`~altproj.linalg.as_point`), so equal bytes
+are equal inputs, whatever the layout a caller passed.  A later call with
+the same key returns the kept record, the very arrays the walk made and
+the face it ended on, so ``bound_report`` and the shifted solve from one
+``x0`` walk once and agree bit for bit.  Every kept array is read-only,
+and a walk that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -182,13 +184,7 @@ def _on_face(face: _Face, x) -> tuple[list[float], np.ndarray]:
     return _substitute(face.R, y), z
 
 
-# Working rows ``W`` and their factor ``Q``, ``R`` as the active-set steps
-# and the walk leave them: ``R`` is n x n, its leading ``len(W)`` square the
-# triangle (:func:`_continued`, :func:`_face_of`).
-_Factor = tuple[list[int], np.ndarray, np.ndarray]
-
-
-def _continued(face: _Face | None, n: int) -> _Factor:
+def _continued(face: _Face | None, n: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Working rows, ``Q`` and an n x n ``R`` that continue from ``face``.
 
     A copy of the face's factor, ``R`` padded with zeros to the room the
@@ -273,13 +269,6 @@ def _project_from(p: Polyhedron, x, face: _Face | None) -> tuple[QPResult, _Face
         slack = A.dot(z) - b
     else:
         u, z = [], x.copy()
-        if not x.flags.c_contiguous:
-            # The steps run on the contiguous copy.  OpenBLAS's ``ddot``
-            # rounds a strided vector otherwise (7,785 of 20,000 random
-            # products at n = 2..8, NumPy 2.4.6 with OpenBLAS 0.3.31); its
-            # matrix-vector product gave the same bits in all 20,000, but
-            # the first step does not rely on that.
-            slack = A.dot(z) - b
     steps = _working_set(A, b, feas_tol, W, Q, R, u, z, slack)
     face = _face_of(p, W, Q, R)
     u, z = _on_face(face, x)
@@ -333,8 +322,8 @@ def project_along_ray(
     return _written(p, _walk_from(p, *_project_from(p, base, None), direction, t_target)[0])
 
 
-def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Factor]:
-    """The projection of ``x`` onto ``p``, the end of the walk on from it along ``-c``, and its factor.
+def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Face]:
+    """The projection of ``x`` onto ``p``, the end of the walk on from it along ``-c``, and its face.
 
     The package's one LP optimum.  The walk ``t -> P(x - t c)`` has no end
     and stops on the first face where the point stands still and no working
@@ -343,52 +332,52 @@ def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Factor]:
     reads no vertex list, so it has no size limit and takes polyhedra
     without a vertex.  Takes a validated ``x`` and ``c``; raises
     :class:`Unbounded` when the point moves on with no face ahead, and what
-    :func:`_project_from` and :func:`_walk_from` raise.  The working rows
-    and factor are the walk's final ones: there ``-c`` lies in the cone of
-    those rows, so their face (:func:`_face_of`) holds the optimum's
-    certificate.
+    :func:`_project_from` and :func:`_walk_from` raise.  The face is the
+    walk's final one: there ``-c`` lies in the cone of its working rows, so
+    it holds the optimum's certificate.
 
     The walk is kept on ``p`` (``Polyhedron._walk``), in place of the one
-    before, under the key ``(x.tobytes(), x C-contiguous, c.tobytes(),
-    c C-contiguous)``.  A call with the key of the kept walk returns its
-    record, the same three values as the walk that made it, with every
-    array read-only; a ``-0.0`` for a ``0.0`` or a strided copy of ``x``
-    is another key and walks again.  A walk that raises keeps nothing.
+    before, under the key ``(x.tobytes(), c.tobytes())``.  A call with the
+    key of the kept walk returns its record, the same three values as the
+    walk that made it, with every array read-only, the face's ``Q1`` view
+    too; a ``-0.0`` for a ``0.0`` is another key and walks again.  A walk
+    that raises keeps nothing.
     """
-    key = (x.tobytes(), x.flags.c_contiguous, c.tobytes(), c.flags.c_contiguous)
+    key = (x.tobytes(), c.tobytes())
     kept = p._walk
     if kept is not None and kept[0] == key:
         return kept[1]
     start, face = _project_from(p, x, None)
-    end, factor = _walk_from(p, start, face, -c, math.inf)
-    for array in (start.point, start.dual, end.point, end.dual, factor[1], factor[2]):
+    end, face = _walk_from(p, start, face, -c, math.inf)
+    # ``Q1`` is a view of ``Q`` taken before ``Q`` is frozen, and such a view
+    # stays writable, so each array of the face is frozen by itself.
+    for array in (start.point, start.dual, end.point, end.dual, face.Q, face.R, face.w, face.Q1, face.A_W, face.b_W):
         array.flags.writeable = False
-    walk = start, end, factor
+    walk = start, end, face
     object.__setattr__(p, "_walk", (key, walk))
     return walk
 
 
 def _walk_from(
     p: Polyhedron, start: QPResult, face: _Face | None, direction, t_target: float
-) -> tuple[QPResult, _Factor]:
-    """:func:`project_along_ray`'s walk from ``start`` on ``face``; also its final factor.
+) -> tuple[QPResult, _Face | None]:
+    """:func:`project_along_ray`'s walk from ``start`` on ``face``; also its final face.
 
     ``start`` and ``face`` are what :func:`_project_from` returned for the
     base point, so a caller that has already projected it walks on.  Takes
     a validated ``direction`` and ``t_target >= 0``.  An endless walk stops
     on the first face where the point stands still and no working
     multiplier falls; a point that moves on with no event ahead raises
-    :class:`Unbounded`.  The second value is ``(W, Q, R)``, the working
-    rows and the padded factor the walk ends on, from which
-    :func:`_face_of` builds their face; a walk that does not move returns
-    ``start`` with a copy of ``face``'s.  It runs on the unit rows, and its
-    multipliers are theirs.
+    :class:`Unbounded`.  The second value is the :class:`_Face` the walk
+    ends on, built as :func:`_project_from` builds its own; a walk that
+    does not move returns ``start`` and ``face`` as it was given them.  It
+    runs on the unit rows, and its multipliers are theirs.
     """
+    if t_target == 0.0 or not direction.any():
+        return start, face
     A, b = p._units, p._offsets
     m, n = A.shape
     W, Q, R = _continued(face, n)
-    if t_target == 0.0 or not direction.any():
-        return start, (W, Q, R)
     u = start.dual[W].tolist()
     z = start.point
     t = 0.0
@@ -418,7 +407,7 @@ def _walk_from(
         if not event:
             lam = np.zeros(m)
             lam[W] = u
-            return QPResult(z, lam, start.iterations + steps), (W, Q, R)
+            return QPResult(z, lam, start.iterations + steps), _face_of(p, W, Q, R)
         t += step
         if i in W:
             j = W.index(i)

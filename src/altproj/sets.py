@@ -147,8 +147,8 @@ class Polyhedron(_ValueSet):
     # - The last walk of :func:`altproj.qp._walk_to_optimum` with the start
     #   and objective it was made for, so ``bound_report`` and the shifted
     #   solve from one ``x0`` walk once.  A new walk replaces it.  Two
-    #   ``QPResult``s, ``W``, ``Q`` and ``R``: under 2 KB of arrays at n = 8,
-    #   m = 24.
+    #   ``QPResult``s and the ``_Face`` the walk ended on: 2,176 bytes of
+    #   arrays at n = 8, m = 24 with eight working rows.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -240,6 +240,11 @@ def contains(s: ProjectableSet, x, tol: float = ACTIVE_TOL) -> bool:
 def _check_start(s: ProjectableSet, x0: np.ndarray) -> None:
     if _active(s, x0, ACTIVE_TOL) is None:
         raise StartNotInA("x0 must belong to the first set")
+
+
+def _check_dims(set_a: ProjectableSet, set_b: ProjectableSet) -> None:
+    if set_a.dim != set_b.dim:
+        raise DimensionMismatch(f"sets have dimensions {set_a.dim} and {set_b.dim}")
 
 
 def translate(s: ProjectableSet, v) -> ProjectableSet:

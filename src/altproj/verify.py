@@ -476,15 +476,15 @@ SUITES = {
 }
 
 
-def run_suites(names, seed: int | None = None, alpha_scale: float = 1.0) -> list[CheckResult]:
-    """Run the named suites (all of them when ``names`` is empty)."""
+def run_suites(names, alpha_scale: float = 1.0) -> list[CheckResult]:
+    """Run the named suites (all of them when ``names`` is empty), each on a
+    generator seeded by :func:`get_seed`."""
     if not names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
-    if seed is None:
-        seed = get_seed()
+    seed = get_seed()
     results = []
     for name in sorted(names):
         rng = np.random.default_rng(seed)

@@ -15,11 +15,11 @@ and their sum, the kernel's share of the pass:
   that return a stretch (accepted) and those that return None (refused);
 - ``linalg._substitute`` over both pools, by the size k of the triangle.
 
-It prints the walks and cold projections (``qp._project_from`` with no
-face) per ``constants`` operation on a first pass over a fresh pool, on a
-repeat pass over the same polyhedra, and on a pass that clears each
-polyhedron's kept walk before its operation: the share of operations that
-reuse a walk.
+It prints the walks, cold projections (``qp._project_from`` with no face)
+and face builds (``qp._face_of``) per ``constants`` operation on a first
+pass over a fresh pool, on a repeat pass over the same polyhedra, and on a
+pass that clears each polyhedron's kept walk before its operation: the
+share of operations that reuse a walk and the face it ended on.
 
 It also prints the real cycles of one ``lp_direct`` pass by kind: the first
 cycle of a run, a face entry (a B-projection on another face than the
@@ -147,31 +147,32 @@ def real_cycles_by_kind(pool_seed: int) -> dict[str, int]:
     return counts
 
 
-def constants_walks_per_op(pool_seed: int) -> dict[str, tuple[float, float]]:
-    """Walks and cold projections per ``constants`` operation, by pass.
+def constants_walks_per_op(pool_seed: int) -> dict[str, tuple[float, float, float]]:
+    """Walks, cold projections and face builds per ``constants`` operation, by pass.
 
     A first pass over a fresh pool, a repeat pass over the same polyhedra,
     and a pass that clears each polyhedron's kept walk before its operation,
     as a process that makes one ``bound_report`` and one shifted solve per
     problem would see it.
     """
-    walks, projections = [], []
+    walks, projections, faces = [], [], []
     cases = workloads.build_constants(pool_seed, None)
     counts = {}
     walk_from = recorded(qp, "_walk_from", walks)
     project_from = recorded(qp, "_project_from", projections)
+    face_of = recorded(qp, "_face_of", faces)
     try:
         for label, clear in (("first pass", False), ("repeat pass", False), ("walk cleared before each op", True)):
-            walks.clear()
-            projections.clear()
+            for calls in (walks, projections, faces):
+                calls.clear()
             for case in cases:
                 if clear:
                     object.__setattr__(case[0].poly, "_walk", None)
                 workloads.op_constants(case)
             cold = sum(args[2] is None for args, _, _ in projections)
-            counts[label] = (len(walks) / len(cases), cold / len(cases))
+            counts[label] = (len(walks) / len(cases), cold / len(cases), len(faces) / len(cases))
     finally:
-        qp._walk_from, qp._project_from = walk_from, project_from
+        qp._walk_from, qp._project_from, qp._face_of = walk_from, project_from, face_of
     return counts
 
 
@@ -226,8 +227,11 @@ def main(argv: list[str]) -> None:
             f"alpha n={n} ({len(built)} pairs): first call {statistics.median(built):.1f} us, "
             f"read of the kept family {statistics.median(read):.1f} us (medians over pairs)"
         )
-    for label, (per_op, cold_per_op) in constants_walks_per_op(pool_seed).items():
-        print(f"constants {label}: {per_op:.2f} walks and {cold_per_op:.2f} cold projections per op")
+    for label, (per_op, cold_per_op, faces_per_op) in constants_walks_per_op(pool_seed).items():
+        print(
+            f"constants {label}: {per_op:.2f} walks, {cold_per_op:.2f} cold projections "
+            f"and {faces_per_op:.2f} face builds per op"
+        )
     kinds = real_cycles_by_kind(pool_seed)
     print(f"pool seed {pool_seed}; real cycles of the lp_direct pass: {sum(kinds.values())}")
     for kind, count in kinds.items():

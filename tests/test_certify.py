@@ -526,6 +526,19 @@ def test_alpha_errors_keep_no_table():
         assert big._cones is None and big._vertices is None
 
 
+def test_distances_of_a_pair_of_two_dimensions_raise_dimension_mismatch():
+    # The pair's dimension check is the only length check of c before the
+    # walk: without it a 2-D c would reach the walk on a 3-D polyhedron.
+    # bound_report validates x0 against A, then raises as alpha does.
+    B = Polyhedron(SQUARE_PYRAMID.A, SQUARE_PYRAMID.b)
+    A = HalfSpace([1.0, 2.0], -10.0)
+    with pytest.raises(DimensionMismatch):
+        polyhedron_halfspace_distance(B, A)
+    with pytest.raises(DimensionMismatch):
+        bound_report(B, A, [-10.0, 0.0])
+    assert B._walk is None and B._cones is None
+
+
 def test_planar_alpha_has_no_row_limit():
     # A regular 80-gon under c = -a_70: row 70 does not qualify, and alpha
     # is the row-wise minimum over the other 79, through alpha and through

@@ -302,6 +302,14 @@ def test_the_face_read_of_b_residual_has_one_site():
     assert call_sites("_residual_b") == {"engine._decide", "engine._certificate"}
 
 
+def test_a_face_is_built_only_where_a_kernel_ends():
+    # The projection and the walk each return the face they end on, and
+    # nothing else builds one: the shifted solve certifies on the face the
+    # walk returned.  The steps start from a face in one place.
+    assert call_sites("_face_of") == {"qp._project_from", "qp._walk_from"}
+    assert call_sites("_continued") == {"qp._project_from", "qp._walk_from"}
+
+
 KEPT_RECORDS = ("_vertices", "_cones", "_walk")
 
 
@@ -373,7 +381,7 @@ def builds_error(node, rule):
 def test_each_entry_rule_raises_at_one_site(error):
     # The start rule is sets._check_start, the pair rule
     # certify._check_pair, the alpha range certify._check_alpha, the rule
-    # that the two sets share a dimension engine._check_dims and the
+    # that the two sets share a dimension sets._check_dims and the
     # tolerance rule linalg._check_tol, which reads cert_tol and the tol of
     # sets; every entry point calls them, none repeats them.  The last three
     # raise ValueError and DimensionMismatch, which other rules raise too,

@@ -275,9 +275,9 @@ def test_warm_face_takes_every_branch_and_matches_the_cold_projection(monkeypatc
 
 
 def test_a_strided_point_starts_on_the_slack_of_its_contiguous_copy(monkeypatch):
-    # The active-set method starts on a contiguous copy of a cold point, so
-    # the slack handed to its first step is the copy's (the spy compares the
-    # bytes), and the projection is within rounding of the copy's.
+    # ``as_point`` hands the projection a contiguous copy of a strided
+    # point, so the slack handed to its first step is the copy's (the spy
+    # compares the bytes), and the projection is the copy's bit for bit.
     branch = warm_branch(monkeypatch)
     rng = np.random.default_rng(32)
     cold = 0
@@ -288,7 +288,7 @@ def test_a_strided_point_starts_on_the_slack_of_its_contiguous_copy(monkeypatch)
             res = project_polyhedron(poly, wide[:, 0])
             cold += branch == ["cold"]
             ref = project_polyhedron(poly, x.copy())
-            assert norm(res.point - ref.point) <= 1e-12 * (1.0 + norm(x))
+            assert res.point.tobytes() == ref.point.tobytes() and res.dual.tobytes() == ref.dual.tobytes()
     assert cold >= 100
 
 
@@ -371,8 +371,7 @@ def test_every_face_record_holds_its_slices_bit_for_bit(monkeypatch):
             faces.append(face)
             seen["cold"] += 1
             direction = rng.normal(size=poly.dim)
-            walked, factor = qp._walk_from(poly, start, face, direction, 10.0)
-            end_face = qp._face_of(poly, *factor)
+            walked, end_face = qp._walk_from(poly, start, face, direction, 10.0)
             keep(poly, end_face)
             seen["walk"] += walked.iterations - start.iterations > 1
         for x in points:
@@ -449,15 +448,15 @@ def test_an_endless_walk_stops_on_the_first_still_face_where_no_multiplier_falls
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), [1.0, 1.0, 0.0, 0.0])
     direction = np.array([1.0, -1.0])
     for base in ([1.0, 1.0], [2.0, 2.0]):
-        end, (W, _, _) = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
-        assert end.point.tolist() == [1.0, 0.0] and W == [0, 3]
+        end, face = qp._walk_from(box, *_project_from(box, np.array(base), None), direction, math.inf)
+        assert end.point.tolist() == [1.0, 0.0] and face.W == [0, 3]
         assert np.array_equal(end.point, project_along_ray(box, base, direction, 1e6).point)
     # Below the line y = 0 the projection of (0, 1) stands still along
     # (0, 1) and moves forever along (1, 0), with no face change ahead.
     below = Polyhedron([[0.0, 1.0]], [0.0])
     start = _project_from(below, np.array([0.0, 1.0]), None)
-    end, (W, _, _) = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
-    assert end.point.tolist() == [0.0, 0.0] and W == [0]
+    end, face = qp._walk_from(below, *start, np.array([0.0, 1.0]), math.inf)
+    assert end.point.tolist() == [0.0, 0.0] and face.W == [0]
     with pytest.raises(Unbounded):
         qp._walk_from(below, *start, np.array([1.0, 0.0]), math.inf)
 

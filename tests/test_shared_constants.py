@@ -363,10 +363,9 @@ def test_bound_report_and_the_shifted_solve_walk_once(monkeypatch):
 
 
 def test_another_start_or_objective_walks_again(monkeypatch):
-    # The key is the bytes of x and c and their layout.  Another point, the
-    # opposite objective, a -0.0 where the kept start has 0.0 and a strided
-    # copy of the start each walk again and replace the record, which the
-    # same call then reads.
+    # The key is the bytes of x and c.  Another point, the opposite
+    # objective and a -0.0 where the kept start has 0.0 each walk again and
+    # replace the record, which the same call then reads.
     _, walks = spy_walks(monkeypatch)
     for inst in random_pairs(41, 10):
         B, A, x0 = inst.poly, inst.halfspace, inst.x0
@@ -379,17 +378,17 @@ def test_another_start_or_objective_walks_again(monkeypatch):
         assert not strided.flags.c_contiguous and np.array_equal(strided, x0)
         shifted(B, A, x0)
         walks.clear()
-        calls = [(x0 + 1.0, c), (x0, -c), (signed, c), (negative, c), (signed, c), (strided, c), (x0, c)]
+        calls = [(x0 + 1.0, c), (x0, -c), (signed, c), (negative, c), (signed, c), (x0, c)]
         for n, (x, objective) in enumerate(calls, 1):
             for _ in range(2):
                 outcome(lambda: qp._walk_to_optimum(B, x, objective))
             assert len(walks) == n
-        # The public calls key on their validated start: a strided x0 walks.
+        # The public calls key on their validated start, a contiguous copy of
+        # a strided x0, so a strided x0 reads the walk kept for x0.
         walks.clear()
         bound_report(B, A, x0)
-        assert walks == []
         shifted(B, A, strided)
-        assert len(walks) == 1
+        assert walks == []
 
 
 def test_a_written_solution_changes_no_later_answer():
@@ -403,8 +402,9 @@ def test_a_written_solution_changes_no_later_answer():
         assert first.certificate.b is first.solution
         again = constants_fields(bound_report(B, A, x0), shifted(B, A, x0))
         assert again == expected
-        start, end, (_, Q, R) = B._walk[1]
-        for array in (start.point, start.dual, end.point, end.dual, Q, R):
+        start, end, face = B._walk[1]
+        arrays = (start.point, start.dual, end.point, end.dual, face.Q, face.R, face.w, face.Q1, face.A_W, face.b_W)
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -434,11 +434,14 @@ def test_a_raising_walk_keeps_nothing(monkeypatch):
 
 def test_constants_pool_work_per_pass(monkeypatch):
     # Work gate of the ``constants`` benchmark at pool seed 1: cold
-    # projections, walks, NNLS solves (``linalg._nnls``) and alpha's cone
-    # tables over one pass of bound_report and the shifted solve, then a
-    # second pass over the same polyhedra.  The solve reads bound_report's
-    # walk, and a second pass reads every record.  When each walked for
-    # itself, the passes made (400, 400, 0, 200) and (400, 400, 0, 0).
+    # projections, walks, NNLS solves (``linalg._nnls``), alpha's cone
+    # tables and face builds (``qp._face_of``) over one pass of bound_report
+    # and the shifted solve, then a second pass over the same polyhedra.
+    # The solve reads bound_report's walk and certifies on its kept face,
+    # and a second pass reads every record.  When each walked for itself,
+    # the passes made (400, 400, 0, 200) and (400, 400, 0, 0) of the first
+    # four; when the solve built its face from the walk's factor, the face
+    # builds were 400 and 200.
     rng = np.random.default_rng(1)
     pool = [random_pair_instance(rng) for _ in range(200)]
     for inst in pool:
@@ -446,16 +449,17 @@ def test_constants_pool_work_per_pass(monkeypatch):
     projections, walks = spy_walks(monkeypatch)
     nnls = count_calls(monkeypatch, [linalg], "_nnls")
     tables = count_calls(monkeypatch, [certify], "_cone_table")
+    faces = count_calls(monkeypatch, [qp], "_face_of")
     counts = []
     for _ in range(2):
-        for spy in (projections, walks, nnls, tables):
+        for spy in (projections, walks, nnls, tables, faces):
             spy.clear()
         for inst in pool:
             A, B = inst.halfspace, inst.poly
             bound_report(B, A, inst.x0)
             shifted(B, A, inst.x0)
-        counts.append((len(cold_starts(projections)), len(walks), len(nnls), len(tables)))
-    assert counts == [(200, 200, 0, 200), (0, 0, 0, 0)]
+        counts.append((len(cold_starts(projections)), len(walks), len(nnls), len(tables), len(faces)))
+    assert counts == [(200, 200, 0, 200, 400), (0, 0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -2,7 +2,7 @@
 
 ``qp._walk_to_optimum`` returns the face its walk ends on, where ``-c``
 lies in the cone of the working rows, and ``solve_lp(strategy="shifted")``
-hands it to ``engine._certificate``: B's residual is read from that face's
+hands that face itself to ``engine._certificate``: B's residual is read from that face's
 factor wherever it decides, as a direct run's cycle decision reads it, and
 measured by the cone solve otherwise.  The certificate must agree with
 ``check_certificate`` on the same pair: ``holds`` and ``residual_A`` bit for
@@ -134,8 +134,7 @@ def test_the_walk_returns_the_factor_of_its_final_face(seed):
     # The returned face factors the working rows it ends on, A_W' = Q_1 R,
     # and B's tight rows at the optimum are those rows on every pool pair.
     for hs, poly, x0 in pool_pairs(seed):
-        _, end, factor = qp._walk_to_optimum(poly, x0, hs.c)
-        face = qp._face_of(poly, *factor)
+        _, end, face = qp._walk_to_optimum(poly, x0, hs.c)
         assert np.abs(face.A_W.T - face.Q1.dot(face.R)).max() <= 1e-14
         assert face.A_W.tobytes() == poly._units[face.W].tobytes()
         tight = np.abs(poly._units.dot(end.point) - poly._offsets) <= ACTIVE_TOL

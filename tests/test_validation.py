@@ -4,8 +4,9 @@ Each call below gets a plane problem (the lower half-plane, the shifted
 abs-value polyhedron and the abs-value epigraph, all in dimension 2) and one
 vector of length 1 or 3 in the place of a point, shift, direction, start,
 objective, right-hand side or generator.  The length is checked by
-``as_point(x, dim)`` and must end in ``DimensionMismatch``, not in a NumPy
-error or a silently broadcast answer.
+``as_point(x, dim)``, or for a half-space against a polyhedron by the
+pair's dimension check, and must end in ``DimensionMismatch``, not in a
+NumPy error or a silently broadcast answer.
 """
 
 import json
@@ -33,6 +34,7 @@ from altproj import (
     iteration_bound,
     nnls,
     one_step_shift,
+    polyhedron_halfspace_distance,
     project,
     project_epigraph,
     project_halfspace,
@@ -72,6 +74,7 @@ CALLS = {
     "bound_report-x0": lambda v: bound_report(POLY, HS, v),
     "alpha_polyhedron_halfspace-pair": lambda v: alpha_polyhedron_halfspace(POLY, HalfSpace(v, 0.0)),
     "bound_report-pair": lambda v: bound_report(POLY, HalfSpace(v, 0.0), A_POINT),
+    "polyhedron_halfspace_distance-pair": lambda v: polyhedron_halfspace_distance(POLY, HalfSpace(v, 0.0)),
     "vertex_oracle": lambda v: vertex_oracle(POLY, v),
     "LPProblem": lambda v: LPProblem(v, POLY, -10.0),
     "Polyhedron-b": lambda v: Polyhedron(POLY.A, v),
