@@ -163,19 +163,18 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     38,000 cones) it holds about 22 MB, mostly the padded inverse R
     factors, and a repeat call takes 5 to 11 ms on a 2-vCPU Xeon.
 
-    For n >= 3 the cones come from B's :func:`feasible_vertices`, read on
-    every call; it keeps the oracle's limits (n <= 8, m <= 24).  The plane
-    needs no limit and no family: its alpha is the row-wise minimum for any
-    number of rows.  Both ``c``'s length and the limits are checked before
-    a family is kept.
+    For n >= 3 the cones come from B's :func:`feasible_vertices`, read
+    only by the call that builds the family; it keeps the oracle's limits
+    (n <= 8, m <= 24).  The plane needs no limit and no family: its alpha
+    is the row-wise minimum for any number of rows.  Both ``c``'s length
+    and the limits are checked before a family is kept.
     """
     _check_pair(A, B)
     _check_dims(A, B)
     neg_chat = -A._unit
-    vertices = feasible_vertices(B) if B.dim >= 3 else ()
     table = B._cones
     if table is None:
-        table = _cone_table(B, vertices)
+        table = _cone_table(B, feasible_vertices(B) if B.dim >= 3 else ())
         object.__setattr__(B, "_cones", table)
     units = B._units
     # A row qualifies when ``<a_i, c> > -||a_i|| ||c||``, read on the unit

@@ -102,16 +102,21 @@ is not finite, which every non-finite iterate makes it.
 Iterates only.  Both loops keep nothing but their iterates: the general
 loop one flat array per real point, joined into one whenever a stretch of
 generated cycles begins, and for each stretch its closed form
-(:class:`_Stretch`), not its points; the planar loop the floats.  The trace
-builds ``points`` and ``gaps`` on their first read (:class:`_Record`): it
-fills every stretch from its closed form, stacks the pieces and forms every
-gap from one block product, ``linalg._dot_row_norms`` of the differences of
-consecutive rows, which rounds each row's sum of squares as ``d.dot(d)``
-does.  So every stored gap is bitwise ``_norm`` of its step, the value the
-cycle itself measured, generated cycles included.  The final pair, the
-final gap, the number of iterates, the stop and the certificate are kept by
-the run itself, so a direct LP solve, which reads nothing else, builds
-nothing and pays for its real cycles only.
+(:class:`_Stretch`), not its points; the planar loop the floats.  These
+pieces are the :class:`Trace`, with the stop reason, the certificate and the
+active-set step count, the one count the pieces cannot give.  The trace
+builds ``points`` and ``gaps`` on their first read: it fills every stretch
+from its closed form, stacks the pieces and forms every gap from one block
+product, ``linalg._dot_row_norms`` of the differences of consecutive rows,
+which rounds each row's sum of squares as ``d.dot(d)`` does.  So every
+stored gap is bitwise ``_norm`` of its step, the value the cycle itself
+measured, generated cycles included.  The number of iterates, the step
+count and the generated cycles are read off the pieces' lengths and the
+stretches' ``J``, and the final pair and gap off the last piece, which is
+always an array (the stop is decided on a real cycle); the gap is
+``_norm`` of the pair's difference, bit for bit the value the last cycle
+measured.  A direct LP solve, which reads nothing else, builds nothing and
+pays for its real cycles only.
 
 Cycles on one face.  When A is a half-space ``{<c, x> <= M}`` and B a
 polyhedron, a run can spend thousands of cycles creeping along one face
@@ -368,34 +373,6 @@ class _Iterates(Sequence):
             yield i, _LABELS[i % 2], point
 
 
-class _Record(NamedTuple):
-    """The iterates of a run as :func:`run` keeps them, before they are built.
-
-    ``pieces`` holds, in run order, flat arrays of consecutive real
-    iterates and the :class:`_Stretch` records of generated cycles; the last
-    piece is an array that ends with the final B- and A-point.  ``n`` is the
-    dimension and ``final_gap`` the A-step's gap of the last cycle,
-    ``_norm(a - b)`` as the cycle measured it.
-    """
-
-    pieces: list
-    n: int
-    final_gap: float
-
-    @property
-    def count(self) -> int:
-        # The number of iterates, summed over the pieces without building them.
-        return sum(2 * p.J if isinstance(p, _Stretch) else len(p) // self.n for p in self.pieces)
-
-    def build(self) -> tuple[np.ndarray, np.ndarray]:
-        # ``points`` and ``gaps``, row for row as the run made them: every
-        # stretch filled by its closed form, every gap from one block
-        # product that rounds each row as ``_norm`` does.
-        pieces = [p.rows(np.arange(1, p.J + 1)).ravel() if isinstance(p, _Stretch) else p for p in self.pieces]
-        points = (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, self.n)
-        return points, _dot_row_norms(points[1:] - points[:-1])
-
-
 def _read_only(values) -> np.ndarray:
     view = np.asarray(values, dtype=float).view()
     view.flags.writeable = False
@@ -403,34 +380,41 @@ def _read_only(values) -> np.ndarray:
 
 
 class Trace:
-    """Full record of one alternating-projections run.
+    """Full record of one alternating-projections run, built by :func:`run`.
+
+    A trace holds the run's pieces: in run order, flat arrays of
+    consecutive real iterates and the :class:`_Stretch` records of
+    generated cycles.  The stop is always decided on a real cycle, so the
+    last piece is an array that ends with the final B- and A-point.  With
+    the dimension, the stop reason and the certificate the pieces fix every
+    count of the run; ``active_set_steps`` is the one count they cannot
+    give.
 
     ``points`` is the ``(k, n)`` array of the run's iterates, the start
     point first, then the B- and A-points of each cycle, so row ``i`` has
     label A for even ``i`` and B for odd ``i``; ``gaps`` is the 1-D array
-    whose entry ``i`` is the distance between rows ``i`` and ``i + 1``, for
-    a trace of :func:`run` bitwise ``_norm(points[i + 1] - points[i])``.
-    Both are read-only views, and ``iterates`` reads ``points`` as
-    ``(index, label, point)`` tuples with labels alternating A, B, A, B, ...
-    ``Trace(points, gaps, ...)`` is a trace of the given arrays.  A trace of
-    :func:`run` builds the two arrays on their first read, about
-    ``8 (n + 1)`` bytes per iterate; until then it holds its real iterates,
-    ``8 n`` bytes each, and a record of a few hundred bytes per stretch of
-    generated cycles (module docstring).  ``num_iterates``, ``final_pair``,
-    ``final_gap`` and ``to_json_dict`` read the run's own values and build
-    nothing.
-    ``steps_to_converge`` counts individual projections until the minimum
+    whose entry ``i`` is bitwise ``_norm(points[i + 1] - points[i])``.
+    Both are read-only views, built on their first read (module docstring),
+    about ``8 (n + 1)`` bytes per iterate; until then the trace holds its
+    real iterates, ``8 n`` bytes each, and a record of a few hundred bytes
+    per stretch.  ``iterates`` reads ``points`` as ``(index, label, point)``
+    tuples with labels alternating A, B, A, B, ...
+    Every other field is read off the pieces and builds nothing:
+    ``num_iterates``; ``final_pair``, the last two iterates; ``final_gap``,
+    their distance ``_norm(a - b)`` as the last cycle measured it;
+    ``steps_to_converge``, the number of projections until the minimum
     distance was attained, i.e. the index of the projection that produced
     the first certified pair's B-point (the A-projection that completes the
-    pair confirms it but is not counted).
+    pair confirms it but is not counted), ``num_iterates - 2`` on a
+    certified stop and None on any other; ``generated_cycles``, the cycles
+    whose iterates were generated in closed form on one face of a
+    polyhedron (module docstring) instead of projected, the sum of the
+    stretches' ``J``.  Generated cycles are part of ``points`` like every
+    other cycle, and their gaps are formed the same way.
     ``certificate`` is that of the final pair, or None when the run stopped
     on a gap too small to normalise (see :func:`run`).  It is built once,
     for the pair the run stops on; a cycle that does not stop the run is
     decided without one (module docstring).
-    ``generated_cycles`` counts the cycles whose iterates were generated
-    in closed form on one face of a polyhedron (see the module docstring)
-    instead of projected; they are part of ``points`` like every other
-    cycle, and their gaps are formed the same way.
     ``active_set_steps`` sums ``QPResult.iterations`` over the projections
     onto B of a half-space/polyhedron pair, the only pair whose run reads
     them (0 for other pairs); a projection whose start on the previous face
@@ -440,30 +424,29 @@ class Trace:
 
     def __init__(
         self,
-        points,
-        gaps,
-        stop_reason: StopReason = StopReason.MAX_ITERS,
-        steps_to_converge: int | None = None,
-        certificate: Certificate | None = None,
-        generated_cycles: int = 0,
+        pieces: list,
+        n: int,
+        stop_reason: StopReason,
+        certificate: Certificate | None,
         active_set_steps: int = 0,
     ):
+        self._pieces, self._n = pieces, n
         self.stop_reason = stop_reason
-        self.steps_to_converge = steps_to_converge
         self.certificate = certificate
-        self.generated_cycles = generated_cycles
         self.active_set_steps = active_set_steps
-        if isinstance(points, _Record):
-            # A run's record: the arrays are built on first read.
-            self._record, self._arrays = points, None
-        else:
-            # Read-only views: the arrays passed in stay as they were.
-            self._record, self._arrays = None, (_read_only(points), _read_only(gaps))
+        self._arrays = None
+
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        # ``points`` and ``gaps``, row for row as the run made them: every
+        # stretch filled by its closed form, every gap from one block
+        # product that rounds each row as ``_norm`` does.
+        pieces = [p.rows(np.arange(1, p.J + 1)).ravel() if isinstance(p, _Stretch) else p for p in self._pieces]
+        points = (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(-1, self._n)
+        return _read_only(points), _read_only(_dot_row_norms(points[1:] - points[:-1]))
 
     def _built(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
-            points, gaps = self._record.build()
-            self._arrays = _read_only(points), _read_only(gaps)
+            self._arrays = self._build()
         return self._arrays
 
     @property
@@ -480,20 +463,27 @@ class Trace:
 
     @property
     def num_iterates(self) -> int:
-        return len(self.points) if self._record is None else self._record.count
+        return sum(2 * p.J if isinstance(p, _Stretch) else len(p) // self._n for p in self._pieces)
 
     def final_pair(self):
         """Last (A-point, B-point) of the run: the last two rows of ``points``."""
-        if self._record is None:
-            return self.points[-1], self.points[-2]
-        last = _read_only(self._record.pieces[-1][-2 * self._record.n :]).reshape(2, -1)
+        last = _read_only(self._pieces[-1][-2 * self._n :]).reshape(2, -1)
         return last[1], last[0]
 
     @property
     def final_gap(self) -> float:
-        if self._record is not None:
-            return self._record.final_gap
-        return float(self.gaps[-1]) if len(self.gaps) else 0.0
+        a, b = self.final_pair()
+        # A far pair's difference can overflow, as it did in the run.
+        with np.errstate(over="ignore"):
+            return _norm(a - b)
+
+    @property
+    def steps_to_converge(self) -> int | None:
+        return self.num_iterates - 2 if self.stop_reason is StopReason.CERTIFIED else None
+
+    @property
+    def generated_cycles(self) -> int:
+        return sum(p.J for p in self._pieces if isinstance(p, _Stretch))
 
     def to_json_dict(self) -> dict:
         """Report fields of the run; the iterates and gaps are not included."""
@@ -683,7 +673,7 @@ def run(
         walk = isinstance(set_a, HalfSpace) and isinstance(set_b, Polyhedron)
         last_face = None
         factor = None  # the face factor of the last B-projection (module docstring)
-        generated = active_steps = 0
+        active_steps = 0
         current = x0
         cycle = 0
         while cycle < max_iters:
@@ -697,7 +687,7 @@ def run(
             a = _project_point(set_a, b)
             d, gap_a = _step_gap(a, b)
             points += (b, a)
-            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol, factor)
+            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cert_tol, factor)
             if stop is not None:
                 break
             current = a
@@ -716,15 +706,14 @@ def run(
                     stretch, last = jump
                     pieces += (np.concatenate(points), stretch)
                     points = []
-                    generated += stretch.J
                     cycle += stretch.J
                     current = last[1]
         else:
             # The last cycle was a real one: a closed-form stretch stops at
             # least one cycle short of the cap.
-            stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+            stop = StopReason.MAX_ITERS, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
         pieces.append(np.concatenate(points))
-        return Trace(_Record(pieces, x0.shape[0], gap_a), None, *stop, generated, active_steps)
+        return Trace(pieces, x0.shape[0], *stop, active_steps)
 
 
 def _decide(
@@ -735,14 +724,13 @@ def _decide(
     d: np.ndarray,
     gap_b: float,
     gap_a: float,
-    cycle: int,
     cert_tol: float,
     face: _Face | None = None,
-) -> tuple[StopReason, int | None, Certificate | None] | None:
-    # The decision of cycle ``cycle`` on arrays (module docstring): None when
-    # the run goes on, otherwise its stop reason, steps and certificate.  It
-    # raises what ``_certificate`` raises, in the same order.  ``d = a - b``
-    # and ``gap_a = ||d||`` are the A-step's, ``gap_b`` the B-step's, and
+) -> tuple[StopReason, Certificate | None] | None:
+    # The decision of a cycle on arrays (module docstring): None when the
+    # run goes on, otherwise its stop reason and certificate.  It raises
+    # what ``_certificate`` raises, in the same order.  ``d = a - b`` and
+    # ``gap_a = ||d||`` are the A-step's, ``gap_b`` the B-step's, and
     # ``face`` the final face of the cycle's B-projection on a
     # half-space/polyhedron run (None otherwise): B's residual is read from
     # its factor where that decides the cycle, and measured by the cone
@@ -751,18 +739,18 @@ def _decide(
     # confirmed it.
     if cert_tol < gap_a <= ZERO_TOL:
         # Too small a gap to normalise: no certificate can be checked.
-        return StopReason.GAP_STALLED, None, None
+        return StopReason.GAP_STALLED, None
     cone = _cone_prelude(set_a, set_b, a, b, d, gap_a, cert_tol)
     if cone is None:
-        return StopReason.CERTIFIED, 2 * cycle + 1, Certificate(a, b, 0.0, 0.0, True)
+        return StopReason.CERTIFIED, Certificate(a, b, 0.0, 0.0, True)
     active_a, active_b, w = cone
     res_b = _residual_b(set_b, active_b, w, cert_tol, face)
     if res_b <= cert_tol:
         res_a = unit_cone_distance(-w, _active_columns(set_a, active_a))
         if res_a <= cert_tol:
-            return StopReason.CERTIFIED, 2 * cycle + 1, Certificate(a, b, res_a, res_b, True)
+            return StopReason.CERTIFIED, Certificate(a, b, res_a, res_b, True)
     if gap_b - gap_a < GAP_STALL_TOL:
-        return StopReason.GAP_STALLED, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+        return StopReason.GAP_STALLED, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
     return None
 
 
@@ -778,15 +766,15 @@ def _run_planar(
     Each iterate is carried as two floats and every cycle is screened on
     floats; a cycle the screen cannot clear is decided again on arrays by
     :func:`_decide`.  Only the floats of the iterates are kept, and put
-    into one array at the stop; the trace builds the points and gaps from
-    it on first read (:class:`_Record`).
+    into one array at the stop, the trace's one piece; the trace builds the
+    points and gaps from it on first read.
     """
     project_a, project_b = _planar_projection(set_a), _planar_projection(set_b)
     gap_floor = 2.0 * max(cert_tol, ZERO_TOL)
     residual_floor = cert_tol + _RESIDUAL_MARGIN
     xy = x0.tolist()
     p0, p1 = xy
-    for cycle in range(max_iters):
+    for _ in range(max_iters):
         b0, b1 = project_b(set_b, p0, p1)
         a0, a1 = project_a(set_a, b0, b1)
         xy += (b0, b1, a0, a1)
@@ -803,15 +791,15 @@ def _run_planar(
             current, b, a = np.array((p0, p1)), np.array((b0, b1)), np.array((a0, a1))
             gap_b = _step_gap(b, current)[1]
             d, gap_a = _step_gap(a, b)
-            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, cert_tol)
+            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cert_tol)
             if stop is not None:
                 break
         p0, p1 = a0, a1
     else:
         b, a = np.array((b0, b1)), np.array((a0, a1))
         d, gap_a = _step_gap(a, b)
-        stop = StopReason.MAX_ITERS, None, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
-    return Trace(_Record([np.array(xy)], 2, gap_a), None, *stop)
+        stop = StopReason.MAX_ITERS, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
+    return Trace([np.array(xy)], 2, *stop)
 
 
 def _planar_projection(s: HalfSpace | EpigraphSet):

@@ -28,7 +28,7 @@ _MAX_ORACLE_ROWS = 24
 _BLOCK = 8192
 
 
-def check_oracle_limits(p: Polyhedron) -> None:
+def _check_oracle_limits(p: Polyhedron) -> None:
     if p.dim > _MAX_ORACLE_DIM or p.num_rows > _MAX_ORACLE_ROWS:
         raise TooLarge(
             f"enumeration limits are n <= {_MAX_ORACLE_DIM}, m <= {_MAX_ORACLE_ROWS}"
@@ -60,7 +60,7 @@ def feasible_vertices(p: Polyhedron) -> tuple:
     """
     if p._vertices is not None:
         return p._vertices
-    check_oracle_limits(p)
+    _check_oracle_limits(p)
     m, n = p.num_rows, p.dim
     combos = itertools.combinations(range(m), n)
     vertices = []
@@ -110,7 +110,7 @@ def vertex_oracle(p: Polyhedron, c) -> tuple[float, np.ndarray]:
     :class:`EmptyPolyhedron` when no vertex exists.
     """
     c = as_point(c, p.dim)
-    check_oracle_limits(p)
+    _check_oracle_limits(p)
     # Bounded below on a nonempty polyhedron iff -c lies in the cone of the
     # outward row normals (dual feasibility).
     nc = _entry_norm(c)

@@ -5,10 +5,12 @@ with ``pytest -s`` or in the captured output on failure) and then asserts.
 Criteria 1, 2, 4, 6a, 8 and 9 run the property checks of
 ``altproj.verify``; criterion 7 re-checks the certified runs of criteria 2-4
 (the fixture grids and random pairs, with the same seeds) through
-module-scoped fixtures.
+module-scoped fixtures.  Criterion 2's row is also made to fail, once for
+each detail it reports, so that a row which cannot fail would show.
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -93,6 +95,21 @@ def test_criterion_2_finite_bound():
     elapsed = time.perf_counter() - started
     ok = result.ok and elapsed < 1.0
     report("criterion-2 finite bound", ok, f"{result.detail}, {elapsed:.2f}s")
+
+
+def test_criterion_2_reports_a_run_that_does_not_certify(monkeypatch):
+    # One cycle is too few for most fixtures to certify.
+    run_all = verify.engine.run
+    monkeypatch.setattr(verify.engine, "run", lambda *args, **kwargs: run_all(*args, **{**kwargs, "max_iters": 1}))
+    result = verify.absval_shifted_finite_steps()
+    assert not result.ok and re.fullmatch(r"k=[\d.]+ x0=[\d.]+ did not certify", result.detail)
+
+
+def test_criterion_2_reports_a_run_over_its_bound(monkeypatch):
+    # With d0 = k the bound is 2 floor(log_{7/8} 1) + 1 = 1 step.
+    monkeypatch.setattr(verify, "absval_distance", lambda x_start, k: k)
+    result = verify.absval_shifted_finite_steps()
+    assert not result.ok and re.fullmatch(r"k=[\d.]+ x0=[\d.]+: \d+ > 1", result.detail)
 
 
 def test_criterion_3_one_step_regime(one_step_runs):

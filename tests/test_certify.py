@@ -476,10 +476,9 @@ def test_alpha_on_a_family_with_no_cone_or_one_size(rows, b, alpha, count):
 
 
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
-    # The table is built once, but every call reads the kept vertex list,
-    # so the calls an alpha call makes do not depend on earlier calls.  The
-    # shifted solve takes no alpha: on a fresh copy it reads no vertex list
-    # and builds no table.
+    # The table is built once, and only the call that builds it reads the
+    # vertex list.  The shifted solve takes no alpha: on a fresh copy it
+    # reads no vertex list and builds no table.
     built, reads = [], []
 
     def spy(B, vertices):
@@ -501,15 +500,37 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
     bound_report(B, hs, inst.x0)
     alpha_polyhedron_halfspace(B, HalfSpace(-hs.c, 0.0))
     assert built == [B] and built[0] is B
-    assert len(reads) == 2 and all(r is B for r in reads)
+    assert len(reads) == 1 and reads[0] is B
     fresh = Polyhedron(B.A, B.b)
     solve_lp(LPProblem(hs.c, fresh, hs.M), x0=inst.x0, strategy="shifted")
-    assert len(built) == 1 and len(reads) == 2
+    assert len(built) == 1 and len(reads) == 1
     assert fresh._cones is None and fresh._vertices is None
     moved = translate(B, np.ones(B.dim))
     assert moved._cones is None
     alpha_polyhedron_halfspace(moved, hs)
     assert len(built) == 2 and built[1] is moved and moved._cones is not B._cones
+
+
+def test_a_repeat_alpha_reads_no_vertex_list(monkeypatch):
+    # A repeat call under another objective reads the kept family alone,
+    # and gives the bits of a first call on a fresh copy of the polyhedron.
+    reads = []
+
+    def spy(B):
+        reads.append(B)
+        return feasible_vertices(B)
+
+    monkeypatch.setattr(certify, "feasible_vertices", spy)
+    B = Polyhedron(SQUARE_PYRAMID.A, SQUARE_PYRAMID.b)
+    rng = np.random.default_rng(8)
+    alphas = [alpha_polyhedron_halfspace(B, HalfSpace(rng.normal(size=3), 0.0)) for _ in range(4)]
+    assert reads == [B]
+    rng = np.random.default_rng(8)
+    for value in alphas:
+        fresh = Polyhedron(B.A, B.b)
+        assert alpha_polyhedron_halfspace(fresh, HalfSpace(rng.normal(size=3), 0.0)).hex() == value.hex()
+        assert reads[-1] is fresh
+    assert len(reads) == 5
 
 
 def test_alpha_errors_keep_no_table():

@@ -127,7 +127,7 @@ def test_a_point_outside_its_set_raises_as_the_public_check_does():
             with pytest.raises(PointNotInSet, match=message):
                 check_certificate(set_a, set_b, a, b)
             with pytest.raises(PointNotInSet, match=message):
-                engine._decide(set_a, set_b, a, b, d, gap + 1.0, gap, 0, 1e-8)
+                engine._decide(set_a, set_b, a, b, d, gap + 1.0, gap, 1e-8)
 
 
 # -- B's residual read from the face factor ----------------------------------
@@ -152,13 +152,13 @@ def decision_spies(monkeypatch):
 
     def certificate(stop):
         # The certificate of a certified stop, None for every other decision.
-        return stop[2] if stop is not None and stop[0] is StopReason.CERTIFIED else None
+        return stop[1] if stop is not None and stop[0] is StopReason.CERTIFIED else None
 
-    def decide_spy(set_a, set_b, a, b, d, gap_b, gap_a, cycle, tol, face=None):
-        stop = decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, tol, face)
+    def decide_spy(set_a, set_b, a, b, d, gap_b, gap_a, tol, face=None):
+        stop = decide(set_a, set_b, a, b, d, gap_b, gap_a, tol, face)
         if face is not None:
             cert = certificate(stop)
-            ref = certificate(decide(set_a, set_b, a, b, d, gap_b, gap_a, cycle, tol))
+            ref = certificate(decide(set_a, set_b, a, b, d, gap_b, gap_a, tol))
             assert (cert is None) == (ref is None)
             if cert is not None:
                 assert cert.residual_A == ref.residual_A

@@ -48,8 +48,9 @@ REL_TOL = 1e-12
 def plain_run(set_a, set_b, x0, max_iters=1000, cert_tol=1e-8):
     """``engine.run`` with every cycle projected.
 
-    The iterates and gaps are kept in plain lists and put into a ``Trace``
-    when the run stops.
+    The iterates, gaps and step count are kept by the loop itself.  The
+    iterates become the one piece of a ``Trace`` when the run stops, and
+    the trace must read the loop's own gaps and step count bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     points, gaps = [x0.copy()], []
@@ -71,7 +72,11 @@ def plain_run(set_a, set_b, x0, max_iters=1000, cert_tol=1e-8):
             stop = StopReason.GAP_STALLED
             break
         current = a
-    return Trace(np.array(points), np.array(gaps), stop_reason=stop, steps_to_converge=steps, certificate=cert)
+    trace = Trace([np.concatenate(points)], x0.shape[0], stop, cert)
+    assert trace.gaps.tobytes() == np.array(gaps).tobytes()
+    assert trace.final_gap.hex() == gaps[-1].hex()
+    assert trace.steps_to_converge == steps and trace.generated_cycles == 0
+    return trace
 
 
 def assert_same_run(set_a, set_b, x0, **kwargs):
@@ -644,16 +649,17 @@ def test_row_bounded_stretches_run_to_their_row(monkeypatch):
 
 
 def test_a_solve_builds_no_trace_arrays(monkeypatch):
-    # ``solve_lp``, the report JSON and the trace's own reads take the run's
-    # values; ``points`` and ``gaps`` are built once, on their first read.
+    # ``solve_lp``, the report JSON and the trace's own reads are read off
+    # the run's pieces; ``points`` and ``gaps`` are built once, on their
+    # first read.
     built = []
-    build = engine._Record.build
+    build = engine.Trace._build
 
-    def spy(record):
-        built.append(record)
-        return build(record)
+    def spy(trace):
+        built.append(trace)
+        return build(trace)
 
-    monkeypatch.setattr(engine._Record, "build", spy)
+    monkeypatch.setattr(engine.Trace, "_build", spy)
     rng = np.random.default_rng(1)
     outcomes = [solve_lp(random_lp_instance(rng)[0]) for _ in range(30)]
     assert sum(out.trace.generated_cycles for out in outcomes) > 0

@@ -7,12 +7,13 @@ distance between consecutive rows, and ``Trace.iterates`` reads the rows as
 
 import csv
 import json
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from altproj import HalfSpace, Polyhedron, StopReason, Trace, project, run, solve_lp
+from altproj import HalfSpace, Polyhedron, StopReason, engine, project, run, solve_lp
 from altproj.cli import main
 from altproj.instances import absval_epigraph, lower_halfplane, parabola_epigraph, random_lp_instance
 from altproj.linalg import _norm
@@ -65,26 +66,29 @@ def test_points_and_gaps_cannot_be_written():
         trace.gaps[0] = 1.0
 
 
-def test_trace_keeps_the_arrays_it_is_given_writable():
-    points, gaps = np.zeros((3, 2)), np.ones(2)
-    trace = Trace(points, gaps)
-    points[0, 0] = gaps[0] = 2.0
-    assert trace.points[0, 0] == trace.gaps[0] == 2.0
-    with pytest.raises(ValueError):
-        trace.points[0, 0] = 3.0
+def test_the_counts_are_read_off_the_pieces_and_cannot_be_set(monkeypatch):
+    # A trace keeps its run's pieces and no count beside them: the step
+    # count, the generated cycles and the final gap are read off the
+    # iterates, so none of them can be set.  The real cycles are counted
+    # here by the B-projections the run makes.
+    projections = []
+    project_from = engine._project_from
 
+    def spy(*args):
+        projections.append(None)
+        return project_from(*args)
 
-def test_a_trace_of_arrays_reads_the_final_fields_of_a_run():
-    # ``Trace(points, gaps)`` reads its final pair and gap off the arrays,
-    # where a run's trace reads the run's own values: the same bits, and the
-    # pair as read-only as the rows.
-    trace = wedge_run(37)
-    given = Trace(trace.points, trace.gaps)
-    for got, want in zip(given.final_pair(), trace.final_pair()):
-        assert got.tobytes() == want.tobytes()
-        with pytest.raises(ValueError):
-            got[0] = 1.0
-    assert given.final_gap == trace.final_gap and given.num_iterates == trace.num_iterates
+    monkeypatch.setattr(engine, "_project_from", spy)
+    trace = wedge_run(5000)
+    assert trace.stop_reason is StopReason.CERTIFIED
+    assert trace.steps_to_converge == trace.num_iterates - 2 == len(trace.gaps) - 1
+    assert trace.generated_cycles == len(trace.gaps) // 2 - len(projections) > 1000
+    assert trace.final_gap == trace.gaps[-1]
+    capped = wedge_run(37)
+    assert capped.stop_reason is StopReason.MAX_ITERS and capped.steps_to_converge is None
+    for name in ("steps_to_converge", "generated_cycles", "final_gap", "num_iterates"):
+        with pytest.raises(AttributeError):
+            setattr(trace, name, 0)
 
 
 def assert_final_fields(trace, set_a, cycles):
@@ -180,3 +184,8 @@ def test_a_gap_whose_sum_of_squares_overflows_is_the_norm_of_its_step():
         trace = run(HalfSpace([0, 1], 0), HalfSpace([0, -1], -1e200), [0, 0], max_iters=5)
         assert_gaps_are_step_norms(trace)
     assert trace.gaps.tolist() == [1e200, 1e200]
+    # The final gap is read off the last pair again; its overflow is
+    # expected there too and raises no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace.final_gap == 1e200

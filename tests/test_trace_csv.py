@@ -6,16 +6,18 @@ replaced, one ``%`` per row; the golden digests pin the bytes of that
 writer for the 32 planar runs, and the tests here require the same bytes
 from both writers on those traces, on direct LP traces in 2 to 8
 dimensions, on a one-cycle trace and on hand-made traces holding the
-values at the edges of ``%.17g``.  The last test reads back the CSV that
-``altproj lp --out`` writes.
+values at the edges of ``%.17g``.  The writer reads only ``points`` and
+``gaps``, so a hand-made trace is a stand-in object with those two fields.
+The last test reads back the CSV that ``altproj lp --out`` writes.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from altproj import LPProblem, Trace, engine, lp, run, solve_lp
+from altproj import LPProblem, engine, lp, run, solve_lp
 from altproj.cli import _write_trace_csv, main
 from altproj.instances import (
     _objective_for,
@@ -99,11 +101,11 @@ def test_hand_made_traces_with_edge_values_are_written_as_row_by_row(tmp_path, d
     points = rng.choice(values, size=(len(values) + 1, dim))
     points[1:, 0] = values  # every value in one column
     gaps = np.array(EDGE_VALUES[::-1])
-    assert_same_bytes(Trace(points, gaps), tmp_path)
+    assert_same_bytes(SimpleNamespace(points=points, gaps=gaps), tmp_path)
 
 
 def test_a_trace_of_the_start_alone_is_written_as_row_by_row(tmp_path):
-    assert_same_bytes(Trace(np.array([[1e16, -0.0]]), np.array([])), tmp_path)
+    assert_same_bytes(SimpleNamespace(points=np.array([[1e16, -0.0]]), gaps=np.array([])), tmp_path)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -333,16 +333,32 @@ def test_tilted_halfplanes_against_shifted_epigraphs_match_the_public_loop_bit_f
 
 
 def spy_decisions(monkeypatch):
-    """``(cycle, stop)`` of every cycle the array code decides."""
-    decided = []
-    decide = engine._decide
+    """``(cycle, stop)`` of every cycle the array code decides.
 
-    def spy(*args):
+    The planar loop takes its B-projection second from
+    ``engine._planar_projection`` and calls it once per cycle, so the cycle
+    a decision belongs to is the count of those calls less one.
+    """
+    decided, projections = [], []
+    decide, planar_projection = engine._decide, engine._planar_projection
+
+    def counted_projection(s):
+        project, calls = planar_projection(s), []
+        projections.append(calls)
+
+        def spy(*args):
+            calls.append(None)
+            return project(*args)
+
+        return spy
+
+    def decide_spy(*args):
         stop = decide(*args)
-        decided.append((args[7], None if stop is None else stop[0]))
+        decided.append((len(projections[-1]) - 1, None if stop is None else stop[0]))
         return stop
 
-    monkeypatch.setattr(engine, "_decide", spy)
+    monkeypatch.setattr(engine, "_planar_projection", counted_projection)
+    monkeypatch.setattr(engine, "_decide", decide_spy)
     return decided
 
 

@@ -73,7 +73,7 @@ CALLS = {
     "one_step_shift": lambda v: one_step_shift(HS, POLY, v, 0.25, 0.0),
     "bound_report-x0": lambda v: bound_report(POLY, HS, v),
     "alpha_polyhedron_halfspace-pair": lambda v: alpha_polyhedron_halfspace(POLY, HalfSpace(v, 0.0)),
-    "bound_report-pair": lambda v: bound_report(POLY, HalfSpace(v, 0.0), A_POINT),
+    "bound_report-pair": lambda v: bound_report(POLY, HalfSpace(v, 0.0), -v),
     "polyhedron_halfspace_distance-pair": lambda v: polyhedron_halfspace_distance(POLY, HalfSpace(v, 0.0)),
     "vertex_oracle": lambda v: vertex_oracle(POLY, v),
     "LPProblem": lambda v: LPProblem(v, POLY, -10.0),
@@ -90,6 +90,16 @@ CALLS = {
 def test_wrong_length_raises_dimension_mismatch(call, length):
     with pytest.raises(DimensionMismatch):
         call(np.arange(1.0, length + 1.0))
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("name", [name for name in CALLS if name.endswith("-pair")])
+def test_a_pair_of_two_dimensions_raises_at_the_pair_check(name, length):
+    # Each ``*-pair`` row hands over a half-space whose own vectors, the
+    # start of ``bound_report`` included, fit its dimension, so only the
+    # check on the pair can raise.
+    with pytest.raises(DimensionMismatch, match="sets have dimensions"):
+        CALLS[name](np.arange(1.0, length + 1.0))
 
 
 # Other bad inputs, each with the typed error and message of its one raise

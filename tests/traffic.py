@@ -34,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import ast  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,9 +100,10 @@ def statements(path: Path) -> dict[str, list[ast.stmt]]:
     return found
 
 
-def traced_lines(cases: list, op, check) -> set[tuple[str, int]]:
-    """``(file, line)`` of every line event in the package while ``op`` and
-    ``check`` run once on each case."""
+@contextmanager
+def tracing():
+    """Collect ``(file, line)`` of every line event in the package, in the
+    set it yields, while the ``with`` block runs."""
     seen: set[tuple[str, int]] = set()
     package = str(PACKAGE)
 
@@ -115,22 +117,14 @@ def traced_lines(cases: list, op, check) -> set[tuple[str, int]]:
 
     sys.settrace(calls)
     try:
-        for case in cases:
-            check(case, op(case))
+        yield seen
     finally:
         sys.settrace(None)
-    return seen
 
 
-def main(argv: list[str]) -> None:
-    pool_seed = int(argv[0]) if argv else 1
-    seen: set[tuple[str, int]] = set()
-    with tempfile.TemporaryDirectory() as work:
-        for name, workload in workloads.WORKLOADS.items():
-            cases = workload.build(pool_seed, Path(work) / name)
-            seen |= traced_lines(cases, workload.op, workload.check)
-            print(f"{name}: {len(cases)} cases")
-    print(f"pool seed {pool_seed}; statements that no operation ran, per function:")
+def print_unrun(seen: set[tuple[str, int]]) -> None:
+    """Print, per function of the package, the statements with no line in
+    ``seen``, and their count."""
     unrun = total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
@@ -146,6 +140,21 @@ def main(argv: list[str]) -> None:
                 for stmt in missed:
                     print(f"  {path.name}:{stmt.lineno}  {source[stmt.lineno - 1].strip()}")
     print(f"{unrun} of {total} statements in functions not run")
+
+
+def main(argv: list[str]) -> None:
+    pool_seed = int(argv[0]) if argv else 1
+    seen: set[tuple[str, int]] = set()
+    with tempfile.TemporaryDirectory() as work:
+        for name, workload in workloads.WORKLOADS.items():
+            cases = workload.build(pool_seed, Path(work) / name)
+            with tracing() as lines:
+                for case in cases:
+                    workload.check(case, workload.op(case))
+            seen |= lines
+            print(f"{name}: {len(cases)} cases")
+    print(f"pool seed {pool_seed}; statements that no operation ran, per function:")
+    print_unrun(seen)
 
 
 if __name__ == "__main__":
