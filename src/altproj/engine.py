@@ -48,24 +48,37 @@ the last bits, as a direct one already can.  On the 800 pairs of the
 Planar pairs.  When both sets are 2-D and neither is a polyhedron
 (half-planes and the two epigraphs), a cycle of NumPy calls on 2-vectors
 is almost all call overhead, so :func:`run` carries each iterate as two
-floats.  The projections are the float kernels of ``sets``, which make the
-array code's operations entry by entry and so give its bits.  The epigraph
-kernels form no product of two 2-vectors.  Only the half-plane's product
-keeps the BLAS call, because OpenBLAS's ``ddot`` forms a product of two
-2-vectors as ``fma(x1, y1, x0 * y0)``, which can round otherwise than
-``x0 * y0 + x1 * y1``: a half-plane is read in its normal form, the unit
-normal ``u = c/||c||`` and offset ``o = M/||c||`` of ``HalfSpace``, and its
-``<u, x>``, whose rounding enters the projected point, is taken by
-``u.dot`` on the wrapped pair.  The exception is a half-plane whose ``u``
-has a zero entry, such as the fixtures' ``v <= 0``: one product is then an
-exact zero, and ``<u, x>`` is the other product rounded once in every
-summation order, fused or not, so ``u0 x0 + u1 x1`` on floats has its bits
-on any BLAS (a zero sum can differ in sign only, and a zero excess moves no
-point).  Each cycle is then screened on floats: the gaps by ``math.hypot``,
-each point's membership and normal cone by float tests, and B's residual
-by the ray rejection on floats.  These can differ from the array
-code's values in the last bits, so the screen lets a cycle go on only when
-every test clears its threshold by a margin far above that difference:
+floats through one loop for every such pair (:func:`_run_planar`).  It
+binds each set's floats and a kind code once per run, and a cycle then pays
+for arithmetic rather than for calls: the loop carries inline the float
+kernels of ``sets``, with their operations in their order, so it gives the
+array code's bits.  Inline are the projections onto a half-plane whose unit
+normal has a zero entry, onto the abs epigraph and onto the parabola's,
+whose Newton loop (``sets._parabola_root``) runs inline up to a first step
+that is not finite, and the screen below.  The loop calls three kernels:
+``sets._parabola_root`` itself where that first step overflows, the
+package's one rounding rule ``linalg._feas_tol``, and
+``sets._project_halfplane_xy`` for a half-plane whose normal has no zero
+entry.  That half-plane's product keeps the BLAS call, because OpenBLAS's
+``ddot`` forms a product of two 2-vectors as ``fma(x1, y1, x0 * y0)``,
+which can round otherwise than ``x0 * y0 + x1 * y1``: a half-plane is read
+in its normal form, the unit normal ``u = c/||c||`` and offset
+``o = M/||c||`` of ``HalfSpace``, and its ``<u, x>``, whose rounding enters
+the projected point, is taken by ``u.dot`` on the wrapped pair.  When ``u``
+has a zero entry, such as the fixtures' ``v <= 0``, one product is an exact
+zero, and ``<u, x>`` is the other product rounded once in every summation
+order, fused or not, so ``u0 x0 + u1 x1`` on floats has its bits on any
+BLAS (a zero sum can differ in sign only, and a zero excess moves no
+point).  Each cycle is then screened on floats: the gaps by
+``math.hypot``, each point's membership and normal cone by float tests
+(an epigraph's are those of the epigraph branch of ``sets._active``, a
+half-plane's reads the float ``<u, x> - o``), and B's residual by the ray
+rejection on floats.  These can differ from the array code's values in the
+last bits, so the screen lets a cycle go on only when every test clears its
+threshold by a margin far above that difference.  Each margin is needed:
+without it, a run that a seeded search found within a few units in the last
+place of its threshold goes on where the arrays stop it
+(``tests/test_validated_loop.py``).  The margins:
 
 - the A-step's gap exceeds ``2 max(cert_tol, ZERO_TOL)``, so neither the
   common-point test, the stop on a gap too small to normalise nor
@@ -272,6 +285,7 @@ from .linalg import (
 )
 from .qp import _Face, _project_from
 from .sets import (
+    ABS,
     ACTIVE_TOL,
     EpigraphSet,
     HalfSpace,
@@ -281,8 +295,7 @@ from .sets import (
     _active_columns,
     _check_dims,
     _check_start,
-    _epigraph_generators,
-    _project_epigraph_xy,
+    _parabola_root,
     _project_halfplane_xy,
     _project_point,
 )
@@ -754,6 +767,22 @@ def _decide(
     return None
 
 
+# Kind codes of a planar set in the planar loop: a half-plane whose unit
+# normal has a zero entry, any other half-plane, and the two epigraphs.
+_AXIS, _TILTED, _ABS, _SQUARE = range(4)
+
+
+def _planar_floats(s: HalfSpace | EpigraphSet) -> tuple:
+    # What the planar loop reads of ``s``, bound once per run: the set, its
+    # kind code, then a half-plane's unit normal, offset and ``_scale`` or an
+    # epigraph's shift and two unused zeros.
+    if isinstance(s, HalfSpace):
+        u0, u1 = s._unit_floats
+        return s, _AXIS if u0 == 0.0 or u1 == 0.0 else _TILTED, u0, u1, s._offset, s._scale
+    s0, s1 = s._shift_floats
+    return s, _ABS if s.kind == ABS else _SQUARE, s0, s1, 0.0, 0.0
+
+
 def _run_planar(
     set_a: HalfSpace | EpigraphSet,
     set_b: HalfSpace | EpigraphSet,
@@ -763,94 +792,134 @@ def _run_planar(
 ) -> Trace:
     """:func:`run` for two planar sets, neither a polyhedron, on floats.
 
-    Each iterate is carried as two floats and every cycle is screened on
-    floats; a cycle the screen cannot clear is decided again on arrays by
-    :func:`_decide`.  Only the floats of the iterates are kept, and put
-    into one array at the stop, the trace's one piece; the trace builds the
+    One loop of half-steps, the B-projection and then the A-projection of
+    each cycle, carries each iterate as two floats (module docstring).  A
+    half-step projects onto its set by the float arithmetic of the ``sets``
+    kernels, written out here, and screens the point's membership and
+    normal cone as ``_active`` would; the A-step then screens the cycle.  A
+    cycle the screen cannot clear is decided again on arrays by
+    :func:`_decide`.  Only the floats of the iterates are kept, and put into
+    one array at the stop, the trace's one piece; the trace builds the
     points and gaps from it on first read.
     """
-    project_a, project_b = _planar_projection(set_a), _planar_projection(set_b)
     gap_floor = 2.0 * max(cert_tol, ZERO_TOL)
     residual_floor = cert_tol + _RESIDUAL_MARGIN
+    turns = _planar_floats(set_b), _planar_floats(set_a)
     xy = x0.tolist()
     p0, p1 = xy
-    for _ in range(max_iters):
-        b0, b1 = project_b(set_b, p0, p1)
-        a0, a1 = project_a(set_a, b0, b1)
-        xy += (b0, b1, a0, a1)
-        gap_b = math.hypot(b0 - p0, b1 - p1)
-        d0, d1 = a0 - b0, a1 - b1
-        gap_a = math.hypot(d0, d1)
-        if not (
-            gap_floor < gap_a
+    g0 = g1 = 0.0
+    for i in range(2 * max_iters):
+        s, kind, f0, f1, o, scale = turns[i & 1]
+        # The projection ``(q0, q1)`` of ``(p0, p1)`` onto ``s``.
+        if kind == _AXIS:
+            # One product is an exact zero, so floats give ``u.dot``'s bits.
+            excess = f0 * p0 + f1 * p1 - o
+            q0, q1 = (p0, p1) if excess <= 0.0 else (p0 - excess * f0, p1 - excess * f1)
+        elif kind == _TILTED:
+            q0, q1 = _project_halfplane_xy(s, p0, p1)
+        else:
+            z0, z1 = p0 - f0, p1 - f1
+            if z1 >= (abs(z0) if kind == _ABS else z0 * z0):
+                q0, q1 = z0 + f0, z1 + f1
+            elif kind == _ABS:
+                if z1 <= -abs(z0):
+                    q0, q1 = 0.0 + f0, 0.0 + f1
+                else:
+                    t = 0.5 * (abs(z0) + z1)
+                    q0, q1 = math.copysign(t, z0) + f0, t + f1
+            else:
+                # ``sets._parabola_root``, whose Newton loop runs here up to
+                # a first step that is not finite; the root's own scaled
+                # iteration takes that case.
+                az = abs(z0)
+                lin = 1.0 - 2.0 * z1
+                back = lin - 1.0
+                lin_err = (1.0 - (lin - back)) - (2.0 * z1 + back)
+                # ``min`` and ``max`` written as the comparisons they make,
+                # which call nothing.
+                c = z1 - 0.5
+                c = (0.5 * az) ** (1.0 / 3.0) + math.sqrt(0.0 if 0.0 > c else c)
+                u = c if c < az else az
+                if lin > 0.0:
+                    c = az / lin
+                    u = c if c < u else u
+                last = math.inf
+                while True:
+                    step = (2.0 * u * u * u + (lin * u - az) + lin_err * u) / (6.0 * u * u + lin)
+                    if not abs(step) < last:
+                        break
+                    u -= step
+                    last = abs(step)
+                r = _parabola_root(z0, z1) if last == math.inf else math.copysign(u, z0)
+                q0, q1 = r + f0, r * r + f1
+        xy += (q0, q1)
+        d0, d1 = q0 - p0, q1 - p1
+        gap = math.hypot(d0, d1)
+        # The screen of ``q`` in ``s``: the number of generators of its
+        # normal cone, the one generator ``(g0, g1)``, or None when the
+        # floats cannot tell that ``q`` is in ``s``.  An epigraph's test is
+        # that of ``sets._active``; a half-plane's float ``<u, q> - o``
+        # must clear the bound of ``sets._active`` by ``_DOT_MARGIN`` times
+        # its terms, and its generator is ``u``.
+        if kind >= _ABS:
+            z0, z1 = q0 - f0, q1 - f1
+            profile = abs(z0) if kind == _ABS else z0 * z0
+            if not z1 >= profile - ACTIVE_TOL:
+                cone = None
+            elif z1 > profile + ACTIVE_TOL:
+                cone = 0
+            elif kind == _SQUARE:
+                cone, g0, g1 = 1, 2.0 * z0, -1.0
+            elif abs(z0) <= ACTIVE_TOL:
+                cone = 2
+            else:
+                cone, g0, g1 = 1, 1.0 if z0 > 0 else -1.0, -1.0
+        else:
+            t0, t1 = f0 * q0, f1 * q1
+            excess = t0 + t1 - o
+            bound = ACTIVE_TOL + _feas_tol(scale, math.hypot(q0, q1))
+            margin = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(o)) + 1e-300
+            if abs(excess) <= bound - margin:
+                cone, g0, g1 = 1, f0, f1
+            else:
+                cone = 0 if excess < -bound - margin else None
+        p0, p1 = q0, q1
+        if not i & 1:
+            gap_b, cone_b, h0, h1 = gap, cone, g0, g1
+            continue
+        # The cycle's screen, with the A-step's gap and difference.
+        if (
+            gap_floor < gap
             and gap_b < math.inf
-            and gap_b - gap_a >= GAP_STALL_TOL + _STALL_MARGIN * gap_b
-            and _screened_generators(set_a, a0, a1) is not None
-            and _screened_residual(set_b, b0, b1, d0 / gap_a, d1 / gap_a) > residual_floor
+            and gap_b - gap >= GAP_STALL_TOL + _STALL_MARGIN * gap_b
+            and cone is not None
+            and cone_b is not None
+            and cone_b < 2
         ):
-            current, b, a = np.array((p0, p1)), np.array((b0, b1)), np.array((a0, a1))
-            gap_b = _step_gap(b, current)[1]
-            d, gap_a = _step_gap(a, b)
-            stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cert_tol)
-            if stop is not None:
-                break
-        p0, p1 = a0, a1
+            # B's residual: the distance from ``w = d/gap`` to B's cone, by
+            # the ray rejection on floats.
+            w0, w1 = d0 / gap, d1 / gap
+            if cone_b == 0 or w0 * h0 + w1 * h1 <= 0.0:
+                res = 1.0
+            else:
+                ng = math.hypot(h0, h1)
+                n0, n1 = h0 / ng, h1 / ng
+                pr = w0 * n0 + w1 * n1
+                res = math.hypot(w0 - pr * n0, w1 - pr * n1)
+                res = res if res < 1.0 else 1.0
+            if res > residual_floor:
+                continue
+        current, b, a = np.array(xy[-6:-4]), np.array(xy[-4:-2]), np.array(xy[-2:])
+        gap_b = _step_gap(b, current)[1]
+        d, gap_a = _step_gap(a, b)
+        stop = _decide(set_a, set_b, a, b, d, gap_b, gap_a, cert_tol)
+        if stop is not None:
+            break
     else:
-        b, a = np.array((b0, b1)), np.array((a0, a1))
+        b, a = np.array(xy[-4:-2]), np.array(xy[-2:])
         d, gap_a = _step_gap(a, b)
         stop = StopReason.MAX_ITERS, _certificate(set_a, set_b, a, b, d, gap_a, cert_tol)
     return Trace([np.array(xy)], 2, *stop)
-
-
-def _planar_projection(s: HalfSpace | EpigraphSet):
-    # The float projection onto a half-plane or an epigraph, called as
-    # ``project(s, x0, x1)``.
-    return _project_halfplane_xy if isinstance(s, HalfSpace) else _project_epigraph_xy
-
-
-def _screened_generators(s: HalfSpace | EpigraphSet, x0: float, x1: float) -> tuple | None:
-    # Generators of the cone of ``normal_cone_columns(s, (x0, x1))`` as float
-    # pairs, or None when the float screen cannot tell that the point is in
-    # ``s``.  An epigraph's kernel is the array code's own (the epigraph
-    # branch of ``sets._active``); a half-plane's float ``<u, x> - o`` on
-    # its unit normal ``u`` and offset ``o`` decides membership and
-    # activeness only where it clears the bound of ``sets._active``,
-    # ``ACTIVE_TOL`` plus the rounding allowance ``_feas_tol`` at the point
-    # (formed by the same operations, so with the same bits), by
-    # ``_DOT_MARGIN`` times its terms, and is None otherwise.  Its generator
-    # is ``u``, which spans the cone that ``c`` spans.
-    if isinstance(s, EpigraphSet):
-        return _epigraph_generators(s, x0, x1, ACTIVE_TOL)
-    u0, u1 = s._unit_floats
-    t0, t1 = u0 * x0, u1 * x1
-    excess = t0 + t1 - s._offset
-    bound = ACTIVE_TOL + _feas_tol(s._scale, math.hypot(x0, x1))
-    margin = _DOT_MARGIN * (abs(t0) + abs(t1) + abs(s._offset)) + 1e-300
-    if abs(excess) <= bound - margin:
-        return ((u0, u1),)
-    if excess < -bound - margin:
-        return ()
-    return None
-
-
-def _screened_residual(s: HalfSpace | EpigraphSet, b0: float, b1: float, w0: float, w1: float) -> float:
-    # B's residual on floats: the distance from the unit vector ``(w0, w1)``
-    # to the normal cone of ``s`` at ``(b0, b1)``, within a few units in the
-    # last place of the array code's.  NaN, which clears no threshold, when
-    # the screen cannot tell that the point is in ``s`` or the cone has two
-    # generators (the abs apex, which takes an NNLS).
-    gens = _screened_generators(s, b0, b1)
-    if gens is None or len(gens) > 1:
-        return math.nan
-    if not gens:
-        return 1.0
-    (g0, g1), = gens
-    if w0 * g0 + w1 * g1 <= 0.0:
-        return 1.0
-    ng = math.hypot(g0, g1)
-    u0, u1 = g0 / ng, g1 / ng
-    p = w0 * u0 + w1 * u1
-    return min(1.0, math.hypot(w0 - p * u0, w1 - p * u1))
 
 
 def _check_max_iters(max_iters) -> int:

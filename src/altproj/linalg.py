@@ -239,8 +239,8 @@ def _feas_tol(scale: float, size: float) -> float:
     # ``nnls`` (1 and ``||y||``), the engine's face events
     # (``engine._face_jump``), and membership: ``sets._active`` adds it,
     # with the set's ``_scale`` and ``||x||``, to the tolerance of a
-    # half-space or a polyhedron, and ``engine._screened_generators`` to
-    # that of its float test of a half-plane.
+    # half-space or a polyhedron, and the planar loop ``engine._run_planar``
+    # to that of its float test of a half-plane.
     return _FEAS_TOL * (scale + size)
 
 

@@ -416,8 +416,8 @@ def _active(s: ProjectableSet, x, tol: float):
 
     The one membership and activity rule of the three set types, read by
     :func:`contains`, :func:`_check_start`, :func:`normal_cone_columns` and
-    the engine's cycle decision; the engine's planar screen calls its
-    epigraph branch, :func:`_epigraph_generators`, on floats.  ``x`` is a
+    the engine's cycle decision; the engine's planar loop makes the tests
+    of its epigraph branch on floats.  ``x`` is a
     validated point of the set's dimension.  It is in ``s`` within ``tol``
     when ``<u, x> <= o + tol``, every ``u_i x <= o_i + tol``, or
     ``z1 >= p - tol`` for ``z = x - shift`` and the profile ``p`` (``|z0|``
@@ -446,29 +446,22 @@ def _active(s: ProjectableSet, x, tol: float):
         # runs from points 1e8 to 1e15 away certify without one, because the
         # point that fell outside its set there was the half-plane's, whose
         # slack rounds with ``<u, x>``.
-        return _epigraph_generators(s, *x.tolist(), tol)
+        z0, z1, profile = _epigraph_offset(s, *x.tolist())
+        if not z1 >= profile - tol:
+            return None
+        if z1 > profile + tol:
+            return ()
+        if s.kind == SQUARE:
+            return ((2.0 * z0, -1.0),)
+        if abs(z0) <= tol:
+            return _ABS_APEX_GENERATORS
+        return ((1.0 if z0 > 0 else -1.0, -1.0),)
     tol += _feas_tol(s._scale, math.hypot(*x.tolist()))
     if isinstance(s, HalfSpace):
         ux = float(s._unit.dot(x))
         return abs(ux - s._offset) <= tol if ux <= s._offset + tol else None
     ux = s._units.dot(x)
     return np.abs(ux - s._offsets) <= tol if all((ux <= s._offsets + tol).tolist()) else None
-
-
-def _epigraph_generators(e: EpigraphSet, x0: float, x1: float, tol: float) -> tuple | None:
-    # The epigraph branch of ``_active`` on the floats ``(x0, x1)``.  The
-    # planar screen calls it once per cycle, so it takes floats and no
-    # dispatch.
-    z0, z1, profile = _epigraph_offset(e, x0, x1)
-    if not z1 >= profile - tol:
-        return None
-    if z1 > profile + tol:
-        return ()
-    if e.kind == SQUARE:
-        return ((2.0 * z0, -1.0),)
-    if abs(z0) <= tol:
-        return _ABS_APEX_GENERATORS
-    return ((1.0 if z0 > 0 else -1.0, -1.0),)
 
 
 def _active_columns(s: ProjectableSet, active) -> np.ndarray:

@@ -73,14 +73,14 @@ def test_random_set_certificates_match_the_public_check():
 
 @pytest.mark.parametrize("cap", [10, 1000])
 def test_a_capped_run_builds_one_certificate_and_skips_a_residual(monkeypatch, cap):
-    # square_k0_x1 never certifies, so the float screen finds B's residual
-    # above the tolerance on every cycle, and A's is measured only by the
-    # one certificate of the last pair.
+    # square_k0_x1 never certifies: B's residual is above the tolerance on
+    # every cycle, so the float screen clears each one, no cycle reaches
+    # the array decision or a cone solve, and A's residual is measured only
+    # by the one certificate of the last pair.
     set_a, set_b = lower_halfplane(), parabola_epigraph(0.0)
     events = []
     inside = []
-    certificate, cone_distance = engine._certificate, engine.unit_cone_distance
-    screened_residual = engine._screened_residual
+    certificate, cone_distance, decide = engine._certificate, engine.unit_cone_distance, engine._decide
 
     def certificate_spy(*args):
         events.append("certificate")
@@ -97,18 +97,22 @@ def test_a_capped_run_builds_one_certificate_and_skips_a_residual(monkeypatch, c
             events.append((side, res <= 1e-8))
         return res
 
-    def screened_residual_spy(*args):
-        res = screened_residual(*args)
-        events.append(("B", res <= 1e-8))
-        return res
+    def decide_spy(*args):
+        events.append("decide")
+        return decide(*args)
 
     monkeypatch.setattr(engine, "_certificate", certificate_spy)
     monkeypatch.setattr(engine, "unit_cone_distance", cone_distance_spy)
-    monkeypatch.setattr(engine, "_screened_residual", screened_residual_spy)
+    monkeypatch.setattr(engine, "_decide", decide_spy)
     trace = run(set_a, set_b, [1.0, 0.0], max_iters=cap)
     assert trace.stop_reason is StopReason.MAX_ITERS and len(trace.gaps) == 2 * cap
-    assert events == [("B", False)] * cap + ["certificate"]
+    assert events == ["certificate"]
     assert not trace.certificate.holds
+    monkeypatch.undo()
+    points = trace.points
+    for j in range(cap):
+        b, a = points[2 * j + 1], points[2 * j + 2]
+        assert check_certificate(set_a, set_b, a, b).residual_B > 1e-8, j
 
 
 def test_a_point_outside_its_set_raises_as_the_public_check_does():

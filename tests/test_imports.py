@@ -160,13 +160,13 @@ def test_one_membership_rule_at_every_point_scale():
     # The rounding allowance _feas_tol is the package's one rounding rule:
     # the projection and the polar solve read it for their own output, the
     # face events for a stretch's end, and membership by sets._active and
-    # the planar screen that mirrors it.  No second membership tolerance is
+    # the screen of the planar loop, engine._run_planar, that mirrors it.  No second membership tolerance is
     # left: the common pair is tested by the one rule, and lp makes no
     # feasibility test of its own, so it reads no polyhedron's unit rows or
     # offsets (its strict-bound test reads the half-space's form).
     assert call_sites("_feas_tol") == {
         "sets._active",
-        "engine._screened_generators",
+        "engine._run_planar",
         "engine._face_jump",
         "qp._project_from",
         "linalg._nnls",
@@ -174,6 +174,31 @@ def test_one_membership_rule_at_every_point_scale():
     names = ("id", "attr", "name")  # of a Name, an Attribute and an import
     assert not sites(lambda node: "_COMMON_POINT_TOL" in (getattr(node, n, None) for n in names))
     assert not sites(lambda node: isinstance(node, ast.Attribute) and node.attr in ("_units", "_offsets"), ("lp",))
+
+
+def test_the_planar_loop_makes_only_its_pinned_calls():
+    # The planar loop carries its projections and its screen inline, so a
+    # cycle pays for arithmetic, not for calls.  Its body calls the one
+    # rounding rule, the tilted half-plane's kernel (whose u.dot fixes the
+    # bits), the parabola root where the inline Newton step overflows,
+    # the array decision of a cycle the screen cannot clear, and builtins.
+    # A call added to the body fails here.
+    tree = ast.parse((SRC / "altproj" / "engine.py").read_text())
+    (planar,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run_planar")
+    (loop,) = (node for node in planar.body if isinstance(node, ast.For))
+    calls = {ast.unparse(node.func) for stmt in loop.body for node in ast.walk(stmt) if isinstance(node, ast.Call)}
+    assert calls == {
+        "_feas_tol",
+        "_project_halfplane_xy",
+        "_parabola_root",
+        "np.array",
+        "_step_gap",
+        "_decide",
+        "abs",
+        "math.copysign",
+        "math.hypot",
+        "math.sqrt",
+    }
 
 
 def reads_written_rows(node):

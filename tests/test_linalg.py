@@ -116,6 +116,32 @@ def test_cone_distance_monotone_in_generators():
     assert result.ok, result.detail
 
 
+class ZeroVectorFirst:
+    """A stand-in generator whose first ``normal`` draw is all zeros; every
+    other draw, and the count of ``normal`` calls, comes from ``rng``."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        draw = self.rng.normal(*args, **kwargs)
+        return np.zeros_like(draw) if self.normal_calls == 1 else draw
+
+
+def test_cone_monotone_skips_a_zero_direction():
+    # A zero v has no unit direction: the row skips that case, drawing no
+    # generators for it, and still passes on the case after it (one v and
+    # four generators).
+    rng = ZeroVectorFirst(np.random.default_rng(4))
+    result = verify.cone_monotone(rng, 2)
+    assert result.ok, result.detail
+    assert rng.normal_calls == 1 + 5
+
+
 def test_nnls_satisfies_kkt():
     rng = np.random.default_rng(5)
     for _ in range(100):

@@ -10,15 +10,11 @@ a ratio of distances only.  An absolute tolerance refused the far runs
 below with ``PointNotInSet`` or stopped them on ``GapStalled``.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-import altproj.engine as engine
 from altproj import EpigraphSet, HalfSpace, PointNotInSet, Polyhedron, StopReason, check_certificate, run
 from altproj.instances import random_pair_instance
-from altproj.sets import ACTIVE_TOL, _active
 
 
 def reported(trace):
@@ -65,27 +61,6 @@ def test_far_abs_runs_certify():
             x0 = (x, s1 - 1 - x * rng.uniform(0, 1))
             trace = run(A, EpigraphSet("abs", [s0, s1]), x0, max_iters=2000)
             assert trace.stop_reason is StopReason.CERTIFIED and trace.certificate.holds, (e, x0)
-
-
-@pytest.mark.parametrize("c, M", [([0.0, 1.0], 0.0), ([3.0, 4.0], 2.0)])
-def test_the_screen_agrees_with_the_arrays_at_the_membership_bound(c, M):
-    # Points moved off the boundary along the unit normal u by f times the
-    # membership bound ACTIVE_TOL + 1e-13 (1 + |o| + r), for f from 0.9 to
-    # 1.1, at norms r = 1, 1e3 and 1e6: the float screen either cannot
-    # tell (None) or marks what sets._active marks.  A screen that tests
-    # the bare ACTIVE_TOL disagrees near the bound at the larger norms.
-    h = HalfSpace(c, M)
-    u, o = h._unit, h._offset
-    v = np.array([-u[1], u[0]])
-    for r in (1.0, 1e3, 1e6):
-        boundary = o * u + math.sqrt(r * r - o * o) * v
-        for sign in (1.0, -1.0):
-            for f in np.linspace(0.9, 1.1, 41):
-                x = boundary + sign * f * (ACTIVE_TOL + 1e-13 * (1.0 + abs(o) + r)) * u
-                screened = engine._screened_generators(h, *x.tolist())
-                if screened is not None:
-                    active = _active(h, x, ACTIVE_TOL)
-                    assert active is not None and bool(screened) == active, (r, sign, f)
 
 
 def test_a_common_pair_is_tested_by_the_membership_rule():

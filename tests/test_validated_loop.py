@@ -47,9 +47,11 @@ from altproj.instances import (
     random_set,
     sample_member,
 )
-from altproj.linalg import ZERO_TOL, _norm
+from altproj.engine import GAP_STALL_TOL
+from altproj.linalg import ZERO_TOL, _feas_tol, _norm
 from altproj.sets import (
     ABS,
+    ACTIVE_TOL,
     SQUARE,
     _parabola_root,
     _project_abs_base,
@@ -333,41 +335,40 @@ def test_tilted_halfplanes_against_shifted_epigraphs_match_the_public_loop_bit_f
 
 
 def spy_decisions(monkeypatch):
-    """``(cycle, stop)`` of every cycle the array code decides.
+    """Spy on ``engine._decide``; the result reads a trace's decisions.
 
-    The planar loop takes its B-projection second from
-    ``engine._planar_projection`` and calls it once per cycle, so the cycle
-    a decision belongs to is the count of those calls less one.
+    Called with the trace of the run, the result gives ``(cycle, stop)`` of
+    every cycle the array code decided, in run order.  A decision's cycle
+    is found from the B- and A-point that ``_decide`` received, as the first
+    cycle after the one decided before whose rows hold those points.
     """
-    decided, projections = [], []
-    decide, planar_projection = engine._decide, engine._planar_projection
+    calls = []
+    decide = engine._decide
 
-    def counted_projection(s):
-        project, calls = planar_projection(s), []
-        projections.append(calls)
-
-        def spy(*args):
-            calls.append(None)
-            return project(*args)
-
-        return spy
-
-    def decide_spy(*args):
-        stop = decide(*args)
-        decided.append((len(projections[-1]) - 1, None if stop is None else stop[0]))
+    def decide_spy(set_a, set_b, a, b, *args):
+        stop = decide(set_a, set_b, a, b, *args)
+        calls.append((b.tobytes() + a.tobytes(), None if stop is None else stop[0]))
         return stop
 
-    monkeypatch.setattr(engine, "_planar_projection", counted_projection)
+    def decisions(trace):
+        pairs = [trace.points[j : j + 2].tobytes() for j in range(1, len(trace.points) - 1, 2)]
+        found, cycle = [], -1
+        for pair, stop in calls:
+            cycle = pairs.index(pair, cycle + 1)
+            found.append((cycle, stop))
+        return found
+
     monkeypatch.setattr(engine, "_decide", decide_spy)
-    return decided
+    return decisions
 
 
 @pytest.mark.parametrize("x", PLANAR_X0)
 @pytest.mark.parametrize("k", PLANAR_KS)
 @pytest.mark.parametrize("make", [absval_epigraph, parabola_epigraph], ids=["abs", "square"])
 def test_the_array_code_decides_every_stop_and_no_capped_cycle(monkeypatch, make, k, x):
-    decided = spy_decisions(monkeypatch)
+    decisions = spy_decisions(monkeypatch)
     trace = run(lower_halfplane(), make(k), [x, 0.0])
+    decided = decisions(trace)
     last = len(trace.gaps) // 2 - 1
     if trace.stop_reason is StopReason.MAX_ITERS:
         assert decided == []  # the four square_k0 runs, 1000 cycles each
@@ -380,15 +381,16 @@ def test_the_array_code_decides_every_stop_and_no_capped_cycle(monkeypatch, make
 def test_a_tolerance_equal_to_a_residual_is_decided_on_arrays(monkeypatch, k, x, cycle):
     # B's residual at ``cycle`` of a square_k*_x* fixture is the tolerance
     # itself, so the screen's value lies within its margin of it and the
-    # arrays certify.  In the last four the float residual is one unit in
+    # arrays certify.  In the last one the float residual is one unit in
     # the last place above the array's, so a screen without the margin
-    # would let the cycle pass.
+    # would let the cycle pass; in the other four the two are equal.
     set_a, set_b = lower_halfplane(), parabola_epigraph(k)
     ref = plain_run(set_a, set_b, [x, 0.0], max_iters=cycle + 1)
     tol = check_certificate(set_a, set_b, ref.points[2 * cycle + 2], ref.points[2 * cycle + 1]).residual_B
     assert 1e-8 < tol < 0.5
-    decided = spy_decisions(monkeypatch)
+    decisions = spy_decisions(monkeypatch)
     trace = assert_identical_run(set_a, set_b, [x, 0.0], cert_tol=tol)
+    decided = decisions(trace)
     assert trace.stop_reason is StopReason.CERTIFIED and trace.steps_to_converge == 2 * cycle + 1
     assert decided[-1] == (cycle, StopReason.CERTIFIED)
 
@@ -399,8 +401,9 @@ def test_a_gap_next_to_zero_tol_is_decided_on_arrays(monkeypatch, gap, cert_tol)
     # The apex of the abs epigraph lifted by ``gap`` over the lower
     # half-plane: the pair is the apex and the origin, ``gap`` apart.
     set_a, set_b = lower_halfplane(), absval_epigraph(gap)
-    decided = spy_decisions(monkeypatch)
+    decisions = spy_decisions(monkeypatch)
     trace = assert_identical_run(set_a, set_b, [0.0, 0.0], cert_tol=cert_tol)
+    decided = decisions(trace)
     assert trace.gaps[-1] == gap
     assert decided[-1] == (len(trace.gaps) // 2 - 1, trace.stop_reason)
 
@@ -413,11 +416,105 @@ def test_gaps_that_shrink_through_zero_tol_are_decided_on_arrays(monkeypatch, x,
     # stops only when a gap falls to ZERO_TOL.  Every cycle whose gap is
     # within twice ZERO_TOL is decided on arrays.
     set_a, set_b = lower_halfplane(), HalfSpace([1.0, -1.0], -1.0)
-    decided = spy_decisions(monkeypatch)
+    decisions = spy_decisions(monkeypatch)
     trace = assert_identical_run(set_a, set_b, [x, 0.0], cert_tol=cert_tol)
+    decided = decisions(trace)
     assert trace.stop_reason is StopReason.GAP_STALLED and trace.certificate is None
     near = [j for j in range(len(trace.gaps) // 2) if trace.gaps[2 * j + 1] <= 2.0 * ZERO_TOL]
     assert near and [cycle for cycle, _ in decided] == near
+
+
+# The three margins of the planar screen (engine's module docstring), each at
+# an input a seeded search found within a few units in the last place of
+# its threshold: float and array values straddle it there, so a margin of 0
+# lets the screen clear a cycle the arrays decide otherwise.
+
+
+def test_a_gap_decrease_that_straddles_the_stall_tolerance_is_decided_on_arrays(monkeypatch):
+    # _STALL_MARGIN.  {v <= 0} against a half-plane tilted by 2.1e-8 rad,
+    # 49 above it: the first cycle shrinks the gap by about 1e-14.  Its
+    # B-step's gap by math.hypot is one unit in the last place above
+    # _norm's, so the float decrease is 2^-46 >= GAP_STALL_TOL and the
+    # array decrease 2^-47 below it: the arrays stall the run there.
+    theta, offset = float.fromhex("0x1.6a892e4217afap-26"), float.fromhex("0x1.870e067c4c3e7p+5")
+    set_a, set_b, x0 = lower_halfplane(), HalfSpace([theta, -1.0], -offset), [0.3814331321927824, 0.0]
+    points = plain_run(set_a, set_b, x0, max_iters=1).points.tolist()
+    float_gaps = [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(points, points[1:])]
+    array_gaps = [_norm(np.subtract(q, p)) for p, q in zip(points, points[1:])]
+    assert float_gaps[0] - float_gaps[1] >= GAP_STALL_TOL > array_gaps[0] - array_gaps[1]
+    decisions = spy_decisions(monkeypatch)
+    trace = assert_identical_run(set_a, set_b, x0, max_iters=40)
+    assert decisions(trace) == [(0, StopReason.GAP_STALLED)]
+
+
+def float_residual(b, a, normal):
+    """B's residual on floats, as the planar screen forms it: the ray
+    rejection of ``(a - b)/||a - b||`` by the cone of ``normal``."""
+    d0, d1 = a[0] - b[0], a[1] - b[1]
+    gap = math.hypot(d0, d1)
+    w0, w1 = d0 / gap, d1 / gap
+    if w0 * normal[0] + w1 * normal[1] <= 0.0:
+        return 1.0
+    n = math.hypot(*normal)
+    n0, n1 = normal[0] / n, normal[1] / n
+    p = w0 * n0 + w1 * n1
+    return min(1.0, math.hypot(w0 - p * n0, w1 - p * n1))
+
+
+def test_a_tolerance_between_the_float_and_array_residuals_is_decided_on_arrays(monkeypatch):
+    # _RESIDUAL_MARGIN.  A tilted half-plane against a shifted parabola:
+    # at cycle 5 B's float residual is 56 units in the last place above the
+    # cone solve's, and the tolerance lies between them, so the arrays
+    # certify that cycle.
+    c = [float.fromhex("0x1.be3dd0cabc1dcp-1"), float.fromhex("0x1.f60bc8576db21p-2")]
+    set_a = HalfSpace(c, float.fromhex("-0x1.1260a8ffc0c0cp+0"))
+    set_b = EpigraphSet(SQUARE, [float.fromhex("0x1.d4350b9567c8dp-1"), float.fromhex("-0x1.48b83a5ac4e9fp-6")])
+    x0 = [float.fromhex("-0x1.df8502cb5a99bp+1"), float.fromhex("-0x1.e2264b75f9c62p-1")]
+    tol = float.fromhex("0x1.5a01ca1d5a357p-7")
+    points = plain_run(set_a, set_b, x0, max_iters=6, cert_tol=0.0).points.tolist()
+    b, a = points[11], points[12]
+    array = check_certificate(set_a, set_b, a, b, 0.0).residual_B
+    assert array < tol < float_residual(b, a, (2.0 * (b[0] - set_b.shift[0]), -1.0))
+    decisions = spy_decisions(monkeypatch)
+    trace = assert_identical_run(set_a, set_b, x0, cert_tol=tol)
+    assert trace.stop_reason is StopReason.CERTIFIED and trace.steps_to_converge == 2 * 5 + 1
+    assert decisions(trace) == [(5, StopReason.CERTIFIED)]
+
+
+def test_a_b_point_whose_float_and_blas_excess_straddle_the_membership_bound_is_decided_on_arrays(monkeypatch):
+    # _DOT_MARGIN.  A start 2.4e11 out along a tilted half-plane's normal
+    # projects to a B-point 4.1e7 from the origin whose rounding puts it
+    # about 4e-6 outside, next to the membership bound of sets._active.
+    # There float u0 b0 + u1 b1 - o is within the bound and u.dot's excess
+    # beyond it: the arrays find the B-point outside B on the first cycle,
+    # as the public check does.
+    set_b = HalfSpace(
+        [float.fromhex("0x1.a4735d8b01738p-1"), float.fromhex("0x1.242c5f4a70b4cp-1")],
+        float.fromhex("0x1.f20f5bdfb8e80p+0"),
+    )
+    set_a = HalfSpace(
+        [float.fromhex("-0x1.cf413dbcda67fp-1"), float.fromhex("0x1.b4118ca171580p-2")],
+        float.fromhex("-0x1.c59a6753de428p+36"),
+    )
+    x0 = [float.fromhex("0x1.748f5d6dc08d6p+37"), float.fromhex("0x1.02fc6c7b61369p+37")]
+    b = project(set_b, x0)
+    u, o = set_b._unit, set_b._offset
+    bound = ACTIVE_TOL + _feas_tol(set_b._scale, math.hypot(*b.tolist()))
+    assert abs(u[0] * b[0] + u[1] * b[1] - o) <= bound < float(u.dot(b)) - o
+    decided = []
+    decide = engine._decide
+
+    def decide_spy(set_a, set_b, a, b, *args):
+        decided.append(b.tobytes())
+        return decide(set_a, set_b, a, b, *args)
+
+    monkeypatch.setattr(engine, "_decide", decide_spy)
+    message = "^second point is not in the second set$"
+    with pytest.raises(PointNotInSet, match=message):
+        run(set_a, set_b, x0, max_iters=20)
+    assert decided == [b.tobytes()]
+    with pytest.raises(PointNotInSet, match=message):
+        plain_run(set_a, set_b, x0, max_iters=20)
 
 
 def outcome(loop, *args, **kwargs):
