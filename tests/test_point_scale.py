@@ -10,11 +10,15 @@ a ratio of distances only.  An absolute tolerance refused the far runs
 below with ``PointNotInSet`` or stopped them on ``GapStalled``.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import altproj.engine as engine
 from altproj import EpigraphSet, HalfSpace, PointNotInSet, Polyhedron, StopReason, check_certificate, run
 from altproj.instances import random_pair_instance
+from altproj.sets import ACTIVE_TOL, _active
 
 
 def reported(trace):
@@ -61,6 +65,90 @@ def test_far_abs_runs_certify():
             x0 = (x, s1 - 1 - x * rng.uniform(0, 1))
             trace = run(A, EpigraphSet("abs", [s0, s1]), x0, max_iters=2000)
             assert trace.stop_reason is StopReason.CERTIFIED and trace.certificate.holds, (e, x0)
+
+
+class _Decided(Exception):
+    pass
+
+
+class _Capped(Exception):
+    pass
+
+
+def _raise(exc):
+    def raiser(*args):
+        raise exc
+
+    return raiser
+
+
+def loop_screen(monkeypatch, h, x):
+    """The planar loop's screen of ``x`` as a B-point of ``h``: None when
+    the floats cannot tell that ``x`` is in ``h``, else the number of
+    generators of its normal cone, 0 or 1.
+
+    The screen is inline in ``engine._run_planar``, so it is read off two
+    one-cycle runs.  ``h`` is taken as a tilted half-plane, whose
+    projection the loop calls, and that projection lands on ``x``; the
+    screen of a half-plane is the same for both half-plane kinds.  The
+    A-step then moves ``x`` a distance ``t`` along ``w``.  The cycle
+    reaches ``_decide`` unless the screen clears it, which it does for a
+    cone of no generator, or of the one generator ``u`` when ``w`` is off
+    ``u``.  So a cycle with ``w = v``, normal to ``u``, is decided only
+    when the screen cannot tell, and one with ``w = u`` is skipped only for
+    a cone of no generator.
+    """
+    u = h._unit
+    v = np.array([-u[1], u[0]])
+    t = max(1.0, float(np.abs(x).max()))
+    planar_floats, project = engine._planar_floats, engine._project_halfplane_xy
+    monkeypatch.setattr(
+        engine,
+        "_planar_floats",
+        lambda s: (s, engine._TILTED, *planar_floats(s)[2:]) if s is h else planar_floats(s),
+    )
+    monkeypatch.setattr(
+        engine,
+        "_project_halfplane_xy",
+        lambda s, p0, p1: tuple(x.tolist()) if s is h else project(s, p0, p1),
+    )
+    monkeypatch.setattr(engine, "_decide", _raise(_Decided))
+    monkeypatch.setattr(engine, "_certificate", _raise(_Capped))
+
+    def decided(w):
+        # A = {y : <w, y> >= <w, x> + t}; the start is 10 t from x.
+        A = HalfSpace(-w, -(float(w @ x) + t))
+        try:
+            engine._run_planar(A, h, x - 10.0 * t * w, 1, engine._CERT_TOL)
+        except _Decided:
+            return True
+        except _Capped:
+            return False
+        raise AssertionError("a one-cycle run neither decided nor capped")
+
+    return None if decided(v) else 1 if decided(u) else 0
+
+
+@pytest.mark.parametrize("c, M", [([0.0, 1.0], 0.0), ([3.0, 4.0], 2.0)])
+def test_the_screen_agrees_with_the_arrays_at_the_membership_bound(c, M, monkeypatch):
+    # Points moved off the boundary along the unit normal u by f times the
+    # membership bound ACTIVE_TOL + 1e-13 (1 + |o| + r), for f from 0.9 to
+    # 1.1, at norms r = 1, 1e3 and 1e6: the planar loop's float screen of a
+    # B-point either cannot tell (None) or marks what sets._active marks.
+    # A screen that tests the bare ACTIVE_TOL disagrees near the bound at
+    # the larger norms.
+    h = HalfSpace(c, M)
+    u, o = h._unit, h._offset
+    v = np.array([-u[1], u[0]])
+    for r in (1.0, 1e3, 1e6):
+        boundary = o * u + math.sqrt(r * r - o * o) * v
+        for sign in (1.0, -1.0):
+            for f in np.linspace(0.9, 1.1, 41):
+                x = boundary + sign * f * (ACTIVE_TOL + 1e-13 * (1.0 + abs(o) + r)) * u
+                screened = loop_screen(monkeypatch, h, x)
+                if screened is not None:
+                    active = _active(h, x, ACTIVE_TOL)
+                    assert active is not None and bool(screened) == active, (r, sign, f)
 
 
 def test_a_common_pair_is_tested_by_the_membership_rule():
