@@ -11,10 +11,15 @@ bound on the number of projections needed to attain the minimum distance,
 a threshold under which a single projection pair suffices, and a shift of
 the half-space that forces that threshold.
 
-alpha is read, with no search, off one least-squares solve per candidate
-cone: the nearest point of a polyhedral cone is the least-squares
-projection onto the rows of one of its faces with every coefficient
-positive, and the candidate family holds every such face.
+alpha is read off the LP optimum: at a simple optimal vertex ``x*`` the
+least distance is that from ``-c/||c||`` to the boundary of the normal
+cone of ``x*``, its nearest facet hyperplane, read off one QR factor of the
+vertex's n working rows.  No vertex list is read and nothing is kept.  The
+pairs whose optimum is not a simple vertex, or whose walk is unbounded,
+take a kept table of candidate cones instead, read by one least-squares
+solve per cone: the nearest point of a polyhedral cone is the
+least-squares projection onto the rows of one of its faces with every
+coefficient positive, and the family holds every such face.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
 from .linalg import _dot_row_norms, _dot_rows, _entry_norm, _norm, _real_scalar, as_point, unit_cone_distance
 from .qp import _walk_to_optimum, project_polyhedron
-from .sets import HalfSpace, Polyhedron, _check_dims, _check_start
+from .sets import ACTIVE_TOL, HalfSpace, Polyhedron, _active, _check_dims, _check_start
 from .vertices import feasible_vertices
 
 # Margin for strict-inequality tests on normalized inner products, so that
@@ -103,22 +108,102 @@ def _check_distance(d, name: str) -> float:
 def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     """Angle constant of the pair; always in (0, 1/2].
 
-    Half the least distance from ``-c/||c||`` to a realizable proximal
-    normal cone of B that does not contain it.  The candidate cones are the
-    single qualifying rows (those with ``<a_i, c> > -||a_i|| ||c||``; a row
-    antiparallel to ``c`` is never active away from the optimal face) plus,
-    for n >= 3, every combination of two or more rows active together at a
-    vertex and every pair of qualifying rows (two-row faces of an unbounded
-    polyhedron need not touch a vertex).  Cones containing ``-c`` (distance
-    at most ``_CONTAINS_TOL``) arise only on the face nearest the
-    half-space, where no contraction is required, and are skipped.
+    Half the least distance from ``v = -c/||c||`` to a realizable proximal
+    normal cone of B that does not contain it, capped at 1/2.  The
+    realizable cones are the normal cones of B's faces.  A cone at most
+    ``_CONTAINS_TOL`` from ``v`` counts as containing it: such cones arise
+    only at the face nearest the half-space, where no contraction is
+    required.
 
-    In the plane this equals the row-wise minimum
-    ``0.5 * min(1, min_i d(a_i/||a_i||, ray(-c)))`` because the distance
-    from a direction outside a planar sector is attained at an edge ray; in
-    higher dimension combinations of active rows can point much closer to
-    ``-c`` than any single row does, and the cone minimum is the constant
-    the contraction argument actually needs.
+    The constant is read off the LP optimum, walked to from the origin
+    along ``-c`` as :func:`polyhedron_halfspace_distance` walks
+    (:func:`~altproj.qp._walk_to_optimum`).  The normal cones of a
+    polyhedron's faces meet only on their boundaries (the normal fan;
+    Ziegler, *Lectures on Polytopes*, 1995, ch. 7).  At a simple optimal
+    vertex ``x*``, ``v`` lies inside ``N_x*``, so the segment from ``v`` to
+    the nearest point of any other realizable cone crosses the boundary of
+    ``N_x*``.  Each facet of ``N_x*`` is the normal cone of an edge from
+    ``x*``: it lies in the cone of the edge's other vertex, or is
+    realizable itself when the edge is unbounded.  So the least distance is
+    the distance from ``v`` to the boundary of ``N_x*``, its nearest facet
+    hyperplane, which :func:`_face_alpha` reads off one QR factor of the n
+    working rows.  That route reads no vertex list, makes no cone solve and
+    keeps nothing, at every n and for every number of rows, and it holds for
+    an unbounded but pointed B too.
+
+    The face cannot give alpha when the walk is unbounded, when ``x*`` is
+    not a simple vertex (fewer than n working rows, or more rows tight at
+    ``x*`` than working rows), when a multiplier of ``v`` on the working
+    rows is not positive, or when a facet of ``N_x*`` lies within
+    ``_CONTAINS_TOL`` of ``v``.  Those pairs take the cone table of
+    :func:`_table_alpha`, whose family holds every realizable cone and some
+    that are not (every pair of rows, every subset of a degenerate vertex's
+    active rows), so it can only be lower where both apply.
+
+    Raises :class:`NotPolyhedralPair` for any other pair of set types and
+    :class:`DimensionMismatch` for sets of two dimensions, then what the
+    walk raises (:class:`EmptyPolyhedron`, :class:`NotConverged`).  Only
+    the table route, at n >= 3, reads B's vertex list, and raises
+    :class:`TooLarge` past the oracle's limits (n <= 8, m <= 24).
+    """
+    _check_pair(A, B)
+    _check_dims(A, B)
+    try:
+        _, end, face = _walk_to_optimum(B, np.zeros(B.dim), A.c)
+    except Unbounded:
+        return _table_alpha(B, A)
+    return _alpha_at(B, A, end.point, face)
+
+
+def _alpha_at(B: Polyhedron, A: HalfSpace, x: np.ndarray, face) -> float:
+    """alpha read off the optimum ``x`` of the walk along ``-c`` and the
+    ``_Face`` it ended on, or by the cone table where the face cannot give it."""
+    alpha = _face_alpha(B, A, x, face)
+    return _table_alpha(B, A) if alpha is None else alpha
+
+
+def _face_alpha(B: Polyhedron, A: HalfSpace, x: np.ndarray, face) -> float | None:
+    """Half the distance from ``v = -c/||c||`` to the boundary of the
+    normal cone of the simple optimal vertex ``x``, or None.
+
+    The working unit rows are factored afresh in sorted row order,
+    ``U_W' = Q R``, so the bits depend on the vertex and not on the walk
+    that reached it.  With ``v = U_W' mu``, the distance from ``v`` to the
+    hyperplane of the facet of ``N_x`` opposite row i is ``mu_i / ||e_i'
+    R^-1||``.  None when ``x`` is not a simple vertex (fewer than n working
+    rows, or more rows tight there than working rows), when some ``mu_i``
+    is not positive, or when a facet lies within ``_CONTAINS_TOL`` of ``v``.
+    """
+    W = face.W
+    if len(W) < B.dim:
+        return None
+    tight = _active(B, x, ACTIVE_TOL)
+    if tight is None or int(tight.sum()) > len(W):
+        return None
+    Q, R = np.linalg.qr(B._units[sorted(W)].T)
+    R_inv = np.linalg.inv(R)
+    mu = R_inv.dot((-A._unit).dot(Q))
+    if not (mu > 0.0).all():
+        return None
+    dist = float((mu / _dot_row_norms(R_inv)).min())
+    if not dist > _CONTAINS_TOL:
+        return None
+    return 0.5 * min(1.0, dist)
+
+
+def _table_alpha(B: Polyhedron, A: HalfSpace) -> float:
+    """alpha over a candidate family of cones, the route of the pairs whose
+    optimum's face cannot give it (:func:`alpha_polyhedron_halfspace`).
+
+    The candidate cones are the single qualifying rows (those with
+    ``<a_i, c> > -||a_i|| ||c||``; a row antiparallel to ``c`` is never
+    active away from the optimal face) plus, for n >= 3, every combination
+    of two or more rows active together at a vertex and every pair of
+    qualifying rows (two-row faces of an unbounded polyhedron need not
+    touch a vertex).  Cones within ``_CONTAINS_TOL`` of ``v`` are skipped.
+    In the plane the family is the qualifying rows, so alpha is their
+    row-wise minimum ``0.5 * min(1, min_i d(a_i/||a_i||, ray(-c)))``, a
+    redundant row included.
 
     The minimum is read off least-squares solves, with no search.  The
     nearest point of a polyhedral cone lies in the relative interior of one
@@ -165,12 +250,9 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
 
     For n >= 3 the cones come from B's :func:`feasible_vertices`, read
     only by the call that builds the family; it keeps the oracle's limits
-    (n <= 8, m <= 24).  The plane needs no limit and no family: its alpha
-    is the row-wise minimum for any number of rows.  Both ``c``'s length
-    and the limits are checked before a family is kept.
+    (n <= 8, m <= 24, :class:`TooLarge` past them), checked before a family
+    is kept.  The plane needs no limit and no family.
     """
-    _check_pair(A, B)
-    _check_dims(A, B)
     neg_chat = -A._unit
     table = B._cones
     if table is None:
@@ -410,20 +492,23 @@ def polyhedron_halfspace_distance(B: Polyhedron, A: HalfSpace) -> float:
     return _distances(B, A, np.zeros(B.dim))[1]
 
 
-def _distances(B: Polyhedron, A: HalfSpace, x) -> tuple[float, float]:
-    """``d(x, B)`` from the projection of ``x`` and ``d(A, B)`` from the walk on from it.
+def _distances(B: Polyhedron, A: HalfSpace, x) -> tuple:
+    """``d(x, B)`` from the projection of ``x``, ``d(A, B)`` from the walk on
+    from it, and the walk's end point and face.
 
     ``x`` is a validated point of A's dimension; B's must match it
     (:class:`DimensionMismatch` otherwise).  An unbounded walk gives
-    ``d(A, B) = 0`` and NaN for ``d(x, B)``, which is then not needed.
+    ``d(A, B) = 0``, NaN for ``d(x, B)``, which is then not needed, and
+    None for the end and the face.
     """
     _check_dims(A, B)
     c = A.c
     try:
-        start, end, _ = _walk_to_optimum(B, x, c)
+        start, end, face = _walk_to_optimum(B, x, c)
     except Unbounded:
-        return math.nan, 0.0
-    return _entry_norm(x - start.point), max(0.0, float(c.dot(end.point)) - A.M) / _norm(c)
+        return math.nan, 0.0, None, None
+    d_ab = max(0.0, float(c.dot(end.point)) - A.M) / _norm(c)
+    return _entry_norm(x - start.point), d_ab, end.point, face
 
 
 def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
@@ -433,8 +518,8 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     1e-8 tolerance of :func:`engine.run <altproj.engine.run>`) raises
     :class:`StartNotInA`.  ``d(x0, B)`` is raised to ``d_AB`` only to absorb
     the rounding of a start in A.  ``x0`` is validated against A, as
-    :func:`engine.run <altproj.engine.run>` validates it, before alpha, so
-    a bad start raises before the vertex list is read.
+    :func:`engine.run <altproj.engine.run>` validates it, before anything
+    else, so a bad start raises before the walk.
 
     ``x0`` is projected onto B once.  That projection gives ``d(x0, B)``,
     bit for bit what :func:`project_polyhedron` gives, and the walk on from
@@ -443,20 +528,26 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     solve from the same ``x0``.  The projection and the walk are B's kept
     walk (:func:`~altproj.qp._walk_to_optimum`) when the last one on B
     started from the same ``x0`` along the same ``c``; otherwise they are
-    made and kept, and a shifted solve from that ``x0`` reads them.  Only
-    alpha reads B's vertex list, and only for n >= 3.
+    made and kept, and a shifted solve from that ``x0`` reads them.  alpha
+    is then read off the face that walk ended on, as
+    :func:`alpha_polyhedron_halfspace` reads it off its own walk from the
+    origin: the two agree bit for bit.  Only the pairs that take alpha's
+    cone table read B's vertex list, and only for n >= 3.
 
-    Then it raises what :func:`alpha_polyhedron_halfspace` raises, then
-    what the projection of ``x0`` and the walk raise
-    (:class:`EmptyPolyhedron`, :class:`NotConverged`), then
-    :class:`InvalidDistance` when the walk is unbounded or ends in A.  Any
-    other pair of set types raises :class:`NotPolyhedralPair` first.
+    After the checks of the pair, of ``x0`` and of the dimensions
+    (:class:`NotPolyhedralPair`, ``x0``'s own errors,
+    :class:`StartNotInA`, :class:`DimensionMismatch`), it raises what the
+    projection of ``x0`` and the walk raise (:class:`EmptyPolyhedron`,
+    :class:`NotConverged`), then :class:`InvalidDistance` when the walk is
+    unbounded or ends in A, with no alpha computed.  Only then is alpha
+    read, and only its table route can raise: :class:`TooLarge` past the
+    vertex oracle's limits.  A pair whose alpha the face gives raises no
+    :class:`TooLarge`, whatever its size.
     """
     _check_pair(A, B)
     x0 = as_point(x0, A.dim)
     _check_start(A, x0)
-    alpha = alpha_polyhedron_halfspace(B, A)
-    d_x0, d_ab = _distances(B, A, x0)
+    d_x0, d_ab, end, face = _distances(B, A, x0)
     if d_ab <= 0.0:
         raise InvalidDistance("the sets intersect; no finite-step bound applies")
-    return iteration_bound(alpha, d_ab, max(d_x0, d_ab))
+    return iteration_bound(_alpha_at(B, A, end, face), d_ab, max(d_x0, d_ab))

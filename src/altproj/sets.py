@@ -137,13 +137,15 @@ class Polyhedron(_ValueSet):
     # Three records, made on use and kept with the polyhedron: ``A`` and
     # ``b`` are frozen, so none can go stale.  None is part of the value,
     # and a copy ``Polyhedron(A, b)`` starts without them.
-    # - The vertex list of :func:`altproj.vertices.feasible_vertices`.  Alpha
-    #   reads it for n >= 3 only, and the oracle reads it; no LP optimum or
-    #   distance does, so a planar ``bound_report`` leaves it None.
-    # - The cone family of :func:`altproj.certify.alpha_polyhedron_halfspace`,
-    #   every cone size in one stack padded to n rows, which alpha reads in
-    #   one pass: the largest record, about 22 MB at n = 8, m = 24, mostly
-    #   the padded inverse R factors.
+    # - The vertex list of :func:`altproj.vertices.feasible_vertices`.  The
+    #   oracle reads it, and alpha's cone table for n >= 3; no LP optimum or
+    #   distance does, nor alpha read off the optimum's face, so a
+    #   ``bound_report`` at a simple optimum leaves it None.
+    # - The cone table of :func:`altproj.certify._table_alpha`, every cone
+    #   size in one stack padded to n rows, which it reads in one pass: the
+    #   largest record, about 22 MB at n = 8, m = 24, mostly the padded
+    #   inverse R factors.  Only a pair whose optimum's face cannot give
+    #   alpha builds it; at a simple optimum it stays None.
     # - The last walk of :func:`altproj.qp._walk_to_optimum` with the start
     #   and objective it was made for, so ``bound_report`` and the shifted
     #   solve from one ``x0`` walk once.  A new walk replaces it.  Two

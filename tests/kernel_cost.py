@@ -28,9 +28,12 @@ a cycle on the face after a stretch (its tail) and one after a refused
 jump.
 
 And it prints alpha's cost per call over the ``constants`` pool, by the
-dimension n of the polyhedron: the first call, which builds the cone
-family and reads it (the pool build has kept the vertex list, as the
-benchmark's has), and a call that reads the kept family.
+dimension n of the polyhedron: a one-shot call of the public alpha, which
+walks from the origin and reads alpha off the walk's face (the kept walk
+cleared before each call), and the cone table's route, which no pool pair
+takes: its first call, which builds the cone family and reads it (the
+pool build has kept the vertex list, as the benchmark's has), and a call
+that reads the kept family.
 
 Run as
 
@@ -176,25 +179,33 @@ def constants_walks_per_op(pool_seed: int) -> dict[str, tuple[float, float, floa
     return counts
 
 
-def alpha_cost_by_dim(pool_seed: int) -> dict[int, tuple[list[float], list[float]]]:
+def alpha_cost_by_dim(pool_seed: int) -> dict[int, tuple[list[float], list[float], list[float]]]:
     """Microseconds per alpha call over the ``constants`` pool, by n.
 
-    For each pair, the median over ``REPEATS`` first calls, each on the
-    polyhedron with its cone family cleared, and the median over
-    ``REPEATS`` calls that read the family kept.
+    For each pair, the median over ``REPEATS`` calls of the public alpha,
+    each on the polyhedron with its kept walk cleared, the median over
+    ``REPEATS`` first calls of the cone table's alpha, each with the table
+    cleared, and the median over ``REPEATS`` calls that read the table
+    kept.
     """
-    costs = defaultdict(lambda: ([], []))
+    costs = defaultdict(lambda: ([], [], []))
     for inst, _ in workloads.build_constants(pool_seed, None):
         B, A = inst.poly, inst.halfspace
-        first = []
+        walked, first = [], []
         for _ in range(REPEATS):
-            object.__setattr__(B, "_cones", None)
+            object.__setattr__(B, "_walk", None)
             start = time.perf_counter_ns()
             certify.alpha_polyhedron_halfspace(B, A)
+            walked.append(time.perf_counter_ns() - start)
+            object.__setattr__(B, "_cones", None)
+            start = time.perf_counter_ns()
+            certify._table_alpha(B, A)
             first.append(time.perf_counter_ns() - start)
-        built, read = costs[B.dim]
+        by_face, built, read = costs[B.dim]
+        by_face.append(statistics.median(walked) / 1e3)
         built.append(statistics.median(first) / 1e3)
-        read.append(median_us(certify.alpha_polyhedron_halfspace, (B, A), {}))
+        read.append(median_us(certify._table_alpha, (B, A), {}))
+        object.__setattr__(B, "_cones", None)
     return dict(costs)
 
 
@@ -222,9 +233,10 @@ def main(argv: list[str]) -> None:
         median, total = statistics.median(costs), sum(costs) / 1e3
         print(f"{label}: {median:.2f} us per call, {total:.2f} ms in all ({len(costs)} calls)")
 
-    for n, (built, read) in sorted(alpha_cost_by_dim(pool_seed).items()):
+    for n, (by_face, built, read) in sorted(alpha_cost_by_dim(pool_seed).items()):
         print(
-            f"alpha n={n} ({len(built)} pairs): first call {statistics.median(built):.1f} us, "
+            f"alpha n={n} ({len(built)} pairs): walk and face read {statistics.median(by_face):.1f} us; "
+            f"cone table first call {statistics.median(built):.1f} us, "
             f"read of the kept family {statistics.median(read):.1f} us (medians over pairs)"
         )
     for label, (per_op, cold_per_op, faces_per_op) in constants_walks_per_op(pool_seed).items():

@@ -148,8 +148,10 @@ FLIPPED_EXACT_BOUND = 2.72e-12
 
 
 def assert_near_exact(B, A, bound):
-    """alpha is within ``bound`` of the exact constant and of the unpruned search."""
-    alpha = alpha_polyhedron_halfspace(B, A)
+    """The cone table's alpha is within ``bound`` of the exact constant and
+    of the unpruned search.  The table is alpha's route where the optimum's
+    face cannot give it, and its family is the one these references take."""
+    alpha = certify._table_alpha(B, A)
     expected, subsets = unpruned_alpha(B, A)
     assert exact_alpha_error(B, A, alpha) <= bound
     assert abs(alpha - expected) <= bound * expected
@@ -246,8 +248,8 @@ def test_alpha_matches_the_exact_constant_on_bad_geometry():
 
 
 def cone_solves(monkeypatch, pairs):
-    """The number of cone solves that alpha makes on ``pairs``, each
-    polyhedron a fresh copy."""
+    """The number of cone solves that the cone table's alpha makes on
+    ``pairs``, each polyhedron a fresh copy."""
     calls = []
 
     def spy(vhat, G):
@@ -256,7 +258,7 @@ def cone_solves(monkeypatch, pairs):
 
     monkeypatch.setattr(certify, "unit_cone_distance", spy)
     for B, A in pairs:
-        alpha_polyhedron_halfspace(Polyhedron(B.A, B.b), A)
+        certify._table_alpha(Polyhedron(B.A, B.b), A)
     return len(calls)
 
 
@@ -287,10 +289,13 @@ def test_alpha_reads_a_nearly_dependent_cone_to_the_exact_constant(monkeypatch, 
     # kept factors, with a Gram condition number of about 1 / eps^2.  Under
     # c = -(2, 1, 0) the cone contains -c/||c||, and a read that errs in the
     # cone's near-null direction counts it with a distance near 1e-6.
+    # Under the second c the origin is a simple optimum, so the public alpha
+    # reads the cone off its face, and must be as close.
     B = Polyhedron([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, eps]], [0.0, 0.0, 0.0])
     A = HalfSpace(c, -10.0)
     assert cone_solves(monkeypatch, [(B, A)]) == 0
-    assert exact_alpha_error(B, A, alpha_polyhedron_halfspace(B, A)) <= POOL_EXACT_BOUND
+    for alpha in (certify._table_alpha(B, A), alpha_polyhedron_halfspace(B, A)):
+        assert exact_alpha_error(B, A, alpha) <= POOL_EXACT_BOUND
 
 
 def reuse_queries():
@@ -308,7 +313,7 @@ def reuse_queries():
 
 
 def test_alpha_reads_a_table_built_under_another_objective():
-    # Each polyhedron keeps the table of its first alpha call.  The table is
+    # Each polyhedron keeps the table of its first table read.  The table is
     # built under each objective in turn, on a fresh polyhedron, and every
     # other objective then reads it: alpha must be what the objective gets
     # on a polyhedron of its own.
@@ -317,11 +322,11 @@ def test_alpha_reads_a_table_built_under_another_objective():
         fresh, reused = {}, {}
         for first, A in enumerate(halfspaces):
             kept = Polyhedron(B.A, B.b)
-            fresh[first] = alpha_polyhedron_halfspace(kept, A)
+            fresh[first] = certify._table_alpha(kept, A)
             table = kept._cones
             for j, other in enumerate(halfspaces):
                 if j != first:
-                    reused[first, j] = alpha_polyhedron_halfspace(kept, other)
+                    reused[first, j] = certify._table_alpha(kept, other)
             assert kept._cones is table
         for (_, j), got in reused.items():
             assert got == fresh[j]
@@ -335,7 +340,7 @@ def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
     filtered = 0
     for B, A in bad_geometry_pairs():
         kept = Polyhedron(B.A, B.b)
-        alpha_polyhedron_halfspace(kept, A)
+        certify._table_alpha(kept, A)
         flipped = HalfSpace(-B.A[0], -10.0)
         assert_near_exact(kept, flipped, FLIPPED_EXACT_BOUND)
         qualifying = set(qualifying_active_sets(B, flipped)[0])
@@ -443,7 +448,7 @@ def test_the_stacked_read_has_the_bits_of_a_read_size_by_size():
     for B, c in cases:
         A = HalfSpace(c, -10.0)
         kept = Polyhedron(B.A, B.b)
-        alpha_polyhedron_halfspace(kept, A)
+        certify._table_alpha(kept, A)
         coefficients, ref, uv, qualifying, neg_chat = per_size_read(kept, A)
         _, rows, inverses, pads, _, full = kept._cones
         lam = certify._coefficients(rows, inverses, full, uv)
@@ -477,8 +482,9 @@ def test_alpha_on_a_family_with_no_cone_or_one_size(rows, b, alpha, count):
 
 def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
     # The table is built once, and only the call that builds it reads the
-    # vertex list.  The shifted solve takes no alpha: on a fresh copy it
-    # reads no vertex list and builds no table.
+    # vertex list.  bound_report reads alpha off the optimum's face of a
+    # pool pair, and the shifted solve takes no alpha: neither reads a
+    # vertex list or builds a table.
     built, reads = [], []
 
     def spy(B, vertices):
@@ -498,7 +504,9 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
         inst = random_pair_instance(rng)
     hs, B = inst.halfspace, inst.poly
     bound_report(B, hs, inst.x0)
-    alpha_polyhedron_halfspace(B, HalfSpace(-hs.c, 0.0))
+    assert built == [] and reads == [] and B._cones is None
+    certify._table_alpha(B, hs)
+    certify._table_alpha(B, HalfSpace(-hs.c, 0.0))
     assert built == [B] and built[0] is B
     assert len(reads) == 1 and reads[0] is B
     fresh = Polyhedron(B.A, B.b)
@@ -507,13 +515,14 @@ def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
     assert fresh._cones is None and fresh._vertices is None
     moved = translate(B, np.ones(B.dim))
     assert moved._cones is None
-    alpha_polyhedron_halfspace(moved, hs)
+    certify._table_alpha(moved, hs)
     assert len(built) == 2 and built[1] is moved and moved._cones is not B._cones
 
 
 def test_a_repeat_alpha_reads_no_vertex_list(monkeypatch):
-    # A repeat call under another objective reads the kept family alone,
-    # and gives the bits of a first call on a fresh copy of the polyhedron.
+    # A repeat read of the cone table under another objective reads the
+    # kept family alone, and gives the bits of a first read on a fresh copy
+    # of the polyhedron.
     reads = []
 
     def spy(B):
@@ -523,17 +532,21 @@ def test_a_repeat_alpha_reads_no_vertex_list(monkeypatch):
     monkeypatch.setattr(certify, "feasible_vertices", spy)
     B = Polyhedron(SQUARE_PYRAMID.A, SQUARE_PYRAMID.b)
     rng = np.random.default_rng(8)
-    alphas = [alpha_polyhedron_halfspace(B, HalfSpace(rng.normal(size=3), 0.0)) for _ in range(4)]
+    alphas = [certify._table_alpha(B, HalfSpace(rng.normal(size=3), 0.0)) for _ in range(4)]
     assert reads == [B]
     rng = np.random.default_rng(8)
     for value in alphas:
         fresh = Polyhedron(B.A, B.b)
-        assert alpha_polyhedron_halfspace(fresh, HalfSpace(rng.normal(size=3), 0.0)).hex() == value.hex()
+        assert certify._table_alpha(fresh, HalfSpace(rng.normal(size=3), 0.0)).hex() == value.hex()
         assert reads[-1] is fresh
     assert len(reads) == 5
 
 
 def test_alpha_errors_keep_no_table():
+    # Past the oracle's limits the cone table raises TooLarge and keeps
+    # nothing.  The public alpha reads these pairs off the optimum's face,
+    # with no limit, and keeps no table either: ``-c`` is a sum of rows, so
+    # the LP is bounded.
     B = SQUARE_PYRAMID
     fresh = Polyhedron(B.A, B.b)
     with pytest.raises(DimensionMismatch):
@@ -542,9 +555,137 @@ def test_alpha_errors_keep_no_table():
     rng = np.random.default_rng(11)
     for n, m in ((3, 25), (9, 12)):
         big = Polyhedron(rng.normal(size=(m, n)), np.ones(m))
+        A = HalfSpace(-big.A[:n].sum(axis=0), 0.0)
         with pytest.raises(TooLarge):
-            alpha_polyhedron_halfspace(big, HalfSpace(rng.normal(size=n), 0.0))
+            certify._table_alpha(big, A)
         assert big._cones is None and big._vertices is None
+        assert 0.0 < alpha_polyhedron_halfspace(big, A) <= 0.5
+        assert big._cones is None and big._vertices is None
+
+
+def vertex_cone_alpha(B, A):
+    """Reference for the face-read alpha at a simple, unique optimum.
+
+    Half the least distance from ``v = -c/||c||`` to the cone of a
+    non-optimal vertex of :func:`feasible_vertices` (every row active
+    there), or to the cone of an unbounded edge from the optimal vertex,
+    which no vertex cone holds; capped at 1/2.  Also whether such an edge
+    gave the minimum.
+    """
+    v = -A.c / norm(A.c)
+    verts = feasible_vertices(B)
+    values = [float(A.c @ x) for x, _ in verts]
+    best = min(values)
+    tol = 1e-9 * (1.0 + abs(best))
+    (W,) = [active for (_, active), value in zip(verts, values) if value <= best + tol]
+    assert len(W) == B.dim
+    cones = [active for (_, active), value in zip(verts, values) if value > best + tol]
+    dists = [unit_cone_distance(v, np.ascontiguousarray(B._units[list(rows)].T)) for rows in cones]
+    edges = []
+    for i in W:
+        rows = [j for j in W if j != i]
+        d = np.linalg.svd(B._units[rows])[2][-1]
+        if B._units[i] @ d > 0.0:
+            d = -d
+        if (B._units @ d <= 1e-12).all():
+            edges.append(unit_cone_distance(v, np.ascontiguousarray(B._units[rows].T)))
+    return 0.5 * min(1.0, *dists, *edges), min(edges, default=math.inf) < min(dists, default=math.inf)
+
+
+def unbounded_pointed_pairs(seed=57, count=60):
+    """Pairs of an unbounded polyhedron with a vertex in R^2 to R^4 and a
+    half-space whose LP over it is bounded, one unit from it.
+
+    Every row rises along ``e_n``, so B recedes along ``-e_n``; its rows
+    have rank n, so it is pointed; and ``-c`` is a positive combination of
+    n rows, so ``<c, .>`` is bounded below on B.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(n, 9))
+        rows = rng.normal(size=(m, n))
+        rows[:, -1] = np.abs(rows[:, -1]) + 0.2
+        b = rows @ rng.normal(size=n) + rng.uniform(0.1, 1.0, size=m)
+        c = -(rng.uniform(0.1, 1.0, size=n) @ rows[rng.choice(m, n, replace=False)])
+        if np.linalg.matrix_rank(rows) < n:
+            continue
+        B = Polyhedron(rows, b)
+        optimum = min(float(c @ x) for x, _ in feasible_vertices(B))
+        pairs.append((B, HalfSpace(c, optimum - 1.0)))
+    return pairs
+
+
+def start_in(A):
+    # A point of the half-space one unit below its boundary.
+    return (A.M - 1.0) / float(A.c @ A.c) * A.c
+
+
+def face_alpha_pairs(pool):
+    """``(B, A, x0)`` of a ``constants`` pool (its seed), of
+    :func:`rng72_pool_pairs` or of :func:`unbounded_pointed_pairs`."""
+    if pool == "rng72":
+        return [(B, A, start_in(A)) for B, A in rng72_pool_pairs()]
+    if pool == "unbounded":
+        return [(B, A, start_in(A)) for B, A in unbounded_pointed_pairs()]
+    rng = np.random.default_rng(int(pool))
+    return [(inst.poly, inst.halfspace, inst.x0) for inst in (random_pair_instance(rng) for _ in range(200))]
+
+
+@pytest.mark.parametrize("pool", ["1", "3", "7", "11", "rng72", "unbounded"])
+def test_alpha_is_read_off_the_optimum_face(pool):
+    # Every pair has a simple optimum, so alpha is read off its face and no
+    # cone table is built.  It is the vertex-cone reference within 1e-12
+    # relative, and never below the cone table's alpha, whose family holds
+    # more cones, beyond 1e-13 relative.  bound_report, walking from x0,
+    # and the public alpha, walking from the origin and from a second
+    # start, give the same bits.  On the unbounded stream an unbounded edge
+    # from the optimum gives the minimum on some pairs.
+    edge_minimum = 0
+    for B, A, x0 in face_alpha_pairs(pool):
+        fresh = Polyhedron(B.A, B.b)
+        alpha = alpha_polyhedron_halfspace(fresh, A)
+        assert fresh._cones is None and fresh._vertices is None
+        expected, by_edge = vertex_cone_alpha(B, A)
+        edge_minimum += by_edge
+        assert abs(alpha - expected) <= 1e-12 * expected
+        assert alpha >= certify._table_alpha(Polyhedron(B.A, B.b), A) * (1.0 - 1e-13)
+        assert bound_report(fresh, A, x0).alpha.hex() == alpha.hex()
+        assert bound_report(fresh, A, 2.0 * x0 - start_in(A)).alpha.hex() == alpha.hex()
+        assert fresh._cones is None
+    assert (edge_minimum > 0) == (pool == "unbounded")
+
+
+def near_facet_pair(delta):
+    """A vertex at the origin whose normal cone has a facet at distance
+    about ``delta`` from ``v``.
+
+    Rows 0 and 1 span the plane ``y = 0``, and ``v`` is ``(0, delta, 1)``
+    normalized, so its distance to that facet's hyperplane is ``delta /
+    sqrt(1 + delta^2)``; rows 0 to 2 are tight at the origin, the box rows
+    keep B bounded, and the other two facets are about 0.58 from ``v``.
+    """
+    rows = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 0], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0]]
+    B = Polyhedron(rows, [0, 0, 0, 1, 1, 1, 1, 1])
+    return B, HalfSpace([0.0, -delta, -1.0], -5.0)
+
+
+@pytest.mark.parametrize("delta", [0.9e-9, 1.1e-9])
+def test_a_facet_within_the_containment_tolerance_takes_the_cone_table(delta):
+    # A facet of the optimum's cone at most _CONTAINS_TOL (1e-9) from v
+    # counts as containing v, and alpha takes the cone table, which skips
+    # every cone that near: at 0.9e-9 alpha is the table's, far above
+    # delta.  At 1.1e-9 the face gives alpha, half that facet's distance.
+    # A constant 10 times larger or smaller moves one of the two.
+    B, A = near_facet_pair(delta)
+    for alpha in (alpha_polyhedron_halfspace(B, A), bound_report(Polyhedron(B.A, B.b), A, start_in(A)).alpha):
+        if delta < 1e-9:
+            assert B._cones is not None
+            assert alpha == certify._table_alpha(Polyhedron(B.A, B.b), A) and alpha > 0.1
+        else:
+            assert B._cones is None
+            assert alpha == pytest.approx(0.5 * delta, rel=1e-6)
 
 
 def test_distances_of_a_pair_of_two_dimensions_raise_dimension_mismatch():
@@ -738,24 +879,32 @@ def test_bound_report_rejects_a_start_outside_the_halfspace(x0):
 
 
 def test_bound_report_rejects_an_outside_start_before_the_alpha_search(monkeypatch):
-    # The start is checked first, so a start outside A reads no vertex list.
-    reads = []
+    # The start is checked first, so a start outside A walks nowhere and
+    # reads no vertex list.  alpha is read off the walk's face, so a start
+    # in A walks once and reads no vertex list either.
+    reads, walks = [], []
 
     def spy(B):
         reads.append(B)
         return feasible_vertices(B)
 
+    def walk(B, x, c):
+        walks.append(B)
+        return walk_to_optimum(B, x, c)
+
+    walk_to_optimum = certify._walk_to_optimum
     monkeypatch.setattr(certify, "feasible_vertices", spy)
+    monkeypatch.setattr(certify, "_walk_to_optimum", walk)
     rng = np.random.default_rng(3)
     inst = next(i for i in (random_pair_instance(rng) for _ in range(50)) if i.poly.dim == 4)
     bound_report(inst.poly, inst.halfspace, inst.x0)
-    assert reads == [inst.poly]  # the alpha search of this pair reads it
-    reads.clear()
+    assert walks == [inst.poly] and reads == []
+    walks.clear()
     c, M = inst.halfspace.c, inst.halfspace.M
     outside = inst.x0 + ((M + 1.0 - c @ inst.x0) / (c @ c)) * c  # <c, x> = M + 1
     with pytest.raises(StartNotInA):
         bound_report(inst.poly, inst.halfspace, outside)
-    assert reads == []
+    assert walks == [] and reads == []
 
 
 def test_bound_report_accepts_a_start_on_the_boundary_within_tolerance():

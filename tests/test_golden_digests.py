@@ -17,8 +17,8 @@
   (alpha, ``d_AB``, ``N`` and ``one_step``), the shift ``mu`` of
   ``one_step_shift`` at that alpha and ``d_AB = 0``, and the shifted
   ``solve_lp`` (its solution by bytes, its objective and certificate
-  residuals by ``float.hex``).  ``bound_report`` keeps the cone table on
-  each polyhedron, and alpha reads the vertex list for n >= 3;
+  residuals by ``float.hex``).  ``bound_report`` reads alpha off the face
+  its walk ends on, and no pool pair takes the cone table;
   ``one_step_shift`` takes its alpha.  ``bound_report``'s ``d_AB`` and the
   shifted solve walk from ``x0`` to one optimum and read nothing kept.  The
   shifted solve's ``residual_B`` is read from the walk's final face, not
@@ -47,11 +47,13 @@
 - alpha itself, by ``float.hex`` and not digested, on the 91 pairs of
   ``test_certify.bad_geometry_pairs`` and ``test_certify.rng72_pool_pairs``
   under each pair's own ``c`` and under ``c = -a_0``, each on a fresh
-  polyhedron.  Under ``c = -a_0`` row 0 does not qualify, so the filter of
-  the cone family runs, and the bad geometry sends cones to the NNLS route
-  of the numerically dependent ones: neither is reached by the
-  ``constants`` section, whose pools qualify every row and hold no
-  dependent cone.
+  polyhedron.  Under its own ``c`` a pair reads alpha off the optimum's
+  face, except 17 of the 52 bad-geometry pairs.  Under ``c = -a_0`` 87 of
+  the 91 take the cone table, mostly because the optimum is a face of row
+  0 alone.  Row 0 does not qualify there, so the filter of the cone
+  family runs, and the bad geometry sends cones to the NNLS route of the
+  numerically dependent ones.  The ``constants`` section takes the table
+  on no pair.
 
 A change that only restructures the arithmetic, without changing what it
 computes, must leave every digest as it is.  A change that moves a result

@@ -114,15 +114,15 @@ def call_sites(name):
 def test_the_brute_force_gives_no_answer():
     # The walk is the package's one LP optimum.  Outside ``vertices``, the
     # brute force itself, the vertex oracle only draws the pools' M in
-    # ``instances`` (pool data), and the vertex list only gives alpha its
-    # cone family.
+    # ``instances`` (pool data), and the vertex list only gives alpha's
+    # cone table its family, where the optimum's face cannot give alpha.
     outside = {
         name: {site for site in call_sites(name) if not site.startswith("vertices.")}
         for name in ("vertex_oracle", "feasible_vertices")
     }
     assert outside == {
         "vertex_oracle": {"instances.random_lp_instance"},
-        "feasible_vertices": {"certify.alpha_polyhedron_halfspace"},
+        "feasible_vertices": {"certify._table_alpha"},
     }
 
 

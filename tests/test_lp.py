@@ -18,6 +18,7 @@ from altproj import (
     Unbounded,
     alpha_polyhedron_halfspace,
     bound_report,
+    certify,
     one_step_shift,
     polyhedron_halfspace_distance,
     run,
@@ -337,16 +338,20 @@ def test_oracle_agreement_random():
 
 
 def test_shifted_solve_takes_no_vertex_list_past_the_oracle_limit():
-    # 30 rows at n = 3 are past the enumeration limit of 24 rows, so alpha
-    # raises TooLarge; the shifted solve walks to the optimum with no
-    # vertex list and agrees with the direct solve.
+    # 30 rows at n = 3 are past the enumeration limit of 24 rows, so the
+    # cone table raises TooLarge, but alpha reads the optimum's face and no
+    # vertex list; the shifted solve walks to the optimum with no vertex
+    # list either and agrees with the direct solve.
     for seed in (3, 30, 31):
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(30, 3))
         rows /= norm(rows, axis=1, keepdims=True)
         problem = LPProblem(rng.normal(size=3), Polyhedron(rows, np.ones(30)), -10.0)
+        halfspace = HalfSpace(problem.c, problem.M)
         with pytest.raises(TooLarge):
-            alpha_polyhedron_halfspace(problem.poly, HalfSpace(problem.c, problem.M))
+            certify._table_alpha(problem.poly, halfspace)
+        assert 0.0 < alpha_polyhedron_halfspace(problem.poly, halfspace) <= 0.5
+        assert problem.poly._vertices is None
         direct = solve_lp(problem, strategy="direct")
         shifted = solve_lp(problem, strategy="shifted")
         assert shifted.certificate.holds and shifted.steps == 1

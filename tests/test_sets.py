@@ -8,7 +8,7 @@ from altproj import (
     HalfSpace,
     PointNotInSet,
     Polyhedron,
-    alpha_polyhedron_halfspace,
+    certify,
     contains,
     distance_to_finite_cone,
     polyhedron_halfspace_distance,
@@ -239,13 +239,13 @@ def test_a_polyhedron_equals_its_copy_whatever_their_vertex_lists():
     assert a._vertices is not None and b._vertices is None
     assert a == b and hash(a) == hash(b)
     assert "_vertices" not in repr(a)
-    alpha_polyhedron_halfspace(a, HalfSpace([1.0, 1.0], -5.0))
+    certify._table_alpha(a, HalfSpace([1.0, 1.0], -5.0))
     assert a._cones is not None and b._cones is None
     assert a == b and hash(a) == hash(b)
     assert "_cones" not in repr(a)
     cube = Polyhedron(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
     copy = Polyhedron(cube.A, cube.b)
-    alpha_polyhedron_halfspace(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))
+    certify._table_alpha(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))
     assert cube._cones and copy._cones is None
     assert cube == copy and hash(cube) == hash(copy) and repr(cube) == repr(copy)
     polyhedron_halfspace_distance(cube, HalfSpace([1.0, 2.0, 3.0], -10.0))

@@ -41,7 +41,7 @@ from altproj import (
     vertices,
 )
 from altproj.instances import random_pair_instance
-from test_certify import bad_geometry_pairs
+from test_certify import bad_geometry_pairs, start_in
 from test_lp import pyramid
 from test_qp_adversarial import with_duplicates
 
@@ -49,11 +49,6 @@ from test_qp_adversarial import with_duplicates
 def random_pairs(seed, count):
     rng = np.random.default_rng(seed)
     return [random_pair_instance(rng) for _ in range(count)]
-
-
-def start_in(A):
-    # A point of the half-space one unit below its boundary.
-    return (A.M - 1.0) / float(A.c @ A.c) * A.c
 
 
 def outcome(fn):
@@ -247,11 +242,21 @@ def unit_rows(m, n, rng):
 
 @pytest.mark.parametrize("n", [3])
 def test_bound_report_too_many_rows_raises_too_large(n):
-    # At n >= 3 alpha's cone family still comes from the vertex list.
+    # At a simple optimum alpha is read off the walk's face, with no row
+    # limit.  At a degenerate one it takes the cone table, whose family at
+    # n >= 3 still comes from the vertex list: the apex of a pyramid, four
+    # rows tight in R^3, under 21 more rows that stay slack, is 25 rows.
     rows, rhs = unit_rows(25, n, np.random.default_rng(n))
     A = HalfSpace(np.eye(n)[0], -5.0)
+    B = Polyhedron(rows, rhs)
+    assert 0.0 < bound_report(B, A, start_in(A)).alpha <= 0.5
+    assert B._vertices is None and B._cones is None
+    apex = pyramid(n)
+    slack, _ = unit_rows(25 - apex.num_rows, n, np.random.default_rng(n))
+    B = Polyhedron(np.vstack([apex.A, slack]), np.concatenate([apex.b, np.full(len(slack), 5.0)]))
+    A = HalfSpace(-np.eye(n)[-1], -5.0)
     with pytest.raises(TooLarge):
-        bound_report(Polyhedron(rows, rhs), A, start_in(A))
+        bound_report(B, A, start_in(A))
 
 
 def test_planar_bound_has_no_row_limit():
@@ -282,7 +287,7 @@ def test_planar_bound_report_reads_no_vertex_list():
         B = Polyhedron(inst.poly.A, inst.poly.b)
         bound_report(B, inst.halfspace, inst.x0)
         assert B._vertices is None
-        assert B._cones is not None
+        assert B._cones is None
 
 
 def test_a_polyhedron_without_a_vertex_gets_a_bound():
@@ -438,7 +443,9 @@ def test_constants_pool_work_per_pass(monkeypatch):
     # tables and face builds (``qp._face_of``) over one pass of bound_report
     # and the shifted solve, then a second pass over the same polyhedra.
     # The solve reads bound_report's walk and certifies on its kept face,
-    # and a second pass reads every record.  When each walked for itself,
+    # and a second pass reads every record.  alpha is read off that face
+    # on every pool pair, so no pass builds a cone table; when alpha read
+    # the table, a first pass built 200.  When each walked for itself,
     # the passes made (400, 400, 0, 200) and (400, 400, 0, 0) of the first
     # four; when the solve built its face from the walk's factor, the face
     # builds were 400 and 200.
@@ -459,7 +466,7 @@ def test_constants_pool_work_per_pass(monkeypatch):
             bound_report(B, A, inst.x0)
             shifted(B, A, inst.x0)
         counts.append((len(cold_starts(projections)), len(walks), len(nnls), len(tables), len(faces)))
-    assert counts == [(200, 200, 0, 200, 400), (0, 0, 0, 0, 0)]
+    assert counts == [(200, 200, 0, 0, 400), (0, 0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -23,15 +23,16 @@ import sys
 
 import pytest
 
-from traffic import ROOT, print_unrun, tracing
+from traffic import ROOT, print_unrun, snapshot, tracing
 
 
 def main(argv: list[str]) -> int:
+    code = snapshot()
     with tracing() as seen:
-        code = pytest.main([*(argv or [str(ROOT / "tests")]), "-q", "-p", "no:cacheprovider"])
+        status = pytest.main([*(argv or [str(ROOT / "tests")]), "-q", "-p", "no:cacheprovider"])
     print("statements that no tier-1 test ran, per function:")
-    print_unrun(seen)
-    return int(code)
+    print_unrun(seen, code)
+    return int(status)
 
 
 if __name__ == "__main__":

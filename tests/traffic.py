@@ -64,10 +64,10 @@ def is_docstring(stmt: ast.stmt, index: int) -> bool:
     )
 
 
-def statements(path: Path) -> dict[str, list[ast.stmt]]:
+def statements(path: Path, text: str) -> dict[str, list[ast.stmt]]:
     """``{qualified function name: its own statements}`` for the functions
-    of one module; a nested function's statements are its own, not its
-    parent's."""
+    of one module, whose source is ``text``; a nested function's statements
+    are its own, not its parent's."""
     found: dict[str, list[ast.stmt]] = {}
 
     def own(name: str, body: list[ast.stmt]) -> None:
@@ -96,8 +96,23 @@ def statements(path: Path) -> dict[str, list[ast.stmt]]:
                 for field in ("body", "orelse", "finalbody"):
                     scope(prefix, getattr(stmt, field, []))
 
-    scope(path.stem, ast.parse(path.read_text(), str(path)).body)
+    scope(path.stem, ast.parse(text, str(path)).body)
     return found
+
+
+def snapshot() -> dict[Path, tuple[list[str], dict[str, list[ast.stmt]]]]:
+    """``{module path: (its source lines, its statements)}`` for every module
+    of the package, read now.
+
+    Take it when tracing starts: the line events number the lines of the
+    code imported then, so :func:`print_unrun` reads this snapshot, and a
+    file edited during the run moves none of its statements.
+    """
+    code = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        code[path] = text.splitlines(), statements(path, text)
+    return code
 
 
 @contextmanager
@@ -122,14 +137,13 @@ def tracing():
         sys.settrace(None)
 
 
-def print_unrun(seen: set[tuple[str, int]]) -> None:
-    """Print, per function of the package, the statements with no line in
-    ``seen``, and their count."""
+def print_unrun(seen: set[tuple[str, int]], code) -> None:
+    """Print, per function of the package, the statements of ``code`` (a
+    :func:`snapshot`) with no line in ``seen``, and their count."""
     unrun = total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text().splitlines()
+    for path, (source, found) in code.items():
         lines = {line for file, line in seen if file == str(path)}
-        for function, stmts in statements(path).items():
+        for function, stmts in found.items():
             missed = [s for s in stmts if not lines.intersection(header_lines(s))]
             total += len(stmts)
             unrun += len(missed)
@@ -145,6 +159,7 @@ def print_unrun(seen: set[tuple[str, int]]) -> None:
 def main(argv: list[str]) -> None:
     pool_seed = int(argv[0]) if argv else 1
     seen: set[tuple[str, int]] = set()
+    code = snapshot()
     with tempfile.TemporaryDirectory() as work:
         for name, workload in workloads.WORKLOADS.items():
             cases = workload.build(pool_seed, Path(work) / name)
@@ -154,7 +169,7 @@ def main(argv: list[str]) -> None:
             seen |= lines
             print(f"{name}: {len(cases)} cases")
     print(f"pool seed {pool_seed}; statements that no operation ran, per function:")
-    print_unrun(seen)
+    print_unrun(seen, code)
 
 
 if __name__ == "__main__":
