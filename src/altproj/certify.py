@@ -15,11 +15,12 @@ alpha is read off the LP optimum: at a simple optimal vertex ``x*`` the
 least distance is that from ``-c/||c||`` to the boundary of the normal
 cone of ``x*``, its nearest facet hyperplane, read off one QR factor of the
 vertex's n working rows.  No vertex list is read and nothing is kept.  The
-pairs whose optimum is not a simple vertex, or whose walk is unbounded,
-take a kept table of candidate cones instead, read by one least-squares
-solve per cone: the nearest point of a polyhedral cone is the
-least-squares projection onto the rows of one of its faces with every
-coefficient positive, and the family holds every such face.
+pairs whose optimum is not a simple vertex, whose working rows are nearly
+dependent, or whose walk is unbounded, take a kept table of candidate
+cones instead, read by one least-squares solve per cone: the nearest point
+of a polyhedral cone is the least-squares projection onto the rows of one
+of its faces with every coefficient positive, and the family holds every
+such face.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidDistance, NotPolyhedralPair, Unbounded
 from .linalg import _dot_row_norms, _dot_rows, _entry_norm, _norm, _real_scalar, as_point, unit_cone_distance
-from .qp import _walk_to_optimum, project_polyhedron
+from .qp import _kept_walk, _walk_to_optimum, project_polyhedron
 from .sets import ACTIVE_TOL, HalfSpace, Polyhedron, _active, _check_dims, _check_start
 from .vertices import feasible_vertices
 
@@ -115,12 +116,14 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     only at the face nearest the half-space, where no contraction is
     required.
 
-    The constant is read off the LP optimum, walked to from the origin
-    along ``-c`` as :func:`polyhedron_halfspace_distance` walks
-    (:func:`~altproj.qp._walk_to_optimum`).  The normal cones of a
-    polyhedron's faces meet only on their boundaries (the normal fan;
-    Ziegler, *Lectures on Polytopes*, 1995, ch. 7).  At a simple optimal
-    vertex ``x*``, ``v`` lies inside ``N_x*``, so the segment from ``v`` to
+    The constant is read off the LP optimum: off B's kept walk when it
+    went along the same ``c``, from whatever start (that of
+    :func:`bound_report` or of a shifted solve), else off a walk from the
+    origin along ``-c``, as :func:`polyhedron_halfspace_distance` walks
+    (:func:`~altproj.qp._walk_to_optimum`), which B then keeps.  The normal
+    cones of a polyhedron's faces meet only on their boundaries (the normal
+    fan; Ziegler, *Lectures on Polytopes*, 1995, ch. 7).  At a simple
+    optimal vertex ``x*``, ``v`` lies inside ``N_x*``, so the segment from ``v`` to
     the nearest point of any other realizable cone crosses the boundary of
     ``N_x*``.  Each facet of ``N_x*`` is the normal cone of an edge from
     ``x*``: it lies in the cone of the edge's other vertex, or is
@@ -133,12 +136,14 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
 
     The face cannot give alpha when the walk is unbounded, when ``x*`` is
     not a simple vertex (fewer than n working rows, or more rows tight at
-    ``x*`` than working rows), when a multiplier of ``v`` on the working
-    rows is not positive, or when a facet of ``N_x*`` lies within
-    ``_CONTAINS_TOL`` of ``v``.  Those pairs take the cone table of
-    :func:`_table_alpha`, whose family holds every realizable cone and some
-    that are not (every pair of rows, every subset of a degenerate vertex's
-    active rows), so it can only be lower where both apply.
+    ``x*`` than working rows), when the working rows are nearly dependent
+    (a diagonal entry of their R factor below ``_RANK_TOL``), when a
+    multiplier of ``v`` on the working rows is not positive, or when a
+    facet of ``N_x*`` lies within ``_CONTAINS_TOL`` of ``v``.  Those pairs
+    take the cone table of :func:`_table_alpha`, whose family holds every
+    realizable cone and some that are not (every pair of rows, every subset
+    of a degenerate vertex's active rows), so it can only be lower where
+    both apply.
 
     Raises :class:`NotPolyhedralPair` for any other pair of set types and
     :class:`DimensionMismatch` for sets of two dimensions, then what the
@@ -149,7 +154,7 @@ def alpha_polyhedron_halfspace(B: Polyhedron, A: HalfSpace) -> float:
     _check_pair(A, B)
     _check_dims(A, B)
     try:
-        _, end, face = _walk_to_optimum(B, np.zeros(B.dim), A.c)
+        _, end, face = _kept_walk(B, A.c) or _walk_to_optimum(B, np.zeros(B.dim), A.c)
     except Unbounded:
         return _table_alpha(B, A)
     return _alpha_at(B, A, end.point, face)
@@ -171,8 +176,14 @@ def _face_alpha(B: Polyhedron, A: HalfSpace, x: np.ndarray, face) -> float | Non
     that reached it.  With ``v = U_W' mu``, the distance from ``v`` to the
     hyperplane of the facet of ``N_x`` opposite row i is ``mu_i / ||e_i'
     R^-1||``.  None when ``x`` is not a simple vertex (fewer than n working
-    rows, or more rows tight there than working rows), when some ``mu_i``
-    is not positive, or when a facet lies within ``_CONTAINS_TOL`` of ``v``.
+    rows, or more rows tight there than working rows), when a diagonal
+    entry of R is below ``_RANK_TOL``, when some ``mu_i`` is not positive,
+    or when a facet lies within ``_CONTAINS_TOL`` of ``v``.  The rank test
+    is the table's own independence split: below it ``mu`` and the rows of
+    ``R^-1`` lose about as many digits as ``1 / R_ii`` has, which the
+    table's cone solve does not.  Above it each distance still errs by
+    about 1e-16 absolute, so a small alpha loses relative digits (5e-11
+    relative at a distance of 3.5e-6).
     """
     W = face.W
     if len(W) < B.dim:
@@ -181,6 +192,8 @@ def _face_alpha(B: Polyhedron, A: HalfSpace, x: np.ndarray, face) -> float | Non
     if tight is None or int(tight.sum()) > len(W):
         return None
     Q, R = np.linalg.qr(B._units[sorted(W)].T)
+    if np.abs(np.diagonal(R)).min() < _RANK_TOL:
+        return None
     R_inv = np.linalg.inv(R)
     mu = R_inv.dot((-A._unit).dot(Q))
     if not (mu > 0.0).all():
@@ -528,11 +541,12 @@ def bound_report(B: Polyhedron, A: HalfSpace, x0) -> TransversalityReport:
     solve from the same ``x0``.  The projection and the walk are B's kept
     walk (:func:`~altproj.qp._walk_to_optimum`) when the last one on B
     started from the same ``x0`` along the same ``c``; otherwise they are
-    made and kept, and a shifted solve from that ``x0`` reads them.  alpha
-    is then read off the face that walk ended on, as
-    :func:`alpha_polyhedron_halfspace` reads it off its own walk from the
-    origin: the two agree bit for bit.  Only the pairs that take alpha's
-    cone table read B's vertex list, and only for n >= 3.
+    made and kept, and a shifted solve from that ``x0`` reads them, as
+    does :func:`alpha_polyhedron_halfspace` under the same ``c``.  alpha is
+    then read off the face that walk ended on, as the public alpha reads
+    it off any walk to the optimum: the two agree bit for bit.  Only the
+    pairs that take alpha's cone table read B's vertex list, and only for
+    n >= 3.
 
     After the checks of the pair, of ``x0`` and of the dimensions
     (:class:`NotPolyhedralPair`, ``x0``'s own errors,

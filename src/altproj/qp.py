@@ -358,6 +358,13 @@ def _walk_to_optimum(p: Polyhedron, x, c) -> tuple[QPResult, QPResult, _Face]:
     return walk
 
 
+def _kept_walk(p: Polyhedron, c):
+    """The record of ``p``'s kept walk (:func:`_walk_to_optimum`) when it
+    went along ``-c``, from whatever start, else None."""
+    kept = p._walk
+    return kept[1] if kept is not None and kept[0][1] == c.tobytes() else None
+
+
 def _walk_from(
     p: Polyhedron, start: QPResult, face: _Face | None, direction, t_target: float
 ) -> tuple[QPResult, _Face | None]:

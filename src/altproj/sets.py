@@ -148,9 +148,10 @@ class Polyhedron(_ValueSet):
     #   alpha builds it; at a simple optimum it stays None.
     # - The last walk of :func:`altproj.qp._walk_to_optimum` with the start
     #   and objective it was made for, so ``bound_report`` and the shifted
-    #   solve from one ``x0`` walk once.  A new walk replaces it.  Two
-    #   ``QPResult``s and the ``_Face`` the walk ended on: 2,176 bytes of
-    #   arrays at n = 8, m = 24 with eight working rows.
+    #   solve from one ``x0``, and alpha under the same objective, walk once.
+    #   A new walk replaces it.  Two ``QPResult``s and the ``_Face`` the walk
+    #   ended on: 2,176 bytes of arrays at n = 8, m = 24 with eight working
+    #   rows.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _cones: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)

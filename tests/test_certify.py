@@ -21,6 +21,7 @@ from altproj import (
     iteration_bound,
     one_step_shift,
     polyhedron_halfspace_distance,
+    qp,
     solve_lp,
     translate,
     verify,
@@ -289,8 +290,9 @@ def test_alpha_reads_a_nearly_dependent_cone_to_the_exact_constant(monkeypatch, 
     # kept factors, with a Gram condition number of about 1 / eps^2.  Under
     # c = -(2, 1, 0) the cone contains -c/||c||, and a read that errs in the
     # cone's near-null direction counts it with a distance near 1e-6.
-    # Under the second c the origin is a simple optimum, so the public alpha
-    # reads the cone off its face, and must be as close.
+    # Under neither c is the origin a simple optimum (the optimum is an edge
+    # under the first, the LP unbounded under the second), so the public
+    # alpha takes the table too, and must be as close.
     B = Polyhedron([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, eps]], [0.0, 0.0, 0.0])
     A = HalfSpace(c, -10.0)
     assert cone_solves(monkeypatch, [(B, A)]) == 0
@@ -563,6 +565,50 @@ def test_alpha_errors_keep_no_table():
         assert big._cones is None and big._vertices is None
 
 
+def nearly_dependent_vertex(eps):
+    """A box cut at the origin by the rows (1, 0, 0), (0, 1, 0) and
+    (1, 1, eps), with ``c = -(2, 2, eps)``: ``-c`` is the sum of the three
+    rows, so the origin is a simple optimum, and the R factor of the three
+    unit rows has the diagonal entry ``eps / sqrt(2 + eps^2)``.  Every facet
+    of the origin's normal cone is ``eps / sqrt(8 + eps^2)`` from ``v``."""
+    rows = [[1, 0, 0], [0, 1, 0], [1, 1, eps], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    return Polyhedron(rows, [0, 0, 0, 1, 1, 1, 1]), HalfSpace([-2.0, -2.0, -eps], -10.0)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_a_nearly_dependent_optimum_takes_the_cone_table(eps):
+    # The walk ends on the origin's three rows either way.  At eps = 1e-6
+    # their R factor has a diagonal entry below _RANK_TOL (1e-6), where
+    # mu and the rows of R^-1 lose digits, so the face gives no alpha and
+    # the table reads it, bit for bit, to the exact constant.  At 1e-5 the
+    # face reads it; the face's distances err by about 1e-16 absolute, here
+    # 5e-11 relative.  A guard left out or 10 times larger moves one case.
+    B, A = nearly_dependent_vertex(eps)
+    alpha = alpha_polyhedron_halfspace(B, A)
+    _, end, face = B._walk[1]
+    assert sorted(face.W) == [0, 1, 2] and not end.point.any()
+    diagonal = abs(np.linalg.qr(B._units[:3].T, mode="r").diagonal()).min()
+    assert (diagonal < certify._RANK_TOL) == (eps < 1e-5)
+    assert diagonal == pytest.approx(eps / math.sqrt(2.0), rel=1e-9)
+    assert alpha == pytest.approx(0.5 * eps / math.sqrt(8.0 + eps * eps), rel=1e-10)
+    if eps < 1e-5:
+        assert B._cones is not None
+        assert alpha.hex() == certify._table_alpha(Polyhedron(B.A, B.b), A).hex()
+        assert exact_alpha_error(B, A, alpha) <= POOL_EXACT_BOUND
+    else:
+        assert B._cones is None
+
+
+def facet_cone_alpha(B, A, W):
+    """Half the least distance from ``v = -c/||c||`` to the cone of the rows
+    ``W`` less one, each by a cone solve; capped at 1/2.  At a simple
+    optimum with working rows ``W`` these are the facets of its normal
+    cone, and ``v`` lies inside it."""
+    v = -A.c / norm(A.c)
+    facets = [np.ascontiguousarray(B._units[[j for j in W if j != i]].T) for i in W]
+    return 0.5 * min(1.0, *(unit_cone_distance(v, G) for G in facets))
+
+
 def vertex_cone_alpha(B, A):
     """Reference for the face-read alpha at a simple, unique optimum.
 
@@ -570,7 +616,9 @@ def vertex_cone_alpha(B, A):
     non-optimal vertex of :func:`feasible_vertices` (every row active
     there), or to the cone of an unbounded edge from the optimal vertex,
     which no vertex cone holds; capped at 1/2.  Also whether such an edge
-    gave the minimum.
+    gave the minimum.  None when the oracle's optimal vertex has more than
+    n active rows: it can merge a simple optimum with vertices a rounding
+    away, whose cones then leave the reference.
     """
     v = -A.c / norm(A.c)
     verts = feasible_vertices(B)
@@ -578,6 +626,8 @@ def vertex_cone_alpha(B, A):
     best = min(values)
     tol = 1e-9 * (1.0 + abs(best))
     (W,) = [active for (_, active), value in zip(verts, values) if value <= best + tol]
+    if len(W) > B.dim:
+        return None
     assert len(W) == B.dim
     cones = [active for (_, active), value in zip(verts, values) if value > best + tol]
     dists = [unit_cone_distance(v, np.ascontiguousarray(B._units[list(rows)].T)) for rows in cones]
@@ -624,37 +674,53 @@ def start_in(A):
 
 def face_alpha_pairs(pool):
     """``(B, A, x0)`` of a ``constants`` pool (its seed), of
-    :func:`rng72_pool_pairs` or of :func:`unbounded_pointed_pairs`."""
-    if pool == "rng72":
-        return [(B, A, start_in(A)) for B, A in rng72_pool_pairs()]
-    if pool == "unbounded":
-        return [(B, A, start_in(A)) for B, A in unbounded_pointed_pairs()]
+    :func:`rng72_pool_pairs`, of :func:`unbounded_pointed_pairs` or of
+    :func:`bad_geometry_pairs`."""
+    named = {"rng72": rng72_pool_pairs, "unbounded": unbounded_pointed_pairs, "bad_geometry": bad_geometry_pairs}
+    if pool in named:
+        return [(B, A, start_in(A)) for B, A in named[pool]()]
     rng = np.random.default_rng(int(pool))
     return [(inst.poly, inst.halfspace, inst.x0) for inst in (random_pair_instance(rng) for _ in range(200))]
 
 
-@pytest.mark.parametrize("pool", ["1", "3", "7", "11", "rng72", "unbounded"])
+@pytest.mark.parametrize("pool", ["1", "3", "7", "11", "rng72", "unbounded", "bad_geometry"])
 def test_alpha_is_read_off_the_optimum_face(pool):
-    # Every pair has a simple optimum, so alpha is read off its face and no
-    # cone table is built.  It is the vertex-cone reference within 1e-12
-    # relative, and never below the cone table's alpha, whose family holds
-    # more cones, beyond 1e-13 relative.  bound_report, walking from x0,
-    # and the public alpha, walking from the origin and from a second
-    # start, give the same bits.  On the unbounded stream an unbounded edge
-    # from the optimum gives the minimum on some pairs.
-    edge_minimum = 0
+    # Every pair of the pools has a simple optimum, so alpha is read off its
+    # face and no cone table is built.  It is the vertex-cone reference
+    # within 1e-12 relative, and never below the cone table's alpha, whose
+    # family holds more cones, beyond 1e-13 relative.  bound_report, walking
+    # from x0 and from a second start, gives the public alpha's bits.  On
+    # the unbounded stream an unbounded edge from the optimum gives the
+    # minimum on some pairs.  Of the 52 bad-geometry pairs, 17 have no
+    # simple optimum or an unbounded walk and take the table, bit for bit;
+    # the other 35 are held to the reference within the table's own bound
+    # there, and on the one whose optimal vertex the oracle merges with its
+    # neighbours, to the facet cones of the walk's working rows.
+    bound = BAD_GEOMETRY_EXACT_BOUND if pool == "bad_geometry" else 1e-12
+    edge_minimum = tables = merged = 0
     for B, A, x0 in face_alpha_pairs(pool):
         fresh = Polyhedron(B.A, B.b)
         alpha = alpha_polyhedron_halfspace(fresh, A)
-        assert fresh._cones is None and fresh._vertices is None
-        expected, by_edge = vertex_cone_alpha(B, A)
+        if fresh._cones is not None:
+            tables += 1
+            assert alpha.hex() == certify._table_alpha(Polyhedron(B.A, B.b), A).hex()
+            continue
+        assert fresh._vertices is None
+        reference = vertex_cone_alpha(B, A)
+        if reference is None:
+            merged += 1
+            expected, by_edge = facet_cone_alpha(B, A, fresh._walk[1][2].W), False
+        else:
+            expected, by_edge = reference
         edge_minimum += by_edge
-        assert abs(alpha - expected) <= 1e-12 * expected
+        assert abs(alpha - expected) <= bound * expected
         assert alpha >= certify._table_alpha(Polyhedron(B.A, B.b), A) * (1.0 - 1e-13)
-        assert bound_report(fresh, A, x0).alpha.hex() == alpha.hex()
-        assert bound_report(fresh, A, 2.0 * x0 - start_in(A)).alpha.hex() == alpha.hex()
+        if polyhedron_halfspace_distance(B, A) > 0.0:
+            for start in (x0, x0 - A.c):
+                assert bound_report(fresh, A, start).alpha.hex() == alpha.hex()
         assert fresh._cones is None
     assert (edge_minimum > 0) == (pool == "unbounded")
+    assert (tables, merged) == ((17, 1) if pool == "bad_geometry" else (0, 0))
 
 
 def near_facet_pair(delta):
@@ -905,6 +971,39 @@ def test_bound_report_rejects_an_outside_start_before_the_alpha_search(monkeypat
     with pytest.raises(StartNotInA):
         bound_report(inst.poly, inst.halfspace, outside)
     assert walks == [] and reads == []
+
+
+def test_the_public_alpha_reads_the_kept_walk(monkeypatch):
+    # bound_report keeps its walk on B.  The public alpha under the same c
+    # reads that walk's face, from whatever start, and the shifted solve
+    # from x0 reads the walk too: one walk for the three.  After the shifted
+    # solve alone the public alpha reads its walk.  A polyhedron that kept
+    # no walk, or kept one along another c, walks from the origin.
+    walks = []
+
+    def spy(p, *args):
+        walks.append(p)
+        return walk_from(p, *args)
+
+    walk_from = qp._walk_from
+    monkeypatch.setattr(qp, "_walk_from", spy)
+    rng = np.random.default_rng(1)
+    inst = next(i for i in (random_pair_instance(rng) for _ in range(50)) if i.poly.dim == 3)
+    A, x0 = inst.halfspace, inst.x0
+    B = Polyhedron(inst.poly.A, inst.poly.b)
+    alpha = bound_report(B, A, x0).alpha
+    assert alpha_polyhedron_halfspace(B, A).hex() == alpha.hex()
+    solve_lp(LPProblem(A.c, B, A.M), x0=x0, strategy="shifted")
+    assert walks == [B]
+    solved = Polyhedron(B.A, B.b)
+    solve_lp(LPProblem(A.c, solved, A.M), x0=x0, strategy="shifted")
+    assert alpha_polyhedron_halfspace(solved, A).hex() == alpha.hex()
+    assert walks == [B, solved]
+    fresh = Polyhedron(B.A, B.b)
+    assert alpha_polyhedron_halfspace(fresh, A).hex() == alpha.hex()
+    assert walks == [B, solved, fresh] and fresh._walk[0][0] == np.zeros(3).tobytes()
+    alpha_polyhedron_halfspace(B, HalfSpace(A.c + 1.0, A.M))
+    assert walks == [B, solved, fresh, B]
 
 
 def test_bound_report_accepts_a_start_on_the_boundary_within_tolerance():
