@@ -134,18 +134,14 @@ class Polyhedron(_ValueSet):
 
     A: np.ndarray
     b: np.ndarray
-    # Three records, made on use and kept with the polyhedron: ``A`` and
-    # ``b`` are frozen, so none can go stale.  None is part of the value,
+    # Two records, made on use and kept with the polyhedron: ``A`` and
+    # ``b`` are frozen, so neither can go stale.  None is part of the value,
     # and a copy ``Polyhedron(A, b)`` starts without them.
     # - The vertex list of :func:`altproj.vertices.feasible_vertices`.  The
-    #   oracle reads it, and alpha's cone table for n >= 3; no LP optimum or
+    #   oracle reads it, and alpha's cone table for n >= 3, which builds its
+    #   family from it on each call and keeps nothing else; no LP optimum or
     #   distance does, nor alpha read off the optimum's face, so a
     #   ``bound_report`` at a simple optimum leaves it None.
-    # - The cone table of :func:`altproj.certify._table_alpha`, every cone
-    #   size in one stack padded to n rows, which it reads in one pass: the
-    #   largest record, about 22 MB at n = 8, m = 24, mostly the padded
-    #   inverse R factors.  Only a pair whose optimum's face cannot give
-    #   alpha builds it; at a simple optimum it stays None.
     # - The last walk of :func:`altproj.qp._walk_to_optimum` with the start
     #   and objective it was made for, so ``bound_report`` and the shifted
     #   solve from one ``x0``, and alpha under the same objective, walk once.
@@ -153,7 +149,6 @@ class Polyhedron(_ValueSet):
     #   ended on: 2,176 bytes of arrays at n = 8, m = 24 with eight working
     #   rows.
     _vertices: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _cones: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # The row norms, the unit rows and the offsets over the norms, and
     # ``1 + max|_offsets|``, the part of the projection's data scale

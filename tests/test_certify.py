@@ -30,10 +30,9 @@ from altproj.instances import (
     absval_polyhedron,
     lower_halfplane,
     parabola_epigraph,
-    random_bounded_polyhedron,
     random_pair_instance,
 )
-from altproj.linalg import _dot_rows, unit_cone_distance, unit_distance_to_ray
+from altproj.linalg import unit_cone_distance, unit_distance_to_ray
 from altproj.vertices import feasible_vertices
 from exact import cone_family_distance, sqrt_relative_error
 from test_qp_adversarial import nearly_parallel, random_poly, unit, with_duplicates
@@ -300,68 +299,55 @@ def test_alpha_reads_a_nearly_dependent_cone_to_the_exact_constant(monkeypatch, 
         assert exact_alpha_error(B, A, alpha) <= POOL_EXACT_BOUND
 
 
-def reuse_queries():
-    """``(B, objectives)``: each polyhedron of :func:`bad_geometry_pairs` under
-    its own ``c`` and under ``c = -a_0`` (row 0 then does not qualify), and
-    random pool polyhedra in R^2 to R^4 under those two and one random ``c``.
-    """
-    for B, A in bad_geometry_pairs():
-        yield B, [A.c, -B.A[0]]
-    rng = np.random.default_rng(409)
-    for _ in range(20):
-        inst = random_pair_instance(rng)
-        B = inst.poly
-        yield B, [inst.halfspace.c, -B.A[0], rng.normal(size=B.dim)]
+def calls_of(monkeypatch, name):
+    """Route ``certify.name`` through a spy; returns ``(args, result)`` of
+    each call, in call order."""
+    original = getattr(certify, name)
+    calls = []
+
+    def spy(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(certify, name, spy)
+    return calls
 
 
-def test_alpha_reads_a_table_built_under_another_objective():
-    # Each polyhedron keeps the table of its first table read.  The table is
-    # built under each objective in turn, on a fresh polyhedron, and every
-    # other objective then reads it: alpha must be what the objective gets
-    # on a polyhedron of its own.
-    for B, objectives in reuse_queries():
-        halfspaces = [HalfSpace(c, -10.0) for c in objectives]
-        fresh, reused = {}, {}
-        for first, A in enumerate(halfspaces):
-            kept = Polyhedron(B.A, B.b)
-            fresh[first] = certify._table_alpha(kept, A)
-            table = kept._cones
-            for j, other in enumerate(halfspaces):
-                if j != first:
-                    reused[first, j] = certify._table_alpha(kept, other)
-            assert kept._cones is table
-        for (_, j), got in reused.items():
-            assert got == fresh[j]
+def table_cones(table):
+    """The independent and the dependent cones of a :func:`_cone_table`, as
+    tuples in the table's order, and each independent cone's inverse R
+    factor as bytes."""
+    independent = [tuple(cone) for cones, _, _ in table for cone in cones.tolist()]
+    dependent = [tuple(cone) for _, _, cones in table for cone in cones.tolist()]
+    inverses = [inverse.tobytes() for _, block, _ in table for inverse in block]
+    return independent, dependent, dict(zip(independent, inverses))
 
 
-def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out():
+def test_a_reused_table_matches_the_unpruned_search_when_a_row_drops_out(monkeypatch):
     # Under c = -a_0 row 0 does not qualify, and the cones through it leave
-    # the family: the filter of the kept table runs, which no pool reaches.
-    # alpha, on a table built under the polyhedron's own c, must still be
-    # as close to the exact constant as the search it replaced.
+    # the family, which each call builds over the qualifying rows alone from
+    # the vertex list that a first read under the polyhedron's own c kept;
+    # no pool reaches this.  alpha must still be as close to the exact
+    # constant as the search it replaced.  The family is the one over every
+    # row less the cones through a row that does not qualify, in the same
+    # order, and each cone's inverse R factor has the same bits.
+    tables = calls_of(monkeypatch, "_cone_table")
     filtered = 0
     for B, A in bad_geometry_pairs():
         kept = Polyhedron(B.A, B.b)
         certify._table_alpha(kept, A)
-        flipped = HalfSpace(-B.A[0], -10.0)
-        assert_near_exact(kept, flipped, FLIPPED_EXACT_BOUND)
-        qualifying = set(qualifying_active_sets(B, flipped)[0])
-        _, rows, _, _, dependent, _ = kept._cones
-        cones = [cone[cone < B.num_rows] for cone in (*rows, *dependent)]
-        filtered += sum(set(cone) <= qualifying for cone in cones) < len(cones)
+        tables.clear()
+        assert_near_exact(kept, HalfSpace(-B.A[0], -10.0), FLIPPED_EXACT_BOUND)
+        [((_, vertices, qualifying), table)] = tables
+        assert vertices is kept._vertices and not qualifying[0]
+        independent, dependent, inverses = table_cones(table)
+        every = table_cones(certify._cone_table(kept, vertices, np.ones(B.num_rows, bool)))
+        rows = set(np.flatnonzero(qualifying).tolist())
+        assert independent == [cone for cone in every[0] if rows.issuperset(cone)]
+        assert dependent == [cone for cone in every[1] if rows.issuperset(cone)]
+        assert inverses == {cone: every[2][cone] for cone in independent}
+        filtered += len(independent) + len(dependent) < len(every[0]) + len(every[1])
     assert filtered >= 40
-
-
-def assert_padded(B, cones):
-    """Each row of ``cones`` is a cone's sorted rows, then the pad index m
-    up to n entries: no pad reads a real row."""
-    m, n = B.num_rows, B.dim
-    sizes = (cones < m).sum(axis=1)
-    assert cones.shape[1] == n and (cones >= 0).all() and (cones <= m).all()
-    assert ((cones == m) == (np.arange(n) >= sizes[:, None])).all()
-    for cone, size in zip(cones, sizes):
-        assert (np.diff(cone[:size]) > 0).all()
-    return sizes
 
 
 def test_the_cone_family_is_every_pair_and_every_active_subset():
@@ -369,11 +355,9 @@ def test_the_cone_family_is_every_pair_and_every_active_subset():
     # table keys each subset by an integer instead.  Degenerate apexes with
     # up to 2n + 2 active rows are among the bad geometry.  Each size's
     # independent cones, its dependent cones and the exactly antiparallel
-    # pairs the table leaves out are together the family.  The stack holds
+    # pairs the table leaves out are together the family.  The table holds
     # the sizes in increasing order and each size in lexicographic order,
-    # every pad reads the appended zero row and no pad reads a real row, and
-    # each inverse is the stacked one of its size, bit for bit, in the
-    # leading block of zeros.
+    # and each inverse is the stacked one of its size, bit for bit.
     for B, _ in rng72_pool_pairs() + bad_geometry_pairs():
         m, n = B.num_rows, B.dim
         vertices = feasible_vertices(B)
@@ -382,19 +366,13 @@ def test_the_cone_family_is_every_pair_and_every_active_subset():
         for _, active in vertices:
             for size in range(3, min(len(active), n) + 1):
                 cones[size].update(itertools.combinations(active, size))
-        padded_units, rows, inverses, pads, dependent, full = certify._cone_table(B, vertices)
-        np.testing.assert_array_equal(padded_units, np.vstack([B._units, np.zeros(n)]))
-        assert padded_units.dtype == np.longdouble
-        sizes = assert_padded(B, rows)
-        assert rows.dtype == dependent.dtype == np.intp
-        np.testing.assert_array_equal(pads, rows == m)
-        assert (np.diff(sizes) >= 0).all() and full == (sizes < n).sum()
-        dependent_sizes = assert_padded(B, dependent)
-        assert inverses.shape == (len(rows), n, n)
-        for size in range(2, n + 1):
-            ref = np.array(sorted(cones[size]), dtype=rows.dtype).reshape(-1, size)
-            idx = rows[sizes == size, :size]
-            measured = dependent[dependent_sizes == size, :size]
+        table = certify._cone_table(B, vertices, np.ones(m, bool))
+        sizes = [idx.shape[1] for idx, _, _ in table]
+        assert sizes == sorted(set(sizes))
+        for idx, inverses, measured in table:
+            size = idx.shape[1]
+            ref = np.array(sorted(cones[size]), dtype=np.intp).reshape(-1, size)
+            assert idx.dtype == measured.dtype == np.intp and measured.shape[1] == size
             for part in (idx, measured):
                 np.testing.assert_array_equal(np.lexsort(part.T[::-1]), np.arange(len(part)))
             left_out = ref[:0]
@@ -403,166 +381,116 @@ def test_the_cone_family_is_every_pair_and_every_active_subset():
             family = np.concatenate([idx, measured, left_out])
             assert family.shape == ref.shape
             np.testing.assert_array_equal(family[np.lexsort(family.T[::-1])], ref)
+            assert inverses.shape == (len(idx), size, size)
             if len(idx):
                 R = np.linalg.qr(B._units[idx].transpose(0, 2, 1), mode="r")
-                block = inverses[sizes == size]
-                np.testing.assert_array_equal(block[:, :size, :size], np.linalg.inv(R))
-                assert not block[:, size:].any() and not block[:, :, size:].any()
-
-
-def per_size_read(B, A):
-    """The reference read of ``B._cones``: each cone size with its own
-    ``k x k`` products, as alpha read a table kept by size.  Returns the
-    coefficients of every cone of each size, the span residuals of the
-    cones it counts, in the stack's order, and the cosines, the qualifying
-    rows and ``-c/||c||`` it read them with."""
-    _, rows, inverses, pads, _, _ = B._cones
-    neg_chat = -A._unit
-    uv = _dot_rows(B._units, neg_chat)
-    qualifying = uv < 1.0 - certify._STRICT_MARGIN
-    sizes = (~pads).sum(axis=1)
-    coefficients, dists = {}, [np.zeros(0)]
-    for k in range(2, B.dim + 1):
-        idx, r_inv = rows[sizes == k, :k], inverses[sizes == k, :k, :k]
-        lam = np.einsum("gkj,gj->gk", r_inv, np.einsum("gjk,gj->gk", r_inv, uv[idx]))
-        coefficients[k] = lam
-        kept = qualifying[idx].all(axis=1)
-        idx, lam = idx[kept], lam[kept]
-        inside = (lam > 0.0).all(axis=1)
-        point = np.einsum("gk,gkn->gn", lam[inside].astype(np.longdouble), B._units[idx[inside]])
-        resid = neg_chat - point
-        dists.append(np.sqrt(np.einsum("gn,gn->g", resid, resid)).astype(float))
-    return coefficients, np.concatenate(dists), uv, qualifying, neg_chat
-
-
-def test_the_stacked_read_has_the_bits_of_a_read_size_by_size():
-    # Every coefficient of the stack equals the reference's, and every
-    # distance the stacked read counts has the reference's bits, in the
-    # same order: the pads add exact zeros.  Under c = -a_0 the filter runs.
-    # At n = 8 the sums of more than seven terms are kept to the cones of
-    # eight rows, because NumPy sums eight terms in another order than
-    # fewer; the polyhedron there has two random rows cut into a box.
-    rng = np.random.default_rng(410)
-    deep, _ = random_bounded_polyhedron(rng, 8, 2)
-    cases = [(B, A.c) for B, A in rng72_pool_pairs()]
-    cases += [(B, c) for B, A in bad_geometry_pairs() for c in (A.c, -B.A[0])]
-    cases += [(deep, c) for c in (rng.normal(size=8), -deep.A[0])]
-    for B, c in cases:
-        A = HalfSpace(c, -10.0)
-        kept = Polyhedron(B.A, B.b)
-        certify._table_alpha(kept, A)
-        coefficients, ref, uv, qualifying, neg_chat = per_size_read(kept, A)
-        _, rows, inverses, pads, _, full = kept._cones
-        lam = certify._coefficients(rows, inverses, full, uv)
-        sizes = (~pads).sum(axis=1)
-        for k, expected in coefficients.items():
-            np.testing.assert_array_equal(lam[sizes == k, :k], expected)
-            assert not lam[sizes == k, k:].any()
-        dist, _ = certify._stack_distances(kept._cones, uv, qualifying, neg_chat)
-        assert dist.tobytes() == ref.tobytes()
+                np.testing.assert_array_equal(inverses, np.linalg.inv(R))
+        assert sum(len(cones[size]) > 0 for size in range(2, n + 1)) == len(table)
 
 
 @pytest.mark.parametrize(
     "rows, b, alpha, count",
     [
-        # One row: no cone of two rows, an empty stack.
+        # One row: no cone of two rows, an empty table.
         ([[1, 0, 0]], [1], 0.5, 0),
         # Two exactly antiparallel rows: their pair is left out, so the
-        # stack is empty again.
+        # table holds no cone again.
         ([[1, 0, 0], [-1, 0, 0]], [1, 1], 0.47967540647319123, 0),
         # Three rows and no vertex: a family of pairs alone.
         ([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], [1, 1, 1], 0.4703604341917987, 3),
     ],
 )
-def test_alpha_on_a_family_with_no_cone_or_one_size(rows, b, alpha, count):
+def test_alpha_on_a_family_with_no_cone_or_one_size(monkeypatch, rows, b, alpha, count):
+    tables = calls_of(monkeypatch, "_cone_table")
     B = Polyhedron(rows, b)
     assert alpha_polyhedron_halfspace(B, HalfSpace([0.3, 0.2, 1.0], -5.0)) == alpha
-    _, stacked, inverses, _, dependent, full = B._cones
-    assert stacked.shape == (count, 3) and inverses.shape == (count, 3, 3)
-    assert dependent.shape == (0, 3) and full == count
+    [(_, table)] = tables
+    independent, dependent, _ = table_cones(table)
+    assert len(independent) == count and dependent == []
+    assert [idx.shape[1] for idx, _, _ in table] == ([2] if len(rows) > 1 else [])
 
 
-def test_the_cone_table_is_built_once_per_polyhedron(monkeypatch):
-    # The table is built once, and only the call that builds it reads the
-    # vertex list.  bound_report reads alpha off the optimum's face of a
-    # pool pair, and the shifted solve takes no alpha: neither reads a
-    # vertex list or builds a table.
-    built, reads = [], []
-
-    def spy(B, vertices):
-        built.append(B)
-        return cone_table(B, vertices)
+def test_the_vertex_list_is_enumerated_once_per_polyhedron(monkeypatch):
+    # Each read of the cone table builds its family from B's vertex list,
+    # and only the first enumerates it.  bound_report reads alpha off the
+    # optimum's face of a pool pair, and the shifted solve takes no alpha:
+    # neither reads a vertex list or builds a family.
+    reads, enumerated = [], []
 
     def read(B):
         reads.append(B)
+        if B._vertices is None:
+            enumerated.append(B)
         return vertex_list(B)
 
-    cone_table, vertex_list = certify._cone_table, certify.feasible_vertices
-    monkeypatch.setattr(certify, "_cone_table", spy)
+    vertex_list = certify.feasible_vertices
     monkeypatch.setattr(certify, "feasible_vertices", read)
+    built = calls_of(monkeypatch, "_cone_table")
     rng = np.random.default_rng(5)
     inst = random_pair_instance(rng)
     while inst.poly.dim < 3:
         inst = random_pair_instance(rng)
-    hs, B = inst.halfspace, inst.poly
+    hs, B = inst.halfspace, Polyhedron(inst.poly.A, inst.poly.b)
     bound_report(B, hs, inst.x0)
-    assert built == [] and reads == [] and B._cones is None
+    assert built == [] and reads == [] and B._vertices is None
     certify._table_alpha(B, hs)
     certify._table_alpha(B, HalfSpace(-hs.c, 0.0))
-    assert built == [B] and built[0] is B
-    assert len(reads) == 1 and reads[0] is B
+    assert [args[0] for args, _ in built] == [B, B] and reads == [B, B] and enumerated == [B]
+    assert built[0][0][1] is built[1][0][1] is B._vertices
     fresh = Polyhedron(B.A, B.b)
     solve_lp(LPProblem(hs.c, fresh, hs.M), x0=inst.x0, strategy="shifted")
-    assert len(built) == 1 and len(reads) == 1
-    assert fresh._cones is None and fresh._vertices is None
+    assert len(built) == 2 and len(reads) == 2
+    assert fresh._vertices is None
     moved = translate(B, np.ones(B.dim))
-    assert moved._cones is None
+    assert moved._vertices is None
     certify._table_alpha(moved, hs)
-    assert len(built) == 2 and built[1] is moved and moved._cones is not B._cones
+    assert built[2][0][0] is moved and enumerated == [B, moved]
 
 
 def test_a_repeat_alpha_reads_no_vertex_list(monkeypatch):
-    # A repeat read of the cone table under another objective reads the
-    # kept family alone, and gives the bits of a first read on a fresh copy
-    # of the polyhedron.
-    reads = []
+    # A repeat read of the cone table under another objective builds its
+    # family from the kept vertex list, enumerating none, and gives the
+    # bits of a first read on a fresh copy of the polyhedron.
+    enumerated = []
 
     def spy(B):
-        reads.append(B)
+        if B._vertices is None:
+            enumerated.append(B)
         return feasible_vertices(B)
 
     monkeypatch.setattr(certify, "feasible_vertices", spy)
     B = Polyhedron(SQUARE_PYRAMID.A, SQUARE_PYRAMID.b)
     rng = np.random.default_rng(8)
     alphas = [certify._table_alpha(B, HalfSpace(rng.normal(size=3), 0.0)) for _ in range(4)]
-    assert reads == [B]
+    assert enumerated == [B]
     rng = np.random.default_rng(8)
     for value in alphas:
         fresh = Polyhedron(B.A, B.b)
         assert certify._table_alpha(fresh, HalfSpace(rng.normal(size=3), 0.0)).hex() == value.hex()
-        assert reads[-1] is fresh
-    assert len(reads) == 5
+        assert enumerated[-1] is fresh
+    assert len(enumerated) == 5
 
 
-def test_alpha_errors_keep_no_table():
-    # Past the oracle's limits the cone table raises TooLarge and keeps
-    # nothing.  The public alpha reads these pairs off the optimum's face,
-    # with no limit, and keeps no table either: ``-c`` is a sum of rows, so
-    # the LP is bounded.
+def test_alpha_errors_keep_no_table(monkeypatch):
+    # Past the oracle's limits the cone table raises TooLarge, builds no
+    # family and keeps no vertex list.  The public alpha reads these pairs
+    # off the optimum's face, with no limit, and builds no family either:
+    # ``-c`` is a sum of rows, so the LP is bounded.
+    built = calls_of(monkeypatch, "_cone_table")
     B = SQUARE_PYRAMID
     fresh = Polyhedron(B.A, B.b)
     with pytest.raises(DimensionMismatch):
         alpha_polyhedron_halfspace(fresh, HalfSpace([1.0, 2.0], 0.0))
-    assert fresh._cones is None
+    assert built == [] and fresh._vertices is None
     rng = np.random.default_rng(11)
     for n, m in ((3, 25), (9, 12)):
         big = Polyhedron(rng.normal(size=(m, n)), np.ones(m))
         A = HalfSpace(-big.A[:n].sum(axis=0), 0.0)
         with pytest.raises(TooLarge):
             certify._table_alpha(big, A)
-        assert big._cones is None and big._vertices is None
+        assert built == [] and big._vertices is None
         assert 0.0 < alpha_polyhedron_halfspace(big, A) <= 0.5
-        assert big._cones is None and big._vertices is None
+        assert built == [] and big._vertices is None
 
 
 def nearly_dependent_vertex(eps):
@@ -576,7 +504,7 @@ def nearly_dependent_vertex(eps):
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-6])
-def test_a_nearly_dependent_optimum_takes_the_cone_table(eps):
+def test_a_nearly_dependent_optimum_takes_the_cone_table(monkeypatch, eps):
     # The walk ends on the origin's three rows either way.  At eps = 1e-6
     # their R factor has a diagonal entry below _RANK_TOL (1e-6), where
     # mu and the rows of R^-1 lose digits, so the face gives no alpha and
@@ -584,6 +512,7 @@ def test_a_nearly_dependent_optimum_takes_the_cone_table(eps):
     # face reads it; the face's distances err by about 1e-16 absolute, here
     # 5e-11 relative.  A guard left out or 10 times larger moves one case.
     B, A = nearly_dependent_vertex(eps)
+    tables = calls_of(monkeypatch, "_table_alpha")
     alpha = alpha_polyhedron_halfspace(B, A)
     _, end, face = B._walk[1]
     assert sorted(face.W) == [0, 1, 2] and not end.point.any()
@@ -592,11 +521,11 @@ def test_a_nearly_dependent_optimum_takes_the_cone_table(eps):
     assert diagonal == pytest.approx(eps / math.sqrt(2.0), rel=1e-9)
     assert alpha == pytest.approx(0.5 * eps / math.sqrt(8.0 + eps * eps), rel=1e-10)
     if eps < 1e-5:
-        assert B._cones is not None
+        assert [args[0] for args, _ in tables] == [B]
         assert alpha.hex() == certify._table_alpha(Polyhedron(B.A, B.b), A).hex()
         assert exact_alpha_error(B, A, alpha) <= POOL_EXACT_BOUND
     else:
-        assert B._cones is None
+        assert tables == []
 
 
 def facet_cone_alpha(B, A, W):
@@ -684,7 +613,7 @@ def face_alpha_pairs(pool):
 
 
 @pytest.mark.parametrize("pool", ["1", "3", "7", "11", "rng72", "unbounded", "bad_geometry"])
-def test_alpha_is_read_off_the_optimum_face(pool):
+def test_alpha_is_read_off_the_optimum_face(monkeypatch, pool):
     # Every pair of the pools has a simple optimum, so alpha is read off its
     # face and no cone table is built.  It is the vertex-cone reference
     # within 1e-12 relative, and never below the cone table's alpha, whose
@@ -697,11 +626,13 @@ def test_alpha_is_read_off_the_optimum_face(pool):
     # there, and on the one whose optimal vertex the oracle merges with its
     # neighbours, to the facet cones of the walk's working rows.
     bound = BAD_GEOMETRY_EXACT_BOUND if pool == "bad_geometry" else 1e-12
+    reads = calls_of(monkeypatch, "_table_alpha")
     edge_minimum = tables = merged = 0
     for B, A, x0 in face_alpha_pairs(pool):
         fresh = Polyhedron(B.A, B.b)
+        reads.clear()
         alpha = alpha_polyhedron_halfspace(fresh, A)
-        if fresh._cones is not None:
+        if reads:
             tables += 1
             assert alpha.hex() == certify._table_alpha(Polyhedron(B.A, B.b), A).hex()
             continue
@@ -718,7 +649,7 @@ def test_alpha_is_read_off_the_optimum_face(pool):
         if polyhedron_halfspace_distance(B, A) > 0.0:
             for start in (x0, x0 - A.c):
                 assert bound_report(fresh, A, start).alpha.hex() == alpha.hex()
-        assert fresh._cones is None
+        assert all(args[0] is not fresh for args, _ in reads)
     assert (edge_minimum > 0) == (pool == "unbounded")
     assert (tables, merged) == ((17, 1) if pool == "bad_geometry" else (0, 0))
 
@@ -738,33 +669,35 @@ def near_facet_pair(delta):
 
 
 @pytest.mark.parametrize("delta", [0.9e-9, 1.1e-9])
-def test_a_facet_within_the_containment_tolerance_takes_the_cone_table(delta):
+def test_a_facet_within_the_containment_tolerance_takes_the_cone_table(monkeypatch, delta):
     # A facet of the optimum's cone at most _CONTAINS_TOL (1e-9) from v
     # counts as containing v, and alpha takes the cone table, which skips
     # every cone that near: at 0.9e-9 alpha is the table's, far above
     # delta.  At 1.1e-9 the face gives alpha, half that facet's distance.
     # A constant 10 times larger or smaller moves one of the two.
     B, A = near_facet_pair(delta)
-    for alpha in (alpha_polyhedron_halfspace(B, A), bound_report(Polyhedron(B.A, B.b), A, start_in(A)).alpha):
+    reads = calls_of(monkeypatch, "_table_alpha")
+    alphas = (alpha_polyhedron_halfspace(B, A), bound_report(Polyhedron(B.A, B.b), A, start_in(A)).alpha)
+    assert len(reads) == (2 if delta < 1e-9 else 0)
+    for alpha in alphas:
         if delta < 1e-9:
-            assert B._cones is not None
             assert alpha == certify._table_alpha(Polyhedron(B.A, B.b), A) and alpha > 0.1
         else:
-            assert B._cones is None
             assert alpha == pytest.approx(0.5 * delta, rel=1e-6)
 
 
-def test_distances_of_a_pair_of_two_dimensions_raise_dimension_mismatch():
+def test_distances_of_a_pair_of_two_dimensions_raise_dimension_mismatch(monkeypatch):
     # The pair's dimension check is the only length check of c before the
     # walk: without it a 2-D c would reach the walk on a 3-D polyhedron.
     # bound_report validates x0 against A, then raises as alpha does.
     B = Polyhedron(SQUARE_PYRAMID.A, SQUARE_PYRAMID.b)
     A = HalfSpace([1.0, 2.0], -10.0)
+    reads = calls_of(monkeypatch, "_table_alpha")
     with pytest.raises(DimensionMismatch):
         polyhedron_halfspace_distance(B, A)
     with pytest.raises(DimensionMismatch):
         bound_report(B, A, [-10.0, 0.0])
-    assert B._walk is None and B._cones is None
+    assert B._walk is None and reads == []
 
 
 def test_planar_alpha_has_no_row_limit():
@@ -841,6 +774,41 @@ def test_iteration_bound_rejects_impossible_geometry():
         iteration_bound(0.25, 0.0, 1.0)
     with pytest.raises(ValueError):
         iteration_bound(1.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("below", [0.9e-10, 1.1e-10])
+def test_a_start_within_the_strict_margin_below_the_distance_is_accepted(below):
+    # d(x0, B) may fall below d(A, B) by the rounding of a start in A, up to
+    # _STRICT_MARGIN (1e-10); further below it is impossible geometry.  A
+    # constant 10 times larger or smaller moves one of the two.
+    if below < 1e-10:
+        report = iteration_bound(0.25, 1.0, 1.0 - below)
+        assert report.N == 0 and report.one_step and report.d_x0_B == 1.0 - below
+    else:
+        with pytest.raises(InvalidDistance):
+            iteration_bound(0.25, 1.0, 1.0 - below)
+
+
+@pytest.mark.parametrize("delta", [0.9e-10, 1.1e-10])
+def test_a_row_within_the_strict_margin_of_v_leaves_the_table(monkeypatch, delta):
+    # A box open at the top under a row whose unit row has cosine 1 - delta
+    # with v = -c/||c|| = e_2.  A row with cosine at least 1 - _STRICT_MARGIN
+    # (1e-10) counts as antiparallel to c: it and every cone through it
+    # leave the family, and alpha caps at 1/2.  Below that it qualifies, and
+    # alpha is half its ray distance, about sqrt(2 delta) / 2.  A constant
+    # 10 times larger or smaller moves one of the two.
+    s = math.sqrt(delta * (2.0 - delta))
+    rows = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1], [s, 0, 1.0 - delta]]
+    B, A = Polyhedron(rows, [1, 1, 1, 1, 1, 0.5]), HalfSpace([0.0, 0.0, -1.0], -10.0)
+    assert abs(float(B._units[5] @ -A._unit) - (1.0 - delta)) < 1e-15
+    tables = calls_of(monkeypatch, "_cone_table")
+    alpha = certify._table_alpha(B, A)
+    [((_, _, qualifying), _)] = tables
+    assert qualifying[:5].all() and qualifying[5] == (delta > 1e-10)
+    if delta < 1e-10:
+        assert alpha == 0.5
+    else:
+        assert alpha == pytest.approx(0.5 * math.sqrt(2.0 * delta), rel=1e-6)
 
 
 def test_iteration_bound_monotonicity():

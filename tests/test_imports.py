@@ -335,7 +335,7 @@ def test_a_face_is_built_only_where_a_kernel_ends():
     assert call_sites("_continued") == {"qp._project_from", "qp._walk_from"}
 
 
-KEPT_RECORDS = ("_vertices", "_cones", "_walk")
+KEPT_RECORDS = ("_vertices", "_walk")
 
 
 def sets_record(node, name):
@@ -349,13 +349,13 @@ def sets_record(node, name):
 
 
 def test_each_kept_polyhedron_record_has_one_writer():
-    # A polyhedron's kept vertex list, cone table and walk are each written
-    # by the one module that makes them, so each has one construction path.
+    # A polyhedron's kept vertex list and walk are each written by the one
+    # module that makes them, so each has one construction path.
     writers = {
         name: {site.split(".")[0] for site in sites(lambda node: sets_record(node, name))}
         for name in KEPT_RECORDS
     }
-    assert writers == {"_vertices": {"vertices"}, "_cones": {"certify"}, "_walk": {"qp"}}
+    assert writers == {"_vertices": {"vertices"}, "_walk": {"qp"}}
     sample = ast.parse('object.__setattr__(p, "_walk", w)\nobject.__setattr__(p, name, w)\nsetattr(p, "_walk", w)')
     assert [sets_record(s.value, "_walk") for s in sample.body] == [True, False, False]
 

@@ -275,6 +275,24 @@ def test_both_strategies_refuse_a_bound_within_the_certificate_tolerance(strateg
     assert out.objective == -2.0 and out.certificate.holds
 
 
+@pytest.mark.parametrize("delta", [0.9e-10, 1.1e-10])
+@pytest.mark.parametrize("strategy", ["direct", "shifted"])
+def test_a_bound_within_the_strict_tolerance_is_refused_below_cert_tol(strategy, delta):
+    # Over y >= 0, |x| <= 1 with the unit c = (0, 1) the optimum is 0, and
+    # M = -delta puts the solution delta from the half-space.  With cert_tol
+    # at 1e-12, below _STRICT_TOL (1e-10), the strict bound is _STRICT_TOL:
+    # within it both strategies refuse M, beyond it both solve.  A constant
+    # 10 times larger or smaller moves one of the two.
+    poly = Polyhedron([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.0])
+    problem = LPProblem([0.0, 1.0], poly, -delta)
+    if delta < 1e-10:
+        with pytest.raises(LowerBoundNotStrict):
+            solve_lp(problem, strategy=strategy, cert_tol=1e-12)
+    else:
+        out = solve_lp(problem, strategy=strategy, cert_tol=1e-12)
+        assert out.objective == 0.0 and out.certificate.holds
+
+
 def test_solve_lp_validates_given_start():
     problem = LPProblem([-1.0, 0.0], unit_box(), -2.0)
     with pytest.raises(StartNotInA):
